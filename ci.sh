@@ -80,10 +80,12 @@ step "cargo build --release --offline" \
 step "cargo check --offline (benches, examples, bins)" \
     cargo check --offline --workspace --all-targets
 
+# --no-fail-fast: one crate's failure must not hide later crates' results;
+# the step still fails if any test does.
 step "cargo test -q --offline" \
-    cargo test -q --offline --workspace
+    cargo test -q --offline --workspace --no-fail-fast
 
-step "chaos suite at pinned seed (fault injection + snapshot recovery)" \
+step "chaos suite at pinned seed (fault injection + journal recovery)" \
     env SHAROES_TEST_SEED=0xC4A05EED cargo test -q --offline --test chaos
 
 step "chaos + cluster failover at second pinned seed" \

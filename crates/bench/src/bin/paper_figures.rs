@@ -604,7 +604,7 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
             for b in view.iter_mut() {
                 *b = rng.next_u64() as u8;
             }
-            store.put(ObjectKey::data(rng.next_u64(), view, i as u32), vec![0u8; 32]);
+            store.put(ObjectKey::data(rng.next_u64(), view, i as u32), vec![0u8; 32]).unwrap();
         }
 
         type ScanFn<'a> = &'a dyn Fn(Option<&ObjectKey>, usize) -> (Vec<ObjectKey>, bool);

@@ -24,6 +24,8 @@ pub struct SchemeComparison {
     pub scheme: Scheme,
     /// Virtual seconds to create `n` files.
     pub create_secs: f64,
+    /// Upload bytes of the create phase (deterministic, used by tests).
+    pub create_bytes_up: u64,
     /// Virtual seconds to stat them all (cold).
     pub stat_secs: f64,
     /// SSP bytes after the run.
@@ -43,6 +45,7 @@ pub fn scheme_comparison(n: usize, users: usize, opts: &BenchOpts) -> Vec<Scheme
             client.create(&format!("/bench/f{i}"), Mode::from_octal(0o644)).expect("create");
         }
         let create_secs = timer.seconds(&client, &o);
+        let create_bytes_up = timer.cost(&client).bytes_up;
 
         let mut stat_client = bench.client(BENCH_USER, None);
         let timer = PhaseTimer::start(&stat_client);
@@ -53,6 +56,7 @@ pub fn scheme_comparison(n: usize, users: usize, opts: &BenchOpts) -> Vec<Scheme
         out.push(SchemeComparison {
             scheme,
             create_secs,
+            create_bytes_up,
             stat_secs,
             ssp_bytes: bench.server.store().byte_count(),
         });
@@ -397,8 +401,15 @@ mod tests {
         let s2 = rows.iter().find(|r| r.scheme == Scheme::SharedCaps).unwrap();
         let s1 = rows.iter().find(|r| r.scheme == Scheme::PerUser).unwrap();
         assert!(s1.ssp_bytes > s2.ssp_bytes);
-        // Per-user replication also costs more to create (more records up).
-        assert!(s1.create_secs > s2.create_secs * 0.9);
+        // Per-user replication also costs more to create: more records up.
+        // Upload bytes, not virtual seconds, which embed wall-clock crypto
+        // time (see a2 below).
+        assert!(
+            s1.create_bytes_up > s2.create_bytes_up,
+            "scheme-1 create must upload more: {} vs {}",
+            s1.create_bytes_up,
+            s2.create_bytes_up
+        );
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn read_fails_over_and_repairs_a_missing_replica() {
     w.cluster.call(&Request::Put { key: key(7), value: blob(7) }).unwrap();
     // Knock the blob off one replica behind the cluster's back.
     let victim = w.stores.iter().position(|s| s.get(&key(7)).is_some()).unwrap();
-    w.stores[victim].delete(&key(7));
+    w.stores[victim].delete(&key(7)).unwrap();
     assert_eq!(holders(&w, &key(7)), 1);
     // The read still sees the surviving copy (presence wins)…
     assert_eq!(
@@ -117,7 +117,7 @@ fn divergent_replicas_reconcile_and_repair() {
     w.cluster.call(&Request::Put { key: key(3), value: blob(3) }).unwrap();
     // Corrupt one replica with a different (stale) value.
     let victim = w.stores.iter().position(|s| s.get(&key(3)).is_some()).unwrap();
-    w.stores[victim].put(key(3), b"stale".to_vec());
+    w.stores[victim].put(key(3), b"stale".to_vec()).unwrap();
     let got = w.cluster.call(&Request::Get { key: key(3) }).unwrap();
     // Majority can't decide 1-vs-1; ring order picks a winner
     // deterministically, and both replicas converge on it.
@@ -137,7 +137,7 @@ fn batched_reads_also_fail_over_and_repair() {
     // Drop every key from one (arbitrary) holding store.
     for k in &keys {
         let victim = w.stores.iter().position(|s| s.get(k).is_some()).unwrap();
-        w.stores[victim].delete(k);
+        w.stores[victim].delete(k).unwrap();
     }
     let got = w.cluster.call(&Request::GetMany { keys: keys.clone() }).unwrap();
     assert_eq!(got, Response::Objects((0..20).map(|i| Some(blob(i))).collect()));

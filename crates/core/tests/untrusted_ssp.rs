@@ -79,7 +79,7 @@ fn tampered_data_block_detected() {
     let mut blob = world.server.store().get(&key).unwrap();
     let mid = blob.len() / 2;
     blob[mid] ^= 0xFF;
-    world.server.store().put(key, blob);
+    world.server.store().put(key, blob).unwrap();
 
     let mut bob = world.client(BOB);
     let err = bob.read("/home/alice/notes.txt").unwrap_err();
@@ -96,7 +96,7 @@ fn tampered_metadata_detected() {
     let mut blob = world.server.store().get(&key).unwrap();
     let mid = blob.len() / 2;
     blob[mid] ^= 0x01;
-    world.server.store().put(key, blob);
+    world.server.store().put(key, blob).unwrap();
 
     let mut bob = world.client(BOB);
     let err = bob.getattr("/home/alice/notes.txt").unwrap_err();
@@ -115,7 +115,7 @@ fn object_swapping_between_slots_detected() {
     let notes_key = ObjectKey::data(notes, sharoes_core::ids::data_view(notes, 0), 0);
     let board_key = ObjectKey::data(board, sharoes_core::ids::data_view(board, 0), 0);
     let board_blob = world.server.store().get(&board_key).unwrap();
-    world.server.store().put(notes_key, board_blob);
+    world.server.store().put(notes_key, board_blob).unwrap();
 
     let mut bob = world.client(BOB);
     let err = bob.read("/home/alice/notes.txt").unwrap_err();
@@ -147,7 +147,7 @@ fn reader_forging_write_is_detected() {
         let mid = sealed.ciphertext.len() / 2;
         sealed.ciphertext[mid] ^= 0xAA;
     }
-    world.server.store().put(key, sharoes_net::WireWrite::to_wire(&sealed));
+    world.server.store().put(key, sharoes_net::WireWrite::to_wire(&sealed)).unwrap();
 
     let mut bob = world.client(BOB);
     assert!(matches!(bob.read("/home/alice/notes.txt").unwrap_err(), CoreError::TamperDetected(_)));
@@ -169,8 +169,8 @@ fn block_reordering_within_a_file_detected() {
     let k1 = ObjectKey::data(inode, dview, 1);
     let b0 = world.server.store().get(&k0).unwrap();
     let b1 = world.server.store().get(&k1).unwrap();
-    world.server.store().put(k0, b1);
-    world.server.store().put(k1, b0);
+    world.server.store().put(k0, b1).unwrap();
+    world.server.store().put(k1, b0).unwrap();
 
     let mut bob = world.client(BOB);
     assert!(matches!(bob.read("/home/alice/big.bin").unwrap_err(), CoreError::TamperDetected(_)));
@@ -188,7 +188,7 @@ fn replayed_manifest_with_fresh_blocks_detected() {
 
     alice.write_file("/home/alice/notes.txt", b"completely new contents").unwrap();
     // SSP serves the stale block under the fresh manifest.
-    world.server.store().put(ObjectKey::data(inode, dview, 0), old_block);
+    world.server.store().put(ObjectKey::data(inode, dview, 0), old_block).unwrap();
 
     let mut bob = world.client(BOB);
     assert!(matches!(bob.read("/home/alice/notes.txt").unwrap_err(), CoreError::TamperDetected(_)));
@@ -214,7 +214,7 @@ fn metadata_rollback_detected_within_session() {
     alice.getattr("/home/alice/notes.txt").unwrap();
 
     // SSP replays the stale replica.
-    world.server.store().put(key, stale);
+    world.server.store().put(key, stale).unwrap();
     let err = alice.getattr("/home/alice/notes.txt").unwrap_err();
     assert!(matches!(&err, CoreError::TamperDetected(msg) if msg.contains("rolled back")), "{err}");
 }
@@ -237,8 +237,8 @@ fn manifest_rollback_detected_within_session() {
     assert_eq!(alice.read("/home/alice/notes.txt").unwrap(), b"version two");
 
     // SSP replays the entire old (internally consistent!) data state.
-    world.server.store().put(mkey, stale_manifest);
-    world.server.store().put(ObjectKey::data(inode, dview, 0), stale_block);
+    world.server.store().put(mkey, stale_manifest).unwrap();
+    world.server.store().put(ObjectKey::data(inode, dview, 0), stale_block).unwrap();
     let err = alice.read("/home/alice/notes.txt").unwrap_err();
     assert!(matches!(&err, CoreError::TamperDetected(msg) if msg.contains("rolled back")), "{err}");
 
@@ -254,7 +254,7 @@ fn deletion_is_detected_as_missing_not_garbage() {
     let mut alice = world.client(ALICE);
     let inode = alice.getattr("/home/alice/notes.txt").unwrap().inode;
     let dview = sharoes_core::ids::data_view(inode, 0);
-    world.server.store().delete(&ObjectKey::data(inode, dview, u32::MAX));
+    world.server.store().delete(&ObjectKey::data(inode, dview, u32::MAX)).unwrap();
 
     let mut bob = world.client(BOB);
     let err = bob.read("/home/alice/notes.txt").unwrap_err();
@@ -269,7 +269,7 @@ fn stolen_superblock_is_useless_to_others() {
     let alice_slot = ObjectKey::superblock(sharoes_core::ids::superblock_view(ALICE));
     let bob_slot = ObjectKey::superblock(sharoes_core::ids::superblock_view(BOB));
     let alice_sb = world.server.store().get(&alice_slot).unwrap();
-    world.server.store().put(bob_slot, alice_sb);
+    world.server.store().put(bob_slot, alice_sb).unwrap();
 
     let transport = sharoes_net::InMemoryTransport::new(std::sync::Arc::clone(&world.server) as _);
     let mut bob = sharoes_core::SharoesClient::with_rng(

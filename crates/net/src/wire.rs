@@ -194,7 +194,11 @@ impl<T: WireRead> WireRead for Vec<T> {
         if len > r.remaining() {
             return Err(NetError::Codec("vector length exceeds input"));
         }
-        let mut out = Vec::with_capacity(len.min(4096));
+        // So one-byte elements (byte strings: stored values) are allocated
+        // exactly; wider ones grow from a capped guess, since a hostile
+        // prefix must not reserve `size_of::<T>()` times the input.
+        let cap = if std::mem::size_of::<T>() == 1 { len } else { len.min(4096) };
+        let mut out = Vec::with_capacity(cap);
         for _ in 0..len {
             out.push(T::read(r)?);
         }

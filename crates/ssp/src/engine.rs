@@ -1,17 +1,19 @@
-//! The log-structured persistent storage engine (ROADMAP item 1).
+//! The object store's write-ahead journal: the durability layer behind
+//! [`ObjectStore::open`] and `sharoes-sspd --wal`.
 //!
-//! Replaces "RAM hashtable + full-file snapshot" durability with an
-//! append-only write-ahead log, an in-memory key→location index rebuilt by
-//! replay, and checkpoints in the existing `SHAROES2` snapshot format as an
-//! O(log-tail) recovery shortcut. See DESIGN.md §11 for the on-disk formats
-//! and the recovery state machine; `tests/crashpoints.rs` holds the
-//! crash-point matrix that proves the atomicity story.
+//! Every value lives in the store's in-memory table; the journal only makes
+//! mutations survive a crash. It holds an append-only WAL, rolled into
+//! sealed files, and checkpoints — the store's own sorted `SHAROES2`
+//! snapshot — that let compaction drop the WAL they cover. See DESIGN.md
+//! §11 for the on-disk formats and the recovery state machine;
+//! `tests/crashpoints.rs` holds the crash-point matrix that proves the
+//! atomicity story.
 //!
 //! Durability model (the crash-consistency invariants):
 //!
 //! 1. A mutation is acknowledged after its record is appended to the active
 //!    WAL; it is *durable* once the WAL has been fsynced — every
-//!    [`EngineConfig::group_commit`]'th append, or on [`LogEngine::flush`].
+//!    [`EngineConfig::group_commit`]'th append, or on [`ObjectStore::flush`].
 //! 2. Recovery truncates at most one torn record at the very tail of the
 //!    *last* WAL file (the signature of a crashed append). A torn or
 //!    bit-rotten record anywhere else is a typed
@@ -22,25 +24,31 @@
 //!    (checkpoint, WAL-tail) pair it picked covers every durable record —
 //!    or fail loudly.
 //!
-//! All I/O goes through [`crate::faultfs::Vfs`], so the crash tests drive
-//! the engine over a seeded fault-injecting filesystem.
+//! Rot in any file is caught when [`ObjectStore::open`] reads it; reads
+//! never touch the filesystem afterwards. All I/O goes through
+//! [`crate::faultfs::Vfs`], so the crash tests drive the journal over a
+//! seeded fault-injecting filesystem.
 
 use crate::faultfs::{VFile, Vfs};
 use crate::segment::{checkpoint_name, classify, wal_name, TMP_SUFFIX};
-use crate::store::{parse_snapshot_index, shard_of, snapshot_from_entries, DEFAULT_SHARDS};
-use crate::wal::{
-    decode_record_at, decode_wal_header, encode_record, encode_wal_header, replay, WalError, WalOp,
-    WalRecord, WAL_HEADER_LEN,
+use crate::store::{
+    decode_snapshot, encode_snapshot, shard_of, sorted_entries, ObjectStore, Shard,
 };
-use sharoes_crypto::Sha256;
-use sharoes_index::{MerkleIndex, VerifiedPage};
-use sharoes_net::{KeySpace, NetError, ObjectKey};
-use std::collections::BTreeMap;
+use crate::wal::{
+    decode_wal_header, encode_record, encode_wal_header, replay, WalError, WalOp, WalRecord,
+    WAL_HEADER_LEN,
+};
+use sharoes_net::NetError;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLockWriteGuard};
+use std::time::Instant;
 
-/// Tuning knobs for [`LogEngine`].
+/// The journalled [`ObjectStore`] under its original name:
+/// `LogEngine::open` is [`ObjectStore::open`].
+pub type LogEngine = ObjectStore;
+
+/// Tuning knobs for a journalled store.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Fsync the WAL after this many appended records (1 = every record,
@@ -52,7 +60,7 @@ pub struct EngineConfig {
     /// floor (and outweigh live bytes) before a compaction is worth it.
     pub compact_min_dead_bytes: u64,
     /// Whether mutations trigger threshold compaction automatically
-    /// ([`LogEngine::compact`] always works regardless).
+    /// ([`ObjectStore::compact`] always works regardless).
     pub auto_compact: bool,
 }
 
@@ -67,57 +75,22 @@ impl Default for EngineConfig {
     }
 }
 
-/// Which file a live value resides in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FileRef {
-    /// The current checkpoint file.
-    Checkpoint,
-    /// WAL file with this id (active or sealed).
-    Wal(u64),
-}
+/// Checkpoints reach the filesystem in appends of about this size, so a
+/// compaction never holds a second copy of the table.
+const CHECKPOINT_CHUNK: usize = 64 * 1024;
 
-/// Index entry: where the newest version of a key's value lives.
-#[derive(Clone, Copy, Debug)]
-struct Loc {
-    file: FileRef,
-    /// Record offset (WAL) or value offset (checkpoint).
-    offset: u64,
-    /// Framed record length (WAL; 0 for checkpoint entries).
-    rlen: u32,
-    /// Value length.
-    vlen: u32,
-    /// Truncated SHA-256 of the value (checkpoint entries; the WAL record's
-    /// own digest covers WAL entries).
-    vdigest: [u8; 8],
-}
-
-impl Loc {
-    /// Bytes this entry stops being able to reclaim once superseded.
-    fn cost(&self) -> u64 {
-        match self.file {
-            FileRef::Wal(_) => self.rlen as u64,
-            FileRef::Checkpoint => self.vlen as u64,
-        }
-    }
-}
-
-struct CheckpointFile {
-    seq: u64,
-    handle: Box<dyn VFile>,
-}
-
-/// All file-level state: the WAL chain, the checkpoint handle, and the
-/// group-commit bookkeeping. One mutex serializes every append — callers
-/// blocked on it form the group-commit queue, so `pending` batches their
-/// fsyncs exactly as before the store was sharded.
+/// All file-level state: the WAL chain and the group-commit bookkeeping.
+/// One mutex serializes every append — callers blocked on it form the
+/// group-commit queue, so `pending` batches their fsyncs.
 struct FileState {
     /// Active WAL handle.
     wal: Box<dyn VFile>,
     wal_id: u64,
     wal_len: u64,
-    /// Sealed WAL files still on disk; handles opened lazily.
-    sealed: BTreeMap<u64, Option<Box<dyn VFile>>>,
-    checkpoint: Option<CheckpointFile>,
+    /// Ids of the sealed WAL files still on disk, ascending.
+    sealed: Vec<u64>,
+    /// Sequence number the current checkpoint covers through.
+    checkpoint: Option<u64>,
     /// This process's generation stamp (max seen on disk + 1).
     gen: u64,
     /// Sequence number the next record gets.
@@ -126,51 +99,34 @@ struct FileState {
     pending: usize,
 }
 
-/// One shard of the key→location map.
-type Shard = BTreeMap<ObjectKey, Loc>;
-
-/// Crash-consistent log-structured store: the durable drop-in for
-/// [`crate::store::ObjectStore`] behind `sharoes-sspd --wal`.
-///
-/// Concurrency model (DESIGN.md §14): the key→location index is split into
-/// [`DEFAULT_SHARDS`] shards keyed by [`crate::store::shard_of`] — the same
-/// stable hash the cluster ring proves out — so writers to different shards
-/// only contend on the (short) WAL append section. Lock order is global and
-/// acyclic: shard locks in ascending shard order, then `files`, then (after
-/// `files` is released) `mindex`. Whole-map operations (compaction,
-/// snapshot) take every shard lock in ascending order first.
-pub struct LogEngine {
+/// The durability layer of a journalled [`ObjectStore`].
+pub(crate) struct Journal {
     fs: Arc<dyn Vfs>,
     dir: PathBuf,
     config: EngineConfig,
-    shards: Vec<RwLock<Shard>>,
-    /// Authenticated ordered index over the live keys, maintained in
-    /// lockstep with the shard maps and rebuilt from the recovered key set
-    /// on open. Compaction never touches it: the key *set* is unchanged.
-    mindex: RwLock<MerkleIndex>,
     files: Mutex<FileState>,
     /// Bytes of superseded (garbage) records across WAL files + checkpoint.
     dead_bytes: AtomicU64,
-    /// Total live value bytes.
-    value_bytes: AtomicU64,
-}
-
-fn vdigest8(value: &[u8]) -> [u8; 8] {
-    let mut d = [0u8; 8];
-    d.copy_from_slice(&Sha256::digest(value)[..8]);
-    d
 }
 
 fn corrupt(msg: String) -> NetError {
     NetError::Corrupt(msg)
 }
 
-/// A verified checkpoint picked during recovery: its covered-through seq,
-/// file name, parsed (key, value offset, value length) index, and raw bytes.
-type LoadedCheckpoint = (u64, String, Vec<(ObjectKey, u64, u32)>, Vec<u8>);
+/// Runs `acquire`, attributing its wait to the enclosing span's `lock`
+/// phase when a trace span is live.
+pub(crate) fn lock_timed<G>(acquire: impl FnOnce() -> G) -> G {
+    if !sharoes_obs::in_span() {
+        return acquire();
+    }
+    let start = Instant::now();
+    let guard = acquire();
+    sharoes_obs::phase_add(sharoes_obs::Phase::Lock, start.elapsed().as_nanos() as u64);
+    guard
+}
 
-impl LogEngine {
-    /// Opens (recovering if necessary) the engine over `dir`.
+impl Journal {
+    /// Recovers the journal in `dir` into `shards` (empty on entry).
     ///
     /// Recovery state machine:
     /// 1. sweep leftover `.tmp` files;
@@ -183,28 +139,34 @@ impl LogEngine {
     /// 4. fail with a typed [`NetError::Corrupt`] if the surviving
     ///    (checkpoint, WAL) pair provably misses records — stale data is
     ///    never served silently.
-    pub fn open(fs: Arc<dyn Vfs>, dir: &Path, config: EngineConfig) -> Result<Self, NetError> {
-        let t0 = std::time::Instant::now();
+    pub(crate) fn recover(
+        fs: Arc<dyn Vfs>,
+        dir: &Path,
+        config: EngineConfig,
+        shards: &mut [Shard],
+    ) -> Result<Journal, NetError> {
+        let t0 = Instant::now();
         let _span = sharoes_obs::span!("ssp.engine_recover");
         fs.create_dir_all(dir)?;
         let listing = classify(&fs.list(dir)?);
         for tmp in &listing.tmps {
             fs.remove(&dir.join(tmp)).ok();
         }
+        let n = shards.len();
 
         // Newest verifiable checkpoint wins; rotten generations are skipped
         // (the sequence-contiguity check below decides whether the WAL can
         // still bridge the gap — if not, recovery fails loudly).
-        let mut checkpoint: Option<LoadedCheckpoint> = None;
+        let mut checkpoint: Option<u64> = None;
         let mut first_ck_err: Option<NetError> = None;
         for (seq, name) in listing.checkpoints.iter().rev() {
-            let res = fs
-                .read(&dir.join(name))
-                .map_err(NetError::from)
-                .and_then(|bytes| parse_snapshot_index(&bytes).map(|ix| (ix, bytes)));
-            match res {
-                Ok((ix, bytes)) => {
-                    checkpoint = Some((*seq, name.clone(), ix, bytes));
+            match fs.read(&dir.join(name)).map_err(NetError::from).and_then(|b| decode_snapshot(&b))
+            {
+                Ok(entries) => {
+                    for (key, value) in entries {
+                        shards[shard_of(&key, n)].insert(key, value, false);
+                    }
+                    checkpoint = Some(*seq);
                     break;
                 }
                 Err(e) => {
@@ -214,34 +176,11 @@ impl LogEngine {
                 }
             }
         }
-        let had_checkpoint_files = !listing.checkpoints.is_empty();
-
-        let mut index: BTreeMap<ObjectKey, Loc> = BTreeMap::new();
-        let mut value_bytes = 0u64;
-        let mut dead_bytes = 0u64;
-        let base_seq = match &checkpoint {
-            Some((seq, _, ix, bytes)) => {
-                for (key, voff, vlen) in ix {
-                    let value = &bytes[*voff as usize..(*voff + *vlen as u64) as usize];
-                    index.insert(
-                        *key,
-                        Loc {
-                            file: FileRef::Checkpoint,
-                            offset: *voff,
-                            rlen: 0,
-                            vlen: *vlen,
-                            vdigest: vdigest8(value),
-                        },
-                    );
-                    value_bytes += *vlen as u64;
-                }
-                *seq
-            }
-            None => 0,
-        };
+        let base_seq = checkpoint.unwrap_or(0);
 
         // Replay the WAL chain.
-        let mut sealed: BTreeMap<u64, Option<Box<dyn VFile>>> = BTreeMap::new();
+        let mut dead_bytes = 0u64;
+        let mut sealed = Vec::new();
         let mut first_seq: Option<u64> = None;
         let mut last_seq: Option<u64> = None;
         let mut max_gen = 0u64;
@@ -270,7 +209,7 @@ impl LogEngine {
             // Strict replay for sealed files: they were fsynced before the
             // next file was created, so a torn record in one is corruption.
             let rp = replay(&bytes, WAL_HEADER_LEN, is_last)?;
-            for (off, rlen, rec) in rp.records {
+            for (_, rlen, rec) in rp.records {
                 max_gen = max_gen.max(rec.gen);
                 first_seq.get_or_insert(rec.seq);
                 if let Some(prev) = last_seq {
@@ -286,34 +225,19 @@ impl LogEngine {
                     continue; // already covered by the checkpoint
                 }
                 replayed += 1;
-                match rec.op {
-                    WalOp::Put { key, value } => {
-                        let loc = Loc {
-                            file: FileRef::Wal(*id),
-                            offset: off,
-                            rlen,
-                            vlen: value.len() as u32,
-                            vdigest: [0; 8],
-                        };
-                        if let Some(old) = index.insert(key, loc) {
-                            dead_bytes += old.cost();
-                            value_bytes -= old.vlen as u64;
-                        }
-                        value_bytes += value.len() as u64;
-                    }
+                let old = match rec.op {
+                    WalOp::Put { key, value } => shards[shard_of(&key, n)].insert(key, value, true),
                     WalOp::Delete { key } => {
-                        if let Some(old) = index.remove(&key) {
-                            dead_bytes += old.cost();
-                            value_bytes -= old.vlen as u64;
-                        }
                         dead_bytes += rlen as u64;
+                        shards[shard_of(&key, n)].remove(&key)
                     }
-                }
+                };
+                dead_bytes += old.map_or(0, |old| old.dead);
             }
             if is_last {
                 active = Some((*id, name.clone(), rp.valid_len, false));
             } else {
-                sealed.insert(*id, None);
+                sealed.push(*id);
             }
         }
 
@@ -325,7 +249,7 @@ impl LogEngine {
                     "wal starts at seq {first} but checkpoint covers only through {base_seq}"
                 )));
             }
-        } else if checkpoint.is_none() && had_checkpoint_files {
+        } else if checkpoint.is_none() && !listing.checkpoints.is_empty() {
             // Every checkpoint is rotten and no WAL records survive to
             // rebuild from: refuse to come up empty over existing data.
             // Classified as corruption (Fatal), not a codec slip: retrying
@@ -366,8 +290,7 @@ impl LogEngine {
             }
             None => {
                 let id = 1u64;
-                let path = dir.join(wal_name(id));
-                let mut handle = fs.open(&path, true)?;
+                let mut handle = fs.open(&dir.join(wal_name(id)), true)?;
                 handle.append(&encode_wal_header(id, gen))?;
                 handle.sync()?;
                 fs.sync_dir(dir)?;
@@ -376,96 +299,29 @@ impl LogEngine {
             }
         };
 
-        let checkpoint = checkpoint.map(|(seq, name, _, _)| (seq, name));
-        let ck_handle = match &checkpoint {
-            Some((seq, name)) => {
-                Some(CheckpointFile { seq: *seq, handle: fs.open(&dir.join(name), false)? })
-            }
-            None => None,
-        };
-        let next_seq = last_seq.unwrap_or(0).max(base_seq) + 1;
-
         sharoes_obs::counter("ssp_recovery_replayed_records").add(replayed);
         sharoes_obs::histogram_ms("ssp_recovery_ms").observe(t0.elapsed().as_millis() as u64);
-
-        // From-scratch mindex rebuild over the recovered key set: history
-        // independence guarantees this equals the tree any sequence of live
-        // mutations would have left (tests/crashpoints.rs asserts this at
-        // every crash point).
-        let mindex = MerkleIndex::from_keys(index.keys().copied());
-        let mut shard_maps: Vec<Shard> = (0..DEFAULT_SHARDS).map(|_| BTreeMap::new()).collect();
-        for (key, loc) in index {
-            shard_maps[shard_of(&key, DEFAULT_SHARDS)].insert(key, loc);
-        }
-
-        Ok(LogEngine {
+        let files = FileState {
+            wal,
+            wal_id,
+            wal_len,
+            sealed,
+            checkpoint,
+            gen,
+            next_seq: covered + 1,
+            pending: 0,
+        };
+        Ok(Journal {
             fs,
             dir: dir.to_path_buf(),
             config,
-            shards: shard_maps.into_iter().map(RwLock::new).collect(),
-            mindex: RwLock::new(mindex),
-            files: Mutex::new(FileState {
-                wal,
-                wal_id,
-                wal_len,
-                sealed,
-                checkpoint: ck_handle,
-                gen,
-                next_seq,
-                pending: 0,
-            }),
+            files: Mutex::new(files),
             dead_bytes: AtomicU64::new(dead_bytes),
-            value_bytes: AtomicU64::new(value_bytes),
         })
     }
 
-    /// Locks the file state, attributing wait time to the enclosing span's
-    /// `lock` phase when a trace span is live. All locks below recover from
-    /// poisoning: a writer panicking mid-operation leaves at worst a torn
-    /// *logical* record, which is exactly the state recovery handles.
-    fn files_lock(&self) -> MutexGuard<'_, FileState> {
-        if sharoes_obs::in_span() {
-            let start = std::time::Instant::now();
-            let guard = self.files.lock().unwrap_or_else(|e| e.into_inner());
-            sharoes_obs::phase_add(sharoes_obs::Phase::Lock, start.elapsed().as_nanos() as u64);
-            return guard;
-        }
-        self.files.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn shard_read(&self, key: &ObjectKey) -> RwLockReadGuard<'_, Shard> {
-        self.shards[shard_of(key, self.shards.len())].read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn shard_write(&self, key: &ObjectKey) -> RwLockWriteGuard<'_, Shard> {
-        if sharoes_obs::in_span() {
-            let start = std::time::Instant::now();
-            let guard = self.shards[shard_of(key, self.shards.len())]
-                .write()
-                .unwrap_or_else(|e| e.into_inner());
-            sharoes_obs::phase_add(sharoes_obs::Phase::Lock, start.elapsed().as_nanos() as u64);
-            return guard;
-        }
-        self.shards[shard_of(key, self.shards.len())].write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Every shard, write-locked in ascending shard order (the global lock
-    /// order that makes whole-map operations deadlock-free).
-    fn write_all_shards(&self) -> Vec<RwLockWriteGuard<'_, Shard>> {
-        self.shards.iter().map(|s| s.write().unwrap_or_else(|e| e.into_inner())).collect()
-    }
-
-    /// Every shard, read-locked in ascending shard order.
-    fn read_all_shards(&self) -> Vec<RwLockReadGuard<'_, Shard>> {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner())).collect()
-    }
-
-    fn mindex_read(&self) -> RwLockReadGuard<'_, MerkleIndex> {
-        self.mindex.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn mindex_write(&self) -> RwLockWriteGuard<'_, MerkleIndex> {
-        self.mindex.write().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> MutexGuard<'_, FileState> {
+        lock_timed(|| self.files.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     fn sync_wal(files: &mut FileState) -> Result<(), NetError> {
@@ -475,149 +331,117 @@ impl LogEngine {
         Ok(())
     }
 
-    /// Appends one record (no fsync; see [`Self::group_sync`]).
-    fn append_record(&self, files: &mut FileState, op: WalOp) -> Result<(u64, u32), NetError> {
+    /// Appends `op` as one record, fsyncs per the group-commit config, and
+    /// (if `roll`) seals a full WAL file. Returns `op` back with the fsync
+    /// outcome: a failed fsync means the record is logged but *not
+    /// durable* — the caller applies it and surfaces the error (retry is
+    /// idempotent), and a later successful fsync or recovery replay of the
+    /// surviving bytes covers it.
+    pub(crate) fn log(
+        &self,
+        op: WalOp,
+        roll: bool,
+    ) -> Result<(WalOp, Result<(), NetError>), NetError> {
+        let mut files = self.lock();
         let rec = WalRecord { gen: files.gen, seq: files.next_seq, op };
         let bytes = encode_record(&rec);
-        let offset = files.wal_len;
         files.wal.append(&bytes)?;
         files.next_seq += 1;
         files.wal_len += bytes.len() as u64;
         files.pending += 1;
         sharoes_obs::counter("ssp_wal_appends").inc();
-        Ok((offset, bytes.len() as u32))
+        let synced = if files.pending >= self.config.group_commit.max(1) {
+            Self::sync_wal(&mut files)
+        } else {
+            Ok(())
+        };
+        if roll && synced.is_ok() && files.wal_len >= self.config.roll_bytes {
+            self.roll_locked(&mut files)?;
+        }
+        Ok((rec.op, synced))
     }
 
-    /// Fsyncs per the group-commit config. A failure here means the
-    /// mutation is applied and logged but *not durable*: the caller sees
-    /// the error (retry is idempotent), and a later successful fsync — or
-    /// recovery replay of the surviving bytes — covers the record.
-    fn group_sync(&self, files: &mut FileState) -> Result<(), NetError> {
-        if files.pending >= self.config.group_commit.max(1) {
-            Self::sync_wal(files)?;
+    /// Seals the active WAL if it is full (the end-of-sweep roll check).
+    pub(crate) fn roll_if_due(&self) -> Result<(), NetError> {
+        let mut files = self.lock();
+        if files.wal_len >= self.config.roll_bytes {
+            self.roll_locked(&mut files)?;
         }
         Ok(())
-    }
-
-    /// Reads the live value for `key` at `loc`, verifying integrity.
-    fn read_value(
-        &self,
-        files: &mut FileState,
-        key: &ObjectKey,
-        loc: Loc,
-    ) -> Result<Vec<u8>, NetError> {
-        match loc.file {
-            FileRef::Checkpoint => {
-                let ck = files
-                    .checkpoint
-                    .as_mut()
-                    .ok_or_else(|| corrupt("index points at a missing checkpoint".into()))?;
-                let value = ck.handle.read_at(loc.offset, loc.vlen as usize)?;
-                if vdigest8(&value) != loc.vdigest {
-                    return Err(corrupt(format!(
-                        "checkpoint value for {key:?} failed its digest (bit rot)"
-                    )));
-                }
-                Ok(value)
-            }
-            FileRef::Wal(id) => {
-                let handle: &mut Box<dyn VFile> = if id == files.wal_id {
-                    &mut files.wal
-                } else {
-                    let slot = files
-                        .sealed
-                        .get_mut(&id)
-                        .ok_or_else(|| corrupt(format!("index points at missing wal file {id}")))?;
-                    if slot.is_none() {
-                        *slot = Some(self.fs.open(&self.dir.join(wal_name(id)), false)?);
-                    }
-                    slot.as_mut().expect("just opened")
-                };
-                let bytes = handle.read_at(loc.offset, loc.rlen as usize)?;
-                let (rec, _) = decode_record_at(&bytes, 0)?;
-                match rec.op {
-                    WalOp::Put { key: rkey, value } if rkey == *key => Ok(value),
-                    _ => Err(corrupt(format!(
-                        "wal record at {}+{} does not hold a put for {key:?}",
-                        id, loc.offset
-                    ))),
-                }
-            }
-        }
     }
 
     /// Seals the active WAL and starts a fresh file.
     fn roll_locked(&self, files: &mut FileState) -> Result<(), NetError> {
         Self::sync_wal(files)?; // the sealed file must be fully durable
         let new_id = files.wal_id + 1;
-        let path = self.dir.join(wal_name(new_id));
-        let mut handle = self.fs.open(&path, true)?;
+        let mut handle = self.fs.open(&self.dir.join(wal_name(new_id)), true)?;
         handle.append(&encode_wal_header(new_id, files.gen))?;
         handle.sync()?;
         self.fs.sync_dir(&self.dir)?;
-        let old = std::mem::replace(&mut files.wal, handle);
-        files.sealed.insert(files.wal_id, Some(old));
+        files.wal = handle;
+        files.sealed.push(files.wal_id);
         files.wal_id = new_id;
         files.wal_len = WAL_HEADER_LEN as u64;
         Ok(())
     }
 
-    /// Writes a checkpoint covering everything appended so far, then drops
-    /// the superseded WAL files and all but one older checkpoint. Caller
-    /// holds *every* shard write lock (ascending) plus the file lock.
-    fn compact_locked(
+    /// Fsyncs any pending (group-commit buffered) appends.
+    pub(crate) fn flush(&self) -> Result<(), NetError> {
+        let mut files = self.lock();
+        if files.pending > 0 {
+            Self::sync_wal(&mut files)?;
+        }
+        Ok(())
+    }
+
+    /// Counts `bytes` of the journal as superseded garbage.
+    pub(crate) fn charge(&self, bytes: u64) {
+        self.dead_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Whether auto-compaction is on and the garbage thresholds say a
+    /// compaction is worth it against `live_bytes` of values.
+    pub(crate) fn compaction_due(&self, live_bytes: u64) -> bool {
+        let dead = self.dead_bytes.load(Ordering::Relaxed);
+        self.config.auto_compact && dead >= self.config.compact_min_dead_bytes && dead >= live_bytes
+    }
+
+    /// Writes a checkpoint of `shards` covering everything appended so far,
+    /// then drops the superseded WAL files and all but one older
+    /// checkpoint. Caller holds *every* shard write lock (ascending).
+    pub(crate) fn checkpoint(
         &self,
         shards: &mut [RwLockWriteGuard<'_, Shard>],
-        files: &mut FileState,
     ) -> Result<(), NetError> {
         let _span = sharoes_obs::span!("ssp.compact");
-        Self::sync_wal(files)?; // checkpoint must cover acknowledged state
+        let mut files = self.lock();
+        Self::sync_wal(&mut files)?; // checkpoint must cover acknowledged state
         let seq = files.next_seq - 1;
 
-        let mut merged: BTreeMap<ObjectKey, Loc> = BTreeMap::new();
-        for shard in shards.iter() {
-            for (key, loc) in shard.iter() {
-                merged.insert(*key, *loc);
-            }
-        }
-        let mut entries: Vec<(ObjectKey, Vec<u8>)> = Vec::with_capacity(merged.len());
-        for (key, loc) in &merged {
-            let value = self.read_value(files, key, *loc)?;
-            entries.push((*key, value));
-        }
-        let bytes = snapshot_from_entries(&entries);
-
-        // tmp → fsync file → rename → fsync dir: only then is the
+        // Stream the table's sorted snapshot straight from the borrowed
+        // values; tmp → fsync file → rename → fsync dir: only then is the
         // checkpoint allowed to supersede any WAL file.
         let final_name = checkpoint_name(seq);
         let tmp = self.dir.join(format!("{final_name}{TMP_SUFFIX}"));
         let mut f = self.fs.open(&tmp, true)?;
-        f.append(&bytes)?;
+        let mut chunk = Vec::with_capacity(CHECKPOINT_CHUNK);
+        encode_snapshot(&sorted_entries(shards), &mut |bytes| {
+            chunk.extend_from_slice(bytes);
+            if chunk.len() >= CHECKPOINT_CHUNK {
+                f.append(&chunk)?;
+                chunk.clear();
+            }
+            Ok(())
+        })?;
+        if !chunk.is_empty() {
+            f.append(&chunk)?;
+        }
         f.sync()?;
         drop(f);
         self.fs.rename(&tmp, &self.dir.join(&final_name))?;
         self.fs.sync_dir(&self.dir)?;
-
-        // Rebuild the shard maps to point into the checkpoint (value offset
-        // = entry offset + key wire size + length prefix; see
-        // `snapshot_from_entries`).
         for shard in shards.iter_mut() {
-            shard.clear();
-        }
-        let mut off = 16u64; // magic + count
-        for (key, value) in &entries {
-            let voff = off + 29 + 4;
-            shards[shard_of(key, shards.len())].insert(
-                *key,
-                Loc {
-                    file: FileRef::Checkpoint,
-                    offset: voff,
-                    rlen: 0,
-                    vlen: value.len() as u32,
-                    vdigest: vdigest8(value),
-                },
-            );
-            off = voff + value.len() as u64;
+            shard.logged.clear();
         }
 
         // Fresh WAL, durable before the old chain is deleted.
@@ -628,10 +452,9 @@ impl LogEngine {
 
         // Delete superseded WAL files and prune checkpoints down to the new
         // one plus a single fallback generation.
-        for id in files.sealed.keys().copied().collect::<Vec<_>>() {
-            self.fs.remove(&self.dir.join(wal_name(id))).ok();
+        for id in files.sealed.iter().chain([&files.wal_id]) {
+            self.fs.remove(&self.dir.join(wal_name(*id))).ok();
         }
-        self.fs.remove(&self.dir.join(wal_name(files.wal_id))).ok();
         let listing = classify(&self.fs.list(&self.dir)?);
         if listing.checkpoints.len() > 2 {
             for (_, name) in &listing.checkpoints[..listing.checkpoints.len() - 2] {
@@ -641,8 +464,7 @@ impl LogEngine {
         self.fs.sync_dir(&self.dir)?;
 
         files.sealed.clear();
-        files.checkpoint =
-            Some(CheckpointFile { seq, handle: self.fs.open(&self.dir.join(&final_name), false)? });
+        files.checkpoint = Some(seq);
         files.wal = wal;
         files.wal_id = new_id;
         files.wal_len = WAL_HEADER_LEN as u64;
@@ -651,257 +473,19 @@ impl LogEngine {
         Ok(())
     }
 
-    /// Whether the garbage thresholds say a compaction is worth it.
-    fn compaction_due(&self) -> bool {
-        let dead = self.dead_bytes.load(Ordering::Relaxed);
-        dead >= self.config.compact_min_dead_bytes
-            && dead >= self.value_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Threshold-triggered compaction. Peeks the atomics lock-free; only if
-    /// they say "due" does it take the whole-map locks, re-checking under
-    /// them (another thread may have compacted while we waited).
-    fn maybe_compact(&self) -> Result<(), NetError> {
-        if !self.config.auto_compact || !self.compaction_due() {
-            return Ok(());
-        }
-        let mut shards = self.write_all_shards();
-        if !self.compaction_due() {
-            return Ok(());
-        }
-        let mut files = self.files_lock();
-        self.compact_locked(&mut shards, &mut files)
-    }
-
-    /// Charges supersession accounting for a map entry that `key`'s
-    /// mutation just replaced or removed.
-    fn account_dead(&self, old: &Loc) {
-        self.dead_bytes.fetch_add(old.cost(), Ordering::Relaxed);
-        self.value_bytes.fetch_sub(old.vlen as u64, Ordering::Relaxed);
-    }
-
-    /// Stores (or replaces) an object.
-    ///
-    /// Lock walk: shard write → files (append + group fsync + roll) → drop
-    /// files → map/mindex update → drop shard. The shard lock is held
-    /// across the file section so a concurrent whole-map operation can
-    /// never observe an appended-but-unindexed record. A failed group fsync
-    /// still indexes the record (it is applied, just not yet durable) and
-    /// then surfaces the error — same contract as the single-lock engine.
-    pub fn put(&self, key: ObjectKey, value: Vec<u8>) -> Result<(), NetError> {
-        let vlen = value.len() as u32;
-        let mut shard = self.shard_write(&key);
-        let (loc, sync_res) = {
-            let mut files = self.files_lock();
-            let (offset, rlen) = self.append_record(&mut files, WalOp::Put { key, value })?;
-            let loc = Loc { file: FileRef::Wal(files.wal_id), offset, rlen, vlen, vdigest: [0; 8] };
-            let sync_res = self.group_sync(&mut files);
-            if sync_res.is_ok() && files.wal_len >= self.config.roll_bytes {
-                self.roll_locked(&mut files)?;
-            }
-            (loc, sync_res)
-        };
-        match shard.insert(key, loc) {
-            Some(old) => self.account_dead(&old),
-            None => {
-                self.mindex_write().insert(key);
-            }
-        }
-        self.value_bytes.fetch_add(vlen as u64, Ordering::Relaxed);
-        drop(shard);
-        sync_res?;
-        self.maybe_compact()
-    }
-
-    /// Fetches an object, verifying stored-byte integrity on the way out.
-    ///
-    /// Holds the shard *read* lock across the file read: compaction takes
-    /// every shard write lock first, so the `Loc` cannot go stale between
-    /// the map lookup and the value read.
-    pub fn get(&self, key: &ObjectKey) -> Result<Option<Vec<u8>>, NetError> {
-        let shard = self.shard_read(key);
-        match shard.get(key).copied() {
-            Some(loc) => {
-                let mut files = self.files_lock();
-                self.read_value(&mut files, key, loc).map(Some)
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Appends and applies one delete record for a key known to exist.
-    /// `roll` gates the WAL-roll check: single-key deletes roll inline,
-    /// the `delete_blocks` sweep defers rolling to one end-of-sweep check
-    /// (preserving the pre-shard record layout the crash matrix pins).
-    fn delete_one(&self, key: &ObjectKey, roll: bool) -> Result<bool, NetError> {
-        let mut shard = self.shard_write(key);
-        if !shard.contains_key(key) {
-            return Ok(false);
-        }
-        let (rlen, sync_res) = {
-            let mut files = self.files_lock();
-            let (_, rlen) = self.append_record(&mut files, WalOp::Delete { key: *key })?;
-            let sync_res = self.group_sync(&mut files);
-            if roll && sync_res.is_ok() && files.wal_len >= self.config.roll_bytes {
-                self.roll_locked(&mut files)?;
-            }
-            (rlen, sync_res)
-        };
-        if let Some(old) = shard.remove(key) {
-            self.account_dead(&old);
-            self.mindex_write().remove(key);
-        }
-        self.dead_bytes.fetch_add(rlen as u64, Ordering::Relaxed);
-        drop(shard);
-        sync_res?;
-        Ok(true)
-    }
-
-    /// Deletes an object; returns whether it existed. Deleting an absent
-    /// key appends no record.
-    pub fn delete(&self, key: &ObjectKey) -> Result<bool, NetError> {
-        if !self.delete_one(key, true)? {
-            return Ok(false);
-        }
-        self.maybe_compact()?;
-        Ok(true)
-    }
-
-    /// Deletes every data block of `(inode, view)`; returns how many.
-    ///
-    /// Logged as one delete record per block (each atomic on its own): a
-    /// crash mid-sweep recovers a prefix of the deletions, which the
-    /// idempotent caller simply reissues. The doomed set is collected
-    /// up front and deleted in sorted key order — the same WAL record
-    /// order the single-lock engine produced — with one roll check at the
-    /// end of the sweep. Keys inserted concurrently with the sweep may be
-    /// missed; the idempotent caller's reissue covers them.
-    pub fn delete_blocks(&self, inode: u64, view: [u8; 16]) -> Result<usize, NetError> {
-        let mut doomed: Vec<ObjectKey> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read().unwrap_or_else(|e| e.into_inner());
-            doomed.extend(
-                map.keys()
-                    .filter(|k| k.space == KeySpace::Data && k.inode == inode && k.view == view)
-                    .copied(),
-            );
-        }
-        doomed.sort_unstable();
-        let mut removed = 0usize;
-        for key in &doomed {
-            if self.delete_one(key, false)? {
-                removed += 1;
-            }
-        }
-        {
-            let mut files = self.files_lock();
-            if files.wal_len >= self.config.roll_bytes {
-                self.roll_locked(&mut files)?;
-            }
-        }
-        self.maybe_compact()?;
-        Ok(removed)
-    }
-
-    /// Fsyncs any pending (group-commit buffered) appends.
-    pub fn flush(&self) -> Result<(), NetError> {
-        let mut files = self.files_lock();
-        if files.pending > 0 {
-            Self::sync_wal(&mut files)?;
-        }
-        Ok(())
-    }
-
-    /// Manually checkpoints + compacts, regardless of thresholds.
-    pub fn compact(&self) -> Result<(), NetError> {
-        let mut shards = self.write_all_shards();
-        let mut files = self.files_lock();
-        self.compact_locked(&mut shards, &mut files)
-    }
-
-    /// Number of stored objects.
-    pub fn object_count(&self) -> u64 {
-        self.read_all_shards().iter().map(|s| s.len() as u64).sum()
-    }
-
-    /// Total stored value bytes.
-    pub fn byte_count(&self) -> u64 {
-        self.value_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes stored per keyspace (deterministic iteration order).
-    pub fn bytes_by_space(&self) -> BTreeMap<KeySpace, u64> {
-        let shards = self.read_all_shards();
-        let mut out = BTreeMap::new();
-        for shard in &shards {
-            for (key, loc) in shard.iter() {
-                *out.entry(key.space).or_insert(0) += loc.vlen as u64;
-            }
-        }
-        out
-    }
-
-    /// One page of the key index in `ObjectKey` order, strictly after the
-    /// `after` cursor. Returns the page and whether the scan is complete.
-    ///
-    /// Served from the authenticated index under its *read* lock: paged
-    /// scans never serialize against shard writers or the WAL.
-    pub fn scan_keys(&self, after: Option<&ObjectKey>, limit: usize) -> (Vec<ObjectKey>, bool) {
-        self.mindex_read().scan_page(after, limit)
-    }
-
-    /// Root hash of the authenticated key index plus the live key count.
-    pub fn index_root(&self) -> ([u8; 32], u64) {
-        let mut mindex = self.mindex_write();
-        let root = mindex.root();
-        let count = mindex.len();
-        (root, count)
-    }
-
-    /// Canonical encoding of the index node content-addressed by `hash`,
-    /// if this engine currently has it (serves the `IndexNode` wire op).
-    pub fn index_node_bytes(&self, hash: &[u8; 32]) -> Option<Vec<u8>> {
-        self.mindex_write().node_bytes(hash)
-    }
-
-    /// One scan page plus a Merkle range proof tying it to the current
-    /// root (serves the `ScanVerified` wire op).
-    pub fn scan_proof(&self, after: Option<&ObjectKey>, limit: u32) -> VerifiedPage {
-        self.mindex_write().prove_scan(after, limit)
-    }
-
-    /// Serializes the full live state as a `SHAROES2` snapshot (sorted by
-    /// key, so two engines holding the same logical state produce identical
-    /// bytes — the fingerprint the recovery-equivalence tests compare).
-    pub fn snapshot(&self) -> Result<Vec<u8>, NetError> {
-        let shards = self.read_all_shards();
-        let mut files = self.files_lock();
-        let mut merged: BTreeMap<ObjectKey, Loc> = BTreeMap::new();
-        for shard in &shards {
-            for (key, loc) in shard.iter() {
-                merged.insert(*key, *loc);
-            }
-        }
-        let mut entries = Vec::with_capacity(merged.len());
-        for (key, loc) in merged {
-            let value = self.read_value(&mut files, &key, loc)?;
-            entries.push((key, value));
-        }
-        Ok(snapshot_from_entries(&entries))
-    }
-
-    /// Engine shape for assertions: `(active wal id, active wal bytes,
-    /// sealed wal count, checkpoint seq)`.
-    pub fn debug_shape(&self) -> (u64, u64, usize, Option<u64>) {
-        let files = self.files_lock();
-        (files.wal_id, files.wal_len, files.sealed.len(), files.checkpoint.as_ref().map(|c| c.seq))
+    /// `(active wal id, active wal bytes, sealed wal count, checkpoint seq)`.
+    pub(crate) fn shape(&self) -> (u64, u64, usize, Option<u64>) {
+        let files = self.lock();
+        (files.wal_id, files.wal_len, files.sealed.len(), files.checkpoint)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultfs::FaultFs;
+    use crate::faultfs::{CrashMode, FaultFs};
+    use sharoes_crypto::{HmacDrbg, Sha256};
+    use sharoes_index::MerkleIndex;
+    use sharoes_net::{KeySpace, ObjectKey};
 
     fn key(i: u64, b: u32) -> ObjectKey {
         ObjectKey::data(i, [i as u8; 16], b)
@@ -917,27 +501,28 @@ mod tests {
     #[test]
     fn put_get_delete_roundtrip_and_reopen() {
         let (fs, engine) = mem_engine(EngineConfig::default());
-        assert_eq!(engine.get(&key(1, 0)).unwrap(), None);
+        assert!(engine.is_journalled());
+        assert_eq!(engine.get(&key(1, 0)), None);
         engine.put(key(1, 0), vec![1, 2, 3]).unwrap();
         engine.put(key(2, 0), vec![9; 40]).unwrap();
         engine.put(key(1, 0), vec![4, 5]).unwrap(); // replace
         assert!(engine.delete(&key(2, 0)).unwrap());
         assert!(!engine.delete(&key(2, 0)).unwrap());
-        assert_eq!(engine.get(&key(1, 0)).unwrap(), Some(vec![4, 5]));
+        assert_eq!(engine.get(&key(1, 0)), Some(vec![4, 5]));
         assert_eq!(engine.object_count(), 1);
         assert_eq!(engine.byte_count(), 2);
         drop(engine);
 
         let reopened =
             LogEngine::open(Arc::new(fs), Path::new("/data"), EngineConfig::default()).unwrap();
-        assert_eq!(reopened.get(&key(1, 0)).unwrap(), Some(vec![4, 5]));
-        assert_eq!(reopened.get(&key(2, 0)).unwrap(), None);
+        assert_eq!(reopened.get(&key(1, 0)), Some(vec![4, 5]));
+        assert_eq!(reopened.get(&key(2, 0)), None);
         assert_eq!(reopened.object_count(), 1);
         assert_eq!(reopened.byte_count(), 2);
     }
 
     #[test]
-    fn rolling_seals_files_and_reads_span_them() {
+    fn rolling_seals_files_and_reopen_replays_them() {
         let config =
             EngineConfig { roll_bytes: 256, auto_compact: false, ..EngineConfig::default() };
         let (fs, engine) = mem_engine(config);
@@ -946,13 +531,10 @@ mod tests {
         }
         let (wal_id, _, sealed, _) = engine.debug_shape();
         assert!(wal_id > 1 && sealed > 0, "workload must roll: id={wal_id} sealed={sealed}");
-        for i in 0..40u64 {
-            assert_eq!(engine.get(&key(i, 0)).unwrap(), Some(vec![i as u8; 24]), "key {i}");
-        }
         drop(engine);
         let reopened = LogEngine::open(Arc::new(fs), Path::new("/data"), config).unwrap();
         for i in 0..40u64 {
-            assert_eq!(reopened.get(&key(i, 0)).unwrap(), Some(vec![i as u8; 24]));
+            assert_eq!(reopened.get(&key(i, 0)), Some(vec![i as u8; 24]), "key {i}");
         }
     }
 
@@ -966,20 +548,19 @@ mod tests {
             }
         }
         engine.delete(&key(19, 0)).unwrap();
-        let fingerprint = engine.snapshot().unwrap();
+        let fingerprint = engine.snapshot();
         engine.compact().unwrap();
         let (_, _, sealed, ck) = engine.debug_shape();
         assert_eq!(sealed, 0, "compaction must drop sealed files");
-        assert!(ck.is_some());
-        assert_eq!(engine.snapshot().unwrap(), fingerprint, "compaction must not change state");
-        // Values now come from the checkpoint.
-        assert_eq!(engine.get(&key(3, 0)).unwrap(), Some(vec![2u8; 16]));
+        // The checkpoint is byte-for-byte the store's own snapshot.
+        let ck = fs.read(&Path::new("/data").join(checkpoint_name(ck.unwrap()))).unwrap();
+        assert_eq!(ck, fingerprint);
+        assert_eq!(engine.snapshot(), fingerprint, "compaction must not change state");
         // And a reopen replays checkpoint + empty tail to the same state.
         drop(engine);
-        let fs2 = Arc::new(fs);
-        let reopened = LogEngine::open(fs2, Path::new("/data"), config).unwrap();
-        assert_eq!(reopened.snapshot().unwrap(), fingerprint);
-        assert_eq!(reopened.get(&key(19, 0)).unwrap(), None);
+        let reopened = LogEngine::open(Arc::new(fs), Path::new("/data"), config).unwrap();
+        assert_eq!(reopened.snapshot(), fingerprint);
+        assert_eq!(reopened.get(&key(19, 0)), None);
     }
 
     #[test]
@@ -997,25 +578,31 @@ mod tests {
         }
         let (_, _, _, ck) = engine.debug_shape();
         assert!(ck.is_some(), "threshold compaction should have fired");
-        assert_eq!(engine.get(&key(7, 0)).unwrap(), Some(vec![199; 64]));
+        assert_eq!(engine.get(&key(7, 0)), Some(vec![199; 64]));
         assert_eq!(engine.object_count(), 1);
     }
 
     #[test]
     fn group_commit_batches_fsyncs() {
-        let before = sharoes_obs::counter("ssp_wal_fsyncs").get();
+        // Counted on the instance's own crash images, not a process-wide
+        // counter: a record is durable iff a power cut keeps it.
         let config = EngineConfig { group_commit: 8, auto_compact: false, ..Default::default() };
-        let (_fs, engine) = mem_engine(config);
-        for i in 0..16u64 {
+        let (fs, engine) = mem_engine(config);
+        let durable = |fs: &FaultFs| {
+            let mut rng = HmacDrbg::from_seed_u64(8);
+            let image = fs.crash_image(CrashMode::LoseUnsynced, &mut rng);
+            LogEngine::open(Arc::new(image), Path::new("/data"), config).unwrap().object_count()
+        };
+        for i in 0..7u64 {
             engine.put(key(i, 0), vec![0; 8]).unwrap();
         }
-        let after = sharoes_obs::counter("ssp_wal_fsyncs").get();
-        assert_eq!(after - before, 2, "16 appends at group 8 = 2 fsyncs");
-        engine.put(key(99, 0), vec![1]).unwrap();
+        assert_eq!(durable(&fs), 0, "7 appends at group 8: nothing fsynced yet");
+        engine.put(key(7, 0), vec![0; 8]).unwrap();
+        assert_eq!(durable(&fs), 8, "the 8th append fsyncs the whole group");
+        engine.put(key(8, 0), vec![1]).unwrap();
+        assert_eq!(durable(&fs), 8);
         engine.flush().unwrap();
-        assert_eq!(sharoes_obs::counter("ssp_wal_fsyncs").get() - after, 1);
-        engine.flush().unwrap(); // nothing pending: no extra fsync
-        assert_eq!(sharoes_obs::counter("ssp_wal_fsyncs").get() - after, 1);
+        assert_eq!(durable(&fs), 9, "flush fsyncs the partial group");
     }
 
     #[test]
@@ -1033,33 +620,8 @@ mod tests {
         let reopened =
             LogEngine::open(Arc::new(fs), Path::new("/data"), EngineConfig::default()).unwrap();
         assert_eq!(reopened.object_count(), 2);
-        assert!(reopened.get(&ObjectKey::metadata(9, [9; 16])).unwrap().is_some());
-    }
-
-    #[test]
-    fn scan_and_space_accounting_match_store_semantics() {
-        let (_fs, engine) = mem_engine(EngineConfig::default());
-        let mut expect = Vec::new();
-        for i in (0..7u64).rev() {
-            for b in [2u32, 0, 1] {
-                engine.put(key(i, b), vec![1]).unwrap();
-                expect.push(key(i, b));
-            }
-            engine.put(ObjectKey::metadata(i, [i as u8; 16]), vec![2, 2]).unwrap();
-            expect.push(ObjectKey::metadata(i, [i as u8; 16]));
-        }
-        expect.sort_unstable();
-        let (all, done) = engine.scan_keys(None, 1000);
-        assert!(done);
-        assert_eq!(all, expect);
-        let (page, done) = engine.scan_keys(None, expect.len() - 1);
-        assert_eq!(page.len(), expect.len() - 1);
-        assert!(!done);
-        let (page, done) = engine.scan_keys(expect.last(), 5);
-        assert!(page.is_empty() && done);
-        let by = engine.bytes_by_space();
-        assert_eq!(by[&KeySpace::Metadata], 14);
-        assert_eq!(by[&KeySpace::Data], 21);
+        assert!(reopened.get(&ObjectKey::metadata(9, [9; 16])).is_some());
+        assert_eq!(reopened.bytes_by_space()[&KeySpace::Data], 1);
     }
 
     #[test]
@@ -1101,52 +663,24 @@ mod tests {
         // The record is appended but unsynced; the next successful op's
         // group fsync makes both durable.
         engine.put(key(3, 0), vec![3]).unwrap();
-        assert_eq!(engine.get(&key(2, 0)).unwrap(), Some(vec![2]));
-        assert_eq!(engine.get(&key(3, 0)).unwrap(), Some(vec![3]));
+        assert_eq!(engine.get(&key(2, 0)), Some(vec![2]));
+        assert_eq!(engine.get(&key(3, 0)), Some(vec![3]));
         assert_eq!(fs.sync_failures(), 1);
-    }
-
-    #[test]
-    fn poisoned_shard_locks_recover() {
-        let (_fs, engine) = mem_engine(EngineConfig::default());
-        let engine = Arc::new(engine);
-        engine.put(key(1, 0), vec![1, 2, 3]).unwrap();
-        // Panic while holding every shard write lock: all shards poison.
-        let poisoner = Arc::clone(&engine);
-        let _ = std::thread::spawn(move || {
-            let _guards: Vec<_> = poisoner
-                .shards
-                .iter()
-                .map(|s| s.write().unwrap_or_else(|e| e.into_inner()))
-                .collect();
-            panic!("poison the shard locks");
-        })
-        .join();
-        assert!(engine.shards.iter().all(|s| s.is_poisoned()));
-        // Every operation recovers the guards and keeps working.
-        assert_eq!(engine.get(&key(1, 0)).unwrap(), Some(vec![1, 2, 3]));
-        engine.put(key(2, 0), vec![4]).unwrap();
-        assert!(engine.delete(&key(2, 0)).unwrap());
-        assert_eq!(engine.object_count(), 1);
-        assert_eq!(engine.scan_keys(None, 10).0, vec![key(1, 0)]);
-        engine.compact().unwrap();
-        assert!(!engine.snapshot().unwrap().is_empty());
     }
 
     #[test]
     fn concurrent_writers_converge_to_sequential_state() {
         let config = EngineConfig { group_commit: 4, auto_compact: false, ..Default::default() };
         let (_fs, engine) = mem_engine(config);
-        let engine = Arc::new(engine);
         std::thread::scope(|scope| {
             for t in 0..8u64 {
-                let engine = Arc::clone(&engine);
+                let engine = &engine;
                 scope.spawn(move || {
                     for i in 0..50u64 {
                         let k = key(t * 1000 + i, 0);
                         engine.put(k, vec![t as u8; 16]).unwrap();
                         if i % 5 == 0 {
-                            assert_eq!(engine.get(&k).unwrap(), Some(vec![t as u8; 16]));
+                            assert_eq!(engine.get(&k), Some(vec![t as u8; 16]));
                         }
                         if i % 7 == 0 {
                             engine.delete(&k).unwrap();

@@ -15,7 +15,7 @@
 //! * **Namespace operations are volatile until `sync_dir`.** Creates,
 //!   renames, and removes hit the live view immediately but only become
 //!   crash-durable when the directory is fsynced — the invariant behind the
-//!   write-then-rename-then-`fsync(dir)` dance (see `ObjectStore::save_to`).
+//!   write-then-rename-then-`fsync(dir)` dance of a checkpoint (see `engine.rs`).
 //!   A crash can therefore *resurrect* a removed file or lose a renamed one,
 //!   and the engine's recovery has to cope.
 //! * **Disks rot and fsyncs fail.** [`FaultFs::flip_bit`] flips a seeded
@@ -178,8 +178,66 @@ pub enum CrashMode {
 
 /// One in-memory file: written bytes plus the durable watermark.
 struct Node {
-    data: Vec<u8>,
+    data: Pages,
     synced: usize,
+}
+
+/// Size of one [`Pages`] page.
+const PAGE: usize = 64 * 1024;
+
+/// File bytes in fixed-size pages, the way a page cache holds them: a file
+/// grows a page at a time and never reallocates — or doubles — the bytes
+/// it already holds.
+#[derive(Default)]
+struct Pages {
+    pages: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl Pages {
+    fn from_bytes(bytes: &[u8]) -> Pages {
+        let mut pages = Pages::default();
+        pages.extend(bytes);
+        pages
+    }
+
+    fn extend(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            if self.len.is_multiple_of(PAGE) {
+                self.pages.push(Vec::with_capacity(PAGE));
+            }
+            let page = self.pages.last_mut().expect("the last page has room");
+            let n = (PAGE - page.len()).min(data.len());
+            page.extend_from_slice(&data[..n]);
+            self.len += n;
+            data = &data[n..];
+        }
+    }
+
+    /// `len` bytes from `start` (caller checks the range).
+    fn read(&self, start: usize, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let at = start + out.len();
+            let page = &self.pages[at / PAGE][at % PAGE..];
+            out.extend_from_slice(&page[..page.len().min(len - out.len())]);
+        }
+        out
+    }
+
+    fn truncate(&mut self, len: usize) {
+        if len < self.len {
+            self.pages.truncate(len.div_ceil(PAGE));
+            if let Some(last) = self.pages.last_mut() {
+                last.truncate(len - (len - 1) / PAGE * PAGE);
+            }
+            self.len = len;
+        }
+    }
+
+    fn byte_mut(&mut self, at: usize) -> &mut u8 {
+        &mut self.pages[at / PAGE][at % PAGE]
+    }
 }
 
 struct FaultState {
@@ -265,12 +323,12 @@ impl FaultFs {
             let node = node.lock().unwrap_or_else(|e| e.into_inner());
             let mut keep = node.synced;
             if mode == CrashMode::TornTail {
-                let unsynced = node.data.len() - node.synced;
+                let unsynced = node.data.len - node.synced;
                 if unsynced > 0 {
                     keep += (rng.next_u64() as usize) % (unsynced + 1);
                 }
             }
-            let imaged = Node { data: node.data[..keep].to_vec(), synced: keep };
+            let imaged = Node { data: Pages::from_bytes(&node.data.read(0, keep)), synced: keep };
             names.insert(name.clone(), Arc::new(Mutex::new(imaged)));
         }
         FaultFs {
@@ -288,7 +346,7 @@ impl FaultFs {
     pub fn install(&self, path: &Path, data: Vec<u8>) {
         let mut state = self.lock();
         let synced = data.len();
-        let node = Arc::new(Mutex::new(Node { data, synced }));
+        let node = Arc::new(Mutex::new(Node { data: Pages::from_bytes(&data), synced }));
         state.names.insert(key(path), Arc::clone(&node));
         state.durable_names.insert(key(path), node);
     }
@@ -300,12 +358,12 @@ impl FaultFs {
         let state = self.lock();
         let node = state.names.get(&key(path))?;
         let mut node = node.lock().unwrap_or_else(|e| e.into_inner());
-        if node.data.is_empty() {
+        if node.data.len == 0 {
             return None;
         }
-        let offset = (rng.next_u64() as usize) % node.data.len();
+        let offset = (rng.next_u64() as usize) % node.data.len;
         let bit = (rng.next_u64() % 8) as u32;
-        node.data[offset] ^= 1 << bit;
+        *node.data.byte_mut(offset) ^= 1 << bit;
         Some(offset as u64)
     }
 
@@ -315,7 +373,7 @@ impl FaultFs {
         let state = self.lock();
         let node = state.names.get(&key(path)).expect("flip_byte_at: no such file");
         let mut node = node.lock().unwrap_or_else(|e| e.into_inner());
-        node.data[offset as usize] ^= mask;
+        *node.data.byte_mut(offset as usize) ^= mask;
     }
 }
 
@@ -326,25 +384,25 @@ struct FaultFile {
 
 impl VFile for FaultFile {
     fn len(&self) -> u64 {
-        self.node.lock().unwrap_or_else(|e| e.into_inner()).data.len() as u64
+        self.node.lock().unwrap_or_else(|e| e.into_inner()).data.len as u64
     }
 
     fn append(&mut self, data: &[u8]) -> std::io::Result<()> {
         let mut node = self.node.lock().unwrap_or_else(|e| e.into_inner());
-        node.data.extend_from_slice(data);
+        node.data.extend(data);
         Ok(())
     }
 
     fn read_at(&mut self, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
         let node = self.node.lock().unwrap_or_else(|e| e.into_inner());
         let start = offset as usize;
-        if start + len > node.data.len() {
+        if start + len > node.data.len {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "read past end of file",
             ));
         }
-        Ok(node.data[start..start + len].to_vec())
+        Ok(node.data.read(start, len))
     }
 
     fn sync(&mut self) -> std::io::Result<()> {
@@ -352,14 +410,14 @@ impl VFile for FaultFile {
         FaultFs::consume_sync_fault(&mut state)?;
         drop(state);
         let mut node = self.node.lock().unwrap_or_else(|e| e.into_inner());
-        node.synced = node.data.len();
+        node.synced = node.data.len;
         Ok(())
     }
 
     fn truncate(&mut self, len: u64) -> std::io::Result<()> {
         let mut node = self.node.lock().unwrap_or_else(|e| e.into_inner());
         node.data.truncate(len as usize);
-        node.synced = node.synced.min(node.data.len());
+        node.synced = node.synced.min(node.data.len);
         Ok(())
     }
 }
@@ -372,7 +430,7 @@ impl Vfs for FaultFs {
             None if create => {
                 // A freshly created file's directory entry is volatile until
                 // `sync_dir`; its crash image simply doesn't exist.
-                let node = Arc::new(Mutex::new(Node { data: Vec::new(), synced: 0 }));
+                let node = Arc::new(Mutex::new(Node { data: Pages::default(), synced: 0 }));
                 state.names.insert(key(path), Arc::clone(&node));
                 node
             }
@@ -389,7 +447,10 @@ impl Vfs for FaultFs {
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
         let state = self.lock();
         match state.names.get(&key(path)) {
-            Some(node) => Ok(node.lock().unwrap_or_else(|e| e.into_inner()).data.clone()),
+            Some(node) => {
+                let node = node.lock().unwrap_or_else(|e| e.into_inner());
+                Ok(node.data.read(0, node.data.len))
+            }
             None => Err(std::io::Error::new(
                 std::io::ErrorKind::NotFound,
                 format!("no such file: {}", path.display()),
@@ -589,5 +650,27 @@ mod tests {
         f.append(b"!").unwrap();
         f.sync().unwrap();
         assert_eq!(fs.read(&p("/d/a")).unwrap(), b"payload!");
+    }
+
+    #[test]
+    fn files_spanning_pages_read_truncate_and_rot_like_flat_bytes() {
+        let fs = FaultFs::new();
+        let mut f = fs.open(&p("/d/big"), true).unwrap();
+        let bytes: Vec<u8> = (0..3 * PAGE + 77).map(|i| (i % 251) as u8).collect();
+        for piece in bytes.chunks(PAGE / 3 + 5) {
+            f.append(piece).unwrap();
+        }
+        assert_eq!(fs.read(&p("/d/big")).unwrap(), bytes);
+        let at = PAGE as u64 - 10;
+        assert_eq!(f.read_at(at, PAGE + 20).unwrap(), &bytes[at as usize..][..PAGE + 20]);
+        for keep in [2 * PAGE + 1, 2 * PAGE, PAGE - 1, 0] {
+            f.truncate(keep as u64).unwrap();
+            assert_eq!(fs.read(&p("/d/big")).unwrap(), &bytes[..keep], "truncate to {keep}");
+        }
+        f.append(&bytes).unwrap();
+        fs.flip_byte_at(&p("/d/big"), PAGE as u64 + 3, 0xFF);
+        let mut rotten = bytes.clone();
+        rotten[PAGE + 3] ^= 0xFF;
+        assert_eq!(fs.read(&p("/d/big")).unwrap(), rotten);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::engine::LogEngine;
 use crate::store::ObjectStore;
-use sharoes_net::{NetError, ObjectKey, Request, RequestHandler, Response, TraceEventWire};
+use sharoes_net::{NetError, Request, RequestHandler, Response, TraceEventWire};
 use sharoes_obs::Histogram;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -52,76 +52,14 @@ fn ssp_metrics() -> &'static SspMetrics {
     })
 }
 
-/// Which storage backend a server instance serves from.
-enum Backend {
-    /// In-memory sharded hashtable, durable via whole-store snapshots.
-    Memory(Arc<ObjectStore>),
-    /// Crash-consistent log-structured engine (`sharoes-sspd --wal`).
-    Log(Arc<LogEngine>),
-}
-
-impl Backend {
-    fn put(&self, key: ObjectKey, value: Vec<u8>) -> Result<(), NetError> {
-        match self {
-            Backend::Memory(s) => {
-                s.put(key, value);
-                Ok(())
-            }
-            Backend::Log(e) => e.put(key, value),
-        }
-    }
-
-    fn get(&self, key: &ObjectKey) -> Result<Option<Vec<u8>>, NetError> {
-        match self {
-            Backend::Memory(s) => Ok(s.get(key)),
-            Backend::Log(e) => e.get(key),
-        }
-    }
-
-    fn delete(&self, key: &ObjectKey) -> Result<bool, NetError> {
-        match self {
-            Backend::Memory(s) => Ok(s.delete(key)),
-            Backend::Log(e) => e.delete(key),
-        }
-    }
-
-    fn delete_blocks(&self, inode: u64, view: [u8; 16]) -> Result<usize, NetError> {
-        match self {
-            Backend::Memory(s) => Ok(s.delete_blocks(inode, view)),
-            Backend::Log(e) => e.delete_blocks(inode, view),
-        }
-    }
-
-    fn index_root(&self) -> ([u8; 32], u64) {
-        match self {
-            Backend::Memory(s) => s.index_root(),
-            Backend::Log(e) => e.index_root(),
-        }
-    }
-
-    fn index_node_bytes(&self, hash: &[u8; 32]) -> Option<Vec<u8>> {
-        match self {
-            Backend::Memory(s) => s.index_node_bytes(hash),
-            Backend::Log(e) => e.index_node_bytes(hash),
-        }
-    }
-
-    fn scan_proof(&self, after: Option<&ObjectKey>, limit: u32) -> sharoes_index::VerifiedPage {
-        match self {
-            Backend::Memory(s) => s.scan_proof(after, limit),
-            Backend::Log(e) => e.scan_proof(after, limit),
-        }
-    }
-}
-
 /// The SSP data-serving component (paper §IV, "SSP Server").
 ///
-/// Wraps a storage backend — the in-memory [`ObjectStore`] or the
-/// persistent [`LogEngine`] — and speaks the [`Request`]/[`Response`]
-/// protocol. It performs no computation on stored content and cannot:
-/// everything it holds is encrypted by clients.
+/// Wraps an [`ObjectStore`] — a memory store or a journalled one — and
+/// speaks the [`Request`]/[`Response`] protocol. It performs no computation
+/// on stored content and cannot: everything it holds is encrypted by
+/// clients.
 pub struct SspServer {
-    backend: Backend,
+    store: Arc<ObjectStore>,
 }
 
 impl Default for SspServer {
@@ -131,40 +69,30 @@ impl Default for SspServer {
 }
 
 impl SspServer {
-    /// A fresh server with an empty in-memory store.
+    /// A fresh server with an empty memory store.
     pub fn new() -> Self {
         Self::with_store(Arc::new(ObjectStore::new()))
     }
 
-    /// A server over an existing in-memory store (e.g. pre-migrated state).
+    /// A server over an existing store (pre-migrated state, or a
+    /// journalled store from [`ObjectStore::open`]).
     pub fn with_store(store: Arc<ObjectStore>) -> Self {
-        SspServer { backend: Backend::Memory(store) }
+        SspServer { store }
     }
 
-    /// A server over a persistent log-structured engine.
+    /// [`Self::with_store`] under the name callers of a journalled store use.
     pub fn with_engine(engine: Arc<LogEngine>) -> Self {
-        SspServer { backend: Backend::Log(engine) }
+        Self::with_store(engine)
     }
 
-    /// Direct access to the underlying in-memory store (inspection, tamper
-    /// tests).
-    ///
-    /// # Panics
-    /// When the server runs on the log engine; the engine has no shared
-    /// in-memory table to hand out — use [`Self::engine`] instead.
+    /// Direct access to the underlying store (inspection, tamper tests).
     pub fn store(&self) -> &Arc<ObjectStore> {
-        match &self.backend {
-            Backend::Memory(s) => s,
-            Backend::Log(_) => panic!("SspServer::store() on a log-engine server"),
-        }
+        &self.store
     }
 
-    /// The log engine, when this server runs on one.
+    /// The store, when it is journalled.
     pub fn engine(&self) -> Option<&Arc<LogEngine>> {
-        match &self.backend {
-            Backend::Memory(_) => None,
-            Backend::Log(e) => Some(e),
-        }
+        Some(&self.store).filter(|s| s.is_journalled())
     }
 
     /// Wraps the server for sharing across transports/threads.
@@ -204,79 +132,47 @@ impl RequestHandler for SspServer {
         };
         let _span = sharoes_obs::span!("ssp.op", op);
         let start = Instant::now();
-        let b = &self.backend;
+        let s = &self.store;
         let response = match request {
             Request::Ping => Response::Pong,
-            Request::Put { key, value } => match b.put(key, value) {
+            Request::Put { key, value } => match s.put(key, value) {
                 Ok(()) => Response::Ok,
                 Err(e) => storage_err(e),
             },
             Request::PutMany { items } => {
-                let mut failed = None;
-                for (key, value) in items {
-                    if let Err(e) = b.put(key, value) {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-                match failed {
-                    None => Response::Ok,
-                    Some(e) => storage_err(e),
-                }
-            }
-            Request::Get { key } => match b.get(&key) {
-                Ok(v) => Response::Object(v),
-                Err(e) => storage_err(e),
-            },
-            Request::GetMany { keys } => {
-                match keys.iter().map(|k| b.get(k)).collect::<Result<Vec<_>, _>>() {
-                    Ok(objects) => Response::Objects(objects),
+                match items.into_iter().try_for_each(|(key, value)| s.put(key, value)) {
+                    Ok(()) => Response::Ok,
                     Err(e) => storage_err(e),
                 }
             }
-            Request::Delete { key } => match b.delete(&key) {
+            Request::Get { key } => Response::Object(s.get(&key)),
+            Request::GetMany { keys } => Response::Objects(keys.iter().map(|k| s.get(k)).collect()),
+            Request::Delete { key } => match s.delete(&key) {
                 Ok(_) => Response::Ok,
                 Err(e) => storage_err(e),
             },
-            Request::DeleteBlocks { inode, view } => match b.delete_blocks(inode, view) {
+            Request::DeleteBlocks { inode, view } => match s.delete_blocks(inode, view) {
                 Ok(_) => Response::Ok,
                 Err(e) => storage_err(e),
             },
             Request::DeleteMany { keys } => {
-                let mut failed = None;
-                for key in &keys {
-                    if let Err(e) = b.delete(key) {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-                match failed {
-                    None => Response::Ok,
-                    Some(e) => storage_err(e),
+                match keys.iter().try_for_each(|k| s.delete(k).map(drop)) {
+                    Ok(()) => Response::Ok,
+                    Err(e) => storage_err(e),
                 }
             }
-            Request::Stats => match b {
-                Backend::Memory(s) => {
-                    Response::Stats { objects: s.object_count(), bytes: s.byte_count() }
-                }
-                Backend::Log(e) => {
-                    Response::Stats { objects: e.object_count(), bytes: e.byte_count() }
-                }
-            },
+            Request::Stats => Response::Stats { objects: s.object_count(), bytes: s.byte_count() },
             Request::Scan { after, limit } => {
-                let (keys, done) = match b {
-                    Backend::Memory(s) => s.scan_keys(after.as_ref(), limit as usize),
-                    Backend::Log(e) => e.scan_keys(after.as_ref(), limit as usize),
-                };
+                let (keys, done) = s.scan_keys(after.as_ref(), limit as usize);
                 Response::Keys { keys, done }
             }
             Request::Root => {
-                let (root, count) = b.index_root();
+                let (root, count) = s.index_root();
                 Response::Root { root, count }
             }
-            Request::IndexNode { hash } => Response::IndexNode { node: b.index_node_bytes(&hash) },
+            Request::IndexNode { hash } => Response::IndexNode { node: s.index_node_bytes(&hash) },
             Request::ScanVerified { after, limit } => {
-                let p = b.scan_proof(after.as_ref(), limit);
+                let p = s.scan_proof(after.as_ref(), limit);
                 Response::KeysProof { keys: p.keys, done: p.done, root: p.root, proof: p.proof }
             }
             Request::Metrics => Response::Metrics { text: sharoes_obs::global().render() },
@@ -375,6 +271,7 @@ mod tests {
         );
         let server = SspServer::with_engine(Arc::clone(&engine));
         assert!(server.engine().is_some());
+        assert!(SspServer::new().engine().is_none());
         assert_eq!(server.handle(Request::Ping), Response::Pong);
         let k1 = ObjectKey::data(1, [0; 16], 0);
         let k2 = ObjectKey::data(1, [0; 16], 1);
@@ -387,21 +284,6 @@ mod tests {
         );
         server.handle(Request::DeleteBlocks { inode: 1, view: [0; 16] });
         assert_eq!(server.handle(Request::Stats), Response::Stats { objects: 0, bytes: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "log-engine server")]
-    fn store_accessor_panics_on_engine_backend() {
-        let fs = crate::faultfs::FaultFs::new();
-        let engine = Arc::new(
-            LogEngine::open(
-                Arc::new(fs),
-                std::path::Path::new("/srv2"),
-                crate::engine::EngineConfig::default(),
-            )
-            .unwrap(),
-        );
-        let _ = SspServer::with_engine(engine).store();
     }
 
     #[test]

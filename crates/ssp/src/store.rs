@@ -4,21 +4,26 @@
 //! SSP and it simply maintains a large hashtable for encrypted metadata
 //! objects and encrypted data blocks." The store never inspects values; keys
 //! are the composite [`ObjectKey`] index.
+//!
+//! Every value lives in RAM. A store is either a plain memory store
+//! ([`ObjectStore::new`]) or a journalled one ([`ObjectStore::open`]), which
+//! logs each mutation to the write-ahead journal of [`crate::engine`] before
+//! applying it and recovers its table from the journal's checkpoint + WAL on
+//! open. Reads never touch the filesystem.
 
-use sharoes_crypto::Sha256;
+use crate::engine::{lock_timed, EngineConfig, Journal};
+use crate::faultfs::Vfs;
+use crate::wal::{WalOp, WalRecord};
+use sharoes_crypto::{Digest, Sha256};
 use sharoes_index::{MerkleIndex, VerifiedPage};
 use sharoes_net::{Cursor, KeySpace, NetError, ObjectKey, WireRead, WireWrite};
-use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Magic + version prefix of the current (checksummed) snapshot format.
+/// Magic + version prefix of the (checksummed) snapshot format.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"SHAROES2";
-
-/// Magic of the legacy trailer-less format; still readable.
-const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"SHAROES1";
 
 /// Trailer: the body length (u64 BE) followed by SHA-256 of the body.
 const TRAILER_LEN: usize = 8 + 32;
@@ -35,8 +40,7 @@ const SHARD_DOMAIN: &[u8] = b"sharoes-shard-key";
 /// The same construction the cluster ring proves out for key placement:
 /// SHA-256 over a domain tag plus the key's wire encoding. Stable across
 /// Rust versions and processes (unlike `DefaultHasher`), so a shard
-/// assignment observed in one run — or one layer — holds everywhere; the
-/// log engine shares it.
+/// assignment observed in one run — or one layer — holds everywhere.
 pub fn shard_of(key: &ObjectKey, n: usize) -> usize {
     let mut buf = Vec::with_capacity(SHARD_DOMAIN.len() + 29);
     buf.extend_from_slice(SHARD_DOMAIN);
@@ -47,43 +51,67 @@ pub fn shard_of(key: &ObjectKey, n: usize) -> usize {
     (u64::from_be_bytes(h) % n as u64) as usize
 }
 
-/// Where [`ObjectStore::load_with_recovery`] found a valid snapshot.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SnapshotSource {
-    /// The primary snapshot file was intact.
-    Primary,
-    /// The primary was missing or corrupt; the previous generation
-    /// (`<path>.bak`) was used.
-    Backup,
+/// One lock shard of the table.
+#[derive(Default)]
+pub(crate) struct Shard {
+    pub(crate) values: HashMap<ObjectKey, Vec<u8>>,
+    /// Journalled stores only: keys whose live version is a WAL record
+    /// rather than a checkpoint entry (decides what superseding it frees).
+    pub(crate) logged: HashSet<ObjectKey>,
 }
 
-/// The previous-generation path for a snapshot at `path` (`<path>.bak`).
-pub fn backup_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".bak");
-    PathBuf::from(os)
+/// What a mutation displaced: the old value's length, and the journal
+/// bytes its supersession turns into garbage (the whole WAL record for a
+/// logged put, the value for a checkpoint entry).
+pub(crate) struct Superseded {
+    len: u64,
+    pub(crate) dead: u64,
 }
 
-/// Fsyncs the directory containing `path`, making renames/creates durable.
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    std::fs::File::open(parent)?.sync_all()
+impl Shard {
+    /// Stores `value`; `logged` says whether it now lives in a WAL record.
+    pub(crate) fn insert(
+        &mut self,
+        key: ObjectKey,
+        value: Vec<u8>,
+        logged: bool,
+    ) -> Option<Superseded> {
+        let was_logged = if logged { !self.logged.insert(key) } else { self.logged.remove(&key) };
+        let old = self.values.insert(key, value)?;
+        Some(Superseded::of(old.len(), was_logged))
+    }
+
+    pub(crate) fn remove(&mut self, key: &ObjectKey) -> Option<Superseded> {
+        let was_logged = self.logged.remove(key);
+        let old = self.values.remove(key)?;
+        Some(Superseded::of(old.len(), was_logged))
+    }
 }
 
-/// Sharded, thread-safe blob store.
+impl Superseded {
+    fn of(len: usize, logged: bool) -> Self {
+        let dead = if logged { WalRecord::put_len(len) } else { len };
+        Superseded { len: len as u64, dead: dead as u64 }
+    }
+}
+
+/// Sharded, thread-safe blob store, optionally journalled.
+///
+/// Lock order is global and acyclic: shard locks (whole-table operations
+/// take every one, ascending), then the journal's file lock, then — after
+/// the file lock is released — the index lock. Every lock recovers from
+/// poisoning: a writer panicking mid-operation leaves at worst a torn
+/// *logical* record, which is exactly the state recovery handles.
 pub struct ObjectStore {
-    shards: Vec<RwLock<HashMap<ObjectKey, Vec<u8>>>>,
+    shards: Vec<RwLock<Shard>>,
     bytes: AtomicU64,
-    /// Authenticated ordered index over the stored keys. Lock order: a
-    /// shard lock (if any) is taken first, the index lock strictly inside
-    /// it — mutators update the index while still holding the shard guard
-    /// so the index never observes a key set no shard ever held. An
-    /// `RwLock` so paged scans (read-only on the index) never serialize
-    /// against each other or against readers of other shards.
+    /// Authenticated ordered index over the stored keys, updated while the
+    /// mutating shard's guard is held so it never observes a key set no
+    /// shard ever held. An `RwLock` so paged scans (read-only on the index)
+    /// never serialize against each other or against readers of other
+    /// shards.
     index: RwLock<MerkleIndex>,
+    journal: Option<Journal>,
 }
 
 impl Default for ObjectStore {
@@ -93,27 +121,74 @@ impl Default for ObjectStore {
 }
 
 impl ObjectStore {
-    /// An empty store with the default shard count.
+    /// An empty memory store with the default shard count.
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
     }
 
-    /// An empty store with an explicit shard count (at least 1).
+    /// An empty memory store with an explicit shard count (at least 1).
     ///
     /// `with_shards(1)` is the single-global-lock configuration the
     /// contention gate uses as its correctness baseline: every workload
     /// must produce byte-identical snapshots against 1 shard and N shards.
     pub fn with_shards(n: usize) -> Self {
-        let n = n.max(1);
+        let shards = (0..n.max(1)).map(|_| Shard::default()).collect();
+        Self::from_shards(shards, None)
+    }
+
+    /// Opens — recovering if necessary — a journalled store over `dir`
+    /// (see [`crate::engine`] for the recovery state machine).
+    pub fn open(fs: Arc<dyn Vfs>, dir: &Path, config: EngineConfig) -> Result<Self, NetError> {
+        let mut shards: Vec<Shard> = (0..DEFAULT_SHARDS).map(|_| Shard::default()).collect();
+        let journal = Journal::recover(fs, dir, config, &mut shards)?;
+        Ok(Self::from_shards(shards, Some(journal)))
+    }
+
+    /// Wraps a populated table. The index is built from scratch over the
+    /// key set: history independence makes it equal the tree any sequence
+    /// of live mutations would have left (tests/crashpoints.rs asserts
+    /// this at every crash point).
+    fn from_shards(shards: Vec<Shard>, journal: Option<Journal>) -> Self {
+        let index = MerkleIndex::from_keys(shards.iter().flat_map(|s| s.values.keys().copied()));
+        let bytes = shards.iter().flat_map(|s| s.values.values()).map(|v| v.len() as u64).sum();
         ObjectStore {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            bytes: AtomicU64::new(0),
-            index: RwLock::new(MerkleIndex::new()),
+            shards: shards.into_iter().map(RwLock::new).collect(),
+            bytes: AtomicU64::new(bytes),
+            index: RwLock::new(index),
+            journal,
         }
     }
 
-    fn shard(&self, key: &ObjectKey) -> &RwLock<HashMap<ObjectKey, Vec<u8>>> {
-        &self.shards[shard_of(key, self.shards.len())]
+    /// Whether mutations are journalled (the store came from [`Self::open`]).
+    pub fn is_journalled(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    fn shard_read(&self, key: &ObjectKey) -> RwLockReadGuard<'_, Shard> {
+        self.shards[shard_of(key, self.shards.len())].read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Write-locks `key`'s shard. A journalled store attributes the wait to
+    /// the enclosing span's `lock` phase (there the WAL section makes it
+    /// material); memory-store spans carry no lock phase.
+    fn shard_write(&self, key: &ObjectKey) -> RwLockWriteGuard<'_, Shard> {
+        let lock = &self.shards[shard_of(key, self.shards.len())];
+        let acquire = || lock.write().unwrap_or_else(|e| e.into_inner());
+        if self.journal.is_some() {
+            lock_timed(acquire)
+        } else {
+            acquire()
+        }
+    }
+
+    /// Every shard, write-locked in ascending shard order.
+    fn write_all_shards(&self) -> Vec<RwLockWriteGuard<'_, Shard>> {
+        self.shards.iter().map(|s| s.write().unwrap_or_else(|e| e.into_inner())).collect()
+    }
+
+    /// Every shard, read-locked in ascending shard order.
+    fn read_all_shards(&self) -> Vec<RwLockReadGuard<'_, Shard>> {
+        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner())).collect()
     }
 
     fn index_read(&self) -> RwLockReadGuard<'_, MerkleIndex> {
@@ -124,66 +199,152 @@ impl ObjectStore {
         self.index.write().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Applies the accounting for a displaced value.
+    fn supersede(&self, old: &Superseded) {
+        self.bytes.fetch_sub(old.len, Ordering::Relaxed);
+        if let Some(journal) = &self.journal {
+            journal.charge(old.dead);
+        }
+    }
+
     /// Stores (or replaces) an object.
-    pub fn put(&self, key: ObjectKey, value: Vec<u8>) {
-        let mut shard = self.shard(&key).write().unwrap_or_else(|e| e.into_inner());
-        let new_len = value.len() as u64;
-        match shard.insert(key, value) {
-            Some(old) => {
-                // Replacement: the key set — and thus the index — is
-                // unchanged.
-                self.bytes.fetch_add(new_len, Ordering::Relaxed);
-                self.bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-            }
+    ///
+    /// A journalled store appends the record while holding the shard lock,
+    /// so a concurrent whole-table operation never observes an
+    /// appended-but-unapplied record. A failed group fsync still applies
+    /// the record (it is logged, just not yet durable) and then surfaces
+    /// the error; a retry is idempotent.
+    pub fn put(&self, key: ObjectKey, mut value: Vec<u8>) -> Result<(), NetError> {
+        value.shrink_to_fit();
+        let mut shard = self.shard_write(&key);
+        let (value, synced) = match &self.journal {
+            None => (value, Ok(())),
+            Some(journal) => match journal.log(WalOp::Put { key, value }, true)? {
+                (WalOp::Put { value, .. }, synced) => (value, synced),
+                (WalOp::Delete { .. }, _) => unreachable!("log returns the op it was given"),
+            },
+        };
+        self.bytes.fetch_add(value.len() as u64, Ordering::Relaxed);
+        match shard.insert(key, value, self.journal.is_some()) {
+            Some(old) => self.supersede(&old),
             None => {
-                self.bytes.fetch_add(new_len, Ordering::Relaxed);
                 self.index_write().insert(key);
             }
         }
+        drop(shard);
+        synced?;
+        self.maybe_compact()
     }
 
     /// Fetches an object.
     pub fn get(&self, key: &ObjectKey) -> Option<Vec<u8>> {
-        self.shard(key).read().unwrap_or_else(|e| e.into_inner()).get(key).cloned()
+        self.shard_read(key).values.get(key).cloned()
     }
 
-    /// Deletes an object; returns whether it existed.
-    pub fn delete(&self, key: &ObjectKey) -> bool {
-        let mut shard = self.shard(key).write().unwrap_or_else(|e| e.into_inner());
-        match shard.remove(key) {
-            Some(old) => {
-                self.bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-                self.index_write().remove(key);
-                true
-            }
-            None => false,
+    /// Deletes one present key; `roll` gates the WAL-roll check (the
+    /// `delete_blocks` sweep rolls once at its end instead).
+    fn delete_one(&self, key: &ObjectKey, roll: bool) -> Result<bool, NetError> {
+        let mut shard = self.shard_write(key);
+        if !shard.values.contains_key(key) {
+            return Ok(false);
         }
+        let synced = match &self.journal {
+            None => Ok(()),
+            Some(journal) => {
+                let (_, synced) = journal.log(WalOp::Delete { key: *key }, roll)?;
+                journal.charge(WalRecord::delete_len() as u64);
+                synced
+            }
+        };
+        if let Some(old) = shard.remove(key) {
+            self.supersede(&old);
+            self.index_write().remove(key);
+        }
+        drop(shard);
+        synced?;
+        Ok(true)
+    }
+
+    /// Deletes an object; returns whether it existed. Deleting an absent
+    /// key logs nothing.
+    pub fn delete(&self, key: &ObjectKey) -> Result<bool, NetError> {
+        if !self.delete_one(key, true)? {
+            return Ok(false);
+        }
+        self.maybe_compact()?;
+        Ok(true)
     }
 
     /// Deletes every data block of `(inode, view)`; returns how many.
-    pub fn delete_blocks(&self, inode: u64, view: [u8; 16]) -> usize {
-        let mut removed = 0;
+    ///
+    /// One delete per block, in sorted key order (each atomic and logged on
+    /// its own): a crash mid-sweep recovers a prefix of the deletions,
+    /// which the idempotent caller simply reissues — as it does for keys
+    /// inserted concurrently with the sweep.
+    pub fn delete_blocks(&self, inode: u64, view: [u8; 16]) -> Result<usize, NetError> {
+        let mut doomed: Vec<ObjectKey> = Vec::new();
         for shard in &self.shards {
-            let mut map = shard.write().unwrap_or_else(|e| e.into_inner());
-            let doomed: Vec<ObjectKey> = map
-                .keys()
-                .filter(|k| k.space == KeySpace::Data && k.inode == inode && k.view == view)
-                .copied()
-                .collect();
-            for key in doomed {
-                if let Some(old) = map.remove(&key) {
-                    self.bytes.fetch_sub(old.len() as u64, Ordering::Relaxed);
-                    self.index_write().remove(&key);
-                    removed += 1;
-                }
+            let shard = shard.read().unwrap_or_else(|e| e.into_inner());
+            doomed.extend(
+                shard
+                    .values
+                    .keys()
+                    .filter(|k| k.space == KeySpace::Data && k.inode == inode && k.view == view),
+            );
+        }
+        doomed.sort_unstable();
+        let mut removed = 0;
+        for key in &doomed {
+            if self.delete_one(key, false)? {
+                removed += 1;
             }
         }
-        removed
+        if let Some(journal) = &self.journal {
+            journal.roll_if_due()?;
+        }
+        self.maybe_compact()?;
+        Ok(removed)
+    }
+
+    /// Threshold-triggered compaction. Peeks the atomics lock-free; only if
+    /// they say "due" does it take every shard lock, re-checking under them
+    /// (another writer may have compacted while this one waited).
+    fn maybe_compact(&self) -> Result<(), NetError> {
+        let Some(journal) = &self.journal else { return Ok(()) };
+        let due = || journal.compaction_due(self.bytes.load(Ordering::Relaxed));
+        if !due() {
+            return Ok(());
+        }
+        let mut shards = self.write_all_shards();
+        if !due() {
+            return Ok(());
+        }
+        journal.checkpoint(&mut shards)
+    }
+
+    /// Checkpoints and compacts the journal regardless of thresholds (a
+    /// no-op on a memory store).
+    pub fn compact(&self) -> Result<(), NetError> {
+        match &self.journal {
+            Some(journal) => journal.checkpoint(&mut self.write_all_shards()),
+            None => Ok(()),
+        }
+    }
+
+    /// Fsyncs any group-commit-buffered appends (a no-op on a memory store).
+    pub fn flush(&self) -> Result<(), NetError> {
+        self.journal.as_ref().map_or(Ok(()), Journal::flush)
+    }
+
+    /// Journal shape for assertions: `(active wal id, active wal bytes,
+    /// sealed wal count, checkpoint seq)`; all zero for a memory store.
+    pub fn debug_shape(&self) -> (u64, u64, usize, Option<u64>) {
+        self.journal.as_ref().map_or((0, 0, 0, None), Journal::shape)
     }
 
     /// Number of stored objects.
     pub fn object_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len() as u64).sum()
+        self.read_all_shards().iter().map(|s| s.values.len() as u64).sum()
     }
 
     /// Total stored bytes.
@@ -191,103 +352,20 @@ impl ObjectStore {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// Serializes the whole store to a snapshot byte stream.
+    /// Serializes the whole store to a `SHAROES2` snapshot byte stream.
     ///
-    /// The SSP's "faithful storage" obligation (paper §VII) includes
-    /// durability; this is the persistence hook the `sharoes-sspd` binary
-    /// uses. Contents remain exactly the encrypted blobs clients uploaded.
-    ///
-    /// Layout: a body (`SHAROES2` magic, entry count, entries) followed by a
-    /// 40-byte trailer holding the body length and the body's SHA-256. A
-    /// torn write truncates the trailer or leaves a length mismatch; a bit
-    /// flip breaks the hash — either way [`Self::from_snapshot`] rejects the
-    /// file instead of restoring silently corrupted state.
+    /// Sorted by key, so equal logical state yields identical bytes: the
+    /// snapshot doubles as a state fingerprint, and it is byte-for-byte
+    /// what a journal checkpoint of the same state holds.
     pub fn snapshot(&self) -> Vec<u8> {
-        // Sorted by key so equal logical state yields identical bytes:
-        // the snapshot doubles as a state fingerprint (the recovery
-        // equivalence tests compare it against the log engine's).
-        let mut entries: Vec<(ObjectKey, Vec<u8>)> = Vec::new();
-        for shard in &self.shards {
-            for (k, v) in shard.read().unwrap_or_else(|e| e.into_inner()).iter() {
-                entries.push((*k, v.clone()));
-            }
-        }
-        entries.sort_unstable_by_key(|e| e.0);
-        snapshot_from_entries(&entries)
-    }
-
-    /// Restores a store from snapshot bytes, verifying the integrity
-    /// trailer. Legacy `SHAROES1` (trailer-less) snapshots remain readable.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<ObjectStore, NetError> {
-        let body = if bytes.starts_with(SNAPSHOT_MAGIC_V1) {
-            bytes
-        } else {
-            verified_snapshot_body(bytes)?
-        };
-        let mut cur = Cursor::new(&body[8..]);
-        let count = u64::read(&mut cur)?;
-        let store = ObjectStore::new();
-        for _ in 0..count {
-            let key = ObjectKey::read(&mut cur)?;
-            let value = Vec::<u8>::read(&mut cur)?;
-            store.put(key, value);
-        }
-        cur.expect_end()?;
-        Ok(store)
-    }
-
-    /// Writes a snapshot to `path` atomically (write-then-rename), keeping
-    /// the previous on-disk generation at `<path>.bak` so a snapshot that
-    /// turns out corrupt (torn write, disk bit rot) has a fallback.
-    pub fn save_to(&self, path: &Path) -> Result<(), NetError> {
-        let _span = sharoes_obs::span!("ssp.snapshot_save");
-        let tmp = path.with_extension("tmp");
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&self.snapshot())?;
-        file.sync_all()?;
-        if path.exists() {
-            std::fs::rename(path, backup_path(path))?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // Invariant: the snapshot is durable only once the *directory* is
-        // fsynced too — `sync_all` on the file persists its bytes, but the
-        // renames above live in the directory, and a crash before the
-        // directory itself reaches disk can lose the new name entirely
-        // (leaving neither primary nor `.bak` pointing at this generation).
-        sync_parent_dir(path)?;
-        sharoes_obs::counter("ssp_snapshot_saves_total").inc();
-        Ok(())
-    }
-
-    /// Loads a snapshot from `path`.
-    pub fn load_from(path: &Path) -> Result<ObjectStore, NetError> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        Self::from_snapshot(&bytes)
-    }
-
-    /// Loads the newest valid snapshot generation: `path` if its trailer
-    /// verifies, else `<path>.bak`. This is the crash-recovery entry point
-    /// `sharoes-sspd` uses — a kill mid-checkpoint can leave the primary
-    /// torn, but the rename dance in [`Self::save_to`] guarantees the
-    /// backup is a complete earlier generation.
-    pub fn load_with_recovery(path: &Path) -> Result<(ObjectStore, SnapshotSource), NetError> {
-        let primary_err = match Self::load_from(path) {
-            Ok(store) => {
-                sharoes_obs::counter("ssp_recover_primary_total").inc();
-                return Ok((store, SnapshotSource::Primary));
-            }
-            Err(e) => e,
-        };
-        match Self::load_from(&backup_path(path)) {
-            Ok(store) => {
-                sharoes_obs::counter("ssp_recover_backup_total").inc();
-                sharoes_obs::obs_event!(sharoes_obs::Level::Warn, "ssp.recover_from_backup");
-                Ok((store, SnapshotSource::Backup))
-            }
-            // The primary's failure is the interesting one to report.
-            Err(_) => Err(primary_err),
-        }
+        let shards = self.read_all_shards();
+        let mut out = Vec::with_capacity(64 + self.byte_count() as usize);
+        encode_snapshot(&sorted_entries(&shards), &mut |bytes| {
+            out.extend_from_slice(bytes);
+            Ok(())
+        })
+        .expect("writing to a Vec cannot fail");
+        out
     }
 
     /// Bytes stored per keyspace (storage-overhead accounting, bench E6).
@@ -297,8 +375,8 @@ impl ObjectStore {
     /// and stats output feeds the determinism tests.
     pub fn bytes_by_space(&self) -> BTreeMap<KeySpace, u64> {
         let mut out = BTreeMap::new();
-        for shard in &self.shards {
-            for (key, value) in shard.read().unwrap_or_else(|e| e.into_inner()).iter() {
+        for shard in self.read_all_shards() {
+            for (key, value) in &shard.values {
                 *out.entry(key.space).or_insert(0) += value.len() as u64;
             }
         }
@@ -330,9 +408,8 @@ impl ObjectStore {
         limit: usize,
     ) -> (Vec<ObjectKey>, bool) {
         let mut keys: Vec<ObjectKey> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read().unwrap_or_else(|e| e.into_inner());
-            keys.extend(map.keys().filter(|k| after.is_none_or(|a| *k > a)).copied());
+        for shard in self.read_all_shards() {
+            keys.extend(shard.values.keys().filter(|k| after.is_none_or(|a| *k > a)));
         }
         keys.sort_unstable();
         let done = keys.len() <= limit;
@@ -360,32 +437,64 @@ impl ObjectStore {
     }
 }
 
-/// Serializes `entries` (in the given order) into the `SHAROES2` snapshot
-/// format: body (magic, count, entries) + 40-byte integrity trailer.
-///
-/// This is the same format [`ObjectStore::snapshot`] emits; the log engine
-/// also writes its checkpoints with it, so a checkpoint *is* a loadable
-/// snapshot. Entry `i`'s value starts at `entry_offset + 29 + 4` (key wire
-/// size + length prefix) — [`parse_snapshot_index`] recovers those offsets.
-pub fn snapshot_from_entries(entries: &[(ObjectKey, Vec<u8>)]) -> Vec<u8> {
-    let total: usize = entries.iter().map(|(_, v)| v.len()).sum();
-    let mut out = Vec::with_capacity(64 + total);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    (entries.len() as u64).write(&mut out);
+/// Every entry of `shards`, borrowed, in key order.
+pub(crate) fn sorted_entries(
+    shards: &[impl std::ops::Deref<Target = Shard>],
+) -> Vec<(&ObjectKey, &[u8])> {
+    let mut entries: Vec<(&ObjectKey, &[u8])> =
+        shards.iter().flat_map(|s| s.values.iter().map(|(k, v)| (k, v.as_slice()))).collect();
+    entries.sort_unstable_by_key(|e| *e.0);
+    entries
+}
+
+/// Streams the `SHAROES2` encoding of `entries` (in the given order) to
+/// `out`, piece by piece: a body (magic, entry count, entries) followed by
+/// a 40-byte trailer holding the body length and the body's SHA-256. A torn
+/// write truncates the trailer or leaves a length mismatch; a bit flip
+/// breaks the hash — either way [`decode_snapshot`] rejects the bytes
+/// instead of restoring silently corrupted state.
+pub(crate) fn encode_snapshot(
+    entries: &[(&ObjectKey, &[u8])],
+    out: &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut sha = Sha256::new();
+    let mut body_len = 0u64;
+    let mut emit = |bytes: &[u8]| {
+        sha.update(bytes);
+        body_len += bytes.len() as u64;
+        out(bytes)
+    };
+    let mut head = Vec::with_capacity(64);
+    head.extend_from_slice(SNAPSHOT_MAGIC);
+    (entries.len() as u64).write(&mut head);
+    emit(&head)?;
     for (key, value) in entries {
-        key.write(&mut out);
-        value.write(&mut out);
+        head.clear();
+        key.write(&mut head);
+        (value.len() as u32).write(&mut head);
+        emit(&head)?;
+        emit(value)?;
     }
-    let body_len = out.len() as u64;
-    out.extend_from_slice(&body_len.to_be_bytes());
-    let digest = Sha256::digest(&out[..body_len as usize]);
-    out.extend_from_slice(&digest);
+    out(&body_len.to_be_bytes())?;
+    out(&sha.finalize_vec())
+}
+
+/// Serializes `entries` (in the given order) into the `SHAROES2` snapshot
+/// format — the same bytes [`ObjectStore::snapshot`] and a journal
+/// checkpoint emit for the same sorted entries.
+pub fn snapshot_from_entries(entries: &[(ObjectKey, Vec<u8>)]) -> Vec<u8> {
+    let refs: Vec<(&ObjectKey, &[u8])> = entries.iter().map(|(k, v)| (k, v.as_slice())).collect();
+    let mut out = Vec::new();
+    encode_snapshot(&refs, &mut |bytes| {
+        out.extend_from_slice(bytes);
+        Ok(())
+    })
+    .expect("writing to a Vec cannot fail");
     out
 }
 
-/// Verifies a `SHAROES2` snapshot's trailer and returns the body (magic
-/// included, trailer stripped).
-fn verified_snapshot_body(bytes: &[u8]) -> Result<&[u8], NetError> {
+/// Verifies a `SHAROES2` snapshot's trailer and decodes its entries.
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Vec<(ObjectKey, Vec<u8>)>, NetError> {
     if !bytes.starts_with(SNAPSHOT_MAGIC) {
         return Err(NetError::Codec("bad snapshot magic"));
     }
@@ -401,36 +510,20 @@ fn verified_snapshot_body(bytes: &[u8]) -> Result<&[u8], NetError> {
     if Sha256::digest(&bytes[..body_end]) != bytes[body_end + 8..] {
         return Err(NetError::Codec("snapshot checksum mismatch"));
     }
-    Ok(&bytes[..body_end])
-}
-
-/// Verifies a `SHAROES2` snapshot and returns `(key, value offset, value
-/// len)` for every entry, in file order.
-///
-/// The log engine uses this to point its in-memory index *into* a
-/// checkpoint file so values can be served by ranged reads without loading
-/// the whole checkpoint. Offsets are relative to the start of the file.
-pub fn parse_snapshot_index(bytes: &[u8]) -> Result<Vec<(ObjectKey, u64, u32)>, NetError> {
-    const KEY_WIRE_LEN: usize = 1 + 8 + 16 + 4;
-    let body = verified_snapshot_body(bytes)?;
-    let mut cur = Cursor::new(&body[8..]);
+    let mut cur = Cursor::new(&bytes[8..body_end]);
     let count = u64::read(&mut cur)?;
-    let mut out = Vec::new();
-    let mut off = 8usize + 8; // magic + count
+    let mut entries = Vec::new();
     for _ in 0..count {
-        let key = ObjectKey::read(&mut cur)?;
-        let value = Vec::<u8>::read(&mut cur)?;
-        let voff = off + KEY_WIRE_LEN + 4;
-        out.push((key, voff as u64, value.len() as u32));
-        off = voff + value.len();
+        entries.push((ObjectKey::read(&mut cur)?, Vec::<u8>::read(&mut cur)?));
     }
     cur.expect_end()?;
-    Ok(out)
+    Ok(entries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultfs::FaultFs;
 
     fn k(inode: u64, block: u32) -> ObjectKey {
         ObjectKey::data(inode, [7; 16], block)
@@ -440,21 +533,21 @@ mod tests {
     fn put_get_delete() {
         let s = ObjectStore::new();
         assert!(s.get(&k(1, 0)).is_none());
-        s.put(k(1, 0), vec![1, 2, 3]);
+        s.put(k(1, 0), vec![1, 2, 3]).unwrap();
         assert_eq!(s.get(&k(1, 0)).unwrap(), vec![1, 2, 3]);
-        assert!(s.delete(&k(1, 0)));
-        assert!(!s.delete(&k(1, 0)));
+        assert!(s.delete(&k(1, 0)).unwrap());
+        assert!(!s.delete(&k(1, 0)).unwrap());
         assert!(s.get(&k(1, 0)).is_none());
     }
 
     #[test]
     fn byte_accounting_on_replace() {
         let s = ObjectStore::new();
-        s.put(k(1, 0), vec![0; 100]);
+        s.put(k(1, 0), vec![0; 100]).unwrap();
         assert_eq!(s.byte_count(), 100);
-        s.put(k(1, 0), vec![0; 40]);
+        s.put(k(1, 0), vec![0; 40]).unwrap();
         assert_eq!(s.byte_count(), 40);
-        s.delete(&k(1, 0));
+        s.delete(&k(1, 0)).unwrap();
         assert_eq!(s.byte_count(), 0);
     }
 
@@ -462,11 +555,11 @@ mod tests {
     fn delete_blocks_removes_only_matching_view() {
         let s = ObjectStore::new();
         for b in 0..5 {
-            s.put(k(9, b), vec![b as u8; 10]);
+            s.put(k(9, b), vec![b as u8; 10]).unwrap();
         }
-        s.put(ObjectKey::data(9, [8; 16], 0), vec![1]); // other view
-        s.put(ObjectKey::metadata(9, [7; 16]), vec![2]); // metadata space
-        assert_eq!(s.delete_blocks(9, [7; 16]), 5);
+        s.put(ObjectKey::data(9, [8; 16], 0), vec![1]).unwrap(); // other view
+        s.put(ObjectKey::metadata(9, [7; 16]), vec![2]).unwrap(); // metadata space
+        assert_eq!(s.delete_blocks(9, [7; 16]).unwrap(), 5);
         assert_eq!(s.object_count(), 2);
         assert!(s.get(&ObjectKey::metadata(9, [7; 16])).is_some());
     }
@@ -474,12 +567,12 @@ mod tests {
     #[test]
     fn delete_blocks_on_empty_store_and_foreign_views() {
         let s = ObjectStore::new();
-        assert_eq!(s.delete_blocks(1, [7; 16]), 0);
+        assert_eq!(s.delete_blocks(1, [7; 16]).unwrap(), 0);
         // Only non-matching entries present: nothing removed, bytes intact.
-        s.put(ObjectKey::data(1, [8; 16], 0), vec![0; 10]); // other view
-        s.put(ObjectKey::data(2, [7; 16], 0), vec![0; 20]); // other inode
-        s.put(ObjectKey::metadata(1, [7; 16]), vec![0; 30]); // other space
-        assert_eq!(s.delete_blocks(1, [7; 16]), 0);
+        s.put(ObjectKey::data(1, [8; 16], 0), vec![0; 10]).unwrap(); // other view
+        s.put(ObjectKey::data(2, [7; 16], 0), vec![0; 20]).unwrap(); // other inode
+        s.put(ObjectKey::metadata(1, [7; 16]), vec![0; 30]).unwrap(); // other space
+        assert_eq!(s.delete_blocks(1, [7; 16]).unwrap(), 0);
         assert_eq!(s.object_count(), 3);
         assert_eq!(s.byte_count(), 60);
     }
@@ -488,14 +581,14 @@ mod tests {
     fn delete_blocks_updates_byte_accounting() {
         let s = ObjectStore::new();
         for b in 0..4 {
-            s.put(k(3, b), vec![0; 25]);
+            s.put(k(3, b), vec![0; 25]).unwrap();
         }
-        s.put(ObjectKey::metadata(3, [7; 16]), vec![0; 11]);
+        s.put(ObjectKey::metadata(3, [7; 16]), vec![0; 11]).unwrap();
         assert_eq!(s.byte_count(), 111);
-        assert_eq!(s.delete_blocks(3, [7; 16]), 4);
+        assert_eq!(s.delete_blocks(3, [7; 16]).unwrap(), 4);
         assert_eq!(s.byte_count(), 11);
         // Idempotent: a second sweep finds nothing.
-        assert_eq!(s.delete_blocks(3, [7; 16]), 0);
+        assert_eq!(s.delete_blocks(3, [7; 16]).unwrap(), 0);
         assert_eq!(s.byte_count(), 11);
     }
 
@@ -507,11 +600,11 @@ mod tests {
         for i in (0..7u64).rev() {
             for b in [2u32, 0, 1] {
                 let key = ObjectKey::data(i, [i as u8; 16], b);
-                s.put(key, vec![1]);
+                s.put(key, vec![1]).unwrap();
                 expect.push(key);
             }
             let key = ObjectKey::metadata(i, [i as u8; 16]);
-            s.put(key, vec![2]);
+            s.put(key, vec![2]).unwrap();
             expect.push(key);
         }
         expect.sort_unstable();
@@ -553,13 +646,13 @@ mod tests {
     fn indexed_scan_matches_flat_oracle_and_rebuilt_root() {
         let s = ObjectStore::new();
         for i in 0..40u64 {
-            s.put(ObjectKey::data(i, [(i % 5) as u8; 16], (i % 3) as u32), vec![1]);
-            s.put(ObjectKey::metadata(i, [(i % 5) as u8; 16]), vec![2]);
+            s.put(ObjectKey::data(i, [(i % 5) as u8; 16], (i % 3) as u32), vec![1]).unwrap();
+            s.put(ObjectKey::metadata(i, [(i % 5) as u8; 16]), vec![2]).unwrap();
         }
         for i in (0..40u64).step_by(3) {
-            s.delete(&ObjectKey::metadata(i, [(i % 5) as u8; 16]));
+            s.delete(&ObjectKey::metadata(i, [(i % 5) as u8; 16])).unwrap();
         }
-        assert!(s.delete_blocks(7, [2; 16]) > 0);
+        assert!(s.delete_blocks(7, [2; 16]).unwrap() > 0);
         // Pages from the index agree with the flat oracle at every cursor.
         let mut cursor: Option<ObjectKey> = None;
         loop {
@@ -581,7 +674,7 @@ mod tests {
     fn scan_proofs_verify_against_store_root() {
         let s = ObjectStore::new();
         for i in 0..30u64 {
-            s.put(k(i, (i % 4) as u32), vec![i as u8]);
+            s.put(k(i, (i % 4) as u32), vec![i as u8]).unwrap();
         }
         let (root, _) = s.index_root();
         let mut cursor: Option<ObjectKey> = None;
@@ -605,32 +698,38 @@ mod tests {
 
     #[test]
     fn poisoned_shard_locks_recover() {
-        let s = std::sync::Arc::new(ObjectStore::new());
-        s.put(k(1, 0), vec![1, 2, 3]);
-        // Poison every shard: a thread panics while holding all write guards
-        // (simulating a connection thread dying mid-request).
-        let poisoner = std::sync::Arc::clone(&s);
-        let _ = std::thread::spawn(move || {
-            let _guards: Vec<_> = poisoner.shards.iter().map(|sh| sh.write().unwrap()).collect();
-            panic!("poison all shards");
-        })
-        .join();
-        assert!(s.shards.iter().any(|sh| sh.is_poisoned()), "test setup must poison the locks");
-        // The request path recovers instead of wedging the server.
-        assert_eq!(s.get(&k(1, 0)).unwrap(), vec![1, 2, 3]);
-        s.put(k(2, 0), vec![4]);
-        assert_eq!(s.get(&k(2, 0)).unwrap(), vec![4]);
-        assert!(s.delete(&k(2, 0)));
-        assert_eq!(s.object_count(), 1);
-        assert_eq!(s.scan_keys(None, 10).0, vec![k(1, 0)]);
-        assert!(!s.snapshot().is_empty());
+        let fs = Arc::new(FaultFs::new());
+        let journalled = ObjectStore::open(fs, Path::new("/p"), EngineConfig::default()).unwrap();
+        for s in [ObjectStore::new(), journalled] {
+            let s = Arc::new(s);
+            s.put(k(1, 0), vec![1, 2, 3]).unwrap();
+            // Poison every shard: a thread panics while holding all write
+            // guards (simulating a connection thread dying mid-request).
+            let poisoner = Arc::clone(&s);
+            let _ = std::thread::spawn(move || {
+                let _guards: Vec<_> =
+                    poisoner.shards.iter().map(|sh| sh.write().unwrap()).collect();
+                panic!("poison all shards");
+            })
+            .join();
+            assert!(s.shards.iter().all(|sh| sh.is_poisoned()), "test setup must poison the locks");
+            // The request path recovers instead of wedging the server.
+            assert_eq!(s.get(&k(1, 0)).unwrap(), vec![1, 2, 3]);
+            s.put(k(2, 0), vec![4]).unwrap();
+            assert_eq!(s.get(&k(2, 0)).unwrap(), vec![4]);
+            assert!(s.delete(&k(2, 0)).unwrap());
+            assert_eq!(s.object_count(), 1);
+            assert_eq!(s.scan_keys(None, 10).0, vec![k(1, 0)]);
+            s.compact().unwrap();
+            assert!(!s.snapshot().is_empty());
+        }
     }
 
     #[test]
     fn keys_with_same_inode_different_views_coexist() {
         let s = ObjectStore::new();
-        s.put(ObjectKey::metadata(1, [1; 16]), vec![1]);
-        s.put(ObjectKey::metadata(1, [2; 16]), vec![2]);
+        s.put(ObjectKey::metadata(1, [1; 16]), vec![1]).unwrap();
+        s.put(ObjectKey::metadata(1, [2; 16]), vec![2]).unwrap();
         assert_eq!(s.object_count(), 2);
         assert_eq!(s.get(&ObjectKey::metadata(1, [1; 16])).unwrap(), vec![1]);
         assert_eq!(s.get(&ObjectKey::metadata(1, [2; 16])).unwrap(), vec![2]);
@@ -639,9 +738,9 @@ mod tests {
     #[test]
     fn bytes_by_space() {
         let s = ObjectStore::new();
-        s.put(ObjectKey::metadata(1, [0; 16]), vec![0; 10]);
-        s.put(ObjectKey::data(1, [0; 16], 0), vec![0; 90]);
-        s.put(ObjectKey::superblock([3; 16]), vec![0; 5]);
+        s.put(ObjectKey::metadata(1, [0; 16]), vec![0; 10]).unwrap();
+        s.put(ObjectKey::data(1, [0; 16], 0), vec![0; 90]).unwrap();
+        s.put(ObjectKey::superblock([3; 16]), vec![0; 5]).unwrap();
         let by = s.bytes_by_space();
         assert_eq!(by[&KeySpace::Metadata], 10);
         assert_eq!(by[&KeySpace::Data], 90);
@@ -655,184 +754,61 @@ mod tests {
     fn snapshot_roundtrip() {
         let s = ObjectStore::new();
         for i in 0..20u32 {
-            s.put(ObjectKey::data(i as u64, [i as u8; 16], i), vec![i as u8; 1 + i as usize]);
+            s.put(ObjectKey::data(i as u64, [i as u8; 16], i), vec![i as u8; 1 + i as usize])
+                .unwrap();
         }
-        s.put(ObjectKey::superblock([9; 16]), vec![42; 100]);
-        let bytes = s.snapshot();
-        let restored = ObjectStore::from_snapshot(&bytes).unwrap();
-        assert_eq!(restored.object_count(), s.object_count());
-        assert_eq!(restored.byte_count(), s.byte_count());
-        assert_eq!(restored.get(&ObjectKey::superblock([9; 16])).unwrap(), vec![42; 100]);
-        assert_eq!(restored.get(&ObjectKey::data(7, [7; 16], 7)).unwrap(), vec![7u8; 8]);
-    }
-
-    #[test]
-    fn snapshot_index_offsets_point_at_values() {
-        let entries = vec![
-            (k(1, 0), vec![5u8; 11]),
-            (k(1, 1), vec![]),
-            (ObjectKey::metadata(2, [2; 16]), vec![9u8; 3]),
-        ];
-        let bytes = snapshot_from_entries(&entries);
-        // The entry stream is a loadable snapshot...
-        let s = ObjectStore::from_snapshot(&bytes).unwrap();
-        assert_eq!(s.object_count(), 3);
-        // ...and the index points straight at the value bytes.
-        let idx = parse_snapshot_index(&bytes).unwrap();
-        assert_eq!(idx.len(), 3);
-        for ((key, voff, vlen), (ekey, ev)) in idx.iter().zip(&entries) {
-            assert_eq!(key, ekey);
-            assert_eq!(*vlen as usize, ev.len());
-            assert_eq!(&bytes[*voff as usize..*voff as usize + ev.len()], &ev[..]);
+        s.put(ObjectKey::superblock([9; 16]), vec![42; 100]).unwrap();
+        let entries = decode_snapshot(&s.snapshot()).unwrap();
+        assert_eq!(entries.len() as u64, s.object_count());
+        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "entries come in key order");
+        for (key, value) in &entries {
+            assert_eq!(s.get(key).as_ref(), Some(value));
         }
-        let mut bad = bytes.clone();
-        bad[20] ^= 1;
-        assert!(parse_snapshot_index(&bad).is_err());
-        assert!(parse_snapshot_index(&bytes[..bytes.len() - 3]).is_err());
+        assert_eq!(snapshot_from_entries(&entries), s.snapshot());
     }
 
     #[test]
     fn snapshot_rejects_garbage() {
-        assert!(ObjectStore::from_snapshot(b"not a snapshot").is_err());
+        assert!(decode_snapshot(b"not a snapshot").is_err());
         let s = ObjectStore::new();
-        s.put(ObjectKey::superblock([1; 16]), vec![1, 2, 3]);
+        s.put(ObjectKey::superblock([1; 16]), vec![1, 2, 3]).unwrap();
         let mut bytes = s.snapshot();
         bytes.truncate(bytes.len() - 1);
-        assert!(ObjectStore::from_snapshot(&bytes).is_err());
+        assert!(decode_snapshot(&bytes).is_err());
         let mut trailing = s.snapshot();
         trailing.push(0);
-        assert!(ObjectStore::from_snapshot(&trailing).is_err());
+        assert!(decode_snapshot(&trailing).is_err());
     }
 
     #[test]
     fn any_single_byte_corruption_is_detected() {
         let s = ObjectStore::new();
         for i in 0..5u32 {
-            s.put(k(i as u64, i), vec![i as u8; 9]);
+            s.put(k(i as u64, i), vec![i as u8; 9]).unwrap();
         }
         let good = s.snapshot();
-        assert!(ObjectStore::from_snapshot(&good).is_ok());
+        assert!(decode_snapshot(&good).is_ok());
         for pos in 0..good.len() {
             let mut bad = good.clone();
             bad[pos] ^= 0x41;
-            assert!(
-                ObjectStore::from_snapshot(&bad).is_err(),
-                "flip at byte {pos} went undetected"
-            );
+            assert!(decode_snapshot(&bad).is_err(), "flip at byte {pos} went undetected");
         }
     }
 
     #[test]
     fn any_truncation_is_detected() {
         let s = ObjectStore::new();
-        s.put(k(1, 0), vec![3; 30]);
+        s.put(k(1, 0), vec![3; 30]).unwrap();
         let good = s.snapshot();
         for keep in 0..good.len() {
             assert!(
-                ObjectStore::from_snapshot(&good[..keep]).is_err(),
+                decode_snapshot(&good[..keep]).is_err(),
                 "truncation to {keep} bytes went undetected"
             );
         }
         let mut padded = good.clone();
         padded.push(0);
-        assert!(ObjectStore::from_snapshot(&padded).is_err(), "trailing garbage accepted");
-    }
-
-    #[test]
-    fn legacy_v1_snapshots_still_load() {
-        // Hand-build a trailer-less SHAROES1 snapshot.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"SHAROES1");
-        1u64.write(&mut bytes);
-        k(4, 2).write(&mut bytes);
-        vec![9u8; 12].write(&mut bytes);
-        let s = ObjectStore::from_snapshot(&bytes).unwrap();
-        assert_eq!(s.get(&k(4, 2)).unwrap(), vec![9; 12]);
-        // Saving re-emits the current format.
-        assert!(s.snapshot().starts_with(b"SHAROES2"));
-    }
-
-    #[test]
-    fn save_keeps_previous_generation_and_recovery_falls_back() {
-        let dir = std::env::temp_dir().join(format!("sharoes-store-gen-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.snap");
-
-        let s = ObjectStore::new();
-        s.put(k(1, 0), b"generation one".to_vec());
-        s.save_to(&path).unwrap();
-        s.put(k(1, 0), b"generation two".to_vec());
-        s.save_to(&path).unwrap();
-        assert!(backup_path(&path).exists(), "previous generation must be kept");
-
-        // Intact primary wins.
-        let (fresh, src) = ObjectStore::load_with_recovery(&path).unwrap();
-        assert_eq!(src, SnapshotSource::Primary);
-        assert_eq!(fresh.get(&k(1, 0)).unwrap(), b"generation two");
-
-        // Corrupt the primary (single byte mid-file): fall back to gen one.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let (fresh, src) = ObjectStore::load_with_recovery(&path).unwrap();
-        assert_eq!(src, SnapshotSource::Backup);
-        assert_eq!(fresh.get(&k(1, 0)).unwrap(), b"generation one");
-
-        // Torn write (truncated primary): same fallback.
-        let good = std::fs::read(backup_path(&path)).unwrap();
-        std::fs::write(&path, &good[..good.len() - 7]).unwrap();
-        let (_, src) = ObjectStore::load_with_recovery(&path).unwrap();
-        assert_eq!(src, SnapshotSource::Backup);
-
-        // Both generations bad: the primary's error surfaces.
-        std::fs::write(backup_path(&path), b"junk").unwrap();
-        assert!(ObjectStore::load_with_recovery(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_prefers_primary_even_when_backup_is_newer() {
-        // Recovery order is positional (primary, then `.bak`), never
-        // timestamp-based: a valid primary wins even if the backup file was
-        // written afterwards, and the backup is only consulted when the
-        // primary is missing or fails verification.
-        let dir = std::env::temp_dir().join(format!("sharoes-store-order-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.snap");
-
-        let older = ObjectStore::new();
-        older.put(k(1, 0), b"primary".to_vec());
-        std::fs::write(&path, older.snapshot()).unwrap();
-
-        // Write a *newer* valid snapshot directly to the backup slot.
-        let newer = ObjectStore::new();
-        newer.put(k(1, 0), b"backup-written-later".to_vec());
-        std::fs::write(backup_path(&path), newer.snapshot()).unwrap();
-
-        let (s, src) = ObjectStore::load_with_recovery(&path).unwrap();
-        assert_eq!(src, SnapshotSource::Primary);
-        assert_eq!(s.get(&k(1, 0)).unwrap(), b"primary");
-
-        // Primary missing entirely: the newer backup is used.
-        std::fs::remove_file(&path).unwrap();
-        let (s, src) = ObjectStore::load_with_recovery(&path).unwrap();
-        assert_eq!(src, SnapshotSource::Backup);
-        assert_eq!(s.get(&k(1, 0)).unwrap(), b"backup-written-later");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn save_load_files() {
-        let dir = std::env::temp_dir().join(format!("sharoes-store-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.snap");
-        let s = ObjectStore::new();
-        s.put(ObjectKey::metadata(5, [5; 16]), vec![5; 50]);
-        s.save_to(&path).unwrap();
-        let restored = ObjectStore::load_from(&path).unwrap();
-        assert_eq!(restored.get(&ObjectKey::metadata(5, [5; 16])).unwrap(), vec![5; 50]);
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(decode_snapshot(&padded).is_err(), "trailing garbage accepted");
     }
 
     #[test]
@@ -843,7 +819,7 @@ mod tests {
                 let s = std::sync::Arc::clone(&s);
                 std::thread::spawn(move || {
                     for i in 0..500u32 {
-                        s.put(ObjectKey::data(t, [t as u8; 16], i), vec![0; 8]);
+                        s.put(ObjectKey::data(t, [t as u8; 16], i), vec![0; 8]).unwrap();
                     }
                 })
             })

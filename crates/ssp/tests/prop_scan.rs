@@ -62,7 +62,7 @@ prop! {
     ) {
         let store = ObjectStore::new();
         for key in &base {
-            store.put(*key, vec![0xAB]);
+            store.put(*key, vec![0xAB]).unwrap();
         }
         let seen = drain(&store, limit);
         // In order, no overlap, no gap: the walk IS the sorted key set.
@@ -78,7 +78,7 @@ prop! {
     ) {
         let store = ObjectStore::new();
         for key in &base {
-            store.put(*key, vec![1]);
+            store.put(*key, vec![1]).unwrap();
         }
         // Where the second batch landed relative to the scan.
         enum When {
@@ -100,7 +100,7 @@ prop! {
             }
             if page_no == insert_after_page && matches!(when, When::After) {
                 for key in &mid {
-                    store.put(*key, vec![2]);
+                    store.put(*key, vec![2]).unwrap();
                 }
                 when = When::During(cursor);
             }
@@ -109,7 +109,7 @@ prop! {
         if matches!(when, When::After) {
             // Completed scans trivially miss a post-completion insert.
             for key in &mid {
-                store.put(*key, vec![2]);
+                store.put(*key, vec![2]).unwrap();
             }
         }
 
@@ -150,15 +150,15 @@ prop! {
     ) {
         let store = ObjectStore::new();
         for key in &base {
-            store.put(*key, vec![1]);
+            store.put(*key, vec![1]).unwrap();
         }
         for key in &victims {
-            store.delete(key);
+            store.delete(key).unwrap();
         }
         // Overwrites must not perturb the index (key set unchanged).
         for key in base.iter().take(3) {
             if !victims.contains(key) {
-                store.put(*key, vec![9, 9]);
+                store.put(*key, vec![9, 9]).unwrap();
             }
         }
 
@@ -185,10 +185,10 @@ prop! {
     ) {
         let store = ObjectStore::new();
         for key in &base {
-            store.put(*key, vec![1]);
+            store.put(*key, vec![1]).unwrap();
         }
         for key in &victims {
-            store.delete(key);
+            store.delete(key).unwrap();
         }
         let (all, _) = store.scan_keys_flat(None, usize::MAX);
         let cursor = all.get(cursor_pick % all.len().max(1)).copied();

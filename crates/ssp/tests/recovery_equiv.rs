@@ -1,14 +1,13 @@
 //! Regression: recovery through a checkpoint + WAL tail is byte-identical
 //! (same `snapshot()` fingerprint) to a full-WAL-only replay of the same
 //! seeded workload — and both match an in-memory `ObjectStore` model.
-//! Also pins the fallback ordering rules with checkpoints in the mix:
-//! a rotten newest checkpoint recovers from the surviving WAL when it
-//! bridges, fails loudly when it cannot, and `ObjectStore`'s `.bak`
-//! fallback ignores engine checkpoint files sharing the directory.
+//! Also pins the fallback rules with checkpoints in the mix: a rotten
+//! newest checkpoint recovers from the surviving WAL when it bridges, and
+//! fails loudly when it cannot.
 
 use sharoes_net::ObjectKey;
 use sharoes_ssp::segment::classify;
-use sharoes_ssp::{EngineConfig, FaultFs, LogEngine, ObjectStore, SnapshotSource, Vfs};
+use sharoes_ssp::{EngineConfig, FaultFs, LogEngine, ObjectStore, Vfs};
 use sharoes_testkit::rng::{test_rng_for, test_seed, HmacDrbg, RandomSource};
 use std::path::Path;
 use std::sync::Arc;
@@ -41,19 +40,19 @@ fn drive(
                 let mut value = vec![0u8; len];
                 rng.fill_bytes(&mut value);
                 engine.put(key, value.clone()).expect("put");
-                model.put(key, value);
+                model.put(key, value).unwrap();
             }
             7 | 8 => {
                 let key = key_for(r / 10);
                 let e = engine.delete(&key).expect("delete");
-                let m = model.delete(&key);
+                let m = model.delete(&key).unwrap();
                 assert_eq!(e, m, "delete presence diverged at step {i}");
             }
             _ => {
                 let inode = r / 10 % 7;
                 let view = [(r / 70 % 3) as u8; 16];
                 let e = engine.delete_blocks(inode, view).expect("delete_blocks");
-                let m = model.delete_blocks(inode, view);
+                let m = model.delete_blocks(inode, view).unwrap();
                 assert_eq!(e, m, "delete_blocks count diverged at step {i}");
             }
         }
@@ -104,8 +103,8 @@ fn checkpoint_tail_recovery_matches_full_wal_recovery() {
     assert!(ck_a.is_some(), "engine A should have recovered via a checkpoint");
     assert!(ck_b.is_none(), "engine B should have recovered from the WAL alone");
 
-    let snap_a = a2.snapshot().unwrap();
-    let snap_b = b2.snapshot().unwrap();
+    let snap_a = a2.snapshot();
+    let snap_b = b2.snapshot();
     assert_eq!(snap_a, snap_b, "checkpoint+tail and full-WAL recovery diverged");
     assert_eq!(snap_a, model_a.snapshot(), "recovered state diverged from the model");
     assert_eq!(model_a.snapshot(), model_b.snapshot(), "seeded workloads diverged");
@@ -150,7 +149,7 @@ fn rotten_checkpoint_falls_back_to_bridging_wal() {
     let recovered = LogEngine::open(Arc::new(crashed.clone()), dir, small_roll()).unwrap();
     let (_, _, _, ck) = recovered.debug_shape();
     assert!(ck.is_none(), "rotten checkpoint must not be used");
-    assert_eq!(recovered.snapshot().unwrap(), model.snapshot());
+    assert_eq!(recovered.snapshot(), model.snapshot());
 }
 
 /// Once compaction has pruned the old WALs, a rotten newest checkpoint is
@@ -178,41 +177,4 @@ fn rotten_checkpoint_without_bridge_fails_loudly() {
         err.to_string().contains("corruption"),
         "expected a typed corruption error, got: {err}"
     );
-}
-
-/// `ObjectStore::load_with_recovery`'s primary→`.bak` ordering is
-/// unaffected by engine checkpoint files sharing the directory.
-#[test]
-fn bak_fallback_ordering_holds_with_checkpoints_present() {
-    let dir = std::env::temp_dir().join(format!("sharoes-recovery-equiv-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("store.snap");
-
-    let store = ObjectStore::new();
-    store.put(ObjectKey::metadata(1, [9; 16]), vec![1, 2, 3]);
-    store.save_to(&snap).unwrap();
-    store.put(ObjectKey::metadata(2, [9; 16]), vec![4, 5]);
-    store.save_to(&snap).unwrap(); // rotates generation 1 to store.snap.bak
-
-    // Engine checkpoint files (one valid-looking, one garbage) beside it.
-    std::fs::write(dir.join("checkpoint-0000000000000010.snap"), b"not a snapshot").unwrap();
-    std::fs::write(dir.join("checkpoint-00000000000000ff.snap"), store.snapshot()).unwrap();
-
-    // Primary intact: loads the newest generation, ignoring checkpoints.
-    let (loaded, source) = ObjectStore::load_with_recovery(&snap).unwrap();
-    assert_eq!(source, SnapshotSource::Primary);
-    assert_eq!(loaded.snapshot(), store.snapshot());
-
-    // Corrupt the primary: falls back to `.bak` (generation 1), still
-    // ignoring the checkpoint files entirely.
-    let mut bytes = std::fs::read(&snap).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&snap, bytes).unwrap();
-    let (loaded, source) = ObjectStore::load_with_recovery(&snap).unwrap();
-    assert_eq!(source, SnapshotSource::Backup);
-    assert_eq!(loaded.object_count(), 1);
-    assert!(loaded.snapshot() != store.snapshot());
-
-    std::fs::remove_dir_all(&dir).ok();
 }

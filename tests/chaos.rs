@@ -12,7 +12,11 @@ use sharoes::net::{
     ObjectKey, RequestHandler, ResilientTransport, RetryPolicy, Transport, WireRead, WireWrite,
 };
 use sharoes::prelude::*;
-use sharoes::ssp::{backup_path, ObjectStore, SnapshotSource, SspServer};
+use sharoes::ssp::segment::classify;
+use sharoes::ssp::{
+    CrashMode, EngineConfig, FaultFs, ObjectStore, SspServer, TcpServerHandle, Vfs,
+};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -31,6 +35,50 @@ struct World {
 
 /// Builds a deployment that is a pure function of `seed`.
 fn deploy(seed: u64) -> World {
+    deploy_on(seed, SspServer::new().into_shared())
+}
+
+/// Where the journalled deployments keep their WAL directory.
+const WAL_DIR: &str = "/sspd.wal";
+
+/// A deployment whose SSP journals to a fault-injecting filesystem, the
+/// way `sharoes-sspd --wal` journals to disk.
+fn deploy_journalled(seed: u64) -> (World, FaultFs) {
+    let fs = FaultFs::new();
+    let store =
+        ObjectStore::open(Arc::new(fs.clone()), Path::new(WAL_DIR), EngineConfig::default())
+            .expect("open journal");
+    (deploy_on(seed, SspServer::with_store(Arc::new(store)).into_shared()), fs)
+}
+
+/// Recovers an SSP from the disk image `fs` alone, as a restarted sspd
+/// does, and returns it with the checkpoint recovery started from.
+fn recover(fs: FaultFs) -> (Arc<SspServer>, Option<u64>) {
+    let store = ObjectStore::open(Arc::new(fs), Path::new(WAL_DIR), EngineConfig::default())
+        .expect("recovery");
+    let checkpoint = store.debug_shape().3;
+    (SspServer::with_store(Arc::new(store)).into_shared(), checkpoint)
+}
+
+/// Serves `server` over TCP and mounts a fresh client on it.
+fn mount_over_tcp(world: &World, server: Arc<SspServer>) -> (TcpServerHandle, SharoesClient) {
+    let handle = sharoes::ssp::serve(server, "127.0.0.1:0").unwrap();
+    let transport = TcpTransport::connect(&handle.addr().to_string()).unwrap();
+    let mut client = SharoesClient::with_rng(
+        Box::new(transport),
+        world.config.clone(),
+        Arc::clone(&world.db),
+        Arc::clone(&world.pki),
+        world.ring.identity(Uid(1000)).unwrap(),
+        Arc::clone(&world.pool),
+        HmacDrbg::from_seed_u64(77),
+    );
+    client.mount().expect("mount against recovered store");
+    (handle, client)
+}
+
+/// Builds a deployment on `server` that is a pure function of `seed`.
+fn deploy_on(seed: u64, server: Arc<SspServer>) -> World {
     let spec =
         TreeSpec { users: 2, dirs_per_user: 1, files_per_dir: 1, seed, ..Default::default() };
     let (local, _) = generate(&spec).expect("treegen");
@@ -38,7 +86,6 @@ fn deploy(seed: u64) -> World {
     let ring = Keyring::generate(local.users(), 512, &mut rng).unwrap();
     let config = test_config();
     let pool = Arc::new(SigKeyPool::new(config.crypto));
-    let server = SspServer::new().into_shared();
     let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
     Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
         .migrate(&mut transport, &mut rng)
@@ -180,74 +227,83 @@ fn chaos_schedule_is_replayable_from_seed() {
 
 #[test]
 fn sspd_restart_recovers_checkpointed_objects() {
-    let dir = std::env::temp_dir().join(format!("sharoes-chaos-restart-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("ssp.snap");
-
-    // Generation 1: populate and checkpoint (what sspd's snapshot loop does).
-    let world = deploy(0xC4A5_0001);
+    // Populate, checkpoint (what sspd's compaction does), then leave a WAL
+    // tail past the checkpoint.
+    let (world, fs) = deploy_journalled(0xC4A5_0001);
     let (mut client, _) = chaos_client(&world, 0.0, 1, 2);
     let reads = run_workload(&mut client);
-    world.server.store().save_to(&snap).unwrap();
+    world.server.store().compact().unwrap();
+    let tail = b"written after the checkpoint";
+    client.write_file("/home/user0/chaos/f1", tail).expect("tail write");
     let entries_before = sorted_entries(&world.server);
     drop(client);
-    drop(world.server); // "kill" the SSP process
 
-    // Restart: recover the store from disk, serve it over TCP, remount.
-    let (store, source) = ObjectStore::load_with_recovery(&snap).unwrap();
-    assert_eq!(source, SnapshotSource::Primary);
-    let server = SspServer::with_store(Arc::new(store)).into_shared();
+    // "Kill" the SSP process — only what reached the disk survives — and
+    // restart it: checkpoint + WAL tail, served over TCP, remounted.
+    let image = fs.crash_image(CrashMode::LoseUnsynced, &mut HmacDrbg::from_seed_u64(1));
+    let (server, checkpoint) = recover(image);
+    assert!(checkpoint.is_some(), "recovery must start from the checkpoint");
     assert_eq!(sorted_entries(&server), entries_before, "recovery must be lossless");
-    let handle = sharoes::ssp::serve(Arc::clone(&server), "127.0.0.1:0").unwrap();
-    let transport = TcpTransport::connect(&handle.addr().to_string()).unwrap();
-    let mut client = SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(Uid(1000)).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(77),
-    );
-    client.mount().expect("mount against recovered store");
-    assert_eq!(client.read("/home/user0/chaos/f1").expect("read after restart"), reads[1]);
+    let (handle, mut client) = mount_over_tcp(&world, server);
+    assert_eq!(client.read("/home/user0/chaos/f1").expect("read after restart"), tail);
+    assert_eq!(client.read("/home/user0/chaos/f2").expect("read after restart"), reads[2]);
     handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn torn_checkpoint_falls_back_to_previous_generation() {
-    let dir = std::env::temp_dir().join(format!("sharoes-chaos-torn-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("ssp.snap");
+    let dir = Path::new(WAL_DIR);
+    let (world, fs) = deploy_journalled(0xC4A5_0002);
+    world.server.store().compact().unwrap(); // generation 1: the migrated tree
+    let (_, _, _, gen1) = world.server.store().debug_shape();
 
-    let world = deploy(0xC4A5_0002);
-    world.server.store().save_to(&snap).unwrap();
-    let gen1 = sorted_entries(&world.server);
-
-    // Second checkpoint with more data, then tear it mid-write (as a kill
-    // during the snapshot loop would).
+    // More data, then generation 2. In the crash window between that
+    // checkpoint's rename and the old WAL deletions reaching disk, the WAL
+    // chain it prunes still bridges generation 1 to it: keep a copy.
     let (mut client, _) = chaos_client(&world, 0.0, 1, 3);
-    run_workload(&mut client);
-    world.server.store().save_to(&snap).unwrap();
-    let full = std::fs::read(&snap).unwrap();
-    std::fs::write(&snap, &full[..full.len() / 2]).unwrap();
+    let reads = run_workload(&mut client);
+    let expected = sorted_entries(&world.server);
+    let bridge: Vec<(String, Vec<u8>)> = classify(&fs.list(dir).unwrap())
+        .wals
+        .into_iter()
+        .map(|(_, name)| (name.clone(), fs.read(&dir.join(&name)).unwrap()))
+        .collect();
+    world.server.store().compact().unwrap();
+    let listing = classify(&fs.list(dir).unwrap());
+    assert_eq!(listing.checkpoints.len(), 2, "one fallback generation is kept");
+    let (_, newest) = listing.checkpoints.last().unwrap();
+    let full = fs.read(&dir.join(newest)).unwrap();
 
-    // Recovery detects the torn primary and restores the prior generation.
-    let (store, source) = ObjectStore::load_with_recovery(&snap).unwrap();
-    assert_eq!(source, SnapshotSource::Backup);
-    assert!(backup_path(&snap).exists());
-    let recovered = sorted_entries(&SspServer::with_store(Arc::new(store)));
-    assert_eq!(recovered, gen1, "fallback must be exactly the previous generation");
-
-    // A single flipped byte (disk rot) is equally detected.
+    // Tear the newest checkpoint (a kill mid-write), or rot one byte of it.
     let mut flipped = full.clone();
-    let mid = flipped.len() / 3;
-    flipped[mid] ^= 0x10;
-    std::fs::write(&snap, &flipped).unwrap();
-    let (_, source) = ObjectStore::load_with_recovery(&snap).unwrap();
-    assert_eq!(source, SnapshotSource::Backup);
-    std::fs::remove_dir_all(&dir).ok();
+    flipped[full.len() / 3] ^= 0x10;
+    for damaged in [full[..full.len() / 2].to_vec(), flipped] {
+        let image = |with_bridge: bool| {
+            let image = fs.crash_image(CrashMode::LoseUnsynced, &mut HmacDrbg::from_seed_u64(2));
+            if with_bridge {
+                for (name, bytes) in &bridge {
+                    image.install(&dir.join(name), bytes.clone());
+                }
+            }
+            image.install(&dir.join(newest), damaged.clone());
+            image
+        };
+        // The fallback generation plus the WAL bridge serves exactly the
+        // same bytes, through the full client stack too.
+        let (server, checkpoint) = recover(image(true));
+        assert_eq!(checkpoint, gen1, "recovery must fall back to generation 1");
+        assert_eq!(sorted_entries(&server), expected, "fallback + bridge must be lossless");
+        let (handle, mut client) = mount_over_tcp(&world, server);
+        assert_eq!(client.read("/home/user0/chaos/f1").expect("read after fallback"), reads[1]);
+        handle.shutdown();
+
+        // Without the bridge, generation 1 alone is stale: recovery fails
+        // loudly instead of serving it.
+        let err = ObjectStore::open(Arc::new(image(false)), dir, EngineConfig::default())
+            .err()
+            .expect("a damaged newest checkpoint with a pruned WAL must not recover");
+        assert!(err.to_string().contains("corruption"), "expected corruption, got: {err}");
+    }
 }
 
 #[test]

@@ -69,12 +69,15 @@ fn owner(key: &ObjectKey) -> usize {
 
 /// Applies the full sequence in order against one store.
 fn apply_sequential(store: &ObjectStore, ops: &[Op]) {
-    for op in ops {
-        match &op.value {
-            Some(v) => store.put(op.key, v.clone()),
-            None => {
-                store.delete(&op.key);
-            }
+    ops.iter().for_each(|op| apply(store, op));
+}
+
+/// Applies one op.
+fn apply(store: &ObjectStore, op: &Op) {
+    match &op.value {
+        Some(v) => store.put(op.key, v.clone()).expect("put"),
+        None => {
+            store.delete(&op.key).expect("delete");
         }
     }
 }
@@ -86,12 +89,7 @@ fn apply_concurrent(store: &ObjectStore, ops: &[Op]) {
             let ops = &ops;
             scope.spawn(move || {
                 for op in ops.iter().filter(|op| owner(&op.key) == w) {
-                    match &op.value {
-                        Some(v) => store.put(op.key, v.clone()),
-                        None => {
-                            store.delete(&op.key);
-                        }
-                    }
+                    apply(store, op);
                 }
             });
         }
@@ -152,19 +150,14 @@ fn sharded_engine_matches_single_lock_store_baseline() {
             let engine = &engine;
             scope.spawn(move || {
                 for op in ops.iter().filter(|op| owner(&op.key) == w) {
-                    match &op.value {
-                        Some(v) => engine.put(op.key, v.clone()).expect("engine put"),
-                        None => {
-                            engine.delete(&op.key).expect("engine delete");
-                        }
-                    }
+                    apply(engine, op);
                 }
             });
         }
     });
 
     let snap_a = baseline.snapshot();
-    let snap_b = engine.snapshot().expect("engine snapshot");
+    let snap_b = engine.snapshot();
     std::fs::create_dir_all("target").ok();
     std::fs::write("target/concurrency-engine-a.bin", &snap_a).expect("write snapshot a");
     std::fs::write("target/concurrency-engine-b.bin", &snap_b).expect("write snapshot b");

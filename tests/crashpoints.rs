@@ -12,6 +12,7 @@
 //! Replay a failure with `SHAROES_TEST_SEED=<seed> cargo test --test
 //! crashpoints`.
 
+use sharoes::crypto::{Digest, Sha256};
 use sharoes::net::ObjectKey;
 use sharoes::ssp::segment::wal_name;
 use sharoes::ssp::wal::{WalRecord, WAL_HEADER_LEN};
@@ -166,7 +167,7 @@ fn recovery_lands_on_an_op_boundary_at_every_wal_offset() {
         // Greatest completed-op boundary at or below the kill point; a cut
         // inside the 25-byte header is a crashed file creation (state 0).
         let completed = bounds.partition_point(|b| *b <= cut).saturating_sub(1);
-        let got = recovered.snapshot().unwrap();
+        let got = recovered.snapshot();
         assert_eq!(
             got, states[completed],
             "recovery at wal offset {cut} is neither pre- nor post-op state \
@@ -212,7 +213,7 @@ fn crash_images_recover_an_acknowledged_prefix_under_rolling_and_compaction() {
             let image = fs.crash_image(mode, &mut crash_rng);
             let recovered = LogEngine::open(Arc::new(image), dir, config)
                 .unwrap_or_else(|e| panic!("recovery of {mode:?} image after op {k} failed: {e}"));
-            let got = recovered.snapshot().unwrap();
+            let got = recovered.snapshot();
             // With group_commit=2 at most one acknowledged record may still
             // be unsynced: the image holds state k or k+1 (1-indexed ops).
             let window = [&states[k], &states[k + 1]];
@@ -254,7 +255,7 @@ fn fsync_failures_are_typed_and_nonfatal() {
     let err = engine.put(key, vec![2]).expect_err("failed fsync must surface");
     assert!(err.to_string().contains("sync"), "unexpected error: {err}");
     // Applied in memory (the caller knows it is not durable yet) …
-    assert_eq!(engine.get(&key).unwrap(), Some(vec![2]));
+    assert_eq!(engine.get(&key), Some(vec![2]));
     // … and the next mutation both fails (second injected fault) and then
     // recovers: the engine never wedges.
     assert!(engine.put(key, vec![3]).is_err());
@@ -263,7 +264,7 @@ fn fsync_failures_are_typed_and_nonfatal() {
 
     drop(engine);
     let reopened = LogEngine::open(Arc::new(fs.clone()), dir, matrix_config()).unwrap();
-    assert_eq!(reopened.get(&key).unwrap(), Some(vec![4]));
+    assert_eq!(reopened.get(&key), Some(vec![4]));
 }
 
 /// Bit rot in a sealed WAL segment is caught by recovery as a typed
@@ -281,7 +282,7 @@ fn sealed_segment_bit_rot_fails_recovery_loudly() {
         let mut value = vec![0u8; (r % 64) as usize];
         rng.fill_bytes(&mut value);
         engine.put(key_for(r), value.clone()).unwrap();
-        model.put(key_for(r), value);
+        model.put(key_for(r), value).unwrap();
     }
     let (wal_id, _, sealed, _) = engine.debug_shape();
     assert!(sealed > 0, "workload never sealed a segment");
@@ -305,44 +306,109 @@ fn sealed_segment_bit_rot_fails_recovery_loudly() {
     assert!(err.to_string().contains("corrupt"), "expected corruption, got: {err}");
 }
 
-/// Bit rot inside the checkpoint is caught on the ranged read path: `get`
-/// of an affected value returns a typed corruption error, not rotten data.
+/// Bit rot inside the checkpoint is caught when recovery reads it: values
+/// are served from RAM, so the live store keeps serving the bytes it was
+/// given, and a reopen over the rotten checkpoint — whose WAL compaction
+/// pruned — fails with a typed corruption error instead of coming up stale.
 #[test]
-fn checkpoint_bit_rot_is_caught_on_read() {
+fn checkpoint_bit_rot_is_caught_at_recovery() {
     let dir = Path::new(DIR);
     let fs = FaultFs::new();
     let engine = LogEngine::open(Arc::new(fs.clone()), dir, matrix_config()).unwrap();
     let mut rng = test_rng_for("crashpoints-ckrot");
-    let mut keys = Vec::new();
+    let mut written = Vec::new();
     for i in 0..16u64 {
         let key = ObjectKey::data(i, [9; 16], 0);
         let mut value = vec![0u8; 64];
         rng.fill_bytes(&mut value);
-        engine.put(key, value).unwrap();
-        keys.push(key);
+        engine.put(key, value.clone()).unwrap();
+        written.push((key, value));
     }
     engine.compact().unwrap();
 
-    // Flip one durable bit in the checkpoint while the engine is live;
-    // values are 64 bytes each so the flip most likely lands in one.
     let listing = sharoes::ssp::segment::classify(&fs.list(dir).unwrap());
     let (_, ck_name) = listing.checkpoints.last().expect("compaction wrote a checkpoint");
     fs.flip_bit(&dir.join(ck_name), &mut rng).unwrap();
-
-    let mut corrupt = 0;
-    for key in &keys {
-        match engine.get(key) {
-            Ok(Some(_)) => {}
-            Err(e) => {
-                assert!(e.to_string().contains("corruption"), "unexpected error: {e}");
-                corrupt += 1;
-            }
-            Ok(None) => panic!("key vanished"),
-        }
+    for (key, value) in &written {
+        assert_eq!(engine.get(key).as_ref(), Some(value), "reads never touch the rotten file");
     }
-    assert!(corrupt <= 1, "one flipped bit affects at most one value");
-    // The flip may have landed in headers/digest padding; only assert the
-    // typed-error path when it hit a value — but it must never return
-    // different bytes silently, which the digest check above guarantees
-    // for every successful read.
+    drop(engine);
+
+    let err = LogEngine::open(Arc::new(fs.clone()), dir, matrix_config())
+        .err()
+        .expect("a rotten checkpoint with no WAL bridge must fail recovery");
+    assert!(err.to_string().contains("corruption"), "expected corruption, got: {err}");
+}
+
+/// SHA-256 over the sorted `(name, bytes)` listing of `dir`: the exact
+/// on-disk image, file names and contents both.
+fn image_digest(fs: &FaultFs, dir: &Path) -> String {
+    let mut sha = Sha256::new();
+    for name in fs.list(dir).unwrap() {
+        let bytes = fs.read(&dir.join(&name)).unwrap();
+        sha.update(&(name.len() as u32).to_be_bytes());
+        sha.update(name.as_bytes());
+        sha.update(&(bytes.len() as u64).to_be_bytes());
+        sha.update(&bytes);
+    }
+    sha.finalize_vec().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// On-disk golden image: a fixed-seed journalled workload covering put,
+/// overwrite, delete, `delete_blocks`, WAL rolls, an auto-compaction and a
+/// reopen must leave byte-for-byte the same files — names, WAL records,
+/// checkpoint bytes, and the points where rolls and compactions fired — as
+/// the reference digest records. A change to this digest is an on-disk
+/// format change.
+#[test]
+fn on_disk_image_matches_the_golden_digest() {
+    let dir = Path::new("/golden");
+    let config = EngineConfig {
+        group_commit: 1,
+        roll_bytes: 2048,
+        compact_min_dead_bytes: 1024,
+        auto_compact: true,
+    };
+    let fs = FaultFs::new();
+    let mut rng = HmacDrbg::from_seed_u64(0x0601_DE17);
+    let (mut rolled, mut compacted) = (false, false);
+    for session in 0..2 {
+        let engine = LogEngine::open(Arc::new(fs.clone()), dir, config).unwrap();
+        for _ in 0..150 {
+            let r = rng.next_u64();
+            let inode = r % 6;
+            let view = [(r / 6 % 2) as u8; 16];
+            match r / 12 % 10 {
+                0..=3 => {
+                    let key = ObjectKey::data(inode, view, (r / 120 % 4) as u32);
+                    let mut value = vec![0u8; 8 + (r / 480 % 56) as usize];
+                    rng.fill_bytes(&mut value);
+                    engine.put(key, value).unwrap();
+                }
+                4..=6 => {
+                    let mut value = vec![0u8; 8 + (r / 120 % 40) as usize];
+                    rng.fill_bytes(&mut value);
+                    engine.put(ObjectKey::metadata(inode, view), value).unwrap();
+                }
+                7 | 8 => {
+                    engine.delete(&ObjectKey::metadata(inode, view)).unwrap();
+                }
+                _ => {
+                    engine.delete_blocks(inode, view).unwrap();
+                }
+            }
+            let (_, _, sealed, checkpoint) = engine.debug_shape();
+            rolled |= sealed > 0;
+            compacted |= checkpoint.is_some() && session == 0;
+        }
+        engine.flush().unwrap();
+    }
+    assert!(rolled, "the golden workload must roll the WAL");
+    assert!(compacted, "the golden workload must auto-compact");
+    assert_eq!(
+        image_digest(&fs, dir),
+        "c0e96782e7c5e21ac08dc7a831b5c3a5445cddd10a3c65038b1eac87c6cda0ba",
+        "the on-disk image changed: WAL records, file names, checkpoint bytes, or when \
+         rolls and compactions fire"
+    );
 }

@@ -241,7 +241,7 @@ fn tampered_scan_pages_are_detected_with_a_typed_error() {
     pinned.mount().expect("mount");
     pinned.verified_scan(None, 8).expect("pin");
     for server in &world.servers {
-        server.store().put(ObjectKey::data(0x0DD, [0xAB; 16], 0), vec![1, 2, 3]);
+        server.store().put(ObjectKey::data(0x0DD, [0xAB; 16], 0), vec![1, 2, 3]).unwrap();
     }
     let rejections_before = counter("core_scan_root_rejections_total");
     let err = pinned.verified_scan(None, 8).expect_err("unauthorized root move must be rejected");
