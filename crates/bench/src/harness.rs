@@ -10,6 +10,7 @@ use sharoes_core::{
     ClientConfig, CryptoParams, CryptoPolicy, Keyring, Migrator, Pki, RevocationMode, Scheme,
     SharoesClient, SigKeyPool,
 };
+use sharoes_crypto::work::Work;
 use sharoes_crypto::HmacDrbg;
 use sharoes_fs::{Gid, LocalFs, Mode, Uid, UserDb, ROOT_UID};
 use sharoes_net::{CostSample, InMemoryTransport, NetModel};
@@ -189,12 +190,23 @@ impl Bench {
 pub struct PhaseTimer {
     start: CostSample,
     obs_start: sharoes_obs::Snapshot,
+    work_start: Work,
 }
 
 impl PhaseTimer {
     /// Starts timing from the client's current meter state.
     pub fn start(client: &SharoesClient) -> PhaseTimer {
-        PhaseTimer { start: client.meter().sample(), obs_start: sharoes_obs::global().snapshot() }
+        PhaseTimer {
+            start: client.meter().sample(),
+            obs_start: sharoes_obs::global().snapshot(),
+            work_start: sharoes_crypto::work::tally(),
+        }
+    }
+
+    /// Cryptographic work this thread did since `start` (the client runs
+    /// its crypto on the calling thread).
+    pub fn crypto_work(&self) -> Work {
+        sharoes_crypto::work::tally().since(&self.work_start)
     }
 
     /// Registry counters accumulated since `start` — the same process-wide

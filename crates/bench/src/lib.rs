@@ -15,6 +15,7 @@
 //! | A1–A4 ablations | [`workloads::ablations`] |
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod harness;
 pub mod workloads;

@@ -14,6 +14,8 @@
 //!
 //! Type `help` at the prompt for commands.
 
+#![forbid(unsafe_code)]
+
 use sharoes_cluster::{ClusterOpts, ClusterStats, ClusterTransport};
 use sharoes_core::{
     ClientConfig, CryptoParams, CryptoPolicy, Keyring, Migrator, Pki, Scheme, SharoesClient,

@@ -23,6 +23,7 @@
 //!   the CLI, and clients all read.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod rebalance;

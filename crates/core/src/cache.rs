@@ -4,9 +4,15 @@
 //! since for every metadata or data miss, encrypted data is obtained from
 //! the SSP and it is decrypted again" (§V-B). The Postmark figure sweeps
 //! this capacity as a percentage of the workload footprint.
+//!
+//! Every lookup and insert stamps its slot from one clock, and a recency
+//! index maps stamps back to keys; the least-recently-used slot is the
+//! index's first entry, so an insert and each eviction it causes cost
+//! O(log n), not a scan of every slot. Writes are staged by the client
+//! until close, so the cache holds only clean, decrypted values.
 
 use sharoes_obs::Counter;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
 
 /// Process-wide mirrors of [`CacheStats`] for the metrics exposition.
@@ -38,12 +44,21 @@ pub enum CacheKey {
     Manifest(u64, u64),
 }
 
+impl CacheKey {
+    fn inode(&self) -> u64 {
+        match self {
+            CacheKey::Meta(i, _)
+            | CacheKey::Table(i, _)
+            | CacheKey::Block(i, _, _)
+            | CacheKey::Manifest(i, _) => *i,
+        }
+    }
+}
+
 struct Slot {
     value: Vec<u8>,
-    /// LRU clock stamp.
+    /// LRU clock stamp; also this slot's key in the recency index.
     stamp: u64,
-    /// Dirty slots are write-back data not yet flushed.
-    dirty: bool,
 }
 
 /// Hit/miss statistics.
@@ -60,6 +75,8 @@ pub struct CacheStats {
 /// Byte-bounded LRU cache of decrypted values.
 pub struct ClientCache {
     slots: HashMap<CacheKey, Slot>,
+    /// Stamp -> key for every slot, oldest first. Stamps are unique.
+    recency: BTreeMap<u64, CacheKey>,
     capacity: Option<u64>,
     bytes: u64,
     clock: u64,
@@ -71,6 +88,7 @@ impl ClientCache {
     pub fn new(capacity: Option<u64>) -> Self {
         ClientCache {
             slots: HashMap::new(),
+            recency: BTreeMap::new(),
             capacity,
             bytes: 0,
             clock: 0,
@@ -83,6 +101,8 @@ impl ClientCache {
         self.clock += 1;
         match self.slots.get_mut(key) {
             Some(slot) => {
+                let entry = self.recency.remove(&slot.stamp).expect("indexed slot");
+                self.recency.insert(self.clock, entry);
                 slot.stamp = self.clock;
                 self.stats.hits += 1;
                 cache_metrics().hits.inc();
@@ -101,122 +121,44 @@ impl ClientCache {
         self.slots.get(key).map(|s| &s.value)
     }
 
-    /// Inserts (or replaces) a clean value.
+    /// Inserts (or replaces) a value.
     pub fn put(&mut self, key: CacheKey, value: Vec<u8>) {
-        self.insert(key, value, false);
-    }
-
-    /// Inserts (or replaces) a dirty value (write-back data).
-    pub fn put_dirty(&mut self, key: CacheKey, value: Vec<u8>) {
-        self.insert(key, value, true);
-    }
-
-    fn insert(&mut self, key: CacheKey, value: Vec<u8>, dirty: bool) {
         self.clock += 1;
-        let new_len = value.len() as u64;
-        if let Some(old) = self.slots.remove(&key) {
-            self.bytes -= old.value.len() as u64;
-        }
+        self.invalidate(&key);
+        self.bytes += value.len() as u64;
+        self.recency.insert(self.clock, key.clone());
         // A single over-capacity value is still cached (then evicted first
         // on the next insert); capacity bounds steady-state usage.
-        self.slots.insert(key, Slot { value, stamp: self.clock, dirty });
-        self.bytes += new_len;
+        self.slots.insert(key, Slot { value, stamp: self.clock });
         self.evict_to_capacity();
     }
 
     fn evict_to_capacity(&mut self) {
         let Some(cap) = self.capacity else { return };
         while self.bytes > cap && self.slots.len() > 1 {
-            // Evict the least-recently-used clean slot; dirty slots only if
-            // no clean slot remains (caller must flush regularly).
-            let victim = self
-                .slots
-                .iter()
-                .filter(|(_, s)| !s.dirty)
-                .min_by_key(|(_, s)| s.stamp)
-                .or_else(|| self.slots.iter().min_by_key(|(_, s)| s.stamp))
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    if let Some(slot) = self.slots.remove(&k) {
-                        self.bytes -= slot.value.len() as u64;
-                        self.stats.evictions += 1;
-                        cache_metrics().evictions.inc();
-                    }
-                }
-                None => break,
-            }
+            let (_, victim) = self.recency.pop_first().expect("index covers every slot");
+            let slot = self.slots.remove(&victim).expect("indexed key has a slot");
+            self.bytes -= slot.value.len() as u64;
+            self.stats.evictions += 1;
+            cache_metrics().evictions.inc();
         }
     }
 
     /// Removes one entry.
     pub fn invalidate(&mut self, key: &CacheKey) {
         if let Some(slot) = self.slots.remove(key) {
+            self.recency.remove(&slot.stamp);
             self.bytes -= slot.value.len() as u64;
         }
     }
 
     /// Removes all entries for an inode (metadata change / revocation).
     pub fn invalidate_inode(&mut self, inode: u64) {
-        let doomed: Vec<CacheKey> = self
-            .slots
-            .keys()
-            .filter(|k| match k {
-                CacheKey::Meta(i, _)
-                | CacheKey::Table(i, _)
-                | CacheKey::Block(i, _, _)
-                | CacheKey::Manifest(i, _) => *i == inode,
-            })
-            .cloned()
-            .collect();
+        let doomed: Vec<CacheKey> =
+            self.slots.keys().filter(|k| k.inode() == inode).cloned().collect();
         for k in doomed {
             self.invalidate(&k);
         }
-    }
-
-    /// Drains all dirty entries (for flush-on-close), leaving them clean.
-    pub fn take_dirty(&mut self) -> Vec<(CacheKey, Vec<u8>)> {
-        let mut out = Vec::new();
-        for (key, slot) in self.slots.iter_mut() {
-            if slot.dirty {
-                slot.dirty = false;
-                out.push((key.clone(), slot.value.clone()));
-            }
-        }
-        out
-    }
-
-    /// Dirty entries for one inode.
-    pub fn dirty_for(&self, inode: u64) -> Vec<(CacheKey, Vec<u8>)> {
-        self.slots
-            .iter()
-            .filter(|(k, s)| {
-                s.dirty
-                    && match k {
-                        CacheKey::Block(i, _, _) | CacheKey::Manifest(i, _) => *i == inode,
-                        _ => false,
-                    }
-            })
-            .map(|(k, s)| (k.clone(), s.value.clone()))
-            .collect()
-    }
-
-    /// Marks one inode's dirty entries clean (after a successful flush).
-    pub fn mark_clean(&mut self, inode: u64) {
-        for (key, slot) in self.slots.iter_mut() {
-            let matches = match key {
-                CacheKey::Block(i, _, _) | CacheKey::Manifest(i, _) => *i == inode,
-                _ => false,
-            };
-            if matches {
-                slot.dirty = false;
-            }
-        }
-    }
-
-    /// True if any dirty entry exists.
-    pub fn has_dirty(&self) -> bool {
-        self.slots.values().any(|s| s.dirty)
     }
 
     /// Current statistics.
@@ -242,6 +184,7 @@ impl ClientCache {
     /// Drops everything (remount).
     pub fn clear(&mut self) {
         self.slots.clear();
+        self.recency.clear();
         self.bytes = 0;
     }
 }
@@ -291,20 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_entries_survive_eviction_pressure() {
-        let mut c = ClientCache::new(Some(10));
-        c.put_dirty(key(1), vec![0; 8]);
-        c.put(key(2), vec![0; 8]);
-        // The clean entry should be evicted before the dirty one.
-        assert!(c.peek(&key(1)).is_some());
-        assert!(c.peek(&key(2)).is_none());
-        assert!(c.has_dirty());
-        let dirty = c.take_dirty();
-        assert_eq!(dirty.len(), 1);
-        assert!(!c.has_dirty());
-    }
-
-    #[test]
     fn invalidate_inode_clears_related() {
         let mut c = ClientCache::new(None);
         c.put(CacheKey::Meta(5, [0; 16]), vec![1]);
@@ -314,18 +243,6 @@ mod tests {
         c.invalidate_inode(5);
         assert_eq!(c.len(), 1);
         assert!(c.peek(&CacheKey::Block(6, 0, 0)).is_some());
-    }
-
-    #[test]
-    fn dirty_flush_cycle() {
-        let mut c = ClientCache::new(None);
-        c.put_dirty(CacheKey::Block(7, 0, 0), vec![1]);
-        c.put_dirty(CacheKey::Manifest(7, 0), vec![2]);
-        c.put_dirty(CacheKey::Block(8, 0, 0), vec![3]);
-        assert_eq!(c.dirty_for(7).len(), 2);
-        c.mark_clean(7);
-        assert_eq!(c.dirty_for(7).len(), 0);
-        assert!(c.has_dirty(), "inode 8 still dirty");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! * [`migrate`] — the migration tool (§IV).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod cap;

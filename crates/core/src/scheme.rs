@@ -80,16 +80,8 @@ impl Manifest {
         }
         let mut block_hashes = Vec::with_capacity(nhashes.min(65_536));
         for _ in 0..nhashes {
-            let mut h = [0u8; 32];
-            let bytes = {
-                let mut tmp = [0u8; 32];
-                for b in tmp.iter_mut() {
-                    *b = u8::read(&mut cur).map_err(|_| CoreError::Corrupt("manifest hash"))?;
-                }
-                tmp
-            };
-            h.copy_from_slice(&bytes);
-            block_hashes.push(h);
+            block_hashes
+                .push(<[u8; 32]>::read(&mut cur).map_err(|_| CoreError::Corrupt("manifest hash"))?);
         }
         cur.expect_end().map_err(|_| CoreError::Corrupt("manifest trailing"))?;
         Ok(Manifest { size, version, nblocks, block_hashes })

@@ -5,6 +5,11 @@
 //! (SubBytes / ShiftRows / MixColumns); the S-box is derived from the GF(2^8)
 //! inverse plus affine transform at first use rather than hard-coded, and is
 //! pinned by the FIPS-197 known-answer tests below.
+//!
+//! This block cipher is the portable implementation. The bulk CTR path in
+//! [`crate::modes::ctr_xor`] detects AES-NI at run time and, when present,
+//! feeds the same round keys, unchanged, to AESENC; the key schedule here
+//! serves both paths, and the code below is the only fallback.
 
 use std::sync::OnceLock;
 
@@ -100,6 +105,12 @@ impl Aes128 {
             }
         }
         Aes128 { round_keys }
+    }
+
+    /// The 11 round keys in FIPS-197 byte order, which is also the operand
+    /// order AES-NI takes.
+    pub(crate) fn round_keys(&self) -> &[[u8; 16]; 11] {
+        &self.round_keys
     }
 
     /// Encrypts one 16-byte block in place.

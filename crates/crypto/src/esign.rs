@@ -93,6 +93,13 @@ impl EsignPublicKey {
 
     /// Verifies a signature over `msg`.
     pub fn verify(&self, msg: &[u8], signature: &[u8]) -> Result<(), CryptoError> {
+        crate::work::count(|w| w.public_ops += 1);
+        self.check(msg, signature)
+    }
+
+    /// [`Self::verify`] without counting the work: the signer's own
+    /// debug-build self-check is not a verification the caller asked for.
+    fn check(&self, msg: &[u8], signature: &[u8]) -> Result<(), CryptoError> {
         if signature.len() != self.signature_len() {
             return Err(CryptoError::SignatureInvalid);
         }
@@ -141,6 +148,7 @@ impl EsignPrivateKey {
         rng: &mut R,
     ) -> Result<Self, CryptoError> {
         assert!(bits >= 192, "ESIGN key too small: {bits} bits");
+        crate::work::count(|w| w.keygens += 1);
         let b = bits / 3;
         for _ in 0..16 {
             let p = generate_prime(b, rng)?;
@@ -171,6 +179,7 @@ impl EsignPrivateKey {
 
     /// Signs `msg`.
     pub fn sign<R: RandomSource + ?Sized>(&self, rng: &mut R, msg: &[u8]) -> Vec<u8> {
+        crate::work::count(|w| w.private_ops += 1);
         let pk = &self.public;
         let y = message_representative(msg, pk.shift, pk.hash_bits);
         let e_big = BigUint::from_u64(pk.e as u64);
@@ -197,7 +206,7 @@ impl EsignPrivateKey {
             let t = w.rem(&self.p).mul_mod(&inv, &self.p);
             let s = r.add(&t.mul(&self.pq)).rem(&pk.n);
             debug_assert!(pk
-                .verify(msg, &s.to_bytes_be_padded(pk.signature_len()).unwrap())
+                .check(msg, &s.to_bytes_be_padded(pk.signature_len()).unwrap())
                 .is_ok());
             return s
                 .to_bytes_be_padded(pk.signature_len())

@@ -17,7 +17,10 @@
 //!
 //! Everything is implemented in this crate on top of an arbitrary-precision
 //! integer core ([`bignum`], [`montgomery`], [`prime`]); no external crypto
-//! dependencies are used.
+//! dependencies are used. AES-CTR and SHA-256 detect AES-NI and the SHA
+//! extensions at run time and use them through `std::arch`, falling back to
+//! the portable code; those intrinsics, in one private module, are the
+//! crate's only `unsafe` code.
 //!
 //! ## Example
 //!
@@ -37,7 +40,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod accel;
 pub mod aes;
 pub mod bignum;
 pub mod digest;
@@ -54,6 +61,7 @@ pub mod prime;
 pub mod rsa;
 pub mod sha1;
 pub mod sha256;
+pub mod work;
 
 pub use aes::Aes128;
 pub use bignum::BigUint;

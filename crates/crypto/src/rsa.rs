@@ -73,6 +73,7 @@ impl RsaPublicKey {
     }
 
     fn raw(&self, m: &BigUint) -> BigUint {
+        crate::work::count(|w| w.public_ops += 1);
         MontgomeryCtx::new(self.n.clone()).pow(m, &self.e)
     }
 
@@ -189,6 +190,7 @@ impl RsaPrivateKey {
         rng: &mut R,
     ) -> Result<Self, CryptoError> {
         assert!(bits >= 128, "RSA key too small: {bits} bits");
+        crate::work::count(|w| w.keygens += 1);
         let e = BigUint::from_u64(65537);
         for _ in 0..16 {
             let p = generate_prime(bits / 2, rng)?;
@@ -226,6 +228,7 @@ impl RsaPrivateKey {
 
     /// CRT private-key operation `c^d mod n`.
     fn raw(&self, c: &BigUint) -> BigUint {
+        crate::work::count(|w| w.private_ops += 1);
         let m1 = MontgomeryCtx::new(self.p.clone()).pow(c, &self.dp);
         let m2 = MontgomeryCtx::new(self.q.clone()).pow(c, &self.dq);
         // h = qinv * (m1 - m2) mod p

@@ -1,4 +1,10 @@
 //! SHA-256 (FIPS 180-4).
+//!
+//! The compression function picks its implementation at run time: on an
+//! x86-64 CPU with the SHA extensions it runs SHA256RNDS2/MSG1/MSG2
+//! ([`compress_accelerated`]); anywhere else the portable round loop
+//! ([`compress_scalar`]), which is also the oracle the differential tests
+//! hold the hardware path to. Both produce the same state.
 
 use crate::digest::Digest;
 
@@ -36,50 +42,6 @@ impl Sha256 {
         arr.copy_from_slice(&out);
         arr
     }
-
-    fn compress(&mut self, block: &[u8]) {
-        debug_assert_eq!(block.len(), 64);
-        let mut w = [0u32; 64];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
-    }
 }
 
 impl Digest for Sha256 {
@@ -99,16 +61,13 @@ impl Digest for Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block);
-            data = rest;
-        }
+        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+        compress(&mut self.state, blocks);
+        data = rest;
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
             self.buf_len = data.len();
@@ -129,6 +88,81 @@ impl Digest for Sha256 {
             out.extend_from_slice(&s.to_be_bytes());
         }
         out
+    }
+}
+
+/// Compresses every 64-byte block of `blocks` into `state`.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    if !compress_accelerated(state, blocks) {
+        compress_scalar(state, blocks);
+    }
+}
+
+/// [`compress`] with the SHA extensions. Returns `false`, leaving `state`
+/// untouched, when the CPU lacks them.
+///
+/// # Panics
+///
+/// If `blocks.len()` is not a multiple of 64.
+pub fn compress_accelerated(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return crate::accel::sha256_compress(state, &K, blocks);
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        assert!(blocks.len().is_multiple_of(64), "SHA-256 compresses whole 64-byte blocks");
+        let _ = state;
+        false
+    }
+}
+
+/// [`compress`] in portable code, one block at a time.
+///
+/// # Panics
+///
+/// If `blocks.len()` is not a multiple of 64.
+pub fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    assert!(blocks.len().is_multiple_of(64), "SHA-256 compresses whole 64-byte blocks");
+    for block in blocks.chunks_exact(64) {
+        let mut w = [0u32; 64];
+        for (i, word) in w.iter_mut().take(16).enumerate() {
+            *word = u32::from_be_bytes([
+                block[4 * i],
+                block[4 * i + 1],
+                block[4 * i + 2],
+                block[4 * i + 3],
+            ]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        }
+
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
 }
 

@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod acl;
 pub mod fsys;

@@ -37,6 +37,7 @@
 //! preimage and fetchers verify nodes by re-digesting the bytes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod proof;
 mod tree;

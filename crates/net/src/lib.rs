@@ -21,6 +21,7 @@
 //!   prefixed to request frames, and the wire form of trace events.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod error;

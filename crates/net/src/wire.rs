@@ -19,6 +19,17 @@ pub trait WireWrite {
         self.write(&mut out);
         out
     }
+
+    /// Appends the encodings of `items` back to back: the body of a
+    /// `Vec<Self>`. Byte types override this with one slice copy.
+    fn write_all(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.write(out);
+        }
+    }
 }
 
 /// Deserialize from a byte cursor.
@@ -32,6 +43,19 @@ pub trait WireRead: Sized {
         let v = Self::read(&mut cur)?;
         cur.expect_end()?;
         Ok(v)
+    }
+
+    /// Decodes `len` values back to back: the body of a `Vec<Self>`, whose
+    /// caller has already checked `len` against the remaining input. Byte
+    /// types override this with one slice copy.
+    fn read_all(r: &mut Cursor<'_>, len: usize) -> Result<Vec<Self>, NetError> {
+        // Grows from a capped guess: a hostile prefix must not reserve
+        // `size_of::<Self>()` times the input.
+        let mut out = Vec::with_capacity(len.min(4096));
+        for _ in 0..len {
+            out.push(Self::read(r)?);
+        }
+        Ok(out)
     }
 }
 
@@ -89,7 +113,27 @@ macro_rules! impl_wire_uint {
     };
 }
 
-impl_wire_uint!(u8);
+impl WireWrite for u8 {
+    fn write(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn write_all(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+}
+
+impl WireRead for u8 {
+    fn read(r: &mut Cursor<'_>) -> Result<Self, NetError> {
+        Ok(r.take(1)?[0])
+    }
+
+    /// Byte strings (stored values) are allocated exactly, in one copy.
+    fn read_all(r: &mut Cursor<'_>, len: usize) -> Result<Vec<u8>, NetError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
+
 impl_wire_uint!(u16);
 impl_wire_uint!(u32);
 impl_wire_uint!(u64);
@@ -181,9 +225,7 @@ impl<T: WireRead> WireRead for Option<T> {
 impl<T: WireWrite> WireWrite for Vec<T> {
     fn write(&self, out: &mut Vec<u8>) {
         (self.len() as u32).write(out);
-        for item in self {
-            item.write(out);
-        }
+        T::write_all(self, out);
     }
 }
 
@@ -194,15 +236,7 @@ impl<T: WireRead> WireRead for Vec<T> {
         if len > r.remaining() {
             return Err(NetError::Codec("vector length exceeds input"));
         }
-        // So one-byte elements (byte strings: stored values) are allocated
-        // exactly; wider ones grow from a capped guess, since a hostile
-        // prefix must not reserve `size_of::<T>()` times the input.
-        let cap = if std::mem::size_of::<T>() == 1 { len } else { len.min(4096) };
-        let mut out = Vec::with_capacity(cap);
-        for _ in 0..len {
-            out.push(T::read(r)?);
-        }
-        Ok(out)
+        T::read_all(r, len)
     }
 }
 

@@ -236,3 +236,88 @@ prop! {
         }
     }
 }
+
+// Golden-bytes oracle for the byte-string fast path: the per-element
+// encoding — a big-endian u32 count, then every byte on its own.
+fn bytes_oracle(v: &[u8], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(v.len() as u32).to_be_bytes());
+    for &b in v {
+        out.push(b);
+    }
+}
+
+prop! {
+    #![cases(128)]
+
+    fn byte_strings_encode_as_per_element_bytes(v in gen::vecs(gen::u8s(), 0..600)) {
+        let mut want = Vec::new();
+        bytes_oracle(&v, &mut want);
+        prop_assert_eq!(v.to_wire(), want.clone());
+        prop_assert_eq!(Vec::<u8>::from_wire(&want).unwrap(), v.clone());
+
+        let mut some = vec![1u8];
+        bytes_oracle(&v, &mut some);
+        prop_assert_eq!(Some(v.clone()).to_wire(), some.clone());
+        prop_assert_eq!(Option::<Vec<u8>>::from_wire(&some).unwrap(), Some(v));
+        prop_assert_eq!(None::<Vec<u8>>.to_wire(), vec![0u8]);
+    }
+
+    fn put_many_and_objects_encode_as_per_element_bytes(
+        items in gen::vecs(
+            Gen::from_fn(|t| Ok((keys().sample(t)?, gen::vecs(gen::u8s(), 0..300).sample(t)?))),
+            0..6,
+        ),
+        present in gen::vecs(gen::bools(), 0..6),
+    ) {
+        let mut want = vec![2u8];
+        want.extend_from_slice(&(items.len() as u32).to_be_bytes());
+        for (k, v) in &items {
+            // Keys are fixed-width fields, untouched by the fast path.
+            k.write(&mut want);
+            bytes_oracle(v, &mut want);
+        }
+        let req = Request::PutMany { items };
+        prop_assert_eq!(req.to_wire(), want.clone());
+        prop_assert_eq!(Request::from_wire(&want).unwrap(), req.clone());
+
+        let Request::PutMany { items } = req else { unreachable!() };
+        let objects: Vec<Option<Vec<u8>>> = items
+            .into_iter()
+            .zip(present.iter().chain(std::iter::repeat(&true)))
+            .map(|((_, v), &p)| p.then_some(v))
+            .collect();
+        let mut want = vec![3u8];
+        want.extend_from_slice(&(objects.len() as u32).to_be_bytes());
+        for o in &objects {
+            match o {
+                None => want.push(0),
+                Some(v) => {
+                    want.push(1);
+                    bytes_oracle(v, &mut want);
+                }
+            }
+        }
+        let resp = Response::Objects(objects);
+        prop_assert_eq!(resp.to_wire(), want.clone());
+        prop_assert_eq!(Response::from_wire(&want).unwrap(), resp);
+    }
+}
+
+#[test]
+fn hostile_byte_string_prefix_fails_before_allocating() {
+    // Each claimed length exceeds what follows it by one byte or by ~4 GiB;
+    // the length guard must reject it before the body is read or reserved.
+    for (claimed, body) in [(4u32, 3usize), (1 << 20, 17), (u32::MAX, 0), (u32::MAX, 64)] {
+        let mut evil = claimed.to_be_bytes().to_vec();
+        evil.resize(4 + body, 0xAB);
+        let err = Vec::<u8>::read(&mut Cursor::new(&evil)).unwrap_err();
+        assert!(
+            matches!(err, NetError::Codec("vector length exceeds input")),
+            "claimed {claimed} over {body} bytes: {err:?}"
+        );
+        let mut put = vec![1u8];
+        ObjectKey::metadata(1, [0; 16]).write(&mut put);
+        put.extend_from_slice(&evil);
+        assert!(matches!(Request::from_wire(&put), Err(NetError::Codec(_))));
+    }
+}

@@ -17,6 +17,7 @@
 //!   the CI metrics-determinism gate.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod metrics;
 pub mod trace;

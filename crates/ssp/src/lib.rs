@@ -17,6 +17,7 @@
 //! * [`tcp`] — the standalone serving loop; `sharoes-sspd` is the binary.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod faultfs;

@@ -41,6 +41,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bench;
 pub mod enterprise;

@@ -70,6 +70,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use sharoes_cluster as cluster;
 pub use sharoes_core as core;
