@@ -3,7 +3,8 @@
 # pinned-seed chaos runs, the metrics- and trace-determinism gates, the
 # enterprise scenario gate (revocation/rotation oracles + registry
 # determinism), the concurrency gate (sharded-vs-single-lock byte
-# equivalence + the contention-bench throughput floor), and the bench
+# equivalence, including a drive of many threads over one shared TCP
+# connection, + the contention-bench throughput floor), and the bench
 # ablations with their BENCH_*.json validation.
 #
 # Everything runs with --offline against the vendored-free, path-only
@@ -146,9 +147,11 @@ if [ "$QUICK" -eq 0 ]; then
     step "authenticated-index scan ablation (writes BENCH_index.json)" \
         cargo run -q --offline --release -p sharoes-bench --bin paper-figures -- --quick index
 
-    # Contention bench: N client threads x M ops against a real sspd plus a
-    # 3-node cluster; exits nonzero if multi-threaded throughput fails the
-    # 2x floor over the single-threaded blocking baseline.
+    # Contention bench: N client threads x M ops against a real sspd (one
+    # connection per thread, one shared connection, shared batches) plus a
+    # 3-node cluster with sequential replica fan-out; exits nonzero if
+    # multi-threaded throughput fails the 2x floor over the single-threaded
+    # one-connection-per-thread ("blocking") baseline.
     step "contention bench + speedup floor (writes BENCH_concurrency.json)" \
         cargo run -q --offline --release -p sharoes-bench --bin paper-figures -- --quick concurrency
 

@@ -95,7 +95,7 @@ fn print_help() {
          \x20 index      authenticated-index ablation: flat vs indexed scans, proof\n\
          \x20            overhead at several keyspace sizes (writes BENCH_index.json)\n\
          \x20 concurrency contention benchmark: blocking vs pipelined vs batched clients\n\
-         \x20            against one sspd plus a 3-node cluster fan-out sweep; fails if\n\
+         \x20            against one sspd plus a 3-node cluster sweep; fails if\n\
          \x20            multi-threaded speedup < 2x (writes BENCH_concurrency.json)\n\
          \x20 summary    headline speedups (E7)\n\
          \x20 all        everything above"
@@ -774,7 +774,7 @@ fn obs_report(opts: &BenchOpts, quick: bool) {
 
 /// Contention benchmark: the CI gate for the high-concurrency front end.
 /// Real TCP throughout — one sspd for the client-mode sweep, then a 3-node
-/// cluster comparing sequential vs parallel replica fan-out. Writes
+/// cluster with sequential replica fan-out. Writes
 /// `BENCH_concurrency.json` and exits nonzero if the best multi-threaded
 /// throughput fails to clear `SPEEDUP_FLOOR` over the single-threaded
 /// blocking baseline.

@@ -618,7 +618,7 @@ impl Shell {
 /// `sharoes-shell stats ADDR`: pull live stats + metrics off a running
 /// sspd over TCP and print them, non-interactively (for scripts and CI).
 fn remote_stats(addr: &str) -> i32 {
-    let mut transport = match TcpTransport::connect(addr) {
+    let transport = match TcpTransport::connect(addr) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("sharoes-shell: cannot connect to {addr}: {e}");
@@ -663,7 +663,7 @@ fn remote_trace(addrs: &[String]) -> i32 {
     let mut events: Vec<sharoes_obs::OwnedEvent> = Vec::new();
     let mut dropped = 0u64;
     for addr in addrs {
-        let mut transport = match TcpTransport::connect(addr) {
+        let transport = match TcpTransport::connect(addr) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("sharoes-shell: cannot connect to {addr}: {e}");
@@ -708,7 +708,7 @@ fn remote_trace(addrs: &[String]) -> i32 {
 fn remote_root(addrs: &[String]) -> i32 {
     let mut roots: Vec<[u8; 32]> = Vec::new();
     for addr in addrs {
-        let mut transport = match TcpTransport::connect(addr) {
+        let transport = match TcpTransport::connect(addr) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("sharoes-shell: cannot connect to {addr}: {e}");

@@ -3,7 +3,7 @@
 //! histograms move, then run the CLI binary as a subprocess and assert its
 //! output carries live, nonzero metrics from the server process.
 
-use sharoes_net::{ObjectKey, Request, Response, TcpTransport, Transport};
+use sharoes_net::{ObjectKey, Request, Response, TcpTransport};
 use sharoes_ssp::{serve, SspServer};
 
 #[test]
@@ -13,7 +13,7 @@ fn stats_subcommand_reports_live_server_metrics() {
     let addr = handle.addr().to_string();
 
     // Drive a small workload so the per-op histograms have samples.
-    let mut transport = TcpTransport::connect(&addr).expect("connect");
+    let transport = TcpTransport::connect(&addr).expect("connect");
     for inode in 0..3u64 {
         let key = ObjectKey::metadata(inode, [7; 16]);
         let put = Request::Put { key, value: vec![0xAB; 64 + inode as usize] };

@@ -6,24 +6,28 @@
 //! * [`wire`] — hand-rolled, hostile-input-safe binary codec.
 //! * [`message`] — the content-oblivious client↔SSP protocol ([`ObjectKey`],
 //!   [`Request`], [`Response`]).
+//! * [`envelope`] — the one versioned, checksummed header on every frame:
+//!   correlation id plus an optional trace context.
 //! * [`transport`] — [`InMemoryTransport`] (deterministic, metered) and
-//!   [`TcpTransport`] (real sockets), both speaking the identical byte
-//!   format.
+//!   [`TcpTransport`] (real sockets, many requests in flight per
+//!   connection), both speaking the identical byte format through the
+//!   shared server half [`serve_frame`].
+//! * [`pipeline`] — [`CorrDispatcher`], the socket-free correlation-id
+//!   bookkeeping behind [`TcpTransport`].
 //! * [`cost`] / [`netmodel`] — the NETWORK/CRYPTO/OTHER accounting and the
 //!   paper's DSL link model that converts byte counts to seconds.
 //! * [`fault`] — deterministic, seed-replayable fault injection for chaos
 //!   testing any transport.
-//! * [`pipeline`] — correlation-id request pipelining: many in-flight
-//!   requests multiplexed over one connection ([`PipelinedClient`]).
 //! * [`resilient`] — retrying/reconnecting transport decorator built on the
 //!   [`error::ErrorClass`] taxonomy.
-//! * [`traceframe`] — the optional checksummed trace-context header
-//!   prefixed to request frames, and the wire form of trace events.
+//! * [`traceframe`] — the wire form of trace events for the `Trace` scrape
+//!   op.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cost;
+pub mod envelope;
 pub mod error;
 pub mod fault;
 pub mod message;
@@ -35,19 +39,15 @@ pub mod transport;
 pub mod wire;
 
 pub use cost::{CostMeter, CostSample};
+pub use envelope::{Envelope, CONNECTION_ERROR_ID, ENVELOPE_LEN, TRACED_ENVELOPE_LEN};
 pub use error::{ErrorClass, NetError, TRANSIENT_ERROR_PREFIX};
 pub use fault::{FaultConfig, FaultCounts, FaultInjector, FaultKind, FaultSchedule, OpClass};
 pub use message::{KeySpace, ObjectKey, Request, Response};
 pub use netmodel::NetModel;
-pub use pipeline::{
-    attach_corr, corr_header, split_corr, CorrDispatcher, PipelinedClient, PipelinedTransport,
-    CORR_HEADER_LEN,
-};
+pub use pipeline::CorrDispatcher;
 pub use resilient::{
     Connector, FakeSleeper, ResilientTransport, RetryPolicy, Sleeper, WallClockSleeper,
 };
-pub use traceframe::{TraceEventWire, TRACE_HEADER_LEN, TRACE_HEADER_VERSION};
-pub use transport::{
-    write_frame_vectored, InMemoryTransport, RequestHandler, TcpTransport, Transport,
-};
+pub use traceframe::TraceEventWire;
+pub use transport::{serve_frame, InMemoryTransport, RequestHandler, TcpTransport, Transport};
 pub use wire::{Cursor, WireRead, WireWrite};

@@ -1,113 +1,52 @@
-//! Request pipelining: many in-flight requests multiplexed over one
-//! connection, matched back to callers by a correlation id.
+//! Correlation bookkeeping for pipelined connections: many in-flight
+//! requests on one connection, matched back to their callers by the
+//! envelope's correlation id (see [`crate::envelope`]).
 //!
-//! The legacy protocol is strictly FIFO — one request, one response, in
-//! order — which caps a connection's throughput at one round trip per
-//! network latency. Pipelining removes that cap: the client keeps writing
-//! frames while earlier ones execute, and the server (whose worker pool
-//! may finish requests out of order) tags each response with the id of the
-//! request it answers.
-//!
-//! ## Correlation header
-//!
-//! An optional 10-byte header prefixed to a frame's body, in front of the
-//! (also optional) trace header:
-//!
-//! ```text
-//! +------+------+------------------+
-//! | 0xC5 | 0x1D | correlation id   |
-//! |  1   |  1   |   8 (u64 BE)     |
-//! +------+------+------------------+
-//! ```
-//!
-//! Frame body layout is therefore `[corr?][trace?][message]`. A frame whose
-//! first two bytes are not the magic pair is an uncorrelated body and
-//! parses exactly as before: the magic byte `0xC5` can never collide with
-//! a legacy frame (request/response tags are small integers) nor with the
-//! trace magic `0xC7`.
-//!
-//! The header is opt-in **per frame**. A server answers correlated
-//! requests with correlated responses (possibly out of order) and
-//! uncorrelated requests with bare in-order responses, so legacy
-//! [`crate::TcpTransport`] clients keep working unchanged against a
-//! pipelined server.
-//!
-//! ## Pieces
-//!
-//! * [`CorrDispatcher`] — socket-free bookkeeping: hands out ids, parks
-//!   waiters, routes completions. Property-tested in isolation so the
-//!   "never cross-match payloads" invariant does not depend on socket
-//!   timing.
-//! * [`PipelinedClient`] — a real connection: writer lock + reader thread
-//!   over a [`CorrDispatcher`]. `&self` calls, so one client can serve
-//!   many threads concurrently.
-//! * [`PipelinedTransport`] — a [`Transport`] view over a shared client,
-//!   for call sites built around the one-lane trait.
+//! A connection is not FIFO: the client keeps writing frames while earlier
+//! ones execute, and the server's worker pool may finish them out of
+//! order. [`CorrDispatcher`] is the socket-free half of
+//! [`crate::TcpTransport`]: it hands out ids, parks waiters and routes
+//! completions. It is property-tested in isolation so the "never
+//! cross-match payloads" invariant does not depend on socket timing.
 
-use crate::cost::CostMeter;
 use crate::error::NetError;
-use crate::message::{Request, Response};
-use crate::traceframe;
-use crate::transport::{read_frame, write_frame_vectored, Transport};
-use crate::wire::{WireRead, WireWrite};
 use std::collections::HashMap;
-use std::io::Read;
-use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// First magic byte of a correlation header.
-pub const CORR_MAGIC0: u8 = 0xC5;
-/// Second magic byte of a correlation header.
-pub const CORR_MAGIC1: u8 = 0x1D;
-/// Total correlation header length in bytes.
-pub const CORR_HEADER_LEN: usize = 10;
-
-/// Encodes the 10-byte correlation header for `id`.
-pub fn corr_header(id: u64) -> [u8; CORR_HEADER_LEN] {
-    let mut out = [0u8; CORR_HEADER_LEN];
-    out[0] = CORR_MAGIC0;
-    out[1] = CORR_MAGIC1;
-    out[2..10].copy_from_slice(&id.to_be_bytes());
-    out
-}
-
-/// Prefixes `body` with the correlation header for `id`.
-pub fn attach_corr(id: u64, body: Vec<u8>) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(CORR_HEADER_LEN + body.len());
-    framed.extend_from_slice(&corr_header(id));
-    framed.extend_from_slice(&body);
-    framed
-}
-
-/// Splits an optional correlation header off `frame`.
-///
-/// Returns `(None, frame)` when the frame does not start with the magic
-/// pair (a legacy uncorrelated body). A frame that *does* start with the
-/// magic but is too short to hold the id is a typed codec error, never a
-/// silent fallthrough into the message parser.
-pub fn split_corr(frame: &[u8]) -> Result<(Option<u64>, &[u8]), NetError> {
-    if frame.len() < 2 || frame[0] != CORR_MAGIC0 || frame[1] != CORR_MAGIC1 {
-        return Ok((None, frame));
-    }
-    if frame.len() < CORR_HEADER_LEN {
-        return Err(NetError::Codec("truncated correlation header"));
-    }
-    let mut id_bytes = [0u8; 8];
-    id_bytes.copy_from_slice(&frame[2..10]);
-    Ok((Some(u64::from_be_bytes(id_bytes)), &frame[CORR_HEADER_LEN..]))
-}
 
 /// One registered in-flight slot: `None` until completed.
 type Slot = Option<Result<Vec<u8>, String>>;
+
+/// Why a connection can no longer complete requests.
+#[derive(Clone)]
+enum Death {
+    /// Lost on this side (socket error, undecodable frame, client
+    /// dropped): a retryable I/O error, so the resilient layer reconnects.
+    Lost(String),
+    /// Ended by the server with a connection-level error: its message,
+    /// classified like any server error (`transient…` is retryable).
+    Refused(String),
+}
+
+impl Death {
+    fn error(&self) -> NetError {
+        match self {
+            Death::Lost(why) => NetError::Io(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                format!("connection lost: {why}"),
+            )),
+            Death::Refused(reason) => NetError::Remote(reason.clone()),
+        }
+    }
+}
 
 struct DispatchState {
     /// In-flight slots keyed by correlation id.
     slots: HashMap<u64, Slot>,
     /// Set once the connection is unrecoverable; every present and future
-    /// waiter fails with this reason.
-    dead: Option<String>,
+    /// waiter fails with it.
+    dead: Option<Death>,
 }
 
 /// Correlation bookkeeping for one pipelined connection.
@@ -136,7 +75,8 @@ impl Default for CorrDispatcher {
 }
 
 impl CorrDispatcher {
-    /// An empty dispatcher; ids start at 1.
+    /// An empty dispatcher; ids start at 1 (0 is
+    /// [`crate::envelope::CONNECTION_ERROR_ID`]).
     pub fn new() -> Self {
         CorrDispatcher {
             next_id: AtomicU64::new(1),
@@ -155,8 +95,8 @@ impl CorrDispatcher {
     /// can never complete.
     pub fn register(&self) -> Result<u64, NetError> {
         let mut st = self.lock();
-        if let Some(why) = &st.dead {
-            return Err(dead_error(why));
+        if let Some(death) = &st.dead {
+            return Err(death.error());
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         st.slots.insert(id, None);
@@ -177,19 +117,25 @@ impl CorrDispatcher {
         }
     }
 
-    /// Marks the connection dead: every current and future waiter gets a
+    /// Marks the connection lost: every current and future waiter gets a
     /// retryable error carrying `why`.
     pub fn fail_all(&self, why: &str) {
-        let mut st = self.lock();
-        if st.dead.is_none() {
-            st.dead = Some(why.to_string());
-        }
-        self.cv.notify_all();
+        self.die(Death::Lost(why.to_string()));
     }
 
-    /// True once [`Self::fail_all`] has run.
-    pub fn is_dead(&self) -> bool {
-        self.lock().dead.is_some()
+    /// Marks the connection refused by the server: every current and
+    /// future waiter gets [`NetError::Remote`] with the server's `reason`.
+    pub fn refuse_all(&self, reason: String) {
+        self.die(Death::Refused(reason));
+    }
+
+    /// The first death wins: later ones describe its aftermath.
+    fn die(&self, death: Death) {
+        let mut st = self.lock();
+        if st.dead.is_none() {
+            st.dead = Some(death);
+        }
+        self.cv.notify_all();
     }
 
     /// Blocks until the outcome for `id` arrives, the connection dies, or
@@ -208,8 +154,8 @@ impl CorrDispatcher {
                 Some(None) => {}
                 None => return Err(NetError::Codec("correlation id waited on twice")),
             }
-            if let Some(why) = &st.dead {
-                let err = dead_error(why);
+            if let Some(death) = &st.dead {
+                let err = death.error();
                 st.slots.remove(&id);
                 return Err(err);
             }
@@ -218,7 +164,7 @@ impl CorrDispatcher {
                 st.slots.remove(&id);
                 return Err(NetError::Io(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
-                    format!("pipelined call {id} timed out"),
+                    format!("call {id} timed out"),
                 )));
             }
             let (g, _) =
@@ -228,215 +174,10 @@ impl CorrDispatcher {
     }
 }
 
-/// A dead pipelined connection surfaces as a retryable I/O error so the
-/// resilient layer reconnects, exactly like a torn legacy connection.
-fn dead_error(why: &str) -> NetError {
-    NetError::Io(std::io::Error::new(
-        std::io::ErrorKind::BrokenPipe,
-        format!("pipelined connection lost: {why}"),
-    ))
-}
-
-/// Default bound on how long one pipelined call waits for its response.
-pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// A pipelined TCP connection: `&self` calls from many threads multiplex
-/// over one socket, matched back by correlation id.
-pub struct PipelinedClient {
-    writer: Mutex<TcpStream>,
-    dispatcher: Arc<CorrDispatcher>,
-    meter: Arc<CostMeter>,
-    call_timeout: Duration,
-    reader: Mutex<Option<std::thread::JoinHandle<()>>>,
-    sock: TcpStream,
-}
-
-impl PipelinedClient {
-    /// Connects to a pipelined SSP server at `addr`.
-    pub fn connect(addr: &str) -> Result<Self, NetError> {
-        Self::connect_with(addr, DEFAULT_CALL_TIMEOUT, CostMeter::new_shared())
-    }
-
-    /// Connects with an explicit per-call timeout and a shared meter.
-    pub fn connect_with(
-        addr: &str,
-        call_timeout: Duration,
-        meter: Arc<CostMeter>,
-    ) -> Result<Self, NetError> {
-        let sock = TcpStream::connect(addr)?;
-        sock.set_nodelay(true)?;
-        let writer = sock.try_clone()?;
-        let reader_sock = sock.try_clone()?;
-        let dispatcher = Arc::new(CorrDispatcher::new());
-        let disp = Arc::clone(&dispatcher);
-        let reader = std::thread::Builder::new()
-            .name("ssp-pipeline-reader".into())
-            .spawn(move || reader_loop(reader_sock, disp))
-            .map_err(NetError::Io)?;
-        Ok(PipelinedClient {
-            writer: Mutex::new(writer),
-            dispatcher,
-            meter,
-            call_timeout,
-            reader: Mutex::new(Some(reader)),
-            sock,
-        })
-    }
-
-    /// The meter recording this connection's traffic.
-    pub fn meter(&self) -> &Arc<CostMeter> {
-        &self.meter
-    }
-
-    /// The dispatcher (exposed for tests probing liveness).
-    pub fn dispatcher(&self) -> &CorrDispatcher {
-        &self.dispatcher
-    }
-
-    /// Registers a slot and writes `[corr][trace?][request]` as one
-    /// vectored frame. Returns the id and the framed byte count.
-    fn send(&self, request: &Request) -> Result<(u64, u64), NetError> {
-        let id = self.dispatcher.register()?;
-        let header = corr_header(id);
-        let mut body = request.to_wire();
-        if let Some(ctx) = sharoes_obs::mint_child("ssp.rpc") {
-            body = traceframe::attach(&ctx, body);
-        }
-        let sent = (CORR_HEADER_LEN + body.len() + 4) as u64;
-        {
-            let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-            write_frame_vectored(&mut *w, &[&header, &body])?;
-        }
-        Ok((id, sent))
-    }
-
-    /// Waits for the response to `id`, charging the meter and shape-checking
-    /// against the request that produced it.
-    fn receive(&self, request: &Request, id: u64, sent: u64) -> Result<Response, NetError> {
-        let body = self.dispatcher.wait(id, self.call_timeout)?;
-        self.meter.charge_round_trip(sent, (CORR_HEADER_LEN + body.len() + 4) as u64);
-        let response = Response::from_wire(&body)?;
-        if !request.matches_response(&response) {
-            return Err(NetError::Codec("response does not match request"));
-        }
-        Ok(response)
-    }
-
-    /// One full round trip. Takes `&self`: concurrent callers pipeline
-    /// naturally, each matched to its own response by correlation id.
-    pub fn call(&self, request: &Request) -> Result<Response, NetError> {
-        let timing = sharoes_obs::in_span().then(Instant::now);
-        let (id, sent) = self.send(request)?;
-        let out = self.receive(request, id, sent);
-        if let Some(start) = timing {
-            sharoes_obs::phase_add(sharoes_obs::Phase::Net, start.elapsed().as_nanos() as u64);
-        }
-        out
-    }
-
-    /// Issues every request before collecting any response, so a single
-    /// thread still overlaps server work with the wire. Results return in
-    /// request order.
-    pub fn call_many(&self, requests: &[Request]) -> Vec<Result<Response, NetError>> {
-        let sent: Vec<Result<(u64, u64), NetError>> =
-            requests.iter().map(|r| self.send(r)).collect();
-        requests
-            .iter()
-            .zip(sent)
-            .map(|(req, s)| s.and_then(|(id, n)| self.receive(req, id, n)))
-            .collect()
-    }
-}
-
-impl Drop for PipelinedClient {
-    fn drop(&mut self) {
-        let _ = self.sock.shutdown(Shutdown::Both);
-        self.dispatcher.fail_all("client dropped");
-        let handle = self.reader.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Reads response frames and routes each to its waiter by correlation id.
-fn reader_loop<R: Read>(mut sock: R, dispatcher: Arc<CorrDispatcher>) {
-    loop {
-        let frame = match read_frame(&mut sock) {
-            Ok(f) => f,
-            Err(e) => {
-                dispatcher.fail_all(&e.to_string());
-                return;
-            }
-        };
-        match split_corr(&frame) {
-            Ok((Some(id), body)) => dispatcher.complete(id, Ok(body.to_vec())),
-            // A pipelined connection only ever sends correlated requests;
-            // a bare response means the stream desynchronized.
-            Ok((None, _)) => {
-                dispatcher.fail_all("uncorrelated response on pipelined connection");
-                return;
-            }
-            Err(e) => {
-                dispatcher.fail_all(&e.to_string());
-                return;
-            }
-        }
-    }
-}
-
-/// A [`Transport`] view over a shared [`PipelinedClient`], so trait-shaped
-/// call sites (the resilient/cluster layers) can ride a multiplexed
-/// connection. Clone-cheap: many transports, one socket.
-pub struct PipelinedTransport {
-    client: Arc<PipelinedClient>,
-}
-
-impl PipelinedTransport {
-    /// A transport lane over `client`.
-    pub fn new(client: Arc<PipelinedClient>) -> Self {
-        PipelinedTransport { client }
-    }
-}
-
-impl Transport for PipelinedTransport {
-    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        self.client.call(request)
-    }
-
-    fn meter(&self) -> &Arc<CostMeter> {
-        self.client.meter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn corr_header_roundtrip() {
-        let body = attach_corr(0xDEAD_BEEF_0BAD_F00D, vec![1, 2, 3]);
-        let (id, rest) = split_corr(&body).unwrap();
-        assert_eq!(id, Some(0xDEAD_BEEF_0BAD_F00D));
-        assert_eq!(rest, &[1, 2, 3]);
-    }
-
-    #[test]
-    fn uncorrelated_frames_pass_through() {
-        // A legacy response tag in byte 0 is not the corr magic.
-        let (id, rest) = split_corr(&[0, 7, 7]).unwrap();
-        assert_eq!(id, None);
-        assert_eq!(rest, &[0, 7, 7]);
-        // Empty frames are legal (some responses are tag-only… not really,
-        // but the splitter must not panic).
-        assert_eq!(split_corr(&[]).unwrap(), (None, &[][..]));
-    }
-
-    #[test]
-    fn truncated_corr_header_is_typed_error() {
-        let err = split_corr(&[CORR_MAGIC0, CORR_MAGIC1, 1, 2]).unwrap_err();
-        assert!(matches!(err, NetError::Codec(_)), "got {err}");
-    }
+    use std::sync::Arc;
 
     #[test]
     fn dispatcher_routes_by_id() {
@@ -460,6 +201,18 @@ mod tests {
         // The late completion must not be deliverable to anyone.
         d.complete(id, Ok(vec![9]));
         assert!(d.wait(id, Duration::from_millis(10)).is_err());
+    }
+
+    #[test]
+    fn refusal_fails_waiters_with_the_servers_reason() {
+        let d = CorrDispatcher::new();
+        let id = d.register().unwrap();
+        d.refuse_all("frame too large: 99 bytes".into());
+        let err = d.wait(id, Duration::from_secs(1)).unwrap_err();
+        assert!(matches!(&err, NetError::Remote(m) if m == "frame too large: 99 bytes"), "{err}");
+        assert_eq!(err.class(), crate::ErrorClass::Fatal);
+        let err = d.register().unwrap_err();
+        assert!(matches!(err, NetError::Remote(_)), "{err}");
     }
 
     #[test]

@@ -104,8 +104,12 @@ fn resilience_metrics() -> &'static ResilienceMetrics {
 ///
 /// Implemented for any `FnMut() -> Result<Box<dyn Transport>, NetError>`,
 /// e.g. a closure around [`crate::transport::TcpTransport::connect_with`]
-/// or one building a [`crate::fault::FaultInjector`] over a shared fault
-/// schedule.
+/// (one per-call timeout and the meter shared across reconnects) or one
+/// building a [`crate::fault::FaultInjector`] over a shared fault schedule.
+/// A connection that fails a call with a retryable error is dropped and
+/// replaced through this factory; for a [`crate::TcpTransport`] that
+/// includes being shed by the server, whose reason arrives as a
+/// `transient…` [`NetError::Remote`].
 pub trait Connector: Send {
     /// Opens a new connection.
     fn connect(&mut self) -> Result<Box<dyn Transport>, NetError>;

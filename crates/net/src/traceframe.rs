@@ -1,97 +1,10 @@
-//! Wire propagation of trace context: an optional, checksummed header
-//! prefixed to a request frame's body, plus the wire form of trace events
-//! for the `Trace` scrape op.
-//!
-//! Layout (39 bytes, all big-endian):
-//!
-//! ```text
-//! +------+------+---------+----------+---------+-----------+----------+
-//! | 0xC7 | 0x9A | version | trace_id | span_id | parent_id | checksum |
-//! |  1   |  1   |    1    |    16    |    8    |     8     |    4     |
-//! +------+------+---------+----------+---------+-----------+----------+
-//! ```
-//!
-//! The checksum is FNV-1a-32 over the preceding 35 bytes — not a
-//! security boundary (frames already cross an untrusted SSP; integrity
-//! of *data* is the crypto layer's job) but enough to turn a bit-flipped
-//! or mis-split header into a typed error instead of a garbage trace.
-//!
-//! Backward compatibility: a frame whose first two bytes are not the
-//! magic pair is an untraced body and parses exactly as before. The
-//! magic byte `0xC7` can never collide with a legacy frame: request and
-//! response tags are small integers (currently ≤ 10).
+//! The wire form of trace events, as returned by the `Trace` scrape op.
+//! (Trace *context* travels in the frame envelope; see
+//! [`crate::envelope`].)
 
 use crate::error::NetError;
 use crate::wire::{Cursor, WireRead, WireWrite};
-use sharoes_obs::{EventKind, Level, OwnedEvent, TraceContext, TraceEvent};
-
-/// First magic byte of a trace header.
-pub const TRACE_MAGIC0: u8 = 0xC7;
-/// Second magic byte of a trace header.
-pub const TRACE_MAGIC1: u8 = 0x9A;
-/// The only header version this build understands.
-pub const TRACE_HEADER_VERSION: u8 = 1;
-/// Total header length in bytes.
-pub const TRACE_HEADER_LEN: usize = 39;
-
-fn fnv1a_32(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
-/// Encodes `ctx` as a 39-byte header.
-pub fn encode_header(ctx: &TraceContext) -> [u8; TRACE_HEADER_LEN] {
-    let mut out = [0u8; TRACE_HEADER_LEN];
-    out[0] = TRACE_MAGIC0;
-    out[1] = TRACE_MAGIC1;
-    out[2] = TRACE_HEADER_VERSION;
-    out[3..19].copy_from_slice(&ctx.trace_id.to_be_bytes());
-    out[19..27].copy_from_slice(&ctx.span_id.to_be_bytes());
-    out[27..35].copy_from_slice(&ctx.parent_id.to_be_bytes());
-    let sum = fnv1a_32(&out[..35]);
-    out[35..39].copy_from_slice(&sum.to_be_bytes());
-    out
-}
-
-/// Prefixes `body` with the header for `ctx`.
-pub fn attach(ctx: &TraceContext, body: Vec<u8>) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(TRACE_HEADER_LEN + body.len());
-    framed.extend_from_slice(&encode_header(ctx));
-    framed.extend_from_slice(&body);
-    framed
-}
-
-/// Splits an incoming frame into its optional trace context and the
-/// message body. Frames not starting with the magic pair are untraced
-/// legacy bodies and pass through unchanged; frames that *do* start with
-/// it must carry a complete, checksummed, known-version header or the
-/// whole frame is rejected with a typed [`NetError::Codec`].
-pub fn split_header(frame: &[u8]) -> Result<(Option<TraceContext>, &[u8]), NetError> {
-    if frame.len() < 2 || frame[0] != TRACE_MAGIC0 || frame[1] != TRACE_MAGIC1 {
-        return Ok((None, frame));
-    }
-    if frame.len() < TRACE_HEADER_LEN {
-        return Err(NetError::Codec("trace header truncated"));
-    }
-    let (head, body) = frame.split_at(TRACE_HEADER_LEN);
-    let sum = u32::from_be_bytes(head[35..39].try_into().expect("4-byte slice"));
-    if sum != fnv1a_32(&head[..35]) {
-        return Err(NetError::Codec("trace header checksum mismatch"));
-    }
-    if head[2] != TRACE_HEADER_VERSION {
-        return Err(NetError::Codec("unsupported trace header version"));
-    }
-    let ctx = TraceContext {
-        trace_id: u128::from_be_bytes(head[3..19].try_into().expect("16-byte slice")),
-        span_id: u64::from_be_bytes(head[19..27].try_into().expect("8-byte slice")),
-        parent_id: u64::from_be_bytes(head[27..35].try_into().expect("8-byte slice")),
-    };
-    Ok((Some(ctx), body))
-}
+use sharoes_obs::{EventKind, Level, OwnedEvent, TraceEvent};
 
 /// The wire form of one trace event, as returned by the `Trace` scrape
 /// op. Mirrors [`TraceEvent`] with owned strings plus a `node` stamp the
@@ -196,53 +109,6 @@ impl WireRead for TraceEventWire {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn header_roundtrips() {
-        let ctx = TraceContext { trace_id: 0x0102_0304, span_id: 77, parent_id: 3 };
-        let framed = attach(&ctx, vec![9, 8, 7]);
-        assert_eq!(framed.len(), TRACE_HEADER_LEN + 3);
-        let (got, body) = split_header(&framed).unwrap();
-        assert_eq!(got, Some(ctx));
-        assert_eq!(body, &[9, 8, 7]);
-    }
-
-    #[test]
-    fn untraced_frames_pass_through() {
-        let body = vec![0u8]; // a Ping request
-        let (ctx, rest) = split_header(&body).unwrap();
-        assert_eq!(ctx, None);
-        assert_eq!(rest, &body[..]);
-        // Even an empty frame is merely untraced, not an error.
-        let (ctx, rest) = split_header(&[]).unwrap();
-        assert_eq!(ctx, None);
-        assert!(rest.is_empty());
-    }
-
-    #[test]
-    fn damaged_headers_are_typed_errors() {
-        let ctx = TraceContext { trace_id: 5, span_id: 6, parent_id: 0 };
-        let framed = attach(&ctx, vec![1, 2, 3]);
-
-        // Truncated mid-header.
-        let err = split_header(&framed[..10]).unwrap_err();
-        assert!(matches!(err, NetError::Codec("trace header truncated")), "{err:?}");
-
-        // Any flipped bit in the covered region breaks the checksum.
-        let mut flipped = framed.clone();
-        flipped[20] ^= 0x40;
-        let err = split_header(&flipped).unwrap_err();
-        assert!(matches!(err, NetError::Codec("trace header checksum mismatch")), "{err:?}");
-
-        // Unknown version (with a recomputed, valid checksum).
-        let mut vers = encode_header(&ctx).to_vec();
-        vers[2] = 9;
-        let sum = fnv1a_32(&vers[..35]);
-        vers[35..39].copy_from_slice(&sum.to_be_bytes());
-        vers.extend_from_slice(&[1, 2, 3]);
-        let err = split_header(&vers).unwrap_err();
-        assert!(matches!(err, NetError::Codec("unsupported trace header version")), "{err:?}");
-    }
 
     #[test]
     fn trace_event_wire_roundtrips() {

@@ -1,23 +1,30 @@
 //! Transports: how serialized requests reach the SSP.
 //!
-//! Two implementations with identical semantics:
+//! Two implementations with identical semantics and identical bytes:
 //!
 //! * [`InMemoryTransport`] — serializes through the full wire codec, charges
 //!   a [`CostMeter`], and dispatches to an in-process handler. This is the
 //!   deterministic path the benchmark harness uses (network time is modeled,
 //!   not slept).
-//! * [`TcpTransport`] — real sockets with length-prefixed frames, proving
-//!   the same byte stream works over an actual network.
+//! * [`TcpTransport`] — real sockets with length-prefixed frames. One
+//!   connection carries many requests in flight: `&self` calls from any
+//!   number of threads, matched back to their callers by correlation id.
+//!
+//! Every frame body is an [`Envelope`] followed by one message. The server
+//! half of a round trip is [`serve_frame`], shared by the in-memory path
+//! and the sspd worker pool, so both meter exactly the same bytes.
 
 use crate::cost::CostMeter;
+use crate::envelope::{connection_error, Envelope, CONNECTION_ERROR_ID};
 use crate::error::NetError;
 use crate::message::{Request, Response};
-use crate::traceframe;
-use crate::wire::{WireRead, WireWrite};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Instant;
+use crate::pipeline::CorrDispatcher;
+use crate::wire::WireRead;
+use std::io::{IoSlice, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Upper bound on a single frame (64 MiB) to bound hostile allocations.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
@@ -45,49 +52,89 @@ pub trait Transport: Send {
     fn meter(&self) -> &Arc<CostMeter>;
 }
 
+/// The server half of one round trip: opens the request frame's envelope,
+/// adopts the caller's trace context as an `ssp.rpc` span labelled
+/// `transport` (`"mem"` or `"tcp"`), decodes and handles the request, and
+/// returns the response frame under the request's id.
+///
+/// A rejected frame returns `Err` carrying the error reply to send: a
+/// message that does not decode is answered under its own id, a frame
+/// whose envelope does not decode under [`CONNECTION_ERROR_ID`].
+pub fn serve_frame(
+    handler: &dyn RequestHandler,
+    frame: &[u8],
+    transport: &'static str,
+) -> Result<Vec<u8>, Vec<u8>> {
+    let (env, message) =
+        Envelope::open(frame).map_err(|e| connection_error(format!("bad request: {e}")))?;
+    let reply = Envelope::untraced(env.corr);
+    let request = Request::from_wire(message)
+        .map_err(|e| reply.seal(&Response::Error(format!("bad request: {e}"))))?;
+    let response = {
+        let _rpc = env.trace.map(|ctx| {
+            sharoes_obs::SpanGuard::enter_with("ssp.rpc", ctx, || {
+                format!("transport={transport:?}")
+            })
+        });
+        handler.handle(request)
+    };
+    Ok(reply.seal(&response))
+}
+
+/// The request frame for call `corr`, carrying the trace context of an
+/// `ssp.rpc` child span when the caller is traced.
+fn request_frame(corr: u64, request: &Request) -> Vec<u8> {
+    Envelope { corr, trace: sharoes_obs::mint_child("ssp.rpc") }.seal(request)
+}
+
+/// Decodes the response frame answering call `corr`.
+fn open_response(corr: u64, frame: &[u8]) -> Result<Response, NetError> {
+    let (env, message) = Envelope::open(frame)?;
+    if env.corr != corr {
+        return Err(NetError::Codec("response answers another request"));
+    }
+    Response::from_wire(message)
+}
+
+/// Charges the wall time of a round trip started at `timing` to the
+/// enclosing span's network phase.
+fn charge_net_phase(timing: Option<Instant>) {
+    if let Some(start) = timing {
+        sharoes_obs::phase_add(sharoes_obs::Phase::Net, start.elapsed().as_nanos() as u64);
+    }
+}
+
 /// In-process transport with full serialization and cost metering.
 pub struct InMemoryTransport {
     handler: Arc<dyn RequestHandler>,
     meter: Arc<CostMeter>,
+    last_id: u64,
 }
 
 impl InMemoryTransport {
     /// Creates a transport speaking to `handler`.
     pub fn new(handler: Arc<dyn RequestHandler>) -> Self {
-        InMemoryTransport { handler, meter: CostMeter::new_shared() }
+        Self::with_meter(handler, CostMeter::new_shared())
     }
 
     /// Creates a transport sharing an existing meter.
     pub fn with_meter(handler: Arc<dyn RequestHandler>, meter: Arc<CostMeter>) -> Self {
-        InMemoryTransport { handler, meter }
+        InMemoryTransport { handler, meter, last_id: 0 }
     }
 }
 
 impl Transport for InMemoryTransport {
     fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        // Round-trip through the real codec so byte counts (and any codec
-        // bugs) are identical to the TCP path — including the optional
-        // trace header, which the "server side" below splits off and
-        // adopts exactly like the TCP server does.
+        // Round-trip through the real codec and the server's own frame
+        // handling so byte counts (and any codec bugs) are identical to
+        // the TCP path.
         let timing = sharoes_obs::in_span().then(Instant::now);
-        let mut req_bytes = request.to_wire();
-        if let Some(ctx) = sharoes_obs::mint_child("ssp.rpc") {
-            req_bytes = traceframe::attach(&ctx, req_bytes);
-        }
-        let (remote_ctx, body) = traceframe::split_header(&req_bytes)?;
-        let parsed = Request::from_wire(body)?;
-        let response = {
-            let _rpc = remote_ctx.map(|ctx| {
-                sharoes_obs::SpanGuard::enter_with("ssp.rpc", ctx, || "transport=\"mem\"".into())
-            });
-            self.handler.handle(parsed)
-        };
-        let resp_bytes = response.to_wire();
-        self.meter.charge_round_trip(req_bytes.len() as u64 + 4, resp_bytes.len() as u64 + 4);
-        if let Some(start) = timing {
-            sharoes_obs::phase_add(sharoes_obs::Phase::Net, start.elapsed().as_nanos() as u64);
-        }
-        Response::from_wire(&resp_bytes)
+        self.last_id += 1;
+        let frame = request_frame(self.last_id, request);
+        let reply = serve_frame(&*self.handler, &frame, "mem").unwrap_or_else(|error| error);
+        self.meter.charge_round_trip(frame.len() as u64 + 4, reply.len() as u64 + 4);
+        charge_net_phase(timing);
+        open_response(self.last_id, &reply)
     }
 
     fn meter(&self) -> &Arc<CostMeter> {
@@ -95,54 +142,19 @@ impl Transport for InMemoryTransport {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single vectored write when the
+/// socket takes it all, resuming byte-exactly after a partial write.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> Result<(), NetError> {
     if body.len() > MAX_FRAME_LEN {
         return Err(NetError::FrameTooLarge(body.len()));
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Writes one length-prefixed frame whose body is the concatenation of
-/// `parts`, without copying them into a contiguous buffer first.
-///
-/// The pipelined paths use this to prepend correlation/trace headers to an
-/// already-serialized message: one vectored syscall instead of a
-/// header+body memcpy per frame. Handles partial vectored writes by
-/// resuming mid-part (`IoSlice::advance_slices` needs a newer Rust than
-/// this workspace's MSRV).
-pub fn write_frame_vectored<W: Write>(w: &mut W, parts: &[&[u8]]) -> Result<(), NetError> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    if total > MAX_FRAME_LEN {
-        return Err(NetError::FrameTooLarge(total));
-    }
-    let prefix = (total as u32).to_be_bytes();
-    let mut bufs: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
-    bufs.push(&prefix);
-    bufs.extend(parts.iter().copied().filter(|p| !p.is_empty()));
-    let mut idx = 0; // first buffer with unwritten bytes
-    let mut off = 0; // bytes of bufs[idx] already written
-    while idx < bufs.len() {
-        let iov: Vec<std::io::IoSlice<'_>> =
-            std::iter::once(std::io::IoSlice::new(&bufs[idx][off..]))
-                .chain(bufs[idx + 1..].iter().map(|b| std::io::IoSlice::new(b)))
-                .collect();
-        let mut n = w.write_vectored(&iov)?;
-        if n == 0 {
-            return Err(NetError::Io(std::io::Error::new(
-                std::io::ErrorKind::WriteZero,
-                "vectored frame write stalled",
-            )));
-        }
-        while idx < bufs.len() && n >= bufs[idx].len() - off {
-            n -= bufs[idx].len() - off;
-            off = 0;
-            idx += 1;
-        }
-        off += n;
+    let prefix = (body.len() as u32).to_be_bytes();
+    let n = w.write_vectored(&[IoSlice::new(&prefix), IoSlice::new(body)])?;
+    if n < prefix.len() {
+        w.write_all(&prefix[n..])?;
+        w.write_all(body)?;
+    } else {
+        w.write_all(&body[n - prefix.len()..])?;
     }
     w.flush()?;
     Ok(())
@@ -166,52 +178,116 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, NetError> {
     Ok(body)
 }
 
-/// TCP transport: one connection, sequential request/response frames.
+/// Default bound on one call: the socket write and the wait for its
+/// response.
+const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// TCP transport: one connection, many requests in flight.
+///
+/// Calls take `&self`, so one transport can serve many threads at once;
+/// a writer lock serializes frames onto the socket and a reader thread
+/// routes each response to its caller by correlation id. Used through the
+/// [`Transport`] trait it is an ordinary one-call-at-a-time transport.
 pub struct TcpTransport {
-    stream: TcpStream,
+    writer: Mutex<TcpStream>,
+    dispatcher: Arc<CorrDispatcher>,
     meter: Arc<CostMeter>,
+    timeout: Duration,
+    reader: Option<JoinHandle<()>>,
 }
 
 impl TcpTransport {
     /// Connects to an SSP server at `addr` (e.g. `"127.0.0.1:7070"`).
     pub fn connect(addr: &str) -> Result<Self, NetError> {
-        Self::connect_with(addr, None, None, CostMeter::new_shared())
+        Self::connect_with(addr, DEFAULT_CALL_TIMEOUT, CostMeter::new_shared())
     }
 
-    /// Connects with socket deadlines and a caller-supplied meter.
+    /// Connects with a per-call deadline and a caller-supplied meter.
     ///
-    /// Read/write timeouts bound how long one `call` can stall on a dead
-    /// or wedged peer (a timed-out read surfaces as a retryable
-    /// [`NetError::Io`]). Sharing a meter lets a reconnecting caller (the
-    /// resilient transport) accumulate costs across connections.
+    /// `timeout` bounds how long one call can stall on a dead or wedged
+    /// peer, writing its frame or awaiting the response (either surfaces
+    /// as a retryable [`NetError::Io`]). Sharing a meter lets a
+    /// reconnecting caller (the resilient transport) accumulate costs
+    /// across connections.
     pub fn connect_with(
         addr: &str,
-        read_timeout: Option<std::time::Duration>,
-        write_timeout: Option<std::time::Duration>,
+        timeout: Duration,
         meter: Arc<CostMeter>,
     ) -> Result<Self, NetError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(read_timeout)?;
-        stream.set_write_timeout(write_timeout)?;
-        Ok(TcpTransport { stream, meter })
+        let sock = TcpStream::connect(addr)?;
+        sock.set_nodelay(true)?;
+        sock.set_write_timeout(Some(timeout))?;
+        let reader_sock = sock.try_clone()?;
+        let dispatcher = Arc::new(CorrDispatcher::new());
+        let disp = Arc::clone(&dispatcher);
+        let reader = std::thread::Builder::new()
+            .name("ssp-conn-reader".into())
+            .spawn(move || read_responses(reader_sock, &disp))
+            .map_err(NetError::Io)?;
+        Ok(TcpTransport {
+            writer: Mutex::new(sock),
+            dispatcher,
+            meter,
+            timeout,
+            reader: Some(reader),
+        })
+    }
+
+    /// Registers a slot and writes the request frame. Returns the id and
+    /// the framed byte count.
+    fn send(&self, request: &Request) -> Result<(u64, u64), NetError> {
+        let id = self.dispatcher.register()?;
+        let frame = request_frame(id, request);
+        let written = {
+            let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+            write_frame(&mut *w, &frame)
+        };
+        if let Err(e) = written {
+            // A half-written frame leaves the stream unframable.
+            self.dispatcher.fail_all(&e.to_string());
+            return Err(e);
+        }
+        Ok((id, frame.len() as u64 + 4))
+    }
+
+    /// Waits for the response to `id`, charging the meter and shape-checking
+    /// against the request that produced it.
+    fn receive(&self, request: &Request, id: u64, sent: u64) -> Result<Response, NetError> {
+        let frame = self.dispatcher.wait(id, self.timeout)?;
+        self.meter.charge_round_trip(sent, frame.len() as u64 + 4);
+        let response = open_response(id, &frame)?;
+        if !request.matches_response(&response) {
+            return Err(NetError::Codec("response does not match request"));
+        }
+        Ok(response)
+    }
+
+    /// One full round trip. Takes `&self`: concurrent callers pipeline
+    /// naturally, each matched to its own response by correlation id.
+    pub fn call(&self, request: &Request) -> Result<Response, NetError> {
+        let timing = sharoes_obs::in_span().then(Instant::now);
+        let out = self.send(request).and_then(|(id, sent)| self.receive(request, id, sent));
+        charge_net_phase(timing);
+        out
+    }
+
+    /// Issues every request before collecting any response, so a single
+    /// thread still overlaps server work with the wire. Results return in
+    /// request order.
+    pub fn call_many(&self, requests: &[Request]) -> Vec<Result<Response, NetError>> {
+        let sent: Vec<Result<(u64, u64), NetError>> =
+            requests.iter().map(|r| self.send(r)).collect();
+        requests
+            .iter()
+            .zip(sent)
+            .map(|(req, s)| s.and_then(|(id, n)| self.receive(req, id, n)))
+            .collect()
     }
 }
 
 impl Transport for TcpTransport {
     fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        let timing = sharoes_obs::in_span().then(Instant::now);
-        let mut req_bytes = request.to_wire();
-        if let Some(ctx) = sharoes_obs::mint_child("ssp.rpc") {
-            req_bytes = traceframe::attach(&ctx, req_bytes);
-        }
-        write_frame(&mut self.stream, &req_bytes)?;
-        let resp_bytes = read_frame(&mut self.stream)?;
-        self.meter.charge_round_trip(req_bytes.len() as u64 + 4, resp_bytes.len() as u64 + 4);
-        if let Some(start) = timing {
-            sharoes_obs::phase_add(sharoes_obs::Phase::Net, start.elapsed().as_nanos() as u64);
-        }
-        Response::from_wire(&resp_bytes)
+        TcpTransport::call(self, request)
     }
 
     fn meter(&self) -> &Arc<CostMeter> {
@@ -219,10 +295,49 @@ impl Transport for TcpTransport {
     }
 }
 
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        let sock = self.writer.get_mut().unwrap_or_else(|e| e.into_inner());
+        let _ = sock.shutdown(Shutdown::Both);
+        self.dispatcher.fail_all("client dropped");
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+/// The reader thread: routes each response frame to its waiter by
+/// correlation id until the connection ends, then fails every waiter left
+/// with the reason — the server's own words for a connection-level error.
+fn read_responses(mut sock: TcpStream, dispatcher: &CorrDispatcher) {
+    let why = loop {
+        let frame = match read_frame(&mut sock) {
+            Ok(frame) => frame,
+            Err(e) => break e.to_string(),
+        };
+        let corr = match Envelope::open(&frame) {
+            Ok((env, message)) if env.corr == CONNECTION_ERROR_ID => {
+                let reason = match Response::from_wire(message) {
+                    Ok(Response::Error(reason)) => reason,
+                    _ => "connection-level reply without a reason".into(),
+                };
+                dispatcher.refuse_all(reason);
+                return;
+            }
+            Ok((env, _)) => env.corr,
+            Err(e) => break e.to_string(),
+        };
+        dispatcher.complete(corr, Ok(frame));
+    };
+    dispatcher.fail_all(&why);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::ENVELOPE_LEN;
     use crate::message::ObjectKey;
+    use crate::wire::WireWrite;
     use std::collections::HashMap;
     use std::sync::Mutex;
 
@@ -269,17 +384,14 @@ mod tests {
     }
 
     #[test]
-    fn vectored_frames_match_contiguous_frames() {
-        let parts: [&[u8]; 3] = [b"head", b"", b"tail bytes"];
-        let mut vectored = Vec::new();
-        write_frame_vectored(&mut vectored, &parts).unwrap();
-        let mut contiguous = Vec::new();
-        write_frame(&mut contiguous, b"headtail bytes").unwrap();
-        assert_eq!(vectored, contiguous);
+    fn frames_are_a_big_endian_length_then_the_body() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"head tail").unwrap();
+        assert_eq!(buf, [&[0, 0, 0, 9][..], b"head tail"].concat());
     }
 
-    /// A writer that accepts at most `cap` bytes per call, forcing the
-    /// vectored path through its partial-write resume logic.
+    /// A writer that accepts at most `cap` bytes per call, forcing
+    /// `write_frame` through its partial-write resume logic.
     struct Dribble {
         out: Vec<u8>,
         cap: usize,
@@ -297,11 +409,11 @@ mod tests {
     }
 
     #[test]
-    fn vectored_writes_survive_partial_writes() {
+    fn frame_writes_survive_partial_writes() {
         let body: Vec<u8> = (0..999u32).map(|i| (i % 251) as u8).collect();
-        for cap in [1, 3, 7, 100] {
+        for cap in [1, 3, 4, 7, 100] {
             let mut w = Dribble { out: Vec::new(), cap };
-            write_frame_vectored(&mut w, &[&body[..100], &body[100..]]).unwrap();
+            write_frame(&mut w, &body).unwrap();
             let mut cursor = std::io::Cursor::new(w.out);
             assert_eq!(read_frame(&mut cursor).unwrap(), body, "cap={cap}");
         }
@@ -378,13 +490,12 @@ mod tests {
             let store = EchoStore(Mutex::new(HashMap::new()));
             // Serve until the client hangs up.
             while let Ok(frame) = read_frame(&mut sock) {
-                let req = Request::from_wire(&frame).unwrap();
-                let resp = store.handle(req);
-                write_frame(&mut sock, &resp.to_wire()).unwrap();
+                let reply = serve_frame(&store, &frame, "tcp").unwrap();
+                write_frame(&mut sock, &reply).unwrap();
             }
         });
 
-        let mut t = TcpTransport::connect(&addr.to_string()).unwrap();
+        let t = TcpTransport::connect(&addr.to_string()).unwrap();
         assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
         let key = ObjectKey::data(3, [1; 16], 0);
         t.call(&Request::Put { key, value: b"over tcp".to_vec() }).unwrap();
@@ -395,5 +506,53 @@ mod tests {
         assert_eq!(t.meter().sample().round_trips, 3);
         drop(t);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn both_transports_meter_the_same_bytes() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let store = EchoStore(Mutex::new(HashMap::new()));
+            while let Ok(frame) = read_frame(&mut sock) {
+                write_frame(&mut sock, &serve_frame(&store, &frame, "tcp").unwrap()).unwrap();
+            }
+        });
+        let key = ObjectKey::data(1, [2; 16], 0);
+        let calls =
+            [Request::Ping, Request::Put { key, value: vec![5; 300] }, Request::Get { key }];
+        let mut mem = InMemoryTransport::new(Arc::new(EchoStore(Mutex::new(HashMap::new()))));
+        let tcp = TcpTransport::connect(&addr.to_string()).unwrap();
+        for request in &calls {
+            assert_eq!(Transport::call(&mut mem, request).unwrap(), tcp.call(request).unwrap());
+        }
+        assert_eq!(mem.meter().sample(), tcp.meter().sample());
+        // Each round trip carries one 14-byte envelope each way.
+        let bare: u64 = calls.iter().map(|r| r.to_wire().len() as u64 + 4).sum();
+        assert_eq!(mem.meter().sample().bytes_up, bare + 3 * ENVELOPE_LEN as u64);
+        drop(tcp);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn malformed_frames_are_rejected_with_typed_replies() {
+        let store = EchoStore(Mutex::new(HashMap::new()));
+        // A bare message without an envelope: a connection-level error.
+        let reply = serve_frame(&store, &Request::Ping.to_wire(), "mem").unwrap_err();
+        let (env, message) = Envelope::open(&reply).unwrap();
+        assert_eq!(env.corr, CONNECTION_ERROR_ID);
+        assert!(
+            matches!(Response::from_wire(message).unwrap(), Response::Error(m) if m.contains("bad request"))
+        );
+        // A valid envelope around a bad message: an error under its own id.
+        let frame = [Envelope::untraced(42).seal(&Request::Ping), vec![0xFF]].concat();
+        let reply = serve_frame(&store, &frame, "mem").unwrap_err();
+        let (env, message) = Envelope::open(&reply).unwrap();
+        assert_eq!(env.corr, 42);
+        assert!(
+            matches!(Response::from_wire(message).unwrap(), Response::Error(m) if m.contains("bad request"))
+        );
     }
 }

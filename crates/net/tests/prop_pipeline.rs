@@ -1,11 +1,12 @@
-//! Property tests for the pipelining layer: the correlation header codec
-//! and the dispatcher's "never cross-match payloads" invariant under fault
-//! injection — out-of-order completion, dropped frames, concurrent
-//! waiters. The dispatcher is socket-free on purpose (see
-//! `net/src/pipeline.rs`), so these properties pin the protocol logic
-//! without any socket timing in the loop.
+//! Property tests for the pipelining layer: the dispatcher's "never
+//! cross-match payloads" invariant under fault injection — out-of-order
+//! completion, dropped frames, concurrent waiters. The dispatcher is
+//! socket-free on purpose (see `net/src/pipeline.rs`), so these properties
+//! pin the protocol logic without any socket timing in the loop. The
+//! envelope that carries the correlation id is property-tested with the
+//! rest of the wire codec in `prop_wire.rs`.
 
-use sharoes_net::{attach_corr, split_corr, CorrDispatcher, ErrorClass, NetError, CORR_HEADER_LEN};
+use sharoes_net::{CorrDispatcher, ErrorClass};
 use sharoes_testkit::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,33 +52,6 @@ fn schedule(plan: &Plan) -> Vec<usize> {
 
 sharoes_testkit::prop! {
     #![cases(64)]
-
-    fn corr_header_roundtrips(id in Gen::from_fn(|t| Ok(t.u64())),
-                              body in gen::vecs(gen::u8s(), 0..64)) {
-        let framed = attach_corr(id, body.clone());
-        prop_assert_eq!(framed.len(), CORR_HEADER_LEN + body.len());
-        let (got, rest) = split_corr(&framed).unwrap();
-        prop_assert_eq!(got, Some(id));
-        prop_assert_eq!(rest, &body[..]);
-    }
-
-    fn arbitrary_frames_split_without_panicking(bytes in gen::vecs(gen::u8s(), 0..32)) {
-        // Either a clean pass-through, a parsed header, or a typed error —
-        // never a panic, never a silent misparse.
-        match split_corr(&bytes) {
-            Ok((None, rest)) => prop_assert_eq!(rest, &bytes[..]),
-            Ok((Some(_), rest)) => {
-                prop_assert!(bytes.len() >= CORR_HEADER_LEN);
-                prop_assert_eq!(rest, &bytes[CORR_HEADER_LEN..]);
-            }
-            Err(e) => {
-                // Only a truncated magic-bearing frame errors, and it is a
-                // typed fatal codec error (a desync, not a retry).
-                prop_assert!(bytes.len() < CORR_HEADER_LEN);
-                prop_assert!(matches!(e, NetError::Codec(_)), "unexpected error {e}");
-            }
-        }
-    }
 
     fn reordered_and_dropped_completions_never_cross_match(plan in plans()) {
         let d = CorrDispatcher::new();

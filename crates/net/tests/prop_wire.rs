@@ -2,8 +2,11 @@
 //! hostile-input safety (the SSP is untrusted; the client parses whatever
 //! comes back).
 
-use sharoes_net::traceframe::{attach, split_header, TraceEventWire, TRACE_HEADER_LEN};
-use sharoes_net::{Cursor, KeySpace, NetError, ObjectKey, Request, Response, WireRead, WireWrite};
+use sharoes_net::traceframe::TraceEventWire;
+use sharoes_net::{
+    serve_frame, Cursor, Envelope, KeySpace, NetError, ObjectKey, Request, RequestHandler,
+    Response, WireRead, WireWrite, CONNECTION_ERROR_ID, ENVELOPE_LEN, TRACED_ENVELOPE_LEN,
+};
 use sharoes_obs::TraceContext;
 use sharoes_testkit::prelude::*;
 
@@ -189,51 +192,121 @@ prop! {
         prop_assert!(Request::from_wire(&bytes).is_err());
     }
 
-    // --- Trace-context header codec (wire propagation of trace ids) ---
+    // --- The frame envelope (correlation id + optional trace context) ---
 
-    fn trace_header_roundtrips_over_any_request(ctx in contexts(), req in requests()) {
-        let framed = attach(&ctx, req.to_wire());
-        let (got, body) = split_header(&framed).unwrap();
-        prop_assert_eq!(got, Some(ctx));
-        prop_assert_eq!(Request::from_wire(body).unwrap(), req);
+    fn envelope_roundtrips_over_any_request(
+        corr in gen::u64s(),
+        trace in gen::option_of(contexts()),
+        req in requests(),
+    ) {
+        let env = Envelope { corr, trace };
+        let frame = env.seal(&req);
+        let (got, message) = Envelope::open(&frame).unwrap();
+        prop_assert_eq!(got, env);
+        prop_assert_eq!(frame.len() - message.len(), envelope_len(&env));
+        prop_assert_eq!(Request::from_wire(message).unwrap(), req);
     }
 
-    fn frames_without_header_still_parse(req in requests()) {
-        // Backward compatibility: a legacy peer that never learned about
-        // trace headers keeps working — its frames pass through untouched.
-        let bytes = req.to_wire();
-        let (ctx, body) = split_header(&bytes).unwrap();
-        prop_assert_eq!(ctx, None);
-        prop_assert_eq!(body, &bytes[..]);
+    fn arbitrary_bytes_open_to_an_envelope_or_a_typed_error(
+        bytes in gen::vecs(gen::u8s(), 0..64),
+        lead in gen::in_range_incl(0u8..=1),
+    ) {
+        // Raw bytes, and the same bytes behind a plausible version/flags
+        // pair so the deeper checks run too.
+        for frame in [bytes.clone(), [&[1, lead][..], &bytes].concat()] {
+            match Envelope::open(&frame) {
+                Ok((env, message)) => {
+                    let header = frame.len() - message.len();
+                    prop_assert_eq!(header, envelope_len(&env));
+                    let mut again = Vec::new();
+                    env.write(&mut again);
+                    prop_assert_eq!(&again[..], &frame[..header]);
+                }
+                Err(e) => prop_assert!(matches!(e, NetError::Codec(_)), "untyped: {e:?}"),
+            }
+        }
     }
 
-    fn truncated_trace_headers_fail_typed(ctx in contexts(), cut in gen::indices()) {
-        let framed = attach(&ctx, vec![0u8]); // Ping body
-        let cut = 2 + cut.index(TRACE_HEADER_LEN - 2); // keep the magic, cut inside
+    fn servers_never_parse_a_frame_without_an_envelope(bytes in gen::vecs(gen::u8s(), 0..64)) {
+        let reply = serve_frame(&PongHandler, &bytes, "mem").unwrap_or_else(|error| error);
+        let (env, message) = Envelope::open(&reply).unwrap();
+        if Envelope::open(&bytes).is_err() {
+            prop_assert_eq!(env.corr, CONNECTION_ERROR_ID);
+            prop_assert!(matches!(Response::from_wire(message).unwrap(), Response::Error(_)));
+        }
+    }
+
+    fn every_strict_prefix_of_an_envelope_fails_typed(
+        corr in gen::u64s(),
+        trace in gen::option_of(contexts()),
+    ) {
+        let env = Envelope { corr, trace };
+        let mut header = Vec::new();
+        env.write(&mut header);
+        for cut in 0..header.len() {
+            prop_assert!(
+                matches!(Envelope::open(&header[..cut]), Err(NetError::Codec(_))),
+                "prefix of {cut} bytes accepted"
+            );
+        }
+    }
+
+    fn every_bit_flip_in_an_envelope_fails_typed(
+        corr in gen::u64s(),
+        trace in gen::option_of(contexts()),
+        req in requests(),
+    ) {
+        // Every bit of the header, the version byte included: no flip may
+        // read as a different envelope or as a bare message.
+        let env = Envelope { corr, trace };
+        let frame = env.seal(&req);
+        for bit in 0..envelope_len(&env) * 8 {
+            let mut damaged = frame.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            let got = Envelope::open(&damaged);
+            prop_assert!(matches!(got, Err(NetError::Codec(_))), "flip of bit {bit}: {got:?}");
+        }
+    }
+
+    fn unknown_flag_bits_are_rejected(
+        corr in gen::u64s(),
+        trace in gen::option_of(contexts()),
+        extra in gen::in_range_incl(1u8..=127),
+    ) {
+        // Set unknown flag bits and re-seal the checksum, so the flags are
+        // the only thing wrong with the envelope.
+        let env = Envelope { corr, trace };
+        let mut header = Vec::new();
+        env.write(&mut header);
+        header[1] |= extra << 1;
+        let covered = header.len() - 4;
+        let sum = fnv1a_32(&header[..covered]).to_be_bytes();
+        header[covered..].copy_from_slice(&sum);
         prop_assert!(matches!(
-            split_header(&framed[..cut]),
-            Err(NetError::Codec("trace header truncated"))
+            Envelope::open(&header),
+            Err(NetError::Codec("unknown envelope flags"))
         ));
     }
+}
 
-    fn bitflipped_trace_headers_fail_typed(
-        ctx in contexts(),
-        byte in gen::indices(),
-        bit in gen::in_range_incl(0u8..=7),
-    ) {
-        let framed = attach(&ctx, vec![0u8]);
-        // Flip one bit somewhere in the header *past the magic pair* (a
-        // damaged magic makes the frame read as untraced by design — the
-        // magic is a discriminator, not a covered field).
-        let pos = 2 + byte.index(TRACE_HEADER_LEN - 2);
-        let mut damaged = framed.clone();
-        damaged[pos] ^= 1 << bit;
-        match split_header(&damaged) {
-            Err(NetError::Codec(
-                "trace header checksum mismatch" | "unsupported trace header version",
-            )) => {}
-            other => prop_assert!(false, "bit flip at {pos} not rejected: {other:?}"),
-        }
+fn envelope_len(env: &Envelope) -> usize {
+    if env.trace.is_some() {
+        TRACED_ENVELOPE_LEN
+    } else {
+        ENVELOPE_LEN
+    }
+}
+
+fn fnv1a_32(data: &[u8]) -> u32 {
+    data.iter().fold(0x811c_9dc5, |h: u32, &b| (h ^ b as u32).wrapping_mul(0x0100_0193))
+}
+
+/// Answers every request with `Pong`.
+struct PongHandler;
+
+impl RequestHandler for PongHandler {
+    fn handle(&self, _: Request) -> Response {
+        Response::Pong
     }
 }
 

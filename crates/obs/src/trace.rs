@@ -306,7 +306,7 @@ pub fn in_span() -> bool {
 /// Derives a child [`TraceContext`] under the current traced span — the
 /// id a *remote* span named `name` will adopt — and advances the sibling
 /// counter. Returns `None` outside a traced span, in which case
-/// transports send no trace header.
+/// transports send the envelope without a trace context.
 pub fn mint_child(name: &str) -> Option<TraceContext> {
     STACK.with(|s| {
         let mut s = s.borrow_mut();

@@ -191,7 +191,8 @@ impl RequestHandler for SspServer {
         let elapsed = start.elapsed().as_nanos() as u64;
         hist.observe(elapsed);
         // Attribute the server's handling time to the enclosing span (the
-        // adopted `ssp.rpc` frame when the request carried a trace header).
+        // adopted `ssp.rpc` frame when the request envelope carried a trace
+        // context).
         sharoes_obs::phase_add(sharoes_obs::Phase::Storage, elapsed);
         response
     }

@@ -4,37 +4,39 @@
 //!
 //! * an **accept loop** that claims a connection-budget slot and starts a
 //!   thin reader per connection;
-//! * per-connection **readers** that do nothing but frame/correlation-id
-//!   parsing and in-flight admission, then enqueue the request;
-//! * a **bounded worker pool** ([`ServeOptions::workers`]) that executes
-//!   requests against the store and writes responses back — so request
+//! * per-connection **readers** that do nothing but read frames and apply
+//!   the in-flight admission cap, then enqueue the frame;
+//! * a **bounded worker pool** ([`ServeOptions::workers`]) that runs each
+//!   frame through [`sharoes_net::serve_frame`] (envelope, request, store,
+//!   enveloped response) and writes the response back — so request
 //!   execution concurrency is capped by the pool, not by the client count.
 //!
-//! Clients that prefix frames with a correlation header (`sharoes_net::
-//! pipeline`) may keep up to [`ServeOptions::pipeline_depth`] requests in
-//! flight on one connection; responses echo the id and may complete out of
-//! order. Headerless (legacy) connections are admitted one request at a
-//! time, preserving strict FIFO request→response framing.
+//! Every frame carries an envelope (`sharoes_net::envelope`) with a
+//! correlation id. A connection may keep up to `PIPELINE_DEPTH` requests in
+//! flight; responses echo the id and may complete out of order.
 //!
 //! The SSP must stay up under hostile or flaky clients, so the loop is
 //! hardened:
 //!
-//! * Oversized length prefixes get a `Response::Error("frame too large…")`
-//!   before the connection closes, instead of a silent hangup.
+//! * Oversized length prefixes get a connection-level error (correlation
+//!   id 0, `Response::Error("frame too large…")`) before the connection
+//!   closes, instead of a silent hangup. A frame whose envelope does not
+//!   decode gets the same kind of reply; a bad message inside a valid
+//!   envelope gets an error under its own id.
 //! * Each connection carries a read timeout ([`ServeOptions::read_timeout`])
 //!   so wedged or half-open peers cannot pin a thread forever.
 //! * Concurrent connections are bounded ([`ServeOptions::max_connections`]);
-//!   excess connections are shed with a *transient* error so resilient
-//!   clients back off and retry.
+//!   excess connections are shed with a *transient* connection-level error
+//!   so resilient clients back off and retry.
 //! * The accept loop polls a stop flag on a nonblocking listener, so
 //!   [`TcpServerHandle::shutdown`] never hangs waiting for one more
 //!   connection — even when the listener is bound on `0.0.0.0` and the
 //!   loopback "poke" cannot reach it.
 
 use crate::server::SspServer;
-use sharoes_net::transport::{read_frame, write_frame, write_frame_vectored};
-use sharoes_net::{corr_header, split_corr};
-use sharoes_net::{NetError, Request, RequestHandler, Response, WireRead, WireWrite};
+use sharoes_net::envelope::connection_error;
+use sharoes_net::transport::{read_frame, write_frame, MAX_FRAME_LEN};
+use sharoes_net::{serve_frame, NetError};
 use sharoes_obs::{Counter, Gauge};
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
@@ -51,7 +53,6 @@ struct ConnMetrics {
     frames_too_large: Counter,
     bad_requests: Counter,
     queued: Counter,
-    pipelined: Counter,
 }
 
 fn conn_metrics() -> &'static ConnMetrics {
@@ -63,12 +64,15 @@ fn conn_metrics() -> &'static ConnMetrics {
         frames_too_large: sharoes_obs::counter("ssp_frames_too_large_total"),
         bad_requests: sharoes_obs::counter("ssp_bad_requests_total"),
         queued: sharoes_obs::counter("ssp_requests_queued_total"),
-        pipelined: sharoes_obs::counter("ssp_requests_pipelined_total"),
     })
 }
 
 /// How often the accept loop re-checks the stop flag while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
+
+/// Maximum requests in flight on one connection; the reader stops reading
+/// until a response frees a slot.
+const PIPELINE_DEPTH: usize = 32;
 
 /// Serving knobs.
 #[derive(Clone, Debug)]
@@ -80,9 +84,6 @@ pub struct ServeOptions {
     /// Worker threads executing requests; 0 picks an automatic size
     /// (available parallelism clamped to 2..=16).
     pub workers: usize,
-    /// Maximum in-flight requests per connection for clients that send
-    /// correlation ids; headerless connections are always capped at 1.
-    pub pipeline_depth: usize,
 }
 
 impl Default for ServeOptions {
@@ -91,7 +92,6 @@ impl Default for ServeOptions {
             read_timeout: Some(Duration::from_secs(30)),
             max_connections: 256,
             workers: 0,
-            pipeline_depth: 32,
         }
     }
 }
@@ -231,10 +231,9 @@ pub fn serve_with(
                 conn_metrics().accepted.inc();
                 let pool = Arc::clone(&accept_pool);
                 let read_timeout = options.read_timeout;
-                let depth = options.pipeline_depth.max(1);
                 let _ = std::thread::Builder::new()
                     .name("sspd-conn".into())
-                    .spawn(move || read_connection(pool, sock, read_timeout, depth, slot));
+                    .spawn(move || read_connection(pool, sock, read_timeout, slot));
             }
         })
         .expect("spawn accept thread");
@@ -242,12 +241,9 @@ pub fn serve_with(
     Ok(TcpServerHandle { addr: local, stop, accept_thread: Some(accept_thread), pool, workers })
 }
 
-/// One parsed request frame waiting for a worker.
+/// One request frame waiting for a worker.
 struct Job {
-    /// Correlation id to echo, when the client pipelines.
-    corr: Option<u64>,
-    /// Frame body after the correlation header (trace header + request).
-    body: Vec<u8>,
+    frame: Vec<u8>,
     conn: Arc<ConnShared>,
 }
 
@@ -303,11 +299,11 @@ struct ConnShared {
 }
 
 impl ConnShared {
-    /// Blocks until this connection is below `cap` in-flight requests,
-    /// then claims one admission.
-    fn admit(&self, cap: usize) {
+    /// Blocks until this connection is below [`PIPELINE_DEPTH`] in-flight
+    /// requests, then claims one admission.
+    fn admit(&self) {
         let mut n = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        while *n >= cap {
+        while *n >= PIPELINE_DEPTH {
             n = self.room.wait(n).unwrap_or_else(|e| e.into_inner());
         }
         *n += 1;
@@ -321,15 +317,11 @@ impl ConnShared {
         self.room.notify_all();
     }
 
-    /// Writes one response frame, echoing the correlation header when the
-    /// request carried one. Write errors are swallowed: the reader notices
-    /// the dead socket and winds the connection down.
-    fn write_response(&self, corr: Option<u64>, payload: &[u8]) {
+    /// Writes one response frame. Write errors are swallowed: the reader
+    /// notices the dead socket and winds the connection down.
+    fn write_response(&self, frame: &[u8]) {
         let mut sock = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = match corr {
-            Some(id) => write_frame_vectored(&mut *sock, &[&corr_header(id), payload]),
-            None => write_frame(&mut *sock, payload),
-        };
+        let _ = write_frame(&mut *sock, frame);
     }
 }
 
@@ -358,8 +350,8 @@ impl Drop for ConnSlot {
 /// Rejects a connection over the budget. The error is marked transient so
 /// resilient clients back off and retry instead of failing permanently.
 fn shed_connection(mut sock: TcpStream) {
-    let reply = Response::Error("transient: server at connection capacity".into());
-    let _ = write_frame(&mut sock, &reply.to_wire());
+    let reply = connection_error("transient: server at connection capacity".into());
+    let _ = write_frame(&mut sock, &reply);
 }
 
 /// Best-effort peer address for triage events ("?" when the socket cannot
@@ -368,14 +360,13 @@ fn peer_label(sock: &TcpStream) -> String {
     sock.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into())
 }
 
-/// Per-connection reader: parses frames and correlation ids, applies the
-/// in-flight admission cap, and feeds the worker pool. All request
-/// execution happens on the workers.
+/// Per-connection reader: reads frames, applies the in-flight admission
+/// cap, and feeds the worker pool. Envelope and request decoding and all
+/// request execution happen on the workers.
 fn read_connection(
     pool: Arc<Pool>,
     mut sock: TcpStream,
     read_timeout: Option<Duration>,
-    pipeline_depth: usize,
     slot: ConnSlot,
 ) {
     let _ = sock.set_nodelay(true);
@@ -399,7 +390,7 @@ fn read_connection(
                 conn_metrics().frames_too_large.inc();
                 let peer = peer_label(&sock);
                 let bytes = n;
-                let limit = sharoes_net::transport::MAX_FRAME_LEN;
+                let limit = MAX_FRAME_LEN;
                 sharoes_obs::obs_event!(
                     sharoes_obs::Level::Warn,
                     "ssp.frame_too_large",
@@ -407,67 +398,43 @@ fn read_connection(
                     bytes,
                     limit
                 );
-                let reply = Response::Error(format!("frame too large: {n} bytes"));
-                conn.write_response(None, &reply.to_wire());
+                conn.write_response(&connection_error(format!("frame too large: {n} bytes")));
                 return;
             }
             Err(_) => return, // disconnect or idle timeout
         };
-        // Split off the optional correlation header. Pipelining is opt-in
-        // per request: headerless (legacy FIFO) requests are admitted one
-        // at a time so their single expected response stays in order.
-        let (corr, body) = match split_corr(&frame) {
-            Ok(split) => split,
-            Err(e) => {
-                conn_metrics().bad_requests.inc();
-                let reply = Response::Error(format!("bad request: {e}"));
-                conn.write_response(None, &reply.to_wire());
-                continue;
-            }
-        };
-        if corr.is_some() {
-            conn_metrics().pipelined.inc();
-        }
-        let cap = if corr.is_some() { pipeline_depth } else { 1 };
-        conn.admit(cap);
-        pool.push(Job { corr, body: body.to_vec(), conn: Arc::clone(&conn) });
+        conn.admit();
+        pool.push(Job { frame, conn: Arc::clone(&conn) });
     }
 }
 
-/// Executes one queued request on a worker thread and writes its response.
+/// Executes one queued request frame on a worker thread and writes its
+/// response.
 fn run_job(server: &Arc<SspServer>, job: Job) {
-    // Split off the optional trace header so the op's server-side spans
-    // adopt the caller's context and nest under its tree.
-    let response = match sharoes_net::traceframe::split_header(&job.body) {
-        Ok((remote_ctx, body)) => match Request::from_wire(body) {
-            Ok(req) => {
-                let _rpc = remote_ctx.map(|ctx| {
-                    sharoes_obs::SpanGuard::enter_with("ssp.rpc", ctx, || {
-                        "transport=\"tcp\"".into()
-                    })
-                });
-                server.handle(req)
-            }
-            Err(e) => {
-                conn_metrics().bad_requests.inc();
-                Response::Error(format!("bad request: {e}"))
-            }
-        },
-        Err(e) => {
-            conn_metrics().bad_requests.inc();
-            Response::Error(format!("bad request: {e}"))
-        }
-    };
-    job.conn.write_response(job.corr, &response.to_wire());
+    let reply = serve_frame(server.as_ref(), &job.frame, "tcp").unwrap_or_else(|error| {
+        conn_metrics().bad_requests.inc();
+        error
+    });
+    job.conn.write_response(&reply);
     job.conn.finish();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharoes_net::transport::MAX_FRAME_LEN;
-    use sharoes_net::{ObjectKey, TcpTransport, Transport};
+    use sharoes_net::{
+        Envelope, ErrorClass, ObjectKey, Request, Response, TcpTransport, WireRead, WireWrite,
+        CONNECTION_ERROR_ID,
+    };
     use std::io::Write;
+
+    /// Reads one response frame off a raw socket: its correlation id and
+    /// message.
+    fn read_reply(sock: &mut TcpStream) -> (u64, Response) {
+        let frame = read_frame(sock).unwrap();
+        let (env, message) = Envelope::open(&frame).unwrap();
+        (env.corr, Response::from_wire(message).unwrap())
+    }
 
     #[test]
     fn serves_multiple_clients() {
@@ -479,7 +446,7 @@ mod tests {
             .map(|t| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
-                    let mut transport = TcpTransport::connect(&addr).unwrap();
+                    let transport = TcpTransport::connect(&addr).unwrap();
                     for i in 0..20u32 {
                         let key = ObjectKey::data(t, [t as u8; 16], i);
                         transport.call(&Request::Put { key, value: vec![t as u8; 32] }).unwrap();
@@ -500,10 +467,10 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_client_multiplexes_one_connection() {
+    fn one_client_multiplexes_one_connection() {
         let server = SspServer::new().into_shared();
         let handle = serve(Arc::clone(&server), "127.0.0.1:0").unwrap();
-        let client = sharoes_net::PipelinedClient::connect(&handle.addr().to_string()).unwrap();
+        let client = TcpTransport::connect(&handle.addr().to_string()).unwrap();
         // Many threads share ONE socket; every response must come back to
         // the thread that asked (the value encodes the asker).
         std::thread::scope(|scope| {
@@ -543,7 +510,7 @@ mod tests {
             .map(|t| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
-                    let mut transport = TcpTransport::connect(&addr).unwrap();
+                    let transport = TcpTransport::connect(&addr).unwrap();
                     for i in 0..10u32 {
                         let key = ObjectKey::data(t, [t as u8; 16], i);
                         transport.call(&Request::Put { key, value: vec![1] }).unwrap();
@@ -563,11 +530,24 @@ mod tests {
         let server = SspServer::new().into_shared();
         let handle = serve(server, "127.0.0.1:0").unwrap();
         let mut sock = TcpStream::connect(handle.addr()).unwrap();
-        write_frame(&mut sock, &[0xFF, 0xFF]).unwrap();
-        let resp = read_frame(&mut sock).unwrap();
-        match Response::from_wire(&resp).unwrap() {
-            Response::Error(msg) => assert!(msg.contains("bad request")),
-            other => panic!("expected error, got {other:?}"),
+        // A bad message inside a valid envelope: an error under its own id,
+        // and the connection stays open.
+        let bad = [Envelope::untraced(5).seal(&Request::Ping), vec![0xFF, 0xFF]].concat();
+        write_frame(&mut sock, &bad).unwrap();
+        match read_reply(&mut sock) {
+            (5, Response::Error(msg)) => assert!(msg.contains("bad request"), "{msg}"),
+            other => panic!("expected error under id 5, got {other:?}"),
+        }
+        write_frame(&mut sock, &Envelope::untraced(6).seal(&Request::Ping)).unwrap();
+        assert_eq!(read_reply(&mut sock), (6, Response::Pong));
+        // A frame without a valid envelope is never parsed as a bare
+        // message: a connection-level error.
+        write_frame(&mut sock, &Request::Ping.to_wire()).unwrap();
+        match read_reply(&mut sock) {
+            (CONNECTION_ERROR_ID, Response::Error(msg)) => {
+                assert!(msg.contains("bad request"), "{msg}")
+            }
+            other => panic!("expected connection-level error, got {other:?}"),
         }
         handle.shutdown();
     }
@@ -580,14 +560,13 @@ mod tests {
         // Claim a frame one byte over the limit; send no body.
         sock.write_all(&((MAX_FRAME_LEN as u32) + 1).to_be_bytes()).unwrap();
         sock.flush().unwrap();
-        let resp = read_frame(&mut sock).unwrap();
-        match Response::from_wire(&resp).unwrap() {
-            Response::Error(msg) => {
+        match read_reply(&mut sock) {
+            (CONNECTION_ERROR_ID, Response::Error(msg)) => {
                 assert!(msg.contains("frame too large"), "unexpected error: {msg}");
                 // Non-transient: a resilient client must not retry this.
-                assert_eq!(NetError::Remote(msg).class(), sharoes_net::ErrorClass::Fatal);
+                assert_eq!(NetError::Remote(msg).class(), ErrorClass::Fatal);
             }
-            other => panic!("expected error, got {other:?}"),
+            other => panic!("expected connection-level error, got {other:?}"),
         }
         // The connection is then closed.
         assert!(read_frame(&mut sock).is_err());
@@ -602,15 +581,14 @@ mod tests {
         let addr = handle.addr().to_string();
 
         // First client occupies the only slot.
-        let mut first = TcpTransport::connect(&addr).unwrap();
+        let first = TcpTransport::connect(&addr).unwrap();
         assert_eq!(first.call(&Request::Ping).unwrap(), Response::Pong);
 
         // Second client is shed with a transient (retryable) error.
         let mut sock = TcpStream::connect(handle.addr()).unwrap();
-        let resp = read_frame(&mut sock).unwrap();
-        match Response::from_wire(&resp).unwrap() {
-            Response::Error(msg) => {
-                assert_eq!(NetError::Remote(msg).class(), sharoes_net::ErrorClass::Retryable);
+        match read_reply(&mut sock) {
+            (CONNECTION_ERROR_ID, Response::Error(msg)) => {
+                assert_eq!(NetError::Remote(msg).class(), ErrorClass::Retryable);
             }
             other => panic!("expected shed error, got {other:?}"),
         }
@@ -620,7 +598,7 @@ mod tests {
         drop(first);
         let mut ok = false;
         for _ in 0..100 {
-            let mut t = TcpTransport::connect(&addr).unwrap();
+            let t = TcpTransport::connect(&addr).unwrap();
             if matches!(t.call(&Request::Ping), Ok(Response::Pong)) {
                 ok = true;
                 break;
@@ -628,6 +606,22 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(ok, "slot never freed after first client disconnected");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn shed_client_sees_the_servers_reason() {
+        let server = SspServer::new().into_shared();
+        let options = ServeOptions { max_connections: 1, ..ServeOptions::default() };
+        let handle = serve_with(server, "127.0.0.1:0", options).unwrap();
+        let addr = handle.addr().to_string();
+        let first = TcpTransport::connect(&addr).unwrap();
+        assert_eq!(first.call(&Request::Ping).unwrap(), Response::Pong);
+
+        let shed = TcpTransport::connect(&addr).unwrap();
+        let err = shed.call(&Request::Ping).unwrap_err();
+        assert_eq!(err.class(), ErrorClass::Retryable, "{err}");
+        assert!(err.to_string().contains("connection capacity"), "reason lost: {err}");
         handle.shutdown();
     }
 
@@ -658,7 +652,7 @@ mod tests {
         match TcpStream::connect(addr) {
             Err(_) => {}
             Ok(mut sock) => {
-                let _ = write_frame(&mut sock, &Request::Ping.to_wire());
+                let _ = write_frame(&mut sock, &Envelope::untraced(1).seal(&Request::Ping));
                 assert!(read_frame(&mut sock).is_err());
             }
         }

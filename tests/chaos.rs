@@ -320,12 +320,7 @@ fn ssp_outage_degrades_to_cached_reads_without_panicking() {
     let meter = CostMeter::new_shared();
     let m2 = Arc::clone(&meter);
     let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
-        let t = TcpTransport::connect_with(
-            &addr,
-            Some(Duration::from_millis(500)),
-            Some(Duration::from_millis(500)),
-            Arc::clone(&m2),
-        )?;
+        let t = TcpTransport::connect_with(&addr, Duration::from_millis(500), Arc::clone(&m2))?;
         Ok(Box::new(t) as Box<dyn Transport>)
     });
     let transport = ResilientTransport::connect(connector, RetryPolicy::fast(2)).expect("dial");
@@ -380,12 +375,7 @@ fn degraded_client_fails_revocation_cleanly_without_dropping_the_acl() {
     let meter = CostMeter::new_shared();
     let m2 = Arc::clone(&meter);
     let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
-        let t = TcpTransport::connect_with(
-            &addr,
-            Some(Duration::from_millis(500)),
-            Some(Duration::from_millis(500)),
-            Arc::clone(&m2),
-        )?;
+        let t = TcpTransport::connect_with(&addr, Duration::from_millis(500), Arc::clone(&m2))?;
         Ok(Box::new(t) as Box<dyn Transport>)
     });
     let transport = ResilientTransport::connect(connector, RetryPolicy::fast(2)).expect("dial");

@@ -18,7 +18,7 @@
 //! `SHAROES_TEST_SEED=<seed> cargo test --test concurrency`.
 
 use sharoes::crypto::{HmacDrbg, RandomSource};
-use sharoes::net::{ObjectKey, PipelinedClient, Request, Response};
+use sharoes::net::{ObjectKey, Request, Response, TcpTransport};
 use sharoes::ssp::{
     serve_with, EngineConfig, FaultFs, LogEngine, ObjectStore, ServeOptions, SspServer,
 };
@@ -191,7 +191,7 @@ fn pipelined_tcp_drive_converges_to_the_sequential_baseline() {
 
     // All workers multiplex ONE pipelined connection: correlation ids are
     // what keeps each thread's responses from crossing.
-    let client = Arc::new(PipelinedClient::connect(&addr).expect("connect"));
+    let client = Arc::new(TcpTransport::connect(&addr).expect("connect"));
     std::thread::scope(|scope| {
         for w in 0..WORKERS {
             let ops = &ops;
