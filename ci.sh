@@ -5,7 +5,9 @@
 # determinism), the concurrency gate (sharded-vs-single-lock byte
 # equivalence, including a drive of many threads over one shared TCP
 # connection, + the contention-bench throughput floor), and the bench
-# ablations with their BENCH_*.json validation.
+# ablations with their BENCH_*.json validation. The three registry gates
+# run a second time at --test-threads=1, and their exports must match the
+# default-parallel run byte for byte.
 #
 # Everything runs with --offline against the vendored-free, path-only
 # workspace — if any step reaches for the network or a registry, that is
@@ -135,6 +137,35 @@ diff_pair "concurrency determinism: diff store snapshots (single-lock vs sharded
 
 diff_pair "concurrency determinism: diff engine snapshots (single-lock vs sharded)" \
     target/concurrency-engine-a.bin target/concurrency-engine-b.bin
+
+# Registry exports must not depend on how the test harness schedules
+# threads: keep the default-parallel exports, rerun the three registry gates
+# serially at their pinned seeds, and diff. Each gate already asserts its
+# a == b, so comparing the a exports covers both.
+for _export in metrics-determinism-a enterprise-registry-a index-registry-a; do
+    cp "target/$_export.txt" "target/$_export.parallel.txt"
+done
+
+step "metrics-determinism gate again at --test-threads=1" \
+    env SHAROES_TEST_SEED=0x0B5EED42 \
+    cargo test -q --offline --test obs_gate -- --test-threads=1
+
+step "enterprise gate again at --test-threads=1" \
+    env SHAROES_TEST_SEED=0xE57E4512 \
+    cargo test -q --offline --test enterprise -- --test-threads=1
+
+step "authenticated-index gate again at --test-threads=1" \
+    env SHAROES_TEST_SEED=0x1DE15EED \
+    cargo test -q --offline --test index -- --test-threads=1
+
+diff_pair "thread-count determinism: metrics registry export, parallel vs serial" \
+    target/metrics-determinism-a.parallel.txt target/metrics-determinism-a.txt
+
+diff_pair "thread-count determinism: enterprise registry export, parallel vs serial" \
+    target/enterprise-registry-a.parallel.txt target/enterprise-registry-a.txt
+
+diff_pair "thread-count determinism: index registry export, parallel vs serial" \
+    target/index-registry-a.parallel.txt target/index-registry-a.txt
 
 if [ "$QUICK" -eq 0 ]; then
     # Tracing-overhead ablation: spans off vs on over the same seeded

@@ -244,7 +244,6 @@ fn storage_report(opts: &BenchOpts, quick: bool) {
 }
 
 fn ablations_report(opts: &BenchOpts, quick: bool) {
-    let obs_start = sharoes_obs::global().snapshot();
     let n = if quick { 10 } else { 50 };
     println!("\n== A1: Scheme-1 vs Scheme-2 ({n} creates, {} users) ==", opts.users);
     let mut table = Table::new(&["scheme", "create (s)", "stat (s)", "SSP bytes"]);
@@ -346,25 +345,6 @@ fn ablations_report(opts: &BenchOpts, quick: bool) {
     }
     table.print();
     println!("replication buys availability under faults; the price is write fan-out");
-
-    // The same process-wide registry that `sharoes-cli stats` exports: the
-    // ablations above and the live-metrics view report identical numbers.
-    let delta = sharoes_obs::global().snapshot().delta(&obs_start);
-    println!("\n== A1–A6 registry totals (sharoes-obs, this run) ==");
-    for key in [
-        "net_round_trips_total",
-        "net_tx_bytes_total",
-        "net_rx_bytes_total",
-        "net_retries_total",
-        "net_reconnects_total",
-        "net_faults_injected_total",
-        "cluster_failovers_total",
-        "cluster_read_repairs_total",
-        "core_cache_hits_total",
-        "core_cache_misses_total",
-    ] {
-        println!("{key} {}", delta.get(key));
-    }
 }
 
 /// Minimal JSON string escaping for the trajectory file.
@@ -503,16 +483,7 @@ fn enterprise_report(opts: &BenchOpts, quick: bool) {
     // `sharoes-cli stats`, deterministic in this single-threaded binary.
     let delta = sharoes_obs::global().snapshot().delta(&obs_start);
     println!("\n== enterprise registry totals (sharoes-obs, this run) ==");
-    for key in [
-        "net_round_trips_total",
-        "net_tx_bytes_total",
-        "net_rx_bytes_total",
-        "core_cache_hits_total",
-        "core_cache_misses_total",
-        "core_degraded_entries_total",
-    ] {
-        println!("{key} {}", delta.get(key));
-    }
+    println!("core_degraded_entries_total {}", delta.get("core_degraded_entries_total"));
     let quants = quantile_lines(&delta);
     if !quants.is_empty() {
         println!("\n== enterprise latency quantiles (this run's delta) ==");

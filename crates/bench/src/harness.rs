@@ -13,7 +13,7 @@ use sharoes_core::{
 use sharoes_crypto::work::Work;
 use sharoes_crypto::HmacDrbg;
 use sharoes_fs::{Gid, LocalFs, Mode, Uid, UserDb, ROOT_UID};
-use sharoes_net::{CostSample, InMemoryTransport, NetModel};
+use sharoes_net::{CostSample, InMemoryTransport, NetModel, Transport};
 use sharoes_ssp::SspServer;
 use std::sync::Arc;
 use std::time::Duration;
@@ -72,6 +72,8 @@ pub struct Bench {
     pub config: ClientConfig,
     /// Options used to build this bench.
     pub opts: BenchOpts,
+    /// Wire costs of the migration that built the deployment.
+    pub migration_cost: CostSample,
 }
 
 impl Bench {
@@ -145,6 +147,7 @@ impl Bench {
             downgrade_unsupported: true,
         };
         migrator.migrate(&mut transport, &mut rng).expect("migration");
+        let migration_cost = transport.meter().sample();
         let db = Arc::new(fs.users().clone());
         let pki = Arc::new(ring.public_directory());
         Bench {
@@ -156,6 +159,7 @@ impl Bench {
             pool,
             config,
             opts: opts.clone(),
+            migration_cost,
         }
     }
 
@@ -189,33 +193,19 @@ impl Bench {
 /// A virtual-clock phase timer over a client's meter.
 pub struct PhaseTimer {
     start: CostSample,
-    obs_start: sharoes_obs::Snapshot,
     work_start: Work,
 }
 
 impl PhaseTimer {
     /// Starts timing from the client's current meter state.
     pub fn start(client: &SharoesClient) -> PhaseTimer {
-        PhaseTimer {
-            start: client.meter().sample(),
-            obs_start: sharoes_obs::global().snapshot(),
-            work_start: sharoes_crypto::work::tally(),
-        }
+        PhaseTimer { start: client.meter().sample(), work_start: sharoes_crypto::work::tally() }
     }
 
     /// Cryptographic work this thread did since `start` (the client runs
     /// its crypto on the calling thread).
     pub fn crypto_work(&self) -> Work {
         sharoes_crypto::work::tally().since(&self.work_start)
-    }
-
-    /// Registry counters accumulated since `start` — the same process-wide
-    /// registry the net/ssp/cluster/core layers feed and `sharoes-cli
-    /// stats` exports, so figure phases and live metrics report identical
-    /// numbers. Exact in the single-threaded `paper-figures` binary;
-    /// under parallel test runs other threads' activity folds in.
-    pub fn registry_delta(&self) -> sharoes_obs::Snapshot {
-        sharoes_obs::global().snapshot().delta(&self.obs_start)
     }
 
     /// The cost accumulated since `start`.

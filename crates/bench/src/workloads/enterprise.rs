@@ -8,9 +8,11 @@
 //! seconds are reported alongside for the figures.
 
 use crate::harness::{content, Bench, BenchOpts, PhaseTimer, BENCH_USER};
-use sharoes_core::{ids, CryptoPolicy, RevocationMode, Scheme, SealedObject, SharoesClient};
+use sharoes_core::{
+    ids, CacheStats, CryptoPolicy, RevocationMode, Scheme, SealedObject, SharoesClient,
+};
 use sharoes_fs::{Acl, Mode, Perm, Uid};
-use sharoes_net::{KeySpace, ObjectKey, WireRead};
+use sharoes_net::{CostSample, KeySpace, ObjectKey, WireRead};
 use sharoes_testkit::enterprise::Enterprise;
 use std::sync::Arc;
 
@@ -34,6 +36,27 @@ fn client_with_mode(bench: &Bench, uid: Uid, mode: RevocationMode, seed: u64) ->
     client
 }
 
+/// Wire costs and plaintext-cache activity summed over a driver's clients
+/// and the migration that built its deployment.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ClientFacts {
+    /// Summed wire costs.
+    pub cost: CostSample,
+    /// Summed cache activity.
+    pub cache: CacheStats,
+}
+
+impl ClientFacts {
+    fn of_migration(bench: &Bench) -> ClientFacts {
+        ClientFacts { cost: bench.migration_cost, cache: CacheStats::default() }
+    }
+
+    fn add(&mut self, client: &SharoesClient) {
+        self.cost = self.cost.plus(&client.meter().sample());
+        self.cache = self.cache.plus(&client.cache_stats());
+    }
+}
+
 /// One revocation-storm measurement: `files` group-shared files revoked
 /// back-to-back at a given sharing density, under one [`RevocationMode`].
 #[derive(Clone, Debug)]
@@ -53,6 +76,8 @@ pub struct StormPoint {
     pub chmod_secs: f64,
     /// Virtual seconds for the post-storm rewrite.
     pub next_write_secs: f64,
+    /// The storm client's and the migration's traffic and cache activity.
+    pub facts: ClientFacts,
 }
 
 /// Revocation storm: for each sharing density, every file is group-readable
@@ -91,6 +116,8 @@ pub fn revocation_storm(
                     .write_file(&format!("/bench/s{i}.dat"), &content(file_size, 1000 + i as u64))
                     .expect("post-storm write");
             }
+            let mut facts = ClientFacts::of_migration(&bench);
+            facts.add(&client);
             out.push(StormPoint {
                 density,
                 mode,
@@ -99,6 +126,7 @@ pub fn revocation_storm(
                 next_write_bytes_up: timer.cost(&client).bytes_up,
                 chmod_secs,
                 next_write_secs: timer.seconds(&client, &o),
+                facts,
             });
         }
     }
@@ -121,6 +149,8 @@ pub struct ChurnReport {
     /// Surviving grantees who could still read the post-revocation write
     /// (positive control).
     pub grants_verified: usize,
+    /// Every churn client's and the migration's traffic and cache activity.
+    pub facts: ClientFacts,
 }
 
 /// Group-membership churn over a generated enterprise: for each shared
@@ -131,7 +161,7 @@ pub struct ChurnReport {
 pub fn membership_churn(ent: &Enterprise, opts: &BenchOpts, max_events: usize) -> ChurnReport {
     let bench =
         Bench::from_fs(ent.materialize(), CryptoPolicy::Sharoes, Scheme::SharedCaps, opts, 64);
-    let mut report = ChurnReport::default();
+    let mut report = ChurnReport { facts: ClientFacts::of_migration(&bench), ..Default::default() };
     for f in ent.files.iter().filter(|f| !f.acl_readers.is_empty()).take(max_events) {
         let path = f.path();
         let owner = Enterprise::uid(f.owner);
@@ -179,6 +209,10 @@ pub fn membership_churn(ent: &Enterprise, opts: &BenchOpts, max_events: usize) -
             let seen = ok_reader.read(&path).expect("surviving grantee must read");
             assert_eq!(seen, after, "surviving grantee must see the new content");
             report.grants_verified += 1;
+            report.facts.add(&ok_reader);
+        }
+        for client in [&stale, &owner_client, &fresh] {
+            report.facts.add(client);
         }
     }
     report
@@ -204,6 +238,9 @@ pub struct RotationReport {
     pub old_dek_rejected: bool,
     /// The newly escrowed DEK opens the current block ciphertext.
     pub new_dek_opens: bool,
+    /// The lifecycle client's and the migration's traffic and cache
+    /// activity.
+    pub facts: ClientFacts,
 }
 
 impl RotationReport {
@@ -253,6 +290,8 @@ pub fn rotation_lifecycle(opts: &BenchOpts) -> RotationReport {
         .expect("fetch escrow record")
         .expect("escrow record exists");
     let snapshot_locked_out = snapshot.open(&record_gen2).is_err();
+    let mut facts = ClientFacts::of_migration(&bench);
+    facts.add(&client);
 
     // Block-level oracle against the raw store: only the current DEK
     // recovers the plaintext. AES-CTR is unauthenticated by design
@@ -274,6 +313,7 @@ pub fn rotation_lifecycle(opts: &BenchOpts) -> RotationReport {
         snapshot_locked_out,
         old_dek_rejected,
         new_dek_opens,
+        facts,
     }
 }
 

@@ -493,17 +493,10 @@ impl Shell {
                             s.failovers, s.read_repairs, s.quorum_shortfalls, s.node_errors
                         );
                     }
-                    // Process-wide totals across every mount this shell made.
-                    let snap = sharoes_obs::global().snapshot();
-                    println!(
-                        "  all mounts: {} failovers, {} read repairs, {} quorum shortfalls, \
-                         {} node errors, {} rebalanced keys",
-                        snap.get("cluster_failovers_total"),
-                        snap.get("cluster_read_repairs_total"),
-                        snap.get("cluster_quorum_shortfalls_total"),
-                        snap.get("cluster_node_errors_total"),
-                        snap.get("cluster_rebalance_keys_total"),
-                    );
+                    // Rebalancing is process-side, so the registry owns it.
+                    let rebalanced =
+                        sharoes_obs::global().snapshot().get("cluster_rebalance_keys_total");
+                    println!("  all mounts: {rebalanced} rebalanced keys");
                     Ok(())
                 }
                 None => Err("not in cluster mode (start with --cluster N)".into()),
@@ -522,9 +515,20 @@ impl Shell {
             }
             "stats" => {
                 // Everything this shell talks to is in-process (including
-                // the --tcp server), so the global registry holds both the
-                // client- and server-side series.
+                // the --tcp server), so the global registry holds the
+                // server-side series. The client-side facts live in this
+                // mount's own meter, cache and cluster transport.
                 print!("{}", sharoes_obs::global().render());
+                let (m, c) = (self.client.meter().sample(), self.client.cache_stats());
+                let mut mine: Vec<_> = m.series().into_iter().chain(c.series()).collect();
+                mine.extend([("net_crypto_ns", m.crypto_ns), ("net_other_ns", m.other_ns)]);
+                if let Some(stats) = &self.cluster_stats {
+                    mine.extend(stats.sample().series());
+                }
+                println!("# this mount's client");
+                for (name, v) in mine {
+                    println!("{name} {v}");
+                }
                 let snap = sharoes_obs::global().snapshot();
                 let hists: Vec<String> = snap
                     .values
@@ -615,8 +619,9 @@ impl Shell {
     }
 }
 
-/// `sharoes-shell stats ADDR`: pull live stats + metrics off a running
-/// sspd over TCP and print them, non-interactively (for scripts and CI).
+/// `sharoes-shell stats ADDR`: pull a running sspd's metrics over TCP in
+/// one round trip and print them, non-interactively (for scripts and CI).
+/// The header's storage counts come from the reply's `ssp_store_*` gauges.
 fn remote_stats(addr: &str) -> i32 {
     let transport = match TcpTransport::connect(addr) {
         Ok(t) => t,
@@ -625,21 +630,13 @@ fn remote_stats(addr: &str) -> i32 {
             return 1;
         }
     };
-    match transport.call(&Request::Stats) {
-        Ok(Response::Stats { objects, bytes }) => {
-            println!("# sspd {addr}: {objects} objects, {bytes} bytes");
-        }
-        Ok(other) => {
-            eprintln!("sharoes-shell: unexpected Stats response: {other:?}");
-            return 1;
-        }
-        Err(e) => {
-            eprintln!("sharoes-shell: Stats call failed: {e}");
-            return 1;
-        }
-    }
     match transport.call(&Request::Metrics) {
         Ok(Response::Metrics { text }) => {
+            let gauge = |name: &str| {
+                text.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')).unwrap_or("?")
+            };
+            let (objects, bytes) = (gauge("ssp_store_objects"), gauge("ssp_store_bytes"));
+            println!("# sspd {addr}: {objects} objects, {bytes} bytes");
             print!("{text}");
             0
         }

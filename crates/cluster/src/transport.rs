@@ -25,29 +25,9 @@ use sharoes_index::MerkleIndex;
 use sharoes_net::{
     CostMeter, NetError, ObjectKey, Request, Response, Transport, TRANSIENT_ERROR_PREFIX,
 };
-use sharoes_obs::Counter;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Global mirrors of [`ClusterStats`], so `sharoes-cli stats` and the CI
-/// metrics gate see cluster behavior without holding a stats handle.
-struct ClusterMetrics {
-    failovers: Counter,
-    read_repairs: Counter,
-    quorum_shortfalls: Counter,
-    node_errors: Counter,
-}
-
-fn cluster_metrics() -> &'static ClusterMetrics {
-    static METRICS: OnceLock<ClusterMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| ClusterMetrics {
-        failovers: sharoes_obs::counter("cluster_failovers_total"),
-        read_repairs: sharoes_obs::counter("cluster_read_repairs_total"),
-        quorum_shortfalls: sharoes_obs::counter("cluster_quorum_shortfalls_total"),
-        node_errors: sharoes_obs::counter("cluster_node_errors_total"),
-    })
-}
+use std::sync::Arc;
 
 /// Placement and quorum parameters for a [`ClusterTransport`].
 #[derive(Clone, Copy, Debug)]
@@ -71,6 +51,8 @@ impl Default for ClusterOpts {
 }
 
 /// Counters describing cluster-layer behavior (failover, repair activity).
+/// The only count of these facts; read it through
+/// [`ClusterTransport::stats_handle`].
 #[derive(Debug, Default)]
 pub struct ClusterStats {
     failovers: AtomicU64,
@@ -92,27 +74,33 @@ pub struct ClusterStatsSample {
     pub node_errors: u64,
 }
 
+impl ClusterStatsSample {
+    /// The counts under their series names.
+    pub fn series(&self) -> [(&'static str, u64); 4] {
+        [
+            ("cluster_failovers_total", self.failovers),
+            ("cluster_read_repairs_total", self.read_repairs),
+            ("cluster_quorum_shortfalls_total", self.quorum_shortfalls),
+            ("cluster_node_errors_total", self.node_errors),
+        ]
+    }
+}
+
 impl ClusterStats {
-    // The bump_* helpers mirror every increment into the global registry so
-    // both views (per-cluster sample, process-wide exposition) stay in sync.
     fn bump_failovers(&self, n: u64) {
         self.failovers.fetch_add(n, Ordering::Relaxed);
-        cluster_metrics().failovers.add(n);
     }
 
     fn bump_read_repairs(&self, n: u64) {
         self.read_repairs.fetch_add(n, Ordering::Relaxed);
-        cluster_metrics().read_repairs.add(n);
     }
 
     fn bump_quorum_shortfalls(&self) {
         self.quorum_shortfalls.fetch_add(1, Ordering::Relaxed);
-        cluster_metrics().quorum_shortfalls.inc();
     }
 
     fn bump_node_errors(&self) {
         self.node_errors.fetch_add(1, Ordering::Relaxed);
-        cluster_metrics().node_errors.inc();
     }
 
     /// Current totals.
@@ -616,33 +604,6 @@ impl ClusterTransport {
         Err(last_err.unwrap_or_else(Self::no_nodes_err))
     }
 
-    /// Aggregated physical storage across active nodes (replicas counted —
-    /// this is what the cluster actually stores, not the logical key count).
-    fn stats_call(&mut self) -> Result<Response, NetError> {
-        let calls: Vec<(usize, Request)> =
-            self.active_indices().into_iter().map(|idx| (idx, Request::Stats)).collect();
-        let mut objects = 0u64;
-        let mut bytes = 0u64;
-        let mut any_ok = false;
-        let mut last_err = None;
-        for outcome in self.fan_calls(&calls) {
-            match outcome {
-                Ok(Response::Stats { objects: o, bytes: b }) => {
-                    objects += o;
-                    bytes += b;
-                    any_ok = true;
-                }
-                Ok(_) => last_err = Some(NetError::Codec("unexpected stats response shape")),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if any_ok {
-            Ok(Response::Stats { objects, bytes })
-        } else {
-            Err(last_err.unwrap_or_else(Self::no_nodes_err))
-        }
-    }
-
     /// Metrics exposition fanned out to every active node, concatenated with
     /// `# node <name>` section headers so per-node series stay attributable.
     fn metrics_call(&mut self) -> Result<Response, NetError> {
@@ -741,7 +702,6 @@ impl Transport for ClusterTransport {
                 let need = self.write_quorum();
                 self.fanout_all(request, need)
             }
-            Request::Stats => self.stats_call(),
             Request::Metrics => self.metrics_call(),
             Request::Trace { max } => self.trace_call(*max),
             Request::Scan { after, limit } => {

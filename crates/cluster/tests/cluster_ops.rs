@@ -279,10 +279,18 @@ fn delete_blocks_fans_out_to_every_node() {
 fn stats_aggregate_physical_storage() {
     let mut w = world(&["a", "b", "c"], ClusterOpts { replication: 2, ..Default::default() });
     w.cluster.call(&Request::Put { key: key(1), value: vec![0; 100] }).unwrap();
+    // The cluster's Metrics reply has one `# node` section per node, each
+    // carrying that node's own `ssp_store_*` gauges.
+    let Response::Metrics { text } = w.cluster.call(&Request::Metrics).unwrap() else {
+        panic!("expected a Metrics reply")
+    };
+    assert_eq!(text.lines().filter(|l| l.starts_with("# node ")).count(), 3);
+    let total = |name: &str| -> u64 {
+        text.lines()
+            .filter_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<u64>().ok())
+            .sum()
+    };
     // R=2 copies → 200 physical bytes, 2 physical objects.
-    assert_eq!(
-        w.cluster.call(&Request::Stats).unwrap(),
-        Response::Stats { objects: 2, bytes: 200 }
-    );
+    assert_eq!((total("ssp_store_objects"), total("ssp_store_bytes")), (2, 200));
     assert_eq!(w.cluster.call(&Request::Ping).unwrap(), Response::Pong);
 }

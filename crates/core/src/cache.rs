@@ -11,25 +11,7 @@
 //! O(log n), not a scan of every slot. Writes are staged by the client
 //! until close, so the cache holds only clean, decrypted values.
 
-use sharoes_obs::Counter;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::OnceLock;
-
-/// Process-wide mirrors of [`CacheStats`] for the metrics exposition.
-struct CacheMetrics {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
-
-fn cache_metrics() -> &'static CacheMetrics {
-    static METRICS: OnceLock<CacheMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| CacheMetrics {
-        hits: sharoes_obs::counter("core_cache_hits_total"),
-        misses: sharoes_obs::counter("core_cache_misses_total"),
-        evictions: sharoes_obs::counter("core_cache_evictions_total"),
-    })
-}
 
 /// What a cache slot holds.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -61,7 +43,8 @@ struct Slot {
     stamp: u64,
 }
 
-/// Hit/miss statistics.
+/// Hit/miss statistics: the only count of these facts, read through
+/// [`ClientCache::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a value.
@@ -70,6 +53,26 @@ pub struct CacheStats {
     pub misses: u64,
     /// Values evicted to respect the capacity.
     pub evictions: u64,
+}
+
+impl CacheStats {
+    /// Component-wise sum.
+    pub fn plus(&self, other: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            evictions: self.evictions + other.evictions,
+        }
+    }
+
+    /// The counts under their series names.
+    pub fn series(&self) -> [(&'static str, u64); 3] {
+        [
+            ("core_cache_hits_total", self.hits),
+            ("core_cache_misses_total", self.misses),
+            ("core_cache_evictions_total", self.evictions),
+        ]
+    }
 }
 
 /// Byte-bounded LRU cache of decrypted values.
@@ -105,12 +108,10 @@ impl ClientCache {
                 self.recency.insert(self.clock, entry);
                 slot.stamp = self.clock;
                 self.stats.hits += 1;
-                cache_metrics().hits.inc();
                 Some(slot.value.clone())
             }
             None => {
                 self.stats.misses += 1;
-                cache_metrics().misses.inc();
                 None
             }
         }
@@ -140,7 +141,6 @@ impl ClientCache {
             let slot = self.slots.remove(&victim).expect("indexed key has a slot");
             self.bytes -= slot.value.len() as u64;
             self.stats.evictions += 1;
-            cache_metrics().evictions.inc();
         }
     }
 

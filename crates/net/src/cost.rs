@@ -6,42 +6,11 @@
 //! so results are independent of the machine the reproduction runs on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Cached global-registry handles mirrored by every [`CostMeter`] charge
-/// point. Meters are per-link/per-client; these are the process-wide
-/// totals a running `sspd` exports over `Request::Metrics`.
-struct WireMetrics {
-    round_trips: sharoes_obs::Counter,
-    tx_bytes: sharoes_obs::Counter,
-    rx_bytes: sharoes_obs::Counter,
-    frame_tx_bytes: sharoes_obs::Histogram,
-    frame_rx_bytes: sharoes_obs::Histogram,
-    retries: sharoes_obs::Counter,
-    reconnects: sharoes_obs::Counter,
-    faults: sharoes_obs::Counter,
-    crypto_ns: sharoes_obs::Counter,
-    other_ns: sharoes_obs::Counter,
-}
-
-fn wire_metrics() -> &'static WireMetrics {
-    static METRICS: OnceLock<WireMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| WireMetrics {
-        round_trips: sharoes_obs::counter("net_round_trips_total"),
-        tx_bytes: sharoes_obs::counter("net_tx_bytes_total"),
-        rx_bytes: sharoes_obs::counter("net_rx_bytes_total"),
-        frame_tx_bytes: sharoes_obs::histogram_bytes("net_frame_tx_bytes"),
-        frame_rx_bytes: sharoes_obs::histogram_bytes("net_frame_rx_bytes"),
-        retries: sharoes_obs::counter("net_retries_total"),
-        reconnects: sharoes_obs::counter("net_reconnects_total"),
-        faults: sharoes_obs::counter("net_faults_injected_total"),
-        crypto_ns: sharoes_obs::counter("net_crypto_ns"),
-        other_ns: sharoes_obs::counter("net_other_ns"),
-    })
-}
-
-/// Shared, thread-safe accumulator of operation costs.
+/// Shared, thread-safe accumulator of operation costs. It is the only
+/// counter for these facts: read them through [`CostMeter::sample`].
 #[derive(Debug, Default)]
 pub struct CostMeter {
     bytes_up: AtomicU64,
@@ -103,6 +72,19 @@ impl CostSample {
             faults_injected: self.faults_injected + other.faults_injected,
         }
     }
+
+    /// The counts under their series names. The wall-clock `crypto_ns` and
+    /// `other_ns` are left out: they differ between identical runs.
+    pub fn series(&self) -> [(&'static str, u64); 6] {
+        [
+            ("net_round_trips_total", self.round_trips),
+            ("net_tx_bytes_total", self.bytes_up),
+            ("net_rx_bytes_total", self.bytes_down),
+            ("net_retries_total", self.retries),
+            ("net_reconnects_total", self.reconnects),
+            ("net_faults_injected_total", self.faults_injected),
+        ]
+    }
 }
 
 impl CostMeter {
@@ -116,42 +98,31 @@ impl CostMeter {
         self.bytes_up.fetch_add(up, Ordering::Relaxed);
         self.bytes_down.fetch_add(down, Ordering::Relaxed);
         self.round_trips.fetch_add(1, Ordering::Relaxed);
-        let wire = wire_metrics();
-        wire.round_trips.inc();
-        wire.tx_bytes.add(up);
-        wire.rx_bytes.add(down);
-        wire.frame_tx_bytes.observe(up);
-        wire.frame_rx_bytes.observe(down);
     }
 
     /// Counts one request retry.
     pub fn charge_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
-        wire_metrics().retries.inc();
     }
 
     /// Counts one reconnect.
     pub fn charge_reconnect(&self) {
         self.reconnects.fetch_add(1, Ordering::Relaxed);
-        wire_metrics().reconnects.inc();
     }
 
     /// Counts one deliberately injected fault.
     pub fn charge_fault(&self) {
         self.faults_injected.fetch_add(1, Ordering::Relaxed);
-        wire_metrics().faults.inc();
     }
 
     /// Adds already-measured crypto time.
     pub fn charge_crypto_ns(&self, ns: u64) {
         self.crypto_ns.fetch_add(ns, Ordering::Relaxed);
-        wire_metrics().crypto_ns.add(ns);
     }
 
     /// Adds already-measured other-processing time.
     pub fn charge_other_ns(&self, ns: u64) {
         self.other_ns.fetch_add(ns, Ordering::Relaxed);
-        wire_metrics().other_ns.add(ns);
     }
 
     /// Runs `f`, attributing its wall time to the CRYPTO component.
@@ -182,18 +153,6 @@ impl CostMeter {
             reconnects: self.reconnects.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.bytes_up.store(0, Ordering::Relaxed);
-        self.bytes_down.store(0, Ordering::Relaxed);
-        self.round_trips.store(0, Ordering::Relaxed);
-        self.crypto_ns.store(0, Ordering::Relaxed);
-        self.other_ns.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.reconnects.store(0, Ordering::Relaxed);
-        self.faults_injected.store(0, Ordering::Relaxed);
     }
 }
 
@@ -238,14 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let m = CostMeter::default();
-        m.charge_round_trip(1, 1);
-        m.reset();
-        assert_eq!(m.sample(), CostSample::default());
-    }
-
-    #[test]
     fn plus_sums() {
         let a = CostSample {
             bytes_up: 1,
@@ -279,8 +230,6 @@ mod tests {
         let delta = m.sample().since(&before);
         assert_eq!(delta.retries, 1);
         assert_eq!(delta.reconnects, 0);
-        m.reset();
-        assert_eq!(m.sample(), CostSample::default());
     }
 
     #[test]

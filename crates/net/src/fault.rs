@@ -36,8 +36,9 @@ use sharoes_crypto::{HmacDrbg, RandomSource};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cached global-registry counters, one per [`FaultKind`] (in
-/// `FaultKind::ALL` order). The total lives in `net_faults_injected_total`
-/// via [`CostMeter::charge_fault`].
+/// `FaultKind::ALL` order). The per-link total is counted by the wrapped
+/// transport's meter ([`CostMeter::charge_fault`], read back as
+/// `CostSample::faults_injected`).
 fn fault_counters() -> &'static [sharoes_obs::Counter; 7] {
     static COUNTERS: OnceLock<[sharoes_obs::Counter; 7]> = OnceLock::new();
     COUNTERS.get_or_init(|| {
@@ -64,8 +65,7 @@ pub enum OpClass {
     Put,
     /// `Request::Delete` / `Request::DeleteBlocks` / `Request::DeleteMany`.
     Delete,
-    /// `Request::Stats` / `Request::Metrics` / `Request::Trace`
-    /// (operational introspection).
+    /// `Request::Metrics` / `Request::Trace` (operational introspection).
     Stats,
 }
 
@@ -86,7 +86,7 @@ impl OpClass {
             Request::Delete { .. } | Request::DeleteBlocks { .. } | Request::DeleteMany { .. } => {
                 OpClass::Delete
             }
-            Request::Stats | Request::Metrics | Request::Trace { .. } => OpClass::Stats,
+            Request::Metrics | Request::Trace { .. } => OpClass::Stats,
         }
     }
 }

@@ -142,11 +142,10 @@ pub enum Request {
         /// Keys to delete.
         keys: Vec<ObjectKey>,
     },
-    /// Storage accounting (bench E6 uses this).
-    Stats,
     /// Live observability export: the serving process renders its global
-    /// metrics registry (Prometheus text format). Content-oblivious like
-    /// everything else — operational counters only, never stored data.
+    /// metrics registry (Prometheus text format), plus its own store's
+    /// `ssp_store_objects` / `ssp_store_bytes` gauges. Content-oblivious
+    /// like everything else — operational counters only, never stored data.
     Metrics,
     /// Pages through stored keys in `ObjectKey` order (cluster rebalancing
     /// and replica audits). Content stays opaque: only the index is listed,
@@ -211,7 +210,6 @@ impl Request {
             ) => true,
             (Request::Get { .. }, Response::Object(_)) => true,
             (Request::GetMany { keys }, Response::Objects(vs)) => vs.len() == keys.len(),
-            (Request::Stats, Response::Stats { .. }) => true,
             (Request::Metrics, Response::Metrics { .. }) => true,
             (Request::Scan { limit, .. }, Response::Keys { keys, .. }) => {
                 keys.len() <= *limit as usize
@@ -244,13 +242,6 @@ pub enum Response {
     Object(Option<Vec<u8>>),
     /// Several objects, order matching the request.
     Objects(Vec<Option<Vec<u8>>>),
-    /// Storage accounting.
-    Stats {
-        /// Number of stored objects.
-        objects: u64,
-        /// Total stored bytes.
-        bytes: u64,
-    },
     /// One page of a key scan.
     Keys {
         /// Keys in `ObjectKey` order, all strictly after the request's
@@ -333,11 +324,12 @@ impl WireWrite for Request {
                 inode.write(out);
                 view.write(out);
             }
+            // Tag 7 is reserved: it carried the retired storage-accounting
+            // op, whose counts now ride in the `Metrics` reply.
             Request::DeleteMany { keys } => {
                 8u8.write(out);
                 keys.write(out);
             }
-            Request::Stats => 7u8.write(out),
             Request::Scan { after, limit } => {
                 9u8.write(out);
                 after.write(out);
@@ -372,7 +364,6 @@ impl WireRead for Request {
             4 => Request::GetMany { keys: Vec::read(r)? },
             5 => Request::Delete { key: ObjectKey::read(r)? },
             6 => Request::DeleteBlocks { inode: u64::read(r)?, view: <[u8; 16]>::read(r)? },
-            7 => Request::Stats,
             8 => Request::DeleteMany { keys: Vec::read(r)? },
             9 => Request::Scan { after: Option::read(r)?, limit: u32::read(r)? },
             10 => Request::Metrics,
@@ -398,11 +389,8 @@ impl WireWrite for Response {
                 3u8.write(out);
                 vs.write(out);
             }
-            Response::Stats { objects, bytes } => {
-                4u8.write(out);
-                objects.write(out);
-                bytes.write(out);
-            }
+            // Tag 4 is reserved: it carried the retired storage-accounting
+            // reply.
             Response::Error(msg) => {
                 5u8.write(out);
                 msg.write(out);
@@ -448,7 +436,6 @@ impl WireRead for Response {
             1 => Response::Ok,
             2 => Response::Object(Option::read(r)?),
             3 => Response::Objects(Vec::read(r)?),
-            4 => Response::Stats { objects: u64::read(r)?, bytes: u64::read(r)? },
             5 => Response::Error(String::read(r)?),
             6 => Response::Keys { keys: Vec::read(r)?, done: bool::read(r)? },
             7 => Response::Metrics { text: String::read(r)? },
@@ -491,7 +478,6 @@ mod tests {
         roundtrip_req(Request::Delete { key });
         roundtrip_req(Request::DeleteBlocks { inode: 5, view: [9; 16] });
         roundtrip_req(Request::DeleteMany { keys: vec![key, ObjectKey::superblock([2; 16])] });
-        roundtrip_req(Request::Stats);
         roundtrip_req(Request::Metrics);
         roundtrip_req(Request::Scan { after: None, limit: 128 });
         roundtrip_req(Request::Scan { after: Some(key), limit: 0 });
@@ -509,7 +495,6 @@ mod tests {
         roundtrip_resp(Response::Object(None));
         roundtrip_resp(Response::Object(Some(vec![5, 6])));
         roundtrip_resp(Response::Objects(vec![None, Some(vec![])]));
-        roundtrip_resp(Response::Stats { objects: 10, bytes: 12345 });
         roundtrip_resp(Response::Metrics { text: String::new() });
         roundtrip_resp(Response::Metrics { text: "a_total 1\nb_ns_count 2\n".into() });
         roundtrip_resp(Response::Error("boom".into()));
@@ -553,6 +538,21 @@ mod tests {
     }
 
     #[test]
+    fn reserved_tags_decode_to_typed_errors() {
+        // Request tag 7 and response tag 4 belonged to the retired
+        // storage-accounting op; a peer still sending them (bare, or with
+        // the old two-u64 reply body) gets a codec error, never a panic.
+        let mut old_reply = vec![4u8];
+        old_reply.extend_from_slice(&[0xFF; 16]);
+        for r in [Request::from_wire(&[7]), Request::from_wire(&[7, 0, 1])] {
+            assert!(matches!(r, Err(NetError::Codec(_))), "{r:?}");
+        }
+        for r in [Response::from_wire(&[4]), Response::from_wire(&old_reply)] {
+            assert!(matches!(r, Err(NetError::Codec(_))), "{r:?}");
+        }
+    }
+
+    #[test]
     fn response_shape_matching() {
         let key = ObjectKey::metadata(1, [0; 16]);
         assert!(Request::Ping.matches_response(&Response::Pong));
@@ -574,8 +574,8 @@ mod tests {
         assert!(!scan.matches_response(&Response::Ok));
         // Metrics pairs only with a Metrics reply (or an error).
         assert!(Request::Metrics.matches_response(&Response::Metrics { text: "x".into() }));
-        assert!(!Request::Metrics.matches_response(&Response::Stats { objects: 0, bytes: 0 }));
-        assert!(!Request::Stats.matches_response(&Response::Metrics { text: "x".into() }));
+        assert!(!Request::Metrics.matches_response(&Response::Ok));
+        assert!(!Request::Ping.matches_response(&Response::Metrics { text: "x".into() }));
         // Trace checks the event cap.
         assert!(Request::Trace { max: 0 }
             .matches_response(&Response::Trace { events: vec![], dropped: 0 }));
@@ -583,7 +583,7 @@ mod tests {
         // Index ops pair only with their own replies; verified scans check
         // the page limit like plain scans.
         assert!(Request::Root.matches_response(&Response::Root { root: [0; 32], count: 0 }));
-        assert!(!Request::Root.matches_response(&Response::Stats { objects: 0, bytes: 0 }));
+        assert!(!Request::Root.matches_response(&Response::Ok));
         assert!(Request::IndexNode { hash: [0; 32] }
             .matches_response(&Response::IndexNode { node: None }));
         assert!(!Request::IndexNode { hash: [0; 32] }.matches_response(&Response::Ok));

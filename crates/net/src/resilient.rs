@@ -458,8 +458,8 @@ mod tests {
             RetryPolicy::fast(5),
         )
         .unwrap();
-        // MapStore answers Stats with a non-transient error: fatal, no retries.
-        let err = t.call(&Request::Stats).unwrap_err();
+        // MapStore answers Metrics with a non-transient error: fatal, no retries.
+        let err = t.call(&Request::Metrics).unwrap_err();
         assert!(matches!(err, NetError::Remote(_)));
         assert_eq!(err.class(), ErrorClass::Fatal);
         assert_eq!(t.meter().sample().retries, 0);

@@ -233,55 +233,32 @@ impl TcpTransport {
         })
     }
 
-    /// Registers a slot and writes the request frame. Returns the id and
-    /// the framed byte count.
-    fn send(&self, request: &Request) -> Result<(u64, u64), NetError> {
-        let id = self.dispatcher.register()?;
-        let frame = request_frame(id, request);
-        let written = {
-            let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-            write_frame(&mut *w, &frame)
-        };
-        if let Err(e) = written {
-            // A half-written frame leaves the stream unframable.
-            self.dispatcher.fail_all(&e.to_string());
-            return Err(e);
-        }
-        Ok((id, frame.len() as u64 + 4))
-    }
-
-    /// Waits for the response to `id`, charging the meter and shape-checking
-    /// against the request that produced it.
-    fn receive(&self, request: &Request, id: u64, sent: u64) -> Result<Response, NetError> {
-        let frame = self.dispatcher.wait(id, self.timeout)?;
-        self.meter.charge_round_trip(sent, frame.len() as u64 + 4);
-        let response = open_response(id, &frame)?;
-        if !request.matches_response(&response) {
-            return Err(NetError::Codec("response does not match request"));
-        }
-        Ok(response)
-    }
-
     /// One full round trip. Takes `&self`: concurrent callers pipeline
     /// naturally, each matched to its own response by correlation id.
     pub fn call(&self, request: &Request) -> Result<Response, NetError> {
         let timing = sharoes_obs::in_span().then(Instant::now);
-        let out = self.send(request).and_then(|(id, sent)| self.receive(request, id, sent));
+        let out = (|| {
+            let id = self.dispatcher.register()?;
+            let frame = request_frame(id, request);
+            let written = {
+                let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+                write_frame(&mut *w, &frame)
+            };
+            if let Err(e) = written {
+                // A half-written frame leaves the stream unframable.
+                self.dispatcher.fail_all(&e.to_string());
+                return Err(e);
+            }
+            let reply = self.dispatcher.wait(id, self.timeout)?;
+            self.meter.charge_round_trip(frame.len() as u64 + 4, reply.len() as u64 + 4);
+            let response = open_response(id, &reply)?;
+            if !request.matches_response(&response) {
+                return Err(NetError::Codec("response does not match request"));
+            }
+            Ok(response)
+        })();
         charge_net_phase(timing);
         out
-    }
-
-    /// Issues every request before collecting any response, so a single
-    /// thread still overlaps server work with the wire. Results return in
-    /// request order.
-    pub fn call_many(&self, requests: &[Request]) -> Vec<Result<Response, NetError>> {
-        let sent: Vec<Result<(u64, u64), NetError>> =
-            requests.iter().map(|r| self.send(r)).collect();
-        requests
-            .iter()
-            .zip(sent)
-            .map(|(req, s)| s.and_then(|(id, n)| self.receive(req, id, n)))
-            .collect()
     }
 }
 

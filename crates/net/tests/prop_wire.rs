@@ -36,7 +36,6 @@ fn requests() -> Gen<Request> {
     let small_blob = gen::vecs(gen::u8s(), 0..64);
     gen::one_of(vec![
         Gen::constant(Request::Ping),
-        Gen::constant(Request::Stats),
         Gen::constant(Request::Metrics),
         {
             let key = key.clone();
@@ -109,7 +108,6 @@ fn responses() -> Gen<Response> {
         Gen::constant(Response::Ok),
         gen::option_of(gen::vecs(gen::u8s(), 0..256)).map(Response::Object),
         gen::vecs(gen::option_of(gen::vecs(gen::u8s(), 0..64)), 0..6).map(Response::Objects),
-        Gen::from_fn(|t| Ok(Response::Stats { objects: t.u64(), bytes: t.u64() })),
         gen::ascii_strings(0..129).map(|text| Response::Metrics { text }),
         gen::ascii_strings(0..65).map(Response::Error),
         {

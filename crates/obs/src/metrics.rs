@@ -403,10 +403,13 @@ impl Snapshot {
     /// Renders only the deterministic subset (see [`is_deterministic`]) as
     /// `key value` lines. Two runs of the same seeded workload must produce
     /// byte-identical output — the CI metrics-determinism gate diffs this.
+    /// Zero values are skipped, so the text does not depend on which
+    /// untouched metrics happen to be registered ([`Self::get`] reads an
+    /// absent key as 0 anyway).
     pub fn deterministic_text(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.values {
-            if is_deterministic(k) {
+            if *v != 0 && is_deterministic(k) {
                 let _ = writeln!(out, "{k} {v}");
             }
         }
@@ -512,6 +515,25 @@ mod tests {
         assert!(det.contains("recovery_ms_count 1"), "ms timing counts are deterministic");
         assert!(!det.contains("recovery_ms_sum"), "ms sums are wall-clock");
         assert!(!det.contains("recovery_ms_bucket"), "ms buckets are wall-clock");
+    }
+
+    #[test]
+    fn deterministic_text_ignores_untouched_registrations() {
+        let moved = |r: &Registry| {
+            r.counter("ops_total").add(2);
+            r.histogram("op_ns", &[10]).observe(3);
+        };
+        let bare = Registry::new();
+        moved(&bare);
+        let extra = Registry::new();
+        extra.counter("untouched_total");
+        extra.gauge("idle");
+        extra.histogram("never_ns", &[10]);
+        moved(&extra);
+        let (a, b) = (bare.snapshot(), extra.snapshot());
+        assert_ne!(a, b, "the second registry really holds more keys");
+        assert_eq!(a.deterministic_text(), b.deterministic_text());
+        assert_eq!(a.deterministic_text(), "op_ns_count 1\nops_total 2\n");
     }
 
     #[test]

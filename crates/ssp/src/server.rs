@@ -19,7 +19,6 @@ struct SspMetrics {
     delete: Histogram,
     delete_blocks: Histogram,
     delete_many: Histogram,
-    stats: Histogram,
     scan: Histogram,
     metrics: Histogram,
     trace: Histogram,
@@ -41,7 +40,6 @@ fn ssp_metrics() -> &'static SspMetrics {
             delete: h("ssp_op_delete_ns"),
             delete_blocks: h("ssp_op_delete_blocks_ns"),
             delete_many: h("ssp_op_delete_many_ns"),
-            stats: h("ssp_op_stats_ns"),
             scan: h("ssp_op_scan_ns"),
             metrics: h("ssp_op_metrics_ns"),
             trace: h("ssp_op_trace_ns"),
@@ -122,7 +120,6 @@ impl RequestHandler for SspServer {
             Request::Delete { .. } => ("delete", &m.delete),
             Request::DeleteBlocks { .. } => ("delete_blocks", &m.delete_blocks),
             Request::DeleteMany { .. } => ("delete_many", &m.delete_many),
-            Request::Stats => ("stats", &m.stats),
             Request::Scan { .. } => ("scan", &m.scan),
             Request::Metrics => ("metrics", &m.metrics),
             Request::Trace { .. } => ("trace", &m.trace),
@@ -161,7 +158,6 @@ impl RequestHandler for SspServer {
                     Err(e) => storage_err(e),
                 }
             }
-            Request::Stats => Response::Stats { objects: s.object_count(), bytes: s.byte_count() },
             Request::Scan { after, limit } => {
                 let (keys, done) = s.scan_keys(after.as_ref(), limit as usize);
                 Response::Keys { keys, done }
@@ -175,7 +171,17 @@ impl RequestHandler for SspServer {
                 let p = s.scan_proof(after.as_ref(), limit);
                 Response::KeysProof { keys: p.keys, done: p.done, root: p.root, proof: p.proof }
             }
-            Request::Metrics => Response::Metrics { text: sharoes_obs::global().render() },
+            // The store's size is this server's own fact, read at request
+            // time, so servers sharing one process never clobber it.
+            Request::Metrics => Response::Metrics {
+                text: format!(
+                    "{}# TYPE ssp_store_objects gauge\nssp_store_objects {}\n\
+                     # TYPE ssp_store_bytes gauge\nssp_store_bytes {}\n",
+                    sharoes_obs::global().render(),
+                    s.object_count(),
+                    s.byte_count()
+                ),
+            },
             Request::Trace { max } => {
                 // Non-draining snapshot: a remote scrape must not race
                 // local consumers (`take()` is drain-only). Newest events
@@ -250,13 +256,27 @@ mod tests {
         );
     }
 
+    /// The `ssp_store_*` gauges of this server's own `Metrics` reply.
+    fn store_gauges(server: &SspServer) -> (u64, u64) {
+        let Response::Metrics { text } = server.handle(Request::Metrics) else {
+            panic!("expected a Metrics reply")
+        };
+        let gauge = |name: &str| -> u64 {
+            let line = text.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+            line.and_then(|v| v.parse().ok()).expect("store gauge present")
+        };
+        (gauge("ssp_store_objects"), gauge("ssp_store_bytes"))
+    }
+
     #[test]
-    fn stats_reflect_store() {
+    fn metrics_carry_this_stores_size() {
         let server = SspServer::new();
         server.handle(Request::Put { key: ObjectKey::superblock([1; 16]), value: vec![0; 64] });
-        assert_eq!(server.handle(Request::Stats), Response::Stats { objects: 1, bytes: 64 });
+        assert_eq!(store_gauges(&server), (1, 64));
+        // A second server in the same process reports its own store.
+        assert_eq!(store_gauges(&SspServer::new()), (0, 0));
         server.handle(Request::Delete { key: ObjectKey::superblock([1; 16]) });
-        assert_eq!(server.handle(Request::Stats), Response::Stats { objects: 0, bytes: 0 });
+        assert_eq!(store_gauges(&server), (0, 0));
     }
 
     #[test]
@@ -278,13 +298,13 @@ mod tests {
         let k2 = ObjectKey::data(1, [0; 16], 1);
         server.handle(Request::PutMany { items: vec![(k1, vec![1]), (k2, vec![2; 10])] });
         assert_eq!(server.handle(Request::Get { key: k1 }), Response::Object(Some(vec![1])));
-        assert_eq!(server.handle(Request::Stats), Response::Stats { objects: 2, bytes: 11 });
+        assert_eq!(store_gauges(&server), (2, 11));
         assert_eq!(
             server.handle(Request::Scan { after: None, limit: 10 }),
             Response::Keys { keys: vec![k1, k2], done: true }
         );
         server.handle(Request::DeleteBlocks { inode: 1, view: [0; 16] });
-        assert_eq!(server.handle(Request::Stats), Response::Stats { objects: 0, bytes: 0 });
+        assert_eq!(store_gauges(&server), (0, 0));
     }
 
     #[test]

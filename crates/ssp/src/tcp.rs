@@ -491,12 +491,6 @@ mod tests {
             }
         });
         assert_eq!(server.store().object_count(), 200);
-        // A burst of pipelined gets over the same connection.
-        let reqs: Vec<Request> =
-            (0..25u32).map(|i| Request::Get { key: ObjectKey::data(3, [3u8; 16], i) }).collect();
-        for r in client.call_many(&reqs) {
-            assert_eq!(r.unwrap(), Response::Object(Some(vec![3u8; 16])));
-        }
         handle.shutdown();
     }
 

@@ -19,13 +19,16 @@ use sharoes_core::CryptoParams;
 use sharoes_testkit::enterprise::{Enterprise, Scale};
 use sharoes_testkit::rng::test_seed;
 
+mod common;
+
 /// CI-speed options: tiny asymmetric keys, two enterprise users.
 fn quick_opts(seed: u64) -> BenchOpts {
     BenchOpts { users: 2, crypto: CryptoParams::test(), seed, ..Default::default() }
 }
 
 /// One full pass of the registry-visible drivers; returns the
-/// deterministic registry delta plus the oracle reports.
+/// deterministic registry delta (with every driver client's and
+/// migration's own facts merged in) plus the oracle reports.
 fn gate_pass(seed: u64) -> (String, drivers::ChurnReport, drivers::RotationReport) {
     let before = sharoes_obs::global().snapshot();
     let opts = quick_opts(seed);
@@ -36,8 +39,12 @@ fn gate_pass(seed: u64) -> (String, drivers::ChurnReport, drivers::RotationRepor
     let storm = drivers::revocation_storm(&[2], 2, 2048, &opts);
     assert_eq!(storm.len(), 2, "one point per revocation mode");
 
-    let delta = sharoes_obs::global().snapshot().delta(&before).deterministic_text();
-    (delta, churn, rotation)
+    let mut delta = sharoes_obs::global().snapshot().delta(&before);
+    for facts in storm.iter().map(|p| p.facts).chain([churn.facts, rotation.facts]) {
+        common::merge(&mut delta, &facts.cost.series());
+        common::merge(&mut delta, &facts.cache.series());
+    }
+    (delta.deterministic_text(), churn, rotation)
 }
 
 /// The single registry-reading test in this binary (the registry is

@@ -20,6 +20,8 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+mod common;
+
 const NODE_NAMES: [&str; 3] = ["a", "b", "c"];
 
 /// All tests here read process-global observability counters; hold this so
@@ -33,17 +35,22 @@ struct World {
     ring: Keyring,
     pool: Arc<SigKeyPool>,
     config: ClientConfig,
+    /// The migration cluster's own meter and cluster counts, by series name.
+    migration_facts: Vec<(&'static str, u64)>,
 }
 
 /// A 3-node cluster link set: each node behind a seeded fault injector and
 /// a resilient transport whose backoff is virtualized (never sleeps).
 fn make_cluster(servers: &[Arc<SspServer>], rate: f64, fault_seed: u64) -> ClusterTransport {
     let opts = ClusterOpts { replication: 2, write_quorum: 1, ..ClusterOpts::default() };
-    let mut cluster = ClusterTransport::new(opts);
+    // One meter for the cluster and every link, so a client mounted on it
+    // reads the whole deployment's traffic, retries and faults.
+    let meter = CostMeter::new_shared();
+    let mut cluster = ClusterTransport::with_meter(opts, Arc::clone(&meter));
     for (idx, server) in servers.iter().enumerate() {
         let schedule =
             FaultSchedule::shared(FaultConfig::at_rate(rate), fault_seed ^ (idx as u64) << 8);
-        let meter = CostMeter::new_shared();
+        let meter = Arc::clone(&meter);
         let handler = Arc::clone(server) as Arc<dyn RequestHandler>;
         let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
             let inner = InMemoryTransport::with_meter(Arc::clone(&handler), Arc::clone(&meter));
@@ -76,6 +83,13 @@ fn deploy(seed: u64) -> World {
     Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
         .migrate(&mut cluster, &mut rng)
         .expect("migration");
+    let migration_facts = cluster
+        .meter()
+        .sample()
+        .series()
+        .into_iter()
+        .chain(cluster.stats_handle().sample().series())
+        .collect();
     World {
         servers,
         db: Arc::new(local.users().clone()),
@@ -83,6 +97,7 @@ fn deploy(seed: u64) -> World {
         ring,
         pool,
         config,
+        migration_facts,
     }
 }
 
@@ -254,13 +269,16 @@ fn tampered_scan_pages_are_detected_with_a_typed_error() {
 
 /// One full gate pass: mount over the faulted cluster, verified-walk the
 /// keyspace, mutate, verified-walk again — returning the deterministic
-/// registry delta and trace rendering the pass produced.
+/// registry delta (with the migration's and the client's own facts merged
+/// in) and trace
+/// rendering the pass produced.
 fn gate_pass(seed: u64) -> (String, String) {
     let tracer = sharoes::obs::tracer();
     tracer.set_filter(sharoes::obs::Filter::off());
     let before = sharoes::obs::global().snapshot();
     let world = deploy(seed);
     let cluster = make_cluster(&world.servers, 0.10, seed ^ 0xFA17);
+    let cluster_stats = cluster.stats_handle();
     let mut client = client_over(&world, Box::new(cluster), seed ^ 0x5E55);
     client.mount().expect("mount");
 
@@ -279,8 +297,12 @@ fn gate_pass(seed: u64) -> (String, String) {
     tracer.set_capacity(4096);
     let trees = sharoes::obs::assemble(&events);
     let render = sharoes::obs::tree::render(&trees, false);
-    let delta = sharoes::obs::global().snapshot().delta(&before).deterministic_text();
-    (delta, render)
+    let mut delta = sharoes::obs::global().snapshot().delta(&before);
+    common::merge(&mut delta, &world.migration_facts);
+    common::merge(&mut delta, &client.meter().sample().series());
+    common::merge(&mut delta, &client.cache_stats().series());
+    common::merge(&mut delta, &cluster_stats.sample().series());
+    (delta.deterministic_text(), render)
 }
 
 #[test]

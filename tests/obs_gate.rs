@@ -19,6 +19,8 @@ use sharoes::prelude::*;
 use sharoes::ssp::SspServer;
 use std::sync::{Arc, Mutex};
 
+mod common;
+
 const NODE_NAMES: [&str; 3] = ["a", "b", "c"];
 
 /// Both gates in this file mutate process-global observability state (the
@@ -34,6 +36,8 @@ struct World {
     ring: Keyring,
     pool: Arc<SigKeyPool>,
     config: ClientConfig,
+    /// The migration cluster's own meter and cluster counts, by series name.
+    migration_facts: Vec<(&'static str, u64)>,
 }
 
 /// A 3-node cluster link set: each node behind a seeded fault injector and
@@ -41,11 +45,14 @@ struct World {
 /// a [`FakeSleeper`] (the backoff path runs; the suite never sleeps).
 fn make_cluster(servers: &[Arc<SspServer>], rate: f64, fault_seed: u64) -> ClusterTransport {
     let opts = ClusterOpts { replication: 2, write_quorum: 1, ..ClusterOpts::default() };
-    let mut cluster = ClusterTransport::new(opts);
+    // One meter for the cluster and every link, so a client mounted on it
+    // reads the whole deployment's traffic, retries and faults.
+    let meter = CostMeter::new_shared();
+    let mut cluster = ClusterTransport::with_meter(opts, Arc::clone(&meter));
     for (idx, server) in servers.iter().enumerate() {
         let schedule =
             FaultSchedule::shared(FaultConfig::at_rate(rate), fault_seed ^ (idx as u64) << 8);
-        let meter = CostMeter::new_shared();
+        let meter = Arc::clone(&meter);
         let handler = Arc::clone(server) as Arc<dyn RequestHandler>;
         let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
             let inner = InMemoryTransport::with_meter(Arc::clone(&handler), Arc::clone(&meter));
@@ -78,6 +85,13 @@ fn deploy(seed: u64) -> World {
     Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
         .migrate(&mut cluster, &mut rng)
         .expect("migration");
+    let migration_facts = cluster
+        .meter()
+        .sample()
+        .series()
+        .into_iter()
+        .chain(cluster.stats_handle().sample().series())
+        .collect();
     World {
         servers,
         db: Arc::new(local.users().clone()),
@@ -85,6 +99,7 @@ fn deploy(seed: u64) -> World {
         ring,
         pool,
         config,
+        migration_facts,
     }
 }
 
@@ -144,11 +159,13 @@ fn run_engine_workload(seed: u64) {
     engine.flush().expect("engine flush");
 }
 
-/// One full pass; returns the deterministic registry delta it caused.
+/// One full pass; returns the deterministic registry delta it caused,
+/// with the migration's and the workload client's own facts merged in.
 fn registry_delta_for_pass(seed: u64) -> String {
     let before = sharoes::obs::global().snapshot();
     let world = deploy(seed);
     let cluster = make_cluster(&world.servers, 0.10, seed ^ 0xFA17);
+    let cluster_stats = cluster.stats_handle();
     let mut client = SharoesClient::with_rng(
         Box::new(cluster),
         world.config.clone(),
@@ -161,7 +178,12 @@ fn registry_delta_for_pass(seed: u64) -> String {
     run_workload(&mut client);
     assert!(!client.is_degraded(), "workload completed, client must not be degraded");
     run_engine_workload(seed);
-    sharoes::obs::global().snapshot().delta(&before).deterministic_text()
+    let mut delta = sharoes::obs::global().snapshot().delta(&before);
+    common::merge(&mut delta, &world.migration_facts);
+    common::merge(&mut delta, &client.meter().sample().series());
+    common::merge(&mut delta, &client.cache_stats().series());
+    common::merge(&mut delta, &cluster_stats.sample().series());
+    delta.deterministic_text()
 }
 
 #[test]
