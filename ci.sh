@@ -120,6 +120,13 @@ step "crash-point recovery matrix at fifth pinned seed (log-engine durability)" 
 step "authenticated-index gate at sixth pinned seed (verified scans + tamper oracle)" \
     env SHAROES_TEST_SEED=0x1DE15EED cargo test -q --offline --test index
 
+# The cluster's incrementally maintained union index against a from-scratch
+# rebuild after every verified read, through drop-out, rejoin, and the
+# Scan fallback, at the same seed.
+step "union-index equivalence at sixth pinned seed (incremental union == rebuild)" \
+    env SHAROES_TEST_SEED=0x1DE15EED \
+    cargo test -q --offline -p sharoes-cluster --test union_equivalence
+
 # Same independent check for the index gate's registry and trace exports.
 diff_pair "index determinism: diff exported registry deltas" \
     target/index-registry-a.txt target/index-registry-b.txt

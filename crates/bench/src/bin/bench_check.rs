@@ -225,7 +225,9 @@ fn required_keys(benchmark: &str) -> &'static [(&'static str, &'static str)] {
             ("revocation_storm", "array"),
             ("crossover", "array"),
         ],
-        "authenticated_index" => &[("page", "number"), ("points", "array")],
+        "authenticated_index" => {
+            &[("page", "number"), ("points", "array"), ("mutate_then_prove", "array")]
+        }
         "obs_tracing_overhead" => {
             &[("spans_off", "object"), ("spans_on", "object"), ("overhead_pct", "number")]
         }

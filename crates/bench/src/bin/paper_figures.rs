@@ -93,7 +93,8 @@ fn print_help() {
          \x20            writes BENCH_enterprise.json)\n\
          \x20 obs        tracing-overhead ablation, spans off vs on (writes BENCH_obs.json)\n\
          \x20 index      authenticated-index ablation: flat vs indexed scans, proof\n\
-         \x20            overhead at several keyspace sizes (writes BENCH_index.json)\n\
+         \x20            overhead at several keyspace sizes, mutate-one-key-then-prove\n\
+         \x20            vs rebuild (writes BENCH_index.json)\n\
          \x20 concurrency contention benchmark: blocking vs pipelined vs batched clients\n\
          \x20            against one sspd plus a 3-node cluster sweep; fails if\n\
          \x20            multi-threaded speedup < 2x (writes BENCH_concurrency.json)\n\
@@ -546,8 +547,9 @@ fn enterprise_report(opts: &BenchOpts, quick: bool) {
 /// Authenticated-index ablation: at several keyspace sizes, compares the
 /// flat-sort scan (the pre-index O(n log n)-per-page path, kept as a debug
 /// oracle) with the Merkle-index scan, and measures the verified-scan
-/// proof overhead (bytes shipped and client verify time). Writes
-/// `BENCH_index.json`.
+/// proof overhead (bytes shipped and client verify time); then, at 8k (and
+/// in full mode 64k) keys, the cost of mutating one key and proving a page
+/// against rebuilding the tree and proving. Writes `BENCH_index.json`.
 fn index_report(_opts: &BenchOpts, quick: bool) {
     use sharoes_crypto::RandomSource;
     use sharoes_net::ObjectKey;
@@ -635,6 +637,60 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
     table.print();
     println!("flat re-sorts the whole keyspace every page; the index serves pages in O(log n)");
 
+    // Mutate one key, then prove one page: what a verified scan right after
+    // a write costs, against rebuilding the tree from its keys and proving.
+    let sizes: &[usize] = if quick { &[8000] } else { &[8000, 64000] };
+    let mut table = Table::new(&["keys", "mutate+prove (us)", "rebuild+prove (us)", "ratio"]);
+    // (keys, mutate_prove_ns, rebuild_prove_ns)
+    let mut mutations: Vec<(usize, u64, u64)> = Vec::new();
+    for &n in sizes {
+        let mut rng = sharoes_crypto::HmacDrbg::from_seed_u64(0x1DE1 ^ n as u64);
+        let mut key = || ObjectKey::data(rng.next_u64(), [0; 16], 0);
+        let keys: Vec<ObjectKey> = (0..n).map(|_| key()).collect();
+        let mut index = sharoes_index::MerkleIndex::from_keys(keys.iter().copied());
+        index.root();
+        let median = |mut v: Vec<u64>| {
+            v.sort_unstable();
+            v[v.len() / 2]
+        };
+        // Insert a fresh key, then remove it again: every sample mutates
+        // the tree, and the key count stays at `n`.
+        let mut samples = Vec::new();
+        for _ in 0..100 {
+            let k = key();
+            for insert in [true, false] {
+                let t0 = std::time::Instant::now();
+                if insert {
+                    index.insert(k);
+                } else {
+                    index.remove(&k);
+                }
+                std::hint::black_box(index.prove_scan(Some(&k), page as u32));
+                samples.push(t0.elapsed().as_nanos() as u64);
+            }
+        }
+        let mutate_ns = median(samples);
+        let rebuild_ns = median(
+            (0..5)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    let mut rebuilt = sharoes_index::MerkleIndex::from_keys(keys.iter().copied());
+                    std::hint::black_box(rebuilt.prove_scan(keys.first(), page as u32));
+                    t0.elapsed().as_nanos() as u64
+                })
+                .collect(),
+        );
+        table.row(vec![
+            n.to_string(),
+            format!("{:.1}", mutate_ns as f64 / 1e3),
+            format!("{:.1}", rebuild_ns as f64 / 1e3),
+            format!("{:.0}x", rebuild_ns as f64 / mutate_ns.max(1) as f64),
+        ]);
+        mutations.push((n, mutate_ns, rebuild_ns));
+    }
+    table.print();
+    println!("a mutation re-hashes only the changed leaf's ancestors before the next proof");
+
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"benchmark\": {},\n", json_str("authenticated_index")));
     json.push_str(&format!("  \"page\": {page},\n"));
@@ -646,6 +702,15 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
              \"verified_scan_ns\": {verified_ns}, \"proof_bytes\": {proof_bytes}, \
              \"key_bytes\": {key_bytes}}}{}\n",
             if i + 1 < points.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n");
+    json.push_str("  \"mutate_then_prove\": [\n");
+    for (i, (n, mutate_ns, rebuild_ns)) in mutations.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"keys\": {n}, \"mutate_prove_ns\": {mutate_ns}, \
+             \"rebuild_prove_ns\": {rebuild_ns}}}{}\n",
+            if i + 1 < mutations.len() { "," } else { "" }
         ));
     }
     json.push_str("  ]\n}\n");

@@ -17,8 +17,9 @@
 //!   and read-repairing stale copies.
 //! * [`rebalance`] — restores placement after ring changes and audits the
 //!   R-replica invariant, discovering each node's key set through its
-//!   authenticated index (root compare + memoized subtree-diff descent)
-//!   instead of streaming every key every round.
+//!   authenticated index (root compare + subtree-diff descent against
+//!   each node's last verified tree) instead of streaming every key every
+//!   round.
 //! * [`config::ClusterConfig`] — the tiny shared file `sspd --cluster`,
 //!   the CLI, and clients all read.
 

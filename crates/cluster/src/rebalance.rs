@@ -6,8 +6,9 @@
 //! and missed W<R writes all break it; [`ClusterTransport::rebalance`]
 //! restores it by discovering every node's key set and moving what is
 //! misplaced, and [`ClusterTransport::audit`] proves it held. Discovery
-//! goes through each node's authenticated index (`Root` compare plus
-//! memoized subtree-diff descent, see `sync.rs`) rather than streaming
+//! goes through each node's authenticated index (`Root` compare plus a
+//! subtree-diff descent against the node's last verified tree, see
+//! `sync.rs`) rather than streaming
 //! every key through paged `Scan`s — a settled cluster costs one RPC per
 //! node per round. Both remain client-driven — nodes never talk to each
 //! other, keeping the SSP as dumb (and as untrusted) as the paper
@@ -77,9 +78,9 @@ impl ClusterTransport {
 
     /// Builds the global `key → holder nodes` map from every active node,
     /// via each node's authenticated index: one `Root` RPC per node, then
-    /// subtree-diff descent only where a root disagrees with what the memo
-    /// already resolved — replicas holding identical key sets cost nothing
-    /// beyond the root compare. Nodes whose index walk *and* legacy scan
+    /// a descent only into subtrees that neither the node's last verified
+    /// tree nor the memo holds — a node whose root did not move costs
+    /// nothing beyond the root fetch. Nodes whose index walk *and* scan
     /// fallback both fail are skipped (their copies are invisible this
     /// round and will be found by a later pass).
     fn holders_map(&mut self, page: u32) -> BTreeMap<ObjectKey, Vec<usize>> {

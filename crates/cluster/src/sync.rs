@@ -1,35 +1,45 @@
-//! Authenticated-index replica sync: per-node root fetch, memoized
-//! subtree-diff descent, and the cluster-level union index behind the
-//! verified scan ops.
+//! Authenticated-index replica sync: per-node root fetch, subtree-diff
+//! descent against each node's last verified tree, and the cluster-level
+//! union index behind the verified scan ops.
 //!
-//! Before the authenticated index, [`rebalance`](crate::rebalance) and
-//! `audit` streamed every node's *entire* key index through paged `Scan`
-//! calls each round — O(n) wire traffic per node even when nothing changed.
-//! Now each node commits to its keyspace with one 32-byte root
-//! (`Request::Root`), and the client descends content-addressed index
-//! nodes (`Request::IndexNode`) only where hashes differ from what the
-//! memo already holds. Replicas that agree on a subtree share its memo
-//! entry, so a settled cluster costs one RPC per node per round and a
-//! diverged one costs O(log n + Δ). Every fetched node is re-digested
-//! before use — a replica cannot forge its claimed key set below the root
-//! it reported. Nodes whose index ops fail (link fault, mid-descent
-//! mutation) fall back to the legacy `Scan` streaming path.
+//! Each node commits to its keyspace with one 32-byte root
+//! (`Request::Root`). The cluster keeps, per node, the last tree it
+//! verified from that node: the in-tree reference count of every node hash
+//! reachable from its root. When a root moves, the descent starts at the
+//! new root and stops at every hash the old tree already holds, fetching
+//! (`Request::IndexNode`) only hashes that neither the old tree nor the
+//! memo resolves. Every fetched node is re-digested before use — a replica
+//! cannot forge its claimed key set below the root it reported — and the
+//! resulting key count must equal the count the node reported next to its
+//! root. Nodes whose index ops fail (link fault, mid-descent mutation) fall
+//! back to the `Scan` streaming path.
+//!
+//! The memo maps a hash to its decoded node and holds exactly the nodes
+//! reachable from the latest verified per-node roots: a node enters when
+//! some node's tree gains it and leaves when the last tree referencing it
+//! drops it. A settled cluster costs one `Root` RPC per node per round; a
+//! moved root costs O(Δ · height) fetches for Δ changed leaves.
+//!
+//! The union index is a per-key count of the nodes listing the key, plus
+//! one [`MerkleIndex`] that gains a key when its count leaves zero and
+//! loses it when its count returns to zero. A moved root applies only the
+//! keys of the leaves that entered or left that node's tree.
 
 use crate::transport::ClusterTransport;
 use sharoes_crypto::Sha256;
 use sharoes_index::{decode_node, empty_root, IndexNode, MerkleIndex, MAX_PROOF_DEPTH};
 use sharoes_net::{NetError, ObjectKey, Request, Response};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
-/// Page size for the legacy-scan fallback when a node's index is unusable.
+/// Page size for the `Scan` fallback when a node's index is unusable.
 const FALLBACK_SCAN_PAGE: u32 = 256;
 
 struct SyncMetrics {
     nodes_fetched: sharoes_obs::Counter,
     memo_hits: sharoes_obs::Counter,
     fallbacks: sharoes_obs::Counter,
-    union_rebuilds: sharoes_obs::Counter,
+    union_updates: sharoes_obs::Counter,
 }
 
 fn sync_metrics() -> &'static SyncMetrics {
@@ -38,8 +48,371 @@ fn sync_metrics() -> &'static SyncMetrics {
         nodes_fetched: sharoes_obs::counter("cluster_index_nodes_fetched_total"),
         memo_hits: sharoes_obs::counter("cluster_index_memo_hits_total"),
         fallbacks: sharoes_obs::counter("cluster_index_scan_fallbacks_total"),
-        union_rebuilds: sharoes_obs::counter("cluster_index_union_rebuilds_total"),
+        union_updates: sharoes_obs::counter("cluster_index_union_rebuilds_total"),
     })
+}
+
+/// A verified index node and the number of per-node trees that reach it.
+struct MemoNode {
+    node: IndexNode,
+    trees: u32,
+}
+
+/// The last index tree verified from one node.
+#[derive(Default)]
+struct TreeView {
+    /// Root hash; `None` for the empty tree.
+    root: Option<[u8; 32]>,
+    /// Keys under `root`.
+    count: u64,
+    /// How many times each node hash is referenced inside this tree (the
+    /// root counts once). Every hash here is also in the memo.
+    refs: HashMap<[u8; 32], u32>,
+}
+
+/// What one node currently contributes to the union.
+#[derive(Default)]
+enum Counted {
+    /// Nothing: unreachable, or both the index and the scan failed.
+    #[default]
+    Nothing,
+    /// The keys of its [`TreeView`].
+    Tree,
+    /// Keys streamed through the `Scan` fallback.
+    Scanned(Vec<ObjectKey>),
+}
+
+#[derive(Default)]
+struct NodeSync {
+    /// The root the node reported when `counted` was last made complete;
+    /// `None` forces a refresh on the next round.
+    seen: Option<[u8; 32]>,
+    tree: TreeView,
+    counted: Counted,
+}
+
+/// Cluster-side state of the authenticated index: the node memo, every
+/// node's last verified tree, and the union index.
+#[derive(Default)]
+pub(crate) struct IndexSync {
+    memo: HashMap<[u8; 32], MemoNode>,
+    /// By node slot.
+    nodes: Vec<NodeSync>,
+    /// Key → number of contributions listing it; absent means zero.
+    key_refs: HashMap<ObjectKey, u32>,
+    union: MerkleIndex,
+}
+
+/// Keys entering and leaving one node's tree when its root moves.
+#[derive(Default)]
+struct KeyDelta {
+    added: Vec<ObjectKey>,
+    removed: Vec<ObjectKey>,
+}
+
+impl KeyDelta {
+    /// Cancels every key that both left and entered (it only moved between
+    /// leaves), leaving the keys the tree really gained and lost.
+    fn net(mut self) -> KeyDelta {
+        // Tree order is key order for an honest node; sorting costs one
+        // pass then, and makes a hostile order harmless.
+        self.added.sort_unstable();
+        self.removed.sort_unstable();
+        let (mut a, mut r) = (0, 0);
+        let mut net = KeyDelta::default();
+        while a < self.added.len() && r < self.removed.len() {
+            match self.added[a].cmp(&self.removed[r]) {
+                std::cmp::Ordering::Less => {
+                    net.added.push(self.added[a]);
+                    a += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    net.removed.push(self.removed[r]);
+                    r += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    a += 1;
+                    r += 1;
+                }
+            }
+        }
+        net.added.extend_from_slice(&self.added[a..]);
+        net.removed.extend_from_slice(&self.removed[r..]);
+        net
+    }
+}
+
+/// One root move of one node's tree, applied in place and undone if the
+/// descent fails.
+struct Walk<'a> {
+    /// The tree's reference counts, being moved to the new root.
+    refs: &'a mut HashMap<[u8; 32], u32>,
+    memo: &'a mut HashMap<[u8; 32], MemoNode>,
+    /// Every `refs` change as `(hash, count before)`, for [`Walk::undo`].
+    log: Vec<([u8; 32], u32)>,
+    /// Hashes this walk fetched into the memo (no tree holds them yet).
+    fetched: Vec<[u8; 32]>,
+    /// Hashes whose count left zero: new to the tree.
+    entered: Vec<[u8; 32]>,
+    /// Hashes whose count returned to zero: gone from the tree.
+    left: Vec<[u8; 32]>,
+    delta: KeyDelta,
+}
+
+impl Walk<'_> {
+    /// Adds one reference to `hash`. A hash new to the tree brings in its
+    /// leaf keys and references its children; it comes from the memo when
+    /// another tree holds it, else from `fetch`. `resolved` is set below a
+    /// memo hit, where nothing is fetched and no further hit is counted.
+    fn add(
+        &mut self,
+        hash: [u8; 32],
+        depth: usize,
+        resolved: bool,
+        fetch: &mut dyn FnMut(&[u8; 32]) -> Result<IndexNode, NetError>,
+    ) -> Result<(), NetError> {
+        if depth > MAX_PROOF_DEPTH {
+            return Err(NetError::Codec("index descent too deep"));
+        }
+        let refs = self.refs.entry(hash).or_insert(0);
+        self.log.push((hash, *refs));
+        *refs += 1;
+        if *refs > 1 {
+            if !resolved {
+                sync_metrics().memo_hits.inc();
+            }
+            return Ok(());
+        }
+        self.entered.push(hash);
+        let (kids, resolved) = match self.memo.get(&hash) {
+            Some(m) => {
+                if !resolved {
+                    sync_metrics().memo_hits.inc();
+                }
+                (expand(&m.node, &mut self.delta.added), true)
+            }
+            None => {
+                let node = fetch(&hash)?;
+                let kids = expand(&node, &mut self.delta.added);
+                self.memo.insert(hash, MemoNode { node, trees: 0 });
+                self.fetched.push(hash);
+                (kids, resolved)
+            }
+        };
+        for kid in kids {
+            self.add(kid, depth + 1, resolved, fetch)?;
+        }
+        Ok(())
+    }
+
+    /// Drops one reference to `hash`, a node of the old tree; at zero its
+    /// leaf keys leave and its children lose a reference.
+    fn drop_ref(&mut self, hash: [u8; 32]) {
+        let Some(refs) = self.refs.get_mut(&hash).filter(|r| **r > 0) else { return };
+        self.log.push((hash, *refs));
+        *refs -= 1;
+        if *refs > 0 {
+            return;
+        }
+        self.left.push(hash);
+        if let Some(m) = self.memo.get(&hash) {
+            for kid in expand(&m.node, &mut self.delta.removed) {
+                self.drop_ref(kid);
+            }
+        }
+    }
+
+    /// Restores `refs` and the memo as they were before the walk.
+    fn undo(self) {
+        for (hash, before) in self.log.into_iter().rev() {
+            if before == 0 {
+                self.refs.remove(&hash);
+            } else {
+                self.refs.insert(hash, before);
+            }
+        }
+        for hash in self.fetched {
+            self.memo.remove(&hash);
+        }
+    }
+
+    /// Keeps the walk: hashes new to the tree gain a memo reference,
+    /// hashes gone from it lose one. Returns the key delta.
+    fn commit(self) -> KeyDelta {
+        for hash in self.entered {
+            if let Some(m) = self.memo.get_mut(&hash) {
+                m.trees += 1;
+            }
+        }
+        for hash in self.left {
+            self.refs.remove(&hash);
+            if let Some(m) = self.memo.get_mut(&hash) {
+                m.trees -= 1;
+                if m.trees == 0 {
+                    self.memo.remove(&hash);
+                }
+            }
+        }
+        self.delta.net()
+    }
+}
+
+/// Appends a leaf's keys to `keys`; returns an internal node's child hashes.
+fn expand(node: &IndexNode, keys: &mut Vec<ObjectKey>) -> Vec<[u8; 32]> {
+    match node {
+        IndexNode::Leaf(leaf) => {
+            keys.extend_from_slice(leaf);
+            Vec::new()
+        }
+        IndexNode::Internal(entries) => entries.iter().map(|(_, h)| *h).collect(),
+    }
+}
+
+impl IndexSync {
+    fn slot(&mut self, idx: usize) -> &mut NodeSync {
+        if self.nodes.len() <= idx {
+            self.nodes.resize_with(idx + 1, NodeSync::default);
+        }
+        &mut self.nodes[idx]
+    }
+
+    /// Number of decoded nodes held (test hook for the memo bound).
+    #[cfg(test)]
+    pub(crate) fn memo_len(&self) -> usize {
+        self.memo.len()
+    }
+
+    /// Moves node `idx`'s tree to `root`, which the node reported with
+    /// `count` keys. Nothing changes unless the descent succeeds and the
+    /// key count matches.
+    fn advance(
+        &mut self,
+        idx: usize,
+        root: [u8; 32],
+        count: u64,
+        fetch: &mut dyn FnMut(&[u8; 32]) -> Result<IndexNode, NetError>,
+    ) -> Result<KeyDelta, NetError> {
+        let new_root = (root != empty_root()).then_some(root);
+        if new_root.is_none() && count != 0 {
+            return Err(NetError::Codec("empty root with nonzero key count"));
+        }
+        self.slot(idx);
+        let tree = &mut self.nodes[idx].tree;
+        let mut walk = Walk {
+            refs: &mut tree.refs,
+            memo: &mut self.memo,
+            log: Vec::new(),
+            fetched: Vec::new(),
+            entered: Vec::new(),
+            left: Vec::new(),
+            delta: KeyDelta::default(),
+        };
+        if let Some(root) = new_root {
+            if let Err(e) = walk.add(root, 0, false, fetch) {
+                walk.undo();
+                return Err(e);
+            }
+        }
+        if let Some(old_root) = tree.root {
+            walk.drop_ref(old_root);
+        }
+        let walked =
+            tree.count as i128 + walk.delta.added.len() as i128 - walk.delta.removed.len() as i128;
+        if walked != count as i128 {
+            // A mutation between the Root fetch and the descent (or a node
+            // misreporting its count): treat the walk as unusable.
+            walk.undo();
+            return Err(NetError::Codec("index key count mismatch"));
+        }
+        let delta = walk.commit();
+        tree.root = new_root;
+        tree.count = count;
+        Ok(delta)
+    }
+
+    /// Every key of node `idx`'s tree, in tree order, read from the memo.
+    fn tree_keys(&self, idx: usize) -> Vec<ObjectKey> {
+        let mut keys = Vec::new();
+        let mut stack: Vec<[u8; 32]> = self.nodes[idx].tree.root.into_iter().collect();
+        while let Some(hash) = stack.pop() {
+            if let Some(m) = self.memo.get(&hash) {
+                let mut kids = expand(&m.node, &mut keys);
+                kids.reverse();
+                stack.extend(kids);
+            }
+        }
+        keys
+    }
+
+    fn count_keys(&mut self, keys: &[ObjectKey]) {
+        for k in keys {
+            let refs = self.key_refs.entry(*k).or_insert(0);
+            *refs += 1;
+            if *refs == 1 {
+                self.union.insert(*k);
+            }
+        }
+    }
+
+    fn uncount_keys(&mut self, keys: &[ObjectKey]) {
+        for k in keys {
+            if let Some(refs) = self.key_refs.get_mut(k) {
+                *refs -= 1;
+                if *refs == 0 {
+                    self.key_refs.remove(k);
+                    self.union.remove(k);
+                }
+            }
+        }
+    }
+
+    /// Node `idx` contributes nothing from now on (until its next refresh).
+    fn uncount(&mut self, idx: usize) {
+        let node = self.slot(idx);
+        node.seen = None;
+        match std::mem::take(&mut node.counted) {
+            Counted::Nothing => {}
+            Counted::Tree => self.uncount_keys(&self.tree_keys(idx)),
+            Counted::Scanned(keys) => self.uncount_keys(&keys),
+        }
+    }
+
+    /// Node `idx` left the ring: its tree releases its memo references.
+    fn forget_tree(&mut self, idx: usize) {
+        if self.nodes[idx].tree.root.is_some() {
+            // A move to the empty tree fetches nothing.
+            let _ = self.advance(idx, empty_root(), 0, &mut |_| Err(NetError::Closed));
+        }
+    }
+
+    /// Node `idx`'s tree just moved by `delta`; it now contributes that
+    /// tree's keys.
+    fn count_tree(&mut self, idx: usize, delta: KeyDelta) {
+        if matches!(self.nodes[idx].counted, Counted::Tree) {
+            self.count_keys(&delta.added);
+            self.uncount_keys(&delta.removed);
+        } else {
+            self.uncount(idx);
+            self.count_keys(&self.tree_keys(idx));
+            self.nodes[idx].counted = Counted::Tree;
+        }
+    }
+
+    /// Node `idx` now contributes the keys a fallback scan returned.
+    fn count_scanned(&mut self, idx: usize, keys: Vec<ObjectKey>) {
+        self.uncount(idx);
+        self.count_keys(&keys);
+        self.nodes[idx].counted = Counted::Scanned(keys);
+    }
+
+    /// The keys node `idx` contributes, if any.
+    fn counted_keys(&self, idx: usize) -> Option<Vec<ObjectKey>> {
+        match &self.nodes.get(idx)?.counted {
+            Counted::Nothing => None,
+            Counted::Tree => Some(self.tree_keys(idx)),
+            Counted::Scanned(keys) => Some(keys.clone()),
+        }
+    }
 }
 
 impl ClusterTransport {
@@ -65,23 +438,9 @@ impl ClusterTransport {
         out
     }
 
-    /// The key set under `hash` on node `idx`, descending only into
-    /// subtrees the memo hasn't resolved. Every fetched node is verified
-    /// by re-digesting its bytes against the requested hash.
-    fn keys_under(
-        &mut self,
-        idx: usize,
-        hash: &[u8; 32],
-        memo: &mut HashMap<[u8; 32], Vec<ObjectKey>>,
-        depth: usize,
-    ) -> Result<Vec<ObjectKey>, NetError> {
-        if depth > MAX_PROOF_DEPTH {
-            return Err(NetError::Codec("index descent too deep"));
-        }
-        if let Some(keys) = memo.get(hash) {
-            sync_metrics().memo_hits.inc();
-            return Ok(keys.clone());
-        }
+    /// One index node from node `idx`, verified by re-digesting its bytes
+    /// against the requested hash.
+    fn fetch_node(&mut self, idx: usize, hash: &[u8; 32]) -> Result<IndexNode, NetError> {
         let bytes = match self.node_call(idx, &Request::IndexNode { hash: *hash })? {
             Response::IndexNode { node: Some(bytes) } => bytes,
             Response::IndexNode { node: None } => {
@@ -93,51 +452,53 @@ impl ClusterTransport {
             return Err(NetError::Codec("index node bytes do not match their hash"));
         }
         sync_metrics().nodes_fetched.inc();
-        let keys = match decode_node(&bytes).map_err(|_| NetError::Codec("malformed index node"))? {
-            IndexNode::Leaf(keys) => keys,
-            IndexNode::Internal(entries) => {
-                let mut keys = Vec::new();
-                for (_, child) in &entries {
-                    keys.extend(self.keys_under(idx, child, memo, depth + 1)?);
+        decode_node(&bytes).map_err(|_| NetError::Codec("malformed index node"))
+    }
+
+    /// Brings node `idx`'s contribution to the union up to the `root` it
+    /// just reported: the indexed descent when it works, else a `Scan` of
+    /// `page` keys per call, else nothing — then the scan's error.
+    fn refresh_node(
+        &mut self,
+        idx: usize,
+        root: [u8; 32],
+        count: u64,
+        page: u32,
+    ) -> Result<(), NetError> {
+        if self.sync.slot(idx).seen == Some(root) {
+            return Ok(());
+        }
+        // The descent needs `&mut self` for RPCs, so take the sync state
+        // out for the walk and put it back unconditionally.
+        let mut sync = std::mem::take(&mut self.sync);
+        let walked = sync.advance(idx, root, count, &mut |h| self.fetch_node(idx, h));
+        self.sync = sync;
+        match walked {
+            Ok(delta) => self.sync.count_tree(idx, delta),
+            Err(_) => {
+                sync_metrics().fallbacks.inc();
+                match self.scan_node(idx, page) {
+                    Ok(keys) => self.sync.count_scanned(idx, keys),
+                    Err(e) => {
+                        self.sync.uncount(idx);
+                        return Err(e);
+                    }
                 }
-                keys
             }
-        };
-        memo.insert(*hash, keys.clone());
-        Ok(keys)
+        }
+        self.sync.slot(idx).seen = Some(root);
+        Ok(())
     }
 
-    /// Full key set of node `idx` via its authenticated index: one `Root`
-    /// RPC plus fetches only for subtrees the memo hasn't seen.
-    pub(crate) fn node_keys_indexed(&mut self, idx: usize) -> Result<Vec<ObjectKey>, NetError> {
-        let (root, count) = self.node_root(idx)?;
-        if root == empty_root() {
-            return if count == 0 {
-                Ok(Vec::new())
-            } else {
-                Err(NetError::Codec("empty root with nonzero key count"))
-            };
-        }
-        // The memo lives on `self` but the descent needs `&mut self` for
-        // RPCs, so take it out for the walk and put it back unconditionally.
-        let mut memo = std::mem::take(&mut self.node_memo);
-        let walked = self.keys_under(idx, &root, &mut memo, 0);
-        self.node_memo = memo;
-        let keys = walked?;
-        if keys.len() as u64 != count {
-            // A mutation between the Root fetch and the descent (or a node
-            // misreporting its count): treat the walk as unusable.
-            return Err(NetError::Codec("index key count mismatch"));
-        }
-        Ok(keys)
-    }
-
-    /// Full key set of node `idx`, preferring the O(log n + Δ) indexed walk
-    /// and falling back to legacy `Scan` streaming when the index path
-    /// fails.
+    /// Full key set of node `idx`: its refreshed contribution to the union
+    /// (indexed descent, or the `Scan` fallback), or a plain scan when the
+    /// node does not answer `Root`.
     pub(crate) fn node_keys(&mut self, idx: usize, page: u32) -> Result<Vec<ObjectKey>, NetError> {
-        match self.node_keys_indexed(idx) {
-            Ok(keys) => Ok(keys),
+        match self.node_root(idx) {
+            Ok((root, count)) => {
+                self.refresh_node(idx, root, count, page)?;
+                self.sync.counted_keys(idx).ok_or(NetError::Codec("node contributes no keys"))
+            }
             Err(_) => {
                 sync_metrics().fallbacks.inc();
                 self.scan_node(idx, page)
@@ -145,36 +506,42 @@ impl ClusterTransport {
         }
     }
 
-    /// The union index over every reachable node's keyspace, rebuilt only
-    /// when some node's root moved since the last build. Nodes that fail
-    /// both the index walk and the scan fallback contribute nothing this
-    /// round (same visibility rule as the merged `Scan`).
+    /// The union index over every reachable node's keyspace, brought up to
+    /// date with one `Root` per active node plus a refresh of each node
+    /// whose root moved. Nodes that do not answer, or fail both the index
+    /// walk and the scan fallback, contribute nothing this round (same
+    /// visibility rule as the merged `Scan`).
     pub(crate) fn union_index(&mut self) -> Result<&mut MerkleIndex, NetError> {
-        let active = self.active_indices();
-        if active.is_empty() {
+        if self.active_indices().is_empty() {
             return Err(Self::no_nodes_err());
         }
-        let mut fingerprint: crate::transport::RootFingerprint = Vec::new();
-        for idx in &active {
-            if let Ok((root, _)) = self.node_root(*idx) {
-                fingerprint.push((*idx, root));
+        let mut answered = false;
+        let mut moved = false;
+        for idx in 0..self.node_count() {
+            let seen = self.sync.slot(idx).seen;
+            let reported = if self.is_active(idx) { self.node_root(idx).ok() } else { None };
+            match reported {
+                Some((root, count)) => {
+                    answered = true;
+                    // A node both paths fail on contributes nothing.
+                    let _ = self.refresh_node(idx, root, count, FALLBACK_SCAN_PAGE);
+                }
+                None => {
+                    self.sync.uncount(idx);
+                    if !self.is_active(idx) {
+                        self.sync.forget_tree(idx);
+                    }
+                }
             }
+            moved |= self.sync.slot(idx).seen != seen;
         }
-        if fingerprint.is_empty() {
+        if !answered {
             return Err(Self::no_nodes_err());
         }
-        if self.union.as_ref().is_some_and(|(fp, _)| *fp == fingerprint) {
-            return Ok(&mut self.union.as_mut().expect("just checked").1);
+        if moved {
+            sync_metrics().union_updates.inc();
         }
-        let mut keys: BTreeSet<ObjectKey> = BTreeSet::new();
-        for (idx, _) in &fingerprint {
-            if let Ok(node_keys) = self.node_keys(*idx, FALLBACK_SCAN_PAGE) {
-                keys.extend(node_keys);
-            }
-        }
-        sync_metrics().union_rebuilds.inc();
-        self.union = Some((fingerprint, MerkleIndex::from_keys(keys)));
-        Ok(&mut self.union.as_mut().expect("just built").1)
+        Ok(&mut self.sync.union)
     }
 
     /// `Request::Root` over the cluster: the union index's commitment.
@@ -204,5 +571,69 @@ impl ClusterTransport {
             root: page.root,
             proof: page.proof,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ClusterOpts;
+    use sharoes_net::{InMemoryTransport, RequestHandler, Transport};
+    use sharoes_ssp::{ObjectStore, SspServer};
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    /// Every node hash of `store`'s current index tree.
+    fn tree_nodes(store: &ObjectStore, out: &mut HashSet<[u8; 32]>) {
+        let (root, _) = store.index_root();
+        let mut stack = vec![root];
+        while let Some(hash) = stack.pop() {
+            let Some(bytes) = store.index_node_bytes(&hash) else { continue };
+            out.insert(hash);
+            if let IndexNode::Internal(entries) = decode_node(&bytes).unwrap() {
+                stack.extend(entries.iter().map(|(_, h)| *h));
+            }
+        }
+    }
+
+    #[test]
+    fn memo_holds_only_the_nodes_of_the_current_trees() {
+        let mut cluster = ClusterTransport::new(ClusterOpts::default());
+        let mut stores = Vec::new();
+        for name in ["a", "b", "c"] {
+            let store = Arc::new(ObjectStore::new());
+            let server: Arc<dyn RequestHandler> =
+                Arc::new(SspServer::with_store(Arc::clone(&store)));
+            cluster.add_node(name, Box::new(InMemoryTransport::new(server)));
+            stores.push(store);
+        }
+        let key = |i: u64| ObjectKey::data(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), [0; 16], 0);
+        let items = (0..2000).map(|i| (key(i), vec![1])).collect();
+        cluster.call(&Request::PutMany { items }).unwrap();
+        for round in 0..50u64 {
+            // Mutate, then scan: every round moves every node's root.
+            for i in 0..40 {
+                let id = 2000 + round * 40 + i;
+                cluster.call(&Request::Put { key: key(id), value: vec![2] }).unwrap();
+                cluster.call(&Request::Delete { key: key(id - 2000) }).unwrap();
+            }
+            let page = cluster.call(&Request::ScanVerified { after: None, limit: 16 }).unwrap();
+            assert!(matches!(page, Response::KeysProof { .. }));
+        }
+        let bound = |stores: &[Arc<ObjectStore>]| {
+            let mut current = HashSet::new();
+            for store in stores {
+                tree_nodes(store, &mut current);
+            }
+            current.len()
+        };
+        let held = cluster.sync.memo_len();
+        assert!(held > 0);
+        assert!(held <= bound(&stores), "memo holds {held} nodes, more than the current trees");
+        // A retired node's tree leaves the memo with it.
+        assert!(cluster.retire_node("c"));
+        cluster.call(&Request::Root).unwrap();
+        let held = cluster.sync.memo_len();
+        assert!(held <= bound(&stores[..2]), "memo holds {held} nodes after a retirement");
     }
 }

@@ -21,11 +21,11 @@
 //! state (see DESIGN.md §8 for the full invariant).
 
 use crate::ring::HashRing;
-use sharoes_index::MerkleIndex;
+use crate::sync::IndexSync;
 use sharoes_net::{
     CostMeter, NetError, ObjectKey, Request, Response, Transport, TRANSIENT_ERROR_PREFIX,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -120,10 +120,6 @@ struct Node {
     retired: bool,
 }
 
-/// The per-node root fingerprint a cached union index was built from:
-/// one `(node_index, index_root)` pair per active node, in node order.
-pub(crate) type RootFingerprint = Vec<(usize, [u8; 32])>;
-
 /// The blob protocol fanned out over a ring of SSP nodes.
 pub struct ClusterTransport {
     opts: ClusterOpts,
@@ -131,15 +127,10 @@ pub struct ClusterTransport {
     nodes: Vec<Node>,
     meter: Arc<CostMeter>,
     stats: Arc<ClusterStats>,
-    /// Content-addressed cache of fetched index nodes → the key set under
-    /// them. Safe to keep forever: entries are verified against their hash
-    /// before insertion, and a hash pins its content. Subtrees shared
-    /// across replicas (or unchanged across rounds) cost zero RPCs.
-    pub(crate) node_memo: HashMap<[u8; 32], Vec<ObjectKey>>,
-    /// Cached union index over all active nodes' keyspaces, tagged with
-    /// the per-node root fingerprint it was built from; rebuilt only when
-    /// some node's root moves (see `sync.rs`).
-    pub(crate) union: Option<(RootFingerprint, MerkleIndex)>,
+    /// Every node's last verified index tree, the memo of decoded index
+    /// nodes they reach, and the union index maintained from their key
+    /// deltas (see `sync.rs`).
+    pub(crate) sync: IndexSync,
 }
 
 impl ClusterTransport {
@@ -159,8 +150,7 @@ impl ClusterTransport {
             nodes: Vec::new(),
             meter,
             stats: Arc::new(ClusterStats::default()),
-            node_memo: HashMap::new(),
-            union: None,
+            sync: IndexSync::default(),
         }
     }
 

@@ -78,9 +78,9 @@ fn is_leaf_boundary(key: &ObjectKey) -> bool {
 
 /// True when a child with this hash starts a new internal node.
 fn is_node_boundary(hash: &[u8; 32]) -> bool {
-    let mut buf = Vec::with_capacity(NODE_BOUNDARY_SALT.len() + 32);
-    buf.extend_from_slice(NODE_BOUNDARY_SALT);
-    buf.extend_from_slice(hash);
+    let mut buf = [0u8; NODE_BOUNDARY_SALT.len() + 32];
+    buf[..NODE_BOUNDARY_SALT.len()].copy_from_slice(NODE_BOUNDARY_SALT);
+    buf[NODE_BOUNDARY_SALT.len()..].copy_from_slice(hash);
     let d = Sha256::digest(&buf);
     u16::from_be_bytes([d[0], d[1]]) < BOUNDARY_THRESHOLD
 }
@@ -101,17 +101,34 @@ pub enum IndexNode {
 
 /// Canonical node encoding (also the node-hash preimage).
 pub fn encode_node(node: &IndexNode) -> Vec<u8> {
-    let mut out = Vec::new();
     match node {
-        IndexNode::Leaf(keys) => {
-            LEAF_TAG.write(&mut out);
-            keys.write(&mut out);
-        }
-        IndexNode::Internal(entries) => {
-            INTERNAL_TAG.write(&mut out);
-            entries.write(&mut out);
-        }
+        IndexNode::Leaf(keys) => encode_leaf(keys),
+        IndexNode::Internal(entries) => encode_internal(entries.iter().map(|(k, h)| (k, h))),
     }
+}
+
+/// The encoding of `IndexNode::Leaf(keys)`, without owning the keys.
+fn encode_leaf(keys: &[ObjectKey]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(5 + 29 * keys.len());
+    LEAF_TAG.write(&mut out);
+    (keys.len() as u32).write(&mut out);
+    ObjectKey::write_all(keys, &mut out);
+    out
+}
+
+/// The encoding of `IndexNode::Internal(entries)`, straight off an entry
+/// iterator (a range of the level below, in the tree).
+fn encode_internal<'a>(entries: impl Iterator<Item = (&'a ObjectKey, &'a [u8; 32])>) -> Vec<u8> {
+    let mut out = Vec::new();
+    INTERNAL_TAG.write(&mut out);
+    0u32.write(&mut out); // the entry count, patched in once counted
+    let mut n = 0u32;
+    for entry in entries {
+        entry.0.write(&mut out);
+        entry.1.write(&mut out);
+        n += 1;
+    }
+    out[1..5].copy_from_slice(&n.to_wire());
     out
 }
 

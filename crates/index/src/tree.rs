@@ -1,11 +1,24 @@
 //! The incrementally maintained Merkle search tree.
+//!
+//! Every level is an ordered map from a node's first key to its hash:
+//! `levels[0]` caches each leaf's hash, and the children of a node at level
+//! `l ≥ 1` are the level-`l-1` entries from its key up to its next
+//! sibling's. A mutation edits one or two leaf runs and marks them dirty —
+//! O(log n), no hashing beyond the key's own boundary digest. The next read
+//! ([`MerkleIndex::root`], [`MerkleIndex::prove_scan`],
+//! [`MerkleIndex::node_bytes`]) settles the dirty set: it re-hashes the
+//! dirty leaves, then at each level re-draws the chunk boundaries only at
+//! the entries that changed and re-hashes only the parents covering them.
+//! Because a boundary is a pure function of one entry's hash, this lands
+//! on exactly the tree a from-scratch build would (history independence),
+//! at O(Δ · fanout · height) for Δ dirty leaves.
 
 use crate::proof::{encode_proof, ProofChild, ProofTree};
-use crate::{decode_node, empty_root, encode_node, is_leaf_boundary, is_node_boundary, IndexNode};
+use crate::{empty_root, encode_internal, encode_leaf, is_leaf_boundary, is_node_boundary};
 use sharoes_crypto::Sha256;
 use sharoes_net::ObjectKey;
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Range;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::sync::OnceLock;
 
 fn cache_hits() -> &'static sharoes_obs::Counter {
@@ -28,28 +41,11 @@ fn proof_bytes() -> &'static sharoes_obs::Histogram {
     H.get_or_init(|| sharoes_obs::histogram_bytes("index_proof_bytes"))
 }
 
-/// One node of the cached level structure.
-#[derive(Clone)]
-struct BuiltNode {
-    /// Smallest key anywhere under this node.
-    first_key: ObjectKey,
-    /// Content hash (digest of the canonical encoding).
-    hash: [u8; 32],
-    /// Children, as an index range into the level below (empty at level 0).
-    children: Range<usize>,
-    /// Leaf-index span `[lo, hi)` this node covers.
-    span: (usize, usize),
-}
+/// One level of the tree: each node's first key → its hash.
+type Level = BTreeMap<ObjectKey, [u8; 32]>;
 
-/// The cached upper levels: rebuilt lazily after mutations.
-struct Built {
-    root: [u8; 32],
-    /// `levels[0]` are the leaves in key order; the last level is the
-    /// single root node. Empty when the tree is empty.
-    levels: Vec<Vec<BuiltNode>>,
-    /// Canonical encoding of every node, by hash (serves `IndexNode` RPCs).
-    nodes: HashMap<[u8; 32], Vec<u8>>,
-}
+/// Where a node sits: `(level, first key)`.
+type NodePos = (usize, ObjectKey);
 
 /// One verified scan page: keys, completion flag, and the Merkle range
 /// proof tying them to `root`.
@@ -68,11 +64,12 @@ pub struct VerifiedPage {
 /// A deterministic, history-independent Merkle search tree over
 /// [`ObjectKey`]s.
 ///
-/// Leaves are maintained incrementally on every [`insert`]/[`remove`] (a
-/// mutation touches at most two leaves); the upper Merkle levels are
-/// invalidated by mutations and rebuilt lazily on the next [`root`],
-/// [`node_bytes`], or [`prove_scan`] call — O(#leaves), amortized across
-/// read bursts via the node cache.
+/// [`insert`]/[`remove`] edit the leaf runs in O(log n) and mark the
+/// touched leaves dirty. The next [`root`], [`node_bytes`], or
+/// [`prove_scan`] re-hashes the dirty leaves and re-chunks only their
+/// ancestors: O(Δ · fanout · height) for Δ dirty leaves.
+/// Nodes are not kept encoded; a hash → position map finds a node and
+/// [`node_bytes`] encodes it on request.
 ///
 /// [`insert`]: MerkleIndex::insert
 /// [`remove`]: MerkleIndex::remove
@@ -84,7 +81,19 @@ pub struct MerkleIndex {
     /// Leaf runs keyed by their first (smallest) key.
     leaves: BTreeMap<ObjectKey, Vec<ObjectKey>>,
     count: u64,
-    built: Option<Built>,
+    /// `levels[0]` holds the leaf hashes; the last level holds just the
+    /// root. Current for every leaf not in `dirty`.
+    levels: Vec<Level>,
+    /// Every node's hash → its position in `levels`.
+    nodes: HashMap<[u8; 32], NodePos>,
+    /// First keys of leaf runs added, removed, or edited since the last
+    /// settle.
+    dirty: BTreeSet<ObjectKey>,
+    /// False from construction or a mutation until the next settle.
+    settled: bool,
+    /// True when the top level is a collapsed root (see [`Self::settle`])
+    /// rather than the natural chunking of the level below.
+    collapsed: bool,
 }
 
 impl MerkleIndex {
@@ -97,7 +106,7 @@ impl MerkleIndex {
     ///
     /// This is the from-scratch constructor recovery paths use; by history
     /// independence it yields exactly the tree incremental maintenance
-    /// would have.
+    /// would have. The first read settles every leaf.
     pub fn from_keys<I: IntoIterator<Item = ObjectKey>>(keys: I) -> Self {
         let mut sorted: Vec<ObjectKey> = keys.into_iter().collect();
         sorted.sort_unstable();
@@ -114,7 +123,8 @@ impl MerkleIndex {
         if !run.is_empty() {
             leaves.insert(run[0], run);
         }
-        MerkleIndex { leaves, count, built: None }
+        let dirty = leaves.keys().copied().collect();
+        MerkleIndex { leaves, count, dirty, ..MerkleIndex::default() }
     }
 
     /// Number of indexed keys.
@@ -136,8 +146,8 @@ impl MerkleIndex {
                 match keys.binary_search(&key) {
                     Ok(_) => return false,
                     Err(pos) => {
-                        self.built = None;
                         self.count += 1;
+                        self.dirty.insert(fk);
                         if is_leaf_boundary(&key) {
                             // The key starts a leaf: split the covering run.
                             // `pos >= 1` since the run's first key is < key.
@@ -146,6 +156,7 @@ impl MerkleIndex {
                             leaf.push(key);
                             leaf.extend(tail);
                             self.leaves.insert(key, leaf);
+                            self.mark(key);
                         } else {
                             keys.insert(pos, key);
                         }
@@ -156,7 +167,6 @@ impl MerkleIndex {
                 // New global minimum (or empty tree): the smallest key
                 // starts the first leaf whether or not it is a natural
                 // boundary.
-                self.built = None;
                 self.count += 1;
                 let mut leaf = vec![key];
                 if let Some(first) = self.leaves.keys().next().copied() {
@@ -164,11 +174,14 @@ impl MerkleIndex {
                     // preceded it; a non-boundary first key now merges in.
                     if !is_leaf_boundary(&first) {
                         leaf.extend(self.leaves.remove(&first).expect("first leaf exists"));
+                        self.mark(first);
                     }
                 }
                 self.leaves.insert(key, leaf);
+                self.mark(key);
             }
         }
+        self.settled = false;
         true
     }
 
@@ -181,7 +194,7 @@ impl MerkleIndex {
         let Ok(pos) = keys.binary_search(key) else {
             return false;
         };
-        self.built = None;
+        self.settled = false;
         self.count -= 1;
         keys.remove(pos);
         if keys.is_empty() {
@@ -195,13 +208,29 @@ impl MerkleIndex {
             match self.leaves.range(..nf).next_back().map(|(fk, _)| *fk) {
                 Some(pk) if !is_leaf_boundary(&nf) => {
                     self.leaves.get_mut(&pk).expect("predecessor exists").extend(leaf);
+                    self.mark(pk);
                 }
                 _ => {
                     self.leaves.insert(nf, leaf);
+                    self.mark(nf);
                 }
             }
         }
+        self.mark(fk);
         true
+    }
+
+    /// Records that the leaf run at `fk` appeared, changed, or vanished. A
+    /// run that appeared and vanished since the last settle has nothing to
+    /// undo and is dropped from the dirty set, which so never outgrows the
+    /// settled and current leaves, however long the tree goes unread.
+    fn mark(&mut self, fk: ObjectKey) {
+        let settled = self.levels.first().is_some_and(|l| l.contains_key(&fk));
+        if settled || self.leaves.contains_key(&fk) {
+            self.dirty.insert(fk);
+        } else {
+            self.dirty.remove(&fk);
+        }
     }
 
     /// One scan page straight off the ordered leaves: keys strictly after
@@ -232,13 +261,22 @@ impl MerkleIndex {
 
     /// The current root hash (empty-tree sentinel when no keys).
     pub fn root(&mut self) -> [u8; 32] {
-        self.built().root
+        self.settle();
+        self.top()
     }
 
     /// The canonical encoding of the node with this hash, if it exists in
-    /// the current tree (serves the `IndexNode` wire op).
+    /// the current tree (serves the `IndexNode` wire op). Encoded on
+    /// request from the leaf run or the child range it names.
     pub fn node_bytes(&mut self, hash: &[u8; 32]) -> Option<Vec<u8>> {
-        self.built().nodes.get(hash).cloned()
+        self.settle();
+        let &(level, fk) = self.nodes.get(hash)?;
+        Some(if level == 0 {
+            encode_leaf(&self.leaves[&fk])
+        } else {
+            let end = self.levels[level].range((Excluded(fk), Unbounded)).next().map(|(k, _)| *k);
+            encode_internal(children(&self.levels[level - 1], fk, end))
+        })
     }
 
     /// A scan page plus the Merkle range proof tying it to the current
@@ -246,30 +284,29 @@ impl MerkleIndex {
     pub fn prove_scan(&mut self, after: Option<&ObjectKey>, limit: u32) -> VerifiedPage {
         let limit = limit.max(1) as usize;
         let (page, done) = self.scan_page(after, limit);
-        let built = self.built();
-        let tree = if built.levels.is_empty() {
-            ProofTree::Empty
-        } else {
-            let leaves = &built.levels[0];
-            // Reveal from the last leaf whose first key <= after (the
-            // cursor's covering leaf — so the verifier can check nothing
-            // between cursor and page start was hidden) through the leaf
-            // holding the last page key.
-            let lo = match after {
-                Some(a) => leaves.partition_point(|n| n.first_key <= *a).saturating_sub(1),
-                None => 0,
-            };
-            let hi = match page.last() {
-                Some(e) => leaves.partition_point(|n| n.first_key <= *e).saturating_sub(1),
-                None => lo,
-            };
-            let top = built.levels.len() - 1;
-            make_subtree(built, top, 0, lo, hi)
+        self.settle();
+        let root = self.top();
+        let tree = match self.leaves.keys().next() {
+            None => ProofTree::Empty,
+            Some(first) => {
+                // Reveal from the last leaf whose first key <= after (the
+                // cursor's covering leaf — so the verifier can check nothing
+                // between cursor and page start was hidden) through the leaf
+                // holding the last page key.
+                let covering = |k: &ObjectKey| {
+                    self.leaves.range(..=*k).next_back().map_or(*first, |(fk, _)| *fk)
+                };
+                let lo = after.map_or(*first, covering);
+                let hi = page.last().map_or(lo, covering);
+                let top = self.levels.len() - 1;
+                let root_key = *self.levels[top].keys().next().expect("non-empty top level");
+                self.subtree(top, root_key, None, lo, hi)
+            }
         };
         let proof = encode_proof(&tree);
         proofs_total().inc();
         proof_bytes().observe(proof.len() as u64);
-        VerifiedPage { keys: page, done, root: built.root, proof }
+        VerifiedPage { keys: page, done, root, proof }
     }
 
     /// Debug/test oracle: every indexed key, in order, via a full walk.
@@ -277,96 +314,152 @@ impl MerkleIndex {
         self.leaves.values().flatten().copied().collect()
     }
 
-    fn built(&mut self) -> &Built {
-        if self.built.is_none() {
-            cache_misses().inc();
-            self.built = Some(self.rebuild());
-        } else {
-            cache_hits().inc();
-        }
-        self.built.as_ref().expect("just built")
+    /// The top level's single hash; call only when settled.
+    fn top(&self) -> [u8; 32] {
+        self.levels.last().and_then(|l| l.values().next()).copied().unwrap_or_else(empty_root)
     }
 
-    /// Rebuilds the Merkle levels bottom-up from the current leaves.
-    fn rebuild(&self) -> Built {
-        let mut nodes = HashMap::new();
-        let mut cur: Vec<BuiltNode> = self
-            .leaves
-            .iter()
-            .enumerate()
-            .map(|(i, (fk, keys))| {
-                let enc = encode_node(&IndexNode::Leaf(keys.clone()));
-                let hash = Sha256::digest(&enc);
-                nodes.insert(hash, enc);
-                BuiltNode { first_key: *fk, hash, children: 0..0, span: (i, i + 1) }
-            })
-            .collect();
-        if cur.is_empty() {
-            return Built { root: empty_root(), levels: Vec::new(), nodes };
+    /// Brings `levels` and `nodes` up to date with the leaves.
+    ///
+    /// Re-hashes the dirty leaves, then climbs: at each level, re-draws
+    /// the chunk boundaries at the changed entries and re-hashes the
+    /// parents covering them ([`Self::rechunk`]), stopping as soon as no
+    /// entry changed. A level of one node is the root. A level whose
+    /// natural chunking would not shrink (every child drew a boundary)
+    /// collapses into one root node over the whole level — a pure function
+    /// of the child hashes, so history independence holds; the next settle
+    /// re-derives that top level from scratch.
+    fn settle(&mut self) {
+        if self.settled {
+            cache_hits().inc();
+            return;
         }
-        let mut levels = Vec::new();
-        while cur.len() > 1 {
-            let mut next = Vec::new();
-            let mut start = 0usize;
-            for i in 1..=cur.len() {
-                if i == cur.len() || is_node_boundary(&cur[i].hash) {
-                    next.push(make_internal(&mut nodes, &cur, start..i));
-                    start = i;
+        cache_misses().inc();
+        self.settled = true;
+        if self.levels.is_empty() {
+            self.levels.push(Level::new());
+        }
+        let mut touched = std::mem::take(&mut self.dirty);
+        for fk in &touched {
+            let hash = self.leaves.get(fk).map(|keys| Sha256::digest(&encode_leaf(keys)));
+            set_entry(&mut self.nodes, &mut self.levels[0], 0, *fk, hash);
+        }
+        let mut level = 0;
+        while !touched.is_empty() {
+            let len = self.levels[level].len();
+            if len <= 1 {
+                self.truncate(level + 1);
+                break;
+            }
+            let above_is_collapsed = self.collapsed && level + 2 == self.levels.len();
+            if level + 1 == self.levels.len() || above_is_collapsed {
+                // No natural level above yet: derive it from every entry.
+                self.truncate(level + 1);
+                self.levels.push(Level::new());
+                touched = self.levels[level].keys().copied().collect();
+            }
+            touched = self.rechunk(level, &touched);
+            if self.levels[level + 1].len() == len {
+                self.truncate(level + 1);
+                let below = &self.levels[level];
+                let first = *below.keys().next().expect("level has entries");
+                let hash = Sha256::digest(&encode_internal(below.iter()));
+                let mut top = Level::new();
+                set_entry(&mut self.nodes, &mut top, level + 1, first, Some(hash));
+                self.levels.push(top);
+                self.collapsed = true;
+                break;
+            }
+            level += 1;
+        }
+    }
+
+    /// Re-chunks level `level + 1` after the level-`level` entries in
+    /// `touched` were added, removed, or re-hashed. Returns the level
+    /// `level + 1` entries that were added, removed, or changed hash.
+    fn rechunk(&mut self, level: usize, touched: &BTreeSet<ObjectKey>) -> BTreeSet<ObjectKey> {
+        let (lower, upper) = self.levels.split_at_mut(level + 1);
+        let (below, above) = (&lower[level], &mut upper[0]);
+        let nodes = &mut self.nodes;
+        let first = *below.keys().next().expect("level has entries");
+        // The first entry always starts a node, so when the first entry
+        // changes both the old and the new one must be re-drawn.
+        let old_first = above.keys().next().copied().filter(|f| *f != first);
+        let redraw = old_first.into_iter().chain(old_first.map(|_| first));
+        let mut parents = BTreeSet::new();
+        let mut changed = BTreeSet::new();
+        for t in touched.iter().copied().chain(redraw) {
+            let starts = below.get(&t).is_some_and(|h| t == first || is_node_boundary(h));
+            if starts != above.contains_key(&t) {
+                if starts {
+                    above.insert(t, [0; 32]);
+                    parents.insert(t);
+                } else {
+                    set_entry(nodes, above, level + 1, t, None);
+                }
+                changed.insert(t);
+                // The preceding node gained or lost this run of children.
+                if let Some((p, _)) = above.range(..t).next_back() {
+                    parents.insert(*p);
                 }
             }
-            if next.len() == cur.len() {
-                // Every child drew a boundary — no merge progress. Collapse
-                // the level into a single parent; still a pure function of
-                // the child hashes, so history independence holds.
-                next = vec![make_internal(&mut nodes, &cur, 0..cur.len())];
+            if let Some((p, _)) = above.range(..=t).next_back() {
+                parents.insert(*p);
             }
-            levels.push(std::mem::replace(&mut cur, next));
         }
-        let root = cur[0].hash;
-        levels.push(cur);
-        Built { root, levels, nodes }
-    }
-}
-
-fn make_internal(
-    nodes: &mut HashMap<[u8; 32], Vec<u8>>,
-    prev: &[BuiltNode],
-    r: Range<usize>,
-) -> BuiltNode {
-    let entries: Vec<(ObjectKey, [u8; 32])> =
-        prev[r.clone()].iter().map(|n| (n.first_key, n.hash)).collect();
-    let enc = encode_node(&IndexNode::Internal(entries));
-    let hash = Sha256::digest(&enc);
-    nodes.insert(hash, enc);
-    BuiltNode {
-        first_key: prev[r.start].first_key,
-        hash,
-        children: r.clone(),
-        span: (prev[r.start].span.0, prev[r.end - 1].span.1),
-    }
-}
-
-/// Builds the proof subtree for one node: leaves in `[lo, hi]` (inclusive
-/// leaf indexes) are revealed, disjoint subtrees are pruned to
-/// `(first_key, hash)` stubs.
-fn make_subtree(built: &Built, level: usize, idx: usize, lo: usize, hi: usize) -> ProofTree {
-    let node = &built.levels[level][idx];
-    if level == 0 {
-        let enc = built.nodes.get(&node.hash).expect("leaf node encoded");
-        match decode_node(enc).expect("own leaf encoding valid") {
-            IndexNode::Leaf(keys) => ProofTree::Leaf(keys),
-            IndexNode::Internal(_) => unreachable!("level 0 is leaves"),
+        for p in parents {
+            if !above.contains_key(&p) {
+                continue; // this start was dropped after being marked
+            }
+            let end = above.range((Excluded(p), Unbounded)).next().map(|(k, _)| *k);
+            let hash = Sha256::digest(&encode_internal(children(below, p, end)));
+            if above.get(&p) != Some(&hash) {
+                set_entry(nodes, above, level + 1, p, Some(hash));
+                changed.insert(p);
+            }
         }
-    } else {
-        let children = node
-            .children
-            .clone()
-            .map(|ci| {
-                let c = &built.levels[level - 1][ci];
-                if c.span.1 <= lo || c.span.0 > hi {
-                    ProofChild::Omitted { first_key: c.first_key, hash: c.hash }
+        changed
+    }
+
+    /// Drops every level from `keep` up, with their hashes.
+    fn truncate(&mut self, keep: usize) {
+        for (level, dropped) in self.levels.iter().enumerate().skip(keep) {
+            for (fk, hash) in dropped {
+                if self.nodes.get(hash) == Some(&(level, *fk)) {
+                    self.nodes.remove(hash);
+                }
+            }
+        }
+        self.levels.truncate(keep);
+        self.collapsed = false;
+    }
+
+    /// Builds the proof subtree for the node at `(level, fk)`, whose
+    /// children end before `end`: leaves whose first keys lie in
+    /// `[lo, hi]` are revealed, disjoint subtrees are pruned to
+    /// `(first_key, hash)` stubs.
+    fn subtree(
+        &self,
+        level: usize,
+        fk: ObjectKey,
+        end: Option<ObjectKey>,
+        lo: ObjectKey,
+        hi: ObjectKey,
+    ) -> ProofTree {
+        if level == 0 {
+            return ProofTree::Leaf(self.leaves[&fk].clone());
+        }
+        let kids: Vec<(&ObjectKey, &[u8; 32])> =
+            children(&self.levels[level - 1], fk, end).collect();
+        let children = kids
+            .iter()
+            .enumerate()
+            .map(|(i, (cfk, hash))| {
+                let cend = kids.get(i + 1).map(|(k, _)| **k).or(end);
+                if cend.is_some_and(|e| e <= lo) || **cfk > hi {
+                    ProofChild::Omitted { first_key: **cfk, hash: **hash }
                 } else {
-                    ProofChild::Tree(make_subtree(built, level - 1, ci, lo, hi))
+                    ProofChild::Tree(self.subtree(level - 1, **cfk, cend, lo, hi))
                 }
             })
             .collect();
@@ -374,11 +467,46 @@ fn make_subtree(built: &Built, level: usize, idx: usize, lo: usize, hi: usize) -
     }
 }
 
+/// The entries of `level` from `from` up to (excluding) `end`: the children
+/// of the node one level up that starts at `from`.
+fn children(
+    level: &Level,
+    from: ObjectKey,
+    end: Option<ObjectKey>,
+) -> impl Iterator<Item = (&ObjectKey, &[u8; 32])> {
+    let upper = end.map_or(Unbounded, Excluded);
+    level.range((Included(from), upper))
+}
+
+/// Sets (`Some`) or removes (`None`) the entry `key` of `map`, the level
+/// `level`, keeping the hash → position map in step.
+fn set_entry(
+    nodes: &mut HashMap<[u8; 32], NodePos>,
+    map: &mut Level,
+    level: usize,
+    key: ObjectKey,
+    hash: Option<[u8; 32]>,
+) {
+    let old = match hash {
+        Some(h) => map.insert(key, h),
+        None => map.remove(&key),
+    };
+    if let Some(old) = old {
+        if nodes.get(&old) == Some(&(level, key)) {
+            nodes.remove(&old);
+        }
+    }
+    if let Some(h) = hash {
+        nodes.insert(h, (level, key));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify_scan_page;
+    use crate::{decode_node, verify_scan_page, IndexNode};
     use sharoes_net::KeySpace;
+    use std::collections::BTreeSet;
 
     fn key(i: u64) -> ObjectKey {
         ObjectKey { space: KeySpace::Data, inode: i, view: [(i % 251) as u8; 16], block: 0 }
@@ -431,6 +559,63 @@ mod tests {
         let mut canon = MerkleIndex::from_keys(survivors.clone());
         assert_eq!(t.root(), canon.root());
         assert_eq!(t.all_keys(), survivors);
+    }
+
+    #[test]
+    fn small_trees_settle_to_the_canonical_root_through_every_top_shape() {
+        // Small trees put the rare cases at the top of the tree: a first
+        // entry that changes, and a collapsed root that must be re-derived.
+        // Each mutation is checked against a from-scratch rebuild.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut collapsed_settles, mut first_changes) = (0, 0);
+        for _ in 0..400 {
+            let mut live: BTreeSet<ObjectKey> =
+                (0..next() % 90).map(|_| key(next() % 400)).collect();
+            let mut t = MerkleIndex::from_keys(live.iter().copied());
+            t.root();
+            for _ in 0..12 {
+                let was_collapsed = t.collapsed;
+                let first = live.first().copied();
+                let k = match next() % 4 {
+                    0 => live.first().copied().unwrap_or(key(0)),
+                    1 => key(next() % 40),
+                    _ => key(next() % 400),
+                };
+                if live.contains(&k) {
+                    live.remove(&k);
+                    t.remove(&k);
+                } else {
+                    live.insert(k);
+                    t.insert(k);
+                }
+                let mut canon = MerkleIndex::from_keys(live.iter().copied());
+                assert_eq!(t.root(), canon.root());
+                collapsed_settles += was_collapsed as u32;
+                first_changes += (first != live.first().copied()) as u32;
+            }
+        }
+        assert!(collapsed_settles > 0 && first_changes > 0);
+    }
+
+    #[test]
+    fn unread_churn_keeps_the_dirty_set_bounded() {
+        // The SSP mutates without ever reading the root; leaf runs that come
+        // and go between settles must not pile up in the dirty set.
+        let mut t = MerkleIndex::from_keys((0..1000).map(key));
+        let settled = t.root();
+        for round in 0..20u64 {
+            let fresh = (0..500).map(|i| key(1000 + round * 500 + i));
+            fresh.clone().for_each(|k| assert!(t.insert(k)));
+            fresh.for_each(|k| assert!(t.remove(&k)));
+            assert!(t.dirty.len() <= t.levels[0].len() + t.leaves.len());
+        }
+        assert_eq!(t.root(), settled);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! root hash, incremental ≡ canonical maintenance, and the proof verifier
 //! rejecting every tampering class with a typed error.
 
-use sharoes_index::{empty_root, verify_scan_page, MerkleIndex, ProofError};
+use sharoes_index::{
+    decode_node, empty_root, verify_scan_page, IndexNode, MerkleIndex, ProofError,
+};
 use sharoes_net::{KeySpace, ObjectKey};
 use sharoes_testkit::prelude::*;
 use std::collections::BTreeSet;
@@ -204,5 +206,111 @@ prop! {
         let root = tree.root();
         let (page, done) = tree.scan_page(None, limit as usize);
         let _ = verify_scan_page(&root, None, limit, &page, done, &bytes);
+    }
+}
+
+/// One step of an interleaved history: a mutation or a read.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Insert(ObjectKey),
+    Remove(ObjectKey),
+    Root,
+    Prove(ObjectKey, u32),
+    NodeBytes(u32),
+}
+
+fn steps() -> Gen<Step> {
+    let key = keys();
+    Gen::from_fn(move |t| {
+        let k = key.sample(t)?;
+        Ok(match t.u32() % 7 {
+            0 | 1 => Step::Insert(k),
+            2 | 3 => Step::Remove(k),
+            4 => Step::Root,
+            5 => Step::Prove(k, 1 + t.u32() % 24),
+            _ => Step::NodeBytes(t.u32()),
+        })
+    })
+}
+
+/// Every node hash of `tree`, walked from the root through `node_bytes`.
+fn node_set(tree: &mut MerkleIndex) -> BTreeSet<[u8; 32]> {
+    let mut out = BTreeSet::new();
+    let mut stack = vec![tree.root()];
+    while let Some(hash) = stack.pop() {
+        let Some(bytes) = tree.node_bytes(&hash) else { continue };
+        out.insert(hash);
+        if let IndexNode::Internal(entries) = decode_node(&bytes).unwrap() {
+            stack.extend(entries.iter().map(|(_, h)| *h));
+        }
+    }
+    out
+}
+
+prop! {
+    #![cases(64)]
+
+    // Reads interleaved with inserts and removes see exactly the canonical
+    // tree: after every `root`, `prove_scan` or `node_bytes`, the root is
+    // the from-scratch root, every honest page verifies, and `node_bytes`
+    // serves exactly the canonical tree's nodes — every hash the tree ever
+    // had but no longer has answers `None`.
+    fn interleaved_reads_see_the_canonical_tree(
+        initial in gen::vecs(keys(), 0..300),
+        history in gen::vecs(steps(), 1..120),
+    ) {
+        let mut tree = MerkleIndex::from_keys(initial.iter().copied());
+        let mut oracle: BTreeSet<ObjectKey> = initial.iter().copied().collect();
+        let mut seen: BTreeSet<[u8; 32]> = BTreeSet::new();
+        for step in history {
+            // The read under test runs first, so it is the call that
+            // settles whatever the mutations before it left dirty.
+            match step {
+                Step::Insert(k) => {
+                    prop_assert_eq!(tree.insert(k), oracle.insert(k));
+                    continue;
+                }
+                Step::Remove(k) => {
+                    prop_assert_eq!(tree.remove(&k), oracle.remove(&k));
+                    continue;
+                }
+                Step::Root => {
+                    tree.root();
+                }
+                Step::Prove(after, limit) => {
+                    let p = tree.prove_scan(Some(&after), limit);
+                    let verdict =
+                        verify_scan_page(&p.root, Some(&after), limit, &p.keys, p.done, &p.proof);
+                    prop_assert!(verdict.is_ok(), "honest page rejected: {:?}", verdict);
+                }
+                Step::NodeBytes(pick) => {
+                    let known: Vec<[u8; 32]> = seen.iter().copied().collect();
+                    let hash = known.get(pick as usize % known.len().max(1)).copied();
+                    tree.node_bytes(&hash.unwrap_or([0; 32]));
+                }
+            }
+            let mut canonical = MerkleIndex::from_keys(oracle.iter().copied());
+            let root = canonical.root();
+            prop_assert_eq!(tree.root(), root);
+            prop_assert_eq!(tree.len(), oracle.len() as u64);
+            let nodes = node_set(&mut canonical);
+            for hash in &nodes {
+                prop_assert_eq!(tree.node_bytes(hash), canonical.node_bytes(hash));
+            }
+            for stale in seen.difference(&nodes) {
+                prop_assert!(tree.node_bytes(stale).is_none(), "stale node still served");
+            }
+            seen.extend(nodes);
+            let mut after: Option<ObjectKey> = None;
+            loop {
+                let p = tree.prove_scan(after.as_ref(), 16);
+                let verdict = verify_scan_page(&root, after.as_ref(), 16, &p.keys, p.done, &p.proof);
+                prop_assert!(verdict.is_ok(), "honest page rejected: {:?}", verdict);
+                if p.done {
+                    break;
+                }
+                after = p.keys.last().copied();
+            }
+        }
     }
 }
