@@ -12,7 +12,9 @@
 //! cannot forge its claimed key set below the root it reported — and the
 //! resulting key count must equal the count the node reported next to its
 //! root. Nodes whose index ops fail (link fault, mid-descent mutation) fall
-//! back to the `Scan` streaming path.
+//! back to the `Scan` streaming path. So does a tree that reaches one node
+//! hash twice, which no honest tree does: the walk counts each hash once,
+//! so a replica can add keys to the union but never remove another's.
 //!
 //! The memo maps a hash to its decoded node and holds exactly the nodes
 //! reachable from the latest verified per-node roots: a node enters when
@@ -29,7 +31,7 @@ use crate::transport::ClusterTransport;
 use sharoes_crypto::Sha256;
 use sharoes_index::{decode_node, empty_root, IndexNode, MerkleIndex, MAX_PROOF_DEPTH};
 use sharoes_net::{NetError, ObjectKey, Request, Response};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 /// Page size for the `Scan` fallback when a node's index is unusable.
@@ -316,6 +318,15 @@ impl IndexSync {
         if let Some(old_root) = tree.root {
             walk.drop_ref(old_root);
         }
+        // An honest tree reaches each node once: a node's keys are disjoint
+        // from its siblings', so no two positions share a hash. A hash
+        // referenced twice (twice in one node, or under two parents) would
+        // count its keys once here; refuse the shape. The old tree held
+        // every count at one, so only hashes this walk touched can exceed it.
+        if walk.log.iter().any(|(hash, _)| walk.refs.get(hash).is_some_and(|r| *r > 1)) {
+            walk.undo();
+            return Err(NetError::Codec("index node reached twice"));
+        }
         let walked =
             tree.count as i128 + walk.delta.added.len() as i128 - walk.delta.removed.len() as i128;
         if walked != count as i128 {
@@ -331,10 +342,16 @@ impl IndexSync {
     }
 
     /// Every key of node `idx`'s tree, in tree order, read from the memo.
+    /// Each hash expands once, as in [`Walk::add`], so the keys removed
+    /// here are exactly the keys the walks counted.
     fn tree_keys(&self, idx: usize) -> Vec<ObjectKey> {
         let mut keys = Vec::new();
+        let mut visited = HashSet::new();
         let mut stack: Vec<[u8; 32]> = self.nodes[idx].tree.root.into_iter().collect();
         while let Some(hash) = stack.pop() {
+            if !visited.insert(hash) {
+                continue;
+            }
             if let Some(m) = self.memo.get(&hash) {
                 let mut kids = expand(&m.node, &mut keys);
                 kids.reverse();
@@ -580,7 +597,6 @@ mod tests {
     use crate::ClusterOpts;
     use sharoes_net::{InMemoryTransport, RequestHandler, Transport};
     use sharoes_ssp::{ObjectStore, SspServer};
-    use std::collections::HashSet;
     use std::sync::Arc;
 
     /// Every node hash of `store`'s current index tree.
@@ -593,6 +609,48 @@ mod tests {
             if let IndexNode::Internal(entries) = decode_node(&bytes).unwrap() {
                 stack.extend(entries.iter().map(|(_, h)| *h));
             }
+        }
+    }
+
+    #[test]
+    fn a_tree_reaching_one_node_twice_is_refused_and_undone() {
+        let k = |i: u64| ObjectKey::data(i, [0; 16], 0);
+        let mut nodes = HashMap::new();
+        let mut add = |node: IndexNode| {
+            let hash = sharoes_index::node_hash(&node);
+            nodes.insert(hash, node);
+            hash
+        };
+        let leaf = add(IndexNode::Leaf(vec![k(1)]));
+        let left = add(IndexNode::Internal(vec![(k(1), leaf)]));
+        let right = add(IndexNode::Internal(vec![(k(2), leaf)]));
+        let twice = add(IndexNode::Internal(vec![(k(1), leaf), (k(2), leaf)]));
+        let two_parents = add(IndexNode::Internal(vec![(k(1), left), (k(2), right)]));
+        let chain_and_leaf = add(IndexNode::Internal(vec![(k(1), left), (k(2), leaf)]));
+        let mut fetch = |hash: &[u8; 32]| nodes.get(hash).cloned().ok_or(NetError::Closed);
+        // (tree before, tree reaching `leaf` twice); every tree lists k(1).
+        let moves = [
+            (None, twice),
+            (Some(leaf), twice),
+            (None, two_parents),
+            (Some(leaf), two_parents),
+            // Only the second reference to `leaf` is new to the tree.
+            (Some(left), chain_and_leaf),
+        ];
+        for (before, dup) in moves {
+            let mut sync = IndexSync::default();
+            if let Some(root) = before {
+                sync.advance(0, root, 1, &mut fetch).unwrap();
+            }
+            let memo = sync.memo_len();
+            let refused = sync.advance(0, dup, 1, &mut fetch).err();
+            assert!(
+                matches!(refused, Some(NetError::Codec("index node reached twice"))),
+                "{before:?} -> {dup:?}: {refused:?}"
+            );
+            assert_eq!(sync.memo_len(), memo);
+            assert_eq!(sync.nodes[0].tree.root, before);
+            assert_eq!(sync.tree_keys(0), before.map_or(vec![], |_| vec![k(1)]));
         }
     }
 

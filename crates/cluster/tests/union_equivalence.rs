@@ -4,20 +4,22 @@
 //! reachable nodes' key sets — through replicated writes, a second writer
 //! editing one node's store directly, a node whose link goes down for a few
 //! rounds and comes back (drop-out and rejoin), and a node whose index
-//! fetches fail while its scans still work (the `Scan` fallback).
+//! fetches fail while its scans still work (the `Scan` fallback). A
+//! hostile replica serving trees that reach one node twice must never
+//! take an honest replica's keys out of the union.
 //!
 //! Seeded; replay with `SHAROES_TEST_SEED=<seed> cargo test -p
 //! sharoes-cluster --test union_equivalence`.
 
 use sharoes_cluster::{ClusterOpts, ClusterTransport};
-use sharoes_index::{verify_scan_page, MerkleIndex};
+use sharoes_index::{encode_node, node_hash, verify_scan_page, IndexNode, MerkleIndex};
 use sharoes_net::{
     CostMeter, InMemoryTransport, NetError, ObjectKey, Request, RequestHandler, Response, Transport,
 };
 use sharoes_ssp::{ObjectStore, SspServer};
 use sharoes_testkit::prelude::*;
 use sharoes_testkit::rng::test_rng_for;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -186,4 +188,102 @@ fn union_index_matches_a_from_scratch_rebuild_every_round() {
     let counter = |name| sharoes_obs::global().snapshot().get(name);
     assert!(counter("cluster_index_scan_fallbacks_total") > 0, "no scan fallback exercised");
     assert!(counter("cluster_index_memo_hits_total") > 0, "no subtree reused");
+}
+
+/// The `(root, count)` a replica reports, or `None` while its link is down.
+type Reported = Option<([u8; 32], u64)>;
+
+/// A replica that answers `Root` and `IndexNode` from hand-built nodes and
+/// fails every other call.
+struct Hostile {
+    nodes: HashMap<[u8; 32], Vec<u8>>,
+    serving: Arc<Mutex<Reported>>,
+    meter: Arc<CostMeter>,
+}
+
+impl Hostile {
+    /// Makes `node` servable; returns its hash.
+    fn add(&mut self, node: IndexNode) -> [u8; 32] {
+        let hash = node_hash(&node);
+        self.nodes.insert(hash, encode_node(&node));
+        hash
+    }
+}
+
+impl Transport for Hostile {
+    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
+        let Some((root, count)) = *self.serving.lock().unwrap() else {
+            return Err(NetError::Closed);
+        };
+        match request {
+            Request::Root => Ok(Response::Root { root, count }),
+            Request::IndexNode { hash } => {
+                Ok(Response::IndexNode { node: self.nodes.get(hash).cloned() })
+            }
+            _ => Err(NetError::Closed),
+        }
+    }
+
+    fn meter(&self) -> &Arc<CostMeter> {
+        &self.meter
+    }
+}
+
+#[test]
+fn a_tree_reaching_one_node_twice_cannot_hide_honest_keys() {
+    let mut rng = test_rng_for("union_equivalence_hostile");
+    let mut cluster = ClusterTransport::new(ClusterOpts::default());
+    let mut honest = BTreeSet::new();
+    for name in ["a", "b"] {
+        let store = Arc::new(ObjectStore::new());
+        for _ in 0..300 {
+            let k = key(&mut rng);
+            store.put(k, vec![1]).unwrap();
+            honest.insert(k);
+        }
+        let server: Arc<dyn RequestHandler> = Arc::new(SspServer::with_store(store));
+        cluster.add_node(name, Box::new(InMemoryTransport::new(server)));
+    }
+    // `x` is an honest key the hostile replica also lists; `last` sorts
+    // after every key.
+    let x = *honest.first().unwrap();
+    let last = ObjectKey::data(u64::MAX, [0xFF; 16], u32::MAX);
+    let serving = Arc::new(Mutex::new(None));
+    let mut h = Hostile {
+        nodes: HashMap::new(),
+        serving: Arc::clone(&serving),
+        meter: CostMeter::new_shared(),
+    };
+    let leaf = h.add(IndexNode::Leaf(vec![x]));
+    // The leaf twice in one node.
+    let twice = h.add(IndexNode::Internal(vec![(x, leaf), (last, leaf)]));
+    // The leaf under two parents.
+    let left = h.add(IndexNode::Internal(vec![(x, leaf)]));
+    let right = h.add(IndexNode::Internal(vec![(last, leaf)]));
+    let two_parents = h.add(IndexNode::Internal(vec![(x, left), (last, right)]));
+    // A well-formed chain to `leaf`, then a tree keeping that chain and
+    // adding the leaf again: the second reference is the only new one.
+    let chain = h.add(IndexNode::Internal(vec![(x, left)]));
+    let chain_and_leaf = h.add(IndexNode::Internal(vec![(x, left), (last, leaf)]));
+    cluster.add_node("h", Box::new(h));
+
+    let mut want = MerkleIndex::from_keys(honest.iter().copied());
+    let want = Response::Root { root: want.root(), count: want.len() };
+    let schedule = [
+        Some(leaf),
+        Some(twice),
+        None,
+        Some(leaf),
+        Some(two_parents),
+        None,
+        Some(chain),
+        Some(chain_and_leaf),
+        None,
+    ];
+    for (round, root) in schedule.into_iter().enumerate() {
+        // Every tree here lists `x` alone.
+        *serving.lock().unwrap() = root.map(|r| (r, 1));
+        let got = cluster.call(&Request::Root).unwrap();
+        assert_eq!(got, want, "round {round}: the union lost an honest key");
+    }
 }
