@@ -4,19 +4,20 @@
 # enterprise scenario gate (revocation/rotation oracles + registry
 # determinism), the concurrency gate (sharded-vs-single-lock byte
 # equivalence, including a drive of many threads over one shared TCP
-# connection, + the contention-bench throughput floor), and the bench
-# ablations with their BENCH_*.json validation. The three registry gates
-# run a second time at --test-threads=1, and their exports must match the
-# default-parallel run byte for byte.
+# connection, + the contention-bench throughput floor), the bench
+# ablations with their BENCH_*.json validation, and the benchmark's own
+# tests. The three registry gates run a second time at --test-threads=1,
+# and their exports must match the default-parallel run byte for byte.
 #
 # Everything runs with --offline against the vendored-free, path-only
 # workspace — if any step reaches for the network or a registry, that is
 # itself a CI failure (the hermetic-build policy in DESIGN.md).
 #
 # Usage: ci.sh [--quick]
-#   --quick   skip the bench/ablation steps (the BENCH_*.json writers and
-#             their validation); all build, lint, test, and pinned-seed
-#             gates still run. For tight edit-test loops.
+#   --quick   skip the bench/ablation steps (the BENCH_*.json writers,
+#             their validation, and the perfbench tests); all build, lint,
+#             test, and pinned-seed gates still run. For tight edit-test
+#             loops.
 #
 # Each step is wall-clock timed; a summary table prints at the end and is
 # also written machine-readably to target/ci-timings.tsv.
@@ -192,6 +193,13 @@ if [ "$QUICK" -eq 0 ]; then
     # one-connection-per-thread ("blocking") baseline.
     step "contention bench + speedup floor (writes BENCH_concurrency.json)" \
         cargo run -q --offline --release -p sharoes-bench --bin paper-figures -- --quick concurrency
+
+    # The benchmark's own tests: tiny runs of each workload are correct,
+    # and two runs at one seed report identical counts (wire bytes, round
+    # trips, cache hit fraction, ...). Span files land in the ignored
+    # .perfbench/.
+    step "perfbench tests (per-seed count determinism)" \
+        cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
     # Every committed BENCH_*.json must re-parse with its required keys —
     # the hand-rolled JSON writers above get no silent formatting slips.

@@ -1,9 +1,16 @@
-//! Client-side plaintext cache with byte-capacity LRU eviction.
+//! Client-side cache of decoded values with byte-capacity LRU eviction.
 //!
 //! "The size of the cache influences the amount of cryptographic overheads,
 //! since for every metadata or data miss, encrypted data is obtained from
 //! the SSP and it is decrypted again" (§V-B). The Postmark figure sweeps
 //! this capacity as a percentage of the workload footprint.
+//!
+//! A slot holds the immutable value a miss decoded from its plaintext (a
+//! metadata body, split entry, directory table, manifest, or data block)
+//! behind an `Arc`, so a hit costs neither a copy nor a re-parse. Each slot
+//! is charged the length of the plaintext it was decoded from: capacity,
+//! eviction order, and every hit and miss are those of a cache of
+//! plaintext bytes. A caller that must change a value clones it.
 //!
 //! Every lookup and insert stamps its slot from one clock, and a recency
 //! index maps stamps back to keys; the least-recently-used slot is the
@@ -11,12 +18,16 @@
 //! O(log n), not a scan of every slot. Writes are staged by the client
 //! until close, so the cache holds only clean, decrypted values.
 
+use crate::dirtable::DirTable;
+use crate::metadata::MetadataBody;
+use crate::scheme::{Manifest, SplitEntry};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// What a cache slot holds.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum CacheKey {
-    /// A decrypted metadata body, by `(inode, view)`.
+    /// A decrypted metadata body or split entry, by `(inode, view)`.
     Meta(u64, [u8; 16]),
     /// A decrypted directory table, by `(inode, view)`.
     Table(u64, [u8; 16]),
@@ -24,6 +35,35 @@ pub enum CacheKey {
     Block(u64, u64, u32),
     /// A decrypted manifest, by `(inode, generation)`.
     Manifest(u64, u64),
+}
+
+/// A decoded cache value; its variant matches the kind of its key.
+#[derive(Clone, Debug)]
+pub enum CacheValue {
+    /// A metadata body (under a `Meta` key).
+    Meta(Arc<MetadataBody>),
+    /// A Scheme-2 split-point entry (under the `Meta` key of its split
+    /// slot, which lives in the metadata space).
+    Split(Arc<SplitEntry>),
+    /// A directory-table view (under a `Table` key).
+    Table(Arc<DirTable>),
+    /// A data manifest (under a `Manifest` key).
+    Manifest(Arc<Manifest>),
+    /// A data block's plaintext (under a `Block` key).
+    Block(Arc<[u8]>),
+}
+
+impl CacheValue {
+    /// True when this value may sit under `key`.
+    fn fits(&self, key: &CacheKey) -> bool {
+        matches!(
+            (self, key),
+            (CacheValue::Meta(_) | CacheValue::Split(_), CacheKey::Meta(..))
+                | (CacheValue::Table(_), CacheKey::Table(..))
+                | (CacheValue::Manifest(_), CacheKey::Manifest(..))
+                | (CacheValue::Block(_), CacheKey::Block(..))
+        )
+    }
 }
 
 impl CacheKey {
@@ -38,7 +78,9 @@ impl CacheKey {
 }
 
 struct Slot {
-    value: Vec<u8>,
+    value: CacheValue,
+    /// Length of the plaintext `value` was decoded from.
+    charge: u64,
     /// LRU clock stamp; also this slot's key in the recency index.
     stamp: u64,
 }
@@ -75,7 +117,7 @@ impl CacheStats {
     }
 }
 
-/// Byte-bounded LRU cache of decrypted values.
+/// Byte-bounded LRU cache of decrypted, decoded values.
 pub struct ClientCache {
     slots: HashMap<CacheKey, Slot>,
     /// Stamp -> key for every slot, oldest first. Stamps are unique.
@@ -100,7 +142,7 @@ impl ClientCache {
     }
 
     /// Looks up a value, refreshing its recency.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Vec<u8>> {
+    pub fn get(&mut self, key: &CacheKey) -> Option<CacheValue> {
         self.clock += 1;
         match self.slots.get_mut(key) {
             Some(slot) => {
@@ -118,19 +160,22 @@ impl ClientCache {
     }
 
     /// Peeks without counting a hit/miss or refreshing recency.
-    pub fn peek(&self, key: &CacheKey) -> Option<&Vec<u8>> {
+    pub fn peek(&self, key: &CacheKey) -> Option<&CacheValue> {
         self.slots.get(key).map(|s| &s.value)
     }
 
-    /// Inserts (or replaces) a value.
-    pub fn put(&mut self, key: CacheKey, value: Vec<u8>) {
+    /// Inserts (or replaces) a value decoded from `plain_len` plaintext
+    /// bytes, which is what the slot is charged.
+    pub fn put(&mut self, key: CacheKey, value: CacheValue, plain_len: usize) {
+        debug_assert!(value.fits(&key), "{value:?} under {key:?}");
         self.clock += 1;
         self.invalidate(&key);
-        self.bytes += value.len() as u64;
+        let charge = plain_len as u64;
+        self.bytes += charge;
         self.recency.insert(self.clock, key.clone());
         // A single over-capacity value is still cached (then evicted first
         // on the next insert); capacity bounds steady-state usage.
-        self.slots.insert(key, Slot { value, stamp: self.clock });
+        self.slots.insert(key, Slot { value, charge, stamp: self.clock });
         self.evict_to_capacity();
     }
 
@@ -139,7 +184,7 @@ impl ClientCache {
         while self.bytes > cap && self.slots.len() > 1 {
             let (_, victim) = self.recency.pop_first().expect("index covers every slot");
             let slot = self.slots.remove(&victim).expect("indexed key has a slot");
-            self.bytes -= slot.value.len() as u64;
+            self.bytes -= slot.charge;
             self.stats.evictions += 1;
         }
     }
@@ -148,7 +193,7 @@ impl ClientCache {
     pub fn invalidate(&mut self, key: &CacheKey) {
         if let Some(slot) = self.slots.remove(key) {
             self.recency.remove(&slot.stamp);
-            self.bytes -= slot.value.len() as u64;
+            self.bytes -= slot.charge;
         }
     }
 
@@ -197,12 +242,22 @@ mod tests {
         CacheKey::Block(i, 0, 0)
     }
 
+    /// Puts a block of `bytes` and returns it.
+    fn put_block(c: &mut ClientCache, key: CacheKey, bytes: &[u8]) -> Arc<[u8]> {
+        let block: Arc<[u8]> = Arc::from(bytes);
+        c.put(key, CacheValue::Block(Arc::clone(&block)), bytes.len());
+        block
+    }
+
     #[test]
     fn get_put_and_stats() {
         let mut c = ClientCache::new(None);
         assert!(c.get(&key(1)).is_none());
-        c.put(key(1), vec![1, 2, 3]);
-        assert_eq!(c.get(&key(1)).unwrap(), vec![1, 2, 3]);
+        let block = put_block(&mut c, key(1), &[1, 2, 3]);
+        match c.get(&key(1)) {
+            Some(CacheValue::Block(hit)) => assert!(Arc::ptr_eq(&hit, &block), "a hit shares"),
+            other => panic!("expected the block, got {other:?}"),
+        }
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
@@ -210,13 +265,35 @@ mod tests {
     }
 
     #[test]
+    fn slots_are_charged_their_plaintext_length() {
+        let mut c = ClientCache::new(Some(100));
+        c.put(CacheKey::Table(1, [0; 16]), CacheValue::Table(Arc::default()), 60);
+        let manifest = Manifest { size: 0, version: 1, nblocks: 0, block_hashes: Vec::new() };
+        c.put(CacheKey::Manifest(1, 0), CacheValue::Manifest(Arc::new(manifest)), 30);
+        assert_eq!(c.bytes(), 90);
+        // The table is least recent: 90 + 20 > 100 evicts it alone.
+        put_block(&mut c, key(2), &[0; 20]);
+        assert_eq!(c.bytes(), 50);
+        assert!(c.peek(&CacheKey::Table(1, [0; 16])).is_none());
+        assert_eq!(c.stats().evictions, 1);
+    }
+
+    #[test]
+    fn values_fit_only_their_key_kind() {
+        let table = CacheValue::Table(Arc::default());
+        assert!(table.fits(&CacheKey::Table(1, [0; 16])));
+        assert!(!table.fits(&CacheKey::Meta(1, [0; 16])));
+        assert!(CacheValue::Block(Arc::from(&[][..])).fits(&key(1)));
+    }
+
+    #[test]
     fn lru_eviction_respects_capacity() {
         let mut c = ClientCache::new(Some(10));
-        c.put(key(1), vec![0; 4]);
-        c.put(key(2), vec![0; 4]);
+        put_block(&mut c, key(1), &[0; 4]);
+        put_block(&mut c, key(2), &[0; 4]);
         // Touch 1 so 2 becomes LRU.
         c.get(&key(1));
-        c.put(key(3), vec![0; 4]);
+        put_block(&mut c, key(3), &[0; 4]);
         assert!(c.bytes() <= 10);
         assert!(c.peek(&key(1)).is_some());
         assert!(c.peek(&key(2)).is_none(), "LRU entry should be evicted");
@@ -227,8 +304,8 @@ mod tests {
     #[test]
     fn replace_updates_bytes() {
         let mut c = ClientCache::new(Some(100));
-        c.put(key(1), vec![0; 50]);
-        c.put(key(1), vec![0; 10]);
+        put_block(&mut c, key(1), &[0; 50]);
+        put_block(&mut c, key(1), &[0; 10]);
         assert_eq!(c.bytes(), 10);
         assert_eq!(c.len(), 1);
     }
@@ -236,10 +313,9 @@ mod tests {
     #[test]
     fn invalidate_inode_clears_related() {
         let mut c = ClientCache::new(None);
-        c.put(CacheKey::Meta(5, [0; 16]), vec![1]);
-        c.put(CacheKey::Table(5, [0; 16]), vec![2]);
-        c.put(CacheKey::Block(5, 0, 0), vec![3]);
-        c.put(CacheKey::Block(6, 0, 0), vec![4]);
+        c.put(CacheKey::Table(5, [0; 16]), CacheValue::Table(Arc::default()), 2);
+        put_block(&mut c, CacheKey::Block(5, 0, 0), &[3]);
+        put_block(&mut c, CacheKey::Block(6, 0, 0), &[4]);
         c.invalidate_inode(5);
         assert_eq!(c.len(), 1);
         assert!(c.peek(&CacheKey::Block(6, 0, 0)).is_some());
@@ -248,7 +324,7 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut c = ClientCache::new(None);
-        c.put(key(1), vec![0; 10]);
+        put_block(&mut c, key(1), &[0; 10]);
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.bytes(), 0);

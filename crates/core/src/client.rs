@@ -15,7 +15,7 @@
 //! implementations of §V run through the same code with a different
 //! [`CryptoPolicy`].
 
-use crate::cache::{CacheKey, CacheStats, ClientCache};
+use crate::cache::{CacheKey, CacheStats, CacheValue, ClientCache};
 use crate::cap::TableAccess;
 use crate::dirtable::{ChildRef, DirTable, Row};
 use crate::error::{CoreError, Result};
@@ -490,11 +490,13 @@ impl SharoesClient {
 
     /// Fetches, verifies, and decrypts one metadata replica (the `getattr`
     /// path of Figure 8: one network receive plus one decryption).
-    fn open_metadata_at(&mut self, h: &NodeHandle) -> Result<MetadataBody> {
+    fn open_metadata_at(&mut self, h: &NodeHandle) -> Result<Arc<MetadataBody>> {
         let ck = CacheKey::Meta(h.inode, h.view);
-        if let Some(bytes) = self.cache.get(&ck) {
-            return MetadataBody::from_wire(&bytes)
-                .map_err(|_| CoreError::Corrupt("cached metadata"));
+        if let Some(cached) = self.cache.get(&ck) {
+            return match cached {
+                CacheValue::Meta(body) => Ok(body),
+                _ => Err(CoreError::Corrupt("cached metadata")),
+            };
         }
         let key = ObjectKey::metadata(h.inode, h.view);
         let blob = self
@@ -506,7 +508,7 @@ impl SharoesClient {
         let meter = Arc::clone(&self.meter);
         let policy = self.config.policy;
         let signs = self.signs();
-        let private = self.identity.private.clone();
+        let private = &self.identity.private;
         let plain = Self::timed_crypto(&meter, || -> Result<Vec<u8>> {
             sealed.verify(&key, if signs { h.mvk.as_ref() } else { None })?;
             let opener = match policy {
@@ -518,13 +520,14 @@ impl SharoesClient {
                     })?;
                     MetaOpen::Sym(mek)
                 }
-                CryptoPolicy::Public => MetaOpen::Public(&private),
-                CryptoPolicy::PubOpt => MetaOpen::PubOpt(&private),
+                CryptoPolicy::Public => MetaOpen::Public(private),
+                CryptoPolicy::PubOpt => MetaOpen::PubOpt(private),
             };
             open_metadata(opener, &sealed.ciphertext)
         })?;
-        let body =
-            MetadataBody::from_wire(&plain).map_err(|_| CoreError::Corrupt("metadata body"))?;
+        let body = Arc::new(
+            MetadataBody::from_wire(&plain).map_err(|_| CoreError::Corrupt("metadata body"))?,
+        );
         if body.inode != h.inode {
             return Err(CoreError::TamperDetected(format!(
                 "metadata inode mismatch: expected {}, got {}",
@@ -536,7 +539,7 @@ impl SharoesClient {
             body.version,
             &format!("metadata inode#{}", h.inode),
         )?;
-        self.cache.put(ck, plain);
+        self.cache.put(ck, CacheValue::Meta(Arc::clone(&body)), plain.len());
         Ok(body)
     }
 
@@ -546,8 +549,8 @@ impl SharoesClient {
     fn reconcile(
         &mut self,
         h: NodeHandle,
-        body: MetadataBody,
-    ) -> Result<(NodeHandle, MetadataBody)> {
+        body: Arc<MetadataBody>,
+    ) -> Result<(NodeHandle, Arc<MetadataBody>)> {
         if self.config.effective_scheme() != Scheme::SharedCaps {
             return Ok((h, body));
         }
@@ -572,34 +575,38 @@ impl SharoesClient {
 
         for (slot, via_group) in candidates {
             let ck = CacheKey::Meta(slot.inode, slot.view);
-            let plain = if let Some(bytes) = self.cache.get(&ck) {
-                Some(bytes)
-            } else {
-                match self.fetch(slot)? {
-                    None => None,
-                    Some(blob) => {
-                        let meter = Arc::clone(&self.meter);
-                        let key = match via_group {
-                            None => Some(self.identity.private.clone()),
-                            Some(gid) => self.identity.group_key(gid),
-                        };
-                        let Some(key) = key else { continue };
-                        let decrypted = Self::timed_crypto(&meter, || key.decrypt_blob(&blob));
-                        match decrypted {
-                            Ok(plain) => {
-                                self.cache.put(ck, plain.clone());
-                                Some(plain)
-                            }
-                            Err(_) => continue, // not addressed to us
+            let entry = match self.cache.get(&ck) {
+                Some(CacheValue::Split(entry)) => entry,
+                Some(_) => return Err(CoreError::Corrupt("split entry")),
+                None => {
+                    let Some(blob) = self.fetch(slot)? else { continue };
+                    let meter = Arc::clone(&self.meter);
+                    let group_key;
+                    let key = match via_group {
+                        None => &self.identity.private,
+                        Some(gid) => {
+                            let Some(k) = self.identity.group_key(gid) else { continue };
+                            group_key = k;
+                            &group_key
                         }
-                    }
+                    };
+                    let decrypted = Self::timed_crypto(&meter, || key.decrypt_blob(&blob));
+                    // An entry that does not open is not addressed to us.
+                    let Ok(plain) = decrypted else { continue };
+                    let entry = Arc::new(
+                        SplitEntry::from_wire(&plain)
+                            .map_err(|_| CoreError::Corrupt("split entry"))?,
+                    );
+                    self.cache.put(ck, CacheValue::Split(Arc::clone(&entry)), plain.len());
+                    entry
                 }
             };
-            let Some(plain) = plain else { continue };
-            let entry =
-                SplitEntry::from_wire(&plain).map_err(|_| CoreError::Corrupt("split entry"))?;
-            let nh =
-                NodeHandle { inode: h.inode, view: entry.view, mek: entry.mek, mvk: entry.mvk };
+            let nh = NodeHandle {
+                inode: h.inode,
+                view: entry.view,
+                mek: entry.mek.clone(),
+                mvk: entry.mvk.clone(),
+            };
             let nbody = self.open_metadata_at(&nh)?;
             return Ok((nh, nbody));
         }
@@ -609,10 +616,13 @@ impl SharoesClient {
     }
 
     /// Fetches, verifies, and decrypts the directory-table replica for `h`.
-    fn open_table(&mut self, h: &NodeHandle, body: &MetadataBody) -> Result<DirTable> {
+    fn open_table(&mut self, h: &NodeHandle, body: &MetadataBody) -> Result<Arc<DirTable>> {
         let ck = CacheKey::Table(h.inode, h.view);
-        if let Some(bytes) = self.cache.get(&ck) {
-            return DirTable::from_wire(&bytes).map_err(|_| CoreError::Corrupt("cached table"));
+        if let Some(cached) = self.cache.get(&ck) {
+            return match cached {
+                CacheValue::Table(table) => Ok(table),
+                _ => Err(CoreError::Corrupt("cached table")),
+            };
         }
         let key = ObjectKey::data(h.inode, h.view, 0);
         let blob = self.fetch(key)?.ok_or(CoreError::PermissionDenied {
@@ -638,13 +648,14 @@ impl SharoesClient {
                 Ok(sealed.ciphertext.clone())
             }
         })?;
-        let table = DirTable::from_wire(&plain).map_err(|_| CoreError::Corrupt("table body"))?;
-        self.cache.put(ck, plain);
+        let table =
+            Arc::new(DirTable::from_wire(&plain).map_err(|_| CoreError::Corrupt("table body"))?);
+        self.cache.put(ck, CacheValue::Table(Arc::clone(&table)), plain.len());
         Ok(table)
     }
 
     /// Resolves an absolute path to `(handle, body)` with traversal checks.
-    fn resolve(&mut self, path: &str) -> Result<(NodeHandle, MetadataBody)> {
+    fn resolve(&mut self, path: &str) -> Result<(NodeHandle, Arc<MetadataBody>)> {
         let parts = fspath::split(path)?;
         let root = self.mount.as_ref().ok_or(CoreError::NotMounted)?.root.clone();
         let mut h = root;
@@ -666,8 +677,8 @@ impl SharoesClient {
                 });
             }
             let table = self.open_table(&h, &body)?;
-            let tek = body.dek.clone();
-            let child = match table.lookup(comp, tek.as_ref())? {
+            let tek = body.dek.as_ref();
+            let child = match table.lookup(comp, tek)? {
                 Some(child) => child,
                 None => {
                     // The cached table may predate another client's create:
@@ -675,7 +686,7 @@ impl SharoesClient {
                     self.cache.invalidate(&CacheKey::Table(h.inode, h.view));
                     let fresh = self.open_table(&h, &body)?;
                     fresh
-                        .lookup(comp, tek.as_ref())?
+                        .lookup(comp, tek)?
                         .ok_or_else(|| CoreError::NotFound(fspath::join(&parts[..=i])))?
                 }
             };
@@ -723,8 +734,11 @@ impl SharoesClient {
         let table = self.open_table(&h, &body)?;
         Ok(table
             .list()
-            .into_iter()
-            .map(|(name, kind, child)| ReadDirEntry { name, kind, inode: child.map(|c| c.inode) })
+            .map(|(name, kind, child)| ReadDirEntry {
+                name: name.to_string(),
+                kind,
+                inode: child.map(|c| c.inode),
+            })
             .collect())
     }
 
@@ -732,12 +746,12 @@ impl SharoesClient {
     /// DSK-signed object that authenticates every block (§II-B: "writers
     /// sign the hash of the file content"). Speculatively fetches block 0 in
     /// the same round trip on a cold read.
-    fn load_manifest(&mut self, body: &MetadataBody) -> Result<Manifest> {
+    fn load_manifest(&mut self, body: &MetadataBody) -> Result<Arc<Manifest>> {
         let inode = body.inode;
         let generation = body.generation;
         let ck = CacheKey::Manifest(inode, generation);
-        if let Some(bytes) = self.cache.get(&ck) {
-            return Layout::parse_manifest(&bytes);
+        if let Some(cached) = self.cached_manifest(&ck)? {
+            return Ok(cached);
         }
         let dview = ids::data_view(inode, generation);
         let mkey = ObjectKey::data(inode, dview, MANIFEST_BLOCK);
@@ -745,16 +759,18 @@ impl SharoesClient {
         let fetched = self.fetch_many(vec![mkey, b0key])?;
         let mblob = fetched[0].clone().ok_or(CoreError::Corrupt("missing data manifest"))?;
         let mplain = self.open_manifest_record(&mkey, &mblob, body)?;
-        let manifest = Layout::parse_manifest(&mplain)?;
+        let manifest = Arc::new(Layout::parse_manifest(&mplain)?);
         self.check_freshness(
             FreshKey::Data(inode, generation),
             manifest.version,
             &format!("data manifest inode#{inode}"),
         )?;
-        self.cache.put(ck, mplain);
+        self.cache.put(ck, CacheValue::Manifest(Arc::clone(&manifest)), mplain.len());
         if let Some(b0) = &fetched[1] {
             if let Ok(plain) = self.open_data_block(&b0key, b0, body, manifest.hash_of(0)) {
-                self.cache.put(CacheKey::Block(inode, generation, 0), plain);
+                let len = plain.len();
+                let ck = CacheKey::Block(inode, generation, 0);
+                self.cache.put(ck, CacheValue::Block(Arc::from(plain)), len);
             }
         }
         Ok(manifest)
@@ -762,23 +778,32 @@ impl SharoesClient {
 
     /// Like [`Self::load_manifest`] but without the speculative block-0
     /// fetch (used by close, which overwrites the data anyway).
-    fn load_manifest_lean(&mut self, body: &MetadataBody) -> Result<Manifest> {
+    fn load_manifest_lean(&mut self, body: &MetadataBody) -> Result<Arc<Manifest>> {
         let ck = CacheKey::Manifest(body.inode, body.generation);
-        if let Some(bytes) = self.cache.get(&ck) {
-            return Layout::parse_manifest(&bytes);
+        if let Some(cached) = self.cached_manifest(&ck)? {
+            return Ok(cached);
         }
         let dview = ids::data_view(body.inode, body.generation);
         let mkey = ObjectKey::data(body.inode, dview, MANIFEST_BLOCK);
         let blob = self.fetch(mkey)?.ok_or(CoreError::Corrupt("missing data manifest"))?;
         let plain = self.open_manifest_record(&mkey, &blob, body)?;
-        let manifest = Layout::parse_manifest(&plain)?;
+        let manifest = Arc::new(Layout::parse_manifest(&plain)?);
         self.check_freshness(
             FreshKey::Data(body.inode, body.generation),
             manifest.version,
             &format!("data manifest inode#{}", body.inode),
         )?;
-        self.cache.put(ck, plain);
+        self.cache.put(ck, CacheValue::Manifest(Arc::clone(&manifest)), plain.len());
         Ok(manifest)
+    }
+
+    /// The cached manifest under `ck`, on a hit.
+    fn cached_manifest(&mut self, ck: &CacheKey) -> Result<Option<Arc<Manifest>>> {
+        match self.cache.get(ck) {
+            None => Ok(None),
+            Some(CacheValue::Manifest(manifest)) => Ok(Some(manifest)),
+            Some(_) => Err(CoreError::Corrupt("cached manifest")),
+        }
     }
 
     /// Verifies (signature) and decrypts the manifest record.
@@ -879,21 +904,24 @@ impl SharoesClient {
         // Blocks are assembled from local copies; the cache is populated
         // opportunistically and may evict under a small capacity without
         // affecting correctness.
-        let mut blocks: Vec<Option<Vec<u8>>> = vec![None; manifest.nblocks as usize];
+        let mut blocks: Vec<Option<Arc<[u8]>>> = vec![None; manifest.nblocks as usize];
         let mut missing = Vec::new();
         for (i, slot) in blocks.iter_mut().enumerate() {
-            if let Some(bytes) = self.cache.get(&CacheKey::Block(inode, generation, i as u32)) {
-                *slot = Some(bytes);
-            } else {
-                missing.push(ObjectKey::data(inode, dview, i as u32));
+            match self.cache.get(&CacheKey::Block(inode, generation, i as u32)) {
+                Some(CacheValue::Block(block)) => *slot = Some(block),
+                Some(_) => return Err(CoreError::Corrupt("cached block")),
+                None => missing.push(ObjectKey::data(inode, dview, i as u32)),
             }
         }
         let fetched = self.fetch_many(missing.clone())?;
         for (key, blob) in missing.iter().zip(fetched) {
             let blob = blob.ok_or(CoreError::Corrupt("missing data block"))?;
             let plain = self.open_data_block(key, &blob, &body, manifest.hash_of(key.block))?;
-            self.cache.put(CacheKey::Block(inode, generation, key.block), plain.clone());
-            blocks[key.block as usize] = Some(plain);
+            let len = plain.len();
+            let block: Arc<[u8]> = Arc::from(plain);
+            let ck = CacheKey::Block(inode, generation, key.block);
+            self.cache.put(ck, CacheValue::Block(Arc::clone(&block)), len);
+            blocks[key.block as usize] = Some(block);
         }
 
         let mut out = Vec::with_capacity(manifest.size as usize);
@@ -939,11 +967,11 @@ impl SharoesClient {
         let Some(pending) = self.pending.remove(path) else {
             return Ok(()); // close without write is a no-op
         };
-        let (h, mut body) = self.resolve(path)?;
+        let (h, body) = self.resolve(path)?;
 
         // Lazy-revocation hook: an owner flushing content rotates the DEK.
         if body.rekey_pending && self.config.policy == CryptoPolicy::Sharoes && body.msk.is_some() {
-            self.rekey_and_write(h, body, &pending.content)?;
+            self.rekey_and_write(h, &body, &pending.content)?;
             return Ok(());
         }
 
@@ -971,9 +999,9 @@ impl SharoesClient {
             self.cache.invalidate(&CacheKey::Block(inode, generation, i));
         }
         for (i, chunk) in pending.content.chunks(self.config.block_size.max(1)).enumerate() {
-            self.cache.put(CacheKey::Block(inode, generation, i as u32), chunk.to_vec());
+            let ck = CacheKey::Block(inode, generation, i as u32);
+            self.cache.put(ck, CacheValue::Block(Arc::from(chunk)), chunk.len());
         }
-        body.size = pending.content.len() as u64;
         Ok(())
     }
 
@@ -1252,7 +1280,6 @@ impl SharoesClient {
 
         self.pending.remove(path);
         self.cache.invalidate_inode(cattrs.inode);
-        let _ = &pattrs;
         Ok(())
     }
 
@@ -1296,7 +1323,6 @@ impl SharoesClient {
             TableEdit::Rename { from: &from_name, to: &to_name },
         )?;
         self.put_many(table_records)?;
-        let _ = &pattrs;
         Ok(())
     }
 
@@ -1343,47 +1369,46 @@ impl SharoesClient {
 
         // Names come from our own (full) view.
         let my_table = self.open_table(ph, pbody)?;
-        let names: Vec<(String, NodeKind)> =
-            my_table.list().into_iter().map(|(name, kind, _)| (name, kind)).collect();
 
-        // Current replica plaintexts: cached where possible (the paper's
-        // mkdir costs are sends only — the client caches the parent table),
-        // fetched in one round trip otherwise.
+        // Current replicas: cached where possible (the paper's mkdir costs
+        // are sends only — the client caches the parent table), fetched in
+        // one round trip otherwise.
         let keys: Vec<ObjectKey> = views
             .iter()
             .map(|(view, _)| ObjectKey::data(ph.inode, view.tag(ph.inode), 0))
             .collect();
-        let mut plains: Vec<Option<Vec<u8>>> = Vec::with_capacity(views.len());
+        let mut tables: Vec<Option<Arc<DirTable>>> = Vec::with_capacity(views.len());
         let mut missing: Vec<(usize, ObjectKey)> = Vec::new();
         for (i, (view, _)) in views.iter().enumerate() {
             let ck = CacheKey::Table(ph.inode, view.tag(ph.inode));
             match self.cache.get(&ck) {
-                Some(bytes) => plains.push(Some(bytes)),
+                Some(CacheValue::Table(table)) => tables.push(Some(table)),
+                Some(_) => return Err(CoreError::Corrupt("cached table")),
                 None => {
-                    plains.push(None);
+                    tables.push(None);
                     missing.push((i, keys[i]));
                 }
             }
         }
         if !missing.is_empty() {
             let fetched = self.fetch_many(missing.iter().map(|(_, k)| *k).collect())?;
-            let teks_snapshot = teks.clone();
             let encrypts_now = self.encrypts_data();
             for ((slot, _), blob) in missing.iter().zip(fetched) {
                 let blob = blob.ok_or(CoreError::Corrupt("missing table replica"))?;
                 let sealed = SealedObject::from_wire(&blob)
                     .map_err(|_| CoreError::Corrupt("sealed table replica"))?;
                 let plain = if encrypts_now {
-                    let tek =
-                        teks_snapshot.get(&views[*slot].0).ok_or(CoreError::PermissionDenied {
-                            path: format!("inode#{}", ph.inode),
-                            needed: "TEK for replica",
-                        })?;
+                    let tek = teks.get(&views[*slot].0).ok_or(CoreError::PermissionDenied {
+                        path: format!("inode#{}", ph.inode),
+                        needed: "TEK for replica",
+                    })?;
                     tek.open(&sealed.ciphertext)?
                 } else {
-                    sealed.ciphertext.clone()
+                    sealed.ciphertext
                 };
-                plains[*slot] = Some(plain);
+                let table =
+                    DirTable::from_wire(&plain).map_err(|_| CoreError::Corrupt("table replica"))?;
+                tables[*slot] = Some(Arc::new(table));
             }
         }
 
@@ -1395,17 +1420,16 @@ impl SharoesClient {
         let mut divergent_union: Vec<(Uid, ClassTag)> = Vec::new();
         let mut records = Vec::with_capacity(views.len());
         let layout = self.layout();
-        let mut cache_updates: Vec<(CacheKey, Vec<u8>)> = Vec::with_capacity(views.len());
+        let mut cache_updates: Vec<(CacheKey, Arc<DirTable>, usize)> =
+            Vec::with_capacity(views.len());
 
-        for ((view, access), (key, plain)) in views.iter().zip(keys.iter().zip(plains)) {
+        for ((view, access), (key, table)) in views.iter().zip(keys.iter().zip(tables)) {
             let access = *access;
             let tek = teks.get(view);
-            let plain = plain.ok_or(CoreError::Corrupt("missing table replica"))?;
-            let table =
-                DirTable::from_wire(&plain).map_err(|_| CoreError::Corrupt("table replica"))?;
+            let table = table.ok_or(CoreError::Corrupt("missing table replica"))?;
 
             // Recover this view's (name -> ChildRef) map.
-            let mut entries: Vec<(String, ChildRef)> = Vec::with_capacity(names.len() + 1);
+            let mut entries: Vec<(String, ChildRef)> = Vec::with_capacity(table.len() + 1);
             match access {
                 TableAccess::Full => {
                     for row in &table.rows {
@@ -1433,9 +1457,10 @@ impl SharoesClient {
                 }
                 TableAccess::ExecOnly => {
                     let tek = tek.ok_or(CoreError::Corrupt("exec-only rebuild needs TEK"))?;
-                    for (name, _) in &names {
-                        if let Some(child) = table.lookup(name, Some(tek))? {
-                            entries.push((name.clone(), child));
+                    let rows = table.hidden_index(tek);
+                    for (name, _, _) in my_table.list() {
+                        if let Some(child) = rows.lookup(name)? {
+                            entries.push((name.to_string(), child));
                         }
                     }
                 }
@@ -1467,41 +1492,44 @@ impl SharoesClient {
             }
 
             // Rebuild, re-seal, re-sign.
-            let mut new_plain: Vec<u8> = Vec::new();
-            let rebuilt = Self::timed_crypto(&meter, || -> Result<Vec<u8>> {
-                let new_table = match access {
-                    TableAccess::NamesOnly => DirTable::names_only(&entries),
-                    TableAccess::Full => DirTable::full(&entries),
-                    TableAccess::ExecOnly => {
-                        let tek = tek.ok_or(CoreError::Corrupt("exec-only rebuild needs TEK"))?;
-                        DirTable::exec_only(&entries, tek, &mut rng)
-                    }
-                    TableAccess::None => unreachable!("filtered"),
-                };
-                let plain = new_table.to_wire();
-                new_plain = plain.clone();
-                let ciphertext = if encrypts {
-                    teks.get(view).ok_or(CoreError::Corrupt("missing TEK"))?.seal(&mut rng, &plain)
-                } else {
-                    plain
-                };
-                let sealed = if signs {
-                    let dsk = dsk.as_ref().ok_or(CoreError::PermissionDenied {
-                        path: format!("inode#{}", ph.inode),
-                        needed: "DSK (directory write)",
-                    })?;
-                    SealedObject::signed(ciphertext, key, dsk, &mut rng)
-                } else {
-                    SealedObject::unsigned(ciphertext)
-                };
-                Ok(sealed.to_wire())
-            })?;
-            cache_updates.push((CacheKey::Table(ph.inode, view.tag(ph.inode)), new_plain));
+            let (rebuilt, new_table, plain_len) =
+                Self::timed_crypto(&meter, || -> Result<(Vec<u8>, DirTable, usize)> {
+                    let new_table = match access {
+                        TableAccess::NamesOnly => DirTable::names_only(&entries),
+                        TableAccess::Full => DirTable::full(&entries),
+                        TableAccess::ExecOnly => {
+                            let tek =
+                                tek.ok_or(CoreError::Corrupt("exec-only rebuild needs TEK"))?;
+                            DirTable::exec_only(&entries, tek, &mut rng)
+                        }
+                        TableAccess::None => unreachable!("filtered"),
+                    };
+                    let plain = new_table.to_wire();
+                    let plain_len = plain.len();
+                    let ciphertext = if encrypts {
+                        teks.get(view)
+                            .ok_or(CoreError::Corrupt("missing TEK"))?
+                            .seal(&mut rng, &plain)
+                    } else {
+                        plain
+                    };
+                    let sealed = if signs {
+                        let dsk = dsk.as_ref().ok_or(CoreError::PermissionDenied {
+                            path: format!("inode#{}", ph.inode),
+                            needed: "DSK (directory write)",
+                        })?;
+                        SealedObject::signed(ciphertext, key, dsk, &mut rng)
+                    } else {
+                        SealedObject::unsigned(ciphertext)
+                    };
+                    Ok((sealed.to_wire(), new_table, plain_len))
+                })?;
+            let ck = CacheKey::Table(ph.inode, view.tag(ph.inode));
+            cache_updates.push((ck, Arc::new(new_table), plain_len));
             records.push((*key, rebuilt));
         }
-        let _ = layout;
-        for (ck, plain) in cache_updates {
-            self.cache.put(ck, plain);
+        for (ck, table, plain_len) in cache_updates {
+            self.cache.put(ck, CacheValue::Table(table), plain_len);
         }
         self.rng.reseed(b"rebuild-tables");
         Ok((records, divergent_union))
@@ -1733,8 +1761,9 @@ impl SharoesClient {
                 }
                 TableAccess::ExecOnly => {
                     let Some(tek) = teks.get(view) else { continue };
+                    let hidden = table.hidden_index(tek);
                     for (name, _) in &rows {
-                        if let Ok(Some(child)) = table.lookup(name, Some(tek)) {
+                        if let Ok(Some(child)) = hidden.lookup(name) {
                             if let Some(mek) = &child.mek {
                                 harvested.insert((child.inode, child.view), mek.clone());
                             }
@@ -1830,7 +1859,6 @@ impl SharoesClient {
             })?;
             records.push((key, rec));
         }
-        let _ = layout;
         self.rng.reseed(b"build-dir-tables");
         Ok(records)
     }
@@ -1898,11 +1926,11 @@ impl SharoesClient {
     fn rekey_and_write(
         &mut self,
         h: NodeHandle,
-        body: MetadataBody,
+        body: &MetadataBody,
         content: &[u8],
     ) -> Result<(u64, SymKey)> {
-        let mut attrs = ObjectAttrs::from_body(&body);
-        let mut secrets = self.secrets_from_owner_body(&h, &body)?;
+        let mut attrs = ObjectAttrs::from_body(body);
+        let mut secrets = self.secrets_from_owner_body(&h, body)?;
         let old_view = ids::data_view(attrs.inode, attrs.generation);
         attrs.generation += 1;
         attrs.version += 1;
@@ -2053,7 +2081,7 @@ impl SharoesClient {
         }
         let content = self.read_content_for_rekey(&body)?;
         let inode = attrs.inode;
-        let (generation, dek) = self.rekey_and_write(h, body, &content)?;
+        let (generation, dek) = self.rekey_and_write(h, &body, &content)?;
         if self.kek.is_some() {
             self.escrow_dek(inode, generation, &dek)?;
         }

@@ -16,6 +16,7 @@ use crate::error::{CoreError, Result};
 use sharoes_crypto::{hmac_sha256, RandomSource, SymKey, VerifyKey};
 use sharoes_fs::NodeKind;
 use sharoes_net::{Cursor, NetError, WireRead, WireWrite};
+use std::collections::HashMap;
 
 /// Everything a row reveals about one child in a traversable view.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -216,6 +217,8 @@ impl DirTable {
     /// Returns `Ok(None)` when absent, `PermissionDenied` when the view
     /// doesn't support traversal (names-only rows).
     pub fn lookup(&self, name: &str, tek: Option<&SymKey>) -> Result<Option<ChildRef>> {
+        // The name's row id, computed at the first hidden row.
+        let mut id: Option<[u8; 16]> = None;
         for row in &self.rows {
             match row {
                 Row::Full { name: n, child } if n == name => return Ok(Some(child.clone())),
@@ -227,13 +230,8 @@ impl DirTable {
                 }
                 Row::Hidden { rowid, sealed } => {
                     let Some(tek) = tek else { continue };
-                    if *rowid == row_id(tek, name) {
-                        let plain = row_key(tek, name)
-                            .open(sealed)
-                            .map_err(|_| CoreError::Corrupt("exec-only row"))?;
-                        let child = ChildRef::from_wire(&plain)
-                            .map_err(|_| CoreError::Corrupt("exec-only row body"))?;
-                        return Ok(Some(child));
+                    if *rowid == *id.get_or_insert_with(|| row_id(tek, name)) {
+                        return open_row(tek, name, sealed).map(Some);
                     }
                 }
                 _ => {}
@@ -242,17 +240,28 @@ impl DirTable {
         Ok(None)
     }
 
-    /// Listable entries: `(name, kind, Option<ChildRef>)`. Hidden rows are
+    /// Indexes this view's hidden rows by row id, so a caller opening many
+    /// names (an exec-only rebuild) pays one HMAC per name instead of one
+    /// per row per name. Non-hidden rows are not indexed.
+    pub(crate) fn hidden_index<'t>(&'t self, tek: &'t SymKey) -> HiddenIndex<'t> {
+        let mut rows: HashMap<[u8; 16], &'t [u8]> = HashMap::new();
+        for row in &self.rows {
+            if let Row::Hidden { rowid, sealed } = row {
+                // The first row with an id wins, as in `lookup`.
+                rows.entry(*rowid).or_insert(sealed);
+            }
+        }
+        HiddenIndex { tek, rows }
+    }
+
+    /// Listable entries: `(name, kind, Option<&ChildRef>)`. Hidden rows are
     /// not listable (that is the exec-only semantics).
-    pub fn list(&self) -> Vec<(String, NodeKind, Option<ChildRef>)> {
-        self.rows
-            .iter()
-            .filter_map(|row| match row {
-                Row::Name { name, kind } => Some((name.clone(), *kind, None)),
-                Row::Full { name, child } => Some((name.clone(), child.kind, Some(child.clone()))),
-                Row::Hidden { .. } => None,
-            })
-            .collect()
+    pub fn list(&self) -> impl Iterator<Item = (&str, NodeKind, Option<&ChildRef>)> {
+        self.rows.iter().filter_map(|row| match row {
+            Row::Name { name, kind } => Some((name.as_str(), *kind, None)),
+            Row::Full { name, child } => Some((name.as_str(), child.kind, Some(child))),
+            Row::Hidden { .. } => None,
+        })
     }
 
     /// Number of rows (including hidden ones).
@@ -264,6 +273,28 @@ impl DirTable {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
+}
+
+/// A view's hidden rows by row id; see [`DirTable::hidden_index`].
+pub(crate) struct HiddenIndex<'t> {
+    tek: &'t SymKey,
+    rows: HashMap<[u8; 16], &'t [u8]>,
+}
+
+impl HiddenIndex<'_> {
+    /// Opens `name`'s hidden row, as [`DirTable::lookup`] would.
+    pub(crate) fn lookup(&self, name: &str) -> Result<Option<ChildRef>> {
+        match self.rows.get(&row_id(self.tek, name)) {
+            Some(sealed) => open_row(self.tek, name, sealed).map(Some),
+            None => Ok(None),
+        }
+    }
+}
+
+/// Opens the hidden row sealed for `name`.
+fn open_row(tek: &SymKey, name: &str, sealed: &[u8]) -> Result<ChildRef> {
+    let plain = row_key(tek, name).open(sealed).map_err(|_| CoreError::Corrupt("exec-only row"))?;
+    ChildRef::from_wire(&plain).map_err(|_| CoreError::Corrupt("exec-only row body"))
 }
 
 #[cfg(test)]
@@ -311,14 +342,14 @@ mod tests {
         assert_eq!(child.inode, 101);
         assert_eq!(child.kind, NodeKind::Dir);
         assert!(table.lookup("absent", None).unwrap().is_none());
-        assert_eq!(table.list().len(), 3);
+        assert_eq!(table.list().count(), 3);
     }
 
     #[test]
     fn names_only_view_lists_but_cannot_traverse() {
         let entries = sample_entries(2);
         let table = DirTable::names_only(&entries);
-        let listed = table.list();
+        let listed: Vec<_> = table.list().collect();
         assert_eq!(listed.len(), 2);
         assert!(listed.iter().all(|(_, _, child)| child.is_none()));
         assert!(matches!(table.lookup("entry0", None), Err(CoreError::PermissionDenied { .. })));
@@ -332,7 +363,7 @@ mod tests {
         let table = DirTable::exec_only(&entries, &tek, &mut rng);
 
         // Cannot list: no names are recoverable.
-        assert!(table.list().is_empty());
+        assert!(table.list().next().is_none());
         assert_eq!(table.len(), 3);
 
         // With the exact name and the TEK, the row opens.
@@ -348,6 +379,34 @@ mod tests {
 
         // Wrong TEK: row ids don't match, so nothing.
         assert!(table.lookup("entry2", Some(&SymKey([8; 16]))).unwrap().is_none());
+    }
+
+    #[test]
+    fn exec_only_rebuild_through_the_row_index_reopens_every_name() {
+        let entries = sample_entries(200);
+        let tek = SymKey([6; 16]);
+        let table = DirTable::exec_only(&entries, &tek, &mut HmacDrbg::from_seed_u64(5));
+
+        // What an exec-only rebuild does: recover each name's row through
+        // the index, in the names' order, and reseal.
+        let index = table.hidden_index(&tek);
+        let mut recovered = Vec::with_capacity(entries.len());
+        for (name, _) in &entries {
+            let child = index.lookup(name).unwrap().expect("every name has a row");
+            recovered.push((name.clone(), child));
+        }
+        assert_eq!(recovered, entries);
+        assert!(index.lookup("entry200").unwrap().is_none());
+
+        // Same entries, order and rng: the rebuilt view is byte-identical,
+        // and every name opens to the same ChildRef through both paths.
+        let rebuilt = DirTable::exec_only(&recovered, &tek, &mut HmacDrbg::from_seed_u64(5));
+        assert_eq!(rebuilt.to_wire(), table.to_wire());
+        let rebuilt_index = rebuilt.hidden_index(&tek);
+        for (name, child) in &entries {
+            assert_eq!(rebuilt.lookup(name, Some(&tek)).unwrap().as_ref(), Some(child));
+            assert_eq!(rebuilt_index.lookup(name).unwrap().as_ref(), Some(child));
+        }
     }
 
     #[test]
@@ -384,6 +443,7 @@ mod tests {
             sealed.truncate(sealed.len() / 2);
         }
         assert!(matches!(table.lookup("entry0", Some(&tek)), Err(CoreError::Corrupt(_))));
+        assert!(matches!(table.hidden_index(&tek).lookup("entry0"), Err(CoreError::Corrupt(_))));
     }
 
     #[test]

@@ -1256,7 +1256,7 @@ mod tests {
         let sealed = SealedObject::from_wire(blob).unwrap();
         let tek = dir_secrets.teks.get(&group_view).unwrap();
         let table = DirTable::from_wire(&tek.open(&sealed.ciphertext).unwrap()).unwrap();
-        assert!(table.list().is_empty());
+        assert!(table.list().next().is_none());
         let child_ref = table.lookup("doc.txt", Some(tek)).unwrap().unwrap();
         assert_eq!(child_ref.inode, 21);
     }

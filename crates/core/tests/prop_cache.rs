@@ -6,15 +6,27 @@
 //! `invalidate_inode` / clear sequences at small capacities must evict the
 //! same keys, hold the same values and bytes, and count the same hits,
 //! misses and evictions, after every step.
+//!
+//! Slots hold typed, decoded values (metadata bodies, split entries,
+//! directory tables, manifests, blocks), each charged the length of its
+//! plaintext encoding. A hit must hand back the very `Arc` the latest put
+//! stored under that key, never one from a replaced or invalidated slot.
 
-use sharoes_core::cache::CacheKey;
-use sharoes_core::{CacheStats, ClientCache};
+use sharoes_core::cache::{CacheKey, CacheValue};
+use sharoes_core::dirtable::{ChildRef, DirTable};
+use sharoes_core::scheme::{Manifest, SplitEntry};
+use sharoes_core::{CacheStats, ClientCache, MetadataBody};
+use sharoes_crypto::SymKey;
+use sharoes_fs::NodeKind;
+use sharoes_net::WireWrite;
 use sharoes_testkit::prelude::*;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-/// The scan-based LRU cache, kept as the oracle.
+/// The scan-based LRU cache, kept as the oracle: `(value, charge, stamp)`
+/// per slot.
 struct ScanModel {
-    slots: HashMap<CacheKey, (Vec<u8>, u64)>,
+    slots: HashMap<CacheKey, (CacheValue, u64, u64)>,
     capacity: Option<u64>,
     bytes: u64,
     clock: u64,
@@ -32,10 +44,10 @@ impl ScanModel {
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<Vec<u8>> {
+    fn get(&mut self, key: &CacheKey) -> Option<CacheValue> {
         self.clock += 1;
         match self.slots.get_mut(key) {
-            Some((value, stamp)) => {
+            Some((value, _, stamp)) => {
                 *stamp = self.clock;
                 self.stats.hits += 1;
                 Some(value.clone())
@@ -48,22 +60,22 @@ impl ScanModel {
     }
 
     /// Inserts and returns the evicted keys, in eviction order.
-    fn put(&mut self, key: CacheKey, value: Vec<u8>) -> Vec<CacheKey> {
+    fn put(&mut self, key: CacheKey, value: CacheValue, charge: u64) -> Vec<CacheKey> {
         self.clock += 1;
         self.invalidate(&key);
-        self.bytes += value.len() as u64;
-        self.slots.insert(key, (value, self.clock));
+        self.bytes += charge;
+        self.slots.insert(key, (value, charge, self.clock));
         let mut evicted = Vec::new();
         let Some(cap) = self.capacity else { return evicted };
         while self.bytes > cap && self.slots.len() > 1 {
             let victim = self
                 .slots
                 .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
+                .min_by_key(|(_, (_, _, stamp))| *stamp)
                 .map(|(k, _)| k.clone())
                 .expect("non-empty");
-            let (value, _) = self.slots.remove(&victim).expect("present");
-            self.bytes -= value.len() as u64;
+            let (_, charge, _) = self.slots.remove(&victim).expect("present");
+            self.bytes -= charge;
             self.stats.evictions += 1;
             evicted.push(victim);
         }
@@ -71,8 +83,8 @@ impl ScanModel {
     }
 
     fn invalidate(&mut self, key: &CacheKey) {
-        if let Some((value, _)) = self.slots.remove(key) {
-            self.bytes -= value.len() as u64;
+        if let Some((_, charge, _)) = self.slots.remove(key) {
+            self.bytes -= charge;
         }
     }
 
@@ -90,6 +102,73 @@ impl ScanModel {
     }
 }
 
+/// True when both sides are absent or share one allocation.
+fn same(a: Option<&CacheValue>, b: Option<&CacheValue>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(CacheValue::Meta(x)), Some(CacheValue::Meta(y))) => Arc::ptr_eq(x, y),
+        (Some(CacheValue::Split(x)), Some(CacheValue::Split(y))) => Arc::ptr_eq(x, y),
+        (Some(CacheValue::Table(x)), Some(CacheValue::Table(y))) => Arc::ptr_eq(x, y),
+        (Some(CacheValue::Manifest(x)), Some(CacheValue::Manifest(y))) => Arc::ptr_eq(x, y),
+        (Some(CacheValue::Block(x)), Some(CacheValue::Block(y))) => Arc::ptr_eq(x, y),
+        _ => false,
+    }
+}
+
+/// A decoded value of the kind `key` holds, sized by `size`, and the length
+/// of the plaintext it encodes to: what the client charges the slot.
+fn value_for(key: &CacheKey, size: usize, split: bool, step: usize) -> (CacheValue, usize) {
+    let tag = step as u8;
+    match key {
+        CacheKey::Meta(..) if split => {
+            let entry = SplitEntry {
+                view: [tag; 16],
+                mek: size.is_multiple_of(2).then_some(SymKey([tag; 16])),
+                mvk: None,
+            };
+            let len = entry.to_wire().len();
+            (CacheValue::Split(Arc::new(entry)), len)
+        }
+        CacheKey::Meta(inode, _) => {
+            let mut body = MetadataBody::bare(*inode, NodeKind::File, 1, 1, 0o644);
+            body.size = size as u64;
+            body.dek = size.is_multiple_of(3).then_some(SymKey([tag; 16]));
+            let len = body.to_wire().len();
+            (CacheValue::Meta(Arc::new(body)), len)
+        }
+        CacheKey::Table(..) => {
+            let entries: Vec<(String, ChildRef)> = (0..size % 4)
+                .map(|i| {
+                    let child = ChildRef {
+                        inode: i as u64,
+                        kind: NodeKind::File,
+                        view: [tag; 16],
+                        mek: Some(SymKey([i as u8; 16])),
+                        mvk: None,
+                        split: false,
+                    };
+                    (format!("e{i}"), child)
+                })
+                .collect();
+            let table = DirTable::full(&entries);
+            let len = table.to_wire().len();
+            (CacheValue::Table(Arc::new(table)), len)
+        }
+        CacheKey::Manifest(..) => {
+            let nblocks = size % 3;
+            let manifest = Manifest {
+                size: size as u64,
+                version: step as u64,
+                nblocks: nblocks as u32,
+                block_hashes: vec![[tag; 32]; nblocks],
+            };
+            let len = manifest.to_wire().len();
+            (CacheValue::Manifest(Arc::new(manifest)), len)
+        }
+        CacheKey::Block(..) => (CacheValue::Block(Arc::from(vec![tag; size])), size),
+    }
+}
+
 fn inode_of(k: &CacheKey) -> u64 {
     match k {
         CacheKey::Meta(i, _)
@@ -102,8 +181,10 @@ fn inode_of(k: &CacheKey) -> u64 {
 #[derive(Clone, Debug)]
 enum Op {
     Get(CacheKey),
-    /// Insert (a replace when the key is present) a value of this length.
-    Put(CacheKey, usize),
+    /// Insert (a replace when the key is present) a value of the key's
+    /// kind, sized by the number; the flag picks a split entry over a
+    /// metadata body under a `Meta` key.
+    Put(CacheKey, usize, bool),
     Invalidate(CacheKey),
     InvalidateInode(u64),
     Clear,
@@ -134,7 +215,7 @@ fn ops() -> Gen<Vec<Op>> {
         let key = keys[t.usize_in(0, keys.len())].clone();
         Ok(match t.usize_in(0, 20) {
             0..=6 => Op::Get(key),
-            7..=15 => Op::Put(key, t.usize_in(0, 24)),
+            7..=15 => Op::Put(key, t.usize_in(0, 24), t.usize_in(0, 2) == 0),
             16 | 17 => Op::Invalidate(key),
             18 => Op::InvalidateInode(t.u64_in(0, 3)),
             _ => Op::Clear,
@@ -144,7 +225,7 @@ fn ops() -> Gen<Vec<Op>> {
 }
 
 fn capacities() -> Gen<Option<u64>> {
-    Gen::from_fn(|t| Ok(if t.usize_in(0, 8) == 0 { None } else { Some(t.u64_in(0, 80)) }))
+    Gen::from_fn(|t| Ok(if t.usize_in(0, 8) == 0 { None } else { Some(t.u64_in(0, 400)) }))
 }
 
 prop! {
@@ -161,13 +242,16 @@ prop! {
             let before: BTreeSet<usize> =
                 (0..keys.len()).filter(|&i| cache.peek(&keys[i]).is_some()).collect();
             match op.clone() {
-                Op::Get(k) => prop_assert_eq!(cache.get(&k), model.get(&k), "step {}: {:?}", step, op),
-                Op::Put(k, len) => {
-                    let value = vec![step as u8; len];
+                Op::Get(k) => {
+                    let (got, want) = (cache.get(&k), model.get(&k));
+                    prop_assert!(same(got.as_ref(), want.as_ref()), "step {}: {:?}", step, op);
+                }
+                Op::Put(k, size, split) => {
+                    let (value, len) = value_for(&k, size, split, step);
                     let position = |k: &CacheKey| keys.iter().position(|u| u == k).expect("in universe");
                     let want: BTreeSet<usize> =
-                        model.put(k.clone(), value.clone()).iter().map(position).collect();
-                    cache.put(k, value);
+                        model.put(k.clone(), value.clone(), len as u64).iter().map(position).collect();
+                    cache.put(k, value, len);
                     let evicted: BTreeSet<usize> =
                         before.into_iter().filter(|&i| cache.peek(&keys[i]).is_none()).collect();
                     prop_assert_eq!(evicted, want, "step {}: evicted keys of {:?}", step, op);
@@ -189,9 +273,8 @@ prop! {
             prop_assert_eq!(cache.bytes(), model.bytes, "step {}: bytes after {:?}", step, op);
             prop_assert_eq!(cache.len(), model.slots.len(), "step {}: len after {:?}", step, op);
             for k in &keys {
-                prop_assert_eq!(
-                    cache.peek(k),
-                    model.slots.get(k).map(|(v, _)| v),
+                prop_assert!(
+                    same(cache.peek(k), model.slots.get(k).map(|(v, _, _)| v)),
                     "step {}: slot {:?} after {:?}",
                     step,
                     k,
