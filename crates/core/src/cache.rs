@@ -10,7 +10,10 @@
 //! behind an `Arc`, so a hit costs neither a copy nor a re-parse. Each slot
 //! is charged the length of the plaintext it was decoded from: capacity,
 //! eviction order, and every hit and miss are those of a cache of
-//! plaintext bytes. A caller that must change a value clones it.
+//! plaintext bytes. Lookups and inserts are typed (`get::<DirTable>`):
+//! [`Cached`] pairs each value type with its slot variant, and a lookup of
+//! another type than the slot holds is a miss. A caller that must change a
+//! value clones it.
 //!
 //! Every lookup and insert stamps its slot from one clock, and a recency
 //! index maps stamps back to keys; the least-recently-used slot is the
@@ -65,6 +68,37 @@ impl CacheValue {
         )
     }
 }
+
+/// A type a cache slot can hold: the one place that pairs each value type
+/// with its [`CacheValue`] variant.
+pub trait Cached {
+    /// Wraps a value for a slot.
+    fn wrap(value: Arc<Self>) -> CacheValue;
+    /// The value a slot holds, when it is of this type.
+    fn unwrap(value: &CacheValue) -> Option<&Arc<Self>>;
+}
+
+macro_rules! cached {
+    ($ty:ty, $variant:ident) => {
+        impl Cached for $ty {
+            fn wrap(value: Arc<Self>) -> CacheValue {
+                CacheValue::$variant(value)
+            }
+            fn unwrap(value: &CacheValue) -> Option<&Arc<Self>> {
+                match value {
+                    CacheValue::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+cached!(MetadataBody, Meta);
+cached!(SplitEntry, Split);
+cached!(DirTable, Table);
+cached!(Manifest, Manifest);
+cached!([u8], Block);
 
 impl CacheKey {
     fn inode(&self) -> u64 {
@@ -141,22 +175,22 @@ impl ClientCache {
         }
     }
 
-    /// Looks up a value, refreshing its recency.
-    pub fn get(&mut self, key: &CacheKey) -> Option<CacheValue> {
+    /// Looks up a value of type `T`, refreshing its recency. A slot that
+    /// holds another type counts as a miss and is left as it is; the
+    /// caller's `put` of the decoded value then replaces it.
+    pub fn get<T: Cached + ?Sized>(&mut self, key: &CacheKey) -> Option<Arc<T>> {
         self.clock += 1;
-        match self.slots.get_mut(key) {
-            Some(slot) => {
-                let entry = self.recency.remove(&slot.stamp).expect("indexed slot");
-                self.recency.insert(self.clock, entry);
-                slot.stamp = self.clock;
-                self.stats.hits += 1;
-                Some(slot.value.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let slot = self.slots.get_mut(key);
+        let Some((slot, value)) = slot.and_then(|s| T::unwrap(&s.value).cloned().map(|v| (s, v)))
+        else {
+            self.stats.misses += 1;
+            return None;
+        };
+        let entry = self.recency.remove(&slot.stamp).expect("indexed slot");
+        self.recency.insert(self.clock, entry);
+        slot.stamp = self.clock;
+        self.stats.hits += 1;
+        Some(value)
     }
 
     /// Peeks without counting a hit/miss or refreshing recency.
@@ -166,7 +200,8 @@ impl ClientCache {
 
     /// Inserts (or replaces) a value decoded from `plain_len` plaintext
     /// bytes, which is what the slot is charged.
-    pub fn put(&mut self, key: CacheKey, value: CacheValue, plain_len: usize) {
+    pub fn put<T: Cached + ?Sized>(&mut self, key: CacheKey, value: Arc<T>, plain_len: usize) {
+        let value = T::wrap(value);
         debug_assert!(value.fits(&key), "{value:?} under {key:?}");
         self.clock += 1;
         self.invalidate(&key);
@@ -237,6 +272,7 @@ impl ClientCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sharoes_fs::NodeKind;
 
     fn key(i: u64) -> CacheKey {
         CacheKey::Block(i, 0, 0)
@@ -245,19 +281,21 @@ mod tests {
     /// Puts a block of `bytes` and returns it.
     fn put_block(c: &mut ClientCache, key: CacheKey, bytes: &[u8]) -> Arc<[u8]> {
         let block: Arc<[u8]> = Arc::from(bytes);
-        c.put(key, CacheValue::Block(Arc::clone(&block)), bytes.len());
+        c.put(key, Arc::clone(&block), bytes.len());
         block
+    }
+
+    fn body(inode: u64) -> Arc<MetadataBody> {
+        Arc::new(MetadataBody::bare(inode, NodeKind::File, 1, 1, 0o644))
     }
 
     #[test]
     fn get_put_and_stats() {
         let mut c = ClientCache::new(None);
-        assert!(c.get(&key(1)).is_none());
+        assert!(c.get::<[u8]>(&key(1)).is_none());
         let block = put_block(&mut c, key(1), &[1, 2, 3]);
-        match c.get(&key(1)) {
-            Some(CacheValue::Block(hit)) => assert!(Arc::ptr_eq(&hit, &block), "a hit shares"),
-            other => panic!("expected the block, got {other:?}"),
-        }
+        let hit = c.get::<[u8]>(&key(1)).expect("the block");
+        assert!(Arc::ptr_eq(&hit, &block), "a hit shares");
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
@@ -265,11 +303,24 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_of_another_type_reads_as_a_miss() {
+        let mut c = ClientCache::new(None);
+        let ck = CacheKey::Meta(1, [0; 16]);
+        let meta = body(1);
+        c.put(ck.clone(), Arc::clone(&meta), 10);
+        assert!(c.get::<SplitEntry>(&ck).is_none());
+        assert_eq!((c.stats().hits, c.stats().misses), (0, 1));
+        let hit = c.get::<MetadataBody>(&ck).expect("the body");
+        assert!(Arc::ptr_eq(&hit, &meta));
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
+    }
+
+    #[test]
     fn slots_are_charged_their_plaintext_length() {
         let mut c = ClientCache::new(Some(100));
-        c.put(CacheKey::Table(1, [0; 16]), CacheValue::Table(Arc::default()), 60);
+        c.put(CacheKey::Table(1, [0; 16]), Arc::new(DirTable::default()), 60);
         let manifest = Manifest { size: 0, version: 1, nblocks: 0, block_hashes: Vec::new() };
-        c.put(CacheKey::Manifest(1, 0), CacheValue::Manifest(Arc::new(manifest)), 30);
+        c.put(CacheKey::Manifest(1, 0), Arc::new(manifest), 30);
         assert_eq!(c.bytes(), 90);
         // The table is least recent: 90 + 20 > 100 evicts it alone.
         put_block(&mut c, key(2), &[0; 20]);
@@ -292,7 +343,7 @@ mod tests {
         put_block(&mut c, key(1), &[0; 4]);
         put_block(&mut c, key(2), &[0; 4]);
         // Touch 1 so 2 becomes LRU.
-        c.get(&key(1));
+        c.get::<[u8]>(&key(1));
         put_block(&mut c, key(3), &[0; 4]);
         assert!(c.bytes() <= 10);
         assert!(c.peek(&key(1)).is_some());
@@ -313,7 +364,8 @@ mod tests {
     #[test]
     fn invalidate_inode_clears_related() {
         let mut c = ClientCache::new(None);
-        c.put(CacheKey::Table(5, [0; 16]), CacheValue::Table(Arc::default()), 2);
+        c.put(CacheKey::Meta(5, [0; 16]), body(5), 1);
+        c.put(CacheKey::Table(5, [0; 16]), Arc::new(DirTable::default()), 2);
         put_block(&mut c, CacheKey::Block(5, 0, 0), &[3]);
         put_block(&mut c, CacheKey::Block(6, 0, 0), &[4]);
         c.invalidate_inode(5);

@@ -15,7 +15,7 @@
 //! implementations of §V run through the same code with a different
 //! [`CryptoPolicy`].
 
-use crate::cache::{CacheKey, CacheStats, CacheValue, ClientCache};
+use crate::cache::{CacheKey, CacheStats, ClientCache};
 use crate::cap::TableAccess;
 use crate::dirtable::{ChildRef, DirTable, Row};
 use crate::error::{CoreError, Result};
@@ -492,11 +492,8 @@ impl SharoesClient {
     /// path of Figure 8: one network receive plus one decryption).
     fn open_metadata_at(&mut self, h: &NodeHandle) -> Result<Arc<MetadataBody>> {
         let ck = CacheKey::Meta(h.inode, h.view);
-        if let Some(cached) = self.cache.get(&ck) {
-            return match cached {
-                CacheValue::Meta(body) => Ok(body),
-                _ => Err(CoreError::Corrupt("cached metadata")),
-            };
+        if let Some(body) = self.cache.get(&ck) {
+            return Ok(body);
         }
         let key = ObjectKey::metadata(h.inode, h.view);
         let blob = self
@@ -539,7 +536,7 @@ impl SharoesClient {
             body.version,
             &format!("metadata inode#{}", h.inode),
         )?;
-        self.cache.put(ck, CacheValue::Meta(Arc::clone(&body)), plain.len());
+        self.cache.put(ck, Arc::clone(&body), plain.len());
         Ok(body)
     }
 
@@ -575,9 +572,8 @@ impl SharoesClient {
 
         for (slot, via_group) in candidates {
             let ck = CacheKey::Meta(slot.inode, slot.view);
-            let entry = match self.cache.get(&ck) {
-                Some(CacheValue::Split(entry)) => entry,
-                Some(_) => return Err(CoreError::Corrupt("split entry")),
+            let entry = match self.cache.get::<SplitEntry>(&ck) {
+                Some(entry) => entry,
                 None => {
                     let Some(blob) = self.fetch(slot)? else { continue };
                     let meter = Arc::clone(&self.meter);
@@ -597,7 +593,7 @@ impl SharoesClient {
                         SplitEntry::from_wire(&plain)
                             .map_err(|_| CoreError::Corrupt("split entry"))?,
                     );
-                    self.cache.put(ck, CacheValue::Split(Arc::clone(&entry)), plain.len());
+                    self.cache.put(ck, Arc::clone(&entry), plain.len());
                     entry
                 }
             };
@@ -618,11 +614,8 @@ impl SharoesClient {
     /// Fetches, verifies, and decrypts the directory-table replica for `h`.
     fn open_table(&mut self, h: &NodeHandle, body: &MetadataBody) -> Result<Arc<DirTable>> {
         let ck = CacheKey::Table(h.inode, h.view);
-        if let Some(cached) = self.cache.get(&ck) {
-            return match cached {
-                CacheValue::Table(table) => Ok(table),
-                _ => Err(CoreError::Corrupt("cached table")),
-            };
+        if let Some(table) = self.cache.get(&ck) {
+            return Ok(table);
         }
         let key = ObjectKey::data(h.inode, h.view, 0);
         let blob = self.fetch(key)?.ok_or(CoreError::PermissionDenied {
@@ -650,7 +643,7 @@ impl SharoesClient {
         })?;
         let table =
             Arc::new(DirTable::from_wire(&plain).map_err(|_| CoreError::Corrupt("table body"))?);
-        self.cache.put(ck, CacheValue::Table(Arc::clone(&table)), plain.len());
+        self.cache.put(ck, Arc::clone(&table), plain.len());
         Ok(table)
     }
 
@@ -750,8 +743,8 @@ impl SharoesClient {
         let inode = body.inode;
         let generation = body.generation;
         let ck = CacheKey::Manifest(inode, generation);
-        if let Some(cached) = self.cached_manifest(&ck)? {
-            return Ok(cached);
+        if let Some(manifest) = self.cache.get(&ck) {
+            return Ok(manifest);
         }
         let dview = ids::data_view(inode, generation);
         let mkey = ObjectKey::data(inode, dview, MANIFEST_BLOCK);
@@ -765,12 +758,12 @@ impl SharoesClient {
             manifest.version,
             &format!("data manifest inode#{inode}"),
         )?;
-        self.cache.put(ck, CacheValue::Manifest(Arc::clone(&manifest)), mplain.len());
+        self.cache.put(ck, Arc::clone(&manifest), mplain.len());
         if let Some(b0) = &fetched[1] {
             if let Ok(plain) = self.open_data_block(&b0key, b0, body, manifest.hash_of(0)) {
                 let len = plain.len();
                 let ck = CacheKey::Block(inode, generation, 0);
-                self.cache.put(ck, CacheValue::Block(Arc::from(plain)), len);
+                self.cache.put(ck, Arc::<[u8]>::from(plain), len);
             }
         }
         Ok(manifest)
@@ -780,8 +773,8 @@ impl SharoesClient {
     /// fetch (used by close, which overwrites the data anyway).
     fn load_manifest_lean(&mut self, body: &MetadataBody) -> Result<Arc<Manifest>> {
         let ck = CacheKey::Manifest(body.inode, body.generation);
-        if let Some(cached) = self.cached_manifest(&ck)? {
-            return Ok(cached);
+        if let Some(manifest) = self.cache.get(&ck) {
+            return Ok(manifest);
         }
         let dview = ids::data_view(body.inode, body.generation);
         let mkey = ObjectKey::data(body.inode, dview, MANIFEST_BLOCK);
@@ -793,17 +786,8 @@ impl SharoesClient {
             manifest.version,
             &format!("data manifest inode#{}", body.inode),
         )?;
-        self.cache.put(ck, CacheValue::Manifest(Arc::clone(&manifest)), plain.len());
+        self.cache.put(ck, Arc::clone(&manifest), plain.len());
         Ok(manifest)
-    }
-
-    /// The cached manifest under `ck`, on a hit.
-    fn cached_manifest(&mut self, ck: &CacheKey) -> Result<Option<Arc<Manifest>>> {
-        match self.cache.get(ck) {
-            None => Ok(None),
-            Some(CacheValue::Manifest(manifest)) => Ok(Some(manifest)),
-            Some(_) => Err(CoreError::Corrupt("cached manifest")),
-        }
     }
 
     /// Verifies (signature) and decrypts the manifest record.
@@ -907,10 +891,9 @@ impl SharoesClient {
         let mut blocks: Vec<Option<Arc<[u8]>>> = vec![None; manifest.nblocks as usize];
         let mut missing = Vec::new();
         for (i, slot) in blocks.iter_mut().enumerate() {
-            match self.cache.get(&CacheKey::Block(inode, generation, i as u32)) {
-                Some(CacheValue::Block(block)) => *slot = Some(block),
-                Some(_) => return Err(CoreError::Corrupt("cached block")),
-                None => missing.push(ObjectKey::data(inode, dview, i as u32)),
+            *slot = self.cache.get(&CacheKey::Block(inode, generation, i as u32));
+            if slot.is_none() {
+                missing.push(ObjectKey::data(inode, dview, i as u32));
             }
         }
         let fetched = self.fetch_many(missing.clone())?;
@@ -920,7 +903,7 @@ impl SharoesClient {
             let len = plain.len();
             let block: Arc<[u8]> = Arc::from(plain);
             let ck = CacheKey::Block(inode, generation, key.block);
-            self.cache.put(ck, CacheValue::Block(Arc::clone(&block)), len);
+            self.cache.put(ck, Arc::clone(&block), len);
             blocks[key.block as usize] = Some(block);
         }
 
@@ -1000,7 +983,7 @@ impl SharoesClient {
         }
         for (i, chunk) in pending.content.chunks(self.config.block_size.max(1)).enumerate() {
             let ck = CacheKey::Block(inode, generation, i as u32);
-            self.cache.put(ck, CacheValue::Block(Arc::from(chunk)), chunk.len());
+            self.cache.put(ck, Arc::<[u8]>::from(chunk), chunk.len());
         }
         Ok(())
     }
@@ -1381,14 +1364,11 @@ impl SharoesClient {
         let mut missing: Vec<(usize, ObjectKey)> = Vec::new();
         for (i, (view, _)) in views.iter().enumerate() {
             let ck = CacheKey::Table(ph.inode, view.tag(ph.inode));
-            match self.cache.get(&ck) {
-                Some(CacheValue::Table(table)) => tables.push(Some(table)),
-                Some(_) => return Err(CoreError::Corrupt("cached table")),
-                None => {
-                    tables.push(None);
-                    missing.push((i, keys[i]));
-                }
+            let table = self.cache.get(&ck);
+            if table.is_none() {
+                missing.push((i, keys[i]));
             }
+            tables.push(table);
         }
         if !missing.is_empty() {
             let fetched = self.fetch_many(missing.iter().map(|(_, k)| *k).collect())?;
@@ -1457,9 +1437,8 @@ impl SharoesClient {
                 }
                 TableAccess::ExecOnly => {
                     let tek = tek.ok_or(CoreError::Corrupt("exec-only rebuild needs TEK"))?;
-                    let rows = table.hidden_index(tek);
                     for (name, _, _) in my_table.list() {
-                        if let Some(child) = rows.lookup(name)? {
+                        if let Some(child) = table.lookup(name, Some(tek))? {
                             entries.push((name.to_string(), child));
                         }
                     }
@@ -1529,7 +1508,7 @@ impl SharoesClient {
             records.push((*key, rebuilt));
         }
         for (ck, table, plain_len) in cache_updates {
-            self.cache.put(ck, CacheValue::Table(table), plain_len);
+            self.cache.put(ck, table, plain_len);
         }
         self.rng.reseed(b"rebuild-tables");
         Ok((records, divergent_union))
@@ -1761,9 +1740,8 @@ impl SharoesClient {
                 }
                 TableAccess::ExecOnly => {
                     let Some(tek) = teks.get(view) else { continue };
-                    let hidden = table.hidden_index(tek);
                     for (name, _) in &rows {
-                        if let Ok(Some(child)) = hidden.lookup(name) {
+                        if let Ok(Some(child)) = table.lookup(name, Some(tek)) {
                             if let Some(mek) = &child.mek {
                                 harvested.insert((child.inode, child.view), mek.clone());
                             }

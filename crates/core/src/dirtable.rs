@@ -16,7 +16,6 @@ use crate::error::{CoreError, Result};
 use sharoes_crypto::{hmac_sha256, RandomSource, SymKey, VerifyKey};
 use sharoes_fs::NodeKind;
 use sharoes_net::{Cursor, NetError, WireRead, WireWrite};
-use std::collections::HashMap;
 
 /// Everything a row reveals about one child in a traversable view.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -240,20 +239,6 @@ impl DirTable {
         Ok(None)
     }
 
-    /// Indexes this view's hidden rows by row id, so a caller opening many
-    /// names (an exec-only rebuild) pays one HMAC per name instead of one
-    /// per row per name. Non-hidden rows are not indexed.
-    pub(crate) fn hidden_index<'t>(&'t self, tek: &'t SymKey) -> HiddenIndex<'t> {
-        let mut rows: HashMap<[u8; 16], &'t [u8]> = HashMap::new();
-        for row in &self.rows {
-            if let Row::Hidden { rowid, sealed } = row {
-                // The first row with an id wins, as in `lookup`.
-                rows.entry(*rowid).or_insert(sealed);
-            }
-        }
-        HiddenIndex { tek, rows }
-    }
-
     /// Listable entries: `(name, kind, Option<&ChildRef>)`. Hidden rows are
     /// not listable (that is the exec-only semantics).
     pub fn list(&self) -> impl Iterator<Item = (&str, NodeKind, Option<&ChildRef>)> {
@@ -272,22 +257,6 @@ impl DirTable {
     /// True when the table has no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-}
-
-/// A view's hidden rows by row id; see [`DirTable::hidden_index`].
-pub(crate) struct HiddenIndex<'t> {
-    tek: &'t SymKey,
-    rows: HashMap<[u8; 16], &'t [u8]>,
-}
-
-impl HiddenIndex<'_> {
-    /// Opens `name`'s hidden row, as [`DirTable::lookup`] would.
-    pub(crate) fn lookup(&self, name: &str) -> Result<Option<ChildRef>> {
-        match self.rows.get(&row_id(self.tek, name)) {
-            Some(sealed) => open_row(self.tek, name, sealed).map(Some),
-            None => Ok(None),
-        }
     }
 }
 
@@ -382,30 +351,27 @@ mod tests {
     }
 
     #[test]
-    fn exec_only_rebuild_through_the_row_index_reopens_every_name() {
+    fn exec_only_rebuild_reopens_every_name() {
         let entries = sample_entries(200);
         let tek = SymKey([6; 16]);
         let table = DirTable::exec_only(&entries, &tek, &mut HmacDrbg::from_seed_u64(5));
 
-        // What an exec-only rebuild does: recover each name's row through
-        // the index, in the names' order, and reseal.
-        let index = table.hidden_index(&tek);
+        // What an exec-only rebuild does: look up each name in the names'
+        // order (one row-id HMAC per lookup) and reseal.
         let mut recovered = Vec::with_capacity(entries.len());
         for (name, _) in &entries {
-            let child = index.lookup(name).unwrap().expect("every name has a row");
+            let child = table.lookup(name, Some(&tek)).unwrap().expect("every name has a row");
             recovered.push((name.clone(), child));
         }
         assert_eq!(recovered, entries);
-        assert!(index.lookup("entry200").unwrap().is_none());
+        assert!(table.lookup("entry200", Some(&tek)).unwrap().is_none());
 
         // Same entries, order and rng: the rebuilt view is byte-identical,
-        // and every name opens to the same ChildRef through both paths.
+        // and every name opens to the same ChildRef.
         let rebuilt = DirTable::exec_only(&recovered, &tek, &mut HmacDrbg::from_seed_u64(5));
         assert_eq!(rebuilt.to_wire(), table.to_wire());
-        let rebuilt_index = rebuilt.hidden_index(&tek);
         for (name, child) in &entries {
             assert_eq!(rebuilt.lookup(name, Some(&tek)).unwrap().as_ref(), Some(child));
-            assert_eq!(rebuilt_index.lookup(name).unwrap().as_ref(), Some(child));
         }
     }
 
@@ -443,7 +409,6 @@ mod tests {
             sealed.truncate(sealed.len() / 2);
         }
         assert!(matches!(table.lookup("entry0", Some(&tek)), Err(CoreError::Corrupt(_))));
-        assert!(matches!(table.hidden_index(&tek).lookup("entry0"), Err(CoreError::Corrupt(_))));
     }
 
     #[test]

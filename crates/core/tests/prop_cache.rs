@@ -10,7 +10,9 @@
 //! Slots hold typed, decoded values (metadata bodies, split entries,
 //! directory tables, manifests, blocks), each charged the length of its
 //! plaintext encoding. A hit must hand back the very `Arc` the latest put
-//! stored under that key, never one from a replaced or invalidated slot.
+//! stored under that key, never one from a replaced or invalidated slot;
+//! a get of another type than the slot holds is a miss that leaves the
+//! slot's recency alone.
 
 use sharoes_core::cache::{CacheKey, CacheValue};
 use sharoes_core::dirtable::{ChildRef, DirTable};
@@ -44,9 +46,9 @@ impl ScanModel {
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<CacheValue> {
+    fn get(&mut self, key: &CacheKey, split: bool) -> Option<CacheValue> {
         self.clock += 1;
-        match self.slots.get_mut(key) {
+        match self.slots.get_mut(key).filter(|(value, _, _)| is_wanted(value, split)) {
             Some((value, _, stamp)) => {
                 *stamp = self.clock;
                 self.stats.hits += 1;
@@ -99,6 +101,39 @@ impl ScanModel {
     fn clear(&mut self) {
         self.slots.clear();
         self.bytes = 0;
+    }
+}
+
+/// True when a get for a split entry (`split`) or for another value of
+/// the key's kind would take `value`.
+fn is_wanted(value: &CacheValue, split: bool) -> bool {
+    match value {
+        CacheValue::Meta(_) => !split,
+        CacheValue::Split(_) => split,
+        _ => true,
+    }
+}
+
+/// The cache's typed get, for a split entry under a `Meta` key when
+/// `split`, else for the key kind's one value type.
+fn get_value(cache: &mut ClientCache, key: &CacheKey, split: bool) -> Option<CacheValue> {
+    match key {
+        CacheKey::Meta(..) if split => cache.get::<SplitEntry>(key).map(CacheValue::Split),
+        CacheKey::Meta(..) => cache.get::<MetadataBody>(key).map(CacheValue::Meta),
+        CacheKey::Table(..) => cache.get(key).map(CacheValue::Table),
+        CacheKey::Manifest(..) => cache.get(key).map(CacheValue::Manifest),
+        CacheKey::Block(..) => cache.get(key).map(CacheValue::Block),
+    }
+}
+
+/// The cache's typed put of `value`.
+fn put_value(cache: &mut ClientCache, key: CacheKey, value: CacheValue, len: usize) {
+    match value {
+        CacheValue::Meta(v) => cache.put(key, v, len),
+        CacheValue::Split(v) => cache.put(key, v, len),
+        CacheValue::Table(v) => cache.put(key, v, len),
+        CacheValue::Manifest(v) => cache.put(key, v, len),
+        CacheValue::Block(v) => cache.put(key, v, len),
     }
 }
 
@@ -180,7 +215,9 @@ fn inode_of(k: &CacheKey) -> u64 {
 
 #[derive(Clone, Debug)]
 enum Op {
-    Get(CacheKey),
+    /// Get a value of the key's kind; the flag asks for a split entry
+    /// rather than a metadata body under a `Meta` key.
+    Get(CacheKey, bool),
     /// Insert (a replace when the key is present) a value of the key's
     /// kind, sized by the number; the flag picks a split entry over a
     /// metadata body under a `Meta` key.
@@ -214,7 +251,7 @@ fn ops() -> Gen<Vec<Op>> {
     let op = Gen::from_fn(move |t| {
         let key = keys[t.usize_in(0, keys.len())].clone();
         Ok(match t.usize_in(0, 20) {
-            0..=6 => Op::Get(key),
+            0..=6 => Op::Get(key, t.usize_in(0, 2) == 0),
             7..=15 => Op::Put(key, t.usize_in(0, 24), t.usize_in(0, 2) == 0),
             16 | 17 => Op::Invalidate(key),
             18 => Op::InvalidateInode(t.u64_in(0, 3)),
@@ -242,8 +279,8 @@ prop! {
             let before: BTreeSet<usize> =
                 (0..keys.len()).filter(|&i| cache.peek(&keys[i]).is_some()).collect();
             match op.clone() {
-                Op::Get(k) => {
-                    let (got, want) = (cache.get(&k), model.get(&k));
+                Op::Get(k, split) => {
+                    let (got, want) = (get_value(&mut cache, &k, split), model.get(&k, split));
                     prop_assert!(same(got.as_ref(), want.as_ref()), "step {}: {:?}", step, op);
                 }
                 Op::Put(k, size, split) => {
@@ -251,7 +288,7 @@ prop! {
                     let position = |k: &CacheKey| keys.iter().position(|u| u == k).expect("in universe");
                     let want: BTreeSet<usize> =
                         model.put(k.clone(), value.clone(), len as u64).iter().map(position).collect();
-                    cache.put(k, value, len);
+                    put_value(&mut cache, k, value, len);
                     let evicted: BTreeSet<usize> =
                         before.into_iter().filter(|&i| cache.peek(&keys[i]).is_none()).collect();
                     prop_assert_eq!(evicted, want, "step {}: evicted keys of {:?}", step, op);
