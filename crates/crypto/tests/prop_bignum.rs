@@ -4,6 +4,7 @@
 //! inverse law) are what RSA/ESIGN correctness ultimately rests on, so we
 //! hammer them with random multi-limb operands.
 
+use sharoes_crypto::montgomery::MontgomeryCtx;
 use sharoes_crypto::BigUint;
 use sharoes_testkit::prelude::*;
 
@@ -13,6 +14,44 @@ fn biguints(max_limbs: usize) -> Gen<BigUint> {
 
 fn nonzero_biguints(max_limbs: usize) -> Gen<BigUint> {
     biguints(max_limbs).filter("nonzero", |v| !v.is_zero())
+}
+
+/// Odd moduli >= 3 of exactly 1..=`max_limbs` limbs.
+fn odd_moduli(max_limbs: usize) -> Gen<BigUint> {
+    gen::vecs(gen::u64s(), 1..max_limbs + 1)
+        .map(|mut limbs| {
+            limbs[0] |= 1;
+            let top = limbs.len() - 1;
+            if limbs[top] == 0 {
+                limbs[top] = 1;
+            }
+            BigUint::from_limbs(limbs)
+        })
+        .filter("modulus >= 3", |m| !m.is_one())
+}
+
+/// Exponent of `bits` bits (top bit set) cut from `limbs`; 0 bits is zero.
+fn exponent(limbs: &[u64], bits: usize) -> BigUint {
+    if bits == 0 {
+        return BigUint::zero();
+    }
+    let mut e = BigUint::from_limbs(limbs.to_vec()).shr(64 * limbs.len() - bits);
+    e.set_bit(bits - 1);
+    e
+}
+
+/// Reference exponentiation: left-to-right square-and-multiply on plain
+/// `mul` + `rem`, no Montgomery form.
+fn naive_pow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+    let base = base.rem(m);
+    let mut acc = BigUint::one().rem(m);
+    for i in (0..exp.bit_len()).rev() {
+        acc = acc.mul(&acc).rem(m);
+        if exp.bit(i) {
+            acc = acc.mul(&base).rem(m);
+        }
+    }
+    acc
 }
 
 prop! {
@@ -114,5 +153,32 @@ prop! {
             std::cmp::Ordering::Less => prop_assert!(a.checked_sub(&b).is_none()),
             _ => prop_assert!(a.checked_sub(&b).is_some()),
         }
+    }
+}
+
+prop! {
+    #![cases(96)]
+
+    /// `MontgomeryCtx::pow` against plain square-and-multiply over 1-33 limb
+    /// moduli: short exponents (1-20 bits, the size of the public exponents),
+    /// mid-size ones either side of any method switch, full-width ones and
+    /// zero, with bases that are and are not already reduced.
+    fn montgomery_pow_matches_naive(
+        m in odd_moduli(33),
+        base in biguints(34),
+        exp_limbs in gen::vecs(gen::u64s(), 34..35),
+        shape in gen::in_range(0u8..4),
+        short_bits in gen::in_range_incl(1usize..=20),
+        mid_bits in gen::in_range_incl(21usize..=128),
+    ) {
+        let bits = match shape {
+            0 => short_bits,
+            1 => mid_bits,
+            2 => m.bit_len(),
+            _ => 0,
+        };
+        let e = exponent(&exp_limbs, bits);
+        let ctx = MontgomeryCtx::new(m.clone());
+        prop_assert_eq!(ctx.pow(&base, &e), naive_pow(&base, &e, &m));
     }
 }
