@@ -1,10 +1,17 @@
 //! Microbenchmarks for the cryptographic substrate: the raw
 //! symmetric-vs-asymmetric gap every Sharoes design decision leans on.
 //!
+//! `esign768` and `rsa2048` are the key sizes the workloads run at (CAP
+//! signatures and user identity keys); `esign1026` and `rsa1024` keep the
+//! older rows comparable. Every signature a row times is also verified, so
+//! a wrong result fails the run.
+//!
 //! Runs under the in-tree `sharoes_testkit::bench` harness; see DESIGN.md
 //! for the sampling model and the `SHAROES_BENCH_*` knobs.
 
-use sharoes_crypto::{Aes128, EsignPrivateKey, HmacDrbg, RsaPrivateKey, Sha256, SymKey};
+use sharoes_crypto::montgomery::MontgomeryCtx;
+use sharoes_crypto::prime::generate_prime;
+use sharoes_crypto::{Aes128, BigUint, EsignPrivateKey, HmacDrbg, RsaPrivateKey, Sha256, SymKey};
 use sharoes_testkit::bench::BenchRunner;
 use std::hint::black_box;
 
@@ -44,15 +51,15 @@ fn bench_hashes(c: &mut BenchRunner) {
     });
 }
 
-fn bench_rsa(c: &mut BenchRunner) {
+fn bench_rsa(c: &mut BenchRunner, bits: usize) {
     let mut rng = HmacDrbg::from_seed_u64(2);
-    // 1024-bit keeps runs quick; ratios scale with 2048.
-    let rsa = RsaPrivateKey::generate(1024, &mut rng).unwrap();
+    let rsa = RsaPrivateKey::generate(bits, &mut rng).unwrap();
     let msg = vec![0xCDu8; 64];
     let ct = rsa.public_key().encrypt(&mut rng, &msg).unwrap();
+    assert_eq!(rsa.decrypt(&ct).unwrap(), msg, "rsa{bits} decrypt must round-trip");
     let sig = rsa.sign(b"metadata");
 
-    let mut group = c.group("rsa1024");
+    let mut group = c.group(&format!("rsa{bits}"));
     group.bench_function("encrypt", |b| {
         let mut rng = HmacDrbg::from_seed_u64(12);
         b.iter(|| rsa.public_key().encrypt(&mut rng, black_box(&msg)).unwrap())
@@ -65,15 +72,20 @@ fn bench_rsa(c: &mut BenchRunner) {
     group.finish();
 }
 
-fn bench_esign(c: &mut BenchRunner) {
+fn bench_esign(c: &mut BenchRunner, bits: usize) {
     let mut rng = HmacDrbg::from_seed_u64(3);
-    let esign = EsignPrivateKey::generate(1026, &mut rng).unwrap();
+    let esign = EsignPrivateKey::generate(bits, &mut rng).unwrap();
     let sig = esign.sign(&mut rng, b"data block");
+    let check = |sig: &[u8]| {
+        esign.public_key().verify(b"data block", sig).expect("esign signature must verify")
+    };
+    check(&sig);
 
-    let mut group = c.group("esign1026");
+    let mut group = c.group(&format!("esign{bits}"));
     group.bench_function("sign", |b| {
         let mut rng = HmacDrbg::from_seed_u64(13);
-        b.iter(|| esign.sign(&mut rng, black_box(b"data block")))
+        b.iter(|| esign.sign(&mut rng, black_box(b"data block")));
+        check(&esign.sign(&mut rng, b"data block"));
     });
     group.bench_function("verify", |b| {
         b.iter(|| esign.public_key().verify(black_box(b"data block"), black_box(&sig)).unwrap())
@@ -81,11 +93,29 @@ fn bench_esign(c: &mut BenchRunner) {
     group.finish();
 }
 
+/// The inverse mod `p` at the size of ESIGN-768's `p` (256 bits), the
+/// single largest step of a signature.
+fn bench_inverse(c: &mut BenchRunner) {
+    let mut rng = HmacDrbg::from_seed_u64(4);
+    let p = generate_prime(256, &mut rng).unwrap();
+    let ctx = MontgomeryCtx::new(p.clone());
+    let a = BigUint::random_below(&mut rng, &p);
+    let inv = ctx.inverse(&a).expect("nonzero is invertible mod a prime");
+    assert_eq!(Some(inv), a.mod_inv(&p), "inverse must match the Euclidean oracle");
+
+    let mut group = c.group("esign768");
+    group.bench_function("inverse_mod_p", |b| b.iter(|| ctx.inverse(black_box(&a))));
+    group.finish();
+}
+
 fn main() {
     let mut c = BenchRunner::from_args("crypto_micro");
     bench_aes(&mut c);
     bench_hashes(&mut c);
-    bench_rsa(&mut c);
-    bench_esign(&mut c);
+    bench_rsa(&mut c, 1024);
+    bench_rsa(&mut c, 2048);
+    bench_esign(&mut c, 1026);
+    bench_esign(&mut c, 768);
+    bench_inverse(&mut c);
     c.finish();
 }

@@ -21,7 +21,7 @@ use crate::bignum::BigUint;
 use crate::drbg::RandomSource;
 use crate::encoding::{put_bytes, put_u32, Reader};
 use crate::error::CryptoError;
-use crate::montgomery::MontgomeryCtx;
+use crate::montgomery::CtxCell;
 use crate::prime::generate_prime;
 use crate::sha256::Sha256;
 
@@ -35,6 +35,8 @@ const E: u32 = 32;
 #[derive(Clone, PartialEq, Eq)]
 pub struct EsignPublicKey {
     n: BigUint,
+    /// Montgomery context for `n`, built on first verify.
+    ctx_n: CtxCell,
     e: u32,
     /// Bit position where the hash window starts in `s^e mod n`.
     shift: usize,
@@ -47,6 +49,8 @@ pub struct EsignPublicKey {
 pub struct EsignPrivateKey {
     public: EsignPublicKey,
     p: BigUint,
+    /// Montgomery context for `p`, built on first sign.
+    ctx_p: CtxCell,
     q: BigUint,
     pq: BigUint,
 }
@@ -107,7 +111,7 @@ impl EsignPublicKey {
         if s.cmp_ref(&self.n) != std::cmp::Ordering::Less || s.is_zero() {
             return Err(CryptoError::SignatureInvalid);
         }
-        let u = MontgomeryCtx::new(self.n.clone()).pow(&s, &BigUint::from_u64(self.e as u64));
+        let u = self.ctx_n.get(&self.n).pow(&s, &BigUint::from_u64(self.e as u64));
         let expected = message_representative(msg, self.shift, self.hash_bits);
         if u.shr(self.shift) == expected.shr(self.shift) {
             Ok(())
@@ -134,10 +138,16 @@ impl EsignPublicKey {
         let shift = r.take_u32()? as usize;
         let hash_bits = r.take_u32()? as usize;
         r.expect_end()?;
-        if n.bit_len() < 64 || e < 4 || shift + hash_bits + 1 > n.bit_len() || hash_bits == 0 {
+        // n = p²q is odd; an even n would also have no Montgomery context.
+        if n.bit_len() < 64
+            || n.is_even()
+            || e < 4
+            || shift + hash_bits + 1 > n.bit_len()
+            || hash_bits == 0
+        {
             return Err(CryptoError::MalformedKey("implausible ESIGN public key"));
         }
-        Ok(EsignPublicKey { n, e, shift, hash_bits })
+        Ok(EsignPublicKey { n, ctx_n: CtxCell::default(), e, shift, hash_bits })
     }
 }
 
@@ -163,8 +173,9 @@ impl EsignPrivateKey {
                 continue; // not enough hash coverage; resample
             }
             return Ok(EsignPrivateKey {
-                public: EsignPublicKey { n, e: E, shift, hash_bits },
+                public: EsignPublicKey { n, ctx_n: CtxCell::default(), e: E, shift, hash_bits },
                 p,
+                ctx_p: CtxCell::default(),
                 q,
                 pq,
             });
@@ -184,12 +195,13 @@ impl EsignPrivateKey {
         let y = message_representative(msg, pk.shift, pk.hash_bits);
         let e_big = BigUint::from_u64(pk.e as u64);
         let e1_big = BigUint::from_u64(pk.e as u64 - 1);
-        let ctx_n = MontgomeryCtx::new(pk.n.clone());
-        let ctx_p = MontgomeryCtx::new(self.p.clone());
+        let ctx_n = pk.ctx_n.get(&pk.n);
+        let ctx_p = self.ctx_p.get(&self.p);
 
         loop {
             let r = BigUint::random_below(rng, &self.pq);
-            if r.rem(&self.p).is_zero() {
+            let r_mod_p = r.rem(&self.p);
+            if r_mod_p.is_zero() {
                 continue;
             }
             let re = ctx_n.pow(&r, &e_big);
@@ -197,13 +209,17 @@ impl EsignPrivateKey {
             let (wq, wr) = v.div_rem(&self.pq);
             let w = if wr.is_zero() { wq } else { wq.add_u64(1) };
 
-            // t = w * (e * r^(e-1))^{-1} mod p
-            let re1 = ctx_p.pow(&r, &e1_big);
+            // t = w * (e * r^(e-1))^{-1} mod p. p is prime and divides
+            // neither r nor e, so denom is never zero and always invertible.
+            let re1 = ctx_p.pow(&r_mod_p, &e1_big);
             let denom = re1.mul_u64(pk.e as u64).rem(&self.p);
-            let Some(inv) = denom.mod_inv(&self.p) else {
+            if denom.is_zero() {
+                continue;
+            }
+            let Some(inv) = ctx_p.inverse(&denom) else {
                 continue;
             };
-            let t = w.rem(&self.p).mul_mod(&inv, &self.p);
+            let t = ctx_p.mul_mod(&w, &inv);
             let s = r.add(&t.mul(&self.pq)).rem(&pk.n);
             debug_assert!(pk
                 .check(msg, &s.to_bytes_be_padded(pk.signature_len()).unwrap())
@@ -230,13 +246,19 @@ impl EsignPrivateKey {
         let q = BigUint::from_bytes_be(r.take_bytes()?);
         let e = r.take_u32()?;
         r.expect_end()?;
-        if p.bit_len() < 32 || q.bit_len() < 32 || e < 4 {
+        if p.bit_len() < 32 || q.bit_len() < 32 || p.is_even() || q.is_even() || e < 4 {
             return Err(CryptoError::MalformedKey("implausible ESIGN private key"));
         }
         let pq = p.mul(&q);
         let n = p.square().mul(&q);
         let (shift, hash_bits) = window_params(&n, p.bit_len());
-        Ok(EsignPrivateKey { public: EsignPublicKey { n, e, shift, hash_bits }, p, q, pq })
+        Ok(EsignPrivateKey {
+            public: EsignPublicKey { n, ctx_n: CtxCell::default(), e, shift, hash_bits },
+            p,
+            ctx_p: CtxCell::default(),
+            q,
+            pq,
+        })
     }
 }
 
@@ -315,5 +337,20 @@ mod tests {
     fn malformed_keys_rejected() {
         assert!(EsignPublicKey::from_bytes(b"junk").is_err());
         assert!(EsignPrivateKey::from_bytes(b"junk").is_err());
+    }
+
+    #[test]
+    fn even_moduli_rejected_at_parse() {
+        let key = test_key();
+        // The modulus is the first length-prefixed field of both encodings;
+        // clearing its low bit makes it even.
+        let mut public = key.public_key().to_bytes();
+        let n_end = 4 + u32::from_be_bytes(public[..4].try_into().unwrap()) as usize;
+        public[n_end - 1] &= !1;
+        assert!(EsignPublicKey::from_bytes(&public).is_err());
+        let mut private = key.to_bytes();
+        let p_end = 4 + u32::from_be_bytes(private[..4].try_into().unwrap()) as usize;
+        private[p_end - 1] &= !1;
+        assert!(EsignPrivateKey::from_bytes(&private).is_err());
     }
 }

@@ -2,9 +2,19 @@
 //!
 //! All RSA and ESIGN exponentiations route through [`MontgomeryCtx`], which
 //! implements the CIOS (coarsely integrated operand scanning) multiplication
-//! with 64-bit limbs and a fixed 4-bit window exponentiation ladder.
+//! with 64-bit limbs. Multiplication writes into caller-owned buffers, so an
+//! exponentiation allocates its scratch once. Exponents of up to
+//! [`SHORT_EXP_BITS`] bits (the public exponents: RSA's 65537, ESIGN's 32 and
+//! 31) use plain left-to-right square-and-multiply; longer ones use a 4-bit
+//! window, whose 14-multiply table only pays for itself past about 50 bits.
+//! Keys keep their contexts in a [`CtxCell`], built on first use.
 
 use crate::bignum::BigUint;
+use std::cmp::Ordering;
+use std::sync::{Arc, OnceLock};
+
+/// Longest exponent, in bits, that skips the window table.
+pub const SHORT_EXP_BITS: usize = 64;
 
 /// Precomputed state for arithmetic modulo a fixed odd modulus.
 pub struct MontgomeryCtx {
@@ -30,8 +40,7 @@ impl MontgomeryCtx {
         assert!(modulus.is_odd(), "Montgomery modulus must be odd");
         assert!(modulus.bit_len() >= 2, "Montgomery modulus must be >= 3");
         let k = modulus.limbs.len();
-        let mut n = modulus.limbs.clone();
-        n.resize(k, 0);
+        let n = modulus.limbs.clone();
 
         let n0inv = neg_inv_u64(n[0]);
 
@@ -52,103 +61,208 @@ impl MontgomeryCtx {
         &self.modulus
     }
 
-    /// CIOS Montgomery multiplication: returns `a * b * R^-1 mod n`.
+    /// CIOS Montgomery multiplication: `out = a * b * R^-1 mod n`.
     ///
-    /// Operands are `k`-limb little-endian vectors, already reduced mod n.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+    /// Operands are `k`-limb little-endian slices, already reduced mod n;
+    /// `t` is scratch of `k + 2` limbs.
+    fn mont_mul(&self, out: &mut [u64], a: &[u64], b: &[u64], t: &mut [u64]) {
         let k = self.k;
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        let mut t = vec![0u64; k + 2];
+        let (a, b, n, t) = (&a[..k], &b[..k], &self.n[..k], &mut t[..k + 2]);
+        t.fill(0);
 
-        for &ai in a.iter().take(k) {
+        for &ai in a {
             // t += ai * b
-            let mut carry = 0u128;
-            for j in 0..k {
-                let cur = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
+            let mut carry = 0u64;
+            for (tj, &bj) in t[..k].iter_mut().zip(b) {
+                let cur = *tj as u128 + ai as u128 * bj as u128 + carry as u128;
+                *tj = cur as u64;
+                carry = (cur >> 64) as u64;
             }
-            let cur = t[k] as u128 + carry;
-            t[k] = cur as u64;
-            t[k + 1] = t[k + 1].wrapping_add((cur >> 64) as u64);
+            let (sum, over) = t[k].overflowing_add(carry);
+            t[k] = sum;
+            t[k + 1] = over as u64;
 
             // m = t[0] * n0inv mod 2^64; t = (t + m*n) / 2^64
             let m = t[0].wrapping_mul(self.n0inv);
-            let mut carry = {
-                let cur = t[0] as u128 + m as u128 * self.n[0] as u128;
-                cur >> 64
-            };
+            let mut carry = ((t[0] as u128 + m as u128 * n[0] as u128) >> 64) as u64;
             for j in 1..k {
-                let cur = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
+                let cur = t[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
                 t[j - 1] = cur as u64;
-                carry = cur >> 64;
+                carry = (cur >> 64) as u64;
             }
-            let cur = t[k] as u128 + carry;
-            t[k - 1] = cur as u64;
-            t[k] = t[k + 1].wrapping_add((cur >> 64) as u64);
-            t[k + 1] = 0;
+            let (sum, over) = t[k].overflowing_add(carry);
+            t[k - 1] = sum;
+            t[k] = t[k + 1] + over as u64;
         }
 
         // Final conditional subtraction: t may be in [0, 2n).
-        let mut out = t[..k].to_vec();
-        if t[k] != 0 || ge(&out, &self.n) {
-            sub_in_place(&mut out, &self.n, t[k]);
+        let out = &mut out[..k];
+        out.copy_from_slice(&t[..k]);
+        if t[k] != 0 || !less(out, n) {
+            sub_assign(out, n);
         }
-        out
     }
 
-    fn to_mont(&self, a: &BigUint) -> Vec<u64> {
-        let reduced = a.rem(&self.modulus);
-        let mut limbs = reduced.limbs.clone();
-        limbs.resize(self.k, 0);
-        self.mont_mul(&limbs, &self.rr)
+    /// Writes `a mod n` into `out` as `k` limbs; the `rem` is skipped when
+    /// `a` is already reduced.
+    fn load(&self, a: &BigUint, out: &mut [u64]) {
+        out.fill(0);
+        if a.cmp_ref(&self.modulus) == Ordering::Less {
+            out[..a.limbs.len()].copy_from_slice(&a.limbs);
+        } else {
+            let r = a.rem(&self.modulus);
+            out[..r.limbs.len()].copy_from_slice(&r.limbs);
+        }
     }
 
-    #[allow(clippy::wrong_self_convention)]
-    fn from_mont(&self, a: &[u64]) -> BigUint {
-        let mut one = vec![0u64; self.k];
-        one[0] = 1;
-        BigUint::from_limbs(self.mont_mul(a, &one))
-    }
-
-    /// `(a * b) mod n`.
+    /// `(a * b) mod n`: `mont(a, b) = abR^-1`, then `mont(abR^-1, R^2) = ab`.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
+        let k = self.k;
+        let mut buf = vec![0u64; 4 * k + 2];
+        let (am, rest) = buf.split_at_mut(k);
+        let (bm, rest) = rest.split_at_mut(k);
+        let (prod, t) = rest.split_at_mut(k);
+        self.load(a, am);
+        self.load(b, bm);
+        self.mont_mul(prod, am, bm, t);
+        self.mont_mul(am, prod, &self.rr, t);
+        BigUint::from_limbs(am.to_vec())
     }
 
-    /// `base^exp mod n` with a fixed 4-bit window.
+    /// `base^exp mod n`: square-and-multiply for exponents of up to
+    /// [`SHORT_EXP_BITS`] bits, a fixed 4-bit window above.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one().rem(&self.modulus);
-        }
-        let bm = self.to_mont(base);
-
-        // Precompute bm^0 .. bm^15 in Montgomery form.
-        let mut table = Vec::with_capacity(16);
-        table.push(self.r1.clone());
-        table.push(bm.clone());
-        for i in 2..16 {
-            table.push(self.mont_mul(&table[i - 1], &bm));
-        }
-
         let bits = exp.bit_len();
-        let top_window = (bits - 1) / 4; // index of the most significant window
-        let mut acc = table[window_at(exp, top_window)].clone();
-        for w in (0..top_window).rev() {
-            for _ in 0..4 {
-                acc = self.mont_mul(&acc, &acc);
+        if bits == 0 {
+            return BigUint::one();
+        }
+        let k = self.k;
+        let table_len = if bits <= SHORT_EXP_BITS { 2 } else { 16 };
+        // One allocation serves the whole exponentiation:
+        // t (k + 2) | acc (k) | tmp (k) | table: base^0 .. base^(len-1).
+        let mut buf = vec![0u64; (3 + table_len) * k + 2];
+        let (t, rest) = buf.split_at_mut(k + 2);
+        let (mut acc, rest) = rest.split_at_mut(k);
+        let (mut tmp, table) = rest.split_at_mut(k);
+
+        // table[0] = 1 and table[1] = base, in Montgomery form.
+        table[..k].copy_from_slice(&self.r1);
+        self.load(base, tmp);
+        self.mont_mul(&mut table[k..2 * k], tmp, &self.rr, t);
+
+        if bits <= SHORT_EXP_BITS {
+            let bm = &table[k..2 * k];
+            acc.copy_from_slice(bm);
+            for i in (0..bits - 1).rev() {
+                self.mont_mul(tmp, acc, acc, t);
+                std::mem::swap(&mut acc, &mut tmp);
+                if exp.bit(i) {
+                    self.mont_mul(tmp, acc, bm, t);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
             }
-            let idx = window_at(exp, w);
-            if idx != 0 {
-                acc = self.mont_mul(&acc, &table[idx]);
+        } else {
+            for i in 2..16 {
+                let (done, next) = table.split_at_mut(i * k);
+                self.mont_mul(&mut next[..k], &done[(i - 1) * k..], &done[k..2 * k], t);
+            }
+            let entry = |idx: usize| &table[idx * k..(idx + 1) * k];
+            let top_window = (bits - 1) / 4; // index of the most significant window
+            acc.copy_from_slice(entry(window_at(exp, top_window)));
+            for w in (0..top_window).rev() {
+                for _ in 0..4 {
+                    self.mont_mul(tmp, acc, acc, t);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
+                let idx = window_at(exp, w);
+                if idx != 0 {
+                    self.mont_mul(tmp, acc, entry(idx), t);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
             }
         }
-        self.from_mont(&acc)
+
+        // Leave Montgomery form: mont(acc, 1) = acc * R^-1.
+        tmp.fill(0);
+        tmp[0] = 1;
+        let (out, _) = table.split_at_mut(k);
+        self.mont_mul(out, acc, tmp, t);
+        BigUint::from_limbs(out.to_vec())
+    }
+
+    /// `a^-1 mod n`, or `None` when `gcd(a, n) != 1`.
+    ///
+    /// Binary extended Euclid on four `k`-limb buffers: shifts, compares
+    /// and subtractions only, no division and no allocation in the loop.
+    /// Invariants: `x1·a ≡ u` and `x2·a ≡ v (mod n)`, `x1, x2 < n`, and `v`
+    /// is odd at the top of the loop. The binary GCD of `u` and `v` ends
+    /// with `u = 0` and `v = gcd(a, n)`; it stops early once either side
+    /// reaches one, whose coefficient is then the inverse.
+    pub fn inverse(&self, a: &BigUint) -> Option<BigUint> {
+        let k = self.k;
+        let n = &self.n[..k];
+        let mut buf = vec![0u64; 4 * k];
+        let (u, rest) = buf.split_at_mut(k);
+        let (v, rest) = rest.split_at_mut(k);
+        let (x1, x2) = rest.split_at_mut(k);
+        self.load(a, u);
+        v.copy_from_slice(n);
+        x1[0] = 1;
+        loop {
+            if is_zero(u) {
+                return is_one(v).then(|| BigUint::from_limbs(x2.to_vec()));
+            }
+            while u[0] & 1 == 0 {
+                shr1(u, 0);
+                halve_mod(x1, n);
+            }
+            if is_one(u) {
+                return Some(BigUint::from_limbs(x1.to_vec()));
+            }
+            if less(u, v) {
+                sub_assign(v, u);
+                sub_mod(x2, x1, n);
+                while v[0] & 1 == 0 {
+                    shr1(v, 0);
+                    halve_mod(x2, n);
+                }
+                if is_one(v) {
+                    return Some(BigUint::from_limbs(x2.to_vec()));
+                }
+            } else {
+                sub_assign(u, v);
+                sub_mod(x1, x2, n);
+            }
+        }
     }
 }
+
+/// A key's [`MontgomeryCtx`] for one of its moduli, built on first use.
+///
+/// Parsing a key does not build it (a directory table parses a verify key
+/// per row, and most never verify). Clones share the cell, so a context
+/// built through a clone serves the original too. Equality ignores the
+/// cell: it is a function of the modulus stored beside it.
+#[derive(Clone, Default)]
+pub(crate) struct CtxCell(Arc<OnceLock<MontgomeryCtx>>);
+
+impl CtxCell {
+    /// The context for `modulus`, which must be the modulus this cell
+    /// serves every time.
+    pub(crate) fn get(&self, modulus: &BigUint) -> &MontgomeryCtx {
+        let ctx = self.0.get_or_init(|| MontgomeryCtx::new(modulus.clone()));
+        debug_assert!(ctx.modulus() == modulus, "a CtxCell serves one modulus");
+        ctx
+    }
+}
+
+impl PartialEq for CtxCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for CtxCell {}
 
 /// Extracts the `w`-th 4-bit window (little-endian window order).
 fn window_at(exp: &BigUint, w: usize) -> usize {
@@ -173,27 +287,69 @@ fn neg_inv_u64(a: u64) -> u64 {
     inv.wrapping_neg()
 }
 
-fn ge(a: &[u64], b: &[u64]) -> bool {
+fn less(a: &[u64], b: &[u64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
-    for i in (0..a.len()).rev() {
-        if a[i] != b[i] {
-            return a[i] > b[i];
+    for (x, y) in a.iter().zip(b).rev() {
+        if x != y {
+            return x < y;
         }
     }
-    true
+    false
 }
 
-/// `a -= b`, where the logical value of a includes `extra * 2^(64 len)`.
-fn sub_in_place(a: &mut [u64], b: &[u64], extra: u64) {
-    let mut borrow = 0u64;
-    for i in 0..a.len() {
-        let (d1, b1) = a[i].overflowing_sub(b[i]);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        a[i] = d2;
-        borrow = (b1 as u64) + (b2 as u64);
+fn is_zero(a: &[u64]) -> bool {
+    a.iter().all(|&l| l == 0)
+}
+
+fn is_one(a: &[u64]) -> bool {
+    a[0] == 1 && is_zero(&a[1..])
+}
+
+/// `a += b` modulo `2^(64 len)`; returns the carry out.
+fn add_assign(a: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (s1, c1) = x.overflowing_add(y);
+        let (s2, c2) = s1.overflowing_add(carry as u64);
+        *x = s2;
+        carry = c1 | c2;
     }
-    debug_assert!(extra >= borrow || extra == 0 && borrow == 0);
-    let _ = extra;
+    carry
+}
+
+/// `a -= b` modulo `2^(64 len)`; returns the borrow out.
+fn sub_assign(a: &mut [u64], b: &[u64]) -> bool {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d1, b1) = x.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *x = d2;
+        borrow = b1 | b2;
+    }
+    borrow
+}
+
+/// `a = (a >> 1) | (top << (64 len - 1))`.
+fn shr1(a: &mut [u64], top: u64) {
+    let mut carry = top;
+    for x in a.iter_mut().rev() {
+        let low = *x & 1;
+        *x = (*x >> 1) | (carry << 63);
+        carry = low;
+    }
+}
+
+/// `x = x / 2 mod n` for odd `n` and `x < n`.
+fn halve_mod(x: &mut [u64], n: &[u64]) {
+    let top = if x[0] & 1 == 1 { add_assign(x, n) as u64 } else { 0 };
+    shr1(x, top);
+}
+
+/// `x = (x - y) mod n` for `x, y < n`.
+fn sub_mod(x: &mut [u64], y: &[u64], n: &[u64]) {
+    if sub_assign(x, y) {
+        add_assign(x, n);
+    }
 }
 
 #[cfg(test)]
@@ -261,6 +417,26 @@ mod tests {
         let m = n(97);
         let ctx = MontgomeryCtx::new(m);
         assert_eq!(ctx.pow(&n(12), &BigUint::zero()), BigUint::one());
+    }
+
+    #[test]
+    fn inverse_matches_mod_inv_small() {
+        for m in [3u64, 9, 15, 97, 1_000_003] {
+            let ctx = MontgomeryCtx::new(n(m));
+            for a in 0..200u64 {
+                assert_eq!(ctx.inverse(&n(a)), n(a).mod_inv(&n(m)), "a={a} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn ctx_cell_is_lazy_and_shared_by_clones() {
+        let m = n(1_000_003);
+        let cell = CtxCell::default();
+        let clone = cell.clone();
+        assert!(cell.0.get().is_none(), "built only on first use");
+        let built = clone.get(&m);
+        assert!(std::ptr::eq(built, cell.get(&m)), "a clone's context serves the original");
     }
 
     #[test]

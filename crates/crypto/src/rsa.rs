@@ -9,7 +9,7 @@ use crate::bignum::BigUint;
 use crate::drbg::RandomSource;
 use crate::encoding::{put_bytes, Reader};
 use crate::error::CryptoError;
-use crate::montgomery::MontgomeryCtx;
+use crate::montgomery::CtxCell;
 use crate::prime::generate_prime;
 use crate::sha256::Sha256;
 
@@ -26,6 +26,8 @@ const SIG_PREFIX: &[u8] = b"SHAROES:SHA-256:";
 #[derive(Clone, PartialEq, Eq)]
 pub struct RsaPublicKey {
     n: BigUint,
+    /// Montgomery context for `n`, built on first use.
+    ctx_n: CtxCell,
     e: BigUint,
     /// Modulus length in bytes.
     k: usize,
@@ -38,6 +40,9 @@ pub struct RsaPrivateKey {
     d: BigUint,
     p: BigUint,
     q: BigUint,
+    /// Montgomery contexts for `p` and `q`, built on first use.
+    ctx_p: CtxCell,
+    ctx_q: CtxCell,
     dp: BigUint,
     dq: BigUint,
     qinv: BigUint,
@@ -57,6 +62,11 @@ impl std::fmt::Debug for RsaPrivateKey {
 }
 
 impl RsaPublicKey {
+    fn new(n: BigUint, e: BigUint) -> Self {
+        let k = n.bit_len().div_ceil(8);
+        RsaPublicKey { n, ctx_n: CtxCell::default(), e, k }
+    }
+
     /// Modulus length in bytes; every ciphertext/signature block is this long.
     pub fn modulus_len(&self) -> usize {
         self.k
@@ -74,7 +84,7 @@ impl RsaPublicKey {
 
     fn raw(&self, m: &BigUint) -> BigUint {
         crate::work::count(|w| w.public_ops += 1);
-        MontgomeryCtx::new(self.n.clone()).pow(m, &self.e)
+        self.ctx_n.get(&self.n).pow(m, &self.e)
     }
 
     /// PKCS#1 v1.5 type-2 encryption of a single block.
@@ -160,11 +170,11 @@ impl RsaPublicKey {
         let n = BigUint::from_bytes_be(r.take_bytes()?);
         let e = BigUint::from_bytes_be(r.take_bytes()?);
         r.expect_end()?;
-        if n.bit_len() < 32 || e.is_zero() || e.is_one() {
+        // An RSA modulus is odd; an even n would also have no Montgomery context.
+        if n.bit_len() < 32 || n.is_even() || e.is_zero() || e.is_one() {
             return Err(CryptoError::MalformedKey("implausible RSA public key"));
         }
-        let k = n.bit_len().div_ceil(8);
-        Ok(RsaPublicKey { n, e, k })
+        Ok(RsaPublicKey::new(n, e))
     }
 }
 
@@ -214,9 +224,17 @@ impl RsaPrivateKey {
             let Some(qinv) = q.mod_inv(&p) else {
                 continue;
             };
-            let (p, q) = (p, q);
-            let k = n.bit_len().div_ceil(8);
-            return Ok(RsaPrivateKey { public: RsaPublicKey { n, e, k }, d, p, q, dp, dq, qinv });
+            return Ok(RsaPrivateKey {
+                public: RsaPublicKey::new(n, e),
+                d,
+                p,
+                q,
+                ctx_p: CtxCell::default(),
+                ctx_q: CtxCell::default(),
+                dp,
+                dq,
+                qinv,
+            });
         }
         Err(CryptoError::KeyGeneration("RSA keygen retries exhausted"))
     }
@@ -229,8 +247,8 @@ impl RsaPrivateKey {
     /// CRT private-key operation `c^d mod n`.
     fn raw(&self, c: &BigUint) -> BigUint {
         crate::work::count(|w| w.private_ops += 1);
-        let m1 = MontgomeryCtx::new(self.p.clone()).pow(c, &self.dp);
-        let m2 = MontgomeryCtx::new(self.q.clone()).pow(c, &self.dq);
+        let m1 = self.ctx_p.get(&self.p).pow(c, &self.dp);
+        let m2 = self.ctx_q.get(&self.q).pow(c, &self.dq);
         // h = qinv * (m1 - m2) mod p
         let diff = m1.sub_mod(&m2.rem(&self.p), &self.p);
         let h = self.qinv.mul_mod(&diff, &self.p);
@@ -307,11 +325,20 @@ impl RsaPrivateKey {
         let dq = BigUint::from_bytes_be(r.take_bytes()?);
         let qinv = BigUint::from_bytes_be(r.take_bytes()?);
         r.expect_end()?;
-        if p.mul(&q) != n {
-            return Err(CryptoError::MalformedKey("RSA n != p*q"));
+        if p.mul(&q) != n || n.is_even() {
+            return Err(CryptoError::MalformedKey("RSA n != p*q with p, q odd"));
         }
-        let k = n.bit_len().div_ceil(8);
-        Ok(RsaPrivateKey { public: RsaPublicKey { n, e, k }, d, p, q, dp, dq, qinv })
+        Ok(RsaPrivateKey {
+            public: RsaPublicKey::new(n, e),
+            d,
+            p,
+            q,
+            ctx_p: CtxCell::default(),
+            ctx_q: CtxCell::default(),
+            dp,
+            dq,
+            qinv,
+        })
     }
 }
 
@@ -409,5 +436,10 @@ mod tests {
         let mut bytes = key.to_bytes();
         bytes[6] ^= 0xFF; // perturb n so n != p*q
         assert!(RsaPrivateKey::from_bytes(&bytes).is_err());
+        // An even modulus is refused at parse, not at first use.
+        let mut public = key.public_key().to_bytes();
+        let n_end = 4 + u32::from_be_bytes(public[..4].try_into().unwrap()) as usize;
+        public[n_end - 1] &= !1;
+        assert!(RsaPublicKey::from_bytes(&public).is_err());
     }
 }

@@ -181,4 +181,28 @@ prop! {
         let ctx = MontgomeryCtx::new(m.clone());
         prop_assert_eq!(ctx.pow(&base, &e), naive_pow(&base, &e, &m));
     }
+
+    /// The binary inverse for odd moduli against the Euclidean `mod_inv`.
+    /// The modulus is a product `f·g`, so inputs that share the factor `f`
+    /// (and zero, and multiples of the modulus) exercise the `None` side.
+    fn montgomery_inverse_matches_mod_inv(
+        f in odd_moduli(5),
+        g in odd_moduli(5),
+        x in biguints(11),
+        shape in gen::in_range(0u8..4),
+    ) {
+        let m = f.mul(&g);
+        let a = match shape {
+            0 => x.clone(),
+            1 => f.mul(&x),
+            2 => m.mul(&x),
+            _ => x.rem(&m),
+        };
+        let ctx = MontgomeryCtx::new(m.clone());
+        let inv = ctx.inverse(&a);
+        prop_assert_eq!(&inv, &a.mod_inv(&m));
+        if shape == 1 || shape == 2 {
+            prop_assert!(inv.is_none(), "a shares a factor with m");
+        }
+    }
 }
