@@ -1373,10 +1373,14 @@ impl SharoesClient {
         if !missing.is_empty() {
             let fetched = self.fetch_many(missing.iter().map(|(_, k)| *k).collect())?;
             let encrypts_now = self.encrypts_data();
-            for ((slot, _), blob) in missing.iter().zip(fetched) {
+            // Every replica is checked against the directory's DVK before it
+            // is opened: its content is re-signed with our DSK below.
+            let dvk = if self.signs() { pbody.dvk.as_ref() } else { None };
+            for ((slot, key), blob) in missing.iter().zip(fetched) {
                 let blob = blob.ok_or(CoreError::Corrupt("missing table replica"))?;
                 let sealed = SealedObject::from_wire(&blob)
                     .map_err(|_| CoreError::Corrupt("sealed table replica"))?;
+                sealed.verify(key, dvk)?;
                 let plain = if encrypts_now {
                     let tek = teks.get(&views[*slot].0).ok_or(CoreError::PermissionDenied {
                         path: format!("inode#{}", ph.inode),
@@ -1715,11 +1719,15 @@ impl SharoesClient {
             .iter()
             .map(|(view, _)| ObjectKey::data(h.inode, view.tag(h.inode), 0))
             .collect();
-        let blobs = self.fetch_many(keys)?;
+        let blobs = self.fetch_many(keys.clone())?;
+        // The harvested MEKs are re-sealed under our DSK, so a replica must
+        // pass the directory's DVK before it is opened.
+        let dvk = if self.signs() { body.dvk.as_ref() } else { None };
         let mut harvested: HashMap<(u64, [u8; 16]), SymKey> = HashMap::new();
-        for ((view, access), blob) in old_views.iter().zip(blobs) {
+        for (((view, access), key), blob) in old_views.iter().zip(&keys).zip(blobs) {
             let Some(blob) = blob else { continue };
             let Ok(sealed) = SealedObject::from_wire(&blob) else { continue };
+            sealed.verify(key, dvk)?;
             let plain = if self.encrypts_data() {
                 let Some(tek) = teks.get(view) else { continue };
                 let Ok(p) = tek.open(&sealed.ciphertext) else { continue };

@@ -4,15 +4,15 @@
 
 mod common;
 
-use common::{World, ALICE, BOB};
-use sharoes_core::{CoreError, CryptoPolicy, Scheme};
-use sharoes_net::ObjectKey;
+use common::{World, ALICE, BOB, CAROL};
+use sharoes_core::{ClassTag, CoreError, CryptoPolicy, Scheme, SealedObject, ViewId};
+use sharoes_fs::Mode;
+use sharoes_net::{ObjectKey, WireRead, WireWrite};
 
 /// Collects all stored values by brute-forcing through the public API is
 /// impossible (keys are opaque hashes) — which is itself the point. For the
 /// *test*, we re-derive the keys the client would use and fetch those.
 fn fetch_all_known(world: &World, inode: u64) -> Vec<Vec<u8>> {
-    use sharoes_core::{ClassTag, ViewId};
     let mut out = Vec::new();
     let store = world.server.store();
     for class in [ClassTag::Owner, ClassTag::Group, ClassTag::Other] {
@@ -305,4 +305,60 @@ fn ciphertexts_differ_per_replica() {
         ))
         .unwrap();
     assert_ne!(owner, group);
+}
+
+/// The table-replica slots of directory `inode`, one per class view.
+fn table_keys(inode: u64) -> Vec<ObjectKey> {
+    [ClassTag::Owner, ClassTag::Group, ClassTag::Other]
+        .into_iter()
+        .map(|class| ObjectKey::data(inode, ViewId::Class(class).tag(inode), 0))
+        .collect()
+}
+
+/// Flips one ciphertext byte of `class`'s table replica of `inode`, leaving
+/// its signature as it was; returns the snapshot of all replica slots taken
+/// after the flip.
+fn flip_table_replica(world: &World, inode: u64, class: ClassTag) -> Vec<Option<Vec<u8>>> {
+    let store = world.server.store();
+    let key = ObjectKey::data(inode, ViewId::Class(class).tag(inode), 0);
+    let mut sealed = SealedObject::from_wire(&store.get(&key).expect("replica exists")).unwrap();
+    let mid = sealed.ciphertext.len() / 2;
+    sealed.ciphertext[mid] ^= 0x01;
+    store.put(key, sealed.to_wire()).unwrap();
+    table_keys(inode).iter().map(|k| store.get(k)).collect()
+}
+
+#[test]
+fn writer_refuses_to_resign_a_tampered_table_replica() {
+    // AES-CTR is malleable: a flipped ciphertext byte flips one plaintext
+    // byte. A writer that rebuilds every replica of /shared must not open
+    // the "other" replica unverified and re-sign it under its own DSK.
+    let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
+    let inode = world.client(ALICE).getattr("/shared").unwrap().inode;
+    let stored = flip_table_replica(&world, inode, ClassTag::Other);
+
+    let mut alice = world.client(ALICE); // cold cache: every replica is fetched
+    let err = alice.create("/shared/new.txt", Mode::from_octal(0o644)).unwrap_err();
+    assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
+    let after: Vec<_> = table_keys(inode).iter().map(|k| world.server.store().get(k)).collect();
+    assert_eq!(after, stored, "no replica may be re-signed");
+
+    let err = world.client(CAROL).readdir("/shared").unwrap_err();
+    assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
+}
+
+#[test]
+fn owner_chmod_refuses_a_tampered_table_replica() {
+    // chmod on a directory harvests child MEKs from every replica and
+    // re-seals them: a tampered replica must stop it before anything is
+    // re-signed.
+    let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
+    let inode = world.client(ALICE).getattr("/home/alice/listing").unwrap().inode;
+    let stored = flip_table_replica(&world, inode, ClassTag::Other);
+
+    let mut alice = world.client(ALICE);
+    let err = alice.chmod("/home/alice/listing", Mode::from_octal(0o755)).unwrap_err();
+    assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
+    let after: Vec<_> = table_keys(inode).iter().map(|k| world.server.store().get(k)).collect();
+    assert_eq!(after, stored, "no replica may be re-signed");
 }
