@@ -61,41 +61,36 @@ impl MontgomeryCtx {
         &self.modulus
     }
 
-    /// CIOS Montgomery multiplication: `out = a * b * R^-1 mod n`.
+    /// Montgomery multiplication: `out = a * b * R^-1 mod n`.
     ///
     /// Operands are `k`-limb little-endian slices, already reduced mod n;
-    /// `t` is scratch of `k + 2` limbs.
+    /// `t` is scratch of `k + 1` limbs. Each round adds `ai * b` and the
+    /// multiple `m * n` that clears the low limb in one pass over `t`,
+    /// shifting down a limb as it goes (CIOS with the multiply and reduce
+    /// loops fused), so `t < 2n` throughout.
     fn mont_mul(&self, out: &mut [u64], a: &[u64], b: &[u64], t: &mut [u64]) {
         let k = self.k;
-        let (a, b, n, t) = (&a[..k], &b[..k], &self.n[..k], &mut t[..k + 2]);
+        let (a, b, n, t) = (&a[..k], &b[..k], &self.n[..k], &mut t[..k + 1]);
         t.fill(0);
 
         for &ai in a {
-            // t += ai * b
-            let mut carry = 0u64;
-            for (tj, &bj) in t[..k].iter_mut().zip(b) {
-                let cur = *tj as u128 + ai as u128 * bj as u128 + carry as u128;
-                *tj = cur as u64;
-                carry = (cur >> 64) as u64;
-            }
-            let (sum, over) = t[k].overflowing_add(carry);
-            t[k] = sum;
-            t[k + 1] = over as u64;
-
-            // m = t[0] * n0inv mod 2^64; t = (t + m*n) / 2^64
-            let m = t[0].wrapping_mul(self.n0inv);
-            let mut carry = ((t[0] as u128 + m as u128 * n[0] as u128) >> 64) as u64;
+            let (ai, first) = (ai as u128, t[0] as u128 + ai as u128 * b[0] as u128);
+            let m = (first as u64).wrapping_mul(self.n0inv) as u128;
+            let mut mul_carry = first >> 64;
+            let mut red_carry = ((first as u64) as u128 + m * n[0] as u128) >> 64;
             for j in 1..k {
-                let cur = t[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
-                t[j - 1] = cur as u64;
-                carry = (cur >> 64) as u64;
+                let prod = t[j] as u128 + ai * b[j] as u128 + mul_carry;
+                mul_carry = prod >> 64;
+                let red = (prod as u64) as u128 + m * n[j] as u128 + red_carry;
+                red_carry = red >> 64;
+                t[j - 1] = red as u64;
             }
-            let (sum, over) = t[k].overflowing_add(carry);
-            t[k - 1] = sum;
-            t[k] = t[k + 1] + over as u64;
+            let top = t[k] as u128 + mul_carry + red_carry;
+            t[k - 1] = top as u64;
+            t[k] = (top >> 64) as u64;
         }
 
-        // Final conditional subtraction: t may be in [0, 2n).
+        // Final conditional subtraction: t is in [0, 2n).
         let out = &mut out[..k];
         out.copy_from_slice(&t[..k]);
         if t[k] != 0 || !less(out, n) {
@@ -118,7 +113,7 @@ impl MontgomeryCtx {
     /// `(a * b) mod n`: `mont(a, b) = abR^-1`, then `mont(abR^-1, R^2) = ab`.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
         let k = self.k;
-        let mut buf = vec![0u64; 4 * k + 2];
+        let mut buf = vec![0u64; 4 * k + 1];
         let (am, rest) = buf.split_at_mut(k);
         let (bm, rest) = rest.split_at_mut(k);
         let (prod, t) = rest.split_at_mut(k);
@@ -139,9 +134,9 @@ impl MontgomeryCtx {
         let k = self.k;
         let table_len = if bits <= SHORT_EXP_BITS { 2 } else { 16 };
         // One allocation serves the whole exponentiation:
-        // t (k + 2) | acc (k) | tmp (k) | table: base^0 .. base^(len-1).
-        let mut buf = vec![0u64; (3 + table_len) * k + 2];
-        let (t, rest) = buf.split_at_mut(k + 2);
+        // t (k + 1) | acc (k) | tmp (k) | table: base^0 .. base^(len-1).
+        let mut buf = vec![0u64; (3 + table_len) * k + 1];
+        let (t, rest) = buf.split_at_mut(k + 1);
         let (mut acc, rest) = rest.split_at_mut(k);
         let (mut tmp, table) = rest.split_at_mut(k);
 
