@@ -5,9 +5,10 @@
 # determinism), the concurrency gate (sharded-vs-single-lock byte
 # equivalence, including a drive of many threads over one shared TCP
 # connection, + the contention-bench throughput floor), the bench
-# ablations with their BENCH_*.json validation, and the benchmark's own
-# tests. The three registry gates run a second time at --test-threads=1,
-# and their exports must match the default-parallel run byte for byte.
+# ablations with their BENCH_*.json validation, an esign768 crypto_micro
+# smoke run, and the benchmark's own tests. The three registry gates run a
+# second time at --test-threads=1, and their exports must match the
+# default-parallel run byte for byte.
 #
 # Everything runs with --offline against the vendored-free, path-only
 # workspace — if any step reaches for the network or a registry, that is
@@ -15,9 +16,9 @@
 #
 # Usage: ci.sh [--quick]
 #   --quick   skip the bench/ablation steps (the BENCH_*.json writers,
-#             their validation, and the perfbench tests); all build, lint,
-#             test, and pinned-seed gates still run. For tight edit-test
-#             loops.
+#             their validation, the crypto_micro smoke run, and the
+#             perfbench tests); all build, lint, test, and pinned-seed
+#             gates still run. For tight edit-test loops.
 #
 # Each step is wall-clock timed; a summary table prints at the end and is
 # also written machine-readably to target/ci-timings.tsv.
@@ -193,6 +194,13 @@ if [ "$QUICK" -eq 0 ]; then
     # one-connection-per-thread ("blocking") baseline.
     step "contention bench + speedup floor (writes BENCH_concurrency.json)" \
         cargo run -q --offline --release -p sharoes-bench --bin paper-figures -- --quick concurrency
+
+    # Public-key floor smoke run at the workloads' ESIGN size: the bench
+    # verifies every signature it times, so a wrong result fails the step.
+    # It gates no time.
+    step "crypto_micro esign768 smoke (signatures verify)" \
+        env SHAROES_BENCH_SAMPLES=2 \
+        cargo bench --offline -p sharoes-bench --bench crypto_micro -- esign768
 
     # The benchmark's own tests: tiny runs of each workload are correct,
     # and two runs at one seed report identical counts (wire bytes, round

@@ -1,8 +1,8 @@
 //! Montgomery-form modular arithmetic for odd moduli.
 //!
 //! All RSA and ESIGN exponentiations route through [`MontgomeryCtx`], which
-//! implements the CIOS (coarsely integrated operand scanning) multiplication
-//! with 64-bit limbs. Multiplication writes into caller-owned buffers, so an
+//! implements CIOS (coarsely integrated operand scanning) multiplication with
+//! 64-bit limbs. Multiplication writes into caller-owned buffers, so an
 //! exponentiation allocates its scratch once. Exponents of up to
 //! [`SHORT_EXP_BITS`] bits (the public exponents: RSA's 65537, ESIGN's 32 and
 //! 31) use plain left-to-right square-and-multiply; longer ones use a 4-bit
@@ -19,7 +19,7 @@ pub const SHORT_EXP_BITS: usize = 64;
 /// Precomputed state for arithmetic modulo a fixed odd modulus.
 pub struct MontgomeryCtx {
     modulus: BigUint,
-    /// Modulus limbs padded to `k` entries.
+    /// Modulus limbs (`k` of them).
     n: Vec<u64>,
     /// `-n^{-1} mod 2^64`.
     n0inv: u64,
@@ -140,7 +140,8 @@ impl MontgomeryCtx {
         let (mut acc, rest) = rest.split_at_mut(k);
         let (mut tmp, table) = rest.split_at_mut(k);
 
-        // table[0] = 1 and table[1] = base, in Montgomery form.
+        // table[0] = 1 (the window table's zero digit) and table[1] = base,
+        // in Montgomery form.
         table[..k].copy_from_slice(&self.r1);
         self.load(base, tmp);
         self.mont_mul(&mut table[k..2 * k], tmp, &self.rr, t);
