@@ -3,18 +3,18 @@
 //! All RSA and ESIGN exponentiations route through [`MontgomeryCtx`], which
 //! implements CIOS (coarsely integrated operand scanning) multiplication with
 //! 64-bit limbs. Multiplication writes into caller-owned buffers, so an
-//! exponentiation allocates its scratch once. Exponents of up to
-//! [`SHORT_EXP_BITS`] bits (the public exponents: RSA's 65537, ESIGN's 32 and
-//! 31) use plain left-to-right square-and-multiply; longer ones use a 4-bit
-//! window, whose 14-multiply table only pays for itself past about 50 bits.
-//! Keys keep their contexts in a [`CtxCell`], built on first use.
+//! exponentiation allocates its scratch once. Exponents of up to 64 bits
+//! (the public exponents: RSA's 65537, ESIGN's 32 and 31) use plain
+//! left-to-right square-and-multiply; longer ones use a 4-bit window, whose
+//! 14-multiply table only pays for itself past about 50 bits.
+//! Keys keep their contexts in a `CtxCell`, built on first use.
 
 use crate::bignum::BigUint;
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
 /// Longest exponent, in bits, that skips the window table.
-pub const SHORT_EXP_BITS: usize = 64;
+const SHORT_EXP_BITS: usize = 64;
 
 /// Precomputed state for arithmetic modulo a fixed odd modulus.
 pub struct MontgomeryCtx {
@@ -124,8 +124,8 @@ impl MontgomeryCtx {
         BigUint::from_limbs(am.to_vec())
     }
 
-    /// `base^exp mod n`: square-and-multiply for exponents of up to
-    /// [`SHORT_EXP_BITS`] bits, a fixed 4-bit window above.
+    /// `base^exp mod n`: square-and-multiply for exponents of up to 64
+    /// bits, a fixed 4-bit window above.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         let bits = exp.bit_len();
         if bits == 0 {
