@@ -4,9 +4,13 @@
 
 mod common;
 
-use common::{World, ALICE, BOB, CAROL};
-use sharoes_core::{CoreError, CryptoPolicy, Scheme};
+use common::{sample_tree, World, ALICE, BOB, CAROL};
+use sharoes_core::scheme::MANIFEST_BLOCK;
+use sharoes_core::{ids, CoreError, CryptoPolicy, Scheme, SharoesClient};
+use sharoes_crypto::{Digest, HmacDrbg, Sha256};
 use sharoes_fs::{Mode, NodeKind, Perm};
+use sharoes_net::{InMemoryTransport, ObjectKey};
+use std::sync::Arc;
 
 fn all_schemes() -> [Scheme; 2] {
     [Scheme::SharedCaps, Scheme::PerUser]
@@ -384,4 +388,106 @@ fn mount_required() {
     client.mount().unwrap();
     assert!(client.is_mounted());
     assert_eq!(client.read("/shared/board.txt").unwrap(), b"minutes");
+}
+
+// ------------------------------------------------- sealed-byte golden pins
+
+// A migrated deployment and one client, both seeded, write files of 0, 1,
+// 4095, 4096, 4097 and 70 x 4096 + 5 bytes through `write_file`. Every
+// record the SSP then stores for them (manifest and blocks) is hashed and
+// pinned, as is the whole store's snapshot, which also covers the records
+// the migration sealed. A changed digest means a sealed byte moved: an IV,
+// a DRBG draw, a manifest or a signature.
+
+const SIZES: [usize; 6] = [0, 1, 4095, 4096, 4097, 70 * 4096 + 5];
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Writes the files and returns, per file, the SHA-256 over the SHA-256s
+/// of its stored records (manifest first, then blocks in order), followed
+/// by the SHA-256 of the whole store's snapshot.
+fn sealed_digests(policy: CryptoPolicy) -> Vec<String> {
+    let world = World::from_fs(sample_tree(), policy, Scheme::SharedCaps, 0x5EA1);
+    let transport = InMemoryTransport::new(Arc::clone(&world.server) as _);
+    let mut alice = SharoesClient::with_rng(
+        Box::new(transport),
+        world.config.clone(),
+        Arc::clone(&world.db),
+        Arc::clone(&world.pki),
+        world.ring.identity(ALICE).expect("identity"),
+        Arc::clone(&world.pool),
+        HmacDrbg::from_seed_u64(0x005E_A1ED),
+    );
+    alice.mount().expect("mount");
+
+    let mut out = Vec::new();
+    for (n, size) in SIZES.into_iter().enumerate() {
+        let path = format!("/home/alice/golden-{n}.bin");
+        let content: Vec<u8> = (0..size).map(|i| ((i * 31 + 7) % 251) as u8).collect();
+        alice.create(&path, Mode::from_octal(0o644)).unwrap();
+        alice.write_file(&path, &content).unwrap();
+        assert_eq!(alice.read(&path).unwrap(), content);
+
+        let inode = alice.getattr(&path).unwrap().inode;
+        let dview = ids::data_view(inode, 0);
+        let nblocks = size.div_ceil(4096) as u32;
+        let store = world.server.store();
+        let mut h = Sha256::new();
+        for block in std::iter::once(MANIFEST_BLOCK).chain(0..nblocks) {
+            let record = store.get(&ObjectKey::data(inode, dview, block)).expect("record stored");
+            h.update(&Sha256::digest(&record));
+        }
+        assert!(store.get(&ObjectKey::data(inode, dview, nblocks)).is_none());
+        out.push(hex(&h.finalize_vec()));
+    }
+    out.push(hex(&Sha256::digest(&world.server.store().snapshot())));
+    out
+}
+
+#[test]
+fn sealed_records_match_the_golden_digests() {
+    let golden: [(CryptoPolicy, [&str; 7]); 3] = [
+        (
+            CryptoPolicy::Sharoes,
+            [
+                "264c04e10da47139d4f60c6045867aef84ee638a378c57df5cd31962127d576d",
+                "16a0c36226196d998730e6c72b6953716875a48efc14c1ec18419c4a400e78f5",
+                "3859db57d34f549b4398ea9c359573c831907c317599f44423c65a8d8f20897e",
+                "fa9895525f3dd98ddd8fdb97f117afb4e256e12cc3482d33652e729f044d11f7",
+                "902310b6da7bd1f19a23c0cd9bb3f47a7e43acc2b33d2e3261ee6b4776aff1fe",
+                "ce1fc5e6e7845622bd6d3ae2e130d1ab796a875fbb4cc7f11c2a0081237f4baf",
+                "dc41661837bf214fe818eccdfeb81ec79f4ed4a41407da43199546a42dd52320",
+            ],
+        ),
+        (
+            CryptoPolicy::NoEncMd,
+            [
+                "eb7f58c4efd0f28e289a6e7f716dce8cf2f282656fe900645db2a4430a7379d8",
+                "cd69de1ffb9d2ac85f04cc8350b72a906d20dfb0f8179868ee7b2a2ba13356ab",
+                "427b693b9ac29bd448f3354c5f5692680d0fb1ede3a5834afc721a3491ca5e45",
+                "c9b911281fb488ef4da2cea2448478507457b904d1b920cd3ecc0444b26bb7f4",
+                "31df3b3d9bc231b04a052f797fbcc421e8d4a49aab6f32f93e82f9955f552b14",
+                "b6a1ee05026b81eaf9b52119e3383c53b991522f00ade6eb1ede34970cacfe3e",
+                "736d92041eaead54f6480801d51c21e421afb6da89526bc76ce20d3399e7cd86",
+            ],
+        ),
+        (
+            CryptoPolicy::NoEncMdD,
+            [
+                "3a543cf386f6b20989915030908e107b0ca9223d89ca177d11800ce3d720706f",
+                "7b976beba68b17bdeaeb9170963afa56e89f57a5809337c3d9b904f39518bec5",
+                "78c53fe127052b54ea7ba777116d376cfc08f90820a18faa349a9ee7a97c9df7",
+                "58c201f70e7c86dad66e353c7a9380fe39db6862beeb15ca8688d4b7ea5023fb",
+                "fea71a08761fb5e3ab0855e7a25ea374e9caa0cbea135a2f384e18e75292ac7d",
+                "156dcd20f3bc250a07e0676874f8eaf2db232f377ae2cbf4ee6395fa658c86f6",
+                "a2dc84fbfd120a84dd9a84acdad136c1a5a68ea5902d53750286069092198536",
+            ],
+        ),
+    ];
+    for (policy, want) in golden {
+        let got = sealed_digests(policy);
+        assert_eq!(got, want, "{policy:?}");
+    }
 }

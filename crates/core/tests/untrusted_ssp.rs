@@ -362,3 +362,74 @@ fn owner_chmod_refuses_a_tampered_table_replica() {
     let after: Vec<_> = table_keys(inode).iter().map(|k| world.server.store().get(k)).collect();
     assert_eq!(after, stored, "no replica may be re-signed");
 }
+
+/// Writes a 48-block file as alice, lets `tamper` rewrite its stored data
+/// records (inode and data view given), and returns bob's read error. The
+/// file is long enough that the reader's block hashes run in full batches.
+fn tampered_big_file_read(tamper: impl FnOnce(&World, u64, [u8; 16])) -> CoreError {
+    let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
+    let mut alice = world.client(ALICE);
+    let content: Vec<u8> = (0..48 * 4096 + 100u32).map(|i| (i % 253) as u8).collect();
+    alice.create("/home/alice/large.bin", Mode::from_octal(0o644)).unwrap();
+    alice.write_file("/home/alice/large.bin", &content).unwrap();
+    let inode = alice.getattr("/home/alice/large.bin").unwrap().inode;
+    assert_eq!(world.client(BOB).read("/home/alice/large.bin").unwrap(), content);
+
+    tamper(&world, inode, sharoes_core::ids::data_view(inode, 0));
+    world.client(BOB).read("/home/alice/large.bin").unwrap_err()
+}
+
+/// Applies `f` to the stored wire record of block `block`.
+fn rewrite_record(
+    world: &World,
+    inode: u64,
+    dview: [u8; 16],
+    block: u32,
+    f: impl FnOnce(&mut Vec<u8>),
+) {
+    let key = ObjectKey::data(inode, dview, block);
+    let mut record = world.server.store().get(&key).unwrap();
+    f(&mut record);
+    world.server.store().put(key, record).unwrap();
+}
+
+#[test]
+fn flipped_byte_in_a_late_block_detected() {
+    let err = tampered_big_file_read(|world, inode, dview| {
+        rewrite_record(world, inode, dview, 23, |r| {
+            let mid = r.len() / 2;
+            r[mid] ^= 0x04;
+        })
+    });
+    assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
+}
+
+#[test]
+fn swapped_adjacent_blocks_detected() {
+    let err = tampered_big_file_read(|world, inode, dview| {
+        let store = world.server.store();
+        let (k17, k18) = (ObjectKey::data(inode, dview, 17), ObjectKey::data(inode, dview, 18));
+        let (b17, b18) = (store.get(&k17).unwrap(), store.get(&k18).unwrap());
+        store.put(k17, b18).unwrap();
+        store.put(k18, b17).unwrap();
+    });
+    assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
+}
+
+#[test]
+fn truncated_block_record_detected() {
+    let err = tampered_big_file_read(|world, inode, dview| {
+        rewrite_record(world, inode, dview, 31, |r| r.truncate(r.len() - 9));
+    });
+    assert!(matches!(err, CoreError::TamperDetected(_) | CoreError::Corrupt(_)), "{err}");
+}
+
+#[test]
+fn unknown_signature_tag_on_a_block_detected() {
+    let err = tampered_big_file_read(|world, inode, dview| {
+        // The last byte of an unsigned block record is the signature's
+        // option tag, 0 for "none".
+        rewrite_record(world, inode, dview, 40, |r| *r.last_mut().unwrap() = 2);
+    });
+    assert!(matches!(err, CoreError::TamperDetected(_) | CoreError::Corrupt(_)), "{err}");
+}
