@@ -11,7 +11,9 @@
 
 use sharoes_crypto::montgomery::MontgomeryCtx;
 use sharoes_crypto::prime::generate_prime;
-use sharoes_crypto::{Aes128, BigUint, EsignPrivateKey, HmacDrbg, RsaPrivateKey, Sha256, SymKey};
+use sharoes_crypto::{
+    Aes128, BigUint, EsignPrivateKey, HmacDrbg, RandomSource, RsaPrivateKey, Sha256, SymKey,
+};
 use sharoes_testkit::bench::BenchRunner;
 use std::hint::black_box;
 
@@ -43,11 +45,31 @@ fn bench_hashes(c: &mut BenchRunner) {
     let mut group = c.group("hash");
     group.throughput(data.len() as u64);
     group.bench_function("sha256_1MB", |b| b.iter(|| Sha256::digest(black_box(&data))));
+
+    // A mid-sized bulk file's block ciphertexts (136 x (16 B IV + 4 KiB)),
+    // hashed one at a time and as one batch.
+    let blocks: Vec<Vec<u8>> = (0..136u32).map(|i| vec![i as u8; 4112]).collect();
+    let refs: Vec<&[u8]> = blocks.iter().map(|b| &b[..]).collect();
+    let one_at_a_time: Vec<[u8; 32]> = refs.iter().map(|b| Sha256::digest(b)).collect();
+    assert_eq!(Sha256::digest_many(&refs), one_at_a_time, "batched digests must match");
+    group.throughput(136 * 4112);
+    group.bench_function("sha256_136x4112/one_at_a_time", |b| {
+        b.iter(|| refs.iter().map(|b| Sha256::digest(black_box(b))).collect::<Vec<_>>())
+    });
+    group.bench_function("sha256_136x4112/digest_many", |b| {
+        b.iter(|| Sha256::digest_many(black_box(&refs)))
+    });
     group.finish();
 
     let key = [9u8; 16];
     c.bench_function("hmac_sha256_rowkey", |b| {
         b.iter(|| sharoes_crypto::hmac_sha256(black_box(&key), black_box(b"rowid:some-file-name")))
+    });
+    // One block IV draw.
+    c.bench_function("drbg_fill16", |b| {
+        let mut rng = HmacDrbg::from_seed_u64(5);
+        let mut iv = [0u8; 16];
+        b.iter(|| rng.fill_bytes(black_box(&mut iv)))
     });
 }
 

@@ -5,7 +5,7 @@
 //! reproducible [`HmacDrbg`] (NIST SP 800-90A HMAC_DRBG over SHA-256) for the
 //! system generator.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
 
 /// A source of random bytes.
 pub trait RandomSource {
@@ -30,7 +30,7 @@ pub struct SystemRandom(SystemSource);
 
 enum SystemSource {
     Dev(std::fs::File),
-    Fallback(HmacDrbg),
+    Fallback(Box<HmacDrbg>),
 }
 
 impl SystemRandom {
@@ -38,7 +38,7 @@ impl SystemRandom {
     pub fn new() -> Self {
         match std::fs::File::open("/dev/urandom") {
             Ok(f) => SystemRandom(SystemSource::Dev(f)),
-            Err(_) => SystemRandom(SystemSource::Fallback(Self::fallback_drbg())),
+            Err(_) => SystemRandom(SystemSource::Fallback(Box::new(Self::fallback_drbg()))),
         }
     }
 
@@ -75,7 +75,7 @@ impl RandomSource for SystemRandom {
                     // degrade to the fallback rather than panic.
                     let mut drbg = Self::fallback_drbg();
                     drbg.fill_bytes(buf);
-                    self.0 = SystemSource::Fallback(drbg);
+                    self.0 = SystemSource::Fallback(Box::new(drbg));
                 }
             }
             SystemSource::Fallback(drbg) => drbg.fill_bytes(buf),
@@ -87,9 +87,13 @@ impl RandomSource for SystemRandom {
 ///
 /// Two instances created with the same seed produce identical streams, which
 /// makes key generation in tests and benchmark fixtures reproducible.
+///
+/// The state's key `K` is held as an HMAC already keyed with it, so each
+/// `HMAC(K, ·)` clones it instead of compressing the two pad blocks again;
+/// nothing on the draw path allocates.
 #[derive(Clone)]
 pub struct HmacDrbg {
-    k: [u8; 32],
+    key: HmacSha256,
     v: [u8; 32],
     reseed_counter: u64,
 }
@@ -97,7 +101,8 @@ pub struct HmacDrbg {
 impl HmacDrbg {
     /// Instantiates the DRBG from seed material.
     pub fn new(seed: &[u8]) -> Self {
-        let mut drbg = HmacDrbg { k: [0u8; 32], v: [1u8; 32], reseed_counter: 1 };
+        let mut drbg =
+            HmacDrbg { key: HmacSha256::new(&[0u8; 32]), v: [1u8; 32], reseed_counter: 1 };
         drbg.update(Some(seed));
         drbg
     }
@@ -113,23 +118,29 @@ impl HmacDrbg {
         self.reseed_counter = 1;
     }
 
+    /// SP 800-90A `HMAC_DRBG_Update`: `K = HMAC(K, V ‖ 0x00 ‖ data)`,
+    /// `V = HMAC(K, V)`, and once more with `0x01` when `data` is present.
     fn update(&mut self, data: Option<&[u8]>) {
-        let mut msg = Vec::with_capacity(32 + 1 + data.map_or(0, |d| d.len()));
-        msg.extend_from_slice(&self.v);
-        msg.push(0x00);
+        self.update_round(0x00, data.unwrap_or_default());
         if let Some(d) = data {
-            msg.extend_from_slice(d);
+            self.update_round(0x01, d);
         }
-        self.k = hmac_sha256(&self.k, &msg);
-        self.v = hmac_sha256(&self.k, &self.v);
-        if let Some(d) = data {
-            let mut msg = Vec::with_capacity(32 + 1 + d.len());
-            msg.extend_from_slice(&self.v);
-            msg.push(0x01);
-            msg.extend_from_slice(d);
-            self.k = hmac_sha256(&self.k, &msg);
-            self.v = hmac_sha256(&self.k, &self.v);
-        }
+    }
+
+    fn update_round(&mut self, round: u8, data: &[u8]) {
+        let mut mac = self.key.clone();
+        mac.update(&self.v);
+        mac.update(&[round]);
+        mac.update(data);
+        self.key = HmacSha256::new(&mac.finalize());
+        self.v = self.mac_of_v();
+    }
+
+    /// `HMAC(K, V)`.
+    fn mac_of_v(&self) -> [u8; 32] {
+        let mut mac = self.key.clone();
+        mac.update(&self.v);
+        mac.finalize()
     }
 }
 
@@ -137,7 +148,7 @@ impl RandomSource for HmacDrbg {
     fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut offset = 0;
         while offset < buf.len() {
-            self.v = hmac_sha256(&self.k, &self.v);
+            self.v = self.mac_of_v();
             let take = (buf.len() - offset).min(32);
             buf[offset..offset + take].copy_from_slice(&self.v[..take]);
             offset += take;

@@ -33,12 +33,50 @@ pub fn hmac<D: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
     outer.finalize_vec()
 }
 
-/// HMAC-SHA-256 returning a fixed array.
+/// HMAC-SHA-256 returning a fixed array. Equal to [`hmac`] over
+/// [`Sha256`], computed on the stack.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let v = hmac::<Sha256>(key, message);
-    let mut out = [0u8; 32];
-    out.copy_from_slice(&v);
-    out
+    let mut mac = HmacSha256::new(key);
+    mac.update(message);
+    mac.finalize()
+}
+
+/// Incremental HMAC-SHA-256 with no heap allocation: the MAC of the
+/// concatenation of every [`HmacSha256::update`]'s input. A clone taken
+/// before any update reuses the key's two pad blocks, already compressed.
+#[derive(Clone)]
+pub struct HmacSha256 {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacSha256 {
+    /// Starts a MAC under `key`.
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; 64];
+        if key.len() > 64 {
+            key_block[..32].copy_from_slice(&Sha256::digest(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
+    }
+
+    /// Absorbs more message bytes.
+    pub fn update(&mut self, data: &[u8]) {
+        self.inner.update(data);
+    }
+
+    /// The MAC.
+    pub fn finalize(self) -> [u8; 32] {
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize_array());
+        outer.finalize_array()
+    }
 }
 
 /// HMAC-SHA-1 returning a fixed array (paper-fidelity option).

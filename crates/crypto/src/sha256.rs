@@ -5,6 +5,14 @@
 //! ([`compress_accelerated`]); anywhere else the portable round loop
 //! ([`compress_scalar`]), which is also the oracle the differential tests
 //! hold the hardware path to. Both produce the same state.
+//!
+//! [`Sha256::digest_many`] hashes a batch of independent messages, such as
+//! the blocks of one file. Messages of equal length share their padding
+//! layout, so they are compressed side by side, picked in this order: 16 at
+//! a time on AVX-512 ([`compress_x16_accelerated`]), 4 at a time on
+//! interleaved SHA-NI streams ([`compress_x4_accelerated`]), then one at a
+//! time through [`Sha256::digest`]. Every kernel yields the digests
+//! [`Sha256::digest`] does.
 
 use crate::digest::Digest;
 
@@ -37,11 +45,89 @@ impl Sha256 {
     pub fn digest(data: &[u8]) -> [u8; 32] {
         let mut h = Sha256::new();
         h.update(data);
-        let out = h.finalize_vec();
-        let mut arr = [0u8; 32];
-        arr.copy_from_slice(&out);
-        arr
+        h.finalize_array()
     }
+
+    /// The digest of every message in `msgs`, in order; equal to mapping
+    /// [`Sha256::digest`] over them. Equal-length messages are hashed side
+    /// by side on the widest kernel the CPU has (see the module docs).
+    pub fn digest_many(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
+        let mut out = vec![[0u8; 32]; msgs.len()];
+        let mut order: Vec<usize> = (0..msgs.len()).collect();
+        order.sort_by_key(|&i| msgs[i].len());
+        for group in order.chunk_by(|&a, &b| msgs[a].len() == msgs[b].len()) {
+            let mut rest = group;
+            while let Some((lanes, tail)) = rest.split_first_chunk::<16>() {
+                if !digest_lanes(msgs, lanes, &mut out, compress_x16_accelerated) {
+                    break;
+                }
+                rest = tail;
+            }
+            while let Some((lanes, tail)) = rest.split_first_chunk::<4>() {
+                if !digest_lanes(msgs, lanes, &mut out, compress_x4_accelerated) {
+                    break;
+                }
+                rest = tail;
+            }
+            for &i in rest {
+                out[i] = Sha256::digest(msgs[i]);
+            }
+        }
+        out
+    }
+
+    /// Consumes the state and produces the digest, with no allocation.
+    pub fn finalize_array(mut self) -> [u8; 32] {
+        let (block, len) = pad_tail(&self.buf[..self.buf_len], self.total_len);
+        compress(&mut self.state, &block[..len]);
+        state_bytes(&self.state)
+    }
+}
+
+/// The padded final block or two of a message of `total_len` bytes whose
+/// last `tail.len() < 64` bytes are `tail`: the bytes and their length.
+fn pad_tail(tail: &[u8], total_len: u64) -> ([u8; 128], usize) {
+    let mut block = [0u8; 128];
+    block[..tail.len()].copy_from_slice(tail);
+    block[tail.len()] = 0x80;
+    let len = if tail.len() < 56 { 64 } else { 128 };
+    block[len - 8..len].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    (block, len)
+}
+
+fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// [`compress_x4_accelerated`] or [`compress_x16_accelerated`].
+type LaneKernel<const N: usize> = fn(&mut [[u32; 8]; N], [&[u8]; N]) -> bool;
+
+/// Hashes the `N` equal-length messages `msgs[lanes[i]]` side by side with
+/// `kernel`, writing digest `i` to `out[lanes[i]]`. Returns `false`,
+/// leaving `out` untouched, when the CPU lacks the kernel.
+fn digest_lanes<const N: usize>(
+    msgs: &[&[u8]],
+    lanes: &[usize; N],
+    out: &mut [[u8; 32]],
+    kernel: LaneKernel<N>,
+) -> bool {
+    let len = msgs[lanes[0]].len();
+    let whole = len - len % 64;
+    let mut states = [H0; N];
+    if !kernel(&mut states, lanes.map(|i| &msgs[i][..whole])) {
+        return false;
+    }
+    let tails = lanes.map(|i| pad_tail(&msgs[i][whole..], len as u64));
+    let tail_len = tails[0].1;
+    kernel(&mut states, std::array::from_fn(|l| &tails[l].0[..tail_len]));
+    for (&i, state) in lanes.iter().zip(&states) {
+        out[i] = state_bytes(state);
+    }
+    true
 }
 
 impl Digest for Sha256 {
@@ -74,20 +160,8 @@ impl Digest for Sha256 {
         }
     }
 
-    fn finalize_vec(mut self) -> Vec<u8> {
-        let bit_len = self.total_len.wrapping_mul(8);
-        let mut pad = Vec::with_capacity(72);
-        pad.push(0x80);
-        let rem = (self.buf_len + 1) % 64;
-        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        pad.extend(std::iter::repeat_n(0u8, zeros));
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        self.update_no_count(&pad);
-        let mut out = Vec::with_capacity(32);
-        for s in self.state {
-            out.extend_from_slice(&s.to_be_bytes());
-        }
-        out
+    fn finalize_vec(self) -> Vec<u8> {
+        self.finalize_array().to_vec()
     }
 }
 
@@ -113,6 +187,52 @@ pub fn compress_accelerated(state: &mut [u32; 8], blocks: &[u8]) -> bool {
         let _ = state;
         false
     }
+}
+
+/// Four [`compress`]es side by side on interleaved SHA-NI streams: lane
+/// `i` compresses every 64-byte block of `lanes[i]` into `states[i]`.
+/// Returns `false`, leaving `states` untouched, when the CPU lacks the SHA
+/// extensions.
+///
+/// # Panics
+///
+/// If the lanes differ in length or a length is not a multiple of 64.
+pub fn compress_x4_accelerated(states: &mut [[u32; 8]; 4], lanes: [&[u8]; 4]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return crate::accel::sha256_compress_x4(states, &K, lanes);
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        assert_equal_whole_blocks(&lanes);
+        let _ = states;
+        false
+    }
+}
+
+/// Sixteen [`compress`]es side by side on AVX-512: lane `i` compresses
+/// every 64-byte block of `lanes[i]` into `states[i]`. Returns `false`,
+/// leaving `states` untouched, when the CPU lacks AVX-512F or AVX-512BW.
+///
+/// # Panics
+///
+/// If the lanes differ in length or a length is not a multiple of 64.
+pub fn compress_x16_accelerated(states: &mut [[u32; 8]; 16], lanes: [&[u8]; 16]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return crate::accel::sha256_compress_x16(states, &K, lanes);
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        assert_equal_whole_blocks(&lanes);
+        let _ = states;
+        false
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn assert_equal_whole_blocks(lanes: &[&[u8]]) {
+    let len = lanes.first().map_or(0, |l| l.len());
+    assert!(
+        len.is_multiple_of(64) && lanes.iter().all(|l| l.len() == len),
+        "SHA-256 lanes compress equal runs of whole 64-byte blocks"
+    );
 }
 
 /// [`compress`] in portable code, one block at a time.
@@ -163,15 +283,6 @@ pub fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
         state[5] = state[5].wrapping_add(f);
         state[6] = state[6].wrapping_add(g);
         state[7] = state[7].wrapping_add(h);
-    }
-}
-
-impl Sha256 {
-    /// `update` without advancing the message length (padding only).
-    fn update_no_count(&mut self, data: &[u8]) {
-        let saved = self.total_len;
-        self.update(data);
-        self.total_len = saved;
     }
 }
 

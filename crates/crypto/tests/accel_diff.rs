@@ -1,13 +1,18 @@
-//! Differential tests: the AES-NI CTR and SHA-NI compression paths against
-//! the portable scalar code they fall back to.
+//! Differential tests: the AES-NI CTR path, the SHA-NI and AVX-512 SHA-256
+//! compression paths, the batched digest and the stack HMAC against the
+//! portable code they fall back to.
 //!
 //! Both sides are called directly, so the scalar fallback stays covered on
 //! hosts whose CPU takes the hardware path in normal use. A test skips its
 //! hardware side (and says so) only when the CPU lacks the feature.
 
 use sharoes_crypto::aes::Aes128;
+use sharoes_crypto::hmac::{hmac, hmac_sha256};
 use sharoes_crypto::modes::{ctr_xor, ctr_xor_accelerated, ctr_xor_scalar};
-use sharoes_crypto::sha256::{compress_accelerated, compress_scalar, Sha256};
+use sharoes_crypto::sha256::{
+    compress_accelerated, compress_scalar, compress_x16_accelerated, compress_x4_accelerated,
+    Sha256,
+};
 use sharoes_crypto::{Digest, HmacDrbg, RandomSource};
 
 fn random_bytes(rng: &mut HmacDrbg, len: usize) -> Vec<u8> {
@@ -197,5 +202,99 @@ fn sha256_oneshot_matches_incremental_at_every_split_of_1kib() {
         h.update(&data[..split]);
         h.update(&data[split..]);
         assert_eq!(h.finalize_vec(), oneshot, "split={split}");
+    }
+}
+
+fn random_state(rng: &mut HmacDrbg) -> [u32; 8] {
+    let mut state = [0u32; 8];
+    for word in state.iter_mut() {
+        *word = rng.next_u64() as u32;
+    }
+    state
+}
+
+/// `compress_x4_accelerated` or `compress_x16_accelerated`.
+type LaneKernel<const N: usize> = fn(&mut [[u32; 8]; N], [&[u8]; N]) -> bool;
+
+/// Random states and equal-length lanes of `nblocks` blocks; the kernel's
+/// states must equal `compress_scalar` lane by lane. `false` when the CPU
+/// lacks the kernel.
+fn lanes_match_scalar<const N: usize>(
+    kernel: LaneKernel<N>,
+    rng: &mut HmacDrbg,
+    nblocks: usize,
+) -> bool {
+    let states: [[u32; 8]; N] = std::array::from_fn(|_| random_state(rng));
+    let data: Vec<Vec<u8>> = (0..N).map(|_| random_bytes(rng, 64 * nblocks)).collect();
+    let mut fast = states;
+    if !kernel(&mut fast, std::array::from_fn(|l| &data[l][..])) {
+        assert_eq!(fast, states, "a declined hardware path must leave the states untouched");
+        return false;
+    }
+    for l in 0..N {
+        let mut scalar = states[l];
+        compress_scalar(&mut scalar, &data[l]);
+        assert_eq!(fast[l], scalar, "lane {l} of {N}, {nblocks} blocks");
+    }
+    true
+}
+
+#[test]
+fn sha256_x4_kernel_matches_scalar_compression() {
+    let mut rng = HmacDrbg::from_seed_u64(0x5A_0004);
+    for nblocks in 0..=20 {
+        if !lanes_match_scalar(compress_x4_accelerated, &mut rng, nblocks) {
+            return skip("SHA-256 x4 compression");
+        }
+    }
+}
+
+#[test]
+fn sha256_x16_kernel_matches_scalar_compression() {
+    let mut rng = HmacDrbg::from_seed_u64(0x5A_0016);
+    for nblocks in 0..=20 {
+        if !lanes_match_scalar(compress_x16_accelerated, &mut rng, nblocks) {
+            return skip("SHA-256 x16 compression");
+        }
+    }
+}
+
+#[test]
+fn digest_many_matches_digest_for_equal_and_mixed_lengths() {
+    const LENGTHS: [usize; 7] = [0, 1, 55, 56, 64, 119, 4112];
+    let mut rng = HmacDrbg::from_seed_u64(0xD16E57);
+    for count in 0..=40usize {
+        // Every message the same length, for each length in turn.
+        for len in LENGTHS {
+            let msgs: Vec<Vec<u8>> = (0..count).map(|_| random_bytes(&mut rng, len)).collect();
+            check_digest_many(&msgs, &format!("{count} x {len} B"));
+        }
+        // Lengths mixed, runs of equal lengths interleaved with others.
+        let msgs: Vec<Vec<u8>> = (0..count)
+            .map(|i| random_bytes(&mut rng, LENGTHS[(i * i + i / 3) % LENGTHS.len()]))
+            .collect();
+        check_digest_many(&msgs, &format!("{count} mixed"));
+    }
+}
+
+fn check_digest_many(msgs: &[Vec<u8>], what: &str) {
+    let refs: Vec<&[u8]> = msgs.iter().map(|m| &m[..]).collect();
+    let one_at_a_time: Vec<[u8; 32]> = refs.iter().map(|m| Sha256::digest(m)).collect();
+    assert_eq!(Sha256::digest_many(&refs), one_at_a_time, "{what}");
+}
+
+#[test]
+fn stack_hmac_sha256_matches_the_generic_hmac() {
+    let mut rng = HmacDrbg::from_seed_u64(0x4AC);
+    for key_len in 0..=130 {
+        let key = random_bytes(&mut rng, key_len);
+        for msg_len in [0, 1, 33, 64, 200] {
+            let msg = random_bytes(&mut rng, msg_len);
+            assert_eq!(
+                hmac_sha256(&key, &msg).to_vec(),
+                hmac::<Sha256>(&key, &msg),
+                "key {key_len} B, message {msg_len} B"
+            );
+        }
     }
 }
