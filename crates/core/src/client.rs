@@ -23,10 +23,11 @@ use crate::groups::{group_key_slot, open_group_key_block};
 use crate::ids::{self, ClassTag};
 use crate::keypool::SigKeyPool;
 use crate::keyring::{KekChain, Pki, UserIdentity};
-use crate::metadata::{open_metadata, MetaOpen, MetadataBody, SealedObject, ViewId};
+use crate::metadata::{open_metadata, MetaOpen, MetadataBody, SealedObject, SealedRef, ViewId};
 use crate::params::{ClientConfig, CryptoPolicy, RevocationMode, Scheme};
 use crate::scheme::{
-    Layout, Manifest, ObjectAttrs, ObjectSecrets, SigPairs, SplitEntry, MANIFEST_BLOCK,
+    seal_data, DataKeys, Layout, Manifest, ObjectAttrs, ObjectSecrets, SigPairs, SplitEntry,
+    MANIFEST_BLOCK,
 };
 use crate::superblock::Superblock;
 use sharoes_crypto::{HmacDrbg, RandomSource, Sha256, SymKey, SystemRandom, VerifyKey};
@@ -499,8 +500,7 @@ impl SharoesClient {
         let blob = self
             .fetch(key)?
             .ok_or_else(|| CoreError::NotFound(format!("metadata inode#{}", h.inode)))?;
-        let sealed =
-            SealedObject::from_wire(&blob).map_err(|_| CoreError::Corrupt("sealed metadata"))?;
+        let sealed = SealedRef::parse(&blob).map_err(|_| CoreError::Corrupt("sealed metadata"))?;
 
         let meter = Arc::clone(&self.meter);
         let policy = self.config.policy;
@@ -520,7 +520,7 @@ impl SharoesClient {
                 CryptoPolicy::Public => MetaOpen::Public(private),
                 CryptoPolicy::PubOpt => MetaOpen::PubOpt(private),
             };
-            open_metadata(opener, &sealed.ciphertext)
+            open_metadata(opener, sealed.ciphertext)
         })?;
         let body = Arc::new(
             MetadataBody::from_wire(&plain).map_err(|_| CoreError::Corrupt("metadata body"))?,
@@ -622,8 +622,7 @@ impl SharoesClient {
             path: format!("inode#{}", h.inode),
             needed: "directory-table access (no replica for this CAP)",
         })?;
-        let sealed =
-            SealedObject::from_wire(&blob).map_err(|_| CoreError::Corrupt("sealed table"))?;
+        let sealed = SealedRef::parse(&blob).map_err(|_| CoreError::Corrupt("sealed table"))?;
         let meter = Arc::clone(&self.meter);
         let signs = self.signs();
         let encrypts = self.encrypts_data();
@@ -636,9 +635,9 @@ impl SharoesClient {
                     path: format!("inode#{}", h.inode),
                     needed: "DEK (directory table key)",
                 })?;
-                Ok(tek.open(&sealed.ciphertext)?)
+                Ok(tek.open(sealed.ciphertext)?)
             } else {
-                Ok(sealed.ciphertext.clone())
+                Ok(sealed.ciphertext.to_vec())
             }
         })?;
         let table =
@@ -760,10 +759,10 @@ impl SharoesClient {
         )?;
         self.cache.put(ck, Arc::clone(&manifest), mplain.len());
         if let Some(b0) = &fetched[1] {
-            if let Ok(plain) = self.open_data_block(&b0key, b0, body, manifest.hash_of(0)) {
+            if let Ok(mut plain) = self.open_data_blocks(body, &manifest, &[(b0key, b0)]) {
+                let plain = plain.remove(0);
                 let len = plain.len();
-                let ck = CacheKey::Block(inode, generation, 0);
-                self.cache.put(ck, Arc::<[u8]>::from(plain), len);
+                self.cache.put(CacheKey::Block(inode, generation, 0), plain, len);
             }
         }
         Ok(manifest)
@@ -797,8 +796,7 @@ impl SharoesClient {
         blob: &[u8],
         body: &MetadataBody,
     ) -> Result<Vec<u8>> {
-        let sealed =
-            SealedObject::from_wire(blob).map_err(|_| CoreError::Corrupt("sealed manifest"))?;
+        let sealed = SealedRef::parse(blob).map_err(|_| CoreError::Corrupt("sealed manifest"))?;
         let meter = Arc::clone(&self.meter);
         let signs = self.signs();
         let encrypts = self.encrypts_data();
@@ -811,49 +809,68 @@ impl SharoesClient {
                     path: format!("inode#{}", key.inode),
                     needed: "DEK (read)",
                 })?;
-                Ok(dek.open(&sealed.ciphertext)?)
+                Ok(dek.open(sealed.ciphertext)?)
             } else {
-                Ok(sealed.ciphertext.clone())
+                Ok(sealed.ciphertext.to_vec())
             }
         })
     }
 
-    /// Decrypts one (unsigned) data block, authenticating its ciphertext
-    /// against the manifest hash when the policy signs.
-    fn open_data_block(
-        &mut self,
-        key: &ObjectKey,
-        blob: &[u8],
+    /// Authenticates and decrypts fetched data blocks of one file, the
+    /// one block-open path. Every ciphertext is borrowed from its fetched
+    /// record; when the policy signs, all of them are hashed in one batch
+    /// and checked against `manifest` before any is decrypted. Each block
+    /// is then decrypted straight into the buffer the cache keeps, under
+    /// one DEK key schedule. Returns the plaintexts in `blocks` order.
+    fn open_data_blocks(
+        &self,
         body: &MetadataBody,
-        expected_hash: Option<&[u8; 32]>,
-    ) -> Result<Vec<u8>> {
-        let sealed =
-            SealedObject::from_wire(blob).map_err(|_| CoreError::Corrupt("sealed block"))?;
-        let meter = Arc::clone(&self.meter);
+        manifest: &Manifest,
+        blocks: &[(ObjectKey, &[u8])],
+    ) -> Result<Vec<Arc<[u8]>>> {
+        let sealed = blocks
+            .iter()
+            .map(|(_, blob)| SealedRef::parse(blob).map_err(|_| CoreError::Corrupt("sealed block")))
+            .collect::<Result<Vec<_>>>()?;
         let signs = self.signs();
         let encrypts = self.encrypts_data();
-        let dek = body.dek.clone();
-        Self::timed_crypto(&meter, || -> Result<Vec<u8>> {
+        Self::timed_crypto(&self.meter, || -> Result<Vec<Arc<[u8]>>> {
             if signs {
-                let expected = expected_hash.ok_or_else(|| {
-                    CoreError::TamperDetected(format!("block {key:?} not covered by manifest"))
-                })?;
-                let actual = sharoes_crypto::Sha256::digest(&sealed.ciphertext);
-                if !sharoes_crypto::ct_eq(&actual, expected) {
-                    return Err(CoreError::TamperDetected(format!(
-                        "block hash mismatch on {key:?}"
-                    )));
+                let ciphertexts: Vec<&[u8]> = sealed.iter().map(|s| s.ciphertext).collect();
+                for ((key, _), actual) in blocks.iter().zip(Sha256::digest_many(&ciphertexts)) {
+                    let expected = manifest.hash_of(key.block).ok_or_else(|| {
+                        CoreError::TamperDetected(format!("block {key:?} not covered by manifest"))
+                    })?;
+                    if !sharoes_crypto::ct_eq(&actual, expected) {
+                        return Err(CoreError::TamperDetected(format!(
+                            "block hash mismatch on {key:?}"
+                        )));
+                    }
                 }
             }
-            if encrypts {
-                let dek = dek.as_ref().ok_or(CoreError::PermissionDenied {
-                    path: format!("inode#{}", key.inode),
-                    needed: "DEK (read)",
-                })?;
-                Ok(dek.open(&sealed.ciphertext)?)
-            } else {
-                Ok(sealed.ciphertext.clone())
+            if !encrypts {
+                return Ok(sealed.iter().map(|s| Arc::from(s.ciphertext)).collect());
             }
+            let aes = body
+                .dek
+                .as_ref()
+                .ok_or(CoreError::PermissionDenied {
+                    path: format!("inode#{}", body.inode),
+                    needed: "DEK (read)",
+                })?
+                .cipher();
+            sealed
+                .iter()
+                .map(|s| {
+                    let (iv, ct) = s.ciphertext.split_first_chunk::<16>().ok_or(
+                        sharoes_crypto::CryptoError::InvalidCiphertext("CTR blob shorter than IV"),
+                    )?;
+                    let mut plain = Arc::<[u8]>::from(ct);
+                    let buf = Arc::get_mut(&mut plain).expect("a fresh Arc is unshared");
+                    sharoes_crypto::modes::ctr_xor(&aes, iv, buf);
+                    Ok(plain)
+                })
+                .collect()
         })
     }
 
@@ -897,11 +914,16 @@ impl SharoesClient {
             }
         }
         let fetched = self.fetch_many(missing.clone())?;
-        for (key, blob) in missing.iter().zip(fetched) {
-            let blob = blob.ok_or(CoreError::Corrupt("missing data block"))?;
-            let plain = self.open_data_block(key, &blob, &body, manifest.hash_of(key.block))?;
-            let len = plain.len();
-            let block: Arc<[u8]> = Arc::from(plain);
+        let fetched = fetched
+            .iter()
+            .zip(&missing)
+            .map(|(blob, key)| {
+                Ok((*key, blob.as_deref().ok_or(CoreError::Corrupt("missing data block"))?))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let opened = self.open_data_blocks(&body, &manifest, &fetched)?;
+        for ((key, _), block) in fetched.iter().zip(opened) {
+            let len = block.len();
             let ck = CacheKey::Block(inode, generation, key.block);
             self.cache.put(ck, Arc::clone(&block), len);
             blocks[key.block as usize] = Some(block);
@@ -999,63 +1021,24 @@ impl SharoesClient {
         let inode = body.inode;
         let dview = ids::data_view(inode, body.generation);
         let block_size = self.config.block_size.max(1);
-        let nblocks = if content.is_empty() { 0 } else { content.len().div_ceil(block_size) };
-
-        let meter = Arc::clone(&self.meter);
-        let encrypts = self.encrypts_data();
-        let signs = self.signs();
-        let dek = body.dek.clone();
-        let dsk = body.dsk.clone();
-        let mut rng = self.rng.clone();
-        let records = Self::timed_crypto(&meter, || -> Result<Vec<(ObjectKey, Vec<u8>)>> {
-            let seal_plain = |plain: &[u8], rng: &mut HmacDrbg| -> Result<Vec<u8>> {
-                if encrypts {
-                    Ok(dek
-                        .as_ref()
-                        .ok_or(CoreError::PermissionDenied {
-                            path: format!("inode#{inode}"),
-                            needed: "DEK",
-                        })?
-                        .seal(rng, plain))
-                } else {
-                    Ok(plain.to_vec())
-                }
-            };
-
-            let mut blocks = Vec::with_capacity(nblocks);
-            let mut block_hashes = Vec::with_capacity(if signs { nblocks } else { 0 });
-            for (i, chunk) in content.chunks(block_size).enumerate() {
-                let key = ObjectKey::data(inode, dview, i as u32);
-                let ciphertext = seal_plain(chunk, &mut rng)?;
-                if signs {
-                    block_hashes.push(sharoes_crypto::Sha256::digest(&ciphertext));
-                }
-                blocks.push((key, SealedObject::unsigned(ciphertext).to_wire()));
-            }
-
-            let manifest = Manifest {
-                size: content.len() as u64,
-                version,
-                nblocks: nblocks as u32,
-                block_hashes,
-            };
-            let mkey = ObjectKey::data(inode, dview, MANIFEST_BLOCK);
-            let mciphertext = seal_plain(&manifest.to_wire(), &mut rng)?;
-            let msealed = if signs {
-                let dsk = dsk.as_ref().ok_or(CoreError::PermissionDenied {
-                    path: format!("inode#{inode}"),
-                    needed: "DSK (write)",
-                })?;
-                SealedObject::signed(mciphertext, &mkey, dsk, &mut rng)
+        let denied =
+            |needed| CoreError::PermissionDenied { path: format!("inode#{inode}"), needed };
+        let keys = DataKeys {
+            dek: if self.encrypts_data() {
+                Some(body.dek.as_ref().ok_or_else(|| denied("DEK"))?)
             } else {
-                SealedObject::unsigned(mciphertext)
-            };
-
-            let mut out = Vec::with_capacity(nblocks + 1);
-            out.push((mkey, msealed.to_wire()));
-            out.extend(blocks);
-            Ok(out)
-        })?;
+                None
+            },
+            dsk: if self.signs() {
+                Some(body.dsk.as_ref().ok_or_else(|| denied("DSK (write)"))?)
+            } else {
+                None
+            },
+        };
+        let mut rng = self.rng.clone();
+        let records = Self::timed_crypto(&self.meter, || {
+            seal_data(inode, dview, block_size, content, version, keys, &mut rng)
+        });
         // Advance the client RNG past the states the closure consumed.
         self.rng.reseed(b"seal-file-content");
         Ok(records)
@@ -1378,18 +1361,19 @@ impl SharoesClient {
             let dvk = if self.signs() { pbody.dvk.as_ref() } else { None };
             for ((slot, key), blob) in missing.iter().zip(fetched) {
                 let blob = blob.ok_or(CoreError::Corrupt("missing table replica"))?;
-                let sealed = SealedObject::from_wire(&blob)
+                let sealed = SealedRef::parse(&blob)
                     .map_err(|_| CoreError::Corrupt("sealed table replica"))?;
-                sealed.verify(key, dvk)?;
-                let plain = if encrypts_now {
+                let plain = Self::timed_crypto(&self.meter, || -> Result<Vec<u8>> {
+                    sealed.verify(key, dvk)?;
+                    if !encrypts_now {
+                        return Ok(sealed.ciphertext.to_vec());
+                    }
                     let tek = teks.get(&views[*slot].0).ok_or(CoreError::PermissionDenied {
                         path: format!("inode#{}", ph.inode),
                         needed: "TEK for replica",
                     })?;
-                    tek.open(&sealed.ciphertext)?
-                } else {
-                    sealed.ciphertext
-                };
+                    Ok(tek.open(sealed.ciphertext)?)
+                })?;
                 let table =
                     DirTable::from_wire(&plain).map_err(|_| CoreError::Corrupt("table replica"))?;
                 tables[*slot] = Some(Arc::new(table));
@@ -1723,18 +1707,21 @@ impl SharoesClient {
         // The harvested MEKs are re-sealed under our DSK, so a replica must
         // pass the directory's DVK before it is opened.
         let dvk = if self.signs() { body.dvk.as_ref() } else { None };
+        let encrypts = self.encrypts_data();
         let mut harvested: HashMap<(u64, [u8; 16]), SymKey> = HashMap::new();
         for (((view, access), key), blob) in old_views.iter().zip(&keys).zip(blobs) {
             let Some(blob) = blob else { continue };
-            let Ok(sealed) = SealedObject::from_wire(&blob) else { continue };
-            sealed.verify(key, dvk)?;
-            let plain = if self.encrypts_data() {
-                let Some(tek) = teks.get(view) else { continue };
-                let Ok(p) = tek.open(&sealed.ciphertext) else { continue };
-                p
-            } else {
-                sealed.ciphertext.clone()
-            };
+            let Ok(sealed) = SealedRef::parse(&blob) else { continue };
+            // `None`: a replica with no TEK here, or one that will not open;
+            // it is skipped.
+            let plain = Self::timed_crypto(&self.meter, || -> Result<Option<Vec<u8>>> {
+                sealed.verify(key, dvk)?;
+                if !encrypts {
+                    return Ok(Some(sealed.ciphertext.to_vec()));
+                }
+                Ok(teks.get(view).and_then(|tek| tek.open(sealed.ciphertext).ok()))
+            })?;
+            let Some(plain) = plain else { continue };
             let Ok(table) = DirTable::from_wire(&plain) else { continue };
             match access {
                 TableAccess::Full => {
@@ -1892,15 +1879,16 @@ impl SharoesClient {
         let keys: Vec<ObjectKey> =
             (0..manifest.nblocks).map(|i| ObjectKey::data(body.inode, dview, i)).collect();
         let blobs = self.fetch_many(keys.clone())?;
+        let fetched = blobs
+            .iter()
+            .zip(keys)
+            .map(|(blob, key)| {
+                Ok((key, blob.as_deref().ok_or(CoreError::Corrupt("missing block during rekey"))?))
+            })
+            .collect::<Result<Vec<_>>>()?;
         let mut out = Vec::with_capacity(manifest.size as usize);
-        for (key, blob) in keys.iter().zip(blobs) {
-            let blob = blob.ok_or(CoreError::Corrupt("missing block during rekey"))?;
-            out.extend_from_slice(&self.open_data_block(
-                key,
-                &blob,
-                body,
-                manifest.hash_of(key.block),
-            )?);
+        for block in self.open_data_blocks(body, &manifest, &fetched)? {
+            out.extend_from_slice(&block);
         }
         out.truncate(manifest.size as usize);
         Ok(out)

@@ -38,7 +38,7 @@ pub use error::{CoreError, Result};
 pub use ids::ClassTag;
 pub use keypool::SigKeyPool;
 pub use keyring::{KekChain, Keyring, Pki, UserIdentity};
-pub use metadata::{MetadataBody, SealedObject, ViewId};
+pub use metadata::{MetadataBody, SealedObject, SealedRef, ViewId};
 pub use migrate::{MigrationReport, Migrator};
 pub use params::{ClientConfig, CryptoParams, CryptoPolicy, RevocationMode, Scheme};
 pub use scheme::{Layout, ObjectAttrs, ObjectSecrets};

@@ -295,7 +295,54 @@ impl WireWrite for SealedObject {
 
 impl WireRead for SealedObject {
     fn read(r: &mut Cursor<'_>) -> std::result::Result<Self, NetError> {
-        Ok(SealedObject { ciphertext: Vec::<u8>::read(r)?, signature: Option::<Vec<u8>>::read(r)? })
+        let sealed = SealedRef::read(r)?;
+        Ok(SealedObject {
+            ciphertext: sealed.ciphertext.to_vec(),
+            signature: sealed.signature.map(<[u8]>::to_vec),
+        })
+    }
+}
+
+/// A borrowed view of a sealed record's wire bytes: the fields of a
+/// [`SealedObject`], decoded by the same rules, pointing into the record
+/// instead of copied out of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SealedRef<'a> {
+    /// Encrypted (or plain) body bytes.
+    pub ciphertext: &'a [u8],
+    /// Signature over `signing_context(key) || ciphertext`, if any.
+    pub signature: Option<&'a [u8]>,
+}
+
+impl<'a> SealedRef<'a> {
+    /// Decodes a whole record.
+    pub fn parse(record: &'a [u8]) -> std::result::Result<Self, NetError> {
+        let mut cur = Cursor::new(record);
+        let sealed = Self::read(&mut cur)?;
+        cur.expect_end()?;
+        Ok(sealed)
+    }
+
+    fn read(r: &mut Cursor<'a>) -> std::result::Result<Self, NetError> {
+        let ciphertext = r.take_bytes()?;
+        let signature = match u8::read(r)? {
+            0 => None,
+            1 => Some(r.take_bytes()?),
+            _ => return Err(NetError::Codec("invalid option tag")),
+        };
+        Ok(SealedRef { ciphertext, signature })
+    }
+
+    /// Verifies the signature for slot `key`; `None` verifier skips.
+    pub fn verify(&self, key: &ObjectKey, verifier: Option<&VerifyKey>) -> Result<()> {
+        let Some(vk) = verifier else { return Ok(()) };
+        let Some(sig) = self.signature else {
+            return Err(CoreError::TamperDetected(format!("missing signature on {key:?}")));
+        };
+        let mut msg = signing_context(key);
+        msg.extend_from_slice(self.ciphertext);
+        vk.verify(&msg, sig)
+            .map_err(|_| CoreError::TamperDetected(format!("bad signature on {key:?}")))
     }
 }
 
@@ -327,16 +374,25 @@ impl SealedObject {
         SealedObject { ciphertext, signature: None }
     }
 
+    /// The wire record of an unsigned object whose ciphertext is
+    /// `prefix || body` after `seal` has rewritten it in place: the bytes
+    /// of `SealedObject::unsigned(ciphertext).to_wire()`, built in one
+    /// allocation with no intermediate ciphertext.
+    pub fn unsigned_wire(prefix: &[u8], body: &[u8], seal: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let len = prefix.len() + body.len();
+        let mut record = Vec::with_capacity(4 + len + 1);
+        (len as u32).write(&mut record);
+        record.extend_from_slice(prefix);
+        record.extend_from_slice(body);
+        seal(&mut record[4..]);
+        record.push(0); // no signature
+        record
+    }
+
     /// Verifies the signature for slot `key`; `None` verifier skips.
     pub fn verify(&self, key: &ObjectKey, verifier: Option<&VerifyKey>) -> Result<()> {
-        let Some(vk) = verifier else { return Ok(()) };
-        let Some(sig) = &self.signature else {
-            return Err(CoreError::TamperDetected(format!("missing signature on {key:?}")));
-        };
-        let mut msg = signing_context(key);
-        msg.extend_from_slice(&self.ciphertext);
-        vk.verify(&msg, sig)
-            .map_err(|_| CoreError::TamperDetected(format!("bad signature on {key:?}")))
+        SealedRef { ciphertext: &self.ciphertext, signature: self.signature.as_deref() }
+            .verify(key, verifier)
     }
 }
 
@@ -538,6 +594,41 @@ mod tests {
         assert_eq!(SealedObject::from_wire(&obj.to_wire()).unwrap(), obj);
         let obj = SealedObject::unsigned(vec![]);
         assert_eq!(SealedObject::from_wire(&obj.to_wire()).unwrap(), obj);
+    }
+
+    #[test]
+    fn borrowed_view_decodes_what_the_owned_codec_does() {
+        let signed = SealedObject { ciphertext: vec![9; 40], signature: Some(vec![1; 8]) };
+        for obj in [signed, SealedObject::unsigned(vec![]), SealedObject::unsigned(vec![7; 5])] {
+            let wire = obj.to_wire();
+            let view = SealedRef::parse(&wire).unwrap();
+            assert_eq!(view.ciphertext, &obj.ciphertext[..]);
+            assert_eq!(view.signature, obj.signature.as_deref());
+            // Every truncation, an extra byte and a bad option tag fail.
+            for cut in 0..wire.len() {
+                assert!(SealedRef::parse(&wire[..cut]).is_err(), "cut at {cut}");
+            }
+            let mut long = wire.clone();
+            long.push(0);
+            assert!(SealedRef::parse(&long).is_err());
+        }
+        let mut bad_tag = SealedObject::unsigned(vec![3; 4]).to_wire();
+        *bad_tag.last_mut().unwrap() = 2;
+        assert!(SealedRef::parse(&bad_tag).is_err());
+        assert!(SealedObject::from_wire(&bad_tag).is_err());
+    }
+
+    #[test]
+    fn unsigned_wire_matches_the_owned_encoding() {
+        for (prefix, body) in [(&[][..], &[][..]), (&[1u8; 16][..], &[2u8; 33][..])] {
+            let ciphertext = [prefix, body].concat();
+            let sealed: Vec<u8> = ciphertext.iter().map(|b| b ^ 0x5a).collect();
+            let record = SealedObject::unsigned_wire(prefix, body, |ct| {
+                assert_eq!(ct, &ciphertext[..]);
+                ct.iter_mut().for_each(|b| *b ^= 0x5a);
+            });
+            assert_eq!(record, SealedObject::unsigned(sealed).to_wire());
+        }
     }
 
     #[test]

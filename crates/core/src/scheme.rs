@@ -19,10 +19,13 @@ use crate::dirtable::{ChildRef, DirTable};
 use crate::error::{CoreError, Result};
 use crate::ids::{self, ClassTag};
 use crate::keyring::Pki;
-use crate::metadata::{seal_metadata, AclEntryWire, MetaSeal, MetadataBody, SealedObject, ViewId};
+use crate::metadata::{
+    seal_metadata, AclEntryWire, MetaSeal, MetadataBody, SealedObject, SealedRef, ViewId,
+};
 use crate::params::{CryptoPolicy, Scheme};
 use crate::superblock::Superblock;
-use sharoes_crypto::{RandomSource, SigningKey, SymKey, VerifyKey};
+use sharoes_crypto::modes::{ctr_seal, ctr_xor};
+use sharoes_crypto::{RandomSource, Sha256, SigningKey, SymKey, VerifyKey};
 use sharoes_fs::{
     class_perm_with_acl, classify_with_acl, Acl, AclClass, Gid, Mode, NodeKind, Perm, Uid, UserDb,
 };
@@ -91,6 +94,75 @@ impl Manifest {
     pub fn hash_of(&self, i: u32) -> Option<&[u8; 32]> {
         self.block_hashes.get(i as usize)
     }
+}
+
+/// The keys a file's data records are sealed under: the DEK when the
+/// policy encrypts data, the DSK when it signs.
+#[derive(Clone, Copy)]
+pub struct DataKeys<'a> {
+    /// Data encryption key; `None` stores blocks and manifest in the clear.
+    pub dek: Option<&'a SymKey>,
+    /// Data signing key; `None` leaves the manifest unsigned and hashless.
+    pub dsk: Option<&'a SigningKey>,
+}
+
+/// Seals `content` into the data records of data view `view` of `inode`:
+/// the manifest first, then one unsigned record per `block_size` block.
+///
+/// The DEK is expanded once for the file. Each block is copied straight
+/// into its wire record (`len || iv || ct || 0`) and encrypted there, its
+/// IV drawn in block order; the block ciphertext hashes the manifest
+/// carries are then computed in one batch ([`Sha256::digest_many`]), and
+/// the manifest is sealed and signed last. The DRBG draws, and so every
+/// byte, are those of sealing block by block with [`SymKey::seal`].
+pub fn seal_data<R: RandomSource + ?Sized>(
+    inode: u64,
+    view: [u8; 16],
+    block_size: usize,
+    content: &[u8],
+    version: u64,
+    keys: DataKeys<'_>,
+    rng: &mut R,
+) -> Vec<(ObjectKey, Vec<u8>)> {
+    let aes = keys.dek.map(SymKey::cipher);
+    let nblocks = content.len().div_ceil(block_size);
+    let mkey = ObjectKey::data(inode, view, MANIFEST_BLOCK);
+    let mut records = Vec::with_capacity(nblocks + 1);
+    records.push((mkey, Vec::new()));
+    for (i, chunk) in content.chunks(block_size).enumerate() {
+        let record = match &aes {
+            Some(aes) => {
+                let mut iv = [0u8; 16];
+                rng.fill_bytes(&mut iv);
+                SealedObject::unsigned_wire(&iv, chunk, |ct| ctr_xor(aes, &iv, &mut ct[16..]))
+            }
+            None => SealedObject::unsigned_wire(&[], chunk, |_| {}),
+        };
+        records.push((ObjectKey::data(inode, view, i as u32), record));
+    }
+
+    let block_hashes = if keys.dsk.is_some() {
+        let ciphertexts: Vec<&[u8]> = records[1..]
+            .iter()
+            .map(|(_, record)| SealedRef::parse(record).expect("record built above").ciphertext)
+            .collect();
+        Sha256::digest_many(&ciphertexts)
+    } else {
+        Vec::new()
+    };
+    let manifest =
+        Manifest { size: content.len() as u64, version, nblocks: nblocks as u32, block_hashes };
+    let mplain = manifest.to_wire();
+    let mciphertext = match &aes {
+        Some(aes) => ctr_seal(aes, rng, &mplain),
+        None => mplain,
+    };
+    let msealed = match keys.dsk {
+        Some(dsk) => SealedObject::signed(mciphertext, &mkey, dsk, rng),
+        None => SealedObject::unsigned(mciphertext),
+    };
+    records[0].1 = msealed.to_wire();
+    records
 }
 
 /// Plaintext attributes the layout engine decides from.
@@ -790,44 +862,12 @@ impl<'a> Layout<'a> {
         content: &[u8],
         rng: &mut R,
     ) -> Vec<(ObjectKey, Vec<u8>)> {
+        let keys = DataKeys {
+            dek: self.policy.encrypts_data().then_some(&secrets.dek),
+            dsk: secrets.sig.as_ref().filter(|_| self.policy.signs()).map(|sig| &sig.dsk),
+        };
         let view = ids::data_view(attrs.inode, attrs.generation);
-        let nblocks = if content.is_empty() { 0 } else { content.len().div_ceil(self.block_size) };
-        let signs = self.policy.signs() && secrets.sig.is_some();
-
-        let mut blocks = Vec::with_capacity(nblocks);
-        let mut block_hashes = Vec::with_capacity(if signs { nblocks } else { 0 });
-        for (i, chunk) in content.chunks(self.block_size).enumerate() {
-            let key = ObjectKey::data(attrs.inode, view, i as u32);
-            let ciphertext = if self.policy.encrypts_data() {
-                secrets.dek.seal(rng, chunk)
-            } else {
-                chunk.to_vec()
-            };
-            if signs {
-                block_hashes.push(sharoes_crypto::Sha256::digest(&ciphertext));
-            }
-            blocks.push((key, SealedObject::unsigned(ciphertext).to_wire()));
-        }
-
-        let manifest = Manifest {
-            size: content.len() as u64,
-            version: 1,
-            nblocks: nblocks as u32,
-            block_hashes,
-        };
-        let mplain = manifest.to_wire();
-        let mkey = ObjectKey::data(attrs.inode, view, MANIFEST_BLOCK);
-        let mciphertext =
-            if self.policy.encrypts_data() { secrets.dek.seal(rng, &mplain) } else { mplain };
-        let msealed = match (&secrets.sig, self.policy.signs()) {
-            (Some(sig), true) => SealedObject::signed(mciphertext, &mkey, &sig.dsk, rng),
-            _ => SealedObject::unsigned(mciphertext),
-        };
-
-        let mut out = Vec::with_capacity(nblocks + 1);
-        out.push((mkey, msealed.to_wire()));
-        out.extend(blocks);
-        out
+        seal_data(attrs.inode, view, self.block_size, content, 1, keys, rng)
     }
 
     /// Parses a fetched manifest payload.

@@ -85,6 +85,17 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Borrows a byte string encoded as a `Vec<u8>` (`u32` length, then
+    /// the bytes) without copying it: the same checks as
+    /// `Vec::<u8>::read`.
+    pub fn take_bytes(&mut self) -> Result<&'a [u8], NetError> {
+        let len = u32::read(self)? as usize;
+        if len > self.remaining() {
+            return Err(NetError::Codec("vector length exceeds input"));
+        }
+        self.take(len)
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
         if self.remaining() < n {
             return Err(NetError::Codec("truncated input"));
