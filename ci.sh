@@ -5,10 +5,10 @@
 # determinism), the concurrency gate (sharded-vs-single-lock byte
 # equivalence, including a drive of many threads over one shared TCP
 # connection, + the contention-bench throughput floor), the bench
-# ablations with their BENCH_*.json validation, an esign768 crypto_micro
-# smoke run, and the benchmark's own tests. The three registry gates run a
-# second time at --test-threads=1, and their exports must match the
-# default-parallel run byte for byte.
+# ablations with their BENCH_*.json validation, esign768 and hash
+# crypto_micro smoke runs, and the benchmark's own tests. The three
+# registry gates run a second time at --test-threads=1, and their exports
+# must match the default-parallel run byte for byte.
 #
 # Everything runs with --offline against the vendored-free, path-only
 # workspace — if any step reaches for the network or a registry, that is
@@ -16,7 +16,7 @@
 #
 # Usage: ci.sh [--quick]
 #   --quick   skip the bench/ablation steps (the BENCH_*.json writers,
-#             their validation, the crypto_micro smoke run, and the
+#             their validation, the crypto_micro smoke runs, and the
 #             perfbench tests); all build, lint, test, and pinned-seed
 #             gates still run. For tight edit-test loops.
 #
@@ -201,6 +201,13 @@ if [ "$QUICK" -eq 0 ]; then
     step "crypto_micro esign768 smoke (signatures verify)" \
         env SHAROES_BENCH_SAMPLES=2 \
         cargo bench --offline -p sharoes-bench --bench crypto_micro -- esign768
+
+    # Hash floor smoke run: the batched row asserts that digest_many's
+    # digests equal one-at-a-time digests, so a wrong kernel fails the step.
+    # It gates no time.
+    step "crypto_micro hash smoke (batched digests match)" \
+        env SHAROES_BENCH_SAMPLES=2 \
+        cargo bench --offline -p sharoes-bench --bench crypto_micro -- hash
 
     # The benchmark's own tests: tiny runs of each workload are correct,
     # and two runs at one seed report identical counts (wire bytes, round
