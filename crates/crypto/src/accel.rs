@@ -43,14 +43,14 @@ pub(crate) fn ctr_xor(round_keys: &[[u8; 16]; 11], iv: &[u8; 16], data: &mut [u8
 /// If `blocks.len()` is not a multiple of 64.
 pub(crate) fn sha256_compress(state: &mut [u32; 8], k: &[u32; 64], blocks: &[u8]) -> bool {
     let mut states = [*state];
-    if !sha256_compress_lanes(&mut states, k, [blocks]) {
+    if !sha256_compress_streams(&mut states, k, [blocks]) {
         return false;
     }
     *state = states[0];
     true
 }
 
-/// Four independent SHA-256 compressions on the SHA extensions, their
+/// `N` independent SHA-256 compressions on the SHA extensions, their
 /// rounds interleaved so one stream's SHA256RNDS2 latency hides behind the
 /// others'. Lane `i` compresses every 64-byte block of `lanes[i]` into
 /// `states[i]`. Returns `false`, leaving `states` untouched, when the CPU
@@ -59,16 +59,7 @@ pub(crate) fn sha256_compress(state: &mut [u32; 8], k: &[u32; 64], blocks: &[u8]
 /// # Panics
 ///
 /// If the lanes differ in length or a length is not a multiple of 64.
-pub(crate) fn sha256_compress_x4(
-    states: &mut [[u32; 8]; 4],
-    k: &[u32; 64],
-    lanes: [&[u8]; 4],
-) -> bool {
-    sha256_compress_lanes(states, k, lanes)
-}
-
-/// [`sha256_compress`] (one lane) and [`sha256_compress_x4`] (four).
-fn sha256_compress_lanes<const N: usize>(
+pub(crate) fn sha256_compress_streams<const N: usize>(
     states: &mut [[u32; 8]; N],
     k: &[u32; 64],
     lanes: [&[u8]; N],

@@ -199,7 +199,7 @@ pub fn compress_accelerated(state: &mut [u32; 8], blocks: &[u8]) -> bool {
 /// If the lanes differ in length or a length is not a multiple of 64.
 pub fn compress_x4_accelerated(states: &mut [[u32; 8]; 4], lanes: [&[u8]; 4]) -> bool {
     #[cfg(target_arch = "x86_64")]
-    return crate::accel::sha256_compress_x4(states, &K, lanes);
+    return crate::accel::sha256_compress_streams(states, &K, lanes);
     #[cfg(not(target_arch = "x86_64"))]
     {
         assert_equal_whole_blocks(&lanes);
