@@ -6,9 +6,11 @@ mod common;
 
 use common::{sample_tree, World, ALICE, BOB, CAROL};
 use sharoes_core::scheme::MANIFEST_BLOCK;
-use sharoes_core::{ids, CoreError, CryptoPolicy, Scheme, SharoesClient};
+use sharoes_core::{
+    ids, ClassTag, ClientConfig, CoreError, CryptoPolicy, Scheme, SharoesClient, ViewId,
+};
 use sharoes_crypto::{Digest, HmacDrbg, Sha256};
-use sharoes_fs::{Mode, NodeKind, Perm};
+use sharoes_fs::{Acl, Mode, NodeKind, Perm};
 use sharoes_net::{InMemoryTransport, ObjectKey};
 use std::sync::Arc;
 
@@ -489,5 +491,183 @@ fn sealed_records_match_the_golden_digests() {
     for (policy, want) in golden {
         let got = sealed_digests(policy);
         assert_eq!(got, want, "{policy:?}");
+    }
+}
+
+// ---------------------------------------------- directory-table golden pins
+
+// A migrated deployment and one seeded alice client run a fixed sequence of
+// directory edits: mkdir, create, rename and unlink in a 0755 directory,
+// creates and unlinks in the 0711 exec-only dropbox, a chmod 0755 -> 0750
+// -> 0755, and a set_acl that makes no user newly divergent. After each
+// step the table replicas of the directories it touched are hashed and
+// pinned, as is the whole store's snapshot at the end. A changed digest
+// means a sealed table byte moved: a row, an IV, a DRBG draw or a
+// signature. The baselines are per-user whatever the configured scheme, so
+// both of their runs check one pinned list.
+
+/// SHA-256 over the SHA-256s of every table-replica slot of directory
+/// `inode` (an absent slot hashes as 32 zero bytes), in a fixed view order.
+fn table_digest(world: &World, inode: u64) -> Vec<u8> {
+    let views: Vec<ViewId> = match world.config.effective_scheme() {
+        Scheme::PerUser => (0..=3).map(ViewId::User).collect(),
+        Scheme::SharedCaps => {
+            [ClassTag::Owner, ClassTag::Group, ClassTag::Other, ClassTag::AclUser(2)]
+                .into_iter()
+                .map(ViewId::Class)
+                .collect()
+        }
+    };
+    let store = world.server.store();
+    let mut h = Sha256::new();
+    for view in views {
+        match store.get(&ObjectKey::data(inode, view.tag(inode), 0)) {
+            Some(record) => h.update(&Sha256::digest(&record)),
+            None => h.update(&[0u8; 32]),
+        }
+    }
+    h.finalize_vec()
+}
+
+/// Runs the edit sequence and returns one digest per step (the touched
+/// directories' [`table_digest`]s, hashed together), then the snapshot's.
+fn table_digests(policy: CryptoPolicy, scheme: Scheme) -> Vec<String> {
+    let world = World::from_fs(sample_tree(), policy, scheme, 0x7AB1E);
+    let transport = InMemoryTransport::new(Arc::clone(&world.server) as _);
+    let mut alice = SharoesClient::with_rng(
+        Box::new(transport),
+        world.config.clone(),
+        Arc::clone(&world.db),
+        Arc::clone(&world.pki),
+        world.ring.identity(ALICE).expect("identity"),
+        Arc::clone(&world.pool),
+        HmacDrbg::from_seed_u64(0x7AB1_E5ED),
+    );
+    alice.mount().expect("mount");
+    let mut out = Vec::new();
+    let mut pin = |alice: &mut SharoesClient, dirs: &[&str]| {
+        let mut h = Sha256::new();
+        for dir in dirs {
+            let inode = alice.getattr(dir).unwrap().inode;
+            h.update(&table_digest(&world, inode));
+        }
+        out.push(hex(&h.finalize_vec()));
+    };
+    let m = Mode::from_octal;
+    let (home, t, dropbox) = ("/home/alice", "/home/alice/t", "/home/alice/dropbox");
+    alice.mkdir(t, m(0o755)).unwrap();
+    pin(&mut alice, &[home, t]);
+    alice.create("/home/alice/t/f", m(0o644)).unwrap();
+    pin(&mut alice, &[t]);
+    alice.rename("/home/alice/t/f", "/home/alice/t/g").unwrap();
+    pin(&mut alice, &[t]);
+    alice.create("/home/alice/t/h", m(0o644)).unwrap();
+    pin(&mut alice, &[t]);
+    alice.unlink("/home/alice/t/g").unwrap();
+    pin(&mut alice, &[t]);
+    alice.create("/home/alice/dropbox/x", m(0o644)).unwrap();
+    pin(&mut alice, &[dropbox]);
+    alice.create("/home/alice/dropbox/y", m(0o644)).unwrap();
+    pin(&mut alice, &[dropbox]);
+    alice.unlink("/home/alice/dropbox/x").unwrap();
+    pin(&mut alice, &[dropbox]);
+    alice.chmod(t, m(0o750)).unwrap();
+    pin(&mut alice, &[t]);
+    alice.chmod(t, m(0o755)).unwrap();
+    pin(&mut alice, &[t]);
+    // bob's ACL class at t continues into h's Group class, which is his.
+    let mut acl = Acl::empty();
+    acl.set_user(BOB, Perm::RX);
+    alice.set_acl(t, acl).unwrap();
+    pin(&mut alice, &[t]);
+    out.push(hex(&Sha256::digest(&world.server.store().snapshot())));
+    out
+}
+
+#[test]
+fn table_records_match_the_golden_digests() {
+    let golden: [(CryptoPolicy, Scheme, [&str; 12]); 4] = [
+        (
+            CryptoPolicy::Sharoes,
+            Scheme::SharedCaps,
+            [
+                "adc2f122c5f1862195980fed3a1d42473650386e1e7dbb25c129e1699a6445ab",
+                "136cccfc7129c4c9ffadceb3e29a2089e8267bd1ae7099468c146cab6fde7a57",
+                "c4e91b30fc0ff00362d8d5a9445fb679631c5036509898a28c99ddffe27f9579",
+                "5e82907cf0b7bd866a375db1e0d523800747addd3b72001bc276c9bccda0940b",
+                "6788363598052f9a5466fea7560bfe0636c15d757c9ff2705e93a2f6a9098a0d",
+                "3f6f30d96aee403e5962ad4478cc0d22b8cdb1cc389c8796cccdf83a10b7e797",
+                "d6a1b271ddd6aa426ad92b29a310d21d24a0765df5eb500f678cd12761b9979e",
+                "18d8cf14a4796ab6957a2072ebc9e883c99142880b0f723b9171f463fc073bd5",
+                "db9b04d07cee16ea961f048208f3d2f37f5e20606dd921d5ef6dc548fc83c5e3",
+                "c797f3fcb35b0316cf29c18e9d16658057d1018a8008e82160b7b1a6590bcf3d",
+                "078b5a57d7dc99c2749eea6f712ca64a0ccc2341634b00ba22bb91fd5cfa4564",
+                "569a24223efbccb8e872ae39e3ac359189c6a02143b3488c881401230583bdfb",
+            ],
+        ),
+        (
+            CryptoPolicy::Sharoes,
+            Scheme::PerUser,
+            [
+                "8ea36b7ac7d2ba60e2ae84d5f089aeb5eae397beab0cf3f7341f33a10d681b35",
+                "029ba8a91af540a29a92793f9207d86a5997ec64993aadf20037713ecc28207b",
+                "e030a56d37d0f989eefb27a994f70229105170c085fd2b58c235616612033033",
+                "cbd8287356c8218ee733c882edd3679f572141fdef3fe048e3351a77c49ea465",
+                "65b4f7d0a5ee92e2a831f8146066345b0ecc599d8c0c3dfaaf02bf8046b4ed77",
+                "dece066b249452c10a7210159c5a3df36d4f6420bbfaa9811d66f6032358fa65",
+                "73349746ae4b999553a054703c67165c31eec9caab46a4ff19d0ece86554b982",
+                "323678c870229b84d4e8f8c487c0c3921a19687bbc9100899c27be59a4b2442a",
+                "1dea001b3b1cefe6f06c06bb6545c4c239f9a3fae294e7b1c4e1f2fa83a23601",
+                "50ed4e42858757e245770ccefb5125edfce1d3f358524b15f3d3e390c14cd27e",
+                "bf9f91f48e3a7bc0c605fa2d9a30f093352b235301881ac8e00caf436faf6532",
+                "5c2da92ac935cef6f0aab4d6620097bb93467615a1e7a4c34a684020e956f85f",
+            ],
+        ),
+        (
+            CryptoPolicy::NoEncMd,
+            Scheme::PerUser,
+            [
+                "63566981c05ab77767fb6f54be6e7e9aa644758ae27919bc5d925d44b7f9eb75",
+                "7f726a29e2de1d5cdd6669a624609606d9e3300a503c69fbfc73ee6b19d53809",
+                "08be7596bb2e5d54f9288c67897c8c349cc5d0b4cce4797092fd9e4e8de618aa",
+                "781db53a01130d3e5d500c1ae39b951148c6665339cca455f3238436da8236f8",
+                "baafb953ab9fb4c28e2e4d1eb999a23c8e5427a169a1df236c4fa6a9eda65870",
+                "5e45f66617004289c60b6a4e438e63c5d4dc14ebb853613f5733b01f2a65c952",
+                "1e6c9927bab3de22eebb20fbb34a25aff9cdf9b7c17bab3cd9e90d1f2081c52e",
+                "e2662335cda98c53823ff951ae6d3e26c3246237ae76077485e7b3ba706649cd",
+                "5ab5ec72152539068cd6745d9969f7b013ede06e18e13869db9246f67bfd190f",
+                "efe3fe582949fe6981ed4e3d4692e22f5f74c4ac430d87608b4635076c7989b2",
+                "50fe37d8439f43afeb83701131a3eb96fa7e37711f4fd4209a82e169602b54c3",
+                "f90b1f2d9b610172af147843159a9ef9e4b9af7cf024e0009258f8727fccc779",
+            ],
+        ),
+        (
+            CryptoPolicy::NoEncMdD,
+            Scheme::PerUser,
+            [
+                "dae2bc95c6ecf2ef131956ed48c8a7437f6a7891659c7ee5c1f5afda0c7c8e36",
+                "55d9da044bac705f569624fbb1c28f01ded9770bf31f355787b24b091a99fefa",
+                "83b47dd250cdd4f3e875d71973c63421f41b8d7919c20a65b0d23a4708d5b6d9",
+                "cc89560dfc7ba9e66c212e127b6654a4ae8d3e96f907a4aa1828566597314f6b",
+                "1352871ec15dd9d58fffa9f1ec84882fab96a13256b0fe1046423b18b1af2be6",
+                "b00cf0954af0ff7373c0b3944a3e8b6b19a4e39ca40dfcd406f666aa2ea36a8f",
+                "8a19c397626cd6c84a79395d9bd30a694883cf353e0dad1cfbd35d6c6aca3269",
+                "cfb85e67cba36edbb1101928e0711ad112dd59d236a874cae438e12fa95c40ea",
+                "b85c3071d35eb06e0d241d3e4e79b072e54d663cf4fff5e038026c1038c4901e",
+                "1352871ec15dd9d58fffa9f1ec84882fab96a13256b0fe1046423b18b1af2be6",
+                "1352871ec15dd9d58fffa9f1ec84882fab96a13256b0fe1046423b18b1af2be6",
+                "77e1b892081c25d9c2e93c688d4e4cdc5ce08bba4b971e5f1b62df2198c4d4f9",
+            ],
+        ),
+    ];
+    for policy in [CryptoPolicy::Sharoes, CryptoPolicy::NoEncMd, CryptoPolicy::NoEncMdD] {
+        for scheme in all_schemes() {
+            let effective = ClientConfig::test_with(policy, scheme).effective_scheme();
+            let (.., want) = golden
+                .iter()
+                .find(|(p, s, _)| *p == policy && *s == effective)
+                .expect("a pinned list");
+            assert_eq!(table_digests(policy, scheme), want, "{policy:?} under {scheme:?}");
+        }
     }
 }
