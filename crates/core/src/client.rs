@@ -23,19 +23,17 @@ use crate::groups::{group_key_slot, open_group_key_block};
 use crate::ids::{self, ClassTag};
 use crate::keypool::SigKeyPool;
 use crate::keyring::{KekChain, Pki, UserIdentity};
-use crate::metadata::{open_metadata, MetaOpen, MetadataBody, SealedObject, SealedRef, ViewId};
+use crate::metadata::{open_metadata, MetaOpen, MetadataBody, SealedRef, ViewId};
 use crate::params::{ClientConfig, CryptoPolicy, RevocationMode, Scheme};
 use crate::scheme::{
-    seal_data, DataKeys, Layout, Manifest, ObjectAttrs, ObjectSecrets, SigPairs, SplitEntry,
-    MANIFEST_BLOCK,
+    open_table, seal_data, seal_table, ChildKeys, DataKeys, Layout, Manifest, ObjectAttrs,
+    ObjectSecrets, SigPairs, SplitEntry, MANIFEST_BLOCK,
 };
 use crate::superblock::Superblock;
 use sharoes_crypto::{HmacDrbg, RandomSource, Sha256, SymKey, SystemRandom, VerifyKey};
 use sharoes_fs::{path as fspath, Acl, Gid, Mode, NodeKind, Uid, UserDb};
 use sharoes_index::verify_scan_page;
-use sharoes_net::{
-    CostMeter, ObjectKey, OpClass, Request, Response, Transport, WireRead, WireWrite,
-};
+use sharoes_net::{CostMeter, ObjectKey, OpClass, Request, Response, Transport, WireRead};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -415,6 +413,16 @@ impl SharoesClient {
         out
     }
 
+    /// Runs `f` with the layout and a clone of the client DRBG as one timed
+    /// crypto op, then reseeds the client DRBG with `label`, which moves it
+    /// past the states `f` drew.
+    fn with_drbg<T>(&mut self, label: &[u8], f: impl FnOnce(&Layout<'_>, &mut HmacDrbg) -> T) -> T {
+        let mut rng = self.rng.clone();
+        let out = Self::timed_crypto(&self.meter, || f(&self.layout(), &mut rng));
+        self.rng.reseed(label);
+        out
+    }
+
     /// Opens the root span for one client operation. When no trace is live
     /// on this thread, a fresh 128-bit trace id is minted from the client's
     /// dedicated trace DRBG and becomes the root every nested span — local
@@ -612,7 +620,7 @@ impl SharoesClient {
     }
 
     /// Fetches, verifies, and decrypts the directory-table replica for `h`.
-    fn open_table(&mut self, h: &NodeHandle, body: &MetadataBody) -> Result<Arc<DirTable>> {
+    fn load_table(&mut self, h: &NodeHandle, body: &MetadataBody) -> Result<Arc<DirTable>> {
         let ck = CacheKey::Table(h.inode, h.view);
         if let Some(table) = self.cache.get(&ck) {
             return Ok(table);
@@ -622,27 +630,12 @@ impl SharoesClient {
             path: format!("inode#{}", h.inode),
             needed: "directory-table access (no replica for this CAP)",
         })?;
-        let sealed = SealedRef::parse(&blob).map_err(|_| CoreError::Corrupt("sealed table"))?;
-        let meter = Arc::clone(&self.meter);
-        let signs = self.signs();
-        let encrypts = self.encrypts_data();
-        let dvk = body.dvk.clone();
-        let tek = body.dek.clone();
-        let plain = Self::timed_crypto(&meter, || -> Result<Vec<u8>> {
-            sealed.verify(&key, if signs { dvk.as_ref() } else { None })?;
-            if encrypts {
-                let tek = tek.as_ref().ok_or(CoreError::PermissionDenied {
-                    path: format!("inode#{}", h.inode),
-                    needed: "DEK (directory table key)",
-                })?;
-                Ok(tek.open(sealed.ciphertext)?)
-            } else {
-                Ok(sealed.ciphertext.to_vec())
-            }
+        let policy = self.config.policy;
+        let (table, plain_len) = Self::timed_crypto(&self.meter, || {
+            open_table(policy, &key, &blob, body.dek.as_ref(), body.dvk.as_ref())
         })?;
-        let table =
-            Arc::new(DirTable::from_wire(&plain).map_err(|_| CoreError::Corrupt("table body"))?);
-        self.cache.put(ck, Arc::clone(&table), plain.len());
+        let table = Arc::new(table);
+        self.cache.put(ck, Arc::clone(&table), plain_len);
         Ok(table)
     }
 
@@ -668,7 +661,7 @@ impl SharoesClient {
                     needed: "exec (traverse)",
                 });
             }
-            let table = self.open_table(&h, &body)?;
+            let table = self.load_table(&h, &body)?;
             let tek = body.dek.as_ref();
             let child = match table.lookup(comp, tek)? {
                 Some(child) => child,
@@ -676,7 +669,7 @@ impl SharoesClient {
                     // The cached table may predate another client's create:
                     // revalidate once before declaring the entry missing.
                     self.cache.invalidate(&CacheKey::Table(h.inode, h.view));
-                    let fresh = self.open_table(&h, &body)?;
+                    let fresh = self.load_table(&h, &body)?;
                     fresh
                         .lookup(comp, tek)?
                         .ok_or_else(|| CoreError::NotFound(fspath::join(&parts[..=i])))?
@@ -723,7 +716,7 @@ impl SharoesClient {
         if !perm.read {
             return Err(CoreError::PermissionDenied { path: path.to_string(), needed: "read" });
         }
-        let table = self.open_table(&h, &body)?;
+        let table = self.load_table(&h, &body)?;
         Ok(table
             .list()
             .map(|(name, kind, child)| ReadDirEntry {
@@ -1035,13 +1028,9 @@ impl SharoesClient {
                 None
             },
         };
-        let mut rng = self.rng.clone();
-        let records = Self::timed_crypto(&self.meter, || {
-            seal_data(inode, dview, block_size, content, version, keys, &mut rng)
-        });
-        // Advance the client RNG past the states the closure consumed.
-        self.rng.reseed(b"seal-file-content");
-        Ok(records)
+        Ok(self.with_drbg(b"seal-file-content", |_, rng| {
+            seal_data(inode, dview, block_size, content, version, keys, rng)
+        }))
     }
 
     /// Convenience: write + close in one call.
@@ -1100,7 +1089,7 @@ impl SharoesClient {
             });
         }
         // Duplicate check through our own (full) table view.
-        let table = self.open_table(&ph, &pbody)?;
+        let table = self.load_table(&ph, &pbody)?;
         if table.lookup(&name, pbody.dek.as_ref())?.is_some() {
             return Err(CoreError::AlreadyExists(path.to_string()));
         }
@@ -1110,42 +1099,24 @@ impl SharoesClient {
         let child_attrs = ObjectAttrs::new(inode, kind, self.identity.uid, gid, mode);
         self.layout().validate_perms(&child_attrs)?;
 
-        let meter = Arc::clone(&self.meter);
         let pool = Arc::clone(&self.pool);
-        let mut rng = self.rng.clone();
-        let child_secrets = {
-            let layout = self.layout();
-            Self::timed_crypto(&meter, || layout.generate_secrets(&child_attrs, &pool, &mut rng))
-        };
-        self.rng.reseed(b"create-child");
+        let child_secrets = self.with_drbg(b"create-child", |layout, rng| {
+            layout.generate_secrets(&child_attrs, &pool, rng)
+        });
 
         // Child records: metadata replicas + (empty) content.
-        let mut records = {
-            let meter = Arc::clone(&self.meter);
-            let mut rng = self.rng.clone();
-            let layout = self.layout();
-            let recs = Self::timed_crypto(&meter, || -> Result<Vec<(ObjectKey, Vec<u8>)>> {
-                let mut recs = layout.metadata_records(&child_attrs, &child_secrets, &mut rng)?;
-                match kind {
-                    NodeKind::File => {
-                        recs.extend(layout.data_records(
-                            &child_attrs,
-                            &child_secrets,
-                            &[],
-                            &mut rng,
-                        ));
-                    }
-                    NodeKind::Dir => {
-                        let (tables, _) =
-                            layout.table_records(&child_attrs, &child_secrets, &[], &mut rng)?;
-                        recs.extend(tables);
-                    }
+        let mut records = self.with_drbg(b"create-records", |layout, rng| -> Result<Vec<_>> {
+            let mut recs = layout.metadata_records(&child_attrs, &child_secrets, rng)?;
+            match kind {
+                NodeKind::File => {
+                    recs.extend(layout.data_records(&child_attrs, &child_secrets, &[], rng))
                 }
-                Ok(recs)
-            })?;
-            self.rng.reseed(b"create-records");
-            recs
-        };
+                NodeKind::Dir => {
+                    recs.extend(layout.table_records(&child_attrs, &child_secrets, &[], rng)?.0)
+                }
+            }
+            Ok(recs)
+        })?;
 
         // Parent tables: add one row per view (the "[*] per required CAP"
         // cost of Figure 8), collecting split targets for the new child.
@@ -1157,14 +1128,13 @@ impl SharoesClient {
         records.extend(table_records);
 
         if !divergent.is_empty() {
-            let meter = Arc::clone(&self.meter);
-            let mut rng = self.rng.clone();
-            let layout = self.layout();
-            let splits = Self::timed_crypto(&meter, || {
-                layout.split_records(&child_attrs, &child_secrets, &divergent, &mut rng)
-            })?;
-            self.rng.reseed(b"create-splits");
-            records.extend(splits);
+            records.extend(self.with_drbg(b"create-splits", |layout, rng| {
+                layout.split_records(
+                    layout.child_keys(&child_attrs, &child_secrets),
+                    &divergent,
+                    rng,
+                )
+            })?);
         }
 
         // One round trip ships everything (paper mkdir: "send both").
@@ -1212,7 +1182,7 @@ impl SharoesClient {
         }
         if expect == NodeKind::Dir {
             // Emptiness check requires a table-bearing CAP on the child.
-            let table = self.open_table(&ch, &cbody)?;
+            let table = self.load_table(&ch, &cbody)?;
             if !table.is_empty() {
                 return Err(CoreError::NotEmpty(path.to_string()));
             }
@@ -1275,7 +1245,7 @@ impl SharoesClient {
                 needed: "write+exec on parent",
             });
         }
-        let table = self.open_table(&ph, &pbody)?;
+        let table = self.load_table(&ph, &pbody)?;
         if table.lookup(&from_name, pbody.dek.as_ref())?.is_none() {
             return Err(CoreError::NotFound(from.to_string()));
         }
@@ -1294,21 +1264,6 @@ impl SharoesClient {
 
     // --------------------------------------------- parent table rebuilds
 
-    /// The table-bearing views of a directory with their materialization
-    /// levels (owner always Full; exec-only degrades to Full without data
-    /// encryption).
-    fn dir_views_with_access(&self, attrs: &ObjectAttrs) -> Result<Vec<(ViewId, TableAccess)>> {
-        let layout = self.layout();
-        let mut out = Vec::new();
-        for (view, perm) in layout.views(attrs) {
-            let access = layout.table_access_for(view, attrs, perm)?;
-            if access != TableAccess::None {
-                out.push((view, access));
-            }
-        }
-        Ok(out)
-    }
-
     /// Applies an edit to every table replica of a directory.
     ///
     /// The writer holds all table keys (`write_teks`), fetches every view's
@@ -1322,7 +1277,7 @@ impl SharoesClient {
         edit: TableEdit<'_>,
     ) -> Result<(Vec<(ObjectKey, Vec<u8>)>, Vec<(Uid, ClassTag)>)> {
         let pattrs = ObjectAttrs::from_body(pbody);
-        let views = self.dir_views_with_access(&pattrs)?;
+        let views = self.layout().table_views(&pattrs)?;
 
         // Table keys per view.
         let teks: HashMap<ViewId, SymKey> = pbody.write_teks.iter().cloned().collect();
@@ -1334,7 +1289,7 @@ impl SharoesClient {
         }
 
         // Names come from our own (full) view.
-        let my_table = self.open_table(ph, pbody)?;
+        let my_table = self.load_table(ph, pbody)?;
 
         // Current replicas: cached where possible (the paper's mkdir costs
         // are sends only — the client caches the parent table), fetched in
@@ -1355,41 +1310,29 @@ impl SharoesClient {
         }
         if !missing.is_empty() {
             let fetched = self.fetch_many(missing.iter().map(|(_, k)| *k).collect())?;
-            let encrypts_now = self.encrypts_data();
+            let policy = self.config.policy;
             // Every replica is checked against the directory's DVK before it
             // is opened: its content is re-signed with our DSK below.
-            let dvk = if self.signs() { pbody.dvk.as_ref() } else { None };
             for ((slot, key), blob) in missing.iter().zip(fetched) {
                 let blob = blob.ok_or(CoreError::Corrupt("missing table replica"))?;
-                let sealed = SealedRef::parse(&blob)
-                    .map_err(|_| CoreError::Corrupt("sealed table replica"))?;
-                let plain = Self::timed_crypto(&self.meter, || -> Result<Vec<u8>> {
-                    sealed.verify(key, dvk)?;
-                    if !encrypts_now {
-                        return Ok(sealed.ciphertext.to_vec());
-                    }
-                    let tek = teks.get(&views[*slot].0).ok_or(CoreError::PermissionDenied {
-                        path: format!("inode#{}", ph.inode),
-                        needed: "TEK for replica",
-                    })?;
-                    Ok(tek.open(sealed.ciphertext)?)
+                let tek = teks.get(&views[*slot].0);
+                let (table, _) = Self::timed_crypto(&self.meter, || {
+                    open_table(policy, key, &blob, tek, pbody.dvk.as_ref())
                 })?;
-                let table =
-                    DirTable::from_wire(&plain).map_err(|_| CoreError::Corrupt("table replica"))?;
                 tables[*slot] = Some(Arc::new(table));
             }
         }
 
-        let meter = Arc::clone(&self.meter);
-        let signs = self.signs();
-        let encrypts = self.encrypts_data();
-        let dsk = pbody.dsk.clone();
+        let dsk = match self.signs() {
+            true => Some(pbody.dsk.as_ref().ok_or(CoreError::PermissionDenied {
+                path: format!("inode#{}", ph.inode),
+                needed: "DSK (directory write)",
+            })?),
+            false => None,
+        };
         let mut rng = self.rng.clone();
         let mut divergent_union: Vec<(Uid, ClassTag)> = Vec::new();
         let mut records = Vec::with_capacity(views.len());
-        let layout = self.layout();
-        let mut cache_updates: Vec<(CacheKey, Arc<DirTable>, usize)> =
-            Vec::with_capacity(views.len());
 
         for ((view, access), (key, table)) in views.iter().zip(keys.iter().zip(tables)) {
             let access = *access;
@@ -1437,8 +1380,9 @@ impl SharoesClient {
             // Apply the edit.
             match &edit {
                 TableEdit::Insert { name, child, child_secrets } => {
-                    let (child_ref, divergent) =
-                        layout.child_ref(&pattrs, *view, child, child_secrets);
+                    let layout = self.layout();
+                    let keys = layout.child_keys(child, child_secrets);
+                    let (child_ref, divergent) = layout.child_ref(&pattrs, *view, keys);
                     for d in divergent {
                         if !divergent_union.contains(&d) {
                             divergent_union.push(d);
@@ -1459,44 +1403,13 @@ impl SharoesClient {
             }
 
             // Rebuild, re-seal, re-sign.
-            let (rebuilt, new_table, plain_len) =
-                Self::timed_crypto(&meter, || -> Result<(Vec<u8>, DirTable, usize)> {
-                    let new_table = match access {
-                        TableAccess::NamesOnly => DirTable::names_only(&entries),
-                        TableAccess::Full => DirTable::full(&entries),
-                        TableAccess::ExecOnly => {
-                            let tek =
-                                tek.ok_or(CoreError::Corrupt("exec-only rebuild needs TEK"))?;
-                            DirTable::exec_only(&entries, tek, &mut rng)
-                        }
-                        TableAccess::None => unreachable!("filtered"),
-                    };
-                    let plain = new_table.to_wire();
-                    let plain_len = plain.len();
-                    let ciphertext = if encrypts {
-                        teks.get(view)
-                            .ok_or(CoreError::Corrupt("missing TEK"))?
-                            .seal(&mut rng, &plain)
-                    } else {
-                        plain
-                    };
-                    let sealed = if signs {
-                        let dsk = dsk.as_ref().ok_or(CoreError::PermissionDenied {
-                            path: format!("inode#{}", ph.inode),
-                            needed: "DSK (directory write)",
-                        })?;
-                        SealedObject::signed(ciphertext, key, dsk, &mut rng)
-                    } else {
-                        SealedObject::unsigned(ciphertext)
-                    };
-                    Ok((sealed.to_wire(), new_table, plain_len))
-                })?;
+            let keys = self.layout().table_keys(*view, &teks, dsk)?;
+            let (rebuilt, new_table, plain_len) = Self::timed_crypto(&self.meter, || {
+                seal_table(key, access, &entries, keys, &mut rng)
+            })?;
             let ck = CacheKey::Table(ph.inode, view.tag(ph.inode));
-            cache_updates.push((ck, Arc::new(new_table), plain_len));
+            self.cache.put(ck, Arc::new(new_table), plain_len);
             records.push((*key, rebuilt));
-        }
-        for (ck, table, plain_len) in cache_updates {
-            self.cache.put(ck, table, plain_len);
         }
         self.rng.reseed(b"rebuild-tables");
         Ok((records, divergent_union))
@@ -1591,13 +1504,9 @@ impl SharoesClient {
                     let old_view = ids::data_view(new_attrs.inode, new_attrs.generation);
                     new_attrs.generation += 1;
                     secrets.dek = SymKey::random(&mut self.rng);
-                    let meter = Arc::clone(&self.meter);
-                    let mut rng = self.rng.clone();
-                    let layout = self.layout();
-                    records.extend(Self::timed_crypto(&meter, || {
-                        layout.data_records(&new_attrs, &secrets, &content, &mut rng)
+                    records.extend(self.with_drbg(b"rekey-data", |layout, rng| {
+                        layout.data_records(&new_attrs, &secrets, &content, rng)
                     }));
-                    self.rng.reseed(b"rekey-data");
                     deletes.push(old_view);
                     new_attrs.size = content.len() as u64;
                     new_attrs.nblocks =
@@ -1616,15 +1525,21 @@ impl SharoesClient {
         }
 
         if let Some(children) = &children {
-            records.extend(self.build_dir_tables(&new_attrs, &secrets, children)?);
+            let entries: Vec<(String, ChildKeys<'_>)> =
+                children.iter().map(|c| (c.name.clone(), c.keys())).collect();
+            let (tables, _) = self.with_drbg(b"build-dir-tables", |layout, rng| {
+                layout.table_records(&new_attrs, &secrets, &entries, rng)
+            })?;
+            records.extend(tables);
             // Views that lost table access keep stale replicas around;
             // delete them (they are sealed under rotated-away keys anyway).
             let new_tags: Vec<[u8; 16]> = self
-                .dir_views_with_access(&new_attrs)?
+                .layout()
+                .table_views(&new_attrs)?
                 .into_iter()
                 .map(|(v, _)| v.tag(new_attrs.inode))
                 .collect();
-            for (view, _) in self.dir_views_with_access(&old_attrs)? {
+            for (view, _) in self.layout().table_views(&old_attrs)? {
                 let tag = view.tag(new_attrs.inode);
                 if !new_tags.contains(&tag) {
                     stale_slots.push(ObjectKey::data(new_attrs.inode, tag, 0));
@@ -1633,38 +1548,16 @@ impl SharoesClient {
         }
 
         // Rebuild all metadata replicas.
-        {
-            let meter = Arc::clone(&self.meter);
-            let mut rng = self.rng.clone();
-            let layout = self.layout();
-            records.extend(Self::timed_crypto(&meter, || {
-                layout.metadata_records(&new_attrs, &secrets, &mut rng)
-            })?);
-            self.rng.reseed(b"update-access-md");
-        }
+        records.extend(self.with_drbg(b"update-access-md", |layout, rng| {
+            layout.metadata_records(&new_attrs, &secrets, rng)
+        })?);
 
         // Split entries for ACL-named principals.
-        let mut divergent: Vec<(Uid, ClassTag)> = Vec::new();
-        for (uid, _) in new_attrs.acl.user_entries() {
-            divergent.push((uid, ClassTag::AclUser(uid.0)));
-        }
-        for (gid, _) in new_attrs.acl.group_entries() {
-            if let Some(group) = self.db.group(gid) {
-                for &member in &group.members {
-                    if new_attrs.class_of(member, &self.db) == ClassTag::AclGroup(gid.0) {
-                        divergent.push((member, ClassTag::AclGroup(gid.0)));
-                    }
-                }
-            }
-        }
+        let divergent = self.layout().acl_divergent(&new_attrs);
         if !divergent.is_empty() {
-            let meter = Arc::clone(&self.meter);
-            let mut rng = self.rng.clone();
-            let layout = self.layout();
-            records.extend(Self::timed_crypto(&meter, || {
-                layout.split_records(&new_attrs, &secrets, &divergent, &mut rng)
+            records.extend(self.with_drbg(b"update-access-splits", |layout, rng| {
+                layout.split_records(layout.child_keys(&new_attrs, &secrets), &divergent, rng)
             })?);
-            self.rng.reseed(b"update-access-splits");
         }
 
         self.put_many(records)?;
@@ -1685,7 +1578,7 @@ impl SharoesClient {
     ) -> Result<Vec<ChildInfo>> {
         let attrs = ObjectAttrs::from_body(body);
         // Owner's replica is always a full table.
-        let my_table = self.open_table(h, body)?;
+        let my_table = self.load_table(h, body)?;
         let rows: Vec<(String, ChildRef)> = my_table
             .rows
             .iter()
@@ -1697,32 +1590,29 @@ impl SharoesClient {
 
         // Harvest per-view child MEKs from every existing replica: the
         // owner holds all TEKs, so all rows open.
-        let old_views = self.dir_views_with_access(&attrs)?;
+        let old_views = self.layout().table_views(&attrs)?;
         let teks: HashMap<ViewId, SymKey> = body.write_teks.iter().cloned().collect();
         let keys: Vec<ObjectKey> = old_views
             .iter()
             .map(|(view, _)| ObjectKey::data(h.inode, view.tag(h.inode), 0))
             .collect();
         let blobs = self.fetch_many(keys.clone())?;
-        // The harvested MEKs are re-sealed under our DSK, so a replica must
-        // pass the directory's DVK before it is opened.
-        let dvk = if self.signs() { body.dvk.as_ref() } else { None };
-        let encrypts = self.encrypts_data();
+        let policy = self.config.policy;
         let mut harvested: HashMap<(u64, [u8; 16]), SymKey> = HashMap::new();
         for (((view, access), key), blob) in old_views.iter().zip(&keys).zip(blobs) {
             let Some(blob) = blob else { continue };
-            let Ok(sealed) = SealedRef::parse(&blob) else { continue };
-            // `None`: a replica with no TEK here, or one that will not open;
-            // it is skipped.
-            let plain = Self::timed_crypto(&self.meter, || -> Result<Option<Vec<u8>>> {
-                sealed.verify(key, dvk)?;
-                if !encrypts {
-                    return Ok(Some(sealed.ciphertext.to_vec()));
-                }
-                Ok(teks.get(view).and_then(|tek| tek.open(sealed.ciphertext).ok()))
-            })?;
-            let Some(plain) = plain else { continue };
-            let Ok(table) = DirTable::from_wire(&plain) else { continue };
+            let opened = Self::timed_crypto(&self.meter, || {
+                open_table(policy, key, &blob, teks.get(view), body.dvk.as_ref())
+            });
+            let table = match opened {
+                Ok((table, _)) => table,
+                // The harvested MEKs are re-sealed under our DSK, so a
+                // replica that fails the directory's DVK stops the rebuild.
+                Err(e @ CoreError::TamperDetected(_)) => return Err(e),
+                // A replica with no TEK here, or one that will not open, is
+                // skipped.
+                Err(_) => continue,
+            };
             match access {
                 TableAccess::Full => {
                     for row in &table.rows {
@@ -1776,64 +1666,6 @@ impl SharoesClient {
             out.push(ChildInfo { name, attrs: cattrs, meks, mvk: child_ref.mvk });
         }
         Ok(out)
-    }
-
-    /// Rebuilds every table replica of a directory from child information
-    /// (used by chmod/set_acl, where view sets and access levels change).
-    fn build_dir_tables(
-        &mut self,
-        new_attrs: &ObjectAttrs,
-        secrets: &ObjectSecrets,
-        children: &[ChildInfo],
-    ) -> Result<Vec<(ObjectKey, Vec<u8>)>> {
-        let views = self.dir_views_with_access(new_attrs)?;
-        let meter = Arc::clone(&self.meter);
-        let signs = self.signs();
-        let encrypts = self.encrypts_data();
-        let mut rng = self.rng.clone();
-        let mut records = Vec::with_capacity(views.len());
-        let layout = self.layout();
-
-        for (view, access) in views {
-            let mut entries: Vec<(String, ChildRef)> = Vec::with_capacity(children.len());
-            for child in children {
-                let (child_ref, _) = layout.child_ref_from_parts(
-                    new_attrs,
-                    view,
-                    &child.attrs,
-                    &child.meks,
-                    child.mvk.clone(),
-                );
-                entries.push((child.name.clone(), child_ref));
-            }
-            let key = ObjectKey::data(new_attrs.inode, view.tag(new_attrs.inode), 0);
-            let tek = secrets.teks.get(&view);
-            let rec = Self::timed_crypto(&meter, || -> Result<Vec<u8>> {
-                let table = match access {
-                    TableAccess::NamesOnly => DirTable::names_only(&entries),
-                    TableAccess::Full => DirTable::full(&entries),
-                    TableAccess::ExecOnly => {
-                        let tek = tek.ok_or(CoreError::Corrupt("missing TEK"))?;
-                        DirTable::exec_only(&entries, tek, &mut rng)
-                    }
-                    TableAccess::None => unreachable!("filtered"),
-                };
-                let plain = table.to_wire();
-                let ciphertext = if encrypts {
-                    tek.ok_or(CoreError::Corrupt("missing TEK"))?.seal(&mut rng, &plain)
-                } else {
-                    plain
-                };
-                let sealed = match (&secrets.sig, signs) {
-                    (Some(sig), true) => SealedObject::signed(ciphertext, &key, &sig.dsk, &mut rng),
-                    _ => SealedObject::unsigned(ciphertext),
-                };
-                Ok(sealed.to_wire())
-            })?;
-            records.push((key, rec));
-        }
-        self.rng.reseed(b"build-dir-tables");
-        Ok(records)
     }
 
     /// Reconstructs [`ObjectSecrets`] from an owner's metadata replica.
@@ -1952,12 +1784,9 @@ impl SharoesClient {
         }
         attrs.version += 1;
         let secrets = self.secrets_from_owner_body(&h, &body)?;
-        let meter = Arc::clone(&self.meter);
-        let mut rng = self.rng.clone();
-        let layout = self.layout();
-        let records =
-            Self::timed_crypto(&meter, || layout.metadata_records(&attrs, &secrets, &mut rng))?;
-        self.rng.reseed(b"fsync-metadata");
+        let records = self.with_drbg(b"fsync-metadata", |layout, rng| {
+            layout.metadata_records(&attrs, &secrets, rng)
+        })?;
         self.put_many(records)?;
         self.cache.invalidate_inode(attrs.inode);
         Ok(())
@@ -2114,6 +1943,12 @@ struct ChildInfo {
     attrs: ObjectAttrs,
     meks: HashMap<ViewId, SymKey>,
     mvk: Option<VerifyKey>,
+}
+
+impl ChildInfo {
+    fn keys(&self) -> ChildKeys<'_> {
+        ChildKeys { attrs: &self.attrs, meks: &self.meks, mvk: self.mvk.as_ref() }
+    }
 }
 
 /// Directory-table edits supported by `rebuild_parent_tables`.

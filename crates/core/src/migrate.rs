@@ -17,7 +17,7 @@ use crate::groups::build_group_key_blocks;
 use crate::keypool::SigKeyPool;
 use crate::keyring::Keyring;
 use crate::params::ClientConfig;
-use crate::scheme::{Layout, ObjectAttrs, ObjectSecrets};
+use crate::scheme::{ChildKeys, Layout, ObjectAttrs, ObjectSecrets};
 use sharoes_crypto::RandomSource;
 use sharoes_fs::{InodeId, LocalFs, Mode, NodeKind};
 use sharoes_net::{ObjectKey, Request, Response, Transport};
@@ -156,14 +156,12 @@ impl<'a> Migrator<'a> {
                         let attrs = attrs_by_inode.get_mut(&inode).expect("pass-1 attrs");
                         attrs.size = children.len() as u64;
                     }
-                    let entry_refs: Vec<(String, &ObjectAttrs, &ObjectSecrets)> = children
+                    let entry_refs: Vec<(String, ChildKeys<'_>)> = children
                         .iter()
                         .map(|(name, child_ino)| {
-                            (
-                                name.clone(),
-                                &attrs_by_inode[&child_ino.0],
-                                &secrets_by_inode[&child_ino.0],
-                            )
+                            let (attrs, secrets) =
+                                (&attrs_by_inode[&child_ino.0], &secrets_by_inode[&child_ino.0]);
+                            (name.clone(), layout.child_keys(attrs, secrets))
                         })
                         .collect();
                     let attrs = &attrs_by_inode[&inode];
@@ -173,10 +171,11 @@ impl<'a> Migrator<'a> {
                         layout.table_records(attrs, secrets, &entry_refs, rng)?;
                     records.extend(tables);
                     for (child_inode, divergent) in splits {
-                        let child_attrs = &attrs_by_inode[&child_inode];
-                        let child_secrets = &secrets_by_inode[&child_inode];
-                        let split_records =
-                            layout.split_records(child_attrs, child_secrets, &divergent, rng)?;
+                        let child = layout.child_keys(
+                            &attrs_by_inode[&child_inode],
+                            &secrets_by_inode[&child_inode],
+                        );
+                        let split_records = layout.split_records(child, &divergent, rng)?;
                         report.split_entries += split_records.len();
                         records.extend(split_records);
                     }

@@ -165,6 +165,78 @@ pub fn seal_data<R: RandomSource + ?Sized>(
     records
 }
 
+/// The keys a directory's table replica is sealed under: its view's TEK
+/// when the policy encrypts data, the directory's DSK when it signs.
+#[derive(Clone, Copy)]
+pub struct TableKeys<'a> {
+    /// Table encryption key; `None` stores the table in the clear.
+    pub tek: Option<&'a SymKey>,
+    /// Directory signing key; `None` leaves the record unsigned.
+    pub dsk: Option<&'a SigningKey>,
+}
+
+/// Builds the `access` materialization of `entries` and seals it into the
+/// table record for slot `key`: `to_wire`, the TEK seal, the DSK signature.
+/// Returns the record, the table and its plaintext length. The one place a
+/// table record is built (paper Figure 3, §III-A).
+pub fn seal_table<R: RandomSource + ?Sized>(
+    key: &ObjectKey,
+    access: TableAccess,
+    entries: &[(String, ChildRef)],
+    keys: TableKeys<'_>,
+    rng: &mut R,
+) -> Result<(Vec<u8>, DirTable, usize)> {
+    let table = match access {
+        TableAccess::NamesOnly => DirTable::names_only(entries),
+        TableAccess::Full => DirTable::full(entries),
+        TableAccess::ExecOnly => {
+            let tek = keys.tek.ok_or(CoreError::Corrupt("missing TEK for exec-only view"))?;
+            DirTable::exec_only(entries, tek, rng)
+        }
+        TableAccess::None => return Err(CoreError::Corrupt("no table for this view")),
+    };
+    let plain = table.to_wire();
+    let plain_len = plain.len();
+    let ciphertext = match keys.tek {
+        Some(tek) => tek.seal(rng, &plain),
+        None => plain,
+    };
+    let sealed = match keys.dsk {
+        Some(dsk) => SealedObject::signed(ciphertext, key, dsk, rng),
+        None => SealedObject::unsigned(ciphertext),
+    };
+    Ok((sealed.to_wire(), table, plain_len))
+}
+
+/// Opens a table record that [`seal_table`] sealed for slot `key`: checks
+/// it against `dvk` when `policy` signs, decrypts it under `tek` when
+/// `policy` encrypts data, and parses the table. Returns the table and its
+/// plaintext length. A bad signature is [`CoreError::TamperDetected`] and
+/// is reported before a missing TEK.
+pub fn open_table(
+    policy: CryptoPolicy,
+    key: &ObjectKey,
+    record: &[u8],
+    tek: Option<&SymKey>,
+    dvk: Option<&VerifyKey>,
+) -> Result<(DirTable, usize)> {
+    let sealed = SealedRef::parse(record).map_err(|_| CoreError::Corrupt("sealed table"))?;
+    sealed.verify(key, dvk.filter(|_| policy.signs()))?;
+    let opened;
+    let plain = if policy.encrypts_data() {
+        let tek = tek.ok_or(CoreError::PermissionDenied {
+            path: format!("inode#{}", key.inode),
+            needed: "DEK (directory table key)",
+        })?;
+        opened = tek.open(sealed.ciphertext)?;
+        &opened[..]
+    } else {
+        sealed.ciphertext
+    };
+    let table = DirTable::from_wire(plain).map_err(|_| CoreError::Corrupt("table body"))?;
+    Ok((table, plain.len()))
+}
+
 /// Plaintext attributes the layout engine decides from.
 #[derive(Clone, Debug)]
 pub struct ObjectAttrs {
@@ -358,6 +430,19 @@ impl WireRead for SplitEntry {
     }
 }
 
+/// What a parent's table row (and a split entry) needs of one child: its
+/// attributes, the MEKs of its metadata views that the writer holds, and the
+/// MVK rows carry (`None` when the policy does not sign).
+#[derive(Clone, Copy)]
+pub struct ChildKeys<'a> {
+    /// The child's attributes.
+    pub attrs: &'a ObjectAttrs,
+    /// Per-view MEKs of the child's metadata replicas.
+    pub meks: &'a HashMap<ViewId, SymKey>,
+    /// The child's MVK, as rows carry it.
+    pub mvk: Option<&'a VerifyKey>,
+}
+
 /// The layout engine: scheme + policy + enterprise directory + PKI.
 pub struct Layout<'a> {
     /// Effective replica scheme.
@@ -420,6 +505,19 @@ impl<'a> Layout<'a> {
             return Ok(TableAccess::Full);
         }
         Ok(crate::cap::effective_table_access(cap.table, self.policy.encrypts_data()))
+    }
+
+    /// The table-bearing views of directory `attrs` with their
+    /// materialization levels, in [`Layout::views`] order.
+    pub fn table_views(&self, attrs: &ObjectAttrs) -> Result<Vec<(ViewId, TableAccess)>> {
+        let mut out = Vec::new();
+        for (view, perm) in self.views(attrs) {
+            let access = self.table_access_for(view, attrs, perm)?;
+            if access != TableAccess::None {
+                out.push((view, access));
+            }
+        }
+        Ok(out)
     }
 
     /// Whether metadata bodies carry DSK/DVK/MSK material at all.
@@ -512,10 +610,7 @@ impl<'a> Layout<'a> {
             // semantics for the owner's own access are enforced by the
             // client from the mode bits (the owner trivially controls their
             // own client anyway).
-            let is_owner_view = match view {
-                ViewId::User(u) => Uid(u) == attrs.owner,
-                ViewId::Class(c) => c == ClassTag::Owner,
-            };
+            let is_owner_view = Self::is_owner_view(view, attrs);
 
             match attrs.kind {
                 NodeKind::File => {
@@ -632,60 +727,42 @@ impl<'a> Layout<'a> {
         &self,
         parent: &ObjectAttrs,
         parent_view: ViewId,
-        child: &ObjectAttrs,
-        child_secrets: &ObjectSecrets,
+        child: ChildKeys<'_>,
     ) -> (ChildRef, Vec<(Uid, ClassTag)>) {
-        self.child_ref_from_parts(
-            parent,
-            parent_view,
-            child,
-            &child_secrets.meks,
-            self.row_mvk(child_secrets),
-        )
+        let (view, divergent) = match parent_view {
+            ViewId::User(u) => (ViewId::User(u), Vec::new()),
+            ViewId::Class(pc) => {
+                let (cont, divergent) = self.continuation(parent, pc, child.attrs);
+                (ViewId::Class(cont), divergent)
+            }
+        };
+        let child_ref = ChildRef {
+            inode: child.attrs.inode,
+            kind: child.attrs.kind,
+            view: view.tag(child.attrs.inode),
+            mek: child.meks.get(&view).cloned(),
+            mvk: child.mvk.cloned(),
+            split: !divergent.is_empty(),
+        };
+        (child_ref, divergent)
     }
 
-    /// [`Layout::child_ref`] from raw parts: used when the caller holds the
-    /// child's per-view MEKs without full [`ObjectSecrets`] (directory
-    /// re-keying after chmod).
-    pub fn child_ref_from_parts(
-        &self,
-        parent: &ObjectAttrs,
-        parent_view: ViewId,
-        child: &ObjectAttrs,
-        child_meks: &HashMap<ViewId, SymKey>,
-        mvk: Option<VerifyKey>,
-    ) -> (ChildRef, Vec<(Uid, ClassTag)>) {
-        match parent_view {
-            ViewId::User(u) => {
-                let view = ViewId::User(u);
-                (
-                    ChildRef {
-                        inode: child.inode,
-                        kind: child.kind,
-                        view: view.tag(child.inode),
-                        mek: child_meks.get(&view).cloned(),
-                        mvk,
-                        split: false,
-                    },
-                    Vec::new(),
-                )
-            }
-            ViewId::Class(pc) => {
-                let (cont, divergent) = self.continuation(parent, pc, child);
-                let view = ViewId::Class(cont);
-                (
-                    ChildRef {
-                        inode: child.inode,
-                        kind: child.kind,
-                        view: view.tag(child.inode),
-                        mek: child_meks.get(&view).cloned(),
-                        mvk,
-                        split: !divergent.is_empty(),
-                    },
-                    divergent,
-                )
+    /// The users an ACL entry of `attrs` makes divergent, with their ACL
+    /// class: no parent-class continuation ever routes to those CAPs, so
+    /// each needs a split entry.
+    pub fn acl_divergent(&self, attrs: &ObjectAttrs) -> Vec<(Uid, ClassTag)> {
+        let mut out: Vec<(Uid, ClassTag)> =
+            attrs.acl.user_entries().map(|(uid, _)| (uid, ClassTag::AclUser(uid.0))).collect();
+        for (gid, _) in attrs.acl.group_entries() {
+            let Some(group) = self.db.group(gid) else { continue };
+            for &member in &group.members {
+                // Only members whose first-match class IS this ACL group entry.
+                if attrs.class_of(member, self.db) == ClassTag::AclGroup(gid.0) {
+                    out.push((member, ClassTag::AclGroup(gid.0)));
+                }
             }
         }
+        out
     }
 
     /// The candidate views a child's metadata replicas live under.
@@ -696,12 +773,34 @@ impl<'a> Layout<'a> {
         }
     }
 
-    fn row_mvk(&self, child_secrets: &ObjectSecrets) -> Option<VerifyKey> {
-        if self.policy.signs() {
-            child_secrets.sig.as_ref().map(|s| s.mvk.clone())
-        } else {
-            None
+    /// What a parent's row of `attrs` carries from `secrets`: every view's
+    /// MEK, and the MVK when the policy signs.
+    pub fn child_keys<'s>(
+        &self,
+        attrs: &'s ObjectAttrs,
+        secrets: &'s ObjectSecrets,
+    ) -> ChildKeys<'s> {
+        ChildKeys {
+            attrs,
+            meks: &secrets.meks,
+            mvk: secrets.sig.as_ref().filter(|_| self.policy.signs()).map(|sig| &sig.mvk),
         }
+    }
+
+    /// The keys `view`'s table replica is sealed under, as the policy uses
+    /// them: the view's TEK from `teks` (which must hold it when the policy
+    /// encrypts data) and `dsk` when the policy signs.
+    pub fn table_keys<'k>(
+        &self,
+        view: ViewId,
+        teks: &'k HashMap<ViewId, SymKey>,
+        dsk: Option<&'k SigningKey>,
+    ) -> Result<TableKeys<'k>> {
+        let tek = match self.policy.encrypts_data() {
+            true => Some(teks.get(&view).ok_or(CoreError::Corrupt("missing TEK"))?),
+            false => None,
+        };
+        Ok(TableKeys { tek, dsk: dsk.filter(|_| self.policy.signs()) })
     }
 
     /// Builds the per-view directory-table records for `dir`, given its
@@ -712,89 +811,41 @@ impl<'a> Layout<'a> {
         &self,
         dir: &ObjectAttrs,
         dir_secrets: &ObjectSecrets,
-        entries: &[(String, &ObjectAttrs, &ObjectSecrets)],
+        entries: &[(String, ChildKeys<'_>)],
         rng: &mut R,
     ) -> Result<(Vec<(ObjectKey, Vec<u8>)>, BTreeMap<u64, Vec<(Uid, ClassTag)>>)> {
         let mut records = Vec::new();
         // BTreeMap: callers iterate this to draw per-child randomness, so the
         // order must be a pure function of the tree, not of hasher state.
         let mut splits: BTreeMap<u64, Vec<(Uid, ClassTag)>> = BTreeMap::new();
-
-        for (view, perm) in self.views(dir) {
-            let access = self.table_access_for(view, dir, perm)?;
-            if access == TableAccess::None {
-                continue;
+        let mut add_split = |inode: u64, d: (Uid, ClassTag)| {
+            let list = splits.entry(inode).or_default();
+            if !list.contains(&d) {
+                list.push(d);
             }
+        };
+        let dsk = dir_secrets.sig.as_ref().map(|sig| &sig.dsk);
+
+        for (view, access) in self.table_views(dir)? {
             let mut view_entries: Vec<(String, ChildRef)> = Vec::with_capacity(entries.len());
-            for (name, child, child_secrets) in entries {
-                let (child_ref, divergent) = self.child_ref(dir, view, child, child_secrets);
+            for (name, child) in entries {
+                let (child_ref, divergent) = self.child_ref(dir, view, *child);
                 for d in divergent {
-                    let list = splits.entry(child.inode).or_default();
-                    if !list.contains(&d) {
-                        list.push(d);
-                    }
+                    add_split(child.attrs.inode, d);
                 }
                 view_entries.push((name.clone(), child_ref));
             }
-
-            let table = match access {
-                TableAccess::NamesOnly => DirTable::names_only(&view_entries),
-                TableAccess::Full => DirTable::full(&view_entries),
-                TableAccess::ExecOnly => {
-                    let tek = dir_secrets
-                        .teks
-                        .get(&view)
-                        .ok_or(CoreError::Corrupt("missing TEK for exec-only view"))?;
-                    DirTable::exec_only(&view_entries, tek, rng)
-                }
-                TableAccess::None => unreachable!("filtered above"),
-            };
-
-            let plain = table.to_wire();
-            let ciphertext = if self.policy.encrypts_data() {
-                let tek = dir_secrets
-                    .teks
-                    .get(&view)
-                    .ok_or(CoreError::Corrupt("missing TEK for view"))?;
-                tek.seal(rng, &plain)
-            } else {
-                plain
-            };
+            let keys = self.table_keys(view, &dir_secrets.teks, dsk)?;
             let key = ObjectKey::data(dir.inode, view.tag(dir.inode), 0);
-            let sealed = match (&dir_secrets.sig, self.policy.signs()) {
-                (Some(sig), true) => SealedObject::signed(ciphertext, &key, &sig.dsk, rng),
-                _ => SealedObject::unsigned(ciphertext),
-            };
-            records.push((key, sealed.to_wire()));
+            let (record, ..) = seal_table(&key, access, &view_entries, keys, rng)?;
+            records.push((key, record));
         }
 
-        // ACL-named principals always need split entries: no parent-class
-        // continuation ever routes to their CAP.
-        for (_, child, _) in entries {
-            for (uid, _) in child.acl.user_entries() {
-                let list = splits.entry(child.inode).or_default();
-                let class = ClassTag::AclUser(uid.0);
-                if !list.contains(&(uid, class)) {
-                    list.push((uid, class));
-                }
-            }
-            for (gid, _) in child.acl.group_entries() {
-                if let Some(group) = self.db.group(gid) {
-                    for &member in &group.members {
-                        // Only members whose first-match class IS this ACL
-                        // group entry.
-                        if child.class_of(member, self.db) == ClassTag::AclGroup(gid.0) {
-                            let list = splits.entry(child.inode).or_default();
-                            let item = (member, ClassTag::AclGroup(gid.0));
-                            if !list.contains(&item) {
-                                list.push(item);
-                            }
-                        }
-                    }
-                }
+        for (_, child) in entries {
+            for d in self.acl_divergent(child.attrs) {
+                add_split(child.attrs.inode, d);
             }
         }
-
         Ok((records, splits))
     }
 
@@ -803,22 +854,22 @@ impl<'a> Layout<'a> {
     /// members of the child's owning group when at least two diverge there.
     pub fn split_records<R: RandomSource + ?Sized>(
         &self,
-        child: &ObjectAttrs,
-        child_secrets: &ObjectSecrets,
+        keys: ChildKeys<'_>,
         divergent: &[(Uid, ClassTag)],
         rng: &mut R,
     ) -> Result<Vec<(ObjectKey, Vec<u8>)>> {
         if self.scheme != Scheme::SharedCaps {
             return Ok(Vec::new());
         }
+        let child = keys.attrs;
         let mut out = Vec::new();
 
         let entry_for = |class: ClassTag| -> SplitEntry {
             let view = ViewId::Class(class);
             SplitEntry {
                 view: view.tag(child.inode),
-                mek: child_secrets.meks.get(&view).cloned(),
-                mvk: self.row_mvk(child_secrets),
+                mek: keys.meks.get(&view).cloned(),
+                mvk: keys.mvk.cloned(),
             }
         };
 
@@ -888,7 +939,7 @@ impl<'a> Layout<'a> {
             root_inode: root.inode,
             root_view: view.tag(root.inode),
             root_mek: root_secrets.meks.get(&view).cloned(),
-            root_mvk: self.row_mvk(root_secrets),
+            root_mvk: self.child_keys(root, root_secrets).mvk.cloned(),
             block_size: self.block_size as u32,
             scheme_tag: match self.scheme {
                 Scheme::PerUser => 0,
@@ -1238,7 +1289,8 @@ mod tests {
         let secrets = layout.generate_secrets(&child, &pool, &mut rng);
         let divergent =
             vec![(Uid(1), ClassTag::Owner), (Uid(2), ClassTag::Group), (Uid(3), ClassTag::Group)];
-        let records = layout.split_records(&child, &secrets, &divergent, &mut rng).unwrap();
+        let keys = layout.child_keys(&child, &secrets);
+        let records = layout.split_records(keys, &divergent, &mut rng).unwrap();
         // bob and carol share a group-addressed entry; alice gets her own.
         assert_eq!(records.len(), 2);
         let group_slot =
@@ -1274,7 +1326,7 @@ mod tests {
         let dir_secrets = layout.generate_secrets(&dir, &pool, &mut rng);
         let child = ObjectAttrs::new(21, NodeKind::File, Uid(1), Gid(100), Mode::from_octal(0o644));
         let child_secrets = layout.generate_secrets(&child, &pool, &mut rng);
-        let entries = vec![("doc.txt".to_string(), &child, &child_secrets)];
+        let entries = vec![("doc.txt".to_string(), layout.child_keys(&child, &child_secrets))];
         let (records, _) = layout.table_records(&dir, &dir_secrets, &entries, &mut rng).unwrap();
         assert_eq!(records.len(), 3);
 
