@@ -1527,10 +1527,16 @@ impl SharoesClient {
         if let Some(children) = &children {
             let entries: Vec<(String, ChildKeys<'_>)> =
                 children.iter().map(|c| (c.name.clone(), c.keys())).collect();
-            let (tables, _) = self.with_drbg(b"build-dir-tables", |layout, rng| {
-                layout.table_records(&new_attrs, &secrets, &entries, rng)
-            })?;
-            records.extend(tables);
+            records.extend(self.with_drbg(b"build-dir-tables", |layout, rng| -> Result<_> {
+                let (mut tables, _) = layout.table_records(&new_attrs, &secrets, &entries, rng)?;
+                // A row that now continues away from a user's class needs a
+                // split entry the old rows never did.
+                for (_, child) in &entries {
+                    let fresh = layout.new_splits(&old_attrs, &new_attrs, *child)?;
+                    tables.extend(layout.split_records(*child, &fresh, rng)?);
+                }
+                Ok(tables)
+            })?);
             // Views that lost table access keep stale replicas around;
             // delete them (they are sealed under rotated-away keys anyway).
             let new_tags: Vec<[u8; 16]> = self

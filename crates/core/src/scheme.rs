@@ -747,6 +747,37 @@ impl<'a> Layout<'a> {
         (child_ref, divergent)
     }
 
+    /// The split entries `child` newly needs when its directory's attributes
+    /// go from `old` to `new`: users who diverge at `child` under a
+    /// table-bearing view of `new` but under none of `old`, whose entries
+    /// were written then. A pair whose class MEK `child` lacks is skipped:
+    /// an entry without it opens nothing.
+    pub fn new_splits(
+        &self,
+        old: &ObjectAttrs,
+        new: &ObjectAttrs,
+        child: ChildKeys<'_>,
+    ) -> Result<Vec<(Uid, ClassTag)>> {
+        let divergent = |dir: &ObjectAttrs| -> Result<Vec<(Uid, ClassTag)>> {
+            let mut out = Vec::new();
+            for (view, _) in self.table_views(dir)? {
+                if let ViewId::Class(class) = view {
+                    out.extend(self.continuation(dir, class, child.attrs).1);
+                }
+            }
+            Ok(out)
+        };
+        let before = divergent(old)?;
+        let mut out: Vec<(Uid, ClassTag)> = Vec::new();
+        for d in divergent(new)? {
+            let has_mek = child.meks.contains_key(&ViewId::Class(d.1));
+            if has_mek && !before.contains(&d) && !out.contains(&d) {
+                out.push(d);
+            }
+        }
+        Ok(out)
+    }
+
     /// The users an ACL entry of `attrs` makes divergent, with their ACL
     /// class: no parent-class continuation ever routes to those CAPs, so
     /// each needs a split entry.

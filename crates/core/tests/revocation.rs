@@ -3,9 +3,9 @@
 
 mod common;
 
-use common::{World, ALICE, BOB, CAROL};
+use common::{small_db, World, ALICE, BOB, CAROL, OUTSIDE};
 use sharoes_core::{ClientConfig, CoreError, CryptoPolicy, RevocationMode, Scheme};
-use sharoes_fs::{Acl, Mode, Perm};
+use sharoes_fs::{Acl, Gid, LocalFs, Mode, Perm, ROOT_UID};
 
 #[test]
 fn immediate_revocation_locks_out_reader() {
@@ -210,4 +210,79 @@ fn group_membership_revocation_via_rekey() {
     );
     bob2.mount().unwrap();
     assert!(bob2.read("/shared/board.txt").is_err());
+}
+
+// ------------------------------------- split entries after a directory edit
+
+/// A group cutting across staff and outside: bob and carol.
+const MIX: Gid = Gid(300);
+
+/// `small_db` plus `mix`, with `/d` root:wheel `dir_mode` (and `dir_acl`)
+/// holding `/d/c`, root:outside `file_mode`, content `"c"`. A carol or bob
+/// row of `/d` can continue into a class of `/d/c` that is not theirs.
+fn split_tree(dir_mode: u32, dir_acl: Acl, file_mode: u32) -> LocalFs {
+    let mut db = small_db();
+    db.add_group(MIX, "mix").unwrap();
+    db.add_member(MIX, BOB).unwrap();
+    db.add_member(MIX, CAROL).unwrap();
+    let mut fs = LocalFs::new(db, Gid(0), Mode::from_octal(0o755));
+    fs.mkdir(ROOT_UID, "/d", Mode::from_octal(dir_mode)).unwrap();
+    fs.set_acl(ROOT_UID, "/d", dir_acl).unwrap();
+    fs.create(ROOT_UID, "/d/c", Mode::from_octal(file_mode)).unwrap();
+    fs.write(ROOT_UID, "/d/c", b"c").unwrap();
+    fs.chown(ROOT_UID, "/d/c", ROOT_UID, OUTSIDE).unwrap();
+    fs
+}
+
+fn mix_rx() -> Acl {
+    let mut acl = Acl::empty();
+    acl.set_group(MIX, Perm::RX);
+    acl
+}
+
+#[test]
+fn directory_set_acl_writes_the_split_entries_its_rows_need() {
+    // The mix row of /d continues into /d/c's Group class (carol's); bob is
+    // Other there and needs a split entry he never had.
+    let world = World::from_fs(
+        split_tree(0o755, Acl::empty(), 0o604),
+        CryptoPolicy::Sharoes,
+        Scheme::SharedCaps,
+        0x5B117,
+    );
+    assert_eq!(world.client(BOB).read("/d/c").unwrap(), b"c");
+    world.client(ROOT_UID).set_acl("/d", mix_rx()).unwrap();
+    assert_eq!(world.client(BOB).read("/d/c").unwrap(), b"c");
+
+    // Control: the same tree migrated with the ACL in place.
+    let world = World::from_fs(
+        split_tree(0o755, mix_rx(), 0o604),
+        CryptoPolicy::Sharoes,
+        Scheme::SharedCaps,
+        0x5B117,
+    );
+    assert_eq!(world.client(BOB).read("/d/c").unwrap(), b"c");
+}
+
+#[test]
+fn directory_chmod_writes_the_split_entries_its_rows_need() {
+    // Under 0750 the Other view of /d has no table, so carol, who diverges
+    // there, got no split entry; 0755 gives that view a table.
+    let world = World::from_fs(
+        split_tree(0o750, Acl::empty(), 0o640),
+        CryptoPolicy::Sharoes,
+        Scheme::SharedCaps,
+        0xC4A0D,
+    );
+    world.client(ROOT_UID).chmod("/d", Mode::from_octal(0o755)).unwrap();
+    assert_eq!(world.client(CAROL).read("/d/c").unwrap(), b"c");
+
+    // Control: the same tree migrated with the mode in place.
+    let world = World::from_fs(
+        split_tree(0o755, Acl::empty(), 0o640),
+        CryptoPolicy::Sharoes,
+        Scheme::SharedCaps,
+        0xC4A0D,
+    );
+    assert_eq!(world.client(CAROL).read("/d/c").unwrap(), b"c");
 }
