@@ -1,10 +1,10 @@
 #!/bin/sh
-# Hermetic CI gate: formatting, lints, offline release build, offline tests,
-# pinned-seed chaos runs, the metrics- and trace-determinism gates, the
-# enterprise scenario gate (revocation/rotation oracles + registry
-# determinism), the concurrency gate (sharded-vs-single-lock byte
-# equivalence, including a drive of many threads over one shared TCP
-# connection, + the contention-bench throughput floor), the bench
+# Hermetic CI gate: formatting, the non-test line count, lints, offline
+# release build, offline tests, pinned-seed chaos runs, the metrics- and
+# trace-determinism gates, the enterprise scenario gate (revocation/rotation
+# oracles + registry determinism), the concurrency gate (sharded-vs-single-
+# lock byte equivalence, including a drive of many threads over one shared
+# TCP connection, + the contention-bench throughput floor), the bench
 # ablations with their BENCH_*.json validation, esign768 and hash
 # crypto_micro smoke runs, and the benchmark's own tests. The three
 # registry gates run a second time at --test-threads=1, and their exports
@@ -75,6 +75,12 @@ rm -f target/metrics-determinism-a.txt target/metrics-determinism-b.txt \
 
 step "cargo fmt --check" \
     cargo fmt --check
+
+# The non-test Rust line count, as ROADMAP's deletion sweep counts it: every
+# .rs file outside tests/ directories, target/ and hidden directories, inline
+# unit-test modules included. It gates nothing; it makes the trend visible.
+step "non-test Rust line count (printed, not gated)" \
+    sh -c "printf 'non-test Rust lines: '; find . \\( -name target -o -name tests -o -name '.?*' \\) -prune -o -name '*.rs' -exec cat {} + | wc -l"
 
 step "cargo clippy -D warnings (lints are errors)" \
     cargo clippy --offline --workspace --all-targets -- -D warnings

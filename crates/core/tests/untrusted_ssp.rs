@@ -6,7 +6,7 @@ mod common;
 
 use common::{World, ALICE, BOB, CAROL};
 use sharoes_core::{ClassTag, CoreError, CryptoPolicy, Scheme, SealedObject, ViewId};
-use sharoes_fs::Mode;
+use sharoes_fs::{Mode, ROOT_UID};
 use sharoes_net::{ObjectKey, WireRead, WireWrite};
 
 /// Collects all stored values by brute-forcing through the public API is
@@ -315,6 +315,11 @@ fn table_keys(inode: u64) -> Vec<ObjectKey> {
         .collect()
 }
 
+/// What the table-replica slots of `inode` hold now.
+fn table_snapshot(world: &World, inode: u64) -> Vec<Option<Vec<u8>>> {
+    table_keys(inode).iter().map(|k| world.server.store().get(k)).collect()
+}
+
 /// Flips one ciphertext byte of `class`'s table replica of `inode`, leaving
 /// its signature as it was; returns the snapshot of all replica slots taken
 /// after the flip.
@@ -325,7 +330,22 @@ fn flip_table_replica(world: &World, inode: u64, class: ClassTag) -> Vec<Option<
     let mid = sealed.ciphertext.len() / 2;
     sealed.ciphertext[mid] ^= 0x01;
     store.put(key, sealed.to_wire()).unwrap();
-    table_keys(inode).iter().map(|k| store.get(k)).collect()
+    table_snapshot(world, inode)
+}
+
+/// Copies `from`'s table replica of `inode`, validly signed for its own
+/// slot, into `to`'s slot; returns the snapshot of all replica slots taken
+/// after the move.
+fn move_table_replica(
+    world: &World,
+    inode: u64,
+    from: ClassTag,
+    to: ClassTag,
+) -> Vec<Option<Vec<u8>>> {
+    let store = world.server.store();
+    let slot = |class| ObjectKey::data(inode, ViewId::Class(class).tag(inode), 0);
+    store.put(slot(to), store.get(&slot(from)).expect("replica exists")).unwrap();
+    table_snapshot(world, inode)
 }
 
 #[test]
@@ -340,8 +360,7 @@ fn writer_refuses_to_resign_a_tampered_table_replica() {
     let mut alice = world.client(ALICE); // cold cache: every replica is fetched
     let err = alice.create("/shared/new.txt", Mode::from_octal(0o644)).unwrap_err();
     assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
-    let after: Vec<_> = table_keys(inode).iter().map(|k| world.server.store().get(k)).collect();
-    assert_eq!(after, stored, "no replica may be re-signed");
+    assert_eq!(table_snapshot(&world, inode), stored, "no replica may be re-signed");
 
     let err = world.client(CAROL).readdir("/shared").unwrap_err();
     assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
@@ -359,8 +378,26 @@ fn owner_chmod_refuses_a_tampered_table_replica() {
     let mut alice = world.client(ALICE);
     let err = alice.chmod("/home/alice/listing", Mode::from_octal(0o755)).unwrap_err();
     assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
-    let after: Vec<_> = table_keys(inode).iter().map(|k| world.server.store().get(k)).collect();
-    assert_eq!(after, stored, "no replica may be re-signed");
+    assert_eq!(table_snapshot(&world, inode), stored, "no replica may be re-signed");
+}
+
+#[test]
+fn table_replica_moved_to_another_slot_is_refused_by_every_opener() {
+    // The Group replica of /shared carries a good signature, but for the
+    // Group slot. Served from the Other slot to cold caches, it must stop
+    // a reader, a writer that rebuilds every replica, and the owner's chmod
+    // that harvests child keys from every replica.
+    let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
+    let inode = world.client(ALICE).getattr("/shared").unwrap().inode;
+    let stored = move_table_replica(&world, inode, ClassTag::Group, ClassTag::Other);
+
+    let err = world.client(CAROL).readdir("/shared").unwrap_err();
+    assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
+    let err = world.client(ALICE).create("/shared/new.txt", Mode::from_octal(0o644)).unwrap_err();
+    assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
+    let err = world.client(ROOT_UID).chmod("/shared", Mode::from_octal(0o755)).unwrap_err();
+    assert!(matches!(err, CoreError::TamperDetected(_)), "{err}");
+    assert_eq!(table_snapshot(&world, inode), stored, "no replica may be re-signed");
 }
 
 /// Writes a 48-block file as alice, lets `tamper` rewrite its stored data
