@@ -1323,12 +1323,13 @@ impl SharoesClient {
             }
         }
 
-        let dsk = match self.signs() {
-            true => Some(pbody.dsk.as_ref().ok_or(CoreError::PermissionDenied {
+        let dsk = if self.signs() {
+            Some(pbody.dsk.as_ref().ok_or(CoreError::PermissionDenied {
                 path: format!("inode#{}", ph.inode),
                 needed: "DSK (directory write)",
-            })?),
-            false => None,
+            })?)
+        } else {
+            None
         };
         let mut rng = self.rng.clone();
         let mut divergent_union: Vec<(Uid, ClassTag)> = Vec::new();
@@ -1752,19 +1753,17 @@ impl SharoesClient {
         secrets.dek = SymKey::random(&mut self.rng);
         let new_dek = secrets.dek.clone();
 
-        let mut records = Vec::new();
-        {
-            let meter = Arc::clone(&self.meter);
-            let mut rng = self.rng.clone();
-            let layout = self.layout();
-            records.extend(Self::timed_crypto(&meter, || {
-                layout.data_records(&attrs, &secrets, content, &mut rng)
-            }));
-            records.extend(Self::timed_crypto(&meter, || {
-                layout.metadata_records(&attrs, &secrets, &mut rng)
-            })?);
-            self.rng.reseed(b"lazy-rekey");
-        }
+        // Two timed ops on one DRBG clone, so not `with_drbg`: the data and
+        // the metadata each count as one crypto op.
+        let mut rng = self.rng.clone();
+        let layout = self.layout();
+        let mut records = Self::timed_crypto(&self.meter, || {
+            layout.data_records(&attrs, &secrets, content, &mut rng)
+        });
+        records.extend(Self::timed_crypto(&self.meter, || {
+            layout.metadata_records(&attrs, &secrets, &mut rng)
+        })?);
+        self.rng.reseed(b"lazy-rekey");
         self.put_many(records)?;
         self.call(&Request::DeleteBlocks { inode: attrs.inode, view: old_view })?;
         self.cache.invalidate_inode(attrs.inode);

@@ -827,9 +827,10 @@ impl<'a> Layout<'a> {
         teks: &'k HashMap<ViewId, SymKey>,
         dsk: Option<&'k SigningKey>,
     ) -> Result<TableKeys<'k>> {
-        let tek = match self.policy.encrypts_data() {
-            true => Some(teks.get(&view).ok_or(CoreError::Corrupt("missing TEK"))?),
-            false => None,
+        let tek = if self.policy.encrypts_data() {
+            Some(teks.get(&view).ok_or(CoreError::Corrupt("missing TEK"))?)
+        } else {
+            None
         };
         Ok(TableKeys { tek, dsk: dsk.filter(|_| self.policy.signs()) })
     }
