@@ -249,6 +249,35 @@ impl DirTable {
         })
     }
 
+    /// Appends a full four-column row.
+    pub fn push_full(&mut self, name: &str, child: &ChildRef) {
+        self.rows.push(Row::Full { name: name.to_string(), child: child.clone() });
+    }
+
+    /// Appends a names-only row.
+    pub fn push_name(&mut self, name: &str, kind: NodeKind) {
+        self.rows.push(Row::Name { name: name.to_string(), kind });
+    }
+
+    /// Drops every named row called `name`.
+    pub fn remove(&mut self, name: &str) {
+        self.rows.retain(|row| match row {
+            Row::Name { name: n, .. } | Row::Full { name: n, .. } => n != name,
+            Row::Hidden { .. } => true,
+        });
+    }
+
+    /// Renames every named row called `from` to `to`, in place.
+    pub fn rename(&mut self, from: &str, to: &str) {
+        for row in &mut self.rows {
+            if let Row::Name { name, .. } | Row::Full { name, .. } = row {
+                if name == from {
+                    *name = to.to_string();
+                }
+            }
+        }
+    }
+
     /// Number of rows (including hidden ones).
     pub fn len(&self) -> usize {
         self.rows.len()

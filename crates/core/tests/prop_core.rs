@@ -6,8 +6,8 @@ use sharoes_core::dirtable::{ChildRef, DirTable};
 use sharoes_core::metadata::{AclEntryWire, MetadataBody, SealedObject};
 use sharoes_core::scheme::{Layout, ObjectAttrs, SplitEntry};
 use sharoes_core::superblock::Superblock;
-use sharoes_core::{CryptoPolicy, Keyring, Scheme};
-use sharoes_crypto::SymKey;
+use sharoes_core::{CoreError, CryptoPolicy, Keyring, Scheme};
+use sharoes_crypto::{generate_signing_pair, SignatureScheme, SymKey, VerifyKey};
 use sharoes_fs::{Gid, Mode, NodeKind, Perm, Uid, UserDb};
 use sharoes_net::{WireRead, WireWrite};
 use sharoes_testkit::prelude::*;
@@ -46,14 +46,48 @@ fn children() -> Gen<ChildRef> {
             kind: if t.bool() { NodeKind::Dir } else { NodeKind::File },
             view: gen::byte_arrays::<16>().sample(t)?,
             mek: gen::option_of(gen::byte_arrays::<16>()).sample(t)?.map(SymKey),
-            mvk: None,
+            mvk: t.bool().then(|| sample_mvk().clone()),
             split: t.bool(),
         })
     })
 }
 
+/// One fixed verify key, so generated rows can carry an MVK without a key
+/// generation per case.
+fn sample_mvk() -> &'static VerifyKey {
+    static MVK: OnceLock<VerifyKey> = OnceLock::new();
+    MVK.get_or_init(|| {
+        let mut rng = HmacDrbg::from_seed_u64(0x4D564B);
+        generate_signing_pair(SignatureScheme::Esign, 384, &mut rng).unwrap().1
+    })
+}
+
+fn names() -> Gen<String> {
+    gen::string_of(gen::NAMEY, 1..25)
+}
+
 fn entry_lists() -> Gen<Vec<(String, ChildRef)>> {
-    gen::entry_maps(gen::string_of(gen::NAMEY, 1..25), children(), 0..12)
+    gen::entry_maps(names(), children(), 0..12)
+}
+
+/// One parent-table edit, as a create, unlink or rename applies it. An
+/// index picks an existing entry once the list's length is known.
+#[derive(Clone, Debug)]
+enum Edit {
+    Insert(String, ChildRef),
+    Remove(gen::Index),
+    Rename(gen::Index, String),
+}
+
+fn edit_lists() -> Gen<Vec<Edit>> {
+    let edit = Gen::from_fn(|t| {
+        Ok(match t.u64_in(0, 3) {
+            0 => Edit::Insert(names().sample(t)?, children().sample(t)?),
+            1 => Edit::Remove(gen::indices().sample(t)?),
+            _ => Edit::Rename(gen::indices().sample(t)?, names().sample(t)?),
+        })
+    });
+    gen::vecs(edit, 0..16)
 }
 
 prop! {
@@ -128,6 +162,75 @@ prop! {
                     "leaked name {name}"
                 );
             }
+        }
+    }
+
+    fn table_edits_equal_a_rebuild_of_the_edited_entries(
+        entries in entry_lists(),
+        edits in edit_lists(),
+        probe in names(),
+    ) {
+        // The model is the entry list a rebuild would seal; names stay
+        // unique, as the client's duplicate checks keep them.
+        let mut model = entries.clone();
+        let mut full = DirTable::full(&entries);
+        let mut names_only = DirTable::names_only(&entries);
+        for edit in &edits {
+            match edit {
+                Edit::Insert(name, child) => {
+                    if model.iter().any(|(n, _)| n == name) {
+                        continue;
+                    }
+                    full.push_full(name, child);
+                    names_only.push_name(name, child.kind);
+                    model.push((name.clone(), child.clone()));
+                }
+                Edit::Remove(i) => {
+                    let Some((name, _)) = model.get(i.index(model.len())).cloned() else {
+                        continue;
+                    };
+                    full.remove(&name);
+                    names_only.remove(&name);
+                    model.retain(|(n, _)| *n != name);
+                }
+                Edit::Rename(i, to) => {
+                    if model.is_empty() || model.iter().any(|(n, _)| n == to) {
+                        continue;
+                    }
+                    let from = model[i.index(model.len())].0.clone();
+                    full.rename(&from, to);
+                    names_only.rename(&from, to);
+                    for (n, _) in &mut model {
+                        if *n == from {
+                            *n = to.clone();
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(full.to_wire(), DirTable::full(&model).to_wire());
+            prop_assert_eq!(names_only.to_wire(), DirTable::names_only(&model).to_wire());
+        }
+
+        // The edited tables answer as the decoded rows do, and reopen to
+        // themselves.
+        let expected: Vec<(String, NodeKind)> =
+            model.iter().map(|(n, c)| (n.clone(), c.kind)).collect();
+        for table in [&full, &names_only] {
+            let listed: Vec<(String, NodeKind)> =
+                table.list().map(|(n, kind, _)| (n.to_string(), kind)).collect();
+            prop_assert_eq!(&listed, &expected);
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(&DirTable::from_wire(&table.to_wire()).unwrap(), table);
+        }
+        for (name, child) in &model {
+            prop_assert_eq!(full.lookup(name, None).unwrap(), Some(child.clone()));
+            let denied =
+                matches!(names_only.lookup(name, None), Err(CoreError::PermissionDenied { .. }));
+            prop_assert!(denied, "names-only lookup of {name} must be denied");
+        }
+        if !model.iter().any(|(n, _)| *n == probe) {
+            prop_assert!(full.lookup(&probe, None).unwrap().is_none());
+            prop_assert!(names_only.lookup(&probe, None).unwrap().is_none());
         }
     }
 
