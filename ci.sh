@@ -215,6 +215,13 @@ if [ "$QUICK" -eq 0 ]; then
         env SHAROES_BENCH_SAMPLES=2 \
         cargo bench --offline -p sharoes-bench --bench crypto_micro -- hash
 
+    # Directory-table floor smoke run: the insert_row and remove_row rows
+    # assert that an edited table equals one rebuilt from the edited
+    # entries, so a wrong edit fails the step. It gates no time.
+    step "metadata_micro dirtable smoke (edits equal rebuilds)" \
+        env SHAROES_BENCH_SAMPLES=2 \
+        cargo bench --offline -p sharoes-bench --bench metadata_micro -- dirtable
+
     # The benchmark's own tests: tiny runs of each workload are correct,
     # and two runs at one seed report identical counts (wire bytes, round
     # trips, cache hit fraction, ...). Span files land in the ignored

@@ -4,11 +4,14 @@
 
 use sharoes_core::dirtable::{ChildRef, DirTable};
 use sharoes_core::metadata::{open_metadata, seal_metadata, MetaOpen, MetaSeal, MetadataBody};
-use sharoes_crypto::{HmacDrbg, RsaPrivateKey, SymKey};
+use sharoes_crypto::{
+    generate_signing_pair, HmacDrbg, RsaPrivateKey, SignatureScheme, SymKey, VerifyKey,
+};
 use sharoes_fs::NodeKind;
 use sharoes_net::{WireRead, WireWrite};
 use sharoes_testkit::bench::BenchRunner;
 use std::hint::black_box;
+use std::sync::OnceLock;
 
 fn sample_body() -> MetadataBody {
     let mut body = MetadataBody::bare(42, NodeKind::File, 1000, 100, 0o644);
@@ -18,7 +21,14 @@ fn sample_body() -> MetadataBody {
     body
 }
 
+/// `n` file rows, each carrying the same ESIGN-768 MVK, as a workload
+/// directory's rows do.
 fn sample_entries(n: usize) -> Vec<(String, ChildRef)> {
+    static MVK: OnceLock<VerifyKey> = OnceLock::new();
+    let mvk = MVK.get_or_init(|| {
+        let mut rng = HmacDrbg::from_seed_u64(3);
+        generate_signing_pair(SignatureScheme::Esign, 768, &mut rng).unwrap().1
+    });
     (0..n)
         .map(|i| {
             (
@@ -28,7 +38,7 @@ fn sample_entries(n: usize) -> Vec<(String, ChildRef)> {
                     kind: NodeKind::File,
                     view: [i as u8; 16],
                     mek: Some(SymKey([1; 16])),
-                    mvk: None,
+                    mvk: Some(mvk.clone()),
                     split: false,
                 },
             )
@@ -108,6 +118,34 @@ fn bench_dirtable(c: &mut BenchRunner) {
             DirTable::from_wire(black_box(&bytes)).unwrap()
         })
     });
+    // A parent-table edit as a create or unlink makes it: a copy of the
+    // cached table with one row appended or cut out. Each edit must equal
+    // a rebuild of the edited entries.
+    let more = sample_entries(101);
+    let (name, child) = &more[100];
+    let mut inserted = full.clone();
+    inserted.push_full(name, child);
+    assert_eq!(inserted, DirTable::full(&more), "insert_row != rebuild");
+    let mut removed = full.clone();
+    removed.remove("file0050.dat");
+    let fewer: Vec<_> = entries.iter().filter(|(n, _)| n != "file0050.dat").cloned().collect();
+    assert_eq!(removed, DirTable::full(&fewer), "remove_row != rebuild");
+    group.bench_function("insert_row", |b| {
+        b.iter(|| {
+            let mut edited = full.clone();
+            edited.push_full(black_box(name), child);
+            edited
+        })
+    });
+    group.bench_function("remove_row", |b| {
+        b.iter(|| {
+            let mut edited = full.clone();
+            edited.remove(black_box("file0050.dat"));
+            edited
+        })
+    });
+    let bytes = full.to_wire();
+    group.bench_function("open", |b| b.iter(|| DirTable::from_wire(black_box(&bytes)).unwrap()));
     group.finish();
 }
 

@@ -17,7 +17,7 @@
 
 use crate::cache::{CacheKey, CacheStats, ClientCache};
 use crate::cap::TableAccess;
-use crate::dirtable::{ChildRef, DirTable, Row};
+use crate::dirtable::{ChildRef, DirTable};
 use crate::error::{CoreError, Result};
 use crate::groups::{group_key_slot, open_group_key_block};
 use crate::ids::{self, ClassTag};
@@ -500,14 +500,46 @@ impl SharoesClient {
     /// Fetches, verifies, and decrypts one metadata replica (the `getattr`
     /// path of Figure 8: one network receive plus one decryption).
     fn open_metadata_at(&mut self, h: &NodeHandle) -> Result<Arc<MetadataBody>> {
-        let ck = CacheKey::Meta(h.inode, h.view);
-        if let Some(body) = self.cache.get(&ck) {
+        if let Some(body) = self.cache.get(&CacheKey::Meta(h.inode, h.view)) {
             return Ok(body);
         }
+        let blob = self.fetch(ObjectKey::metadata(h.inode, h.view))?;
+        self.open_metadata_record(h, blob)
+    }
+
+    /// [`open_metadata_at`](Self::open_metadata_at) for many handles: the
+    /// bodies the cache misses are fetched in one round trip, then each is
+    /// opened in order.
+    fn open_metadata_many(&mut self, handles: &[NodeHandle]) -> Result<Vec<Arc<MetadataBody>>> {
+        let cached: Vec<Option<Arc<MetadataBody>>> =
+            handles.iter().map(|h| self.cache.get(&CacheKey::Meta(h.inode, h.view))).collect();
+        let missing = handles
+            .iter()
+            .zip(&cached)
+            .filter(|(_, body)| body.is_none())
+            .map(|(h, _)| ObjectKey::metadata(h.inode, h.view))
+            .collect();
+        let mut fetched = self.fetch_many(missing)?.into_iter();
+        let mut bodies = Vec::with_capacity(handles.len());
+        for (h, body) in handles.iter().zip(cached) {
+            bodies.push(match body {
+                Some(body) => body,
+                None => self.open_metadata_record(h, fetched.next().flatten())?,
+            });
+        }
+        Ok(bodies)
+    }
+
+    /// Verifies, decrypts, inode- and freshness-checks the metadata record
+    /// fetched for `h` (`None`: the slot is empty), and caches the body.
+    fn open_metadata_record(
+        &mut self,
+        h: &NodeHandle,
+        blob: Option<Vec<u8>>,
+    ) -> Result<Arc<MetadataBody>> {
         let key = ObjectKey::metadata(h.inode, h.view);
-        let blob = self
-            .fetch(key)?
-            .ok_or_else(|| CoreError::NotFound(format!("metadata inode#{}", h.inode)))?;
+        let blob =
+            blob.ok_or_else(|| CoreError::NotFound(format!("metadata inode#{}", h.inode)))?;
         let sealed = SealedRef::parse(&blob).map_err(|_| CoreError::Corrupt("sealed metadata"))?;
 
         let meter = Arc::clone(&self.meter);
@@ -544,7 +576,7 @@ impl SharoesClient {
             body.version,
             &format!("metadata inode#{}", h.inode),
         )?;
-        self.cache.put(ck, Arc::clone(&body), plain.len());
+        self.cache.put(CacheKey::Meta(h.inode, h.view), Arc::clone(&body), plain.len());
         Ok(body)
     }
 
@@ -631,9 +663,10 @@ impl SharoesClient {
             needed: "directory-table access (no replica for this CAP)",
         })?;
         let policy = self.config.policy;
-        let (table, plain_len) = Self::timed_crypto(&self.meter, || {
+        let table = Self::timed_crypto(&self.meter, || {
             open_table(policy, &key, &blob, body.dek.as_ref(), body.dvk.as_ref())
         })?;
+        let plain_len = table.as_bytes().len();
         let table = Arc::new(table);
         self.cache.put(ck, Arc::clone(&table), plain_len);
         Ok(table)
@@ -719,11 +752,7 @@ impl SharoesClient {
         let table = self.load_table(&h, &body)?;
         Ok(table
             .list()
-            .map(|(name, kind, child)| ReadDirEntry {
-                name: name.to_string(),
-                kind,
-                inode: child.map(|c| c.inode),
-            })
+            .map(|(name, kind, inode)| ReadDirEntry { name: name.to_string(), kind, inode })
             .collect())
     }
 
@@ -1316,7 +1345,7 @@ impl SharoesClient {
             for ((slot, key), blob) in missing.iter().zip(fetched) {
                 let blob = blob.ok_or(CoreError::Corrupt("missing table replica"))?;
                 let tek = teks.get(&views[*slot].0);
-                let (table, _) = Self::timed_crypto(&self.meter, || {
+                let table = Self::timed_crypto(&self.meter, || {
                     open_table(policy, key, &blob, tek, pbody.dvk.as_ref())
                 })?;
                 tables[*slot] = Some(Arc::new(table));
@@ -1337,49 +1366,10 @@ impl SharoesClient {
 
         for ((view, access), (key, table)) in views.iter().zip(keys.iter().zip(tables)) {
             let access = *access;
-            let tek = teks.get(view);
             let table = table.ok_or(CoreError::Corrupt("missing table replica"))?;
 
-            // Recover this view's (name -> ChildRef) map.
-            let mut entries: Vec<(String, ChildRef)> = Vec::with_capacity(table.len() + 1);
-            match access {
-                TableAccess::Full => {
-                    for row in &table.rows {
-                        if let Row::Full { name, child } = row {
-                            entries.push((name.clone(), child.clone()));
-                        }
-                    }
-                }
-                TableAccess::NamesOnly => {
-                    for row in &table.rows {
-                        if let Row::Name { name, kind } = row {
-                            entries.push((
-                                name.clone(),
-                                ChildRef {
-                                    inode: 0,
-                                    kind: *kind,
-                                    view: [0; 16],
-                                    mek: None,
-                                    mvk: None,
-                                    split: false,
-                                },
-                            ));
-                        }
-                    }
-                }
-                TableAccess::ExecOnly => {
-                    let tek = tek.ok_or(CoreError::Corrupt("exec-only rebuild needs TEK"))?;
-                    for (name, _, _) in my_table.list() {
-                        if let Some(child) = table.lookup(name, Some(tek))? {
-                            entries.push((name.to_string(), child));
-                        }
-                    }
-                }
-                TableAccess::None => unreachable!("filtered"),
-            }
-
-            // Apply the edit.
-            match &edit {
+            // An insert's row in this view.
+            let inserted = match &edit {
                 TableEdit::Insert { name, child, child_secrets } => {
                     let layout = self.layout();
                     let keys = layout.child_keys(child, child_secrets);
@@ -1389,28 +1379,65 @@ impl SharoesClient {
                             divergent_union.push(d);
                         }
                     }
-                    entries.push((name.to_string(), child_ref));
+                    Some((name.to_string(), child_ref))
                 }
-                TableEdit::Remove { name } => {
-                    entries.retain(|(n, _)| n != name);
+                TableEdit::Remove { .. } | TableEdit::Rename { .. } => None,
+            };
+
+            let keys = self.layout().table_keys(*view, &teks, dsk)?;
+            let (record, edited) = match access {
+                // Named rows are edited in the cached table's bytes: one row
+                // appended, cut out or renamed; nothing else is re-encoded.
+                TableAccess::Full | TableAccess::NamesOnly => {
+                    let mut edited = DirTable::clone(&table);
+                    match (&edit, inserted) {
+                        (TableEdit::Insert { .. }, Some((name, child))) => match access {
+                            TableAccess::Full => edited.push_full(&name, &child),
+                            _ => edited.push_name(&name, child.kind),
+                        },
+                        (TableEdit::Remove { name }, _) => edited.remove(name),
+                        (TableEdit::Rename { from, to }, _) => edited.rename(from, to),
+                        (TableEdit::Insert { .. }, None) => unreachable!("resolved above"),
+                    }
+                    let record = Self::timed_crypto(&self.meter, || {
+                        seal_table(key, &edited, keys, &mut rng)
+                    });
+                    (record, edited)
                 }
-                TableEdit::Rename { from, to } => {
-                    for (n, _) in entries.iter_mut() {
-                        if n == from {
-                            *n = to.to_string();
+                // Exec-only rows are each sealed under a key derived from
+                // their name: recover every row through our own view's
+                // names, edit the entries, and re-seal all of them.
+                TableAccess::ExecOnly => {
+                    let tek =
+                        teks.get(view).ok_or(CoreError::Corrupt("exec-only rebuild needs TEK"))?;
+                    let mut entries: Vec<(String, ChildRef)> = Vec::with_capacity(table.len() + 1);
+                    for (name, ..) in my_table.list() {
+                        if let Some(child) = table.lookup(name, Some(tek))? {
+                            entries.push((name.to_string(), child));
                         }
                     }
+                    match &edit {
+                        TableEdit::Insert { .. } => entries.extend(inserted),
+                        TableEdit::Remove { name } => entries.retain(|(n, _)| n != name),
+                        TableEdit::Rename { from, to } => {
+                            for (n, _) in entries.iter_mut() {
+                                if n == from {
+                                    *n = to.to_string();
+                                }
+                            }
+                        }
+                    }
+                    Self::timed_crypto(&self.meter, || {
+                        let edited = DirTable::exec_only(&entries, tek, &mut rng);
+                        (seal_table(key, &edited, keys, &mut rng), edited)
+                    })
                 }
-            }
-
-            // Rebuild, re-seal, re-sign.
-            let keys = self.layout().table_keys(*view, &teks, dsk)?;
-            let (rebuilt, new_table, plain_len) = Self::timed_crypto(&self.meter, || {
-                seal_table(key, access, &entries, keys, &mut rng)
-            })?;
+                TableAccess::None => unreachable!("filtered"),
+            };
             let ck = CacheKey::Table(ph.inode, view.tag(ph.inode));
-            self.cache.put(ck, Arc::new(new_table), plain_len);
-            records.push((*key, rebuilt));
+            let plain_len = edited.as_bytes().len();
+            self.cache.put(ck, Arc::new(edited), plain_len);
+            records.push((*key, record));
         }
         self.rng.reseed(b"rebuild-tables");
         Ok((records, divergent_union))
@@ -1587,13 +1614,9 @@ impl SharoesClient {
         // Owner's replica is always a full table.
         let my_table = self.load_table(h, body)?;
         let rows: Vec<(String, ChildRef)> = my_table
-            .rows
-            .iter()
-            .filter_map(|row| match row {
-                Row::Full { name, child } => Some((name.clone(), child.clone())),
-                _ => None,
-            })
-            .collect();
+            .children()
+            .map(|row| row.map(|(name, child)| (name.to_string(), child)))
+            .collect::<Result<_>>()?;
 
         // Harvest per-view child MEKs from every existing replica: the
         // owner holds all TEKs, so all rows open.
@@ -1612,7 +1635,7 @@ impl SharoesClient {
                 open_table(policy, key, &blob, teks.get(view), body.dvk.as_ref())
             });
             let table = match opened {
-                Ok((table, _)) => table,
+                Ok(table) => table,
                 // The harvested MEKs are re-sealed under our DSK, so a
                 // replica that fails the directory's DVK stops the rebuild.
                 Err(e @ CoreError::TamperDetected(_)) => return Err(e),
@@ -1622,11 +1645,10 @@ impl SharoesClient {
             };
             match access {
                 TableAccess::Full => {
-                    for row in &table.rows {
-                        if let Row::Full { child, .. } = row {
-                            if let Some(mek) = &child.mek {
-                                harvested.insert((child.inode, child.view), mek.clone());
-                            }
+                    // A row that does not decode gives no MEK.
+                    for (_, child) in table.children().flatten() {
+                        if let Some(mek) = child.mek {
+                            harvested.insert((child.inode, child.view), mek);
                         }
                     }
                 }
@@ -1644,15 +1666,21 @@ impl SharoesClient {
             }
         }
 
+        // Every child's metadata, in one round trip for the bodies the
+        // cache misses.
+        let handles: Vec<NodeHandle> = rows
+            .iter()
+            .map(|(_, child)| NodeHandle {
+                inode: child.inode,
+                view: child.view,
+                mek: child.mek.clone(),
+                mvk: child.mvk.clone(),
+            })
+            .collect();
+        let bodies = self.open_metadata_many(&handles)?;
+
         let mut out = Vec::with_capacity(rows.len());
-        for (name, child_ref) in rows {
-            let ch = NodeHandle {
-                inode: child_ref.inode,
-                view: child_ref.view,
-                mek: child_ref.mek.clone(),
-                mvk: child_ref.mvk.clone(),
-            };
-            let cbody = self.open_metadata_at(&ch)?;
+        for ((name, child_ref), cbody) in rows.into_iter().zip(bodies) {
             let cattrs = ObjectAttrs::from_body(&cbody);
             let mut meks: HashMap<ViewId, SymKey> = HashMap::new();
             if Uid(cbody.owner) == self.identity.uid {

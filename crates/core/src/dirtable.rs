@@ -11,11 +11,20 @@
 //! * exec-only: each row sealed under a key derived from the entry name via
 //!   the keyed hash `H_DEKthis(name)`, so traversal works only with the
 //!   exact name.
+//!
+//! A [`DirTable`] is its plaintext wire bytes plus an index of where each
+//! row sits in them. Opening a table checks every row's framing once and
+//! decodes nothing; [`DirTable::lookup`] decodes only the matched row's
+//! [`ChildRef`], and [`DirTable::list`] borrows names from the bytes. A
+//! parent-table edit works on the bytes too: an insert appends one encoded
+//! row, a remove cuts one row out, a rename rewrites one name, so an edited
+//! table is byte-identical to one built from the edited entries.
 
 use crate::error::{CoreError, Result};
 use sharoes_crypto::{hmac_sha256, RandomSource, SymKey, VerifyKey};
 use sharoes_fs::NodeKind;
 use sharoes_net::{Cursor, NetError, WireRead, WireWrite};
+use std::ops::Range;
 
 /// Everything a row reveals about one child in a traversable view.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,7 +48,7 @@ pub struct ChildRef {
 impl WireWrite for ChildRef {
     fn write(&self, out: &mut Vec<u8>) {
         self.inode.write(out);
-        (matches!(self.kind, NodeKind::Dir) as u8).write(out);
+        kind_byte(self.kind).write(out);
         self.view.write(out);
         match &self.mek {
             None => 0u8.write(out),
@@ -55,101 +64,124 @@ impl WireWrite for ChildRef {
 
 impl WireRead for ChildRef {
     fn read(r: &mut Cursor<'_>) -> std::result::Result<Self, NetError> {
+        let f = ChildFields::read(r)?;
+        let mvk =
+            f.mvk.map(VerifyKey::from_bytes).transpose().map_err(|_| NetError::Codec("bad mvk"))?;
+        Ok(ChildRef { inode: f.inode, kind: f.kind, view: f.view, mek: f.mek, mvk, split: f.split })
+    }
+}
+
+/// A [`ChildRef`]'s fields as its encoding frames them, with the MVK left
+/// as bytes: the one reader of that encoding. Opening a table checks each
+/// full row with it; only a lookup parses the MVK.
+struct ChildFields<'a> {
+    inode: u64,
+    kind: NodeKind,
+    view: [u8; 16],
+    mek: Option<SymKey>,
+    mvk: Option<&'a [u8]>,
+    split: bool,
+}
+
+impl<'a> ChildFields<'a> {
+    fn read(r: &mut Cursor<'a>) -> std::result::Result<Self, NetError> {
         let inode = u64::read(r)?;
-        let kind = if u8::read(r)? == 1 { NodeKind::Dir } else { NodeKind::File };
+        let kind = kind_of(u8::read(r)?);
         let view = <[u8; 16]>::read(r)?;
         let mek = match u8::read(r)? {
             0 => None,
             1 => Some(SymKey(<[u8; 16]>::read(r)?)),
             _ => return Err(NetError::Codec("invalid mek option")),
         };
-        let mvk = Option::<Vec<u8>>::read(r)?
-            .map(|b| VerifyKey::from_bytes(&b))
-            .transpose()
-            .map_err(|_| NetError::Codec("bad mvk"))?;
+        let mvk = match u8::read(r)? {
+            0 => None,
+            1 => Some(r.take_bytes()?),
+            _ => return Err(NetError::Codec("invalid option tag")),
+        };
         let split = bool::read(r)?;
-        Ok(ChildRef { inode, kind, view, mek, mvk, split })
+        Ok(ChildFields { inode, kind, view, mek, mvk, split })
     }
 }
 
-/// One row of a materialized table view.
+fn kind_byte(kind: NodeKind) -> u8 {
+    matches!(kind, NodeKind::Dir) as u8
+}
+
+fn kind_of(byte: u8) -> NodeKind {
+    if byte == 1 {
+        NodeKind::Dir
+    } else {
+        NodeKind::File
+    }
+}
+
+/// Row tags. A row is `tag || ...`:
+/// * names-only: `0 || name || kind`,
+/// * full: `1 || name || ChildRef`,
+/// * exec-only: `2 || rowid[16] || sealed`,
+///
+/// where `name` and `sealed` carry a `u32` length prefix.
+const NAME_ROW: u8 = 0;
+const FULL_ROW: u8 = 1;
+const HIDDEN_ROW: u8 = 2;
+
+/// Offset of a named row's name bytes from its start: the tag and the
+/// name's length prefix.
+const NAME_AT: usize = 5;
+
+/// What a row shows without decoding it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum RowKind {
+    /// Name column only; the entry's kind.
+    Name(NodeKind),
+    /// All columns; the child's kind.
+    Full(NodeKind),
+    /// Row-encrypted (exec-only).
+    Hidden,
+}
+
+/// Where one row sits in a table's bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RowSpan {
+    /// Offset of the row's tag byte.
+    start: usize,
+    /// Offset one past the row's last byte.
+    end: usize,
+    /// Length of a named row's name (0 for a hidden row).
+    name_len: usize,
+    kind: RowKind,
+}
+
+impl RowSpan {
+    fn name(&self) -> Range<usize> {
+        self.start + NAME_AT..self.start + NAME_AT + self.name_len
+    }
+
+    /// A full row's encoded `ChildRef`.
+    fn child(&self) -> Range<usize> {
+        self.name().end..self.end
+    }
+}
+
+/// A materialized directory-table view: its plaintext wire bytes (a `u32`
+/// row count, then the rows) and the span of each row in them.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Row {
-    /// Name column only (read-only views).
-    Name {
-        /// Entry name.
-        name: String,
-        /// Entry kind, shown by `ls` coloring; carries no keys.
-        kind: NodeKind,
-    },
-    /// All columns (read-exec / rwx views).
-    Full {
-        /// Entry name.
-        name: String,
-        /// Keys and pointer for the child.
-        child: ChildRef,
-    },
-    /// Row-encrypted (exec-only views): only derivable with the exact name.
-    Hidden {
-        /// `HMAC(TEK, "rowid:" || name)` truncated to 16 bytes.
-        rowid: [u8; 16],
-        /// `ChildRef` sealed under `H_TEK(name)`.
-        sealed: Vec<u8>,
-    },
-}
-
-impl WireWrite for Row {
-    fn write(&self, out: &mut Vec<u8>) {
-        match self {
-            Row::Name { name, kind } => {
-                0u8.write(out);
-                name.write(out);
-                (matches!(kind, NodeKind::Dir) as u8).write(out);
-            }
-            Row::Full { name, child } => {
-                1u8.write(out);
-                name.write(out);
-                child.write(out);
-            }
-            Row::Hidden { rowid, sealed } => {
-                2u8.write(out);
-                rowid.write(out);
-                sealed.write(out);
-            }
-        }
-    }
-}
-
-impl WireRead for Row {
-    fn read(r: &mut Cursor<'_>) -> std::result::Result<Self, NetError> {
-        Ok(match u8::read(r)? {
-            0 => Row::Name {
-                name: String::read(r)?,
-                kind: if u8::read(r)? == 1 { NodeKind::Dir } else { NodeKind::File },
-            },
-            1 => Row::Full { name: String::read(r)?, child: ChildRef::read(r)? },
-            2 => Row::Hidden { rowid: <[u8; 16]>::read(r)?, sealed: Vec::<u8>::read(r)? },
-            _ => return Err(NetError::Codec("unknown row tag")),
-        })
-    }
-}
-
-/// A materialized directory-table view.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DirTable {
-    /// Rows, in no particular order for hidden views.
-    pub rows: Vec<Row>,
+    bytes: Vec<u8>,
+    /// One span per row, in row order (no particular order for hidden
+    /// views).
+    rows: Vec<RowSpan>,
+}
+
+impl Default for DirTable {
+    fn default() -> Self {
+        DirTable::with_capacity(0)
+    }
 }
 
 impl WireWrite for DirTable {
     fn write(&self, out: &mut Vec<u8>) {
-        self.rows.write(out);
-    }
-}
-
-impl WireRead for DirTable {
-    fn read(r: &mut Cursor<'_>) -> std::result::Result<Self, NetError> {
-        Ok(DirTable { rows: Vec::<Row>::read(r)? })
+        out.extend_from_slice(&self.bytes);
     }
 }
 
@@ -173,24 +205,26 @@ pub fn row_key(tek: &SymKey, name: &str) -> SymKey {
 }
 
 impl DirTable {
+    fn with_capacity(rows: usize) -> DirTable {
+        DirTable { bytes: 0u32.to_wire(), rows: Vec::with_capacity(rows) }
+    }
+
     /// Builds the names-only view.
     pub fn names_only(entries: &[(String, ChildRef)]) -> DirTable {
-        DirTable {
-            rows: entries
-                .iter()
-                .map(|(name, child)| Row::Name { name: name.clone(), kind: child.kind })
-                .collect(),
+        let mut table = DirTable::with_capacity(entries.len());
+        for (name, child) in entries {
+            table.push_name(name, child.kind);
         }
+        table
     }
 
     /// Builds the full four-column view.
     pub fn full(entries: &[(String, ChildRef)]) -> DirTable {
-        DirTable {
-            rows: entries
-                .iter()
-                .map(|(name, child)| Row::Full { name: name.clone(), child: child.clone() })
-                .collect(),
+        let mut table = DirTable::with_capacity(entries.len());
+        for (name, child) in entries {
+            table.push_full(name, child);
         }
+        table
     }
 
     /// Builds the exec-only view: each row independently sealed under a key
@@ -200,37 +234,55 @@ impl DirTable {
         tek: &SymKey,
         rng: &mut R,
     ) -> DirTable {
-        DirTable {
-            rows: entries
-                .iter()
-                .map(|(name, child)| Row::Hidden {
-                    rowid: row_id(tek, name),
-                    sealed: row_key(tek, name).seal(rng, &child.to_wire()),
-                })
-                .collect(),
+        let mut table = DirTable::with_capacity(entries.len());
+        for (name, child) in entries {
+            let rowid = row_id(tek, name);
+            table.push_hidden(&rowid, &row_key(tek, name).seal(rng, &child.to_wire()));
         }
+        table
+    }
+
+    /// Opens a table from its plaintext wire bytes.
+    pub fn from_wire(bytes: &[u8]) -> Result<DirTable> {
+        DirTable::from_vec(bytes.to_vec())
+    }
+
+    /// Opens a table from its plaintext wire bytes, keeping them: checks
+    /// every row's framing and indexes it, without decoding a name, a
+    /// `ChildRef` or a verify key. A malformed MVK is found by the
+    /// [`lookup`](DirTable::lookup) that decodes its row.
+    pub fn from_vec(bytes: Vec<u8>) -> Result<DirTable> {
+        let rows = index_rows(&bytes).map_err(|_| CoreError::Corrupt("table body"))?;
+        Ok(DirTable { bytes, rows })
+    }
+
+    /// The plaintext wire bytes (what a table record seals).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     /// Looks up `name`, decrypting hidden rows when `tek` is provided.
     ///
     /// Returns `Ok(None)` when absent, `PermissionDenied` when the view
-    /// doesn't support traversal (names-only rows).
+    /// doesn't support traversal (names-only rows), and `Corrupt` when the
+    /// matched row does not decode.
     pub fn lookup(&self, name: &str, tek: Option<&SymKey>) -> Result<Option<ChildRef>> {
         // The name's row id, computed at the first hidden row.
         let mut id: Option<[u8; 16]> = None;
         for row in &self.rows {
-            match row {
-                Row::Full { name: n, child } if n == name => return Ok(Some(child.clone())),
-                Row::Name { name: n, .. } if n == name => {
+            match row.kind {
+                RowKind::Full(_) if self.is_named(row, name) => return self.child(row).map(Some),
+                RowKind::Name(_) if self.is_named(row, name) => {
                     return Err(CoreError::PermissionDenied {
                         path: name.to_string(),
                         needed: "exec (traverse) on directory",
                     })
                 }
-                Row::Hidden { rowid, sealed } => {
+                RowKind::Hidden => {
                     let Some(tek) = tek else { continue };
-                    if *rowid == *id.get_or_insert_with(|| row_id(tek, name)) {
-                        return open_row(tek, name, sealed).map(Some);
+                    let rowid = &self.bytes[row.start + 1..row.start + 17];
+                    if rowid == id.get_or_insert_with(|| row_id(tek, name)) {
+                        return open_row(tek, name, &self.bytes[row.start + 21..row.end]).map(Some);
                     }
                 }
                 _ => {}
@@ -239,42 +291,84 @@ impl DirTable {
         Ok(None)
     }
 
-    /// Listable entries: `(name, kind, Option<&ChildRef>)`. Hidden rows are
-    /// not listable (that is the exec-only semantics).
-    pub fn list(&self) -> impl Iterator<Item = (&str, NodeKind, Option<&ChildRef>)> {
-        self.rows.iter().filter_map(|row| match row {
-            Row::Name { name, kind } => Some((name.as_str(), *kind, None)),
-            Row::Full { name, child } => Some((name.as_str(), child.kind, Some(child))),
-            Row::Hidden { .. } => None,
+    /// Listable entries: `(name, kind, inode)`, the inode only for full
+    /// rows. Hidden rows are not listable (that is the exec-only
+    /// semantics).
+    pub fn list(&self) -> impl Iterator<Item = (&str, NodeKind, Option<u64>)> {
+        self.rows.iter().filter_map(|row| match row.kind {
+            RowKind::Name(kind) => Some((self.name(row), kind, None)),
+            RowKind::Full(kind) => {
+                let mut inode = [0u8; 8];
+                inode.copy_from_slice(&self.bytes[row.child().start..][..8]);
+                Some((self.name(row), kind, Some(u64::from_be_bytes(inode))))
+            }
+            RowKind::Hidden => None,
         })
+    }
+
+    /// The full rows, decoded, in row order. A row that does not decode
+    /// (a malformed MVK) is `Corrupt`.
+    pub fn children(&self) -> impl Iterator<Item = Result<(&str, ChildRef)>> {
+        self.rows
+            .iter()
+            .filter(|row| matches!(row.kind, RowKind::Full(_)))
+            .map(|row| Ok((self.name(row), self.child(row)?)))
     }
 
     /// Appends a full four-column row.
     pub fn push_full(&mut self, name: &str, child: &ChildRef) {
-        self.rows.push(Row::Full { name: name.to_string(), child: child.clone() });
+        let start = self.begin_named(FULL_ROW, name);
+        child.write(&mut self.bytes);
+        self.end_row(start, name.len(), RowKind::Full(child.kind));
     }
 
     /// Appends a names-only row.
     pub fn push_name(&mut self, name: &str, kind: NodeKind) {
-        self.rows.push(Row::Name { name: name.to_string(), kind });
+        let start = self.begin_named(NAME_ROW, name);
+        self.bytes.push(kind_byte(kind));
+        self.end_row(start, name.len(), RowKind::Name(kind));
     }
 
-    /// Drops every named row called `name`.
+    fn push_hidden(&mut self, rowid: &[u8; 16], sealed: &[u8]) {
+        let start = self.bytes.len();
+        self.bytes.push(HIDDEN_ROW);
+        self.bytes.extend_from_slice(rowid);
+        (sealed.len() as u32).write(&mut self.bytes);
+        self.bytes.extend_from_slice(sealed);
+        self.end_row(start, 0, RowKind::Hidden);
+    }
+
+    /// Drops every named row called `name`: its span is cut out of the
+    /// bytes.
     pub fn remove(&mut self, name: &str) {
-        self.rows.retain(|row| match row {
-            Row::Name { name: n, .. } | Row::Full { name: n, .. } => n != name,
-            Row::Hidden { .. } => true,
-        });
+        let mut i = 0;
+        while i < self.rows.len() {
+            let row = self.rows[i];
+            if !self.is_named(&row, name) {
+                i += 1;
+                continue;
+            }
+            self.bytes.drain(row.start..row.end);
+            self.rows.remove(i);
+            self.shift(i, 0, row.end - row.start);
+        }
+        self.write_count();
     }
 
-    /// Renames every named row called `from` to `to`, in place.
+    /// Renames every named row called `from` to `to`: its name bytes and
+    /// their length prefix are rewritten in place.
     pub fn rename(&mut self, from: &str, to: &str) {
-        for row in &mut self.rows {
-            if let Row::Name { name, .. } | Row::Full { name, .. } = row {
-                if name == from {
-                    *name = to.to_string();
-                }
+        for i in 0..self.rows.len() {
+            let row = self.rows[i];
+            if !self.is_named(&row, from) {
+                continue;
             }
+            self.bytes[row.start + 1..row.start + NAME_AT]
+                .copy_from_slice(&(to.len() as u32).to_be_bytes());
+            self.bytes.splice(row.name(), to.bytes());
+            self.rows[i].name_len = to.len();
+            self.rows[i].end = row.end + to.len() - from.len();
+            self.shift(i + 1, to.len(), from.len());
         }
     }
 
@@ -287,6 +381,78 @@ impl DirTable {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
+
+    fn is_named(&self, row: &RowSpan, name: &str) -> bool {
+        row.kind != RowKind::Hidden && self.bytes[row.name()] == *name.as_bytes()
+    }
+
+    fn name(&self, row: &RowSpan) -> &str {
+        std::str::from_utf8(&self.bytes[row.name()]).expect("row names are UTF-8 checked at open")
+    }
+
+    fn child(&self, row: &RowSpan) -> Result<ChildRef> {
+        ChildRef::from_wire(&self.bytes[row.child()]).map_err(|_| CoreError::Corrupt("table row"))
+    }
+
+    fn begin_named(&mut self, tag: u8, name: &str) -> usize {
+        let start = self.bytes.len();
+        self.bytes.push(tag);
+        (name.len() as u32).write(&mut self.bytes);
+        self.bytes.extend_from_slice(name.as_bytes());
+        start
+    }
+
+    fn end_row(&mut self, start: usize, name_len: usize, kind: RowKind) {
+        self.rows.push(RowSpan { start, end: self.bytes.len(), name_len, kind });
+        self.write_count();
+    }
+
+    fn write_count(&mut self) {
+        self.bytes[..4].copy_from_slice(&(self.rows.len() as u32).to_be_bytes());
+    }
+
+    /// Moves the spans of rows `from..` by `grown - shrunk` bytes.
+    fn shift(&mut self, from: usize, grown: usize, shrunk: usize) {
+        for row in &mut self.rows[from..] {
+            row.start = row.start + grown - shrunk;
+            row.end = row.end + grown - shrunk;
+        }
+    }
+}
+
+/// Checks the framing of every row of a table's bytes and returns their
+/// spans. Names are checked to be UTF-8; nothing is allocated per row.
+fn index_rows(bytes: &[u8]) -> std::result::Result<Vec<RowSpan>, NetError> {
+    let mut r = Cursor::new(bytes);
+    let count = u32::read(&mut r)? as usize;
+    // Each row costs at least one byte.
+    if count > r.remaining() {
+        return Err(NetError::Codec("vector length exceeds input"));
+    }
+    let mut rows = Vec::with_capacity(count);
+    for _ in 0..count {
+        let start = bytes.len() - r.remaining();
+        let (name_len, kind) = match u8::read(&mut r)? {
+            NAME_ROW => (read_name(&mut r)?, RowKind::Name(kind_of(u8::read(&mut r)?))),
+            FULL_ROW => (read_name(&mut r)?, RowKind::Full(ChildFields::read(&mut r)?.kind)),
+            HIDDEN_ROW => {
+                <[u8; 16]>::read(&mut r)?;
+                r.take_bytes()?;
+                (0, RowKind::Hidden)
+            }
+            _ => return Err(NetError::Codec("unknown row tag")),
+        };
+        rows.push(RowSpan { start, end: bytes.len() - r.remaining(), name_len, kind });
+    }
+    r.expect_end()?;
+    Ok(rows)
+}
+
+/// Checks a length-prefixed UTF-8 name and returns its length.
+fn read_name(r: &mut Cursor<'_>) -> std::result::Result<usize, NetError> {
+    let name = r.take_bytes()?;
+    std::str::from_utf8(name).map_err(|_| NetError::Codec("invalid utf-8"))?;
+    Ok(name.len())
 }
 
 /// Opens the hidden row sealed for `name`.
@@ -432,12 +598,60 @@ mod tests {
         let entries = sample_entries(1);
         let mut rng = HmacDrbg::from_seed_u64(4);
         let tek = SymKey([5; 16]);
-        let mut table = DirTable::exec_only(&entries, &tek, &mut rng);
-        if let Row::Hidden { sealed, .. } = &mut table.rows[0] {
-            // Truncate so the decrypted ChildRef cannot parse.
-            sealed.truncate(sealed.len() / 2);
-        }
+        // Truncate the sealed row so the decrypted ChildRef cannot parse.
+        let sealed = row_key(&tek, "entry0").seal(&mut rng, &entries[0].1.to_wire());
+        let mut table = DirTable::default();
+        table.push_hidden(&row_id(&tek, "entry0"), &sealed[..sealed.len() / 2]);
+        let table = DirTable::from_wire(&table.to_wire()).unwrap();
         assert!(matches!(table.lookup("entry0", Some(&tek)), Err(CoreError::Corrupt(_))));
+    }
+
+    #[test]
+    fn malformed_mvk_fails_typed_at_lookup_not_at_open() {
+        let entries = sample_entries(3);
+        // Give entry1 an MVK field whose bytes are not a verify key: the
+        // row's framing is sound, so the table opens and the other rows
+        // still resolve.
+        let bad = {
+            let mut t = DirTable::default();
+            t.push_full("entry1", &entries[1].1);
+            let mut row = t.to_wire()[4..].to_vec();
+            let mvk_tag = row.len() - 2;
+            row.truncate(mvk_tag);
+            row.extend_from_slice(&[1, 0, 0, 0, 3, 9, 9, 9, 0]);
+            row
+        };
+        let good = DirTable::full(&entries[..1]).to_wire();
+        let rest = DirTable::full(&entries[2..]).to_wire();
+        let mut bytes = 3u32.to_be_bytes().to_vec();
+        bytes.extend_from_slice(&good[4..]);
+        bytes.extend_from_slice(&bad);
+        bytes.extend_from_slice(&rest[4..]);
+        let table = DirTable::from_wire(&bytes).unwrap();
+        assert_eq!(table.len(), 3);
+        assert_eq!(table.lookup("entry0", None).unwrap().unwrap().inode, 100);
+        assert_eq!(table.lookup("entry2", None).unwrap().unwrap().inode, 102);
+        assert!(matches!(table.lookup("entry1", None), Err(CoreError::Corrupt("table row"))));
+        assert_eq!(table.list().nth(1), Some(("entry1", NodeKind::Dir, Some(101))));
+        assert_eq!(table.children().filter(|row| row.is_err()).count(), 1);
+    }
+
+    #[test]
+    fn edits_keep_every_span_in_step_with_the_bytes() {
+        let entries = sample_entries(5);
+        let mut table = DirTable::full(&entries);
+        table.rename("entry1", "a-much-longer-name");
+        table.rename("entry3", "e3");
+        table.remove("entry0");
+        table.push_full("new", &entries[0].1);
+        table.remove("absent");
+        let mut expect = entries.clone();
+        expect[1].0 = "a-much-longer-name".into();
+        expect[3].0 = "e3".into();
+        expect.remove(0);
+        expect.push(("new".into(), entries[0].1.clone()));
+        assert_eq!(table, DirTable::full(&expect));
+        assert_eq!(DirTable::from_wire(table.as_bytes()).unwrap(), table);
     }
 
     #[test]

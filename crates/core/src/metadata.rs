@@ -389,6 +389,23 @@ impl SealedObject {
         record
     }
 
+    /// Signs, for slot `key`, a record [`SealedObject::unsigned_wire`]
+    /// built, in place: the bytes of
+    /// `SealedObject::signed(ciphertext, key, signer, rng).to_wire()`.
+    pub fn sign_wire<R: RandomSource + ?Sized>(
+        record: &mut Vec<u8>,
+        key: &ObjectKey,
+        signer: &SigningKey,
+        rng: &mut R,
+    ) {
+        debug_assert_eq!(record.last(), Some(&0), "an unsigned record");
+        let mut msg = signing_context(key);
+        msg.extend_from_slice(&record[4..record.len() - 1]);
+        let signature = signer.sign(rng, &msg);
+        record.pop();
+        Some(signature).write(record);
+    }
+
     /// Verifies the signature for slot `key`; `None` verifier skips.
     pub fn verify(&self, key: &ObjectKey, verifier: Option<&VerifyKey>) -> Result<()> {
         SealedRef { ciphertext: &self.ciphertext, signature: self.signature.as_deref() }
@@ -628,6 +645,20 @@ mod tests {
                 ct.iter_mut().for_each(|b| *b ^= 0x5a);
             });
             assert_eq!(record, SealedObject::unsigned(sealed).to_wire());
+        }
+    }
+
+    #[test]
+    fn sign_wire_matches_the_owned_encoding() {
+        let p = CryptoParams::test();
+        let (dsk, _) = generate_signing_pair(p.sig_scheme, p.sig_bits, &mut test_rng(4)).unwrap();
+        let key = ObjectKey::data(7, [3; 16], 0);
+        for body in [&[][..], &[5u8; 300][..]] {
+            let mut record = SealedObject::unsigned_wire(&[1; 16], body, |_| {});
+            SealedObject::sign_wire(&mut record, &key, &dsk, &mut test_rng(5));
+            let owned =
+                SealedObject::signed([&[1; 16], body].concat(), &key, &dsk, &mut test_rng(5));
+            assert_eq!(record, owned.to_wire());
         }
     }
 

@@ -175,66 +175,57 @@ pub struct TableKeys<'a> {
     pub dsk: Option<&'a SigningKey>,
 }
 
-/// Builds the `access` materialization of `entries` and seals it into the
-/// table record for slot `key`: `to_wire`, the TEK seal, the DSK signature.
-/// Returns the record, the table and its plaintext length. The one place a
-/// table record is built (paper Figure 3, §III-A).
+/// Seals `table` into the table record for slot `key`: its plaintext
+/// bytes are copied once into the record and encrypted there under the
+/// TEK, and the record is then signed with the DSK, as [`seal_data`] seals
+/// a file. The DRBG draws, and so every byte, are those of [`SymKey::seal`]
+/// followed by [`SealedObject::signed`]. The one place a table record is
+/// sealed (paper Figure 3, §III-A).
 pub fn seal_table<R: RandomSource + ?Sized>(
     key: &ObjectKey,
-    access: TableAccess,
-    entries: &[(String, ChildRef)],
+    table: &DirTable,
     keys: TableKeys<'_>,
     rng: &mut R,
-) -> Result<(Vec<u8>, DirTable, usize)> {
-    let table = match access {
-        TableAccess::NamesOnly => DirTable::names_only(entries),
-        TableAccess::Full => DirTable::full(entries),
-        TableAccess::ExecOnly => {
-            let tek = keys.tek.ok_or(CoreError::Corrupt("missing TEK for exec-only view"))?;
-            DirTable::exec_only(entries, tek, rng)
+) -> Vec<u8> {
+    let plain = table.as_bytes();
+    let mut record = match keys.tek {
+        Some(tek) => {
+            let mut iv = [0u8; 16];
+            rng.fill_bytes(&mut iv);
+            SealedObject::unsigned_wire(&iv, plain, |ct| ctr_xor(&tek.cipher(), &iv, &mut ct[16..]))
         }
-        TableAccess::None => return Err(CoreError::Corrupt("no table for this view")),
+        None => SealedObject::unsigned_wire(&[], plain, |_| {}),
     };
-    let plain = table.to_wire();
-    let plain_len = plain.len();
-    let ciphertext = match keys.tek {
-        Some(tek) => tek.seal(rng, &plain),
-        None => plain,
-    };
-    let sealed = match keys.dsk {
-        Some(dsk) => SealedObject::signed(ciphertext, key, dsk, rng),
-        None => SealedObject::unsigned(ciphertext),
-    };
-    Ok((sealed.to_wire(), table, plain_len))
+    if let Some(dsk) = keys.dsk {
+        SealedObject::sign_wire(&mut record, key, dsk, rng);
+    }
+    record
 }
 
 /// Opens a table record that [`seal_table`] sealed for slot `key`: checks
 /// it against `dvk` when `policy` signs, decrypts it under `tek` when
-/// `policy` encrypts data, and parses the table. Returns the table and its
-/// plaintext length. A bad signature is [`CoreError::TamperDetected`] and
-/// is reported before a missing TEK.
+/// `policy` encrypts data, and opens the table on the plaintext, which it
+/// keeps (its length is what a cache charges). A bad signature is
+/// [`CoreError::TamperDetected`] and is reported before a missing TEK.
 pub fn open_table(
     policy: CryptoPolicy,
     key: &ObjectKey,
     record: &[u8],
     tek: Option<&SymKey>,
     dvk: Option<&VerifyKey>,
-) -> Result<(DirTable, usize)> {
+) -> Result<DirTable> {
     let sealed = SealedRef::parse(record).map_err(|_| CoreError::Corrupt("sealed table"))?;
     sealed.verify(key, dvk.filter(|_| policy.signs()))?;
-    let opened;
     let plain = if policy.encrypts_data() {
         let tek = tek.ok_or(CoreError::PermissionDenied {
             path: format!("inode#{}", key.inode),
             needed: "DEK (directory table key)",
         })?;
-        opened = tek.open(sealed.ciphertext)?;
-        &opened[..]
+        tek.open(sealed.ciphertext)?
     } else {
-        sealed.ciphertext
+        sealed.ciphertext.to_vec()
     };
-    let table = DirTable::from_wire(plain).map_err(|_| CoreError::Corrupt("table body"))?;
-    Ok((table, plain.len()))
+    DirTable::from_vec(plain)
 }
 
 /// Plaintext attributes the layout engine decides from.
@@ -868,9 +859,18 @@ impl<'a> Layout<'a> {
                 view_entries.push((name.clone(), child_ref));
             }
             let keys = self.table_keys(view, &dir_secrets.teks, dsk)?;
+            let table = match access {
+                TableAccess::NamesOnly => DirTable::names_only(&view_entries),
+                TableAccess::Full => DirTable::full(&view_entries),
+                TableAccess::ExecOnly => {
+                    let tek =
+                        keys.tek.ok_or(CoreError::Corrupt("missing TEK for exec-only view"))?;
+                    DirTable::exec_only(&view_entries, tek, rng)
+                }
+                TableAccess::None => return Err(CoreError::Corrupt("no table for this view")),
+            };
             let key = ObjectKey::data(dir.inode, view.tag(dir.inode), 0);
-            let (record, ..) = seal_table(&key, access, &view_entries, keys, rng)?;
-            records.push((key, record));
+            records.push((key, seal_table(&key, &table, keys, rng)));
         }
 
         for (_, child) in entries {

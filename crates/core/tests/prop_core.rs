@@ -360,6 +360,63 @@ prop! {
         let _ = Superblock::from_wire(&bytes);
     }
 
+    fn damaged_full_tables_open_look_up_and_edit_or_fail_typed(
+        entries in entry_lists(),
+        cut in gen::option_of(gen::indices()),
+        flips in gen::vecs(gen::indices(), 0..4),
+        xor in gen::in_range(1u8..255),
+        edits in edit_lists(),
+    ) {
+        // A valid full table's plaintext, truncated and/or with bytes
+        // flipped (the MVK bytes included, since rows carry MVKs).
+        let mut bytes = DirTable::full(&entries).to_wire();
+        if let Some(cut) = cut {
+            bytes.truncate(cut.index(bytes.len()));
+        }
+        for at in &flips {
+            if !bytes.is_empty() {
+                let at = at.index(bytes.len());
+                bytes[at] ^= xor;
+            }
+        }
+        let mut table = match DirTable::from_wire(&bytes) {
+            Ok(table) => table,
+            Err(e) => {
+                prop_assert!(matches!(e, CoreError::Corrupt(_)), "open: {e:?}");
+                return Ok(());
+            }
+        };
+        // A flipped row tag can leave a well-framed names-only row, which
+        // denies traversal.
+        let typed = |r: sharoes_core::Result<Option<ChildRef>>| {
+            matches!(r, Ok(_) | Err(CoreError::Corrupt(_) | CoreError::PermissionDenied { .. }))
+        };
+        for (name, _) in &entries {
+            prop_assert!(typed(table.lookup(name, None)), "lookup {name}");
+        }
+        let _ = table.list().count();
+        for row in table.children() {
+            prop_assert!(matches!(row, Ok(_) | Err(CoreError::Corrupt(_))));
+        }
+        // Every edit of an opened table leaves it well framed.
+        for edit in &edits {
+            match edit {
+                Edit::Insert(name, child) => table.push_full(name, child),
+                Edit::Remove(i) => {
+                    if let Some((name, _)) = entries.get(i.index(entries.len())) {
+                        table.remove(name);
+                    }
+                }
+                Edit::Rename(i, to) => {
+                    if let Some((from, _)) = entries.get(i.index(entries.len())) {
+                        table.rename(from, to);
+                    }
+                }
+            }
+            prop_assert_eq!(&DirTable::from_wire(table.as_bytes()).unwrap(), &table);
+        }
+    }
+
     fn superblock_roundtrips(
         root_inode in gen::u64s(),
         root_view in gen::byte_arrays::<16>(),

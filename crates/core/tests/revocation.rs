@@ -286,3 +286,35 @@ fn directory_chmod_writes_the_split_entries_its_rows_need() {
     );
     assert_eq!(world.client(CAROL).read("/d/c").unwrap(), b"c");
 }
+
+#[test]
+fn cold_directory_chmod_round_trips_do_not_grow_with_its_entries() {
+    // /home/alice/one holds one file and /home/alice/ten holds ten. A cold
+    // owner client fetches the children's metadata of either in one round
+    // trip, so both chmods cost the same.
+    let mut fs = common::sample_tree();
+    for (dir, files) in [("/home/alice/one", 1), ("/home/alice/ten", 10)] {
+        fs.mkdir(ALICE, dir, Mode::from_octal(0o755)).unwrap();
+        for i in 0..files {
+            fs.create(ALICE, &format!("{dir}/f{i}"), Mode::from_octal(0o644)).unwrap();
+        }
+    }
+    let world = World::from_fs(fs, CryptoPolicy::Sharoes, Scheme::SharedCaps, 0xC01D);
+    let cold_chmod = |dir: &str| {
+        let mut alice = world.client(ALICE);
+        let before = alice.meter().sample().round_trips;
+        alice.chmod(dir, Mode::from_octal(0o750)).unwrap();
+        alice.meter().sample().round_trips - before
+    };
+    let one = cold_chmod("/home/alice/one");
+    let ten = cold_chmod("/home/alice/ten");
+    assert_eq!(ten, one, "a directory chmod's round trips grew with its entries");
+    // Resolving the path: metadata and table of /, /home and /home/alice,
+    // then the directory's metadata (7 Gets). The owner's table (1 Get),
+    // the other table replicas (1 GetMany), the children's metadata (1
+    // GetMany), the new records (1 PutMany) and the Other view's table,
+    // which 0750 drops (1 DeleteMany).
+    assert_eq!(ten, 12);
+    assert_eq!(world.client(BOB).readdir("/home/alice/ten").unwrap().len(), 10);
+    assert!(world.client(CAROL).readdir("/home/alice/ten").is_err());
+}
