@@ -161,6 +161,17 @@ impl RowSpan {
     fn child(&self) -> Range<usize> {
         self.name().end..self.end
     }
+
+    /// A hidden row's row id.
+    fn rowid(&self) -> Range<usize> {
+        self.start + 1..self.start + 17
+    }
+
+    /// A hidden row's sealed `ChildRef`, after the id and its length
+    /// prefix.
+    fn sealed(&self) -> Range<usize> {
+        self.start + 21..self.end
+    }
 }
 
 /// A materialized directory-table view: its plaintext wire bytes (a `u32`
@@ -280,9 +291,8 @@ impl DirTable {
                 }
                 RowKind::Hidden => {
                     let Some(tek) = tek else { continue };
-                    let rowid = &self.bytes[row.start + 1..row.start + 17];
-                    if rowid == id.get_or_insert_with(|| row_id(tek, name)) {
-                        return open_row(tek, name, &self.bytes[row.start + 21..row.end]).map(Some);
+                    if self.bytes[row.rowid()] == *id.get_or_insert_with(|| row_id(tek, name)) {
+                        return open_row(tek, name, &self.bytes[row.sealed()]).map(Some);
                     }
                 }
                 _ => {}
@@ -429,7 +439,9 @@ fn index_rows(bytes: &[u8]) -> std::result::Result<Vec<RowSpan>, NetError> {
     if count > r.remaining() {
         return Err(NetError::Codec("vector length exceeds input"));
     }
-    let mut rows = Vec::with_capacity(count);
+    // Grows from a capped guess: a hostile count must not reserve a span
+    // per input byte.
+    let mut rows = Vec::with_capacity(count.min(4096));
     for _ in 0..count {
         let start = bytes.len() - r.remaining();
         let (name_len, kind) = match u8::read(&mut r)? {
@@ -634,24 +646,6 @@ mod tests {
         assert!(matches!(table.lookup("entry1", None), Err(CoreError::Corrupt("table row"))));
         assert_eq!(table.list().nth(1), Some(("entry1", NodeKind::Dir, Some(101))));
         assert_eq!(table.children().filter(|row| row.is_err()).count(), 1);
-    }
-
-    #[test]
-    fn edits_keep_every_span_in_step_with_the_bytes() {
-        let entries = sample_entries(5);
-        let mut table = DirTable::full(&entries);
-        table.rename("entry1", "a-much-longer-name");
-        table.rename("entry3", "e3");
-        table.remove("entry0");
-        table.push_full("new", &entries[0].1);
-        table.remove("absent");
-        let mut expect = entries.clone();
-        expect[1].0 = "a-much-longer-name".into();
-        expect[3].0 = "e3".into();
-        expect.remove(0);
-        expect.push(("new".into(), entries[0].1.clone()));
-        assert_eq!(table, DirTable::full(&expect));
-        assert_eq!(DirTable::from_wire(table.as_bytes()).unwrap(), table);
     }
 
     #[test]
