@@ -3,27 +3,48 @@
 //! seeded workload — and both match an in-memory `ObjectStore` model.
 //! Also pins the fallback rules with checkpoints in the mix: a rotten
 //! newest checkpoint recovers from the surviving WAL when it bridges, and
-//! fails loudly when it cannot.
+//! fails loudly when it cannot. Every `delete_blocks` sweep is checked
+//! against a plain `BTreeMap` that applies the filter rule.
 
-use sharoes_net::ObjectKey;
+use sharoes_net::{KeySpace, ObjectKey};
 use sharoes_ssp::segment::classify;
-use sharoes_ssp::{EngineConfig, FaultFs, LogEngine, ObjectStore, Vfs};
+use sharoes_ssp::{snapshot_from_entries, EngineConfig, FaultFs, LogEngine, ObjectStore, Vfs};
 use sharoes_testkit::rng::{test_rng_for, test_seed, HmacDrbg, RandomSource};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
+/// View `x % 3` of three, or that view with its last byte one below or
+/// one above: keys of a neighbouring view sort right next to a swept one.
+fn view_for(x: u64) -> [u8; 16] {
+    let mut view = [(x % 3) as u8; 16];
+    view[15] = match x / 3 % 3 {
+        0 => view[15],
+        1 => view[15].wrapping_add(1),
+        _ => view[15].wrapping_sub(1),
+    };
+    view
+}
+
+/// A key on or next to the edges of a `delete_blocks` range: blocks 0 and
+/// `u32::MAX`, neighbouring inodes and views, and `Metadata` and
+/// `Superblock` keys that share a swept inode and view.
 fn key_for(r: u64) -> ObjectKey {
-    let inode = r % 7;
-    let view = [(r / 7 % 3) as u8; 16];
-    match r % 4 {
-        0 => ObjectKey::metadata(inode, view),
-        1 | 2 => ObjectKey::data(inode, view, (r / 28 % 5) as u32),
-        _ => ObjectKey::superblock(view),
+    const SPACES: [KeySpace; 5] =
+        [KeySpace::Metadata, KeySpace::Data, KeySpace::Data, KeySpace::Data, KeySpace::Superblock];
+    const BLOCKS: [u32; 5] = [0, 1, 2, 3, u32::MAX];
+    ObjectKey {
+        space: SPACES[(r % 5) as usize],
+        inode: r / 5 % 7,
+        view: view_for(r / 35),
+        block: BLOCKS[(r / 315 % 5) as usize],
     }
 }
 
 /// Drives `steps` seeded mutations into the engine and the model store,
-/// occasionally compacting when `compact_every` is set.
+/// occasionally compacting when `compact_every` is set. After every
+/// `delete_blocks`, both stores must hold exactly what a `BTreeMap` holds
+/// once it drops every `Data` key of the swept inode and view.
 fn drive(
     engine: &LogEngine,
     model: &ObjectStore,
@@ -31,6 +52,7 @@ fn drive(
     steps: usize,
     compact_every: Option<usize>,
 ) {
+    let mut oracle: BTreeMap<ObjectKey, Vec<u8>> = BTreeMap::new();
     for i in 0..steps {
         let r = rng.next_u64();
         match r % 10 {
@@ -40,20 +62,44 @@ fn drive(
                 let mut value = vec![0u8; len];
                 rng.fill_bytes(&mut value);
                 engine.put(key, value.clone()).expect("put");
-                model.put(key, value).unwrap();
+                model.put(key, value.clone()).unwrap();
+                oracle.insert(key, value);
             }
             7 | 8 => {
                 let key = key_for(r / 10);
                 let e = engine.delete(&key).expect("delete");
                 let m = model.delete(&key).unwrap();
                 assert_eq!(e, m, "delete presence diverged at step {i}");
+                oracle.remove(&key);
             }
             _ => {
                 let inode = r / 10 % 7;
-                let view = [(r / 70 % 3) as u8; 16];
+                let view = view_for(r / 70);
                 let e = engine.delete_blocks(inode, view).expect("delete_blocks");
                 let m = model.delete_blocks(inode, view).unwrap();
-                assert_eq!(e, m, "delete_blocks count diverged at step {i}");
+                let before = oracle.len();
+                oracle.retain(|k, _| {
+                    !(k.space == KeySpace::Data && k.inode == inode && k.view == view)
+                });
+                let swept = before - oracle.len();
+                assert_eq!(e, swept, "engine delete_blocks count diverged at step {i}");
+                assert_eq!(m, swept, "model delete_blocks count diverged at step {i}");
+                let keys: Vec<ObjectKey> = oracle.keys().copied().collect();
+                let entries: Vec<(ObjectKey, Vec<u8>)> =
+                    oracle.iter().map(|(k, v)| (*k, v.clone())).collect();
+                let expected = snapshot_from_entries(&entries);
+                for (name, store) in [("engine", engine), ("model", model)] {
+                    assert_eq!(
+                        store.scan_keys(None, usize::MAX),
+                        (keys.clone(), true),
+                        "{name} index diverged from the oracle after the sweep at step {i}"
+                    );
+                    assert_eq!(
+                        store.snapshot(),
+                        expected,
+                        "{name} contents diverged from the oracle after the sweep at step {i}"
+                    );
+                }
             }
         }
         if let Some(every) = compact_every {
