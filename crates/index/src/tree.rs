@@ -19,6 +19,7 @@ use sharoes_crypto::Sha256;
 use sharoes_net::ObjectKey;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::RangeBounds;
 use std::sync::OnceLock;
 
 fn cache_hits() -> &'static sharoes_obs::Counter {
@@ -233,30 +234,44 @@ impl MerkleIndex {
         }
     }
 
-    /// One scan page straight off the ordered leaves: keys strictly after
-    /// `after` (all of them from the front when `None`), at most `limit`,
-    /// plus whether the keyspace is exhausted. O(log #leaves + page).
-    pub fn scan_page(&self, after: Option<&ObjectKey>, limit: usize) -> (Vec<ObjectKey>, bool) {
-        let mut out = Vec::with_capacity(limit.min(4096));
-        let start = after.and_then(|a| self.leaves.range(..=*a).next_back().map(|(fk, _)| *fk));
-        let leaf_runs: Box<dyn Iterator<Item = &Vec<ObjectKey>>> = match start {
-            Some(s) => Box::new(self.leaves.range(s..).map(|(_, keys)| keys)),
-            None => Box::new(self.leaves.values()),
+    /// The keys in `range`, in order, straight off the ordered leaves:
+    /// O(log #leaves) to the first, then O(1) each. Leaves are always
+    /// current, so this needs no settle (and no `&mut self`).
+    pub fn keys_in(
+        &self,
+        range: impl RangeBounds<ObjectKey>,
+    ) -> impl Iterator<Item = ObjectKey> + '_ {
+        let (lo, hi) = (range.start_bound().cloned(), range.end_bound().cloned());
+        // The leaf covering the start bound; every later leaf starts above it.
+        let first = match lo {
+            Included(k) | Excluded(k) => self.leaves.range(..=k).next_back().map(|(fk, _)| *fk),
+            Unbounded => None,
         };
-        for keys in leaf_runs {
-            for k in keys {
-                if let Some(a) = after {
-                    if k <= a {
-                        continue;
-                    }
-                }
-                if out.len() == limit {
-                    return (out, false);
-                }
-                out.push(*k);
-            }
-        }
-        (out, true)
+        let runs = match first {
+            Some(fk) => self.leaves.range(fk..),
+            None => self.leaves.range(..),
+        };
+        runs.flat_map(|(_, keys)| keys.iter().copied())
+            .skip_while(move |k| match lo {
+                Included(s) => *k < s,
+                Excluded(s) => *k <= s,
+                Unbounded => false,
+            })
+            .take_while(move |k| match hi {
+                Included(e) => *k <= e,
+                Excluded(e) => *k < e,
+                Unbounded => true,
+            })
+    }
+
+    /// One scan page off [`Self::keys_in`]: keys strictly after `after`
+    /// (all of them from the front when `None`), at most `limit`, plus
+    /// whether the keyspace is exhausted. O(log #leaves + page).
+    pub fn scan_page(&self, after: Option<&ObjectKey>, limit: usize) -> (Vec<ObjectKey>, bool) {
+        let mut keys = self.keys_in((after.map_or(Unbounded, |a| Excluded(*a)), Unbounded));
+        let page: Vec<ObjectKey> = keys.by_ref().take(limit).collect();
+        let done = keys.next().is_none();
+        (page, done)
     }
 
     /// The current root hash (empty-tree sentinel when no keys).
@@ -633,6 +648,52 @@ mod tests {
             after = page.last().copied();
         }
         assert_eq!(got, keys);
+    }
+
+    #[test]
+    fn keys_in_equals_a_filter_over_all_keys() {
+        // Random trees, mutated without a settle in between, against random
+        // ranges of every bound kind: single-key ranges on present and
+        // absent keys, empty and inverted ranges, and ranges off either end.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut single_hits, mut empties) = (0, 0);
+        for _ in 0..200 {
+            let mut t = MerkleIndex::from_keys((0..next() % 300).map(|_| key(next() % 600)));
+            t.root();
+            for _ in 0..next() % 40 {
+                let k = key(next() % 600);
+                if !t.remove(&k) {
+                    t.insert(k);
+                }
+            }
+            let all = t.all_keys();
+            for _ in 0..30 {
+                let (a, b) = (key(next() % 620), key(next() % 620));
+                let bound = |k: ObjectKey, kind: u64| match kind {
+                    0 => Included(k),
+                    1 => Excluded(k),
+                    _ => Unbounded,
+                };
+                let range = match next() % 4 {
+                    0 => (Included(a), Included(a)),
+                    1 => (Excluded(a), Excluded(a)),
+                    _ => (bound(a, next() % 3), bound(b, next() % 3)),
+                };
+                let got: Vec<ObjectKey> = t.keys_in(range).collect();
+                let want: Vec<ObjectKey> =
+                    all.iter().copied().filter(|k| range.contains(k)).collect();
+                assert_eq!(got, want, "range {range:?}");
+                single_hits += (range == (Included(a), Included(a)) && got.len() == 1) as u32;
+                empties += want.is_empty() as u32;
+            }
+        }
+        assert!(single_hits > 0 && empties > 0);
     }
 
     #[test]

@@ -277,22 +277,18 @@ impl ObjectStore {
 
     /// Deletes every data block of `(inode, view)`; returns how many.
     ///
-    /// One delete per block, in sorted key order (each atomic and logged on
-    /// its own): a crash mid-sweep recovers a prefix of the deletions,
-    /// which the idempotent caller simply reissues — as it does for keys
-    /// inserted concurrently with the sweep.
+    /// The blocks are one contiguous range of the ordered index, so finding
+    /// them is O(log n + k) for k blocks: a walk under the index's read
+    /// lock, which is released before the deletes (each of which takes its
+    /// shard's lock and then the index's write lock). No shard lock is
+    /// taken to find them. One delete per block, in sorted key order (each
+    /// atomic and logged on its own): a crash mid-sweep recovers a prefix
+    /// of the deletions, which the idempotent caller simply reissues — as
+    /// it does for keys inserted concurrently with the sweep, which may
+    /// survive it.
     pub fn delete_blocks(&self, inode: u64, view: [u8; 16]) -> Result<usize, NetError> {
-        let mut doomed: Vec<ObjectKey> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().unwrap_or_else(|e| e.into_inner());
-            doomed.extend(
-                shard
-                    .values
-                    .keys()
-                    .filter(|k| k.space == KeySpace::Data && k.inode == inode && k.view == view),
-            );
-        }
-        doomed.sort_unstable();
+        let blocks = ObjectKey::data(inode, view, 0)..=ObjectKey::data(inode, view, u32::MAX);
+        let doomed: Vec<ObjectKey> = self.index_read().keys_in(blocks).collect();
         let mut removed = 0;
         for key in &doomed {
             if self.delete_one(key, false)? {
