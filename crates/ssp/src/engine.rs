@@ -39,9 +39,10 @@ use crate::wal::{
     WAL_HEADER_LEN,
 };
 use sharoes_net::NetError;
+use sharoes_obs::{Counter, Histogram};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLockWriteGuard};
 use std::time::Instant;
 
 /// The journalled [`ObjectStore`] under its original name:
@@ -109,6 +110,30 @@ pub(crate) struct Journal {
     dead_bytes: AtomicU64,
 }
 
+/// The journal's registry handles, looked up by name once: a lookup takes
+/// the registry lock and allocates the name, which the append and fsync
+/// paths would otherwise pay on every record.
+struct JournalMetrics {
+    appends: Counter,
+    fsyncs: Counter,
+    compactions: Counter,
+    checkpoint_rejects: Counter,
+    replayed_records: Counter,
+    recovery_ms: Histogram,
+}
+
+fn journal_metrics() -> &'static JournalMetrics {
+    static METRICS: OnceLock<JournalMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| JournalMetrics {
+        appends: sharoes_obs::counter("ssp_wal_appends"),
+        fsyncs: sharoes_obs::counter("ssp_wal_fsyncs"),
+        compactions: sharoes_obs::counter("ssp_compactions"),
+        checkpoint_rejects: sharoes_obs::counter("ssp_checkpoint_rejects"),
+        replayed_records: sharoes_obs::counter("ssp_recovery_replayed_records"),
+        recovery_ms: sharoes_obs::histogram_ms("ssp_recovery_ms"),
+    })
+}
+
 fn corrupt(msg: String) -> NetError {
     NetError::Corrupt(msg)
 }
@@ -170,7 +195,7 @@ impl Journal {
                     break;
                 }
                 Err(e) => {
-                    sharoes_obs::counter("ssp_checkpoint_rejects").inc();
+                    journal_metrics().checkpoint_rejects.inc();
                     sharoes_obs::obs_event!(sharoes_obs::Level::Warn, "ssp.checkpoint_reject");
                     first_ck_err.get_or_insert(e);
                 }
@@ -299,8 +324,9 @@ impl Journal {
             }
         };
 
-        sharoes_obs::counter("ssp_recovery_replayed_records").add(replayed);
-        sharoes_obs::histogram_ms("ssp_recovery_ms").observe(t0.elapsed().as_millis() as u64);
+        let metrics = journal_metrics();
+        metrics.replayed_records.add(replayed);
+        metrics.recovery_ms.observe(t0.elapsed().as_millis() as u64);
         let files = FileState {
             wal,
             wal_id,
@@ -327,7 +353,7 @@ impl Journal {
     fn sync_wal(files: &mut FileState) -> Result<(), NetError> {
         files.wal.sync()?;
         files.pending = 0;
-        sharoes_obs::counter("ssp_wal_fsyncs").inc();
+        journal_metrics().fsyncs.inc();
         Ok(())
     }
 
@@ -349,7 +375,7 @@ impl Journal {
         files.next_seq += 1;
         files.wal_len += bytes.len() as u64;
         files.pending += 1;
-        sharoes_obs::counter("ssp_wal_appends").inc();
+        journal_metrics().appends.inc();
         let synced = if files.pending >= self.config.group_commit.max(1) {
             Self::sync_wal(&mut files)
         } else {
@@ -469,7 +495,7 @@ impl Journal {
         files.wal_id = new_id;
         files.wal_len = WAL_HEADER_LEN as u64;
         self.dead_bytes.store(0, Ordering::Relaxed);
-        sharoes_obs::counter("ssp_compactions").inc();
+        journal_metrics().compactions.inc();
         Ok(())
     }
 

@@ -3,14 +3,16 @@
 use crate::engine::LogEngine;
 use crate::store::ObjectStore;
 use sharoes_net::{NetError, Request, RequestHandler, Response, TraceEventWire};
-use sharoes_obs::Histogram;
+use sharoes_obs::{Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Per-op service-time histograms, one per protocol verb. The histogram's
-/// `_count` series doubles as the op counter, so there is no separate
-/// `ssp_op_*_total` family to keep in sync.
+/// Per-op service-time histograms, one per protocol verb, and the
+/// storage-error counter. The histogram's `_count` series doubles as the
+/// op counter, so there is no separate `ssp_op_*_total` family to keep in
+/// sync.
 struct SspMetrics {
+    storage_errors: Counter,
     ping: Histogram,
     put: Histogram,
     put_many: Histogram,
@@ -32,6 +34,7 @@ fn ssp_metrics() -> &'static SspMetrics {
     METRICS.get_or_init(|| {
         let h = sharoes_obs::histogram_ns;
         SspMetrics {
+            storage_errors: sharoes_obs::counter("ssp_storage_errors"),
             ping: h("ssp_op_ping_ns"),
             put: h("ssp_op_put_ns"),
             put_many: h("ssp_op_put_many_ns"),
@@ -104,7 +107,7 @@ impl SspServer {
 /// blind resend rereads the same rotten bytes, and the cluster layer fails
 /// reads over to another replica instead.
 fn storage_err(e: NetError) -> Response {
-    sharoes_obs::counter("ssp_storage_errors").inc();
+    ssp_metrics().storage_errors.inc();
     Response::Error(format!("storage: {e}"))
 }
 
