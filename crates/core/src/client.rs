@@ -1619,29 +1619,39 @@ impl SharoesClient {
             .collect::<Result<_>>()?;
 
         // Harvest per-view child MEKs from every existing replica: the
-        // owner holds all TEKs, so all rows open.
+        // owner holds all TEKs, so all rows open. The owner's replica is
+        // `my_table`, already open; only the others are fetched.
         let old_views = self.layout().table_views(&attrs)?;
         let teks: HashMap<ViewId, SymKey> = body.write_teks.iter().cloned().collect();
         let keys: Vec<ObjectKey> = old_views
             .iter()
             .map(|(view, _)| ObjectKey::data(h.inode, view.tag(h.inode), 0))
             .collect();
-        let blobs = self.fetch_many(keys.clone())?;
+        let mine = ObjectKey::data(h.inode, h.view, 0);
+        let mut blobs =
+            self.fetch_many(keys.iter().copied().filter(|k| *k != mine).collect())?.into_iter();
         let policy = self.config.policy;
         let mut harvested: HashMap<(u64, [u8; 16]), SymKey> = HashMap::new();
-        for (((view, access), key), blob) in old_views.iter().zip(&keys).zip(blobs) {
-            let Some(blob) = blob else { continue };
-            let opened = Self::timed_crypto(&self.meter, || {
-                open_table(policy, key, &blob, teks.get(view), body.dvk.as_ref())
-            });
-            let table = match opened {
-                Ok(table) => table,
-                // The harvested MEKs are re-sealed under our DSK, so a
-                // replica that fails the directory's DVK stops the rebuild.
-                Err(e @ CoreError::TamperDetected(_)) => return Err(e),
-                // A replica with no TEK here, or one that will not open, is
-                // skipped.
-                Err(_) => continue,
+        for ((view, access), key) in old_views.iter().zip(&keys) {
+            let fetched;
+            let table: &DirTable = if *key == mine {
+                &my_table
+            } else {
+                let Some(blob) = blobs.next().flatten() else { continue };
+                let opened = Self::timed_crypto(&self.meter, || {
+                    open_table(policy, key, &blob, teks.get(view), body.dvk.as_ref())
+                });
+                fetched = match opened {
+                    Ok(table) => table,
+                    // The harvested MEKs are re-sealed under our DSK, so a
+                    // replica that fails the directory's DVK stops the
+                    // rebuild.
+                    Err(e @ CoreError::TamperDetected(_)) => return Err(e),
+                    // A replica with no TEK here, or one that will not
+                    // open, is skipped.
+                    Err(_) => continue,
+                };
+                &fetched
             };
             match access {
                 TableAccess::Full => {

@@ -7,7 +7,7 @@ use sharoes_core::{
 };
 use sharoes_crypto::HmacDrbg;
 use sharoes_fs::{Gid, LocalFs, Mode, Uid, UserDb, ROOT_UID};
-use sharoes_net::InMemoryTransport;
+use sharoes_net::{InMemoryTransport, RequestHandler};
 use sharoes_ssp::SspServer;
 use std::sync::Arc;
 
@@ -114,12 +114,23 @@ impl World {
 
     /// Mounts a client with a custom config (e.g. a small cache).
     pub fn client_with_config(&self, uid: Uid, config: ClientConfig) -> SharoesClient {
+        self.client_via(uid, config, Arc::clone(&self.server) as _)
+    }
+
+    /// Mounts a client whose requests go to `handler`, which must reach
+    /// this world's server (e.g. a wrapper that logs them).
+    pub fn client_via(
+        &self,
+        uid: Uid,
+        config: ClientConfig,
+        handler: Arc<dyn RequestHandler>,
+    ) -> SharoesClient {
         // Identically-seeded sessions allocate identical inodes, so each
         // mount folds in a process-wide counter to stay collision-free when
         // a test mounts the same uid twice.
         static MOUNTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let mount = MOUNTS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let transport = InMemoryTransport::new(Arc::clone(&self.server) as _);
+        let transport = InMemoryTransport::new(handler);
         let identity = self.ring.identity(uid).expect("identity");
         let mut client = SharoesClient::with_rng(
             Box::new(transport),

@@ -6,6 +6,9 @@ mod common;
 use common::{small_db, World, ALICE, BOB, CAROL, OUTSIDE};
 use sharoes_core::{ClientConfig, CoreError, CryptoPolicy, RevocationMode, Scheme};
 use sharoes_fs::{Acl, Gid, LocalFs, Mode, Perm, ROOT_UID};
+use sharoes_net::{KeySpace, ObjectKey, Request, RequestHandler, Response};
+use sharoes_ssp::SspServer;
+use std::sync::{Arc, Mutex};
 
 #[test]
 fn immediate_revocation_locks_out_reader() {
@@ -287,6 +290,24 @@ fn directory_chmod_writes_the_split_entries_its_rows_need() {
     assert_eq!(world.client(CAROL).read("/d/c").unwrap(), b"c");
 }
 
+/// Forwards every request to the server and logs the keys that `Get` and
+/// `GetMany` ask for.
+struct FetchLog {
+    server: Arc<SspServer>,
+    keys: Mutex<Vec<ObjectKey>>,
+}
+
+impl RequestHandler for FetchLog {
+    fn handle(&self, request: Request) -> Response {
+        match &request {
+            Request::Get { key } => self.keys.lock().unwrap().push(*key),
+            Request::GetMany { keys } => self.keys.lock().unwrap().extend(keys),
+            _ => {}
+        }
+        self.server.handle(request)
+    }
+}
+
 #[test]
 fn cold_directory_chmod_round_trips_do_not_grow_with_its_entries() {
     // /home/alice/one holds one file and /home/alice/ten holds ten. A cold
@@ -301,13 +322,18 @@ fn cold_directory_chmod_round_trips_do_not_grow_with_its_entries() {
     }
     let world = World::from_fs(fs, CryptoPolicy::Sharoes, Scheme::SharedCaps, 0xC01D);
     let cold_chmod = |dir: &str| {
-        let mut alice = world.client(ALICE);
+        let log = Arc::new(FetchLog { server: Arc::clone(&world.server), keys: Mutex::default() });
+        let mut alice = world.client_via(ALICE, world.config.clone(), Arc::clone(&log) as _);
+        let inode = alice.getattr(dir).unwrap().inode;
+        log.keys.lock().unwrap().clear();
+        let mut alice = world.client_via(ALICE, world.config.clone(), Arc::clone(&log) as _);
         let before = alice.meter().sample().round_trips;
         alice.chmod(dir, Mode::from_octal(0o750)).unwrap();
-        alice.meter().sample().round_trips - before
+        let fetched = std::mem::take(&mut *log.keys.lock().unwrap());
+        (alice.meter().sample().round_trips - before, inode, fetched)
     };
-    let one = cold_chmod("/home/alice/one");
-    let ten = cold_chmod("/home/alice/ten");
+    let (one, ..) = cold_chmod("/home/alice/one");
+    let (ten, inode, fetched) = cold_chmod("/home/alice/ten");
     assert_eq!(ten, one, "a directory chmod's round trips grew with its entries");
     // Resolving the path: metadata and table of /, /home and /home/alice,
     // then the directory's metadata (7 Gets). The owner's table (1 Get),
@@ -315,6 +341,14 @@ fn cold_directory_chmod_round_trips_do_not_grow_with_its_entries() {
     // GetMany), the new records (1 PutMany) and the Other view's table,
     // which 0750 drops (1 DeleteMany).
     assert_eq!(ten, 12);
+    // The owner's table replica is the first of the directory's table
+    // slots to be fetched, and the harvest of the others must not fetch it
+    // again.
+    let tables: Vec<ObjectKey> =
+        fetched.iter().copied().filter(|k| k.space == KeySpace::Data && k.inode == inode).collect();
+    assert!(tables.len() > 1, "the chmod fetched no other table replica: {tables:?}");
+    let owner = tables[0];
+    assert_eq!(tables.iter().filter(|k| **k == owner).count(), 1, "owner's slot fetched twice");
     assert_eq!(world.client(BOB).readdir("/home/alice/ten").unwrap().len(), 10);
     assert!(world.client(CAROL).readdir("/home/alice/ten").is_err());
 }
