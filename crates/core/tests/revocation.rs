@@ -322,10 +322,8 @@ fn cold_directory_chmod_round_trips_do_not_grow_with_its_entries() {
     }
     let world = World::from_fs(fs, CryptoPolicy::Sharoes, Scheme::SharedCaps, 0xC01D);
     let cold_chmod = |dir: &str| {
+        let inode = world.client(ALICE).getattr(dir).unwrap().inode;
         let log = Arc::new(FetchLog { server: Arc::clone(&world.server), keys: Mutex::default() });
-        let mut alice = world.client_via(ALICE, world.config.clone(), Arc::clone(&log) as _);
-        let inode = alice.getattr(dir).unwrap().inode;
-        log.keys.lock().unwrap().clear();
         let mut alice = world.client_via(ALICE, world.config.clone(), Arc::clone(&log) as _);
         let before = alice.meter().sample().round_trips;
         alice.chmod(dir, Mode::from_octal(0o750)).unwrap();
