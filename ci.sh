@@ -125,6 +125,13 @@ diff_pair "enterprise determinism: diff exported registry deltas" \
 step "crash-point recovery matrix at fifth pinned seed (log-engine durability)" \
     env SHAROES_TEST_SEED=0xC4A54F70 cargo test -q --offline --test crashpoints
 
+# Checkpoint + tail recovery, and every delete_blocks sweep against a plain
+# BTreeMap model, at the same seed; the workspace run above covers the
+# default seed.
+step "recovery equivalence + delete_blocks oracle at fifth pinned seed" \
+    env SHAROES_TEST_SEED=0xC4A54F70 \
+    cargo test -q --offline -p sharoes-ssp --test recovery_equiv
+
 step "authenticated-index gate at sixth pinned seed (verified scans + tamper oracle)" \
     env SHAROES_TEST_SEED=0x1DE15EED cargo test -q --offline --test index
 
