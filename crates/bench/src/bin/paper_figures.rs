@@ -544,12 +544,42 @@ fn enterprise_report(opts: &BenchOpts, quick: bool) {
     println!("\nwrote {out}");
 }
 
+/// Interleaved repeats behind each scan column of the index ablation.
+const INDEX_REPEATS: usize = 7;
+
+/// One keyspace size of the index ablation: each scan column's median and
+/// interquartile range in nanoseconds, plus the verified walk's bytes.
+struct IndexPoint {
+    keys: usize,
+    flat_ns: u64,
+    flat_iqr: u64,
+    idx_ns: u64,
+    idx_iqr: u64,
+    verified_ns: u64,
+    verified_iqr: u64,
+    proof_bytes: u64,
+    key_bytes: u64,
+}
+
+/// The median of `samples` and their interquartile range.
+fn median_iqr(mut samples: Vec<u64>) -> (u64, u64) {
+    samples.sort_unstable();
+    let n = samples.len();
+    (samples[n / 2], samples[3 * n / 4] - samples[n / 4])
+}
+
+/// Half an interquartile range as a percentage of its median.
+fn spread_pct(median: u64, iqr: u64) -> f64 {
+    iqr as f64 / 2.0 / median.max(1) as f64 * 100.0
+}
+
 /// Authenticated-index ablation: at several keyspace sizes, compares the
 /// flat-sort scan (the pre-index O(n log n)-per-page path, kept as a debug
 /// oracle) with the Merkle-index scan, and measures the verified-scan
 /// proof overhead (bytes shipped and client verify time); then, at 8k (and
 /// in full mode 64k) keys, the cost of mutating one key and proving a page
-/// against rebuilding the tree and proving. Writes `BENCH_index.json`.
+/// against rebuilding the tree and proving. Each scan column is the median
+/// of [`INDEX_REPEATS`] interleaved walks. Writes `BENCH_index.json`.
 fn index_report(_opts: &BenchOpts, quick: bool) {
     use sharoes_crypto::RandomSource;
     use sharoes_net::ObjectKey;
@@ -567,8 +597,7 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
         "proof B/page",
         "proof overhead",
     ]);
-    // (keys, flat_ns, idx_ns, verified_ns, proof_bytes, key_bytes)
-    let mut points: Vec<(usize, u64, u64, u64, u64, u64)> = Vec::new();
+    let mut points: Vec<IndexPoint> = Vec::new();
     for &n in sizes {
         let store = ObjectStore::new();
         let mut rng = sharoes_crypto::HmacDrbg::from_seed_u64(0x1DE0 ^ n as u64);
@@ -594,47 +623,76 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
                 }
             }
         };
-        let (flat_ns, flat_total) = walk(&|a, l| store.scan_keys_flat(a, l));
-        let (idx_ns, idx_total) = walk(&|a, l| store.scan_keys(a, l));
-        assert_eq!(flat_total, idx_total, "flat and indexed walks disagree");
-
         // Verified walk: server-side proof generation + client-side verify.
-        let t0 = std::time::Instant::now();
-        let mut after: Option<ObjectKey> = None;
-        let mut proof_bytes = 0u64;
-        let mut pages = 0u64;
-        loop {
-            let p = store.scan_proof(after.as_ref(), page as u32);
-            sharoes_index::verify_scan_page(
-                &p.root,
-                after.as_ref(),
-                page as u32,
-                &p.keys,
-                p.done,
-                &p.proof,
-            )
-            .expect("honest store page must verify");
-            proof_bytes += p.proof.len() as u64;
-            pages += 1;
-            after = p.keys.last().copied().or(after);
-            if p.done {
-                break;
+        let verified_walk = || -> (u64, u64, u64) {
+            let t0 = std::time::Instant::now();
+            let mut after: Option<ObjectKey> = None;
+            let mut proof_bytes = 0u64;
+            let mut pages = 0u64;
+            loop {
+                let p = store.scan_proof(after.as_ref(), page as u32);
+                sharoes_index::verify_scan_page(
+                    &p.root,
+                    after.as_ref(),
+                    page as u32,
+                    &p.keys,
+                    p.done,
+                    &p.proof,
+                )
+                .expect("honest store page must verify");
+                proof_bytes += p.proof.len() as u64;
+                pages += 1;
+                after = p.keys.last().copied().or(after);
+                if p.done {
+                    return (t0.elapsed().as_nanos() as u64, proof_bytes, pages);
+                }
             }
+        };
+        // One walk is too noisy to compare: time the three walks in turn,
+        // INDEX_REPEATS times, and take each column's median.
+        let (mut flat, mut idx, mut verified) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut idx_total, mut proof_bytes, mut pages) = (0, 0, 0);
+        for _ in 0..INDEX_REPEATS {
+            let (flat_ns, flat_total) = walk(&|a, l| store.scan_keys_flat(a, l));
+            let (idx_ns, total) = walk(&|a, l| store.scan_keys(a, l));
+            assert_eq!(flat_total, total, "flat and indexed walks disagree");
+            let (verified_ns, bytes, n_pages) = verified_walk();
+            flat.push(flat_ns);
+            idx.push(idx_ns);
+            verified.push(verified_ns);
+            (idx_total, proof_bytes, pages) = (total, bytes, n_pages);
         }
-        let verified_ns = t0.elapsed().as_nanos() as u64;
+        let (flat_ns, flat_iqr) = median_iqr(flat);
+        let (idx_ns, idx_iqr) = median_iqr(idx);
+        let (verified_ns, verified_iqr) = median_iqr(verified);
         let key_bytes = (idx_total * 29) as u64; // 29-byte wire key
+        let with_spread =
+            |ns: u64, iqr: u64| format!("{:.3} +/-{:.0}%", ns as f64 / 1e6, spread_pct(ns, iqr));
         table.row(vec![
             n.to_string(),
-            format!("{:.3}", flat_ns as f64 / 1e6),
-            format!("{:.3}", idx_ns as f64 / 1e6),
+            with_spread(flat_ns, flat_iqr),
+            with_spread(idx_ns, idx_iqr),
             format!("{:.1}x", flat_ns as f64 / idx_ns.max(1) as f64),
-            format!("{:.3}", verified_ns as f64 / 1e6),
+            with_spread(verified_ns, verified_iqr),
             (proof_bytes / pages.max(1)).to_string(),
             format!("{:.1}%", proof_bytes as f64 / key_bytes.max(1) as f64 * 100.0),
         ]);
-        points.push((n, flat_ns, idx_ns, verified_ns, proof_bytes, key_bytes));
+        points.push(IndexPoint {
+            keys: n,
+            flat_ns,
+            flat_iqr,
+            idx_ns,
+            idx_iqr,
+            verified_ns,
+            verified_iqr,
+            proof_bytes,
+            key_bytes,
+        });
     }
     table.print();
+    println!(
+        "median of {INDEX_REPEATS} interleaved walks per column, +/- half the interquartile range"
+    );
     println!("flat re-sorts the whole keyspace every page; the index serves pages in O(log n)");
 
     // Mutate one key, then prove one page: what a verified scan right after
@@ -649,10 +707,6 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
         let keys: Vec<ObjectKey> = (0..n).map(|_| key()).collect();
         let mut index = sharoes_index::MerkleIndex::from_keys(keys.iter().copied());
         index.root();
-        let median = |mut v: Vec<u64>| {
-            v.sort_unstable();
-            v[v.len() / 2]
-        };
         // Insert a fresh key, then remove it again: every sample mutates
         // the tree, and the key count stays at `n`.
         let mut samples = Vec::new();
@@ -669,8 +723,8 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
                 samples.push(t0.elapsed().as_nanos() as u64);
             }
         }
-        let mutate_ns = median(samples);
-        let rebuild_ns = median(
+        let mutate_ns = median_iqr(samples).0;
+        let (rebuild_ns, _) = median_iqr(
             (0..5)
                 .map(|_| {
                     let t0 = std::time::Instant::now();
@@ -694,13 +748,23 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"benchmark\": {},\n", json_str("authenticated_index")));
     json.push_str(&format!("  \"page\": {page},\n"));
+    json.push_str(&format!("  \"repeats\": {INDEX_REPEATS},\n"));
     json.push_str("  \"points\": [\n");
-    for (i, (n, flat_ns, idx_ns, verified_ns, proof_bytes, key_bytes)) in points.iter().enumerate()
-    {
+    for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"keys\": {n}, \"flat_scan_ns\": {flat_ns}, \"indexed_scan_ns\": {idx_ns}, \
-             \"verified_scan_ns\": {verified_ns}, \"proof_bytes\": {proof_bytes}, \
-             \"key_bytes\": {key_bytes}}}{}\n",
+            "    {{\"keys\": {}, \"flat_scan_ns\": {}, \"flat_scan_iqr_ns\": {}, \
+             \"indexed_scan_ns\": {}, \"indexed_scan_iqr_ns\": {}, \
+             \"verified_scan_ns\": {}, \"verified_scan_iqr_ns\": {}, \
+             \"proof_bytes\": {}, \"key_bytes\": {}}}{}\n",
+            p.keys,
+            p.flat_ns,
+            p.flat_iqr,
+            p.idx_ns,
+            p.idx_iqr,
+            p.verified_ns,
+            p.verified_iqr,
+            p.proof_bytes,
+            p.key_bytes,
             if i + 1 < points.len() { "," } else { "" }
         ));
     }

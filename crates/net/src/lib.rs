@@ -13,7 +13,8 @@
 //!   connection), both speaking the identical byte format through the
 //!   shared server half [`serve_frame`].
 //! * [`pipeline`] — [`CorrDispatcher`], the socket-free correlation-id
-//!   bookkeeping behind [`TcpTransport`].
+//!   bookkeeping behind [`TcpTransport`]: waiting callers take turns
+//!   reading the connection and route each reply to its caller.
 //! * [`cost`] / [`netmodel`] — the NETWORK/CRYPTO/OTHER accounting and the
 //!   paper's DSL link model that converts byte counts to seconds.
 //! * [`fault`] — deterministic, seed-replayable fault injection for chaos
@@ -44,7 +45,7 @@ pub use error::{ErrorClass, NetError, TRANSIENT_ERROR_PREFIX};
 pub use fault::{FaultConfig, FaultCounts, FaultInjector, FaultKind, FaultSchedule, OpClass};
 pub use message::{KeySpace, ObjectKey, Request, Response};
 pub use netmodel::NetModel;
-pub use pipeline::CorrDispatcher;
+pub use pipeline::{CorrDispatcher, FrameSource, Inbound};
 pub use resilient::{
     Connector, FakeSleeper, ResilientTransport, RetryPolicy, Sleeper, WallClockSleeper,
 };

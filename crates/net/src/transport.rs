@@ -9,21 +9,24 @@
 //! * [`TcpTransport`] — real sockets with length-prefixed frames. One
 //!   connection carries many requests in flight: `&self` calls from any
 //!   number of threads, matched back to their callers by correlation id.
+//!   Each caller reads replies itself (no reader thread), so a lone
+//!   caller's round trip wakes no other thread on this side.
 //!
-//! Every frame body is an [`Envelope`] followed by one message. The server
-//! half of a round trip is [`serve_frame`], shared by the in-memory path
-//! and the sspd worker pool, so both meter exactly the same bytes.
+//! Every frame body is an [`Envelope`] followed by one message. Both sides
+//! read frames through a [`FRAME_READ_BUF`]-byte buffer, so a small frame
+//! costs one `read` call. The server half of a round trip is
+//! [`serve_frame`], shared by the in-memory path and sspd's connection
+//! threads, so both meter exactly the same bytes.
 
 use crate::cost::CostMeter;
 use crate::envelope::{connection_error, Envelope, CONNECTION_ERROR_ID};
 use crate::error::NetError;
 use crate::message::{Request, Response};
-use crate::pipeline::CorrDispatcher;
+use crate::pipeline::{CorrDispatcher, FrameSource, Inbound};
 use crate::wire::WireRead;
-use std::io::{IoSlice, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Upper bound on a single frame (64 MiB) to bound hostile allocations.
@@ -182,18 +185,23 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, NetError> {
 /// response.
 const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Read buffer per connection, on both sides: a frame smaller than this
+/// costs one `read` call.
+pub const FRAME_READ_BUF: usize = 16 << 10;
+
 /// TCP transport: one connection, many requests in flight.
 ///
-/// Calls take `&self`, so one transport can serve many threads at once;
-/// a writer lock serializes frames onto the socket and a reader thread
-/// routes each response to its caller by correlation id. Used through the
-/// [`Transport`] trait it is an ordinary one-call-at-a-time transport.
+/// Calls take `&self`, so one transport can serve many threads at once.
+/// A writer lock serializes frames onto the socket; there is no reader
+/// thread. A waiting caller reads the socket itself while no other caller
+/// does and routes each reply to its caller by correlation id
+/// ([`CorrDispatcher`]). Used through the [`Transport`] trait it is an
+/// ordinary one-call-at-a-time transport that reads its own replies.
 pub struct TcpTransport {
     writer: Mutex<TcpStream>,
-    dispatcher: Arc<CorrDispatcher>,
+    dispatcher: CorrDispatcher<SocketSource>,
     meter: Arc<CostMeter>,
     timeout: Duration,
-    reader: Option<JoinHandle<()>>,
 }
 
 impl TcpTransport {
@@ -217,19 +225,12 @@ impl TcpTransport {
         let sock = TcpStream::connect(addr)?;
         sock.set_nodelay(true)?;
         sock.set_write_timeout(Some(timeout))?;
-        let reader_sock = sock.try_clone()?;
-        let dispatcher = Arc::new(CorrDispatcher::new());
-        let disp = Arc::clone(&dispatcher);
-        let reader = std::thread::Builder::new()
-            .name("ssp-conn-reader".into())
-            .spawn(move || read_responses(reader_sock, &disp))
-            .map_err(NetError::Io)?;
+        let source = SocketSource(BufReader::with_capacity(FRAME_READ_BUF, sock.try_clone()?));
         Ok(TcpTransport {
             writer: Mutex::new(sock),
-            dispatcher,
+            dispatcher: CorrDispatcher::new(source),
             meter,
             timeout,
-            reader: Some(reader),
         })
     }
 
@@ -272,41 +273,53 @@ impl Transport for TcpTransport {
     }
 }
 
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        let sock = self.writer.get_mut().unwrap_or_else(|e| e.into_inner());
-        let _ = sock.shutdown(Shutdown::Both);
-        self.dispatcher.fail_all("client dropped");
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-    }
-}
+/// The client's read half: the socket behind a read buffer.
+struct SocketSource(BufReader<TcpStream>);
 
-/// The reader thread: routes each response frame to its waiter by
-/// correlation id until the connection ends, then fails every waiter left
-/// with the reason — the server's own words for a connection-level error.
-fn read_responses(mut sock: TcpStream, dispatcher: &CorrDispatcher) {
-    let why = loop {
-        let frame = match read_frame(&mut sock) {
+impl FrameSource for SocketSource {
+    /// Reads one reply frame. The caller's deadline bounds only the wait
+    /// for a frame's first byte; a timeout after that leaves the stream
+    /// unframable and loses the connection. A connection-level reply
+    /// (id 0) refuses the connection with the server's own words.
+    fn next_frame(&mut self, deadline: Instant) -> Inbound {
+        if self.0.buffer().is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Inbound::Idle;
+            }
+            if let Err(e) = self.0.get_ref().set_read_timeout(Some(left)) {
+                return Inbound::Lost(e.to_string());
+            }
+            match self.0.fill_buf() {
+                Ok([]) => return Inbound::Lost("closed by the server".into()),
+                Ok(_) => {}
+                // A socket read timeout is `WouldBlock` on Unix and
+                // `TimedOut` on Windows.
+                Err(e) => {
+                    return match e.kind() {
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted => {
+                            Inbound::Idle
+                        }
+                        _ => Inbound::Lost(e.to_string()),
+                    }
+                }
+            }
+        }
+        let frame = match read_frame(&mut self.0) {
             Ok(frame) => frame,
-            Err(e) => break e.to_string(),
+            Err(e) => return Inbound::Lost(e.to_string()),
         };
-        let corr = match Envelope::open(&frame) {
+        match Envelope::open(&frame) {
             Ok((env, message)) if env.corr == CONNECTION_ERROR_ID => {
-                let reason = match Response::from_wire(message) {
+                Inbound::Refused(match Response::from_wire(message) {
                     Ok(Response::Error(reason)) => reason,
                     _ => "connection-level reply without a reason".into(),
-                };
-                dispatcher.refuse_all(reason);
-                return;
+                })
             }
-            Ok((env, _)) => env.corr,
-            Err(e) => break e.to_string(),
-        };
-        dispatcher.complete(corr, Ok(frame));
-    };
-    dispatcher.fail_all(&why);
+            Ok((env, _)) => Inbound::Reply { corr: env.corr, frame },
+            Err(e) => Inbound::Lost(e.to_string()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -511,6 +524,97 @@ mod tests {
         assert_eq!(mem.meter().sample().bytes_up, bare + 3 * ENVELOPE_LEN as u64);
         drop(tcp);
         server.join().unwrap();
+    }
+
+    /// Reads one request frame off a raw socket: its id and request.
+    fn read_request(sock: &mut TcpStream) -> (u64, Request) {
+        let frame = read_frame(sock).unwrap();
+        let (env, message) = Envelope::open(&frame).unwrap();
+        (env.corr, Request::from_wire(message).unwrap())
+    }
+
+    /// Answers call `corr` with a one-byte object naming the call.
+    fn answer(sock: &mut TcpStream, corr: u64, tag: u8) {
+        let reply = Envelope::untraced(corr).seal(&Response::Object(Some(vec![tag])));
+        write_frame(sock, &reply).unwrap();
+    }
+
+    #[test]
+    fn replies_in_reverse_order_reach_their_own_callers() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The peer waits for both calls, then answers the second first.
+        let peer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let first = read_request(&mut sock);
+            let second = read_request(&mut sock);
+            for (corr, request) in [second, first] {
+                let Request::Get { key } = request else { panic!("expected a Get") };
+                answer(&mut sock, corr, key.inode as u8);
+            }
+            // Hold the socket open until the client hangs up.
+            let _ = read_frame(&mut sock);
+        });
+        let t = TcpTransport::connect(&addr.to_string()).unwrap();
+        std::thread::scope(|scope| {
+            let callers: Vec<_> = [1u64, 2]
+                .into_iter()
+                .map(|inode| {
+                    let t = &t;
+                    scope.spawn(move || {
+                        let key = ObjectKey::data(inode, [0; 16], 0);
+                        (inode, t.call(&Request::Get { key }).unwrap())
+                    })
+                })
+                .collect();
+            for caller in callers {
+                let (inode, response) = caller.join().unwrap();
+                assert_eq!(response, Response::Object(Some(vec![inode as u8])), "crossed reply");
+            }
+        });
+        drop(t);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn a_timed_out_call_leaves_the_connection_usable_and_its_reply_an_orphan() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (timed_out_tx, timed_out_rx) = std::sync::mpsc::channel::<()>();
+        // The peer answers the first call only after the caller gave up,
+        // then answers the next call promptly.
+        let peer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let (late, _) = read_request(&mut sock);
+            timed_out_rx.recv().unwrap();
+            answer(&mut sock, late, 1);
+            let (next, _) = read_request(&mut sock);
+            answer(&mut sock, next, 2);
+            let _ = read_frame(&mut sock);
+        });
+        let orphans = sharoes_obs::global().counter("net_corr_orphans_total");
+        let before = orphans.get();
+        let t = TcpTransport::connect_with(
+            &addr.to_string(),
+            Duration::from_millis(100),
+            CostMeter::new_shared(),
+        )
+        .unwrap();
+        let key = ObjectKey::data(1, [0; 16], 0);
+        let err = t.call(&Request::Get { key }).unwrap_err();
+        assert!(
+            matches!(&err, NetError::Io(e) if e.kind() == ErrorKind::TimedOut),
+            "expected a timeout, got {err}"
+        );
+        timed_out_tx.send(()).unwrap();
+        // The late reply is read and dropped on the way to this one.
+        assert_eq!(t.call(&Request::Get { key }).unwrap(), Response::Object(Some(vec![2])));
+        assert!(orphans.get() > before, "the late reply was not counted as an orphan");
+        assert_eq!(t.meter().sample().round_trips, 1);
+        drop(t);
+        peer.join().unwrap();
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -130,6 +131,11 @@ impl Filter {
             }
         }
         filter
+    }
+
+    /// True when some target records events at some level.
+    pub fn enables_anything(&self) -> bool {
+        self.default_level.is_some() || self.targets.iter().any(|(_, level)| level.is_some())
     }
 
     /// True when events at `level` for `target` should be recorded.
@@ -382,6 +388,11 @@ struct LogInner {
 /// A bounded ring buffer of [`TraceEvent`]s behind a filter.
 pub struct EventLog {
     epoch: Instant,
+    /// Whether the filter enables anything, readable without the lock, so
+    /// spans and events that are switched off take no lock at all. It
+    /// publishes no other data (the filter itself is read under the lock),
+    /// so `Relaxed` suffices.
+    any_enabled: AtomicBool,
     inner: Mutex<LogInner>,
 }
 
@@ -390,6 +401,7 @@ impl EventLog {
     pub fn new(cap: usize, filter: Filter) -> EventLog {
         EventLog {
             epoch: Instant::now(),
+            any_enabled: AtomicBool::new(filter.enables_anything()),
             inner: Mutex::new(LogInner {
                 filter,
                 deterministic: false,
@@ -403,7 +415,9 @@ impl EventLog {
 
     /// Replaces the filter (tests and the CLI's `trace` toggles use this).
     pub fn set_filter(&self, filter: Filter) {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).filter = filter;
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        self.any_enabled.store(filter.enables_anything(), Ordering::Relaxed);
+        inner.filter = filter;
     }
 
     /// In deterministic mode timestamps are sequence numbers and span
@@ -423,8 +437,12 @@ impl EventLog {
         }
     }
 
-    /// True when events at `level` for `target` would be recorded.
+    /// True when events at `level` for `target` would be recorded. Takes
+    /// no lock while the filter enables nothing.
     pub fn enabled(&self, target: &str, level: Level) -> bool {
+        if !self.any_enabled.load(Ordering::Relaxed) {
+            return false;
+        }
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).filter.enabled(target, level)
     }
 
@@ -780,6 +798,26 @@ mod tests {
 
         let f = Filter::parse("");
         assert!(!f.enabled("net", Level::Error));
+    }
+
+    #[test]
+    fn the_published_flag_follows_the_filter() {
+        assert!(!Filter::off().enables_anything());
+        assert!(!Filter::parse("net=off,garbage").enables_anything());
+        assert!(Filter::parse("off,ssp=debug").enables_anything());
+        assert!(Filter::parse("warn").enables_anything());
+
+        let log = EventLog::new(8, Filter::off());
+        log.event(Level::Error, "t.x", String::new());
+        assert!(!log.enabled("t", Level::Error));
+        log.set_filter(Filter::parse("t=info"));
+        assert!(log.enabled("t", Level::Info));
+        assert!(!log.enabled("u", Level::Error));
+        log.event(Level::Info, "t.x", String::new());
+        log.set_filter(Filter::off());
+        assert!(!log.enabled("t", Level::Info));
+        log.event(Level::Info, "t.x", String::new());
+        assert_eq!(log.len(), 1, "only the event under the enabling filter is kept");
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! TCP serving loop for the SSP.
 //!
-//! The front end is split into three layers (DESIGN.md §14):
+//! The front end has two layers (DESIGN.md §14.2):
 //!
-//! * an **accept loop** that claims a connection-budget slot and starts a
-//!   thin reader per connection;
-//! * per-connection **readers** that do nothing but read frames and apply
-//!   the in-flight admission cap, then enqueue the frame;
-//! * a **bounded worker pool** ([`ServeOptions::workers`]) that runs each
-//!   frame through [`sharoes_net::serve_frame`] (envelope, request, store,
-//!   enveloped response) and writes the response back — so request
-//!   execution concurrency is capped by the pool, not by the client count.
+//! * an **accept loop** that claims a connection-budget slot and starts one
+//!   thread per connection;
+//! * per-connection **threads** that read a frame, run it through
+//!   [`sharoes_net::serve_frame`] (envelope, request, store, enveloped
+//!   response) and write the reply, then read the next frame. Execution is
+//!   capped process-wide: a request runs only while it holds one of
+//!   [`ServeOptions::workers`] permits, released before its reply is
+//!   written. An idle connection holds none.
 //!
 //! Every frame carries an envelope (`sharoes_net::envelope`) with a
-//! correlation id. A connection may keep up to `PIPELINE_DEPTH` requests in
-//! flight; responses echo the id and may complete out of order.
+//! correlation id, and each reply echoes it. A connection reads its next
+//! frame only after it has answered the last one, so one connection's
+//! replies come back in request order and TCP flow control back-pressures
+//! a client that writes faster than it is served.
 //!
 //! The SSP must stay up under hostile or flaky clients, so the loop is
 //! hardened:
@@ -31,17 +33,18 @@
 //! * The accept loop polls a stop flag on a nonblocking listener, so
 //!   [`TcpServerHandle::shutdown`] never hangs waiting for one more
 //!   connection — even when the listener is bound on `0.0.0.0` and the
-//!   loopback "poke" cannot reach it.
+//!   loopback "poke" cannot reach it. Shutdown then waits for executing
+//!   requests to finish, and no request starts after it returns.
 
 use crate::server::SspServer;
 use sharoes_net::envelope::connection_error;
-use sharoes_net::transport::{read_frame, write_frame, MAX_FRAME_LEN};
+use sharoes_net::transport::{read_frame, write_frame, FRAME_READ_BUF, MAX_FRAME_LEN};
 use sharoes_net::{serve_frame, NetError};
 use sharoes_obs::{Counter, Gauge};
-use std::collections::VecDeque;
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -52,7 +55,6 @@ struct ConnMetrics {
     active: Gauge,
     frames_too_large: Counter,
     bad_requests: Counter,
-    queued: Counter,
 }
 
 fn conn_metrics() -> &'static ConnMetrics {
@@ -63,16 +65,11 @@ fn conn_metrics() -> &'static ConnMetrics {
         active: sharoes_obs::gauge("ssp_conns_active"),
         frames_too_large: sharoes_obs::counter("ssp_frames_too_large_total"),
         bad_requests: sharoes_obs::counter("ssp_bad_requests_total"),
-        queued: sharoes_obs::counter("ssp_requests_queued_total"),
     })
 }
 
 /// How often the accept loop re-checks the stop flag while idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// Maximum requests in flight on one connection; the reader stops reading
-/// until a response frees a slot.
-const PIPELINE_DEPTH: usize = 32;
 
 /// Serving knobs.
 #[derive(Clone, Debug)]
@@ -81,8 +78,9 @@ pub struct ServeOptions {
     pub read_timeout: Option<Duration>,
     /// Maximum concurrent connections before new ones are shed.
     pub max_connections: usize,
-    /// Worker threads executing requests; 0 picks an automatic size
-    /// (available parallelism clamped to 2..=16).
+    /// Requests executing at once across all connections; a connection
+    /// thread waits for a free permit before it serves a frame. 0 picks an
+    /// automatic size (available parallelism clamped to 2..=16).
     pub workers: usize,
 }
 
@@ -108,8 +106,7 @@ pub struct TcpServerHandle {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    pool: Arc<Pool>,
-    workers: Vec<JoinHandle<()>>,
+    cap: Arc<ExecCap>,
 }
 
 impl TcpServerHandle {
@@ -118,7 +115,8 @@ impl TcpServerHandle {
         self.addr
     }
 
-    /// Requests shutdown and waits for the accept loop to exit.
+    /// Requests shutdown and waits for the accept loop to exit and for
+    /// executing requests to finish.
     ///
     /// Idempotent with [`Drop`]: whichever runs first joins the accept
     /// thread; the other is a no-op.
@@ -142,12 +140,9 @@ impl TcpServerHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Drain the worker pool: already-queued requests finish, parked
-        // workers wake and join.
-        self.pool.stop();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        // Requests already executing finish; connection threads that read
+        // another frame find the cap closed and hang up.
+        self.cap.close_and_drain();
     }
 }
 
@@ -175,28 +170,9 @@ pub fn serve_with(
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let live = Arc::new(AtomicUsize::new(0));
+    let cap = Arc::new(ExecCap::new(resolve_workers(options.workers)));
 
-    let pool = Arc::new(Pool {
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        stopping: AtomicBool::new(false),
-    });
-    let workers = (0..resolve_workers(options.workers))
-        .map(|i| {
-            let pool = Arc::clone(&pool);
-            let server = Arc::clone(&server);
-            std::thread::Builder::new()
-                .name(format!("sspd-worker-{i}"))
-                .spawn(move || {
-                    while let Some(job) = pool.pop() {
-                        run_job(&server, job);
-                    }
-                })
-                .expect("spawn worker thread")
-        })
-        .collect();
-
-    let accept_pool = Arc::clone(&pool);
+    let accept_cap = Arc::clone(&cap);
     let accept_thread = std::thread::Builder::new()
         .name("sspd-accept".into())
         .spawn(move || {
@@ -229,99 +205,91 @@ pub fn serve_with(
                     continue;
                 };
                 conn_metrics().accepted.inc();
-                let pool = Arc::clone(&accept_pool);
+                let server = Arc::clone(&server);
+                let cap = Arc::clone(&accept_cap);
                 let read_timeout = options.read_timeout;
-                let _ = std::thread::Builder::new()
-                    .name("sspd-conn".into())
-                    .spawn(move || read_connection(pool, sock, read_timeout, slot));
+                let _ = std::thread::Builder::new().name("sspd-conn".into()).spawn(move || {
+                    serve_connection(&server, &cap, &sock, read_timeout);
+                    drop(slot);
+                });
             }
         })
         .expect("spawn accept thread");
 
-    Ok(TcpServerHandle { addr: local, stop, accept_thread: Some(accept_thread), pool, workers })
+    Ok(TcpServerHandle { addr: local, stop, accept_thread: Some(accept_thread), cap })
 }
 
-/// One request frame waiting for a worker.
-struct Job {
-    frame: Vec<u8>,
-    conn: Arc<ConnShared>,
+/// The process-wide execution cap: a counter of free permits. Closing it
+/// refuses every later permit.
+struct ExecCap {
+    state: Mutex<CapState>,
+    freed: Condvar,
 }
 
-/// The bounded worker pool: a FIFO queue drained by `workers` threads.
-struct Pool {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
-    stopping: AtomicBool,
+struct CapState {
+    free: usize,
+    total: usize,
+    /// Threads waiting on `freed`, so a release wakes someone only when
+    /// someone is there.
+    waiting: usize,
+    closed: bool,
 }
 
-impl Pool {
-    fn push(&self, job: Job) {
-        if self.stopping.load(Ordering::SeqCst) {
-            job.conn.finish();
-            return;
-        }
-        self.queue.lock().unwrap_or_else(|e| e.into_inner()).push_back(job);
-        conn_metrics().queued.inc();
-        self.available.notify_one();
-    }
+/// One held permit; released on drop.
+struct Permit<'a>(&'a ExecCap);
 
-    /// Next job, blocking while the queue is empty. Returns `None` once the
-    /// pool is stopping *and* the queue has drained.
-    fn pop(&self) -> Option<Job> {
-        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(job) = queue.pop_front() {
-                return Some(job);
-            }
-            if self.stopping.load(Ordering::SeqCst) {
-                return None;
-            }
-            queue = self.available.wait(queue).unwrap_or_else(|e| e.into_inner());
+impl ExecCap {
+    fn new(total: usize) -> ExecCap {
+        ExecCap {
+            state: Mutex::new(CapState { free: total, total, waiting: 0, closed: false }),
+            freed: Condvar::new(),
         }
     }
 
-    fn stop(&self) {
-        self.stopping.store(true, Ordering::SeqCst);
-        self.available.notify_all();
+    fn lock(&self) -> MutexGuard<'_, CapState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
 
-/// Per-connection state shared by its reader thread and the workers
-/// holding its queued jobs: the (mutex-serialized) write half, and the
-/// in-flight admission count that implements pipeline-depth gating. The
-/// budget slot rides along so it frees only when the reader *and* every
-/// outstanding job are done.
-struct ConnShared {
-    writer: Mutex<TcpStream>,
-    inflight: Mutex<usize>,
-    room: Condvar,
-    _slot: ConnSlot,
-}
-
-impl ConnShared {
-    /// Blocks until this connection is below [`PIPELINE_DEPTH`] in-flight
-    /// requests, then claims one admission.
-    fn admit(&self) {
-        let mut n = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        while *n >= PIPELINE_DEPTH {
-            n = self.room.wait(n).unwrap_or_else(|e| e.into_inner());
+    /// Waits for a free permit; `None` once the cap is closed.
+    fn acquire(&self) -> Option<Permit<'_>> {
+        let mut st = self.lock();
+        while st.free == 0 && !st.closed {
+            st.waiting += 1;
+            st = self.freed.wait(st).unwrap_or_else(|e| e.into_inner());
+            st.waiting -= 1;
         }
-        *n += 1;
+        if st.closed {
+            return None;
+        }
+        st.free -= 1;
+        Some(Permit(self))
     }
 
-    /// Releases one admission (response written, or the job was dropped).
-    fn finish(&self) {
-        let mut n = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        *n = n.saturating_sub(1);
-        drop(n);
-        self.room.notify_all();
+    /// Refuses every later permit, then waits until the held ones are
+    /// back.
+    fn close_and_drain(&self) {
+        let mut st = self.lock();
+        st.closed = true;
+        self.freed.notify_all();
+        while st.free < st.total {
+            st.waiting += 1;
+            st = self.freed.wait(st).unwrap_or_else(|e| e.into_inner());
+            st.waiting -= 1;
+        }
     }
+}
 
-    /// Writes one response frame. Write errors are swallowed: the reader
-    /// notices the dead socket and winds the connection down.
-    fn write_response(&self, frame: &[u8]) {
-        let mut sock = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = write_frame(&mut *sock, frame);
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut st = self.0.lock();
+        st.free += 1;
+        // A closed cap has a drain waiting, which a single wake-up might
+        // miss; otherwise one waiting request can take the permit.
+        if st.closed {
+            self.0.freed.notify_all();
+        } else if st.waiting > 0 {
+            self.0.freed.notify_one();
+        }
     }
 }
 
@@ -360,35 +328,27 @@ fn peer_label(sock: &TcpStream) -> String {
     sock.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into())
 }
 
-/// Per-connection reader: reads frames, applies the in-flight admission
-/// cap, and feeds the worker pool. Envelope and request decoding and all
-/// request execution happen on the workers.
-fn read_connection(
-    pool: Arc<Pool>,
-    mut sock: TcpStream,
+/// One connection's thread: reads a frame, serves it under an execution
+/// permit, writes the reply, and reads the next, until the peer hangs up,
+/// idles past `read_timeout`, or the server shuts down.
+fn serve_connection(
+    server: &SspServer,
+    cap: &ExecCap,
+    sock: &TcpStream,
     read_timeout: Option<Duration>,
-    slot: ConnSlot,
 ) {
     let _ = sock.set_nodelay(true);
     let _ = sock.set_read_timeout(read_timeout);
-    let writer = match sock.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let conn = Arc::new(ConnShared {
-        writer: Mutex::new(writer),
-        inflight: Mutex::new(0),
-        room: Condvar::new(),
-        _slot: slot,
-    });
+    let mut reader = BufReader::with_capacity(FRAME_READ_BUF, sock);
+    let mut writer = sock;
     loop {
-        let frame = match read_frame(&mut sock) {
+        let frame = match read_frame(&mut reader) {
             Ok(f) => f,
             Err(NetError::FrameTooLarge(n)) => {
                 // Tell the client why before hanging up; the stream is no
                 // longer framable (the body was never read), so close.
                 conn_metrics().frames_too_large.inc();
-                let peer = peer_label(&sock);
+                let peer = peer_label(sock);
                 let bytes = n;
                 let limit = MAX_FRAME_LEN;
                 sharoes_obs::obs_event!(
@@ -398,25 +358,25 @@ fn read_connection(
                     bytes,
                     limit
                 );
-                conn.write_response(&connection_error(format!("frame too large: {n} bytes")));
+                let _ = write_frame(
+                    &mut writer,
+                    &connection_error(format!("frame too large: {n} bytes")),
+                );
                 return;
             }
             Err(_) => return, // disconnect or idle timeout
         };
-        conn.admit();
-        pool.push(Job { frame, conn: Arc::clone(&conn) });
+        let reply = {
+            let Some(_permit) = cap.acquire() else { return };
+            serve_frame(server, &frame, "tcp").unwrap_or_else(|error| {
+                conn_metrics().bad_requests.inc();
+                error
+            })
+        };
+        if write_frame(&mut writer, &reply).is_err() {
+            return;
+        }
     }
-}
-
-/// Executes one queued request frame on a worker thread and writes its
-/// response.
-fn run_job(server: &Arc<SspServer>, job: Job) {
-    let reply = serve_frame(server.as_ref(), &job.frame, "tcp").unwrap_or_else(|error| {
-        conn_metrics().bad_requests.inc();
-        error
-    });
-    job.conn.write_response(&reply);
-    job.conn.finish();
 }
 
 #[cfg(test)]
@@ -495,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_pool_still_serves_all_clients() {
+    fn one_permit_still_serves_every_connection() {
         let server = SspServer::new().into_shared();
         let options = ServeOptions { workers: 1, ..ServeOptions::default() };
         let handle = serve_with(Arc::clone(&server), "127.0.0.1:0", options).unwrap();
