@@ -1,12 +1,12 @@
 #!/bin/sh
-# Hermetic CI gate: formatting, the non-test line count, lints, offline
-# release build, offline tests, pinned-seed chaos runs, the metrics- and
-# trace-determinism gates, the enterprise scenario gate (revocation/rotation
-# oracles + registry determinism), the concurrency gate (sharded-vs-single-
-# lock byte equivalence, including a drive of many threads over one shared
-# TCP connection, + the contention-bench throughput floor), the bench
-# ablations with their BENCH_*.json validation, esign768 and hash
-# crypto_micro smoke runs, and the benchmark's own tests. The three
+# Hermetic CI gate: formatting, the non-test line count, lints, rustdoc
+# warnings, offline release build, offline tests, pinned-seed chaos runs,
+# the metrics- and trace-determinism gates, the enterprise scenario gate
+# (revocation/rotation oracles + registry determinism), the concurrency
+# gate (sharded-vs-single-lock byte equivalence, including a drive of many
+# threads over one shared TCP connection, + the contention-bench throughput
+# floor), the bench ablations with their BENCH_*.json validation, esign768
+# and hash crypto_micro smoke runs, and the benchmark's own tests. The three
 # registry gates run a second time at --test-threads=1, and their exports
 # must match the default-parallel run byte for byte.
 #
@@ -84,6 +84,11 @@ step "non-test Rust line count (printed, not gated)" \
 
 step "cargo clippy -D warnings (lints are errors)" \
     cargo clippy --offline --workspace --all-targets -- -D warnings
+
+# Rustdoc warnings are errors too: a deleted item must not leave a dangling
+# intra-doc link behind.
+step "cargo doc -D warnings (no dangling intra-doc links)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 step "cargo build --release --offline" \
     cargo build --release --offline --workspace
@@ -190,11 +195,6 @@ diff_pair "thread-count determinism: index registry export, parallel vs serial" 
     target/index-registry-a.parallel.txt target/index-registry-a.txt
 
 if [ "$QUICK" -eq 0 ]; then
-    # Tracing-overhead ablation: spans off vs on over the same seeded
-    # workload, exported as BENCH_obs.json for the trajectory record.
-    step "tracing-overhead ablation (writes BENCH_obs.json)" \
-        cargo run -q --offline --release -p sharoes-bench --bin paper-figures -- --quick obs
-
     # Indexed-vs-flat scan ablation with proof overhead, exported as
     # BENCH_index.json for the trajectory record.
     step "authenticated-index scan ablation (writes BENCH_index.json)" \

@@ -228,9 +228,6 @@ fn required_keys(benchmark: &str) -> &'static [(&'static str, &'static str)] {
         "authenticated_index" => {
             &[("page", "number"), ("points", "array"), ("mutate_then_prove", "array")]
         }
-        "obs_tracing_overhead" => {
-            &[("spans_off", "object"), ("spans_on", "object"), ("overhead_pct", "number")]
-        }
         "concurrency" => {
             &[("backend", "string"), ("points", "array"), ("speedup_multi_vs_single", "number")]
         }

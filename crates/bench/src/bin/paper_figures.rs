@@ -17,8 +17,7 @@
 //! EXPERIMENTS.md).
 
 use sharoes_bench::harness::{
-    all_policies, fmt_secs, four_policies, quantile_lines, scheme_for, Bench, BenchOpts, Table,
-    BENCH_USER,
+    all_policies, fmt_secs, four_policies, quantile_lines, BenchOpts, Table,
 };
 use sharoes_bench::workloads::{
     ablations, andrew, createlist, enterprise, opcosts, postmark, storage,
@@ -91,7 +90,6 @@ fn print_help() {
          \x20 enterprise revocation storms, rotation lifecycle, Scheme-1/2 crossover\n\
          \x20            (population size via SHAROES_SCALE=small|medium|large|million;\n\
          \x20            writes BENCH_enterprise.json)\n\
-         \x20 obs        tracing-overhead ablation, spans off vs on (writes BENCH_obs.json)\n\
          \x20 index      authenticated-index ablation: flat vs indexed scans, proof\n\
          \x20            overhead at several keyspace sizes, mutate-one-key-then-prove\n\
          \x20            vs rebuild (writes BENCH_index.json)\n\
@@ -783,95 +781,6 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
     println!("wrote {out}");
 }
 
-/// Tracing-overhead ablation: runs the same seeded create/write/read
-/// workload twice — spans off, then spans fully on — and reports wall
-/// nanoseconds per op both ways plus what the span buffer captured. Writes
-/// `BENCH_obs.json`.
-fn obs_report(opts: &BenchOpts, quick: bool) {
-    use sharoes_core::CryptoPolicy;
-    use sharoes_fs::Mode;
-
-    let (files, dirs) = if quick { (24, 4) } else { (120, 8) };
-    println!("\n== OBS: tracing-overhead ablation ({files} files in {dirs} dirs) ==");
-    let tracer = sharoes_obs::tracer();
-    let saved_filter = std::env::var("SHAROES_LOG").unwrap_or_default();
-    // (label, ns/op, events captured, dropped, distinct traces)
-    let mut rows: Vec<(&str, u64, usize, u64, usize)> = Vec::new();
-    for spans_on in [false, true] {
-        tracer.set_filter(if spans_on {
-            sharoes_obs::Filter::parse("debug")
-        } else {
-            sharoes_obs::Filter::off()
-        });
-        let _ = tracer.take();
-        sharoes_obs::clear_slow_ops();
-        let dropped_before = tracer.dropped();
-        let bench = Bench::new(
-            CryptoPolicy::Sharoes,
-            scheme_for(CryptoPolicy::Sharoes),
-            opts,
-            (files + dirs) * 2 + 8,
-        );
-        let mut client = bench.client(BENCH_USER, None);
-        let ops = dirs + 3 * files;
-        let t0 = std::time::Instant::now();
-        for d in 0..dirs {
-            client.mkdir(&format!("/bench/d{d}"), Mode::from_octal(0o755)).expect("mkdir");
-        }
-        for f in 0..files {
-            let path = format!("/bench/d{}/f{f}", f % dirs);
-            client.create(&path, Mode::from_octal(0o644)).expect("create");
-            client.write_file(&path, format!("obs ablation {f}\n").as_bytes()).expect("write");
-            client.read(&path).expect("read");
-        }
-        let ns_per_op = (t0.elapsed().as_nanos() as u64) / ops as u64;
-        let events = tracer.snapshot();
-        let traces: std::collections::BTreeSet<u128> =
-            events.iter().map(|e| e.trace_id).filter(|&t| t != 0).collect();
-        rows.push((
-            if spans_on { "spans on" } else { "spans off" },
-            ns_per_op,
-            events.len(),
-            tracer.dropped() - dropped_before,
-            traces.len(),
-        ));
-    }
-    tracer.set_filter(sharoes_obs::Filter::parse(&saved_filter));
-    let _ = tracer.take();
-
-    let mut table = Table::new(&["mode", "ns/op", "events", "dropped", "traces"]);
-    for (label, ns, events, dropped, traces) in &rows {
-        table.row(vec![
-            label.to_string(),
-            ns.to_string(),
-            events.to_string(),
-            dropped.to_string(),
-            traces.to_string(),
-        ]);
-    }
-    table.print();
-    let off = rows[0].1.max(1);
-    let overhead_pct = (rows[1].1 as f64 / off as f64 - 1.0) * 100.0;
-    println!("tracing overhead: {overhead_pct:+.1}% wall ns/op (spans on vs off)");
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"benchmark\": {},\n", json_str("obs_tracing_overhead")));
-    json.push_str(&format!("  \"files\": {files},\n  \"dirs\": {dirs},\n"));
-    json.push_str(&format!("  \"ops\": {},\n", dirs + 3 * files));
-    for (label, ns, events, dropped, traces) in &rows {
-        let key = if *label == "spans on" { "spans_on" } else { "spans_off" };
-        json.push_str(&format!(
-            "  \"{key}\": {{\"ns_per_op\": {ns}, \"events\": {events}, \
-             \"dropped\": {dropped}, \"traces\": {traces}}},\n"
-        ));
-    }
-    json.push_str(&format!("  \"overhead_pct\": {overhead_pct:.2}\n"));
-    json.push_str("}\n");
-    let out = "BENCH_obs.json";
-    std::fs::write(out, &json).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
-    println!("wrote {out}");
-}
-
 /// Contention benchmark: the CI gate for the high-concurrency front end.
 /// Real TCP throughout — one sspd for the client-mode sweep, then a 3-node
 /// cluster with sequential replica fan-out. Writes
@@ -987,7 +896,6 @@ fn main() {
         "storage" => storage_report(&args.opts, args.quick),
         "ablations" => ablations_report(&args.opts, args.quick),
         "enterprise" => enterprise_report(&args.opts, args.quick),
-        "obs" => obs_report(&args.opts, args.quick),
         "index" => index_report(&args.opts, args.quick),
         "concurrency" => concurrency_report(args.quick),
         "summary" => {
@@ -1003,7 +911,6 @@ fn main() {
             storage_report(&args.opts, args.quick);
             ablations_report(&args.opts, args.quick);
             enterprise_report(&args.opts, args.quick);
-            obs_report(&args.opts, args.quick);
             index_report(&args.opts, args.quick);
             concurrency_report(args.quick);
             summary(&r9);

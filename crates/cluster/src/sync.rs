@@ -441,20 +441,6 @@ impl ClusterTransport {
         }
     }
 
-    /// Index roots of every active node, in slot order: `(name, root &
-    /// count, or the error that kept the node from answering)`. This is the
-    /// replica-agreement view the `root` / `cluster-status` shell commands
-    /// print.
-    #[allow(clippy::type_complexity)]
-    pub fn node_roots(&mut self) -> Vec<(String, Result<([u8; 32], u64), NetError>)> {
-        let mut out = Vec::new();
-        for idx in self.active_indices() {
-            let result = self.node_root(idx);
-            out.push((self.node_name(idx).to_string(), result));
-        }
-        out
-    }
-
     /// One index node from node `idx`, verified by re-digesting its bytes
     /// against the requested hash.
     fn fetch_node(&mut self, idx: usize, hash: &[u8; 32]) -> Result<IndexNode, NetError> {

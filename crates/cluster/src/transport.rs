@@ -217,11 +217,6 @@ impl ClusterTransport {
         !self.nodes[idx].retired
     }
 
-    /// Name of the node in slot `idx`.
-    pub(crate) fn node_name(&self, idx: usize) -> &str {
-        &self.nodes[idx].name
-    }
-
     /// Node indices holding replicas of `key`, in ring preference order.
     pub(crate) fn replica_indices(&self, key: &ObjectKey) -> Vec<usize> {
         self.ring

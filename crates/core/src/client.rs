@@ -1882,11 +1882,6 @@ impl SharoesClient {
         Ok(version)
     }
 
-    /// Current mount-KEK version, if a chain has been loaded.
-    pub fn kek_version(&self) -> Option<u32> {
-        self.kek.as_ref().map(KekChain::current_version)
-    }
-
     /// The loaded KEK chain. Test oracles snapshot it
     /// ([`KekChain::snapshot_through`]) to model a holder whose key
     /// material predates a rotation.

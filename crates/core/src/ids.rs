@@ -68,13 +68,12 @@ impl WireRead for ClassTag {
 }
 
 fn h16(parts: &[&[u8]]) -> [u8; 16] {
-    use sharoes_crypto::Digest;
     let mut h = Sha256::new();
     for p in parts {
         h.update(&(p.len() as u32).to_be_bytes());
         h.update(p);
     }
-    let digest = h.finalize_vec();
+    let digest = h.finalize_array();
     let mut out = [0u8; 16];
     out.copy_from_slice(&digest[..16]);
     out

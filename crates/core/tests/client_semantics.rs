@@ -9,7 +9,7 @@ use sharoes_core::scheme::MANIFEST_BLOCK;
 use sharoes_core::{
     ids, ClassTag, ClientConfig, CoreError, CryptoPolicy, Scheme, SharoesClient, ViewId,
 };
-use sharoes_crypto::{Digest, HmacDrbg, Sha256};
+use sharoes_crypto::{HmacDrbg, Sha256};
 use sharoes_fs::{Acl, Mode, NodeKind, Perm};
 use sharoes_net::{InMemoryTransport, ObjectKey};
 use std::sync::Arc;
@@ -442,7 +442,7 @@ fn sealed_digests(policy: CryptoPolicy) -> Vec<String> {
             h.update(&Sha256::digest(&record));
         }
         assert!(store.get(&ObjectKey::data(inode, dview, nblocks)).is_none());
-        out.push(hex(&h.finalize_vec()));
+        out.push(hex(&h.finalize_array()));
     }
     out.push(hex(&Sha256::digest(&world.server.store().snapshot())));
     out
@@ -508,7 +508,7 @@ fn sealed_records_match_the_golden_digests() {
 
 /// SHA-256 over the SHA-256s of every table-replica slot of directory
 /// `inode` (an absent slot hashes as 32 zero bytes), in a fixed view order.
-fn table_digest(world: &World, inode: u64) -> Vec<u8> {
+fn table_digest(world: &World, inode: u64) -> [u8; 32] {
     let views: Vec<ViewId> = match world.config.effective_scheme() {
         Scheme::PerUser => (0..=3).map(ViewId::User).collect(),
         Scheme::SharedCaps => {
@@ -526,7 +526,7 @@ fn table_digest(world: &World, inode: u64) -> Vec<u8> {
             None => h.update(&[0u8; 32]),
         }
     }
-    h.finalize_vec()
+    h.finalize_array()
 }
 
 /// Runs the edit sequence and returns one digest per step (the touched
@@ -551,7 +551,7 @@ fn table_digests(policy: CryptoPolicy, scheme: Scheme) -> Vec<String> {
             let inode = alice.getattr(dir).unwrap().inode;
             h.update(&table_digest(&world, inode));
         }
-        out.push(hex(&h.finalize_vec()));
+        out.push(hex(&h.finalize_array()));
     };
     let m = Mode::from_octal;
     let (home, t, dropbox) = ("/home/alice", "/home/alice/t", "/home/alice/dropbox");

@@ -9,18 +9,14 @@
 //! This block cipher is the portable implementation. The bulk CTR path in
 //! [`crate::modes::ctr_xor`] detects AES-NI at run time and, when present,
 //! feeds the same round keys, unchanged, to AESENC; the key schedule here
-//! serves both paths, and the code below is the only fallback.
+//! serves both paths, and the code below is the only fallback. There is no
+//! inverse cipher: CTR, the one mode, only ever encrypts blocks.
 
 use std::sync::OnceLock;
 
-struct Tables {
-    sbox: [u8; 256],
-    inv_sbox: [u8; 256],
-}
-
-fn tables() -> &'static Tables {
-    static TABLES: OnceLock<Tables> = OnceLock::new();
-    TABLES.get_or_init(|| {
+fn sbox() -> &'static [u8; 256] {
+    static SBOX: OnceLock<[u8; 256]> = OnceLock::new();
+    SBOX.get_or_init(|| {
         // log/antilog tables over GF(2^8) with generator 3.
         let mut alog = [0u8; 256];
         let mut log = [0u8; 256];
@@ -34,39 +30,22 @@ fn tables() -> &'static Tables {
         alog[255] = alog[0];
 
         let mut sbox = [0u8; 256];
-        let mut inv_sbox = [0u8; 256];
-        for b in 0..256usize {
+        for (b, s) in sbox.iter_mut().enumerate() {
             let inv = if b == 0 { 0 } else { alog[(255 - log[b] as usize) % 255] };
-            let s = inv
+            *s = inv
                 ^ inv.rotate_left(1)
                 ^ inv.rotate_left(2)
                 ^ inv.rotate_left(3)
                 ^ inv.rotate_left(4)
                 ^ 0x63;
-            sbox[b] = s;
-            inv_sbox[s as usize] = b as u8;
         }
-        Tables { sbox, inv_sbox }
+        sbox
     })
 }
 
 #[inline]
 fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
-}
-
-/// GF(2^8) multiplication.
-#[inline]
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 == 1 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
 }
 
 /// An expanded AES-128 key (11 round keys).
@@ -78,7 +57,7 @@ pub struct Aes128 {
 impl Aes128 {
     /// Expands a 16-byte key.
     pub fn new(key: &[u8; 16]) -> Self {
-        let t = tables();
+        let sbox = sbox();
         let mut w = [[0u8; 4]; 44];
         for i in 0..4 {
             w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
@@ -89,7 +68,7 @@ impl Aes128 {
             if i % 4 == 0 {
                 temp.rotate_left(1);
                 for b in temp.iter_mut() {
-                    *b = t.sbox[*b as usize];
+                    *b = sbox[*b as usize];
                 }
                 temp[0] ^= rcon;
                 rcon = xtime(rcon);
@@ -115,32 +94,17 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let t = tables();
+        let sbox = sbox();
         add_round_key(block, &self.round_keys[0]);
         for round in 1..10 {
-            sub_bytes(block, &t.sbox);
+            sub_bytes(block, sbox);
             shift_rows(block);
             mix_columns(block);
             add_round_key(block, &self.round_keys[round]);
         }
-        sub_bytes(block, &t.sbox);
+        sub_bytes(block, sbox);
         shift_rows(block);
         add_round_key(block, &self.round_keys[10]);
-    }
-
-    /// Decrypts one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        let t = tables();
-        add_round_key(block, &self.round_keys[10]);
-        for round in (1..10).rev() {
-            inv_shift_rows(block);
-            sub_bytes(block, &t.inv_sbox);
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-        }
-        inv_shift_rows(block);
-        sub_bytes(block, &t.inv_sbox);
-        add_round_key(block, &self.round_keys[0]);
     }
 }
 
@@ -173,16 +137,6 @@ fn shift_rows(state: &mut [u8; 16]) {
 }
 
 #[inline]
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [state[r], state[r + 4], state[r + 8], state[r + 12]];
-        for c in 0..4 {
-            state[r + 4 * c] = row[(c + 4 - r) % 4];
-        }
-    }
-}
-
-#[inline]
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
         let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
@@ -190,17 +144,6 @@ fn mix_columns(state: &mut [u8; 16]) {
         state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
         state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
         state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
-#[inline]
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        state[4 * c + 1] = gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        state[4 * c + 2] = gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        state[4 * c + 3] = gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
     }
 }
 
@@ -218,14 +161,11 @@ mod tests {
 
     #[test]
     fn sbox_known_entries() {
-        let t = tables();
-        assert_eq!(t.sbox[0x00], 0x63);
-        assert_eq!(t.sbox[0x01], 0x7c);
-        assert_eq!(t.sbox[0x53], 0xed);
-        assert_eq!(t.sbox[0xff], 0x16);
-        for i in 0..256 {
-            assert_eq!(t.inv_sbox[t.sbox[i] as usize] as usize, i);
-        }
+        let sbox = sbox();
+        assert_eq!(sbox[0x00], 0x63);
+        assert_eq!(sbox[0x01], 0x7c);
+        assert_eq!(sbox[0x53], 0xed);
+        assert_eq!(sbox[0xff], 0x16);
     }
 
     #[test]
@@ -235,8 +175,6 @@ mod tests {
         let aes = Aes128::new(&key);
         aes.encrypt_block(&mut block);
         assert_eq!(block, parse16("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block, parse16("00112233445566778899aabbccddeeff"));
     }
 
     #[test]
@@ -253,22 +191,6 @@ mod tests {
             let mut block = parse16(pt);
             aes.encrypt_block(&mut block);
             assert_eq!(block, parse16(ct), "plaintext {pt}");
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, parse16(pt));
-        }
-    }
-
-    #[test]
-    fn roundtrip_many_keys() {
-        for seed in 0u8..16 {
-            let key = [seed; 16];
-            let aes = Aes128::new(&key);
-            let original = [seed.wrapping_mul(3); 16];
-            let mut block = original;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, original);
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, original);
         }
     }
 }

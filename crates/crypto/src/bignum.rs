@@ -158,11 +158,6 @@ impl BigUint {
         self.limbs[limb] |= 1 << (i % 64);
     }
 
-    /// Returns the low 64 bits of the value.
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     /// Returns `Some(v)` when the value fits in a u64.
     pub fn to_u64(&self) -> Option<u64> {
         match self.limbs.len() {
@@ -468,16 +463,6 @@ impl BigUint {
     /// `(self * other) mod modulus` without Montgomery machinery.
     pub fn mul_mod(&self, other: &Self, modulus: &Self) -> Self {
         self.mul(other).rem(modulus)
-    }
-
-    /// `(self + other) mod modulus`; operands must already be reduced.
-    pub fn add_mod(&self, other: &Self, modulus: &Self) -> Self {
-        let s = self.add(other);
-        if s.cmp_ref(modulus) == Ordering::Less {
-            s
-        } else {
-            s.sub(modulus)
-        }
     }
 
     /// `(self - other) mod modulus`; operands must already be reduced.

@@ -1,40 +1,13 @@
-//! HMAC (RFC 2104), generic over the [`Digest`] trait.
+//! HMAC-SHA-256 (RFC 2104 over FIPS 180-4 SHA-256).
 //!
 //! Sharoes uses HMAC-SHA-256 both as the keyed hash that derives exec-only
 //! directory-row keys from entry names (paper §III-A: "a keyed hash function
-//! like MD5 or SHA1 with DEK_this as the key") and inside the deterministic
-//! DRBG.
+//! like MD5 or SHA1 with DEK_this as the key"; SHA-256 is the one hash this
+//! crate carries) and inside the deterministic DRBG.
 
-use crate::digest::Digest;
-use crate::md5::Md5;
-use crate::sha1::Sha1;
 use crate::sha256::Sha256;
 
-/// Computes `HMAC_D(key, message)`.
-pub fn hmac<D: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
-    let mut key_block = vec![0u8; D::BLOCK_LEN];
-    if key.len() > D::BLOCK_LEN {
-        let hashed = D::hash(key);
-        key_block[..hashed.len()].copy_from_slice(&hashed);
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut inner = D::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_hash = inner.finalize_vec();
-
-    let mut outer = D::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_hash);
-    outer.finalize_vec()
-}
-
-/// HMAC-SHA-256 returning a fixed array. Equal to [`hmac`] over
-/// [`Sha256`], computed on the stack.
+/// HMAC-SHA-256 of `message` under `key`, computed on the stack.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     let mut mac = HmacSha256::new(key);
     mac.update(message);
@@ -79,22 +52,6 @@ impl HmacSha256 {
     }
 }
 
-/// HMAC-SHA-1 returning a fixed array (paper-fidelity option).
-pub fn hmac_sha1(key: &[u8], message: &[u8]) -> [u8; 20] {
-    let v = hmac::<Sha1>(key, message);
-    let mut out = [0u8; 20];
-    out.copy_from_slice(&v);
-    out
-}
-
-/// HMAC-MD5 returning a fixed array (paper-fidelity option; broken, unused).
-pub fn hmac_md5(key: &[u8], message: &[u8]) -> [u8; 16] {
-    let v = hmac::<Md5>(key, message);
-    let mut out = [0u8; 16];
-    out.copy_from_slice(&v);
-    out
-}
-
 /// Constant-time byte-slice equality, for MAC comparisons.
 pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
@@ -134,20 +91,6 @@ mod tests {
         let key = [0xaau8; 131];
         let out = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
         assert_eq!(hex(&out), "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
-    }
-
-    #[test]
-    fn rfc2202_hmac_sha1() {
-        let key = [0x0bu8; 20];
-        assert_eq!(hex(&hmac_sha1(&key, b"Hi There")), "b617318655057264e28bc0b6fb378c8ef146be00");
-    }
-
-    #[test]
-    fn rfc2202_hmac_md5() {
-        assert_eq!(
-            hex(&hmac_md5(b"Jefe", b"what do ya want for nothing?")),
-            "750c783e6ab0b503eaa86e310a5db738"
-        );
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! The paper's design deliberately mixes three classes of primitives, and the
 //! relative costs between them are what the whole evaluation hinges on:
 //!
-//! * **Symmetric encryption** — AES-128 ([`aes`], [`modes`]) for data blocks
-//!   (DEK) and, uniquely in Sharoes, for metadata objects (MEK).
+//! * **Symmetric encryption** — AES-128 in CTR mode ([`aes`], [`modes`]) for
+//!   data blocks (DEK) and, uniquely in Sharoes, for metadata objects (MEK).
+//!   SHA-256 ([`sha256`]) and HMAC-SHA-256 ([`hmac`]) are the one hash and
+//!   keyed hash: digests, exec-only row keys and the DRBG ([`drbg`]).
 //! * **Fast signatures** — ESIGN ([`esign`]) for DSK/DVK and MSK/MVK
 //!   signing/verification, an order of magnitude faster than RSA.
 //! * **Public-key encryption** — RSA-2048 ([`rsa`]) for user identities, the
@@ -47,25 +49,21 @@
 mod accel;
 pub mod aes;
 pub mod bignum;
-pub mod digest;
 pub mod drbg;
 pub mod encoding;
 pub mod error;
 pub mod esign;
 pub mod hmac;
 pub mod keys;
-pub mod md5;
 pub mod modes;
 pub mod montgomery;
 pub mod prime;
 pub mod rsa;
-pub mod sha1;
 pub mod sha256;
 pub mod work;
 
 pub use aes::Aes128;
 pub use bignum::BigUint;
-pub use digest::Digest;
 pub use drbg::{HmacDrbg, RandomSource, SystemRandom};
 pub use error::CryptoError;
 pub use esign::{EsignPrivateKey, EsignPublicKey, DEFAULT_ESIGN_BITS};

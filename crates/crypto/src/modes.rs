@@ -1,4 +1,4 @@
-//! Block-cipher modes of operation over AES-128: CTR and CBC/PKCS#7.
+//! AES-128 in CTR mode, the one mode Sharoes seals with.
 //!
 //! Sharoes seals data and metadata blocks with AES-CTR and a random 16-byte
 //! IV prepended to the ciphertext; integrity comes from the DSK/MSK signature
@@ -9,7 +9,7 @@
 //! per batch with AESENC ([`ctr_xor_accelerated`]); anywhere else it runs
 //! the portable block-at-a-time code ([`ctr_xor_scalar`]). Both produce the
 //! same bytes, and the scalar path is the oracle the differential tests hold
-//! the hardware path to. CBC stays scalar: nothing on the bulk path uses it.
+//! the hardware path to.
 
 use crate::aes::Aes128;
 use crate::drbg::RandomSource;
@@ -83,64 +83,6 @@ pub fn ctr_open(aes: &Aes128, blob: &[u8]) -> Result<Vec<u8>, CryptoError> {
     Ok(out)
 }
 
-/// Encrypts with AES-CBC and PKCS#7 padding, returning `iv || ciphertext`.
-pub fn cbc_seal<R: RandomSource + ?Sized>(aes: &Aes128, rng: &mut R, plaintext: &[u8]) -> Vec<u8> {
-    let mut iv = [0u8; 16];
-    rng.fill_bytes(&mut iv);
-
-    let pad = 16 - plaintext.len() % 16;
-    let mut data = Vec::with_capacity(plaintext.len() + pad);
-    data.extend_from_slice(plaintext);
-    data.extend(std::iter::repeat_n(pad as u8, pad));
-
-    crate::work::count(|w| w.sym_bytes += data.len() as u64);
-    let mut out = Vec::with_capacity(16 + data.len());
-    out.extend_from_slice(&iv);
-    let mut prev = iv;
-    for chunk in data.chunks(16) {
-        let mut block = [0u8; 16];
-        block.copy_from_slice(chunk);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        aes.encrypt_block(&mut block);
-        out.extend_from_slice(&block);
-        prev = block;
-    }
-    out
-}
-
-/// Decrypts a blob produced by [`cbc_seal`], validating the PKCS#7 padding.
-pub fn cbc_open(aes: &Aes128, blob: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    if blob.len() < 32 || !blob.len().is_multiple_of(16) {
-        return Err(CryptoError::InvalidCiphertext("CBC blob has bad length"));
-    }
-    crate::work::count(|w| w.sym_bytes += blob.len() as u64 - 16);
-    let mut prev = [0u8; 16];
-    prev.copy_from_slice(&blob[..16]);
-    let mut out = Vec::with_capacity(blob.len() - 16);
-    for chunk in blob[16..].chunks(16) {
-        let mut block = [0u8; 16];
-        block.copy_from_slice(chunk);
-        let saved = block;
-        aes.decrypt_block(&mut block);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        out.extend_from_slice(&block);
-        prev = saved;
-    }
-    let pad = *out.last().expect("non-empty by length check") as usize;
-    if pad == 0 || pad > 16 || out.len() < pad {
-        return Err(CryptoError::InvalidPadding);
-    }
-    if !out[out.len() - pad..].iter().all(|&b| b as usize == pad) {
-        return Err(CryptoError::InvalidPadding);
-    }
-    out.truncate(out.len() - pad);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,33 +136,6 @@ mod tests {
         increment_be(&mut c);
         assert_eq!(c[14], 1);
         assert_eq!(c[15], 0);
-    }
-
-    #[test]
-    fn cbc_roundtrip_and_padding() {
-        let aes = Aes128::new(&[3u8; 16]);
-        let mut rng = HmacDrbg::from_seed_u64(2);
-        for len in [0usize, 1, 15, 16, 17, 255] {
-            let pt: Vec<u8> = (0..len).map(|i| (i * 3) as u8).collect();
-            let blob = cbc_seal(&aes, &mut rng, &pt);
-            assert_eq!(blob.len() % 16, 0);
-            assert_eq!(cbc_open(&aes, &blob).unwrap(), pt, "len={len}");
-        }
-    }
-
-    #[test]
-    fn cbc_tamper_detected_by_padding_or_garbage() {
-        let aes = Aes128::new(&[3u8; 16]);
-        let mut rng = HmacDrbg::from_seed_u64(3);
-        let blob = cbc_seal(&aes, &mut rng, b"hello world");
-        // Flipping the final byte perturbs padding with high probability; at
-        // minimum the plaintext must change.
-        let mut bad = blob.clone();
-        *bad.last_mut().unwrap() ^= 0xff;
-        match cbc_open(&aes, &bad) {
-            Err(_) => {}
-            Ok(pt) => assert_ne!(pt, b"hello world"),
-        }
     }
 
     #[test]

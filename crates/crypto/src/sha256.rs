@@ -14,8 +14,6 @@
 //! time through [`Sha256::digest`]. Every kernel yields the digests
 //! [`Sha256::digest`] does.
 
-use crate::digest::Digest;
-
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
@@ -40,7 +38,40 @@ pub struct Sha256 {
     total_len: u64,
 }
 
+impl Default for Sha256 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Sha256 {
+    /// Fresh hash state.
+    pub fn new() -> Self {
+        Sha256 { state: H0, buf: [0u8; 64], buf_len: 0, total_len: 0 }
+    }
+
+    /// Absorbs more message bytes.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        if self.buf_len > 0 {
+            let take = data.len().min(64 - self.buf_len);
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len == 64 {
+                compress(&mut self.state, &self.buf);
+                self.buf_len = 0;
+            }
+        }
+        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+        compress(&mut self.state, blocks);
+        data = rest;
+        if !data.is_empty() {
+            self.buf[..data.len()].copy_from_slice(data);
+            self.buf_len = data.len();
+        }
+    }
+
     /// One-shot convenience digest.
     pub fn digest(data: &[u8]) -> [u8; 32] {
         let mut h = Sha256::new();
@@ -130,41 +161,6 @@ fn digest_lanes<const N: usize>(
     true
 }
 
-impl Digest for Sha256 {
-    const OUTPUT_LEN: usize = 32;
-    const BLOCK_LEN: usize = 64;
-    const NAME: &'static str = "SHA-256";
-
-    fn new() -> Self {
-        Sha256 { state: H0, buf: [0u8; 64], buf_len: 0, total_len: 0 }
-    }
-
-    fn update(&mut self, mut data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        if self.buf_len > 0 {
-            let take = data.len().min(64 - self.buf_len);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                compress(&mut self.state, &self.buf);
-                self.buf_len = 0;
-            }
-        }
-        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
-        compress(&mut self.state, blocks);
-        data = rest;
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn finalize_vec(self) -> Vec<u8> {
-        self.finalize_array().to_vec()
-    }
-}
-
 /// Compresses every 64-byte block of `blocks` into `state`.
 fn compress(state: &mut [u32; 8], blocks: &[u8]) {
     if !compress_accelerated(state, blocks) {
@@ -172,8 +168,9 @@ fn compress(state: &mut [u32; 8], blocks: &[u8]) {
     }
 }
 
-/// [`compress`] with the SHA extensions. Returns `false`, leaving `state`
-/// untouched, when the CPU lacks them.
+/// Compresses every 64-byte block of `blocks` into `state` with the SHA
+/// extensions. Returns `false`, leaving `state` untouched, when the CPU
+/// lacks them.
 ///
 /// # Panics
 ///
@@ -189,7 +186,7 @@ pub fn compress_accelerated(state: &mut [u32; 8], blocks: &[u8]) -> bool {
     }
 }
 
-/// Four [`compress`]es side by side on interleaved SHA-NI streams: lane
+/// Four block compressions side by side on interleaved SHA-NI streams: lane
 /// `i` compresses every 64-byte block of `lanes[i]` into `states[i]`.
 /// Returns `false`, leaving `states` untouched, when the CPU lacks the SHA
 /// extensions.
@@ -208,7 +205,7 @@ pub fn compress_x4_accelerated(states: &mut [[u32; 8]; 4], lanes: [&[u8]; 4]) ->
     }
 }
 
-/// Sixteen [`compress`]es side by side on AVX-512: lane `i` compresses
+/// Sixteen block compressions side by side on AVX-512: lane `i` compresses
 /// every 64-byte block of `lanes[i]` into `states[i]`. Returns `false`,
 /// leaving `states` untouched, when the CPU lacks AVX-512F or AVX-512BW.
 ///
@@ -235,7 +232,8 @@ fn assert_equal_whole_blocks(lanes: &[&[u8]]) {
     );
 }
 
-/// [`compress`] in portable code, one block at a time.
+/// Compresses every 64-byte block of `blocks` into `state` in portable
+/// code, one block at a time.
 ///
 /// # Panics
 ///
@@ -318,7 +316,7 @@ mod tests {
             h.update(&chunk);
         }
         assert_eq!(
-            hex(&h.finalize_vec()),
+            hex(&h.finalize_array()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
@@ -330,7 +328,7 @@ mod tests {
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
-            assert_eq!(h.finalize_vec(), Sha256::digest(&data).to_vec(), "split={split}");
+            assert_eq!(h.finalize_array(), Sha256::digest(&data), "split={split}");
         }
     }
 }

@@ -10,7 +10,7 @@ use std::cell::Cell;
 /// Cryptographic work done on one thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Work {
-    /// Bytes through AES: CTR keystream and CBC blocks.
+    /// Bytes through AES-CTR keystream.
     pub sym_bytes: u64,
     /// Public-key public operations: RSA encrypt and verify, ESIGN verify.
     pub public_ops: u64,

@@ -123,11 +123,6 @@ impl LocalFs {
         &self.users
     }
 
-    /// Mutable access to the directory (e.g. for membership revocation).
-    pub fn users_mut(&mut self) -> &mut UserDb {
-        &mut self.users
-    }
-
     /// The root inode.
     pub fn root(&self) -> InodeId {
         self.root
@@ -193,11 +188,6 @@ impl LocalFs {
     pub fn getattr(&self, uid: Uid, p: &str) -> Result<Attr, FsError> {
         let ino = self.resolve(uid, p)?;
         Ok(self.node(ino).attr.clone())
-    }
-
-    /// Attributes by inode (no permission checks; internal/trusted use).
-    pub fn getattr_inode(&self, ino: InodeId) -> Option<Attr> {
-        self.nodes.get(&ino.0).map(|n| n.attr.clone())
     }
 
     /// Lists a directory; requires read on it.
@@ -433,12 +423,6 @@ impl LocalFs {
         node.attr.group = group;
         node.attr.version += 1;
         Ok(())
-    }
-
-    /// Effective permission of `uid` on the object at `p` (diagnostics).
-    pub fn effective_perm_at(&self, uid: Uid, p: &str) -> Result<Perm, FsError> {
-        let ino = self.resolve(uid, p)?;
-        Ok(self.effective(uid, &self.node(ino).attr))
     }
 
     /// Depth-first walk of the whole tree as `(path, attr)` pairs, in

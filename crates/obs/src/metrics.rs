@@ -400,7 +400,7 @@ impl Snapshot {
         ))
     }
 
-    /// Renders only the deterministic subset (see [`is_deterministic`]) as
+    /// Renders only the deterministic subset (see `is_deterministic`) as
     /// `key value` lines. Two runs of the same seeded workload must produce
     /// byte-identical output — the CI metrics-determinism gate diffs this.
     /// Zero values are skipped, so the text does not depend on which

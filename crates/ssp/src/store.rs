@@ -14,7 +14,7 @@
 use crate::engine::{lock_timed, EngineConfig, Journal};
 use crate::faultfs::Vfs;
 use crate::wal::{WalOp, WalRecord};
-use sharoes_crypto::{Digest, Sha256};
+use sharoes_crypto::Sha256;
 use sharoes_index::{MerkleIndex, VerifiedPage};
 use sharoes_net::{Cursor, KeySpace, NetError, ObjectKey, WireRead, WireWrite};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -472,7 +472,7 @@ pub(crate) fn encode_snapshot(
         emit(value)?;
     }
     out(&body_len.to_be_bytes())?;
-    out(&sha.finalize_vec())
+    out(&sha.finalize_array())
 }
 
 /// Serializes `entries` (in the given order) into the `SHAROES2` snapshot

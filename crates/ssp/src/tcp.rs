@@ -30,10 +30,10 @@
 //! * Concurrent connections are bounded ([`ServeOptions::max_connections`]);
 //!   excess connections are shed with a *transient* connection-level error
 //!   so resilient clients back off and retry.
-//! * The accept loop polls a stop flag on a nonblocking listener, so
-//!   [`TcpServerHandle::shutdown`] never hangs waiting for one more
-//!   connection — even when the listener is bound on `0.0.0.0` and the
-//!   loopback "poke" cannot reach it. Shutdown then waits for executing
+//! * The accept loop blocks in `accept` and checks a stop flag after each
+//!   connection. [`TcpServerHandle::shutdown`] sets the flag and connects to
+//!   the listener to wake it, on the loopback address of its family when it
+//!   is bound on `0.0.0.0` or `::`. Shutdown then waits for executing
 //!   requests to finish, and no request starts after it returns.
 
 use crate::server::SspServer;
@@ -42,7 +42,7 @@ use sharoes_net::transport::{read_frame, write_frame, FRAME_READ_BUF, MAX_FRAME_
 use sharoes_net::{serve_frame, NetError};
 use sharoes_obs::{Counter, Gauge};
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
@@ -67,9 +67,6 @@ fn conn_metrics() -> &'static ConnMetrics {
         bad_requests: sharoes_obs::counter("ssp_bad_requests_total"),
     })
 }
-
-/// How often the accept loop re-checks the stop flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Serving knobs.
 #[derive(Clone, Debug)]
@@ -129,15 +126,24 @@ impl TcpServerHandle {
             return;
         }
         self.stop.store(true, Ordering::SeqCst);
-        // Best-effort poke so a parked accept wakes immediately. The loop is
-        // nonblocking and polls the stop flag, so a failed poke (e.g. no
-        // route to a `0.0.0.0` binding) only costs one poll interval.
+        // The accept loop is parked in `accept`: one connection wakes it,
+        // and it then sees the stop flag. An unspecified address is not
+        // connectable everywhere, so poke the loopback of its family.
         let mut poke = self.addr;
         if poke.ip().is_unspecified() {
-            poke.set_ip(std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST));
+            poke.set_ip(match poke.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
-        let _ = TcpStream::connect_timeout(&poke, Duration::from_millis(50));
         if let Some(t) = self.accept_thread.take() {
+            // Retry a poke that times out, until one lands or the loop exits.
+            loop {
+                let landed = TcpStream::connect_timeout(&poke, Duration::from_millis(50)).is_ok();
+                if landed || t.is_finished() {
+                    break;
+                }
+            }
             let _ = t.join();
         }
         // Requests already executing finish; connection threads that read
@@ -165,7 +171,6 @@ pub fn serve_with(
     options: ServeOptions,
 ) -> Result<TcpServerHandle, NetError> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
@@ -177,14 +182,7 @@ pub fn serve_with(
         .name("sspd-accept".into())
         .spawn(move || {
             while !stop2.load(Ordering::SeqCst) {
-                let sock = match listener.accept() {
-                    Ok((sock, _)) => sock,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                        continue;
-                    }
-                    Err(_) => continue,
-                };
+                let Ok((sock, _)) = listener.accept() else { continue };
                 if stop2.load(Ordering::SeqCst) {
                     break;
                 }
@@ -614,9 +612,8 @@ mod tests {
 
     #[test]
     fn shutdown_terminates_even_when_bound_on_all_interfaces() {
-        // The old shutdown poked `0.0.0.0:port` directly, which is not a
-        // connectable address on every platform; the nonblocking accept
-        // loop must join regardless.
+        // `0.0.0.0:port` is not a connectable address on every platform;
+        // shutdown must wake the blocking accept through 127.0.0.1.
         let server = SspServer::new().into_shared();
         let handle = serve(server, "0.0.0.0:0").unwrap();
         let start = std::time::Instant::now();

@@ -21,7 +21,7 @@
 //!   for end-to-end drivers; every scale supports
 //!   [`fingerprint`](Enterprise::fingerprint) and [`GraphStats`].
 
-use sharoes_crypto::{Digest, HmacDrbg, RandomSource, Sha256};
+use sharoes_crypto::{HmacDrbg, RandomSource, Sha256};
 use sharoes_fs::{Acl, Gid, LocalFs, Mode, Perm, Uid, UserDb, ROOT_UID};
 
 /// First generated uid; user index `i` is `Uid(BASE_UID + i)`.
@@ -433,7 +433,7 @@ impl Enterprise {
                 }
             }
         }
-        let digest = h.finalize_vec();
+        let digest = h.finalize_array();
         digest[..16].iter().map(|b| format!("{b:02x}")).collect()
     }
 

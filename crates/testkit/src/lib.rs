@@ -12,12 +12,12 @@
 //!   `sharoes-crypto`. Every test draws entropy through this, so two runs
 //!   with the same seed are identical. `SHAROES_TEST_SEED` overrides the
 //!   default seed.
-//! * [`prop`] + [`gen`] + [`tape`] — a minimal property-testing runner. The
+//! * [`prop`](mod@prop) + [`gen`] + [`tape`] — a minimal property-testing runner. The
 //!   [`prop!`] macro generates `#[test]` functions; generators draw bytes
 //!   from a recorded [`tape::Tape`], and failures are shrunk by greedily
 //!   simplifying the tape (delete chunks, zero chunks, shrink bytes), which
 //!   shrinks *any* composed generator without per-type shrinker code.
-//! * [`bench`] — a wall-clock micro-benchmark harness (warmup, N samples,
+//! * [`bench`](mod@bench) — a wall-clock micro-benchmark harness (warmup, N samples,
 //!   median/p95 reporting) for `harness = false` bench targets.
 //! * [`enterprise`] — a seeded enterprise-scale population generator
 //!   (Zipf group membership and sharing graphs, mixed traffic streams),

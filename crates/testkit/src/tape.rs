@@ -4,7 +4,7 @@
 //! consume it. In *replay* mode it serves a fixed byte string and pads with
 //! zeros once exhausted. Because generators are pure functions of the bytes
 //! they read, any tape denotes a valid generated value — which is what lets
-//! the shrinker in [`crate::prop`] minimize failures by editing raw bytes
+//! the shrinker in [`crate::prop`](mod@crate::prop) minimize failures by editing raw bytes
 //! instead of needing a per-type shrinking algebra.
 //!
 //! Generators are written so that an all-zero tape produces the *simplest*

@@ -7,7 +7,7 @@
 //!
 //! This crate is the facade over the workspace:
 //!
-//! * [`crypto`] — AES-128, SHA-2/SHA-1/MD5, HMAC, RSA, ESIGN, and the
+//! * [`crypto`] — AES-128-CTR, SHA-256, HMAC-SHA-256, RSA, ESIGN, and the
 //!   bignum core, all implemented in this repository.
 //! * [`fs`] — the local *nix filesystem model (the thing you migrate).
 //! * [`net`] — wire protocol, transports, and the WAN cost model.

@@ -12,7 +12,7 @@
 //! Replay a failure with `SHAROES_TEST_SEED=<seed> cargo test --test
 //! crashpoints`.
 
-use sharoes::crypto::{Digest, Sha256};
+use sharoes::crypto::Sha256;
 use sharoes::net::ObjectKey;
 use sharoes::ssp::segment::wal_name;
 use sharoes::ssp::wal::{WalRecord, WAL_HEADER_LEN};
@@ -351,7 +351,7 @@ fn image_digest(fs: &FaultFs, dir: &Path) -> String {
         sha.update(&(bytes.len() as u64).to_be_bytes());
         sha.update(&bytes);
     }
-    sha.finalize_vec().iter().map(|b| format!("{b:02x}")).collect()
+    sha.finalize_array().iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// On-disk golden image: a fixed-seed journalled workload covering put,
