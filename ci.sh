@@ -63,15 +63,17 @@ diff_pair() {
     step "$_pair_name" diff "$_a" "$_b"
 }
 
-# Remove stale exports up front so a diff can never compare files left over
-# from a previous run (which would mask a gate that stopped exporting).
+# Remove stale exports up front so a diff or bench-check can never read
+# files left over from a previous run (which would mask a gate that stopped
+# exporting).
 rm -f target/metrics-determinism-a.txt target/metrics-determinism-b.txt \
       target/trace-determinism-a.txt target/trace-determinism-b.txt \
       target/enterprise-registry-a.txt target/enterprise-registry-b.txt \
       target/index-registry-a.txt target/index-registry-b.txt \
       target/index-trace-a.txt target/index-trace-b.txt \
       target/concurrency-store-a.bin target/concurrency-store-b.bin \
-      target/concurrency-engine-a.bin target/concurrency-engine-b.bin
+      target/concurrency-engine-a.bin target/concurrency-engine-b.bin \
+      target/BENCH_index.json
 
 step "cargo fmt --check" \
     cargo fmt --check
@@ -195,9 +197,10 @@ diff_pair "thread-count determinism: index registry export, parallel vs serial" 
     target/index-registry-a.parallel.txt target/index-registry-a.txt
 
 if [ "$QUICK" -eq 0 ]; then
-    # Indexed-vs-flat scan ablation with proof overhead, exported as
-    # BENCH_index.json for the trajectory record.
-    step "authenticated-index scan ablation (writes BENCH_index.json)" \
+    # Indexed-vs-flat scan ablation with proof overhead. The quick run
+    # writes target/BENCH_index.json; the committed BENCH_index.json is the
+    # full-size run and stays untouched.
+    step "authenticated-index scan ablation (writes target/BENCH_index.json)" \
         cargo run -q --offline --release -p sharoes-bench --bin paper-figures -- --quick index
 
     # Contention bench: N client threads x M ops against a real sspd (one
@@ -236,10 +239,13 @@ if [ "$QUICK" -eq 0 ]; then
     step "perfbench tests (per-seed count determinism)" \
         cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-    # Every committed BENCH_*.json must re-parse with its required keys —
-    # the hand-rolled JSON writers above get no silent formatting slips.
+    # Every committed BENCH_*.json, and the quick index run's, must re-parse
+    # with its required keys — the hand-rolled JSON writers above get no
+    # silent formatting slips.
     step "bench-check: validate committed BENCH_*.json files" \
         cargo run -q --offline --release -p sharoes-bench --bin bench-check -- .
+    step "bench-check: validate the quick index run's target/BENCH_index.json" \
+        cargo run -q --offline --release -p sharoes-bench --bin bench-check -- target
 else
     echo "== (--quick: skipping bench/ablation steps)"
 fi

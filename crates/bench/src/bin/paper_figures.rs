@@ -92,7 +92,7 @@ fn print_help() {
          \x20            writes BENCH_enterprise.json)\n\
          \x20 index      authenticated-index ablation: flat vs indexed scans, proof\n\
          \x20            overhead at several keyspace sizes, mutate-one-key-then-prove\n\
-         \x20            vs rebuild (writes BENCH_index.json)\n\
+         \x20            vs rebuild (writes BENCH_index.json; --quick: target/)\n\
          \x20 concurrency contention benchmark: blocking vs pipelined vs batched clients\n\
          \x20            against one sspd plus a 3-node cluster sweep; fails if\n\
          \x20            multi-threaded speedup < 2x (writes BENCH_concurrency.json)\n\
@@ -296,7 +296,7 @@ fn ablations_report(opts: &BenchOpts, quick: bool) {
     }
     table.print();
 
-    println!("\n== A5: resilient-transport overhead vs injected fault rate ==");
+    println!("\n== A5: transport retry overhead vs injected fault rate ==");
     let ops = if quick { 4 } else { 12 };
     let mut table = Table::new(&["fault rate", "round trips", "retries", "reconnects", "faults"]);
     for p in ablations::fault_overhead(ops, &[0.0, 0.05, 0.20], opts) {
@@ -776,7 +776,12 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
         ));
     }
     json.push_str("  ]\n}\n");
-    let out = "BENCH_index.json";
+    // The committed file is the full-size run; a quick run goes under
+    // target/ so it never overwrites it at another spec.
+    let out = if quick { "target/BENCH_index.json" } else { "BENCH_index.json" };
+    if quick {
+        std::fs::create_dir_all("target").unwrap_or_else(|e| die(&format!("target/: {e}")));
+    }
     std::fs::write(out, &json).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
     println!("wrote {out}");
 }

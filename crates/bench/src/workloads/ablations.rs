@@ -4,7 +4,7 @@
 //! * A2 — immediate vs lazy revocation: chmod cost vs next-write cost.
 //! * A3 — ESIGN vs RSA for DSK/MSK signing: create-phase crypto.
 //! * A4 — network sweep: SHAROES vs PUB-OPT across link qualities.
-//! * A5 — op-cost overhead of the resilient transport vs injected fault
+//! * A5 — op-cost overhead of the transport's retries vs injected fault
 //!   rate: the workload always completes; only retry traffic grows.
 //! * A6 — cluster op cost and availability vs node count, replication
 //!   factor, and per-node fault rate.
@@ -208,37 +208,52 @@ pub struct FaultOverheadPoint {
     pub rate: f64,
     /// Wire round trips the workload needed (retries included).
     pub round_trips: u64,
-    /// Retries the resilient transport performed.
+    /// Retries the transport performed.
     pub retries: u64,
-    /// Reconnections after torn connections.
+    /// Re-dials after lost connections.
     pub reconnects: u64,
-    /// Faults the injector introduced.
+    /// Faults the connections injected.
     pub faults_injected: u64,
 }
 
+/// Call timeout of the A5/A6 fault links: a lost request or reply costs
+/// this much wall time, and nothing else waits on it.
+const FAULT_CALL_TIMEOUT: Duration = Duration::from_millis(5);
+
+/// A transport to `handler` over seeded fault-injecting connections, with
+/// zero-backoff retries (`attempts` per call) and costs charged to `meter`.
+fn fault_link(
+    handler: std::sync::Arc<dyn sharoes_net::RequestHandler>,
+    rate: f64,
+    seed: u64,
+    attempts: u32,
+    meter: &std::sync::Arc<sharoes_net::CostMeter>,
+) -> sharoes_net::TcpTransport {
+    use sharoes_net::{fault, FaultConfig, FaultSchedule, RetryPolicy, TcpTransport};
+    use std::sync::Arc;
+    let schedule = FaultSchedule::shared(FaultConfig::at_rate(rate), seed);
+    TcpTransport::with_connector(
+        fault::connector(handler, schedule, Arc::clone(meter)),
+        FAULT_CALL_TIMEOUT,
+        RetryPolicy::fast(attempts),
+        Box::new(sharoes_net::WallClockSleeper),
+        Arc::clone(meter),
+    )
+    .expect("an in-process connection always dials")
+}
+
 /// A5: how much op-cost the fault rate adds. A seeded fault schedule breaks
-/// calls at `rate`; the resilient transport retries/reconnects around every
-/// fault, so the create+write+read workload completes at each point and the
+/// calls at `rate`; the transport retries and re-dials around every fault,
+/// so the create+write+read workload completes at each point and the
 /// deltas are pure retry overhead.
 pub fn fault_overhead(n: usize, rates: &[f64], opts: &BenchOpts) -> Vec<FaultOverheadPoint> {
-    use sharoes_net::{
-        CostMeter, FaultConfig, FaultInjector, FaultSchedule, InMemoryTransport, NetError,
-        RequestHandler, ResilientTransport, RetryPolicy, Transport,
-    };
+    use sharoes_net::CostMeter;
     use std::sync::Arc;
     let mut out = Vec::new();
     for &rate in rates {
         let bench = Bench::new(CryptoPolicy::Sharoes, Scheme::SharedCaps, opts, n + 4);
-        let schedule = FaultSchedule::shared(FaultConfig::at_rate(rate), 0xA5);
         let meter = CostMeter::new_shared();
-        let handler = Arc::clone(&bench.server) as Arc<dyn RequestHandler>;
-        let meter2 = Arc::clone(&meter);
-        let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
-            let inner = InMemoryTransport::with_meter(Arc::clone(&handler), Arc::clone(&meter2));
-            Ok(Box::new(FaultInjector::new(inner, Arc::clone(&schedule))))
-        });
-        let transport =
-            ResilientTransport::connect(connector, RetryPolicy::fast(10)).expect("connect");
+        let transport = fault_link(Arc::clone(&bench.server) as _, rate, 0xA5, 10, &meter);
         let identity = bench.ring.identity(BENCH_USER).expect("identity");
         let mut client = sharoes_core::SharoesClient::with_rng(
             Box::new(transport),
@@ -283,9 +298,9 @@ pub struct ClusterAblationPoint {
     pub failures: u64,
     /// Wire round trips across all replicas (retries included).
     pub round_trips: u64,
-    /// Retries the per-node resilient transports performed.
+    /// Retries the per-node transports performed.
     pub retries: u64,
-    /// Faults the injectors introduced.
+    /// Faults the node connections injected.
     pub faults_injected: u64,
     /// Reads that failed over past the preferred replica.
     pub failovers: u64,
@@ -308,7 +323,7 @@ impl ClusterAblationPoint {
 /// A6: the cluster layer under load. For each `(nodes, replication, rate)`
 /// point, a put/get/delete workload of `ops` blobs runs through a
 /// [`ClusterTransport`](sharoes_cluster::ClusterTransport) whose node links
-/// each carry a seeded fault injector behind a resilient transport. More
+/// each run over seeded fault-injecting connections, with retries. More
 /// replicas buy availability under faults and cost extra write fan-out;
 /// the meter and cluster stats make both sides of that trade visible.
 pub fn cluster_ablation(
@@ -317,10 +332,7 @@ pub fn cluster_ablation(
     opts: &BenchOpts,
 ) -> Vec<ClusterAblationPoint> {
     use sharoes_cluster::{ClusterOpts, ClusterTransport};
-    use sharoes_net::{
-        CostMeter, FaultConfig, FaultInjector, FaultSchedule, InMemoryTransport, NetError,
-        ObjectKey, Request, RequestHandler, ResilientTransport, RetryPolicy, Transport,
-    };
+    use sharoes_net::{CostMeter, ObjectKey, Request, Transport};
     use sharoes_ssp::SspServer;
     use std::sync::Arc;
 
@@ -335,16 +347,8 @@ pub fn cluster_ablation(
         let cluster_opts = ClusterOpts { replication, write_quorum: 1, ..ClusterOpts::default() };
         let mut cluster = ClusterTransport::with_meter(cluster_opts, Arc::clone(&meter));
         for idx in 0..nodes {
-            let handler = SspServer::new().into_shared() as Arc<dyn RequestHandler>;
-            let schedule = FaultSchedule::shared(FaultConfig::at_rate(rate), 0xA600 + idx as u64);
-            let node_meter = Arc::clone(&meter);
-            let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
-                let inner =
-                    InMemoryTransport::with_meter(Arc::clone(&handler), Arc::clone(&node_meter));
-                Ok(Box::new(FaultInjector::new(inner, Arc::clone(&schedule))))
-            });
             let link =
-                ResilientTransport::connect(connector, RetryPolicy::fast(8)).expect("connect");
+                fault_link(SspServer::new().into_shared(), rate, 0xA600 + idx as u64, 8, &meter);
             cluster.add_node(&format!("node{idx}"), Box::new(link));
         }
         let stats = cluster.stats_handle();

@@ -668,6 +668,10 @@ fn remote_trace(addrs: &[String]) -> i32 {
             }
         };
         match transport.call(&Request::Trace { max: MAX_EVENTS }) {
+            Ok(Response::Trace { events: scraped, .. }) if scraped.len() > MAX_EVENTS as usize => {
+                eprintln!("sharoes-shell: {addr} sent more trace events than asked for");
+                return 1;
+            }
             Ok(Response::Trace { events: scraped, dropped: d }) => {
                 dropped += d;
                 for ev in &scraped {

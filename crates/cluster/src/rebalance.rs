@@ -58,18 +58,27 @@ impl AuditReport {
 
 impl ClusterTransport {
     /// Streams the full key index of one node through the paged `Scan` op.
-    /// Fallback path: the indexed walk in `sync.rs` is preferred.
+    /// Fallback path: the indexed walk in `sync.rs` is preferred. A page
+    /// that is not the last must end past the cursor; one that does not
+    /// (empty, or ending at or before it) would be asked for again forever,
+    /// so it fails the scan.
     pub(crate) fn scan_node(&mut self, idx: usize, page: u32) -> Result<Vec<ObjectKey>, NetError> {
         let mut keys = Vec::new();
         let mut after: Option<ObjectKey> = None;
         loop {
             match self.node_call(idx, &Request::Scan { after, limit: page })? {
                 Response::Keys { keys: batch, done } => {
-                    after = batch.last().copied().or(after);
-                    keys.extend(batch);
                     if done {
+                        keys.extend(batch);
                         return Ok(keys);
                     }
+                    match batch.last() {
+                        Some(last) if after.is_none_or(|cursor| *last > cursor) => {
+                            after = Some(*last);
+                        }
+                        _ => return Err(NetError::Codec("scan page made no progress")),
+                    }
+                    keys.extend(batch);
                 }
                 _ => return Err(NetError::Codec("unexpected scan response shape")),
             }
@@ -189,5 +198,66 @@ impl ClusterTransport {
             }
         }
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ClusterOpts;
+    use sharoes_net::{InMemoryTransport, RequestHandler};
+    use std::sync::Arc;
+
+    /// A node that answers every `Scan` through `page` (given its cursor)
+    /// and refuses everything else.
+    struct Scripted(fn(Option<ObjectKey>) -> Response);
+
+    impl RequestHandler for Scripted {
+        fn handle(&self, request: Request) -> Response {
+            match request {
+                Request::Scan { after, .. } => (self.0)(after),
+                _ => Response::Error("unsupported".into()),
+            }
+        }
+    }
+
+    fn key(i: u64) -> ObjectKey {
+        ObjectKey::data(i, [0; 16], 0)
+    }
+
+    fn scan(page: fn(Option<ObjectKey>) -> Response) -> Result<Vec<ObjectKey>, NetError> {
+        let mut cluster = ClusterTransport::new(ClusterOpts::default());
+        cluster.add_node("a", Box::new(InMemoryTransport::new(Arc::new(Scripted(page)))));
+        cluster.scan_node(0, 2)
+    }
+
+    #[test]
+    fn scan_pages_that_make_no_progress_fail_typed() {
+        let stuck: [fn(Option<ObjectKey>) -> Response; 3] = [
+            // An empty page that is not the last.
+            |_| Response::Keys { keys: vec![], done: false },
+            // The same page again, whatever the cursor.
+            |_| Response::Keys { keys: vec![key(1), key(2)], done: false },
+            // A page ending before the cursor.
+            |after| {
+                let keys = if after.is_none() { vec![key(5)] } else { vec![key(3)] };
+                Response::Keys { keys, done: false }
+            },
+        ];
+        for page in stuck {
+            assert!(matches!(scan(page), Err(NetError::Codec("scan page made no progress"))));
+        }
+    }
+
+    #[test]
+    fn a_paged_scan_collects_every_key() {
+        let paged = |after: Option<ObjectKey>| {
+            let from = after.map_or(0, |k| k.inode + 1);
+            let keys: Vec<ObjectKey> = (from..5).take(2).map(key).collect();
+            Response::Keys { done: from + 2 >= 5, keys }
+        };
+        assert_eq!(scan(paged).unwrap(), (0..5).map(key).collect::<Vec<_>>());
+        // A last page may be empty.
+        assert_eq!(scan(|_| Response::Keys { keys: vec![], done: true }).unwrap(), vec![]);
     }
 }

@@ -235,9 +235,8 @@ impl ClusterTransport {
         (0..self.nodes.len()).filter(|i| !self.nodes[*i].retired).collect()
     }
 
-    /// One call to one node. `Response::Error` is folded into the error
-    /// path so every caller sees a single failure channel; retired slots
-    /// fail `Closed` without a node-error bump.
+    /// One call to one node. Retired slots fail `Closed` without a
+    /// node-error bump.
     pub(crate) fn node_call(
         &mut self,
         idx: usize,
@@ -252,10 +251,7 @@ impl ClusterTransport {
         // cross-node trace tree shows which replica served each leg.
         let _span =
             sharoes_obs::SpanGuard::enter("cluster.replica", || format!("node={:?}", node.name));
-        let outcome = match node.transport.call(request) {
-            Ok(Response::Error(msg)) => Err(NetError::Remote(msg)),
-            other => other,
-        };
+        let outcome = node.transport.call(request);
         if outcome.is_err() {
             self.stats.bump_node_errors();
         }
@@ -634,6 +630,11 @@ impl ClusterTransport {
         for (idx, outcome) in active.into_iter().zip(outcomes) {
             let name = self.nodes[idx].name.clone();
             match outcome {
+                Ok(Response::Trace { events: node_events, .. })
+                    if node_events.len() > max as usize =>
+                {
+                    last_err = Some(NetError::Codec("trace reply over its event cap"))
+                }
                 Ok(Response::Trace { events: node_events, dropped: d }) => {
                     for mut ev in node_events {
                         if ev.node.is_empty() {

@@ -294,3 +294,38 @@ fn stats_aggregate_physical_storage() {
     assert_eq!((total("ssp_store_objects"), total("ssp_store_bytes")), (2, 200));
     assert_eq!(w.cluster.call(&Request::Ping).unwrap(), Response::Pong);
 }
+
+/// A node that answers `Trace { max }` with one event more than asked for.
+struct Overfull;
+
+impl RequestHandler for Overfull {
+    fn handle(&self, request: Request) -> Response {
+        match request {
+            Request::Trace { max } => {
+                let event = sharoes_net::TraceEventWire {
+                    seq: 0,
+                    time_ns: 0,
+                    depth: 0,
+                    level: sharoes_obs::Level::Info,
+                    kind: sharoes_obs::EventKind::Instant,
+                    trace_id: 0,
+                    span_id: 0,
+                    parent_id: 0,
+                    name: "e".into(),
+                    fields: String::new(),
+                    node: String::new(),
+                };
+                Response::Trace { events: vec![event; max as usize + 1], dropped: 0 }
+            }
+            _ => Response::Error("unsupported".into()),
+        }
+    }
+}
+
+#[test]
+fn a_trace_reply_over_its_cap_is_refused() {
+    let mut cluster = ClusterTransport::new(ClusterOpts::default());
+    cluster.add_node("a", Box::new(InMemoryTransport::new(Arc::new(Overfull))));
+    let err = cluster.call(&Request::Trace { max: 3 }).unwrap_err();
+    assert!(matches!(err, NetError::Codec(_)), "{err}");
+}

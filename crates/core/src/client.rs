@@ -258,32 +258,28 @@ impl SharoesClient {
 
     fn call(&mut self, req: &Request) -> Result<Response> {
         use sharoes_net::ErrorClass;
-        let to_core = |this: &mut Self, err: sharoes_net::NetError| match err.class() {
-            // Retries exhausted on a retryable failure = connectivity loss.
-            // Flag degraded mode and surface a typed, non-panicking error;
-            // cache-resident reads keep working around it.
-            ErrorClass::Retryable => {
-                if !this.degraded {
-                    sharoes_obs::counter("core_degraded_entries_total").inc();
-                    sharoes_obs::obs_event!(sharoes_obs::Level::Warn, "core.degraded");
-                }
-                this.degraded = true;
-                Err(CoreError::SspUnavailable(err.to_string()))
-            }
-            ErrorClass::Fatal => Err(CoreError::Net(err)),
-        };
         match self.transport.call(req) {
-            Ok(Response::Error(msg)) => to_core(self, sharoes_net::NetError::Remote(msg)),
-            Ok(other) => {
+            Ok(response) => {
                 self.degraded = false;
                 // An acknowledged mutation legitimately moves the SSP's
                 // index root; let the next verified scan re-pin.
                 if matches!(OpClass::of(req), OpClass::Put | OpClass::Delete) {
                     self.root_dirty = true;
                 }
-                Ok(other)
+                Ok(response)
             }
-            Err(e) => to_core(self, e),
+            // Retries exhausted on a retryable failure = connectivity loss.
+            // Flag degraded mode and surface a typed, non-panicking error;
+            // cache-resident reads keep working around it.
+            Err(err) if err.class() == ErrorClass::Retryable => {
+                if !self.degraded {
+                    sharoes_obs::counter("core_degraded_entries_total").inc();
+                    sharoes_obs::obs_event!(sharoes_obs::Level::Warn, "core.degraded");
+                }
+                self.degraded = true;
+                Err(CoreError::SspUnavailable(err.to_string()))
+            }
+            Err(err) => Err(CoreError::Net(err)),
         }
     }
 
@@ -294,12 +290,15 @@ impl SharoesClient {
         }
     }
 
+    /// Fetches `keys` in one round trip: one slot per key, in key order.
     fn fetch_many(&mut self, keys: Vec<ObjectKey>) -> Result<Vec<Option<Vec<u8>>>> {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
+        let asked = keys.len();
         match self.call(&Request::GetMany { keys })? {
-            Response::Objects(v) => Ok(v),
+            Response::Objects(v) if v.len() == asked => Ok(v),
+            Response::Objects(_) => Err(CoreError::Corrupt("GetMany reply has the wrong length")),
             _ => Err(CoreError::Corrupt("unexpected response to GetMany")),
         }
     }

@@ -200,9 +200,6 @@ impl<'a> Migrator<'a> {
         for chunk in records.chunks(BATCH) {
             match transport.call(&Request::PutMany { items: chunk.to_vec() })? {
                 Response::Ok => {}
-                Response::Error(msg) => {
-                    return Err(CoreError::Net(sharoes_net::NetError::Remote(msg)))
-                }
                 _ => return Err(CoreError::Corrupt("unexpected migration response")),
             }
         }

@@ -470,3 +470,59 @@ fn unknown_signature_tag_on_a_block_detected() {
     });
     assert!(matches!(err, CoreError::TamperDetected(_) | CoreError::Corrupt(_)), "{err}");
 }
+
+/// An SSP that answers every `GetMany` with one object too few (`short`)
+/// or one too many, once armed.
+struct MiscountingSsp {
+    server: std::sync::Arc<sharoes_ssp::SspServer>,
+    short: bool,
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl sharoes_net::RequestHandler for MiscountingSsp {
+    fn handle(&self, request: sharoes_net::Request) -> sharoes_net::Response {
+        use sharoes_net::{Request, Response};
+        let getmany = matches!(request, Request::GetMany { .. });
+        match self.server.handle(request) {
+            Response::Objects(mut objects)
+                if getmany && self.armed.load(std::sync::atomic::Ordering::SeqCst) =>
+            {
+                if self.short {
+                    objects.pop();
+                } else {
+                    objects.push(None);
+                }
+                Response::Objects(objects)
+            }
+            other => other,
+        }
+    }
+}
+
+#[test]
+fn getmany_replies_of_the_wrong_length_are_corrupt() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
+    let honest = world.client(ALICE).readdir("/home/alice").unwrap();
+    for short in [true, false] {
+        let miscount = if short { "short" } else { "long" };
+        // Each op on a freshly mounted client, so its caches are cold.
+        let client = || {
+            let ssp = Arc::new(MiscountingSsp {
+                server: Arc::clone(&world.server),
+                short,
+                armed: AtomicBool::new(false),
+            });
+            let client = world.client_via(ALICE, world.config.clone(), Arc::clone(&ssp) as _);
+            ssp.armed.store(true, Ordering::SeqCst);
+            client
+        };
+        let err = client().read("/home/alice/notes.txt").unwrap_err();
+        assert!(matches!(err, CoreError::Corrupt(_)), "read over a {miscount} reply: {err}");
+        let err = client().chmod("/home/alice/listing", Mode::from_octal(0o755)).unwrap_err();
+        assert!(matches!(err, CoreError::Corrupt(_)), "chmod over a {miscount} reply: {err}");
+        // A listing is one table `Get`: no batch to miscount.
+        assert_eq!(client().readdir("/home/alice").unwrap(), honest, "{miscount}");
+    }
+}

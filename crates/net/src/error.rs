@@ -9,17 +9,17 @@ use std::fmt;
 /// mutation whose response was lost yields the same stored bytes. Failures
 /// therefore split cleanly:
 ///
-/// * [`ErrorClass::Retryable`] — connectivity loss, timeouts, garbled or
-///   desynchronized frames, and transient server-side errors. Retrying
-///   (over a fresh connection if needed) is safe and expected to succeed
-///   once the fault clears.
+/// * [`ErrorClass::Retryable`] — connectivity loss, timeouts, garbled
+///   reply frames, and transient server-side errors. Retrying (over a
+///   fresh connection if needed) is safe and expected to succeed once the
+///   fault clears.
 /// * [`ErrorClass::Fatal`] — protocol violations (oversized frames) and
 ///   persistent server-side rejections. Retrying cannot help. Crucially,
 ///   integrity failures detected *above* this layer (signature or tamper
 ///   errors, `CoreError::TamperDetected`) never reach this taxonomy as
-///   retryable: the resilient transport only ever replays the same
-///   request bytes, and the client treats verification failures as
-///   terminal, so tampered state is never "retried into oblivion".
+///   retryable: [`crate::TcpTransport`] only ever replays the same
+///   request, and the client treats verification failures as terminal,
+///   so tampered state is never "retried into oblivion".
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ErrorClass {
     /// Safe to retry (all SSP ops are idempotent).
@@ -30,8 +30,8 @@ pub enum ErrorClass {
 
 /// Prefix marking a server error message as transient (safe to retry).
 ///
-/// The SSP uses it for load-shedding style rejections; the fault injector
-/// uses it for injected soft failures.
+/// The SSP uses it for load-shedding style rejections; fault-injecting
+/// connections use it for injected soft failures.
 pub const TRANSIENT_ERROR_PREFIX: &str = "transient";
 
 /// Errors from the wire codec and transports.
@@ -49,7 +49,7 @@ pub enum NetError {
     Closed,
     /// Stored bytes failed integrity verification (torn WAL record, sealed
     /// segment bit rot, checkpoint checksum mismatch). Unlike [`Self::Codec`]
-    /// — line noise that a reconnect re-synchronizes — corruption is in the
+    /// — line noise that a resend gets past — corruption is in the
     /// durable state itself: retrying rereads the same rotten bytes.
     Corrupt(String),
 }
@@ -64,10 +64,10 @@ impl NetError {
             // or its response was lost in transit. Idempotency makes a
             // resend safe.
             NetError::Io(_) | NetError::Closed => ErrorClass::Retryable,
-            // A garbled or desynchronized frame: the server only ever emits
-            // well-formed responses, so codec failures at the transport
-            // boundary mean line corruption or a stale in-flight reply.
-            // Reconnecting re-synchronizes the stream.
+            // A garbled frame: the server only ever emits well-formed
+            // responses, so a codec failure at the transport boundary
+            // means line corruption. Replies are matched by correlation
+            // id, so the connection stays framed and a resend is safe.
             NetError::Codec(_) => ErrorClass::Retryable,
             // A frame-size violation is a protocol bug (or an attack); the
             // same request would be rejected forever.
@@ -144,7 +144,7 @@ mod tests {
             (NetError::Io(io::Error::from(io::ErrorKind::UnexpectedEof)), ErrorClass::Retryable),
             (NetError::Closed, ErrorClass::Retryable),
             (NetError::Codec("truncated input"), ErrorClass::Retryable),
-            (NetError::Codec("response does not match request"), ErrorClass::Retryable),
+            (NetError::Codec("unknown response tag"), ErrorClass::Retryable),
             (NetError::FrameTooLarge(usize::MAX), ErrorClass::Fatal),
             // Durable-state corruption must never be blindly retried.
             (NetError::Corrupt("torn record tail at byte 7".into()), ErrorClass::Fatal),

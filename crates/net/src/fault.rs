@@ -1,42 +1,52 @@
-//! Deterministic fault injection for transports.
+//! Deterministic fault injection beneath [`crate::TcpTransport`].
 //!
-//! [`FaultInjector`] wraps any [`Transport`] and, driven by a seeded
-//! HMAC-DRBG schedule, makes it misbehave the way a WAN link to an
-//! outsourced SSP does (paper §VII: outages and partial failures are why
-//! the SSP relationship is governed by SLAs): dropped requests, lost
-//! responses, torn connections, corrupted and truncated frames, stale
-//! replies from a desynchronized stream, and transient server errors.
+//! [`connector`] dials connections to an in-process [`RequestHandler`] that
+//! misbehave the way a WAN link to an outsourced SSP does (paper §VII:
+//! outages and partial failures are why the SSP relationship is governed
+//! by SLAs). Each connection is a frame writer plus a [`FrameSource`]: the
+//! writer serves each request frame synchronously through [`serve_frame`]
+//! and queues what the reader will see, after drawing the request's fault
+//! from a seeded [`FaultSchedule`]. Every fault is a frame-level action
+//! (see [`FaultKind`]), so the transport above runs the same correlation
+//! dispatcher and retry loop that it runs over a socket.
 //!
-//! The schedule is a pure function of its seed and the call sequence, so a
-//! chaos run is fully replayable: rerun with the same `SHAROES_TEST_SEED`
-//! and the same faults hit the same calls. The schedule state is shared
-//! (`Arc`) across reconnections, so a resilient caller that replaces a
-//! broken connection keeps consuming the same fault stream.
+//! The schedule is a pure function of its seed and the request sequence,
+//! so a chaos run is fully replayable: rerun with the same
+//! `SHAROES_TEST_SEED` and the same faults hit the same calls. Outcomes
+//! do not depend on timing either: a reply is queued while its request is
+//! written or never, and a reader facing an empty queue blocks until its
+//! deadline. The schedule is shared (`Arc`) by every connection a
+//! connector dials, so a re-dialled connection keeps consuming the same
+//! fault stream.
 //!
 //! Two deliberate design points keep injected faults *detectable at the
 //! transport layer* (and therefore survivable by retry):
 //!
-//! * Frame corruption smashes the response tag byte rather than flipping a
-//!   random payload bit. TCP checksums make random line corruption
-//!   frame-detectable in practice; corruption that survives transport
-//!   checksums is indistinguishable from tampering, which the client's
-//!   crypto layer correctly treats as fatal — injecting it would make
-//!   "eventually completes" unachievable by design, not by bug.
-//! * Stale replies are only injected when the remembered previous response
-//!   has a different shape than the current request expects (see
-//!   [`Request::matches_response`]). Same-shape staleness is the rollback
-//!   problem the client's signed-version freshness ledger owns.
+//! * Damage hits the reply's message, never its envelope. TCP checksums
+//!   make random line corruption frame-detectable in practice; corruption
+//!   that survives transport checksums is indistinguishable from
+//!   tampering, which the client's crypto layer correctly treats as fatal
+//!   — injecting it would make "eventually completes" unachievable by
+//!   design, not by bug.
+//! * A stale reply keeps its old correlation id, so the dispatcher counts
+//!   it as an orphan and the call still gets its own reply. Same-id
+//!   staleness is the rollback problem the client's signed-version
+//!   freshness ledger owns.
 
 use crate::cost::CostMeter;
+use crate::envelope::{Envelope, ENVELOPE_LEN};
 use crate::error::{NetError, TRANSIENT_ERROR_PREFIX};
 use crate::message::{Request, Response};
-use crate::transport::Transport;
-use crate::wire::{WireRead, WireWrite};
+use crate::pipeline::{FrameSource, Inbound};
+use crate::transport::{serve_frame, Connector, FrameSink, RequestHandler};
+use crate::wire::WireRead;
 use sharoes_crypto::{HmacDrbg, RandomSource};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Cached global-registry counters, one per [`FaultKind`] (in
-/// `FaultKind::ALL` order). The per-link total is counted by the wrapped
+/// `FaultKind::ALL` order). The per-link total is counted by the
 /// transport's meter ([`CostMeter::charge_fault`], read back as
 /// `CostSample::faults_injected`).
 fn fault_counters() -> &'static [sharoes_obs::Counter; 7] {
@@ -91,24 +101,27 @@ impl OpClass {
     }
 }
 
-/// The kinds of fault the injector can introduce.
+/// The kinds of fault a connection can inject, each a frame-level action.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultKind {
-    /// The request never reaches the server; the call times out.
+    /// The request frame is dropped before the server sees it; the call
+    /// times out.
     RequestLost,
-    /// The server performs the operation but the response is lost.
+    /// The server performs the operation but its reply frame is dropped;
+    /// the call times out.
     ResponseLost,
-    /// The connection tears down; subsequent calls on it fail until the
-    /// caller reconnects.
+    /// The connection is lost before the request is served; the caller
+    /// dials a new one.
     Disconnect,
-    /// The response frame arrives corrupted (unparseable).
+    /// The reply frame arrives with its message tag smashed (unparseable).
     CorruptFrame,
-    /// The response frame arrives truncated (unparseable).
+    /// The reply frame arrives with its message cut short (unparseable).
     TruncatedFrame,
-    /// A stale reply from a desynchronized stream: the previous response is
-    /// replayed instead of performing the call.
+    /// An earlier reply frame on the connection arrives again, under its
+    /// old correlation id, ahead of the call's own reply.
     StaleResponse,
-    /// The server sheds load with a transient error.
+    /// The server sheds load: a `transient…` error reply under the
+    /// request's id, without serving it.
     TransientError,
 }
 
@@ -137,7 +150,7 @@ pub struct FaultCounts {
     pub corrupt_frames: u64,
     /// Truncated response frames.
     pub truncated_frames: u64,
-    /// Stale responses replayed.
+    /// Stale reply frames replayed.
     pub stale_responses: u64,
     /// Transient server errors injected.
     pub transient_errors: u64,
@@ -200,16 +213,14 @@ impl FaultConfig {
 
 /// The shared, replayable fault schedule.
 ///
-/// Shared via `Arc<Mutex<..>>` so reconnections (which build a fresh
-/// [`FaultInjector`]) continue the same deterministic stream.
+/// Shared via `Arc<Mutex<..>>` so every connection a [`connector`] dials
+/// continues the same deterministic stream.
 pub struct FaultSchedule {
     rng: HmacDrbg,
     /// Live fault probabilities; adjustable mid-run (e.g. to quiesce the
     /// schedule after a chaos phase).
     pub config: FaultConfig,
     counts: FaultCounts,
-    /// Previous successfully delivered response, for stale replay.
-    last_response: Option<Response>,
 }
 
 impl FaultSchedule {
@@ -219,7 +230,6 @@ impl FaultSchedule {
             rng: HmacDrbg::from_seed_u64(seed),
             config,
             counts: FaultCounts::default(),
-            last_response: None,
         }))
     }
 
@@ -252,129 +262,173 @@ impl FaultSchedule {
     }
 }
 
-/// A transport decorator that injects deterministic faults.
-pub struct FaultInjector<T: Transport> {
-    inner: T,
+/// A connector whose connections serve `handler` in-process, inject
+/// `schedule`'s faults, and count each fault in `meter`.
+pub fn connector(
+    handler: Arc<dyn RequestHandler>,
     schedule: Arc<Mutex<FaultSchedule>>,
-    /// Set once a `Disconnect` fault fires: this connection is dead and
-    /// every further call fails until the caller reconnects (building a
-    /// fresh injector around the shared schedule).
-    broken: bool,
+    meter: Arc<CostMeter>,
+) -> Connector {
+    Box::new(move || {
+        let line = Arc::new(Line::default());
+        let writer = FaultWriter {
+            line: Arc::clone(&line),
+            handler: Arc::clone(&handler),
+            schedule: Arc::clone(&schedule),
+            meter: Arc::clone(&meter),
+            last_reply: None,
+            lost: false,
+        };
+        Ok((Box::new(writer) as Box<dyn FrameSink>, Box::new(Reader(line)) as Box<dyn FrameSource>))
+    })
 }
 
-impl<T: Transport> FaultInjector<T> {
-    /// Wraps `inner`, drawing faults from `schedule`.
-    pub fn new(inner: T, schedule: Arc<Mutex<FaultSchedule>>) -> Self {
-        FaultInjector { inner, schedule, broken: false }
-    }
+/// What one connection's writer has queued for its reader.
+#[derive(Default)]
+struct Line {
+    queue: Mutex<VecDeque<Inbound>>,
+    queued: Condvar,
+}
 
-    /// Injection tallies so far (across all connections on this schedule).
-    pub fn counts(&self) -> FaultCounts {
-        self.schedule.lock().unwrap_or_else(|e| e.into_inner()).counts
-    }
+/// The write half: serves each request frame as it is written.
+struct FaultWriter {
+    line: Arc<Line>,
+    handler: Arc<dyn RequestHandler>,
+    schedule: Arc<Mutex<FaultSchedule>>,
+    meter: Arc<CostMeter>,
+    /// The last reply frame served on this connection, with its id: what a
+    /// stale fault replays.
+    last_reply: Option<(u64, Vec<u8>)>,
+    /// Set by a disconnect: later writes fail.
+    lost: bool,
+}
 
-    fn io(kind: std::io::ErrorKind, what: &str) -> NetError {
-        NetError::Io(std::io::Error::new(kind, format!("injected fault: {what}")))
-    }
-
-    /// Remembers a delivered response for later stale replay.
-    fn remember(&self, response: &Response) {
-        let mut s = self.schedule.lock().unwrap_or_else(|e| e.into_inner());
-        s.last_response = Some(response.clone());
+impl FaultWriter {
+    /// Serves `frame` and remembers the reply for a later stale fault.
+    fn serve(&mut self, corr: u64, frame: &[u8]) -> Vec<u8> {
+        let reply = serve_frame(&*self.handler, frame, "mem").unwrap_or_else(|error| error);
+        self.last_reply = Some((corr, reply.clone()));
+        reply
     }
 }
 
-impl<T: Transport> Transport for FaultInjector<T> {
-    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        if self.broken {
-            return Err(NetError::Closed);
+impl FrameSink for FaultWriter {
+    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        if self.lost {
+            return Err(NetError::Io(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "injected fault: write after disconnect",
+            )));
         }
-        let decision = {
+        let (env, message) = Envelope::open(frame)?;
+        let request = Request::from_wire(message)?;
+        let corr = env.corr;
+        let fault = {
             let mut s = self.schedule.lock().unwrap_or_else(|e| e.into_inner());
-            match s.decide(request) {
-                // Stale replay is only injectable when it is shape-detectable
-                // (see module docs); otherwise the call proceeds cleanly.
-                Some(FaultKind::StaleResponse) => match &s.last_response {
-                    Some(prev) if !request.matches_response(prev) => Some(FaultKind::StaleResponse),
-                    _ => None,
-                },
-                other => other,
+            // A stale reply needs an earlier one on this connection;
+            // without it the call proceeds cleanly.
+            let fault = s
+                .decide(&request)
+                .filter(|kind| *kind != FaultKind::StaleResponse || self.last_reply.is_some());
+            if let Some(kind) = fault {
+                s.counts.bump(kind);
             }
+            fault
         };
-        let Some(kind) = decision else {
-            let response = self.inner.call(request)?;
-            self.remember(&response);
-            return Ok(response);
-        };
-        {
-            let mut s = self.schedule.lock().unwrap_or_else(|e| e.into_inner());
-            s.counts.bump(kind);
+        if let Some(kind) = fault {
+            let pos = FaultKind::ALL.iter().position(|k| *k == kind).expect("kind is in ALL");
+            fault_counters()[pos].inc();
+            sharoes_obs::obs_event!(sharoes_obs::Level::Trace, "net.fault", kind);
+            self.meter.charge_fault();
         }
-        let pos = FaultKind::ALL.iter().position(|k| *k == kind).expect("kind is in ALL");
-        fault_counters()[pos].inc();
-        sharoes_obs::obs_event!(sharoes_obs::Level::Trace, "net.fault", kind);
-        self.inner.meter().charge_fault();
-        match kind {
-            FaultKind::RequestLost => Err(Self::io(std::io::ErrorKind::TimedOut, "request lost")),
-            FaultKind::ResponseLost => {
-                // The server performs the operation; only the reply is lost.
-                // Retrying is safe because every SSP op is idempotent.
-                let response = self.inner.call(request)?;
-                self.remember(&response);
-                Err(Self::io(std::io::ErrorKind::TimedOut, "response lost"))
+        let reply = |frame: Vec<u8>| Inbound::Reply { corr, frame };
+        let inbound: Vec<Inbound> = match fault {
+            None => vec![reply(self.serve(corr, frame))],
+            Some(FaultKind::RequestLost) => Vec::new(),
+            Some(FaultKind::ResponseLost) => {
+                // The server performs the operation; only the reply is
+                // lost. Retrying is safe because every SSP op is idempotent.
+                self.serve(corr, frame);
+                Vec::new()
             }
-            FaultKind::Disconnect => {
-                self.broken = true;
-                Err(Self::io(std::io::ErrorKind::ConnectionReset, "connection torn down"))
+            Some(FaultKind::Disconnect) => {
+                self.lost = true;
+                vec![Inbound::Lost("injected fault: connection torn down".into())]
             }
-            FaultKind::CorruptFrame => {
-                let response = self.inner.call(request)?;
-                self.remember(&response);
-                let mut bytes = response.to_wire();
-                // Smash the tag byte so the frame is detectably garbage.
-                bytes[0] = 0xAA;
-                Response::from_wire(&bytes)
+            Some(FaultKind::CorruptFrame) => {
+                let mut damaged = self.serve(corr, frame);
+                damaged[ENVELOPE_LEN] = 0xAA;
+                vec![reply(damaged)]
             }
-            FaultKind::TruncatedFrame => {
-                let response = self.inner.call(request)?;
-                self.remember(&response);
-                let bytes = response.to_wire();
+            Some(FaultKind::TruncatedFrame) => {
+                let mut damaged = self.serve(corr, frame);
+                let message_len = damaged.len() - ENVELOPE_LEN;
                 let keep = {
                     let mut s = self.schedule.lock().unwrap_or_else(|e| e.into_inner());
-                    (s.rng.next_u64() as usize) % bytes.len().max(1)
+                    (s.rng.next_u64() as usize) % message_len.max(1)
                 };
                 // A strict prefix never parses: every variant's payload is
                 // fixed-size or length-prefixed, so the cursor runs dry.
-                Response::from_wire(&bytes[..keep])
+                damaged.truncate(ENVELOPE_LEN + keep);
+                vec![reply(damaged)]
             }
-            FaultKind::StaleResponse => {
-                // Consume the remembered reply: a desynchronized stream has
-                // exactly one late frame to drain, so a reconnect-and-retry
-                // observes a clean stream.
-                let prev = {
-                    let mut s = self.schedule.lock().unwrap_or_else(|e| e.into_inner());
-                    s.last_response.take()
-                };
-                Ok(prev.expect("stale replay gated on a remembered response"))
+            Some(FaultKind::StaleResponse) => {
+                let (old_corr, old) = self.last_reply.take().expect("stale gated on a reply");
+                let stale = Inbound::Reply { corr: old_corr, frame: old };
+                vec![stale, reply(self.serve(corr, frame))]
             }
-            FaultKind::TransientError => {
-                Ok(Response::Error(format!("{TRANSIENT_ERROR_PREFIX}: injected server overload")))
+            Some(FaultKind::TransientError) => {
+                let shed =
+                    Response::Error(format!("{TRANSIENT_ERROR_PREFIX}: injected server overload"));
+                vec![reply(Envelope::untraced(corr).seal(&shed))]
             }
+        };
+        if !inbound.is_empty() {
+            self.line.queue.lock().unwrap_or_else(|e| e.into_inner()).extend(inbound);
+            self.line.queued.notify_all();
         }
+        Ok(())
     }
+}
 
-    fn meter(&self) -> &Arc<CostMeter> {
-        self.inner.meter()
+/// The read half: hands out what the writer queued, and blocks until the
+/// deadline while the queue is empty.
+struct Reader(Arc<Line>);
+
+impl FrameSource for Reader {
+    fn next_frame(&mut self, deadline: Instant) -> Inbound {
+        let mut queue = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(inbound) = queue.pop_front() {
+                return inbound;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Inbound::Idle;
+            }
+            queue = self
+                .0
+                .queued
+                .wait_timeout(queue, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ErrorClass;
     use crate::message::ObjectKey;
-    use crate::transport::{InMemoryTransport, RequestHandler};
+    use crate::retry::{FakeSleeper, RetryPolicy};
+    use crate::transport::{TcpTransport, Transport};
     use std::collections::HashMap;
+    use std::io::ErrorKind;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Duration;
 
+    #[derive(Default)]
     struct MapStore(Mutex<HashMap<ObjectKey, Vec<u8>>>);
 
     impl RequestHandler for MapStore {
@@ -391,138 +445,184 @@ mod tests {
         }
     }
 
-    fn injector(rate: f64, seed: u64) -> FaultInjector<InMemoryTransport> {
-        let handler = Arc::new(MapStore(Mutex::new(HashMap::new())));
-        let schedule = FaultSchedule::shared(FaultConfig::at_rate(rate), seed);
-        FaultInjector::new(InMemoryTransport::new(handler), schedule)
+    /// A transport over fault connections to `handler`, `attempts` tries
+    /// per call and a short call timeout.
+    fn faulty(
+        handler: Arc<dyn RequestHandler>,
+        config: FaultConfig,
+        seed: u64,
+        attempts: u32,
+    ) -> (TcpTransport, Arc<Mutex<FaultSchedule>>) {
+        let schedule = FaultSchedule::shared(config, seed);
+        let meter = CostMeter::new_shared();
+        let t = TcpTransport::with_connector(
+            connector(handler, Arc::clone(&schedule), Arc::clone(&meter)),
+            Duration::from_millis(20),
+            RetryPolicy::fast(attempts),
+            Box::new(FakeSleeper::new()),
+            meter,
+        )
+        .unwrap();
+        (t, schedule)
+    }
+
+    /// Only `kind`, on every request.
+    fn only(kind: FaultKind) -> FaultConfig {
+        let mut config = FaultConfig::at_rate(1.0);
+        config.weights = FaultKind::ALL.map(|k| u32::from(k == kind));
+        config
+    }
+
+    fn put(i: u8) -> Request {
+        Request::Put { key: ObjectKey::metadata(i as u64, [i; 16]), value: vec![i; 40] }
     }
 
     #[test]
     fn zero_rate_injects_nothing() {
-        let mut t = injector(0.0, 1);
+        let (t, schedule) = faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.0), 1, 1);
         for _ in 0..50 {
             assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
         }
-        assert_eq!(t.counts().total(), 0);
-        assert_eq!(t.meter().sample().faults_injected, 0);
+        assert_eq!(schedule.lock().unwrap().counts().total(), 0);
+        let s = t.meter().sample();
+        assert_eq!((s.faults_injected, s.round_trips, s.retries), (0, 50, 0));
     }
 
     #[test]
-    fn full_rate_faults_every_call() {
-        let mut t = injector(1.0, 2);
-        let key = ObjectKey::metadata(1, [0; 16]);
-        let mut faulted = 0;
-        for i in 0..60u32 {
-            let r = t.call(&Request::Put { key, value: vec![i as u8] });
-            match r {
-                Err(_) => faulted += 1,
-                Ok(Response::Error(msg)) => {
-                    assert!(msg.starts_with(TRANSIENT_ERROR_PREFIX));
-                    faulted += 1;
-                }
-                Ok(Response::Pong) => faulted += 1, // stale replay of a Ping reply
-                Ok(other) => panic!("unfaulted response at rate 1.0: {other:?}"),
+    fn lost_requests_and_responses_time_out_and_only_the_response_loss_is_served() {
+        for (kind, served) in [(FaultKind::RequestLost, false), (FaultKind::ResponseLost, true)] {
+            let store = Arc::new(MapStore::default());
+            let (t, _) = faulty(Arc::clone(&store) as _, only(kind), 2, 1);
+            let err = t.call(&put(1)).unwrap_err();
+            assert!(
+                matches!(&err, NetError::Io(e) if e.kind() == ErrorKind::TimedOut),
+                "{kind:?}: {err}"
+            );
+            assert_eq!(store.0.lock().unwrap().len(), usize::from(served), "{kind:?}");
+            assert_eq!(t.meter().sample().faults_injected, 1);
+        }
+    }
+
+    #[test]
+    fn a_disconnect_loses_the_connection_and_the_retry_redials() {
+        let store = Arc::new(MapStore::default());
+        let (t, schedule) = faulty(Arc::clone(&store) as _, only(FaultKind::Disconnect), 3, 2);
+        // Both attempts draw a disconnect; the second went out on a new
+        // connection.
+        let err = t.call(&Request::Ping).unwrap_err();
+        assert!(err.to_string().contains("connection lost"), "{err}");
+        assert_eq!(err.class(), ErrorClass::Retryable);
+        let s = t.meter().sample();
+        assert_eq!((s.retries, s.reconnects, s.faults_injected), (1, 1, 2));
+        // Quiet the schedule: the next call finds its connection dead and
+        // re-dials before it succeeds.
+        schedule.lock().unwrap().config.rate = 0.0;
+        assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
+        assert_eq!(t.meter().sample().reconnects, 2);
+    }
+
+    #[test]
+    fn damaged_replies_are_retryable_codec_errors_on_a_live_connection() {
+        for kind in [FaultKind::CorruptFrame, FaultKind::TruncatedFrame] {
+            let store = Arc::new(MapStore::default());
+            let (t, schedule) = faulty(Arc::clone(&store) as _, only(kind), 4, 1);
+            for i in 0..10 {
+                let err = t.call(&put(i)).unwrap_err();
+                assert!(matches!(err, NetError::Codec(_)), "{kind:?} reply parsed: {err}");
+                assert_eq!(err.class(), ErrorClass::Retryable);
             }
-            if t.broken {
-                break;
+            // The server performed every call; the connection stays framed.
+            assert_eq!(store.0.lock().unwrap().len(), 10);
+            schedule.lock().unwrap().config.rate = 0.0;
+            assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
+            assert_eq!(t.meter().sample().reconnects, 0, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_stale_reply_is_orphaned_and_the_call_still_answered() {
+        let orphans = sharoes_obs::global().counter("net_corr_orphans_total");
+        let store = Arc::new(MapStore::default());
+        let (t, schedule) = faulty(Arc::clone(&store) as _, only(FaultKind::StaleResponse), 5, 1);
+        // Nothing to replay on a fresh connection: the first call is clean.
+        assert_eq!(t.call(&put(6)).unwrap(), Response::Ok);
+        assert_eq!(schedule.lock().unwrap().counts().stale_responses, 0);
+        // The Put's `Ok` arrives again ahead of the Get's own reply.
+        let before = orphans.get();
+        let key = ObjectKey::metadata(6, [6; 16]);
+        assert_eq!(t.call(&Request::Get { key }).unwrap(), Response::Object(Some(vec![6; 40])));
+        assert!(orphans.get() > before, "the stale reply was not orphaned");
+        assert_eq!(schedule.lock().unwrap().counts().stale_responses, 1);
+        let s = t.meter().sample();
+        assert_eq!((s.retries, s.reconnects, s.round_trips), (0, 0, 2));
+    }
+
+    #[test]
+    fn a_transient_error_retries_on_the_same_connection() {
+        let store = Arc::new(MapStore::default());
+        let (t, _) = faulty(Arc::clone(&store) as _, only(FaultKind::TransientError), 6, 3);
+        let err = t.call(&put(1)).unwrap_err();
+        assert!(matches!(&err, NetError::Remote(m) if m.starts_with(TRANSIENT_ERROR_PREFIX)));
+        let s = t.meter().sample();
+        assert_eq!((s.retries, s.reconnects, s.faults_injected), (2, 0, 3));
+        assert!(store.0.lock().unwrap().is_empty(), "a shed request is never served");
+    }
+
+    #[test]
+    fn a_server_that_sheds_then_recovers_is_retried_until_it_answers() {
+        // A handler that sheds the first two calls, then recovers.
+        struct Flaky(AtomicU64);
+        impl RequestHandler for Flaky {
+            fn handle(&self, _request: Request) -> Response {
+                if self.0.fetch_add(1, Ordering::SeqCst) < 2 {
+                    Response::Error("transient: warming up".into())
+                } else {
+                    Response::Pong
+                }
             }
         }
-        assert!(faulted > 0);
-        assert_eq!(t.counts().total(), faulted);
-        assert_eq!(t.meter().sample().faults_injected, faulted);
+        let flaky = Arc::new(Flaky(AtomicU64::new(0)));
+        let (t, _) = faulty(flaky, FaultConfig::at_rate(0.0), 7, 5);
+        assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
+        let s = t.meter().sample();
+        assert_eq!((s.retries, s.reconnects), (2, 0), "transient errors keep the connection");
+    }
+
+    #[test]
+    fn fatal_errors_surface_after_one_attempt() {
+        let (t, _) = faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.0), 8, 5);
+        // MapStore answers Metrics with a non-transient error.
+        let err = t.call(&Request::Metrics).unwrap_err();
+        assert!(matches!(err, NetError::Remote(_)));
+        assert_eq!(err.class(), ErrorClass::Fatal);
+        assert_eq!(t.meter().sample().retries, 0);
+    }
+
+    #[test]
+    fn heavy_fault_rates_are_survived_by_retries() {
+        // At a 40% fault rate, 8 attempts make per-call failure vanishingly
+        // unlikely (0.4^8 ≈ 0.07%), and the seed pins the exact schedule.
+        let (t, _) = faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.4), 42, 8);
+        for i in 0..50u8 {
+            assert_eq!(t.call(&put(i)).unwrap(), Response::Ok);
+            let key = ObjectKey::metadata(i as u64, [i; 16]);
+            assert_eq!(t.call(&Request::Get { key }).unwrap(), Response::Object(Some(vec![i; 40])));
+        }
+        let s = t.meter().sample();
+        assert!(s.retries > 0 && s.reconnects > 0 && s.faults_injected > 0, "{s:?}");
     }
 
     #[test]
     fn schedule_is_replayable() {
         let run = |seed: u64| {
-            let mut t = injector(0.3, seed);
-            let key = ObjectKey::metadata(9, [1; 16]);
-            let mut outcomes = Vec::new();
-            for i in 0..40u32 {
-                if t.broken {
-                    // Simulate a reconnect: fresh injector, same schedule.
-                    let handler = Arc::new(MapStore(Mutex::new(HashMap::new())));
-                    t = FaultInjector::new(
-                        InMemoryTransport::new(handler),
-                        Arc::clone(&t.schedule),
-                    );
-                }
-                outcomes.push(t.call(&Request::Put { key, value: vec![i as u8] }).is_ok());
-            }
-            (outcomes, t.counts())
+            let (t, schedule) =
+                faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.3), seed, 2);
+            let outcomes: Vec<bool> = (0..40).map(|i| t.call(&put(i)).is_ok()).collect();
+            let counts = schedule.lock().unwrap().counts();
+            (outcomes, counts, t.meter().sample().faults_injected)
         };
         assert_eq!(run(7), run(7));
-        assert_ne!(run(7).0, run(8).0, "different seeds should differ");
-    }
-
-    #[test]
-    fn disconnect_latches_until_reconnect() {
-        // Weight only disconnects, rate 1: the first call breaks the
-        // connection, later calls fail with Closed.
-        let handler = Arc::new(MapStore(Mutex::new(HashMap::new())));
-        let mut config = FaultConfig::at_rate(1.0);
-        config.weights = [0, 0, 1, 0, 0, 0, 0];
-        let schedule = FaultSchedule::shared(config, 3);
-        let mut t = FaultInjector::new(InMemoryTransport::new(handler.clone()), schedule.clone());
-        assert!(t.call(&Request::Ping).is_err());
-        assert!(matches!(t.call(&Request::Ping), Err(NetError::Closed)));
-        // A reconnect (fresh injector, same schedule) works again —
-        // until the next scheduled disconnect.
-        let mut t2 = FaultInjector::new(InMemoryTransport::new(handler), schedule);
-        assert!(matches!(t2.call(&Request::Ping), Err(NetError::Io(_))));
-    }
-
-    #[test]
-    fn response_lost_still_applies_the_mutation() {
-        let handler = Arc::new(MapStore(Mutex::new(HashMap::new())));
-        let mut config = FaultConfig::at_rate(1.0);
-        config.weights = [0, 1, 0, 0, 0, 0, 0]; // only ResponseLost
-        let schedule = FaultSchedule::shared(config, 4);
-        let mut t = FaultInjector::new(InMemoryTransport::new(handler.clone()), schedule);
-        let key = ObjectKey::metadata(5, [5; 16]);
-        assert!(t.call(&Request::Put { key, value: vec![42] }).is_err());
-        // The store took the write even though the reply was dropped.
-        assert_eq!(handler.0.lock().unwrap().get(&key), Some(&vec![42]));
-    }
-
-    #[test]
-    fn stale_replay_is_always_shape_detectable() {
-        let mut config = FaultConfig::at_rate(1.0);
-        config.weights = [0, 0, 0, 0, 0, 1, 0]; // only StaleResponse
-        let handler = Arc::new(MapStore(Mutex::new(HashMap::new())));
-        let schedule = FaultSchedule::shared(config, 5);
-        let mut t = FaultInjector::new(InMemoryTransport::new(handler), schedule);
-        let key = ObjectKey::metadata(6, [6; 16]);
-        // First call: nothing remembered yet, so no stale fault fires.
-        assert_eq!(t.call(&Request::Put { key, value: vec![1] }).unwrap(), Response::Ok);
-        // A second Put would get a shape-compatible `Ok` replay, which the
-        // injector refuses (falls through to a clean call).
-        assert_eq!(t.call(&Request::Put { key, value: vec![2] }).unwrap(), Response::Ok);
-        // A Get now draws the remembered `Ok` — a shape mismatch the
-        // resilient layer can detect. The replay consumes the late frame.
-        let stale = t.call(&Request::Get { key }).unwrap();
-        assert_eq!(stale, Response::Ok);
-        assert!(!Request::Get { key }.matches_response(&stale));
-        // Stream drained: the next Get is clean again.
-        assert_eq!(t.call(&Request::Get { key }).unwrap(), Response::Object(Some(vec![2])));
-    }
-
-    #[test]
-    fn corrupt_and_truncated_frames_fail_parse() {
-        for (weights, name) in
-            [([0, 0, 0, 1, 0, 0, 0], "corrupt"), ([0, 0, 0, 0, 1, 0, 0], "truncated")]
-        {
-            let mut config = FaultConfig::at_rate(1.0);
-            config.weights = weights;
-            let handler = Arc::new(MapStore(Mutex::new(HashMap::new())));
-            let schedule = FaultSchedule::shared(config, 6);
-            let mut t = FaultInjector::new(InMemoryTransport::new(handler), schedule);
-            let key = ObjectKey::metadata(7, [7; 16]);
-            for i in 0..10u32 {
-                let r = t.call(&Request::Put { key, value: vec![i as u8; 40] });
-                assert!(matches!(r, Err(NetError::Codec(_))), "{name} frame parsed: {r:?}");
-            }
-        }
+        assert_ne!(run(7).1, run(8).1, "different seeds should differ");
     }
 
     #[test]
@@ -530,15 +630,10 @@ mod tests {
         let mut config = FaultConfig::at_rate(0.0);
         config.op_rates = vec![(OpClass::Put, 1.0)];
         config.weights = [0, 0, 0, 0, 0, 0, 1]; // only transient errors
-        let handler = Arc::new(MapStore(Mutex::new(HashMap::new())));
-        let schedule = FaultSchedule::shared(config, 7);
-        let mut t = FaultInjector::new(InMemoryTransport::new(handler), schedule);
-        let key = ObjectKey::metadata(8, [8; 16]);
+        let (t, _) = faulty(Arc::new(MapStore::default()), config, 9, 1);
         // Gets are clean; Puts always shed.
+        let key = ObjectKey::metadata(8, [8; 16]);
         assert_eq!(t.call(&Request::Get { key }).unwrap(), Response::Object(None));
-        assert!(matches!(
-            t.call(&Request::Put { key, value: vec![] }).unwrap(),
-            Response::Error(_)
-        ));
+        assert!(matches!(t.call(&put(8)), Err(NetError::Remote(_))));
     }
 }

@@ -9,18 +9,19 @@
 //! * [`envelope`] — the one versioned, checksummed header on every frame:
 //!   correlation id plus an optional trace context.
 //! * [`transport`] — [`InMemoryTransport`] (deterministic, metered) and
-//!   [`TcpTransport`] (real sockets, many requests in flight per
-//!   connection), both speaking the identical byte format through the
-//!   shared server half [`serve_frame`].
+//!   [`TcpTransport`] (many requests in flight per connection, retries and
+//!   re-dials built in), both speaking the identical byte format through
+//!   the shared server half [`serve_frame`].
 //! * [`pipeline`] — [`CorrDispatcher`], the socket-free correlation-id
 //!   bookkeeping behind [`TcpTransport`]: waiting callers take turns
 //!   reading the connection and route each reply to its caller.
+//! * [`retry`] — [`RetryPolicy`]: bounded attempts with exponential
+//!   backoff, for the failures the [`error::ErrorClass`] taxonomy marks
+//!   retryable.
 //! * [`cost`] / [`netmodel`] — the NETWORK/CRYPTO/OTHER accounting and the
 //!   paper's DSL link model that converts byte counts to seconds.
-//! * [`fault`] — deterministic, seed-replayable fault injection for chaos
-//!   testing any transport.
-//! * [`resilient`] — retrying/reconnecting transport decorator built on the
-//!   [`error::ErrorClass`] taxonomy.
+//! * [`fault`] — deterministic, seed-replayable fault-injecting
+//!   connections beneath [`TcpTransport`], for chaos testing.
 //! * [`traceframe`] — the wire form of trace events for the `Trace` scrape
 //!   op.
 
@@ -34,7 +35,7 @@ pub mod fault;
 pub mod message;
 pub mod netmodel;
 pub mod pipeline;
-pub mod resilient;
+pub mod retry;
 pub mod traceframe;
 pub mod transport;
 pub mod wire;
@@ -42,13 +43,14 @@ pub mod wire;
 pub use cost::{CostMeter, CostSample};
 pub use envelope::{Envelope, CONNECTION_ERROR_ID, ENVELOPE_LEN, TRACED_ENVELOPE_LEN};
 pub use error::{ErrorClass, NetError, TRANSIENT_ERROR_PREFIX};
-pub use fault::{FaultConfig, FaultCounts, FaultInjector, FaultKind, FaultSchedule, OpClass};
+pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultSchedule, OpClass};
 pub use message::{KeySpace, ObjectKey, Request, Response};
 pub use netmodel::NetModel;
 pub use pipeline::{CorrDispatcher, FrameSource, Inbound};
-pub use resilient::{
-    Connector, FakeSleeper, ResilientTransport, RetryPolicy, Sleeper, WallClockSleeper,
-};
+pub use retry::{FakeSleeper, RetryPolicy, Sleeper, WallClockSleeper};
 pub use traceframe::TraceEventWire;
-pub use transport::{serve_frame, InMemoryTransport, RequestHandler, TcpTransport, Transport};
+pub use transport::{
+    serve_frame, Connection, Connector, FrameSink, InMemoryTransport, RequestHandler, TcpTransport,
+    Transport,
+};
 pub use wire::{Cursor, WireRead, WireWrite};

@@ -185,52 +185,6 @@ pub enum Request {
     },
 }
 
-impl Request {
-    /// True when `response` is a plausible reply to this request.
-    ///
-    /// The protocol carries no sequence numbers, so after a timeout a late
-    /// reply can desynchronize a connection by one frame. The resilient
-    /// transport uses this shape check to detect such stale/duplicate
-    /// replies and recover by reconnecting. (A stale reply of the *same*
-    /// shape — an old `Object` for a different `Get` — is indistinguishable
-    /// here by design; that is the rollback-detection problem the client's
-    /// signed-version freshness ledger handles.)
-    pub fn matches_response(&self, response: &Response) -> bool {
-        match (self, response) {
-            // Errors are a valid reply to anything.
-            (_, Response::Error(_)) => true,
-            (Request::Ping, Response::Pong) => true,
-            (
-                Request::Put { .. }
-                | Request::PutMany { .. }
-                | Request::Delete { .. }
-                | Request::DeleteBlocks { .. }
-                | Request::DeleteMany { .. },
-                Response::Ok,
-            ) => true,
-            (Request::Get { .. }, Response::Object(_)) => true,
-            (Request::GetMany { keys }, Response::Objects(vs)) => vs.len() == keys.len(),
-            (Request::Metrics, Response::Metrics { .. }) => true,
-            (Request::Scan { limit, .. }, Response::Keys { keys, .. }) => {
-                keys.len() <= *limit as usize
-            }
-            // Trace checks the event cap, so an oversized stale reply is
-            // detectable.
-            (Request::Trace { max }, Response::Trace { events, .. }) => {
-                events.len() <= *max as usize
-            }
-            (Request::Root, Response::Root { .. }) => true,
-            (Request::IndexNode { .. }, Response::IndexNode { .. }) => true,
-            // Verified scans enforce the page limit like plain scans (the
-            // proof itself is checked by the client against its pinned root).
-            (Request::ScanVerified { limit, .. }, Response::KeysProof { keys, .. }) => {
-                keys.len() <= (*limit).max(1) as usize
-            }
-            _ => false,
-        }
-    }
-}
-
 /// An SSP response.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Response {
@@ -550,48 +504,6 @@ mod tests {
         for r in [Response::from_wire(&[4]), Response::from_wire(&old_reply)] {
             assert!(matches!(r, Err(NetError::Codec(_))), "{r:?}");
         }
-    }
-
-    #[test]
-    fn response_shape_matching() {
-        let key = ObjectKey::metadata(1, [0; 16]);
-        assert!(Request::Ping.matches_response(&Response::Pong));
-        assert!(!Request::Ping.matches_response(&Response::Ok));
-        assert!(Request::Put { key, value: vec![] }.matches_response(&Response::Ok));
-        assert!(!Request::Put { key, value: vec![] }.matches_response(&Response::Pong));
-        assert!(Request::Get { key }.matches_response(&Response::Object(None)));
-        assert!(!Request::Get { key }.matches_response(&Response::Objects(vec![])));
-        // GetMany checks arity, so a stale shorter reply is detectable.
-        let two = Request::GetMany { keys: vec![key, key] };
-        assert!(two.matches_response(&Response::Objects(vec![None, None])));
-        assert!(!two.matches_response(&Response::Objects(vec![None])));
-        // Errors match anything.
-        assert!(two.matches_response(&Response::Error("x".into())));
-        // Scan checks the page limit, so an oversized stale reply is detectable.
-        let scan = Request::Scan { after: None, limit: 1 };
-        assert!(scan.matches_response(&Response::Keys { keys: vec![key], done: true }));
-        assert!(!scan.matches_response(&Response::Keys { keys: vec![key, key], done: false }));
-        assert!(!scan.matches_response(&Response::Ok));
-        // Metrics pairs only with a Metrics reply (or an error).
-        assert!(Request::Metrics.matches_response(&Response::Metrics { text: "x".into() }));
-        assert!(!Request::Metrics.matches_response(&Response::Ok));
-        assert!(!Request::Ping.matches_response(&Response::Metrics { text: "x".into() }));
-        // Trace checks the event cap.
-        assert!(Request::Trace { max: 0 }
-            .matches_response(&Response::Trace { events: vec![], dropped: 0 }));
-        assert!(!Request::Trace { max: 0 }.matches_response(&Response::Metrics { text: "".into() }));
-        // Index ops pair only with their own replies; verified scans check
-        // the page limit like plain scans.
-        assert!(Request::Root.matches_response(&Response::Root { root: [0; 32], count: 0 }));
-        assert!(!Request::Root.matches_response(&Response::Ok));
-        assert!(Request::IndexNode { hash: [0; 32] }
-            .matches_response(&Response::IndexNode { node: None }));
-        assert!(!Request::IndexNode { hash: [0; 32] }.matches_response(&Response::Ok));
-        let vscan = Request::ScanVerified { after: None, limit: 1 };
-        let page = |keys| Response::KeysProof { keys, done: true, root: [0; 32], proof: vec![] };
-        assert!(vscan.matches_response(&page(vec![key])));
-        assert!(!vscan.matches_response(&page(vec![key, key])));
-        assert!(!vscan.matches_response(&Response::Keys { keys: vec![], done: true }));
     }
 
     #[test]

@@ -51,11 +51,17 @@ pub trait FrameSource: Send {
     fn next_frame(&mut self, deadline: Instant) -> Inbound;
 }
 
+impl<S: FrameSource + ?Sized> FrameSource for Box<S> {
+    fn next_frame(&mut self, deadline: Instant) -> Inbound {
+        (**self).next_frame(deadline)
+    }
+}
+
 /// Why a connection can no longer complete requests.
 #[derive(Clone)]
 enum Death {
     /// Lost on this side (socket error, undecodable frame, a failed
-    /// write): a retryable I/O error, so the resilient layer reconnects.
+    /// write): a retryable I/O error, so the transport re-dials.
     Lost(String),
     /// Ended by the server with a connection-level error: its message,
     /// classified like any server error (`transient…` is retryable).
@@ -162,6 +168,10 @@ impl<S: FrameSource> CorrDispatcher<S> {
     /// after a timeout becomes an orphan, not a cross-match.
     pub fn wait(&self, id: u64, timeout: Duration) -> Result<Vec<u8>, NetError> {
         let deadline = Instant::now() + timeout;
+        // A waiter given any time reads a free source at least once before
+        // it times out, so a reply already at hand is not lost to a late
+        // wake-up.
+        let mut read_once = timeout.is_zero();
         let mut st = self.lock();
         let outcome = loop {
             match st.slots.get_mut(&id) {
@@ -176,13 +186,14 @@ impl<S: FrameSource> CorrDispatcher<S> {
                 break Err(death.error());
             }
             let now = Instant::now();
-            if now >= deadline {
+            if now >= deadline && (read_once || st.source.is_none()) {
                 break Err(NetError::Io(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
                     format!("call {id} timed out"),
                 )));
             }
             if let Some(mut source) = st.source.take() {
+                read_once = true;
                 drop(st);
                 let inbound = source.next_frame(deadline);
                 st = self.lock();
@@ -256,6 +267,15 @@ mod tests {
         assert_eq!((a, b), (1, 2));
         assert_eq!(d.wait(a, Duration::from_secs(1)).unwrap(), vec![1]);
         assert_eq!(d.wait(b, Duration::from_secs(1)).unwrap(), vec![2]);
+    }
+
+    #[test]
+    fn a_reply_at_hand_is_delivered_past_the_deadline() {
+        // A 1 ns timeout has expired by the time the waiter looks; the
+        // queued reply is still read and delivered, not timed out.
+        let d = CorrDispatcher::new(Script(VecDeque::from([reply(1, 7)])));
+        let id = d.register().unwrap();
+        assert_eq!(d.wait(id, Duration::from_nanos(1)).unwrap(), vec![7]);
     }
 
     #[test]

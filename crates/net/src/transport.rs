@@ -6,23 +6,29 @@
 //!   a [`CostMeter`], and dispatches to an in-process handler. This is the
 //!   deterministic path the benchmark harness uses (network time is modeled,
 //!   not slept).
-//! * [`TcpTransport`] — real sockets with length-prefixed frames. One
+//! * [`TcpTransport`] — length-prefixed frames over a connection its
+//!   [`Connector`] dials: a real socket ([`TcpTransport::dialer`]) or a
+//!   fault-injecting in-process one ([`crate::fault::connector`]). One
 //!   connection carries many requests in flight: `&self` calls from any
 //!   number of threads, matched back to their callers by correlation id.
 //!   Each caller reads replies itself (no reader thread), so a lone
-//!   caller's round trip wakes no other thread on this side.
+//!   caller's round trip wakes no other thread on this side. A retryable
+//!   failure is retried under a [`RetryPolicy`]: on the same connection
+//!   while it is alive, on a newly dialled one once it has died.
 //!
 //! Every frame body is an [`Envelope`] followed by one message. Both sides
 //! read frames through a [`FRAME_READ_BUF`]-byte buffer, so a small frame
 //! costs one `read` call. The server half of a round trip is
-//! [`serve_frame`], shared by the in-memory path and sspd's connection
-//! threads, so both meter exactly the same bytes.
+//! [`serve_frame`], shared by the in-memory path, the fault-injecting
+//! connection and sspd's connection threads, so all meter exactly the same
+//! bytes.
 
 use crate::cost::CostMeter;
 use crate::envelope::{connection_error, Envelope, CONNECTION_ERROR_ID};
-use crate::error::NetError;
+use crate::error::{ErrorClass, NetError};
 use crate::message::{Request, Response};
 use crate::pipeline::{CorrDispatcher, FrameSource, Inbound};
+use crate::retry::{Backoff, RetryPolicy, Sleeper, WallClockSleeper};
 use crate::wire::WireRead;
 use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -48,7 +54,9 @@ pub trait RequestHandler: Send + Sync {
 
 /// A bidirectional request channel to the SSP.
 pub trait Transport: Send {
-    /// Sends a request and waits for the response.
+    /// Sends a request and waits for the response. An error reply from the
+    /// SSP comes back as [`NetError::Remote`], never as
+    /// [`Response::Error`].
     fn call(&mut self, request: &Request) -> Result<Response, NetError>;
 
     /// The meter recording this transport's traffic.
@@ -90,13 +98,17 @@ fn request_frame(corr: u64, request: &Request) -> Vec<u8> {
     Envelope { corr, trace: sharoes_obs::mint_child("ssp.rpc") }.seal(request)
 }
 
-/// Decodes the response frame answering call `corr`.
+/// Decodes the response frame answering call `corr`; an error reply
+/// becomes [`NetError::Remote`].
 fn open_response(corr: u64, frame: &[u8]) -> Result<Response, NetError> {
     let (env, message) = Envelope::open(frame)?;
     if env.corr != corr {
         return Err(NetError::Codec("response answers another request"));
     }
-    Response::from_wire(message)
+    match Response::from_wire(message)? {
+        Response::Error(msg) => Err(NetError::Remote(msg)),
+        response => Ok(response),
+    }
 }
 
 /// Charges the wall time of a round trip started at `timing` to the
@@ -189,77 +201,179 @@ const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
 /// costs one `read` call.
 pub const FRAME_READ_BUF: usize = 16 << 10;
 
-/// TCP transport: one connection, many requests in flight.
+/// The write half of one connection: it takes whole request frames.
+pub trait FrameSink: Send {
+    /// Sends one request frame. An error leaves the connection unframable.
+    fn send(&mut self, frame: &[u8]) -> Result<(), NetError>;
+}
+
+impl FrameSink for TcpStream {
+    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        write_frame(self, frame)
+    }
+}
+
+/// One dialled connection: the half request frames are written to and the
+/// half their replies are read from.
+pub type Connection = (Box<dyn FrameSink>, Box<dyn FrameSource>);
+
+/// Dials a fresh [`Connection`]: once when a [`TcpTransport`] is built, and
+/// again whenever its live connection has died.
+pub type Connector = Box<dyn Fn() -> Result<Connection, NetError> + Send + Sync>;
+
+/// A dialled connection and the correlation bookkeeping of its replies.
+struct Link {
+    writer: Mutex<Box<dyn FrameSink>>,
+    dispatcher: CorrDispatcher<Box<dyn FrameSource>>,
+}
+
+impl Link {
+    fn dial(connector: &Connector) -> Result<Arc<Link>, NetError> {
+        let (writer, source) = connector()?;
+        Ok(Arc::new(Link { writer: Mutex::new(writer), dispatcher: CorrDispatcher::new(source) }))
+    }
+}
+
+/// TCP transport: one live connection, many requests in flight, and
+/// retries under a [`RetryPolicy`].
 ///
 /// Calls take `&self`, so one transport can serve many threads at once.
-/// A writer lock serializes frames onto the socket; there is no reader
-/// thread. A waiting caller reads the socket itself while no other caller
-/// does and routes each reply to its caller by correlation id
-/// ([`CorrDispatcher`]). Used through the [`Transport`] trait it is an
-/// ordinary one-call-at-a-time transport that reads its own replies.
+/// A writer lock serializes frames onto the connection; there is no
+/// reader thread. A waiting caller reads the connection itself while no
+/// other caller does and routes each reply to its caller by correlation
+/// id ([`CorrDispatcher`]).
+///
+/// A call that fails with a [`ErrorClass::Retryable`] error is retried up
+/// to [`RetryPolicy::max_attempts`] times with backoff, which is safe
+/// because every SSP operation is idempotent (see [`ErrorClass`]). While
+/// the connection is alive (a timeout, a `transient…` reply, a reply that
+/// does not decode) the retry goes out on it; once it has died (lost,
+/// refused by the server, or silent through two attempts of one call in a
+/// row) the connector dials a new one first, once for all the callers that
+/// found it dead. A call that finds the connection already dead re-dials
+/// before its first attempt. Retries and re-dials are counted in the
+/// [`CostMeter`].
 pub struct TcpTransport {
-    writer: Mutex<TcpStream>,
-    dispatcher: CorrDispatcher<SocketSource>,
+    live: Mutex<Arc<Link>>,
+    connector: Connector,
+    backoff: Backoff,
     meter: Arc<CostMeter>,
     timeout: Duration,
 }
 
 impl TcpTransport {
-    /// Connects to an SSP server at `addr` (e.g. `"127.0.0.1:7070"`).
+    /// Connects to an SSP server at `addr` (e.g. `"127.0.0.1:7070"`) with a
+    /// 30 s call deadline and [`RetryPolicy::default`], re-dialling `addr`
+    /// when the connection dies.
     pub fn connect(addr: &str) -> Result<Self, NetError> {
-        Self::connect_with(addr, DEFAULT_CALL_TIMEOUT, CostMeter::new_shared())
+        Self::with_connector(
+            Self::dialer(addr, DEFAULT_CALL_TIMEOUT),
+            DEFAULT_CALL_TIMEOUT,
+            RetryPolicy::default(),
+            Box::new(WallClockSleeper),
+            CostMeter::new_shared(),
+        )
     }
 
-    /// Connects with a per-call deadline and a caller-supplied meter.
+    /// Dials the first connection through `connector` and returns the
+    /// transport.
     ///
-    /// `timeout` bounds how long one call can stall on a dead or wedged
-    /// peer, writing its frame or awaiting the response (either surfaces
-    /// as a retryable [`NetError::Io`]). Sharing a meter lets a
-    /// reconnecting caller (the resilient transport) accumulate costs
-    /// across connections.
-    pub fn connect_with(
-        addr: &str,
+    /// `timeout` bounds how long one attempt waits for its reply (a timeout
+    /// is a retryable [`NetError::Io`]); `policy` bounds the attempts per
+    /// call and spaces them, waiting through `sleeper`; every round trip,
+    /// retry and re-dial is charged to `meter`.
+    pub fn with_connector(
+        connector: Connector,
         timeout: Duration,
+        policy: RetryPolicy,
+        sleeper: Box<dyn Sleeper>,
         meter: Arc<CostMeter>,
     ) -> Result<Self, NetError> {
-        let sock = TcpStream::connect(addr)?;
-        sock.set_nodelay(true)?;
-        sock.set_write_timeout(Some(timeout))?;
-        let source = SocketSource(BufReader::with_capacity(FRAME_READ_BUF, sock.try_clone()?));
-        Ok(TcpTransport {
-            writer: Mutex::new(sock),
-            dispatcher: CorrDispatcher::new(source),
-            meter,
-            timeout,
+        let live = Mutex::new(Link::dial(&connector)?);
+        Ok(TcpTransport { live, connector, backoff: Backoff::new(policy, sleeper), meter, timeout })
+    }
+
+    /// A connector dialling `addr`, whose sockets give up on a write after
+    /// `timeout`.
+    pub fn dialer(addr: &str, timeout: Duration) -> Connector {
+        let addr = addr.to_string();
+        Box::new(move || {
+            let sock = TcpStream::connect(&addr)?;
+            sock.set_nodelay(true)?;
+            sock.set_write_timeout(Some(timeout))?;
+            let source = SocketSource(BufReader::with_capacity(FRAME_READ_BUF, sock.try_clone()?));
+            Ok((Box::new(sock) as Box<dyn FrameSink>, Box::new(source) as Box<dyn FrameSource>))
         })
     }
 
-    /// One full round trip. Takes `&self`: concurrent callers pipeline
-    /// naturally, each matched to its own response by correlation id.
+    /// One request through the retry schedule. Takes `&self`: concurrent
+    /// callers pipeline naturally, each matched to its own response by
+    /// correlation id.
     pub fn call(&self, request: &Request) -> Result<Response, NetError> {
         let timing = sharoes_obs::in_span().then(Instant::now);
-        let out = (|| {
-            let id = self.dispatcher.register()?;
-            let frame = request_frame(id, request);
-            let written = {
-                let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-                write_frame(&mut *w, &frame)
-            };
-            if let Err(e) = written {
-                // A half-written frame leaves the stream unframable.
-                self.dispatcher.fail_all(&e.to_string());
-                return Err(e);
+        let mut link = Arc::clone(&self.live.lock().unwrap_or_else(|e| e.into_inner()));
+        let mut stalled = false;
+        let mut out = self.attempt(&mut link, &mut stalled, request);
+        for n in 1..self.backoff.attempts() {
+            match &out {
+                Err(e) if e.class() == ErrorClass::Retryable => {}
+                _ => break,
             }
-            let reply = self.dispatcher.wait(id, self.timeout)?;
-            self.meter.charge_round_trip(frame.len() as u64 + 4, reply.len() as u64 + 4);
-            let response = open_response(id, &reply)?;
-            if !request.matches_response(&response) {
-                return Err(NetError::Codec("response does not match request"));
-            }
-            Ok(response)
-        })();
+            self.meter.charge_retry();
+            self.backoff.sleep_before(n);
+            out = self.attempt(&mut link, &mut stalled, request);
+        }
         charge_net_phase(timing);
         out
+    }
+
+    /// One attempt on `link`, or on a newly dialled connection if `link`
+    /// has died. `stalled` says whether the call's previous attempt on
+    /// `link` timed out: a second timeout in a row fails the connection,
+    /// because a peer that is gone without a reset (a lost host, a
+    /// middlebox that dropped its state) never answers on it again.
+    fn attempt(
+        &self,
+        link: &mut Arc<Link>,
+        stalled: &mut bool,
+        request: &Request,
+    ) -> Result<Response, NetError> {
+        let id = match link.dispatcher.register() {
+            Ok(id) => id,
+            // Only a dead connection refuses a registration.
+            Err(_) => {
+                *link = self.redial(link)?;
+                *stalled = false;
+                link.dispatcher.register()?
+            }
+        };
+        let frame = request_frame(id, request);
+        let written = link.writer.lock().unwrap_or_else(|e| e.into_inner()).send(&frame);
+        if let Err(e) = written {
+            // A half-written frame leaves the stream unframable.
+            link.dispatcher.fail_all(&e.to_string());
+            return Err(e);
+        }
+        let reply = link.dispatcher.wait(id, self.timeout);
+        let timed_out = matches!(&reply, Err(NetError::Io(e)) if e.kind() == ErrorKind::TimedOut);
+        if timed_out && *stalled {
+            link.dispatcher.fail_all("no reply to two attempts in a row");
+        }
+        *stalled = timed_out;
+        let reply = reply?;
+        self.meter.charge_round_trip(frame.len() as u64 + 4, reply.len() as u64 + 4);
+        open_response(id, &reply)
+    }
+
+    /// Replaces the dead `link` with a newly dialled connection, unless
+    /// another caller already did.
+    fn redial(&self, dead: &Arc<Link>) -> Result<Arc<Link>, NetError> {
+        let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
+        if Arc::ptr_eq(&live, dead) {
+            *live = Link::dial(&self.connector)?;
+            self.meter.charge_reconnect();
+        }
+        Ok(Arc::clone(&live))
     }
 }
 
@@ -329,6 +443,7 @@ mod tests {
     use crate::message::ObjectKey;
     use crate::wire::WireWrite;
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     /// Toy handler used by transport tests.
@@ -596,9 +711,12 @@ mod tests {
         });
         let orphans = sharoes_obs::global().counter("net_corr_orphans_total");
         let before = orphans.get();
-        let t = TcpTransport::connect_with(
-            &addr.to_string(),
-            Duration::from_millis(100),
+        let timeout = Duration::from_millis(100);
+        let t = TcpTransport::with_connector(
+            TcpTransport::dialer(&addr.to_string(), timeout),
+            timeout,
+            RetryPolicy::fast(1),
+            Box::new(WallClockSleeper),
             CostMeter::new_shared(),
         )
         .unwrap();
@@ -635,5 +753,233 @@ mod tests {
         assert!(
             matches!(Response::from_wire(message).unwrap(), Response::Error(m) if m.contains("bad request"))
         );
+    }
+
+    /// Serves `store` on `sock` until the client hangs up; returns how
+    /// many request frames it read.
+    fn serve_until_hangup(sock: &mut TcpStream, store: &EchoStore) -> usize {
+        let mut served = 0;
+        while let Ok(frame) = read_frame(sock) {
+            served += 1;
+            if write_frame(sock, &serve_frame(store, &frame, "tcp").unwrap()).is_err() {
+                break;
+            }
+        }
+        served
+    }
+
+    /// A transport dialling `addr` with the default policy, counting dials.
+    fn counted(addr: &str) -> (TcpTransport, Arc<AtomicUsize>) {
+        counted_with(addr, DEFAULT_CALL_TIMEOUT, RetryPolicy::default())
+    }
+
+    /// A transport dialling `addr` with a call deadline and a policy,
+    /// counting dials.
+    fn counted_with(
+        addr: &str,
+        timeout: Duration,
+        policy: RetryPolicy,
+    ) -> (TcpTransport, Arc<AtomicUsize>) {
+        let dials = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&dials);
+        let dial = TcpTransport::dialer(addr, timeout);
+        let connector: Connector = Box::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            dial()
+        });
+        let t = TcpTransport::with_connector(
+            connector,
+            timeout,
+            policy,
+            Box::new(WallClockSleeper),
+            CostMeter::new_shared(),
+        )
+        .unwrap();
+        (t, dials)
+    }
+
+    #[test]
+    fn a_call_after_the_server_hangs_up_succeeds_on_a_new_connection() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let store = EchoStore(Mutex::new(HashMap::new()));
+            // The first connection answers one call, then closes.
+            let (mut first, _) = listener.accept().unwrap();
+            let frame = read_frame(&mut first).unwrap();
+            write_frame(&mut first, &serve_frame(&store, &frame, "tcp").unwrap()).unwrap();
+            drop(first);
+            let (mut second, _) = listener.accept().unwrap();
+            serve_until_hangup(&mut second, &store)
+        });
+        let (t, dials) = counted(&addr);
+        assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
+        assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
+        let s = t.meter().sample();
+        assert_eq!((s.reconnects, s.retries), (1, 1));
+        assert_eq!(dials.load(Ordering::SeqCst), 2);
+        drop(t);
+        assert_eq!(server.join().unwrap(), 1, "the second connection served the retry");
+    }
+
+    #[test]
+    fn a_connection_shed_with_a_transient_reply_is_redialled() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut shed, _) = listener.accept().unwrap();
+            read_frame(&mut shed).unwrap();
+            let reason = format!("{}: over connection capacity", crate::TRANSIENT_ERROR_PREFIX);
+            write_frame(&mut shed, &connection_error(reason)).unwrap();
+            drop(shed);
+            let (mut sock, _) = listener.accept().unwrap();
+            serve_until_hangup(&mut sock, &EchoStore(Mutex::new(HashMap::new())))
+        });
+        let (t, dials) = counted(&addr);
+        assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
+        assert_eq!(t.meter().sample().reconnects, 1);
+        assert_eq!(dials.load(Ordering::SeqCst), 2);
+        drop(t);
+        assert_eq!(server.join().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_non_transient_remote_error_comes_back_after_one_attempt() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            // EchoStore refuses Metrics with a non-transient error.
+            serve_until_hangup(&mut sock, &EchoStore(Mutex::new(HashMap::new())))
+        });
+        let (t, dials) = counted(&addr);
+        let err = t.call(&Request::Metrics).unwrap_err();
+        assert!(matches!(&err, NetError::Remote(m) if m == "unsupported in test"), "{err}");
+        let s = t.meter().sample();
+        assert_eq!((s.retries, s.reconnects, s.round_trips), (0, 0, 1));
+        assert_eq!(dials.load(Ordering::SeqCst), 1);
+        drop(t);
+        assert_eq!(server.join().unwrap(), 1, "one attempt reached the server");
+    }
+
+    #[test]
+    fn a_connection_that_never_answers_is_redialled_after_two_timeouts() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            // The first connection reads requests and answers none, like a
+            // peer gone without a reset; the second serves.
+            let (mut silent, _) = listener.accept().unwrap();
+            let sink = std::thread::spawn(move || while read_frame(&mut silent).is_ok() {});
+            let (mut sock, _) = listener.accept().unwrap();
+            let served = serve_until_hangup(&mut sock, &EchoStore(Mutex::new(HashMap::new())));
+            sink.join().unwrap();
+            served
+        });
+        let (t, dials) = counted_with(&addr, Duration::from_millis(100), RetryPolicy::fast(5));
+        assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
+        let s = t.meter().sample();
+        assert_eq!((s.retries, s.reconnects, s.round_trips), (2, 1, 1));
+        assert_eq!(dials.load(Ordering::SeqCst), 2);
+        drop(t);
+        assert_eq!(server.join().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_connection_refused_with_a_fatal_reply_is_redialled_by_the_next_call() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut refused, _) = listener.accept().unwrap();
+            read_frame(&mut refused).unwrap();
+            write_frame(&mut refused, &connection_error("bad request: torn envelope".into()))
+                .unwrap();
+            drop(refused);
+            let (mut sock, _) = listener.accept().unwrap();
+            serve_until_hangup(&mut sock, &EchoStore(Mutex::new(HashMap::new())))
+        });
+        let (t, dials) = counted(&addr);
+        let err = t.call(&Request::Ping).unwrap_err();
+        assert!(matches!(&err, NetError::Remote(m) if m.starts_with("bad request")), "{err}");
+        assert_eq!(err.class(), ErrorClass::Fatal);
+        assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
+        let s = t.meter().sample();
+        assert_eq!((s.retries, s.reconnects), (0, 1));
+        assert_eq!(dials.load(Ordering::SeqCst), 2);
+        drop(t);
+        assert_eq!(server.join().unwrap(), 1);
+    }
+
+    #[test]
+    fn concurrent_callers_that_find_the_connection_dead_dial_it_once() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let store = EchoStore(Mutex::new(HashMap::new()));
+            let (mut first, _) = listener.accept().unwrap();
+            let frame = read_frame(&mut first).unwrap();
+            write_frame(&mut first, &serve_frame(&store, &frame, "tcp").unwrap()).unwrap();
+            drop(first);
+            let (mut second, _) = listener.accept().unwrap();
+            serve_until_hangup(&mut second, &store)
+        });
+        let (t, dials) = counted(&addr);
+        assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let (t, start) = (&t, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong)
+                });
+            }
+        });
+        assert_eq!(dials.load(Ordering::SeqCst), 2, "one re-dial for all");
+        assert_eq!(t.meter().sample().reconnects, 1);
+        drop(t);
+        assert_eq!(server.join().unwrap(), 4);
+    }
+
+    #[test]
+    fn retries_against_a_dead_peer_are_bounded() {
+        /// A connection whose every write fails.
+        struct Dead;
+        impl FrameSink for Dead {
+            fn send(&mut self, _frame: &[u8]) -> Result<(), NetError> {
+                Err(NetError::Io(std::io::Error::from(ErrorKind::ConnectionReset)))
+            }
+        }
+        impl FrameSource for Dead {
+            fn next_frame(&mut self, _deadline: Instant) -> Inbound {
+                Inbound::Lost("dead peer".into())
+            }
+        }
+        let dials = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&dials);
+        let connector: Connector = Box::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Ok((Box::new(Dead) as Box<dyn FrameSink>, Box::new(Dead) as Box<dyn FrameSource>))
+        });
+        let meter = CostMeter::new_shared();
+        let t = TcpTransport::with_connector(
+            connector,
+            Duration::from_secs(1),
+            RetryPolicy::fast(4),
+            Box::new(WallClockSleeper),
+            Arc::clone(&meter),
+        )
+        .unwrap();
+        let err = t.call(&Request::Ping).unwrap_err();
+        assert_eq!(err.class(), crate::ErrorClass::Retryable);
+        let s = meter.sample();
+        assert_eq!((s.retries, s.reconnects), (3, 3), "4 attempts, each on a new connection");
+        assert_eq!(dials.load(Ordering::SeqCst), 4);
     }
 }

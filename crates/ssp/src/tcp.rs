@@ -29,7 +29,7 @@
 //!   so wedged or half-open peers cannot pin a thread forever.
 //! * Concurrent connections are bounded ([`ServeOptions::max_connections`]);
 //!   excess connections are shed with a *transient* connection-level error
-//!   so resilient clients back off and retry.
+//!   so clients back off and retry on a new connection.
 //! * The accept loop blocks in `accept` and checks a stop flag after each
 //!   connection. [`TcpServerHandle::shutdown`] sets the flag and connects to
 //!   the listener to wake it, on the loopback address of its family when it
@@ -314,7 +314,7 @@ impl Drop for ConnSlot {
 }
 
 /// Rejects a connection over the budget. The error is marked transient so
-/// resilient clients back off and retry instead of failing permanently.
+/// clients back off and re-dial instead of failing permanently.
 fn shed_connection(mut sock: TcpStream) {
     let reply = connection_error("transient: server at connection capacity".into());
     let _ = write_frame(&mut sock, &reply);
@@ -515,7 +515,7 @@ mod tests {
         match read_reply(&mut sock) {
             (CONNECTION_ERROR_ID, Response::Error(msg)) => {
                 assert!(msg.contains("frame too large"), "unexpected error: {msg}");
-                // Non-transient: a resilient client must not retry this.
+                // Non-transient: a client must not retry this.
                 assert_eq!(NetError::Remote(msg).class(), ErrorClass::Fatal);
             }
             other => panic!("expected connection-level error, got {other:?}"),

@@ -92,8 +92,8 @@ pub mod prelude {
     pub use sharoes_crypto::{HmacDrbg, SystemRandom};
     pub use sharoes_fs::prelude::*;
     pub use sharoes_net::{
-        FaultConfig, FaultInjector, FaultSchedule, InMemoryTransport, NetModel, ResilientTransport,
-        RetryPolicy, TcpTransport, Transport,
+        FaultConfig, FaultSchedule, InMemoryTransport, NetModel, RetryPolicy, TcpTransport,
+        Transport,
     };
     pub use sharoes_ssp::{serve, serve_with, ServeOptions, SspServer};
 }

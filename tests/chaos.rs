@@ -1,5 +1,6 @@
-//! Chaos suite: the full client stack driven through a deterministic fault
-//! injector, plus SSP crash/restart recovery and client degraded mode.
+//! Chaos suite: the full client stack driven over deterministic
+//! fault-injecting connections, plus SSP crash/restart recovery and client
+//! degraded mode.
 //!
 //! Everything here is replayable: the fault schedule, the client session,
 //! and the deployment are pure functions of the printed seed. Rerun a
@@ -8,8 +9,8 @@
 
 use sharoes::fs::treegen::{generate, TreeSpec};
 use sharoes::net::{
-    CostMeter, FakeSleeper, FaultConfig, FaultCounts, FaultInjector, FaultSchedule, NetError,
-    ObjectKey, RequestHandler, ResilientTransport, RetryPolicy, Transport, WireRead, WireWrite,
+    fault, CostMeter, FakeSleeper, FaultConfig, FaultCounts, FaultSchedule, ObjectKey, RetryPolicy,
+    WallClockSleeper, WireRead, WireWrite,
 };
 use sharoes::prelude::*;
 use sharoes::ssp::segment::classify;
@@ -116,31 +117,35 @@ fn sorted_entries(server: &SspServer) -> Vec<(Vec<u8>, Vec<u8>)> {
     entries
 }
 
-/// A client whose every SSP call crosses a seeded fault injector and the
-/// retrying/reconnecting resilient transport — the production failure path.
+/// A client whose every SSP call crosses seeded fault-injecting connections
+/// beneath a retrying, re-dialling `TcpTransport` — the production failure
+/// path.
 fn chaos_client(
     world: &World,
-    rate: f64,
+    faults: FaultConfig,
     fault_seed: u64,
     session_seed: u64,
 ) -> (SharoesClient, Arc<Mutex<FaultSchedule>>) {
-    let schedule = FaultSchedule::shared(FaultConfig::at_rate(rate), fault_seed);
+    let schedule = FaultSchedule::shared(faults, fault_seed);
     let meter = CostMeter::new_shared();
-    let handler = Arc::clone(&world.server) as Arc<dyn RequestHandler>;
-    let schedule2 = Arc::clone(&schedule);
-    let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
-        let inner = InMemoryTransport::with_meter(Arc::clone(&handler), Arc::clone(&meter));
-        Ok(Box::new(FaultInjector::new(inner, Arc::clone(&schedule2))))
-    });
+    let connector =
+        fault::connector(Arc::clone(&world.server) as _, Arc::clone(&schedule), Arc::clone(&meter));
     // 12 attempts: at a 20% fault rate a call fails only with probability
     // 0.2^12 ≈ 4e-9, and the seeded schedule pins the exact outcome anyway.
     // Production-shaped exponential backoff runs against a FakeSleeper, so
     // the retry/backoff/jitter path is fully exercised without the suite
-    // ever sleeping for real.
+    // ever sleeping for real. Every reply is queued while its request is
+    // written, so the short call timeout is only ever waited out by a lost
+    // request or reply.
     let policy = RetryPolicy { max_attempts: 12, ..RetryPolicy::default() };
-    let transport =
-        ResilientTransport::connect_with_sleeper(connector, policy, Box::new(FakeSleeper::new()))
-            .expect("connect");
+    let transport = TcpTransport::with_connector(
+        connector,
+        Duration::from_millis(5),
+        policy,
+        Box::new(FakeSleeper::new()),
+        meter,
+    )
+    .expect("connect");
     let client = SharoesClient::with_rng(
         Box::new(transport),
         world.config.clone(),
@@ -179,14 +184,14 @@ fn run_workload(client: &mut SharoesClient) -> Vec<Vec<u8>> {
     reads
 }
 
-/// What one chaos run yields: read-backs, final store entries, injector
+/// What one chaos run yields: read-backs, final store entries, fault
 /// tallies.
 type RunOutcome = (Vec<Vec<u8>>, Vec<(Vec<u8>, Vec<u8>)>, FaultCounts);
 
-/// One full chaos run at `rate`.
-fn run_at_rate(seed: u64, rate: f64) -> RunOutcome {
+/// One full chaos run under `faults`.
+fn run_with(seed: u64, faults: FaultConfig) -> RunOutcome {
     let world = deploy(seed);
-    let (mut client, schedule) = chaos_client(&world, rate, seed ^ 0xFA17, seed ^ 0x5E55);
+    let (mut client, schedule) = chaos_client(&world, faults, seed ^ 0xFA17, seed ^ 0x5E55);
     let reads = run_workload(&mut client);
     assert!(!client.is_degraded(), "workload completed, client must not be degraded");
     let counts = schedule.lock().unwrap().counts();
@@ -197,20 +202,25 @@ fn run_at_rate(seed: u64, rate: f64) -> RunOutcome {
 fn chaos_workloads_complete_identically_across_fault_rates() {
     let seed = sharoes_testkit::rng::test_seed();
     println!("chaos seed: {seed:#x} (set SHAROES_TEST_SEED to replay)");
-    let mut rates = vec![0.0, 0.05, 0.20];
+    let mut runs: Vec<(String, FaultConfig)> =
+        [0.05, 0.20].map(|rate| (format!("rate {rate}"), FaultConfig::at_rate(rate))).into();
     if let Some(extra) = std::env::var("SHAROES_CHAOS_RATE").ok().and_then(|v| v.parse().ok()) {
-        rates.push(extra);
+        runs.push((format!("rate {extra}"), FaultConfig::at_rate(extra)));
     }
-    let (baseline_reads, baseline_entries, _) = run_at_rate(seed, rates[0]);
+    // Every fault a disconnect, so the re-dial path runs at any seed.
+    let mut disconnects = FaultConfig::at_rate(0.20);
+    disconnects.weights = [0, 0, 1, 0, 0, 0, 0];
+    runs.push(("disconnects at rate 0.2".into(), disconnects));
+    let (baseline_reads, baseline_entries, _) = run_with(seed, FaultConfig::at_rate(0.0));
     assert!(!baseline_entries.is_empty());
-    for &rate in &rates[1..] {
-        let (reads, entries, counts) = run_at_rate(seed, rate);
-        println!("rate {rate}: {} faults injected ({counts:?})", counts.total());
-        assert!(counts.total() > 0, "rate {rate} injected nothing — schedule broken");
-        assert_eq!(reads, baseline_reads, "read-backs diverged at fault rate {rate}");
+    for (name, faults) in runs {
+        let (reads, entries, counts) = run_with(seed, faults);
+        println!("{name}: {} faults injected ({counts:?})", counts.total());
+        assert!(counts.total() > 0, "{name} injected nothing — schedule broken");
+        assert_eq!(reads, baseline_reads, "read-backs diverged at {name}");
         assert_eq!(
             entries, baseline_entries,
-            "final SSP state diverged from the fault-free run at rate {rate}"
+            "final SSP state diverged from the fault-free run at {name}"
         );
     }
 }
@@ -218,8 +228,8 @@ fn chaos_workloads_complete_identically_across_fault_rates() {
 #[test]
 fn chaos_schedule_is_replayable_from_seed() {
     let seed = sharoes_testkit::rng::test_seed();
-    let (reads_a, entries_a, counts_a) = run_at_rate(seed, 0.20);
-    let (reads_b, entries_b, counts_b) = run_at_rate(seed, 0.20);
+    let (reads_a, entries_a, counts_a) = run_with(seed, FaultConfig::at_rate(0.20));
+    let (reads_b, entries_b, counts_b) = run_with(seed, FaultConfig::at_rate(0.20));
     assert_eq!(counts_a, counts_b, "same seed must inject the same faults");
     assert_eq!(reads_a, reads_b);
     assert_eq!(entries_a, entries_b);
@@ -230,7 +240,7 @@ fn sspd_restart_recovers_checkpointed_objects() {
     // Populate, checkpoint (what sspd's compaction does), then leave a WAL
     // tail past the checkpoint.
     let (world, fs) = deploy_journalled(0xC4A5_0001);
-    let (mut client, _) = chaos_client(&world, 0.0, 1, 2);
+    let (mut client, _) = chaos_client(&world, FaultConfig::at_rate(0.0), 1, 2);
     let reads = run_workload(&mut client);
     world.server.store().compact().unwrap();
     let tail = b"written after the checkpoint";
@@ -260,7 +270,7 @@ fn torn_checkpoint_falls_back_to_previous_generation() {
     // More data, then generation 2. In the crash window between that
     // checkpoint's rename and the old WAL deletions reaching disk, the WAL
     // chain it prunes still bridges generation 1 to it: keep a copy.
-    let (mut client, _) = chaos_client(&world, 0.0, 1, 3);
+    let (mut client, _) = chaos_client(&world, FaultConfig::at_rate(0.0), 1, 3);
     let reads = run_workload(&mut client);
     let expected = sorted_entries(&world.server);
     let bridge: Vec<(String, Vec<u8>)> = classify(&fs.list(dir).unwrap())
@@ -306,6 +316,19 @@ fn torn_checkpoint_falls_back_to_previous_generation() {
     }
 }
 
+/// A `TcpTransport` to `addr` with a 500 ms call timeout and one retry.
+fn dial_with_one_retry(addr: &str) -> TcpTransport {
+    let timeout = Duration::from_millis(500);
+    TcpTransport::with_connector(
+        TcpTransport::dialer(addr, timeout),
+        timeout,
+        RetryPolicy::fast(2),
+        Box::new(WallClockSleeper),
+        CostMeter::new_shared(),
+    )
+    .expect("dial")
+}
+
 #[test]
 fn ssp_outage_degrades_to_cached_reads_without_panicking() {
     // Serve over real TCP with a short server-side read timeout so that
@@ -316,14 +339,7 @@ fn ssp_outage_degrades_to_cached_reads_without_panicking() {
         ServeOptions { read_timeout: Some(Duration::from_millis(100)), ..ServeOptions::default() };
     let handle =
         sharoes::ssp::serve_with(Arc::clone(&world.server), "127.0.0.1:0", options).expect("serve");
-    let addr = handle.addr().to_string();
-    let meter = CostMeter::new_shared();
-    let m2 = Arc::clone(&meter);
-    let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
-        let t = TcpTransport::connect_with(&addr, Duration::from_millis(500), Arc::clone(&m2))?;
-        Ok(Box::new(t) as Box<dyn Transport>)
-    });
-    let transport = ResilientTransport::connect(connector, RetryPolicy::fast(2)).expect("dial");
+    let transport = dial_with_one_retry(&handle.addr().to_string());
     let mut client = SharoesClient::with_rng(
         Box::new(transport),
         world.config.clone(),
@@ -371,14 +387,7 @@ fn degraded_client_fails_revocation_cleanly_without_dropping_the_acl() {
         ServeOptions { read_timeout: Some(Duration::from_millis(100)), ..ServeOptions::default() };
     let handle =
         sharoes::ssp::serve_with(Arc::clone(&world.server), "127.0.0.1:0", options).expect("serve");
-    let addr = handle.addr().to_string();
-    let meter = CostMeter::new_shared();
-    let m2 = Arc::clone(&meter);
-    let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
-        let t = TcpTransport::connect_with(&addr, Duration::from_millis(500), Arc::clone(&m2))?;
-        Ok(Box::new(t) as Box<dyn Transport>)
-    });
-    let transport = ResilientTransport::connect(connector, RetryPolicy::fast(2)).expect("dial");
+    let transport = dial_with_one_retry(&handle.addr().to_string());
     let owner = Uid(1000);
     let grantee = Uid(1001);
     let mut client = SharoesClient::with_rng(

@@ -1,7 +1,7 @@
 //! Cluster chaos suite: the full client stack mounted through a
-//! `ClusterTransport` over N=3 SSP nodes at R=2, with a seeded fault
-//! injector on every node link and one node killed permanently
-//! mid-workload.
+//! `ClusterTransport` over N=3 SSP nodes at R=2, with seeded
+//! fault-injecting connections on every node link and one node killed
+//! permanently mid-workload.
 //!
 //! The workload must complete byte-identically to the fault-free run, and
 //! after retiring the dead node and rebalancing, the replica audit must
@@ -12,34 +12,42 @@
 use sharoes::cluster::{ClusterOpts, ClusterTransport};
 use sharoes::fs::treegen::{generate, TreeSpec};
 use sharoes::net::{
-    CostMeter, FaultConfig, FaultCounts, FaultInjector, FaultSchedule, NetError, Request,
-    RequestHandler, ResilientTransport, Response, RetryPolicy, Transport,
+    fault, Connector, CostMeter, FaultConfig, FaultCounts, FaultSchedule, FrameSink, NetError,
+    RetryPolicy, WallClockSleeper,
 };
 use sharoes::prelude::*;
 use sharoes::ssp::SspServer;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const NODE_NAMES: [&str; 3] = ["a", "b", "c"];
 
-/// A transport that serves `calls_left` requests and then fails every call
-/// forever — a node crash. The budget is shared across reconnect attempts,
-/// so the resilient transport cannot revive the node either.
+/// A connection's write half that takes `calls_left` request frames and
+/// then fails every write forever — a node crash. The budget is shared by
+/// every connection to the node, so a re-dial cannot revive it either.
 struct KillSwitch {
-    inner: Box<dyn Transport>,
+    inner: Box<dyn FrameSink>,
     calls_left: Arc<AtomicI64>,
 }
 
-impl Transport for KillSwitch {
-    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
+impl FrameSink for KillSwitch {
+    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
         if self.calls_left.fetch_sub(1, Ordering::SeqCst) <= 0 {
             return Err(NetError::Closed);
         }
-        self.inner.call(request)
+        self.inner.send(frame)
     }
-    fn meter(&self) -> &Arc<CostMeter> {
-        self.inner.meter()
-    }
+}
+
+/// `connector` with every connection it dials behind one shared
+/// [`KillSwitch`] budget.
+fn killable(connector: Connector, calls_left: Arc<AtomicI64>) -> Connector {
+    Box::new(move || {
+        let (inner, source) = connector()?;
+        let calls_left = Arc::clone(&calls_left);
+        Ok((Box::new(KillSwitch { inner, calls_left }) as Box<dyn FrameSink>, source))
+    })
 }
 
 struct World {
@@ -60,8 +68,8 @@ fn cluster_opts() -> ClusterOpts {
 /// Per-node observability handles a [`make_cluster`] call hands back.
 type NodeHandles = (ClusterTransport, Vec<Arc<Mutex<FaultSchedule>>>, Vec<Arc<CostMeter>>);
 
-/// A cluster transport over `servers`. Each node link is a resilient
-/// transport around a seeded fault injector (per-node fault seed), and the
+/// A cluster transport over `servers`. Each node link runs over seeded
+/// fault-injecting connections (per-node fault seed) with retries, and the
 /// node at `kill` carries a shared call budget after which it is dead.
 fn make_cluster(
     servers: &[Arc<SspServer>],
@@ -76,21 +84,19 @@ fn make_cluster(
         let schedule =
             FaultSchedule::shared(FaultConfig::at_rate(rate), fault_seed ^ (idx as u64) << 8);
         let meter = CostMeter::new_shared();
-        let handler = Arc::clone(server) as Arc<dyn RequestHandler>;
-        let fuse = kill.as_ref().filter(|(k, _)| *k == idx).map(|(_, f)| Arc::clone(f));
-        let schedule2 = Arc::clone(&schedule);
-        let meter2 = Arc::clone(&meter);
-        let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
-            let inner = InMemoryTransport::with_meter(Arc::clone(&handler), Arc::clone(&meter2));
-            let faulty = FaultInjector::new(inner, Arc::clone(&schedule2));
-            Ok(match &fuse {
-                Some(f) => {
-                    Box::new(KillSwitch { inner: Box::new(faulty), calls_left: Arc::clone(f) })
-                }
-                None => Box::new(faulty) as Box<dyn Transport>,
-            })
-        });
-        let link = ResilientTransport::connect(connector, RetryPolicy::fast(12)).expect("connect");
+        let mut connector =
+            fault::connector(Arc::clone(server) as _, Arc::clone(&schedule), Arc::clone(&meter));
+        if let Some((_, fuse)) = kill.as_ref().filter(|(k, _)| *k == idx) {
+            connector = killable(connector, Arc::clone(fuse));
+        }
+        let link = TcpTransport::with_connector(
+            connector,
+            Duration::from_millis(5),
+            RetryPolicy::fast(12),
+            Box::new(WallClockSleeper),
+            Arc::clone(&meter),
+        )
+        .expect("connect");
         cluster.add_node(NODE_NAMES[idx], Box::new(link));
         schedules.push(schedule);
         meters.push(meter);

@@ -11,13 +11,11 @@
 
 use sharoes::cluster::{ClusterOpts, ClusterTransport};
 use sharoes::fs::treegen::{generate, TreeSpec};
-use sharoes::net::{
-    CostMeter, FakeSleeper, FaultConfig, FaultInjector, FaultSchedule, NetError, RequestHandler,
-    ResilientTransport, RetryPolicy, Transport,
-};
+use sharoes::net::{fault, CostMeter, FakeSleeper, FaultConfig, FaultSchedule, RetryPolicy};
 use sharoes::prelude::*;
 use sharoes::ssp::SspServer;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 mod common;
 
@@ -40,9 +38,9 @@ struct World {
     migration_facts: Vec<(&'static str, u64)>,
 }
 
-/// A 3-node cluster link set: each node behind a seeded fault injector and
-/// a resilient transport with production-shaped backoff virtualized through
-/// a [`FakeSleeper`] (the backoff path runs; the suite never sleeps).
+/// A 3-node cluster link set: each node reached over seeded fault-injecting
+/// connections, with production-shaped backoff virtualized through a
+/// [`FakeSleeper`] (the backoff path runs; the suite never sleeps).
 fn make_cluster(servers: &[Arc<SspServer>], rate: f64, fault_seed: u64) -> ClusterTransport {
     let opts = ClusterOpts { replication: 2, write_quorum: 1, ..ClusterOpts::default() };
     // One meter for the cluster and every link, so a client mounted on it
@@ -52,17 +50,14 @@ fn make_cluster(servers: &[Arc<SspServer>], rate: f64, fault_seed: u64) -> Clust
     for (idx, server) in servers.iter().enumerate() {
         let schedule =
             FaultSchedule::shared(FaultConfig::at_rate(rate), fault_seed ^ (idx as u64) << 8);
-        let meter = Arc::clone(&meter);
-        let handler = Arc::clone(server) as Arc<dyn RequestHandler>;
-        let connector = Box::new(move || -> Result<Box<dyn Transport>, NetError> {
-            let inner = InMemoryTransport::with_meter(Arc::clone(&handler), Arc::clone(&meter));
-            Ok(Box::new(FaultInjector::new(inner, Arc::clone(&schedule))))
-        });
+        let connector = fault::connector(Arc::clone(server) as _, schedule, Arc::clone(&meter));
         let policy = RetryPolicy { max_attempts: 12, ..RetryPolicy::default() };
-        let link = ResilientTransport::connect_with_sleeper(
+        let link = TcpTransport::with_connector(
             connector,
+            Duration::from_millis(5),
             policy,
             Box::new(FakeSleeper::new()),
+            Arc::clone(&meter),
         )
         .expect("connect");
         cluster.add_node(NODE_NAMES[idx], Box::new(link));
