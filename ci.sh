@@ -5,8 +5,9 @@
 # (revocation/rotation oracles + registry determinism), the concurrency
 # gate (sharded-vs-single-lock byte equivalence, including a drive of many
 # threads over one shared TCP connection, + the contention-bench throughput
-# floor), the bench ablations with their BENCH_*.json validation, esign768
-# and hash crypto_micro smoke runs, and the benchmark's own tests. The three
+# floor), the quick paper figures against their committed golden output,
+# the bench ablations with their BENCH_*.json validation, esign768 and hash
+# crypto_micro smoke runs, and the benchmark's own tests. The three
 # registry gates run a second time at --test-threads=1, and their exports
 # must match the default-parallel run byte for byte.
 #
@@ -15,10 +16,10 @@
 # itself a CI failure (the hermetic-build policy in DESIGN.md).
 #
 # Usage: ci.sh [--quick]
-#   --quick   skip the bench/ablation steps (the BENCH_*.json writers,
-#             their validation, the crypto_micro smoke runs, and the
-#             perfbench tests); all build, lint, test, and pinned-seed
-#             gates still run. For tight edit-test loops.
+#   --quick   skip the bench/ablation steps (the quick-figure golden, the
+#             BENCH_*.json writers, their validation, the crypto_micro
+#             smoke runs, and the perfbench tests); all build, lint, test,
+#             and pinned-seed gates still run. For tight edit-test loops.
 #
 # Each step is wall-clock timed; a summary table prints at the end and is
 # also written machine-readably to target/ci-timings.tsv.
@@ -73,7 +74,7 @@ rm -f target/metrics-determinism-a.txt target/metrics-determinism-b.txt \
       target/index-trace-a.txt target/index-trace-b.txt \
       target/concurrency-store-a.bin target/concurrency-store-b.bin \
       target/concurrency-engine-a.bin target/concurrency-engine-b.bin \
-      target/BENCH_index.json
+      target/BENCH_index.json target/BENCH_concurrency.json target/figures_quick.txt
 
 step "cargo fmt --check" \
     cargo fmt --check
@@ -197,6 +198,18 @@ diff_pair "thread-count determinism: index registry export, parallel vs serial" 
     target/index-registry-a.parallel.txt target/index-registry-a.txt
 
 if [ "$QUICK" -eq 0 ]; then
+    # Figures 9-13, E6 storage and the A1-A6 ablations at quick size. Each
+    # number is modelled network time plus counted crypto work priced from
+    # one fixed table, a function of the seed alone, so the output must
+    # match the committed figures_quick.txt byte for byte on any host.
+    # After an intended change, regenerate it with this same loop.
+    # 45-60 s on a 2-vCPU VM.
+    step "quick paper figures match figures_quick.txt" \
+        sh -c 'for f in fig9 fig10 fig11 fig13 storage ablations; do
+                   cargo run -q --offline --release -p sharoes-bench --bin paper-figures -- \
+                       --quick "$f" || exit 1
+               done > target/figures_quick.txt && diff figures_quick.txt target/figures_quick.txt'
+
     # Indexed-vs-flat scan ablation with proof overhead. The quick run
     # writes target/BENCH_index.json; the committed BENCH_index.json is the
     # full-size run and stays untouched.
@@ -207,8 +220,9 @@ if [ "$QUICK" -eq 0 ]; then
     # connection per thread, one shared connection, shared batches) plus a
     # 3-node cluster with sequential replica fan-out; exits nonzero if
     # multi-threaded throughput fails the 2x floor over the single-threaded
-    # one-connection-per-thread ("blocking") baseline.
-    step "contention bench + speedup floor (writes BENCH_concurrency.json)" \
+    # one-connection-per-thread ("blocking") baseline. The quick run writes
+    # target/BENCH_concurrency.json; the committed file is the full-size run.
+    step "contention bench + speedup floor (writes target/BENCH_concurrency.json)" \
         cargo run -q --offline --release -p sharoes-bench --bin paper-figures -- --quick concurrency
 
     # Public-key floor smoke run at the workloads' ESIGN size: the bench
@@ -239,12 +253,12 @@ if [ "$QUICK" -eq 0 ]; then
     step "perfbench tests (per-seed count determinism)" \
         cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-    # Every committed BENCH_*.json, and the quick index run's, must re-parse
-    # with its required keys — the hand-rolled JSON writers above get no
-    # silent formatting slips.
+    # Every committed BENCH_*.json, and the quick index and contention
+    # runs', must re-parse with its required keys — the hand-rolled JSON
+    # writers above get no silent formatting slips.
     step "bench-check: validate committed BENCH_*.json files" \
         cargo run -q --offline --release -p sharoes-bench --bin bench-check -- .
-    step "bench-check: validate the quick index run's target/BENCH_index.json" \
+    step "bench-check: validate the quick runs' target/BENCH_{index,concurrency}.json" \
         cargo run -q --offline --release -p sharoes-bench --bin bench-check -- target
 else
     echo "== (--quick: skipping bench/ablation steps)"

@@ -5,19 +5,19 @@
 //! paper-figures [OPTIONS] <fig9|fig10|fig11|fig12|fig13|storage|ablations|summary|all>
 //!
 //! Options:
-//!   --cpu-scale <F>   CPU scale factor mapping this machine's crypto time
-//!                     to the paper's 1 GHz P4 client (default 50)
 //!   --users <N>       enterprise users (default 4)
 //!   --quick           shrink workloads ~10x for a fast smoke run
 //! ```
 //!
-//! Numbers are *virtual seconds*: measured crypto/processing time (scaled)
-//! plus network time modeled on the paper's DSL link. Absolute values will
-//! not match 2008 hardware; the orderings and rough factors should (see
-//! EXPERIMENTS.md).
+//! Numbers are *virtual seconds*: network time modeled on the paper's DSL
+//! link plus the client's counted crypto work, priced from one fixed table
+//! (`sharoes_bench::harness::price`). Figures 9-13, storage and the
+//! ablations are a function of their seed alone and print the same on any
+//! host (`index` and `concurrency` time real runs). Absolute values will not match 2008
+//! hardware; the orderings and rough factors should (see EXPERIMENTS.md).
 
 use sharoes_bench::harness::{
-    all_policies, fmt_secs, four_policies, quantile_lines, BenchOpts, Table,
+    all_policies, crypto_secs, fmt_secs, four_policies, quantile_lines, BenchOpts, Table,
 };
 use sharoes_bench::workloads::{
     ablations, andrew, createlist, enterprise, opcosts, postmark, storage,
@@ -39,13 +39,6 @@ fn parse_args() -> Args {
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--cpu-scale" => {
-                i += 1;
-                opts.cpu_scale = argv
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--cpu-scale needs a number"));
-            }
             "--users" => {
                 i += 1;
                 opts.users = argv
@@ -78,7 +71,7 @@ fn die(msg: &str) -> ! {
 fn print_help() {
     println!(
         "paper-figures — regenerate the Sharoes ICDE 2008 evaluation\n\n\
-         USAGE: paper-figures [--cpu-scale F] [--users N] [--quick] <COMMAND>\n\n\
+         USAGE: paper-figures [--users N] [--quick] <COMMAND>\n\n\
          COMMANDS:\n\
          \x20 fig9       Create-and-List microbenchmark (Figure 9)\n\
          \x20 fig10      Postmark with cache-size sweep (Figure 10)\n\
@@ -89,13 +82,14 @@ fn print_help() {
          \x20 ablations  A1 scheme fan-out, A2 revocation, A3 ESIGN vs RSA, A4 net sweep, A5 fault overhead\n\
          \x20 enterprise revocation storms, rotation lifecycle, Scheme-1/2 crossover\n\
          \x20            (population size via SHAROES_SCALE=small|medium|large|million;\n\
-         \x20            writes BENCH_enterprise.json)\n\
+         \x20            writes BENCH_enterprise.json; --quick: target/)\n\
          \x20 index      authenticated-index ablation: flat vs indexed scans, proof\n\
          \x20            overhead at several keyspace sizes, mutate-one-key-then-prove\n\
          \x20            vs rebuild (writes BENCH_index.json; --quick: target/)\n\
          \x20 concurrency contention benchmark: blocking vs pipelined vs batched clients\n\
          \x20            against one sspd plus a 3-node cluster sweep; fails if\n\
-         \x20            multi-threaded speedup < 2x (writes BENCH_concurrency.json)\n\
+         \x20            multi-threaded speedup < 2x (writes BENCH_concurrency.json;\n\
+         \x20            --quick: target/)\n\
          \x20 summary    headline speedups (E7)\n\
          \x20 all        everything above"
     );
@@ -199,15 +193,14 @@ fn fig12(results: &[andrew::AndrewResult]) {
 
 fn fig13(opts: &BenchOpts, quick: bool) {
     let reps = if quick { 2 } else { 5 };
-    println!("\n== Figure 13: SHAROES operation costs (ms; NETWORK / CRYPTO / OTHER) ==");
+    println!("\n== Figure 13: SHAROES operation costs (ms; NETWORK / CRYPTO) ==");
     let costs = opcosts::run(CryptoPolicy::Sharoes, reps, opts);
-    let mut table = Table::new(&["op", "NETWORK", "CRYPTO", "OTHER", "total", "crypto %"]);
+    let mut table = Table::new(&["op", "NETWORK", "CRYPTO", "total", "crypto %"]);
     for c in &costs {
         table.row(vec![
             c.label.to_string(),
             format!("{:.1}", c.network * 1e3),
             format!("{:.1}", c.crypto * 1e3),
-            format!("{:.1}", c.other * 1e3),
             format!("{:.1}", c.total() * 1e3),
             format!("{:.1}%", c.crypto_share() * 100.0),
         ]);
@@ -272,12 +265,13 @@ fn ablations_report(opts: &BenchOpts, quick: bool) {
     table.print();
 
     println!("\n== A3: ESIGN vs RSA signing keys ({} creates incl. keygen) ==", n.min(20));
-    let mut table = Table::new(&["scheme", "create (s)", "raw crypto"]);
+    let mut table = Table::new(&["scheme", "create (s)", "crypto (s)", "keygens"]);
     for r in ablations::signing_comparison(n.min(20), opts) {
         table.row(vec![
             format!("{:?}", r.scheme),
             fmt_secs(r.create_secs),
-            format!("{:?}", r.crypto),
+            fmt_secs(crypto_secs(&r.work)),
+            (r.work.esign_keygen + r.work.rsa_keygen).to_string(),
         ]);
     }
     table.print();
@@ -344,6 +338,20 @@ fn ablations_report(opts: &BenchOpts, quick: bool) {
     }
     table.print();
     println!("replication buys availability under faults; the price is write fan-out");
+}
+
+/// Writes the `BENCH_*.json` file `name`. The committed file is the
+/// full-size run, so a quick run goes under `target/` and never overwrites
+/// it at another spec.
+fn write_bench_json(quick: bool, name: &str, json: &str) {
+    let out = if quick {
+        std::fs::create_dir_all("target").unwrap_or_else(|e| die(&format!("target/: {e}")));
+        format!("target/{name}")
+    } else {
+        name.to_string()
+    };
+    std::fs::write(&out, json).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
+    println!("wrote {out}");
 }
 
 /// Minimal JSON string escaping for the trajectory file.
@@ -537,9 +545,8 @@ fn enterprise_report(opts: &BenchOpts, quick: bool) {
         }
     ));
     json.push_str("}\n");
-    let out = "BENCH_enterprise.json";
-    std::fs::write(out, &json).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
-    println!("\nwrote {out}");
+    println!();
+    write_bench_json(quick, "BENCH_enterprise.json", &json);
 }
 
 /// Interleaved repeats behind each scan column of the index ablation.
@@ -577,7 +584,8 @@ fn spread_pct(median: u64, iqr: u64) -> f64 {
 /// proof overhead (bytes shipped and client verify time); then, at 8k (and
 /// in full mode 64k) keys, the cost of mutating one key and proving a page
 /// against rebuilding the tree and proving. Each scan column is the median
-/// of [`INDEX_REPEATS`] interleaved walks. Writes `BENCH_index.json`.
+/// of [`INDEX_REPEATS`] interleaved walks. Writes `BENCH_index.json` (a
+/// quick run: `target/BENCH_index.json`).
 fn index_report(_opts: &BenchOpts, quick: bool) {
     use sharoes_crypto::RandomSource;
     use sharoes_net::ObjectKey;
@@ -776,22 +784,15 @@ fn index_report(_opts: &BenchOpts, quick: bool) {
         ));
     }
     json.push_str("  ]\n}\n");
-    // The committed file is the full-size run; a quick run goes under
-    // target/ so it never overwrites it at another spec.
-    let out = if quick { "target/BENCH_index.json" } else { "BENCH_index.json" };
-    if quick {
-        std::fs::create_dir_all("target").unwrap_or_else(|e| die(&format!("target/: {e}")));
-    }
-    std::fs::write(out, &json).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
-    println!("wrote {out}");
+    write_bench_json(quick, "BENCH_index.json", &json);
 }
 
 /// Contention benchmark: the CI gate for the high-concurrency front end.
 /// Real TCP throughout — one sspd for the client-mode sweep, then a 3-node
 /// cluster with sequential replica fan-out. Writes
-/// `BENCH_concurrency.json` and exits nonzero if the best multi-threaded
-/// throughput fails to clear `SPEEDUP_FLOOR` over the single-threaded
-/// blocking baseline.
+/// `BENCH_concurrency.json` (a quick run: `target/BENCH_concurrency.json`)
+/// and exits nonzero if the best multi-threaded throughput fails to clear
+/// `SPEEDUP_FLOOR` over the single-threaded blocking baseline.
 fn concurrency_report(quick: bool) {
     use sharoes_bench::workloads::concurrency::{self, ConcurrencySpec};
 
@@ -849,9 +850,7 @@ fn concurrency_report(quick: bool) {
     json.push_str("  ],\n");
     json.push_str(&format!("  \"speedup_multi_vs_single\": {speedup:.2}\n"));
     json.push_str("}\n");
-    let out = "BENCH_concurrency.json";
-    std::fs::write(out, &json).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
-    println!("wrote {out}");
+    write_bench_json(quick, "BENCH_concurrency.json", &json);
 
     if speedup < SPEEDUP_FLOOR {
         eprintln!(
@@ -882,8 +881,7 @@ fn summary(fig9_results: &[createlist::CreateListResult]) {
 fn main() {
     let args = parse_args();
     println!(
-        "# sharoes paper-figures  (cpu-scale {}, {} users, link: paper DSL{})",
-        args.opts.cpu_scale,
+        "# sharoes paper-figures  ({} users, link: paper DSL{})",
         args.opts.users,
         if args.quick { ", QUICK mode" } else { "" }
     );

@@ -1,10 +1,11 @@
 //! Shared benchmark fixture and virtual-clock reporting.
 //!
 //! Every figure harness builds a [`Bench`] deployment, runs client
-//! operations, and converts the accumulated [`CostSample`] into seconds with
-//! the paper's DSL link model plus a CPU scale factor that maps this
-//! machine's measured crypto time onto the paper's 2002-era client (see
-//! EXPERIMENTS.md "Calibration").
+//! operations, and converts the accumulated [`CostSample`] into seconds:
+//! the paper's DSL link model for its bytes and round trips, plus the
+//! crypto work the client counted, priced from the one fixed table in
+//! [`price`] (see EXPERIMENTS.md "Calibration"). Nothing here reads a
+//! clock, so a figure is a function of its seed alone.
 
 use sharoes_core::{
     ClientConfig, CryptoParams, CryptoPolicy, Keyring, Migrator, Pki, RevocationMode, Scheme,
@@ -16,14 +17,54 @@ use sharoes_fs::{Gid, LocalFs, Mode, Uid, UserDb, ROOT_UID};
 use sharoes_net::{CostSample, InMemoryTransport, NetModel, Transport};
 use sharoes_ssp::SspServer;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Default CPU scale: measured crypto nanoseconds on this machine are
-/// multiplied by this factor to model the paper's 1 GHz Pentium-4 client.
-/// Calibrated against the PUB-OPT list-phase overhead of Figure 9 (see
-/// EXPERIMENTS.md); the *orderings* in every figure are insensitive to
-/// values within roughly 20–200.
-pub const DEFAULT_CPU_SCALE: f64 = 50.0;
+/// Reference prices of counted crypto work, in seconds of the paper's
+/// 1 GHz Pentium-4 client. Each is a row of EXPERIMENTS.md's primitive
+/// table, measured on a 2-vCPU 2.0 GHz Xeon VM, times the calibration
+/// factor [`price::CALIBRATION`], frozen when the harness stopped timing
+/// crypto. AES-CTR and SHA-256 take the portable rows: the paper's P4 had
+/// neither AES-NI nor SHA-NI. Prices do not depend on key size; the
+/// workloads run RSA-2048 and ESIGN-768.
+pub mod price {
+    /// The P4-to-VM slowdown the table is scaled by, once calibrated
+    /// against Figure 9's PUB-OPT list-phase overhead.
+    pub const CALIBRATION: f64 = 50.0;
+    const MIB: f64 = (1u64 << 20) as f64;
+    /// AES-128-CTR, portable: ~22 ms per MiB.
+    pub const AES_CTR_PER_BYTE: f64 = 22e-3 / MIB * CALIBRATION;
+    /// SHA-256, portable: ~8.9 ms per MiB.
+    pub const SHA256_PER_BYTE: f64 = 8.9e-3 / MIB * CALIBRATION;
+    /// RSA-2048 public op (encrypt): ~51 µs.
+    pub const RSA_PUBLIC: f64 = 51e-6 * CALIBRATION;
+    /// RSA-2048 private op (CRT decrypt): ~1.6 ms.
+    pub const RSA_PRIVATE: f64 = 1.6e-3 * CALIBRATION;
+    /// RSA-2048 key generation: ~150 ms.
+    pub const RSA_KEYGEN: f64 = 150e-3 * CALIBRATION;
+    /// ESIGN-768 sign: ~27 µs.
+    pub const ESIGN_SIGN: f64 = 27e-6 * CALIBRATION;
+    /// ESIGN-768 verify: ~4.3 µs.
+    pub const ESIGN_VERIFY: f64 = 4.3e-6 * CALIBRATION;
+    /// ESIGN-768 key generation: ~3.6 ms.
+    pub const ESIGN_KEYGEN: f64 = 3.6e-3 * CALIBRATION;
+}
+
+/// Seconds `work` costs at the [`price`] table.
+pub fn crypto_secs(work: &Work) -> f64 {
+    work.aes_ctr_bytes as f64 * price::AES_CTR_PER_BYTE
+        + work.sha256_bytes as f64 * price::SHA256_PER_BYTE
+        + work.rsa_public as f64 * price::RSA_PUBLIC
+        + work.rsa_private as f64 * price::RSA_PRIVATE
+        + work.rsa_keygen as f64 * price::RSA_KEYGEN
+        + work.esign_sign as f64 * price::ESIGN_SIGN
+        + work.esign_verify as f64 * price::ESIGN_VERIFY
+        + work.esign_keygen as f64 * price::ESIGN_KEYGEN
+}
+
+/// Virtual seconds of `cost` on `net`: its network time plus its priced
+/// crypto work.
+pub fn virtual_secs(cost: &CostSample, net: &NetModel) -> f64 {
+    net.network_time(cost).as_secs_f64() + crypto_secs(&cost.work)
+}
 
 /// The primary user driving benchmark workloads.
 pub const BENCH_USER: Uid = Uid(1000);
@@ -33,8 +74,6 @@ pub const BENCH_USER: Uid = Uid(1000);
 pub struct BenchOpts {
     /// Link model (default: the paper's DSL).
     pub net: NetModel,
-    /// CPU scale factor for measured crypto/other time.
-    pub cpu_scale: f64,
     /// Number of enterprise users (baselines replicate per user).
     pub users: usize,
     /// Asymmetric key sizing.
@@ -47,7 +86,6 @@ impl Default for BenchOpts {
     fn default() -> Self {
         BenchOpts {
             net: NetModel::paper_dsl(),
-            cpu_scale: DEFAULT_CPU_SCALE,
             users: 4,
             crypto: CryptoParams::bench(),
             seed: 0x5AA0E5,
@@ -165,24 +203,30 @@ impl Bench {
 
     /// Mounts a client for `uid` with an optional cache capacity.
     pub fn client(&self, uid: Uid, cache_capacity: Option<u64>) -> SharoesClient {
+        let config = ClientConfig { cache_capacity, ..self.config.clone() };
         let transport = InMemoryTransport::new(Arc::clone(&self.server) as _);
-        let mut config = self.config.clone();
-        config.cache_capacity = cache_capacity;
+        self.mount(uid, config, Box::new(transport))
+    }
+
+    /// Mounts a client for `uid` under `config`, reaching the SSP through
+    /// `transport`.
+    pub fn mount(
+        &self,
+        uid: Uid,
+        config: ClientConfig,
+        transport: Box<dyn Transport>,
+    ) -> SharoesClient {
         let identity = self.ring.identity(uid).expect("identity");
+        let nth = self.clients_created.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut client = SharoesClient::with_rng(
-            Box::new(transport),
+            transport,
             config,
             Arc::clone(&self.db),
             Arc::clone(&self.pki),
             identity,
             Arc::clone(&self.pool),
             HmacDrbg::from_seed_u64(
-                self.opts.seed
-                    ^ (uid.0 as u64)
-                    ^ (self
-                        .clients_created
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                        .wrapping_mul(0x9e3779b97f4a7c15)),
+                self.opts.seed ^ (uid.0 as u64) ^ nth.wrapping_mul(0x9e3779b97f4a7c15),
             ),
         );
         client.mount().expect("mount");
@@ -193,19 +237,12 @@ impl Bench {
 /// A virtual-clock phase timer over a client's meter.
 pub struct PhaseTimer {
     start: CostSample,
-    work_start: Work,
 }
 
 impl PhaseTimer {
     /// Starts timing from the client's current meter state.
     pub fn start(client: &SharoesClient) -> PhaseTimer {
-        PhaseTimer { start: client.meter().sample(), work_start: sharoes_crypto::work::tally() }
-    }
-
-    /// Cryptographic work this thread did since `start` (the client runs
-    /// its crypto on the calling thread).
-    pub fn crypto_work(&self) -> Work {
-        sharoes_crypto::work::tally().since(&self.work_start)
+        PhaseTimer { start: client.meter().sample() }
     }
 
     /// The cost accumulated since `start`.
@@ -213,14 +250,15 @@ impl PhaseTimer {
         client.meter().sample().since(&self.start)
     }
 
-    /// Virtual seconds elapsed under `opts`' link model and CPU scale.
+    /// Virtual seconds elapsed under `opts`' link model and the price table.
     pub fn seconds(&self, client: &SharoesClient, opts: &BenchOpts) -> f64 {
-        opts.net.total_time(&self.cost(client), opts.cpu_scale).as_secs_f64()
+        virtual_secs(&self.cost(client), &opts.net)
     }
 
-    /// NETWORK / CRYPTO / OTHER decomposition in seconds (Figure 13).
-    pub fn breakdown(&self, client: &SharoesClient, opts: &BenchOpts) -> (f64, f64, f64) {
-        opts.net.breakdown(&self.cost(client), opts.cpu_scale)
+    /// NETWORK / CRYPTO decomposition in seconds (Figure 13).
+    pub fn breakdown(&self, client: &SharoesClient, opts: &BenchOpts) -> (f64, f64) {
+        let cost = self.cost(client);
+        (opts.net.network_time(&cost).as_secs_f64(), crypto_secs(&cost.work))
     }
 }
 
@@ -326,9 +364,4 @@ pub fn scheme_for(policy: CryptoPolicy) -> Scheme {
 /// Deterministic content generator for workload files.
 pub fn content(len: usize, salt: u64) -> Vec<u8> {
     (0..len).map(|i| ((i as u64).wrapping_mul(131).wrapping_add(salt * 17) % 251) as u8).collect()
-}
-
-/// Convenience: a `Duration` as float seconds.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }

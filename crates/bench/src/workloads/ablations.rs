@@ -9,9 +9,10 @@
 //! * A6 — cluster op cost and availability vs node count, replication
 //!   factor, and per-node fault rate.
 
-use crate::harness::{content, Bench, BenchOpts, PhaseTimer, BENCH_USER};
+use crate::harness::{content, virtual_secs, Bench, BenchOpts, PhaseTimer, BENCH_USER};
 use crate::workloads::createlist::{self, CreateListSpec};
-use sharoes_core::{CryptoPolicy, RevocationMode, Scheme};
+use sharoes_core::{ClientConfig, CryptoPolicy, RevocationMode, Scheme};
+use sharoes_crypto::work::Work;
 use sharoes_crypto::SignatureScheme;
 use sharoes_fs::Mode;
 use sharoes_net::NetModel;
@@ -24,8 +25,6 @@ pub struct SchemeComparison {
     pub scheme: Scheme,
     /// Virtual seconds to create `n` files.
     pub create_secs: f64,
-    /// Upload bytes of the create phase (deterministic, used by tests).
-    pub create_bytes_up: u64,
     /// Virtual seconds to stat them all (cold).
     pub stat_secs: f64,
     /// SSP bytes after the run.
@@ -45,7 +44,6 @@ pub fn scheme_comparison(n: usize, users: usize, opts: &BenchOpts) -> Vec<Scheme
             client.create(&format!("/bench/f{i}"), Mode::from_octal(0o644)).expect("create");
         }
         let create_secs = timer.seconds(&client, &o);
-        let create_bytes_up = timer.cost(&client).bytes_up;
 
         let mut stat_client = bench.client(BENCH_USER, None);
         let timer = PhaseTimer::start(&stat_client);
@@ -56,7 +54,6 @@ pub fn scheme_comparison(n: usize, users: usize, opts: &BenchOpts) -> Vec<Scheme
         out.push(SchemeComparison {
             scheme,
             create_secs,
-            create_bytes_up,
             stat_secs,
             ssp_bytes: bench.server.store().byte_count(),
         });
@@ -77,9 +74,6 @@ pub struct RevocationCosts {
     pub immediate_write: f64,
     /// Next-write seconds under lazy revocation (pays the deferred rekey).
     pub lazy_write: f64,
-    /// Upload bytes per phase (deterministic, used by tests):
-    /// [imm chmod, imm write, lazy chmod, lazy write].
-    pub bytes_up: [u64; 4],
 }
 
 /// A2: revocation cost placement for growing file sizes.
@@ -87,37 +81,22 @@ pub fn revocation_costs(file_sizes: &[usize], opts: &BenchOpts) -> Vec<Revocatio
     let mut out = Vec::new();
     for &file_size in file_sizes {
         let mut measured = [0.0f64; 4];
-        let mut bytes_up = [0u64; 4];
         for (idx, mode) in [RevocationMode::Immediate, RevocationMode::Lazy].into_iter().enumerate()
         {
             let bench = Bench::new(CryptoPolicy::Sharoes, Scheme::SharedCaps, opts, 32);
-            let mut config = bench.config.clone();
-            config.revocation = mode;
-            let transport =
-                sharoes_net::InMemoryTransport::new(std::sync::Arc::clone(&bench.server) as _);
-            let identity = bench.ring.identity(BENCH_USER).expect("identity");
-            let mut client = sharoes_core::SharoesClient::with_rng(
-                Box::new(transport),
-                config,
-                std::sync::Arc::clone(&bench.db),
-                std::sync::Arc::clone(&bench.pki),
-                identity,
-                std::sync::Arc::clone(&bench.pool),
-                sharoes_crypto::HmacDrbg::from_seed_u64(99),
-            );
-            client.mount().expect("mount");
+            let config = ClientConfig { revocation: mode, ..bench.config.clone() };
+            let transport = sharoes_net::InMemoryTransport::new(bench.server.clone() as _);
+            let mut client = bench.mount(BENCH_USER, config, Box::new(transport));
             client.create("/bench/victim", Mode::from_octal(0o644)).expect("create");
             client.write_file("/bench/victim", &content(file_size, 3)).expect("write");
 
             let timer = PhaseTimer::start(&client);
             client.chmod("/bench/victim", Mode::from_octal(0o600)).expect("chmod");
             measured[idx * 2] = timer.seconds(&client, opts);
-            bytes_up[idx * 2] = timer.cost(&client).bytes_up;
 
             let timer = PhaseTimer::start(&client);
             client.write_file("/bench/victim", &content(file_size, 4)).expect("post-chmod write");
             measured[idx * 2 + 1] = timer.seconds(&client, opts);
-            bytes_up[idx * 2 + 1] = timer.cost(&client).bytes_up;
         }
         out.push(RevocationCosts {
             file_size,
@@ -125,7 +104,6 @@ pub fn revocation_costs(file_sizes: &[usize], opts: &BenchOpts) -> Vec<Revocatio
             immediate_write: measured[1],
             lazy_chmod: measured[2],
             lazy_write: measured[3],
-            bytes_up,
         });
     }
     out
@@ -138,8 +116,9 @@ pub struct SigningComparison {
     pub scheme: SignatureScheme,
     /// Virtual seconds for the create phase.
     pub create_secs: f64,
-    /// Real crypto time accumulated (unscaled).
-    pub crypto: Duration,
+    /// The create phase's crypto work (priced by
+    /// [`crypto_secs`](crate::harness::crypto_secs)).
+    pub work: Work,
 }
 
 /// A3: the create phase with ESIGN vs RSA signing keys. Key generation runs
@@ -160,8 +139,8 @@ pub fn signing_comparison(n: usize, opts: &BenchOpts) -> Vec<SigningComparison> 
         let cost = timer.cost(&client);
         out.push(SigningComparison {
             scheme,
-            create_secs: o.net.total_time(&cost, o.cpu_scale).as_secs_f64(),
-            crypto: Duration::from_nanos(cost.crypto_ns),
+            create_secs: virtual_secs(&cost, &o.net),
+            work: cost.work,
         });
     }
     out
@@ -247,24 +226,12 @@ fn fault_link(
 /// so the create+write+read workload completes at each point and the
 /// deltas are pure retry overhead.
 pub fn fault_overhead(n: usize, rates: &[f64], opts: &BenchOpts) -> Vec<FaultOverheadPoint> {
-    use sharoes_net::CostMeter;
-    use std::sync::Arc;
     let mut out = Vec::new();
     for &rate in rates {
         let bench = Bench::new(CryptoPolicy::Sharoes, Scheme::SharedCaps, opts, n + 4);
-        let meter = CostMeter::new_shared();
-        let transport = fault_link(Arc::clone(&bench.server) as _, rate, 0xA5, 10, &meter);
-        let identity = bench.ring.identity(BENCH_USER).expect("identity");
-        let mut client = sharoes_core::SharoesClient::with_rng(
-            Box::new(transport),
-            bench.config.clone(),
-            Arc::clone(&bench.db),
-            Arc::clone(&bench.pki),
-            identity,
-            Arc::clone(&bench.pool),
-            sharoes_crypto::HmacDrbg::from_seed_u64(0xA5),
-        );
-        client.mount().expect("mount");
+        let meter = sharoes_net::CostMeter::new_shared();
+        let transport = fault_link(bench.server.clone() as _, rate, 0xA5, 10, &meter);
+        let mut client = bench.mount(BENCH_USER, bench.config.clone(), Box::new(transport));
         for i in 0..n {
             let path = format!("/bench/r{i}");
             client.create(&path, Mode::from_octal(0o644)).expect("create");
@@ -384,7 +351,7 @@ pub fn cluster_ablation(
             faults_injected: cost.faults_injected,
             failovers: cluster_stats.failovers,
             read_repairs: cluster_stats.read_repairs,
-            op_secs: opts.net.total_time(&cost, opts.cpu_scale).as_secs_f64(),
+            op_secs: virtual_secs(&cost, &opts.net),
         });
     }
     out
@@ -393,6 +360,7 @@ pub fn cluster_ablation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::crypto_secs;
     use sharoes_core::CryptoParams;
 
     fn quick() -> BenchOpts {
@@ -401,36 +369,37 @@ mod tests {
 
     #[test]
     fn a1_scheme1_stores_more() {
-        let rows = scheme_comparison(6, 4, &quick());
+        let rows = scheme_comparison(20, 4, &quick());
         let s2 = rows.iter().find(|r| r.scheme == Scheme::SharedCaps).unwrap();
         let s1 = rows.iter().find(|r| r.scheme == Scheme::PerUser).unwrap();
         assert!(s1.ssp_bytes > s2.ssp_bytes);
-        // Per-user replication also costs more to create: more records up.
-        // Upload bytes, not virtual seconds, which embed wall-clock crypto
-        // time (see a2 below).
+        // Per-user replication also costs more per create: more records up
+        // and more signatures. Scheme-2 pays once per session to unwrap its
+        // group keys (three RSA private ops here), so Scheme-1 overtakes
+        // it only after ~9 creates.
         assert!(
-            s1.create_bytes_up > s2.create_bytes_up,
-            "scheme-1 create must upload more: {} vs {}",
-            s1.create_bytes_up,
-            s2.create_bytes_up
+            s1.create_secs > s2.create_secs,
+            "scheme-1 create must cost more: {} vs {}",
+            s1.create_secs,
+            s2.create_secs
         );
     }
 
     #[test]
     fn a2_lazy_shifts_cost_to_write() {
-        // Assert on upload bytes (deterministic) rather than virtual time,
-        // which embeds wall-clock crypto measurements sensitive to CPU
-        // contention.
         let rows = revocation_costs(&[16_384], &quick());
         let r = &rows[0];
-        let [imm_chmod, imm_write, lazy_chmod, lazy_write] = r.bytes_up;
         assert!(
-            imm_chmod > lazy_chmod,
-            "immediate chmod ships the re-encrypted file: {imm_chmod} vs {lazy_chmod}"
+            r.immediate_chmod > r.lazy_chmod,
+            "immediate chmod re-encrypts the file: {} vs {}",
+            r.immediate_chmod,
+            r.lazy_chmod
         );
         assert!(
-            lazy_write > imm_write,
-            "the lazy next-write carries the deferred metadata rebuild: {lazy_write} vs {imm_write}"
+            r.lazy_write > r.immediate_write,
+            "the lazy next-write carries the deferred metadata rebuild: {} vs {}",
+            r.lazy_write,
+            r.immediate_write
         );
     }
 
@@ -439,17 +408,22 @@ mod tests {
         let rows = signing_comparison(3, &quick());
         let esign = rows.iter().find(|r| r.scheme == SignatureScheme::Esign).unwrap();
         let rsa = rows.iter().find(|r| r.scheme == SignatureScheme::Rsa).unwrap();
+        // No pool: every create generates its signing pairs in-phase, one
+        // kind per scheme and as many of either.
+        assert!(esign.work.esign_keygen > 0);
+        assert_eq!(esign.work.rsa_keygen, 0);
+        assert_eq!(rsa.work.esign_keygen, 0);
+        assert_eq!(rsa.work.rsa_keygen, esign.work.esign_keygen);
+        let (esign_crypto, rsa_crypto) = (crypto_secs(&esign.work), crypto_secs(&rsa.work));
         assert!(
-            esign.crypto < rsa.crypto,
-            "ESIGN crypto {:?} must beat RSA {:?}",
-            esign.crypto,
-            rsa.crypto
+            esign_crypto * 10.0 < rsa_crypto,
+            "ESIGN crypto {esign_crypto:.2}s must beat RSA {rsa_crypto:.2}s by an order of magnitude"
         );
+        assert!(esign.create_secs < rsa.create_secs);
     }
 
     #[test]
     fn a5_overhead_grows_with_fault_rate_and_workload_completes() {
-        let _serial = crate::workloads::wall_clock_lock();
         let points = fault_overhead(3, &[0.0, 0.2], &quick());
         let clean = &points[0];
         let faulty = &points[1];

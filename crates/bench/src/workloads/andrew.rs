@@ -120,12 +120,13 @@ pub fn run(policy: CryptoPolicy, spec: &AndrewSpec, opts: &BenchOpts) -> AndrewR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sharoes_core::CryptoParams;
 
     #[test]
     fn phases_complete_and_shape_holds() {
-        // Full-size keys: the PUB-OPT private-key tax is the effect under
-        // test and disappears with 512-bit test keys.
-        let opts = BenchOpts { users: 2, ..Default::default() };
+        // Test-size keys: crypto is priced per operation, not per key bit,
+        // so the PUB-OPT private-key tax under test survives small keys.
+        let opts = BenchOpts { users: 2, crypto: CryptoParams::test(), ..Default::default() };
         let spec = AndrewSpec { dirs: 4, files: 6, file_size: 1000 };
         let sharoes = run(CryptoPolicy::Sharoes, &spec, &opts);
         let noenc = run(CryptoPolicy::NoEncMdD, &spec, &opts);

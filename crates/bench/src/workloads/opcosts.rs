@@ -1,45 +1,14 @@
 //! E5 — Figure 13: per-operation cost decomposition.
 //!
 //! Breaks getattr, mkdir (per required CAP), and large-file I/O into
-//! NETWORK / CRYPTO / OTHER components, reproducing the paper's finding
-//! that "the CRYPTO component is less than 7% for all filesystem
-//! operations" under SHAROES.
-//!
-//! CRYPTO is reported twice: as measured wall time (the figure), and as the
-//! cryptographic work the operation did, counted by
-//! [`sharoes_crypto::work`] and priced at fixed reference speeds (the
-//! deterministic check that the network dominates).
+//! NETWORK / CRYPTO components, reproducing the paper's finding that "the
+//! CRYPTO component is less than 7% for all filesystem operations" under
+//! SHAROES. CRYPTO is the operation's counted crypto work at the harness's
+//! reference prices, so the split is the same on any host.
 
 use crate::harness::{content, scheme_for, Bench, BenchOpts, PhaseTimer, BENCH_USER};
 use sharoes_core::{CryptoPolicy, SharoesClient};
-use sharoes_crypto::work::Work;
 use sharoes_fs::Mode;
-
-/// Reference prices for counted crypto work: the primitive table in
-/// EXPERIMENTS.md at the paper's key sizes as first measured, each class
-/// priced at its slowest member, and AES at the portable (scalar) speed.
-/// The prices stay fixed as the primitives get faster, so priced output
-/// moves only when the counted work does.
-mod price {
-    /// AES-128-CTR, portable code: ~22 ms per MiB.
-    pub const SYM_SECS_PER_BYTE: f64 = 22e-3 / (1u64 << 20) as f64;
-    /// RSA-2048 encrypt as first measured (now ~51 µs; ESIGN-768 verify
-    /// is ~4.3 µs).
-    pub const PUBLIC_OP_SECS: f64 = 170e-6;
-    /// RSA-2048 CRT decrypt as first measured (now ~1.6 ms; ESIGN-768 sign
-    /// is ~27 µs).
-    pub const PRIVATE_OP_SECS: f64 = 1.9e-3;
-    /// ESIGN-768 key generation.
-    pub const KEYGEN_SECS: f64 = 3.7e-3;
-}
-
-/// Seconds `work` costs at the reference prices.
-pub fn priced_crypto_secs(work: &Work) -> f64 {
-    work.sym_bytes as f64 * price::SYM_SECS_PER_BYTE
-        + work.public_ops as f64 * price::PUBLIC_OP_SECS
-        + work.private_ops as f64 * price::PRIVATE_OP_SECS
-        + work.keygens as f64 * price::KEYGEN_SECS
-}
 
 /// One measured operation.
 #[derive(Clone, Debug)]
@@ -50,17 +19,12 @@ pub struct OpCost {
     pub network: f64,
     /// CRYPTO seconds.
     pub crypto: f64,
-    /// OTHER seconds.
-    pub other: f64,
-    /// CRYPTO seconds as counted work at reference prices
-    /// ([`priced_crypto_secs`]): independent of the host and its load.
-    pub crypto_priced: f64,
 }
 
 impl OpCost {
     /// Total seconds.
     pub fn total(&self) -> f64 {
-        self.network + self.crypto + self.other
+        self.network + self.crypto
     }
 
     /// CRYPTO share of the total.
@@ -71,17 +35,6 @@ impl OpCost {
             self.crypto / self.total()
         }
     }
-
-    /// Priced CRYPTO share of NETWORK plus priced CRYPTO: deterministic
-    /// at a fixed seed.
-    pub fn priced_crypto_share(&self) -> f64 {
-        let total = self.network + self.crypto_priced;
-        if total == 0.0 {
-            0.0
-        } else {
-            self.crypto_priced / total
-        }
-    }
 }
 
 /// Running sums of one operation's repetitions.
@@ -89,31 +42,21 @@ impl OpCost {
 struct Sums {
     network: f64,
     crypto: f64,
-    other: f64,
-    crypto_priced: f64,
     reps: usize,
 }
 
 impl Sums {
     /// Adds the repetition `t` timed on `c`.
     fn add(&mut self, t: &PhaseTimer, c: &SharoesClient, opts: &BenchOpts) {
-        let (n, cr, o) = t.breakdown(c, opts);
+        let (n, cr) = t.breakdown(c, opts);
         self.network += n;
         self.crypto += cr;
-        self.other += o;
-        self.crypto_priced += priced_crypto_secs(&t.crypto_work());
         self.reps += 1;
     }
 
     fn mean(&self, label: &'static str) -> OpCost {
         let n = self.reps.max(1) as f64;
-        OpCost {
-            label,
-            network: self.network / n,
-            crypto: self.crypto / n,
-            other: self.other / n,
-            crypto_priced: self.crypto_priced / n,
-        }
+        OpCost { label, network: self.network / n, crypto: self.crypto / n }
     }
 }
 
@@ -193,17 +136,16 @@ mod tests {
         let costs = run(CryptoPolicy::Sharoes, 2, &opts);
         assert_eq!(costs.len(), 6);
         for cost in &costs {
-            assert!(cost.total() > 0.0, "{} empty", cost.label);
-            assert!(cost.crypto_priced > 0.0, "{}: no crypto work counted", cost.label);
+            assert!(cost.crypto > 0.0, "{}: no crypto work counted", cost.label);
             // Counted work at reference prices against the modelled link:
             // both sides are deterministic, so this holds on a loaded host.
             assert!(
-                cost.priced_crypto_share() < 0.30,
-                "{}: priced crypto share {:.2} unexpectedly high",
+                cost.crypto_share() < 0.30,
+                "{}: crypto share {:.2} unexpectedly high",
                 cost.label,
-                cost.priced_crypto_share()
+                cost.crypto_share()
             );
-            assert!(cost.network > cost.crypto_priced, "{}: network must dominate", cost.label);
+            assert!(cost.network > cost.crypto, "{}: network must dominate", cost.label);
         }
     }
 

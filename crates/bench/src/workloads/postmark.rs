@@ -156,9 +156,9 @@ mod tests {
 
     #[test]
     fn pubopt_hurts_more_with_small_cache() {
-        // Full-size keys: the private-key tax per metadata miss is the
-        // effect under test, and 512-bit test keys drown it in noise.
-        let opts = BenchOpts { users: 2, ..Default::default() };
+        // Test-size keys: crypto is priced per operation, not per key bit,
+        // so the private-key tax per metadata miss survives small keys.
+        let opts = BenchOpts { users: 2, crypto: CryptoParams::test(), ..Default::default() };
         let spec =
             PostmarkSpec { files: 10, transactions: 20, size_range: (500, 2000), subdirs: 2 };
         let sharoes = run_point(CryptoPolicy::Sharoes, &spec, 10, &opts);

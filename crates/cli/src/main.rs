@@ -504,12 +504,11 @@ impl Shell {
             "costs" => {
                 let s = self.client.meter().sample();
                 println!(
-                    "round trips {}  up {} B  down {} B  crypto {:.2} ms  other {:.2} ms",
+                    "round trips {}  up {} B  down {} B  crypto {:.2} ms",
                     s.round_trips,
                     s.bytes_up,
                     s.bytes_down,
-                    s.crypto_ns as f64 / 1e6,
-                    s.other_ns as f64 / 1e6
+                    s.crypto_ns as f64 / 1e6
                 );
                 Ok(())
             }
@@ -521,7 +520,7 @@ impl Shell {
                 print!("{}", sharoes_obs::global().render());
                 let (m, c) = (self.client.meter().sample(), self.client.cache_stats());
                 let mut mine: Vec<_> = m.series().into_iter().chain(c.series()).collect();
-                mine.extend([("net_crypto_ns", m.crypto_ns), ("net_other_ns", m.other_ns)]);
+                mine.push(("net_crypto_ns", m.crypto_ns));
                 if let Some(stats) = &self.cluster_stats {
                     mine.extend(stats.sample().series());
                 }

@@ -398,15 +398,16 @@ impl SharoesClient {
         }
     }
 
-    /// Runs `f`, charging its wall time to the CRYPTO cost component (and,
-    /// when a trace span is live, to its `crypto` phase).
+    /// Runs `f`, charging its wall time and the crypto work it counted on
+    /// this thread to the CRYPTO cost component (and its wall time, when a
+    /// trace span is live, to the span's `crypto` phase).
     fn timed_crypto<T>(meter: &CostMeter, f: impl FnOnce() -> T) -> T {
         use std::sync::OnceLock;
         static CRYPTO_NS: OnceLock<sharoes_obs::Histogram> = OnceLock::new();
         let t0 = Instant::now();
-        let out = f();
+        let (out, work) = sharoes_crypto::work::counted(f);
         let ns = t0.elapsed().as_nanos() as u64;
-        meter.charge_crypto_ns(ns);
+        meter.charge_crypto(ns, &work);
         CRYPTO_NS.get_or_init(|| sharoes_obs::histogram_ns("core_crypto_op_ns")).observe(ns);
         sharoes_obs::phase_add(sharoes_obs::Phase::Crypto, ns);
         out

@@ -7,6 +7,7 @@
 
 use crate::params::CryptoParams;
 use sharoes_crypto::{generate_signing_pair, RandomSource, SigningKey, VerifyKey};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A pool of pre-generated signing pairs.
@@ -33,32 +34,43 @@ impl SigKeyPool {
         self.pool.lock().unwrap_or_else(|e| e.into_inner()).extend(fresh);
     }
 
-    /// Pre-generates `n` pairs across all available cores. Each worker gets
-    /// an independent DRBG derived from `seed`, so the pool contents are
-    /// deterministic up to ordering.
+    /// Pre-generates `n` pairs across all available cores. Pair `i` comes
+    /// from its own DRBG, derived from `seed` and `i`, and the pairs join
+    /// the pool in index order, so its contents and order are the same
+    /// whatever the core count and whichever worker finishes first. Each
+    /// worker takes the next index as it finishes a pair, so the workers
+    /// end together however long each prime search takes.
     pub fn prefill_parallel(&self, n: usize, seed: u64) {
         let threads =
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(n.max(1));
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let quota = n / threads + usize::from(t < n % threads);
-                let pool = &self.pool;
-                let params = self.params;
-                scope.spawn(move || {
-                    let mut rng = sharoes_crypto::HmacDrbg::new(
-                        &[&seed.to_be_bytes()[..], &(t as u64).to_be_bytes()[..]].concat(),
-                    );
-                    let mut fresh = Vec::with_capacity(quota);
-                    for _ in 0..quota {
-                        fresh.push(
-                            generate_signing_pair(params.sig_scheme, params.sig_bits, &mut rng)
-                                .expect("signature keygen"),
-                        );
-                    }
-                    pool.lock().unwrap_or_else(|e| e.into_inner()).extend(fresh);
-                });
-            }
+        let next = AtomicUsize::new(0);
+        let params = self.params;
+        let mut fresh: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                return mine;
+                            }
+                            let mut rng = sharoes_crypto::HmacDrbg::new(
+                                &[seed.to_be_bytes(), (i as u64).to_be_bytes()].concat(),
+                            );
+                            let pair =
+                                generate_signing_pair(params.sig_scheme, params.sig_bits, &mut rng)
+                                    .expect("signature keygen");
+                            mine.push((i, pair));
+                        }
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().expect("keygen worker")).collect()
         });
+        fresh.sort_unstable_by_key(|(i, _)| *i);
+        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
+        pool.extend(fresh.into_iter().map(|(_, pair)| pair));
     }
 
     /// Pre-fills the pool with `n` clones of a single freshly generated
@@ -141,8 +153,14 @@ mod tests {
         let pool = SigKeyPool::new(CryptoParams::test());
         pool.prefill_parallel(7, 42);
         assert_eq!(pool.len(), 7);
+        // The last pair in is pair 6, derived from (seed, 6) alone.
+        let mut rng = HmacDrbg::new(&[42u64.to_be_bytes(), 6u64.to_be_bytes()].concat());
+        let params = CryptoParams::test();
+        let (last, _) =
+            generate_signing_pair(params.sig_scheme, params.sig_bits, &mut rng).unwrap();
         let mut rng = HmacDrbg::from_seed_u64(3);
         let (sk, vk) = pool.take(&mut rng);
+        assert_eq!(sk.to_bytes(), last.to_bytes());
         let sig = sk.sign(&mut rng, b"parallel");
         vk.verify(b"parallel", &sig).unwrap();
     }

@@ -569,14 +569,16 @@ impl<'a> Layout<'a> {
     ) -> Result<Vec<(ObjectKey, Vec<u8>)>> {
         let mut out = Vec::new();
         let views = self.views(attrs);
+        // Each view's tag is hashed once, not once per comparison: the
+        // comparison count follows HashMap order, the hashing would too.
         let all_teks: Vec<(ViewId, SymKey)> = {
             let mut v: Vec<_> = secrets.teks.iter().map(|(k, s)| (*k, s.clone())).collect();
-            v.sort_by_key(|(view, _)| view.tag(attrs.inode));
+            v.sort_by_cached_key(|(view, _)| view.tag(attrs.inode));
             v
         };
         let all_meks: Vec<(ViewId, SymKey)> = {
             let mut v: Vec<_> = secrets.meks.iter().map(|(k, s)| (*k, s.clone())).collect();
-            v.sort_by_key(|(view, _)| view.tag(attrs.inode));
+            v.sort_by_cached_key(|(view, _)| view.tag(attrs.inode));
             v
         };
 

@@ -20,7 +20,7 @@ use crate::error::CryptoError;
 /// The 16-byte `iv` is the initial counter block; it is incremented as a
 /// big-endian 128-bit integer per block, wrapping at 2^128.
 pub fn ctr_xor(aes: &Aes128, iv: &[u8; 16], data: &mut [u8]) {
-    crate::work::count(|w| w.sym_bytes += data.len() as u64);
+    crate::work::count(|w| w.aes_ctr_bytes += data.len() as u64);
     if !ctr_xor_accelerated(aes, iv, data) {
         ctr_xor_scalar(aes, iv, data);
     }

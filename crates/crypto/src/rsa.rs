@@ -83,7 +83,7 @@ impl RsaPublicKey {
     }
 
     fn raw(&self, m: &BigUint) -> BigUint {
-        crate::work::count(|w| w.public_ops += 1);
+        crate::work::count(|w| w.rsa_public += 1);
         self.ctx_n.get(&self.n).pow(m, &self.e)
     }
 
@@ -200,7 +200,7 @@ impl RsaPrivateKey {
         rng: &mut R,
     ) -> Result<Self, CryptoError> {
         assert!(bits >= 128, "RSA key too small: {bits} bits");
-        crate::work::count(|w| w.keygens += 1);
+        crate::work::count(|w| w.rsa_keygen += 1);
         let e = BigUint::from_u64(65537);
         for _ in 0..16 {
             let p = generate_prime(bits / 2, rng)?;
@@ -246,7 +246,7 @@ impl RsaPrivateKey {
 
     /// CRT private-key operation `c^d mod n`.
     fn raw(&self, c: &BigUint) -> BigUint {
-        crate::work::count(|w| w.private_ops += 1);
+        crate::work::count(|w| w.rsa_private += 1);
         let m1 = self.ctx_p.get(&self.p).pow(c, &self.dp);
         let m2 = self.ctx_q.get(&self.q).pow(c, &self.dq);
         // h = qinv * (m1 - m2) mod p

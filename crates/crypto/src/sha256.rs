@@ -52,6 +52,7 @@ impl Sha256 {
 
     /// Absorbs more message bytes.
     pub fn update(&mut self, mut data: &[u8]) {
+        crate::work::count(|w| w.sha256_bytes += data.len() as u64);
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = data.len().min(64 - self.buf_len);
@@ -158,6 +159,7 @@ fn digest_lanes<const N: usize>(
     for (&i, state) in lanes.iter().zip(&states) {
         out[i] = state_bytes(state);
     }
+    crate::work::count(|w| w.sha256_bytes += (N * len) as u64);
     true
 }
 

@@ -77,25 +77,6 @@ impl NetModel {
         let down = (cost.bytes_down + overhead) as f64 * 8.0 / self.download_bps;
         self.rtt * cost.round_trips as u32 + Duration::from_secs_f64(up + down)
     }
-
-    /// Full virtual-clock time for a sample: network + crypto + other.
-    ///
-    /// `cpu_scale` rescales measured local CPU time to a reference machine
-    /// (1.0 = this machine).
-    pub fn total_time(&self, cost: &CostSample, cpu_scale: f64) -> Duration {
-        let cpu =
-            Duration::from_nanos(((cost.crypto_ns + cost.other_ns) as f64 * cpu_scale) as u64);
-        self.network_time(cost) + cpu
-    }
-
-    /// The NETWORK / CRYPTO / OTHER decomposition (Figure 13) in seconds.
-    pub fn breakdown(&self, cost: &CostSample, cpu_scale: f64) -> (f64, f64, f64) {
-        (
-            self.network_time(cost).as_secs_f64(),
-            cost.crypto_ns as f64 * cpu_scale / 1e9,
-            cost.other_ns as f64 * cpu_scale / 1e9,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -125,20 +106,6 @@ mod tests {
     fn zero_cost_is_zero_time() {
         let m = NetModel::lan();
         assert_eq!(m.network_time(&CostSample::default()), Duration::ZERO);
-    }
-
-    #[test]
-    fn cpu_scale_applies_to_crypto_only_components() {
-        let m = NetModel::lan();
-        let cost =
-            CostSample { crypto_ns: 1_000_000_000, other_ns: 500_000_000, ..Default::default() };
-        let t1 = m.total_time(&cost, 1.0);
-        let t2 = m.total_time(&cost, 2.0);
-        assert!((t2.as_secs_f64() - 2.0 * t1.as_secs_f64()).abs() < 1e-6);
-        let (n, c, o) = m.breakdown(&cost, 1.0);
-        assert_eq!(n, 0.0);
-        assert!((c - 1.0).abs() < 1e-9);
-        assert!((o - 0.5).abs() < 1e-9);
     }
 
     #[test]
