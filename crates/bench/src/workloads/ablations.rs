@@ -74,6 +74,10 @@ pub struct RevocationCosts {
     pub immediate_write: f64,
     /// Next-write seconds under lazy revocation (pays the deferred rekey).
     pub lazy_write: f64,
+    /// The crypto work of the next write under immediate revocation.
+    pub immediate_write_work: Work,
+    /// The crypto work of the next write under lazy revocation.
+    pub lazy_write_work: Work,
 }
 
 /// A2: revocation cost placement for growing file sizes.
@@ -81,6 +85,7 @@ pub fn revocation_costs(file_sizes: &[usize], opts: &BenchOpts) -> Vec<Revocatio
     let mut out = Vec::new();
     for &file_size in file_sizes {
         let mut measured = [0.0f64; 4];
+        let mut write_work = [Work::default(), Work::default()];
         for (idx, mode) in [RevocationMode::Immediate, RevocationMode::Lazy].into_iter().enumerate()
         {
             let bench = Bench::new(CryptoPolicy::Sharoes, Scheme::SharedCaps, opts, 32);
@@ -97,6 +102,7 @@ pub fn revocation_costs(file_sizes: &[usize], opts: &BenchOpts) -> Vec<Revocatio
             let timer = PhaseTimer::start(&client);
             client.write_file("/bench/victim", &content(file_size, 4)).expect("post-chmod write");
             measured[idx * 2 + 1] = timer.seconds(&client, opts);
+            write_work[idx] = timer.cost(&client).work;
         }
         out.push(RevocationCosts {
             file_size,
@@ -104,6 +110,8 @@ pub fn revocation_costs(file_sizes: &[usize], opts: &BenchOpts) -> Vec<Revocatio
             immediate_write: measured[1],
             lazy_chmod: measured[2],
             lazy_write: measured[3],
+            immediate_write_work: write_work[0],
+            lazy_write_work: write_work[1],
         });
     }
     out
@@ -395,10 +403,31 @@ mod tests {
             r.immediate_chmod,
             r.lazy_chmod
         );
+        // The lazy next-write carries the deferred re-key: a fresh key and
+        // a metadata reseal for every view, on top of the content the
+        // immediate next-write encrypts too.
+        let (lazy_crypto, immediate_crypto) =
+            (crypto_secs(&r.lazy_write_work), crypto_secs(&r.immediate_write_work));
         assert!(
-            r.lazy_write > r.immediate_write,
-            "the lazy next-write carries the deferred metadata rebuild: {} vs {}",
+            r.lazy_write_work.esign_sign > r.immediate_write_work.esign_sign,
+            "the lazy next-write re-seals every view's metadata: {} vs {} signatures",
+            r.lazy_write_work.esign_sign,
+            r.immediate_write_work.esign_sign
+        );
+        assert!(
+            lazy_crypto > immediate_crypto,
+            "the lazy next-write carries the deferred re-key: {lazy_crypto} vs {immediate_crypto}"
+        );
+        // Its re-key starts a fresh generation, so it fetches no manifest,
+        // and the rebuild rides in its one round trip. Immediate
+        // revocation encrypts the content twice (at the chmod and at the
+        // write), lazy once, so lazy costs less over both steps.
+        assert!(
+            r.lazy_chmod + r.lazy_write < r.immediate_chmod + r.immediate_write,
+            "lazy revocation re-encrypts once: {} + {} vs {} + {}",
+            r.lazy_chmod,
             r.lazy_write,
+            r.immediate_chmod,
             r.immediate_write
         );
     }

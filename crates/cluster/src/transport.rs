@@ -3,8 +3,11 @@
 //! Implements the same [`Transport`] trait the client already mounts
 //! through, so `sharoes-core` needs no changes to run against a cluster:
 //!
-//! * **Writes** (`Put`/`PutMany`/`Delete`/`DeleteMany`) go to the R ring
-//!   replicas of each key and succeed once W of them acknowledge.
+//! * **Writes** (`Put`/`PutMany`/`Delete`/`Mutate`) go to the R ring
+//!   replicas of each key and succeed once W of them acknowledge. A batch
+//!   is one sub-request per node holding any of its keys. A `Mutate` that
+//!   drops views goes to every active node, since a view's data keys
+//!   scatter across the ring, and also needs W of them to acknowledge.
 //! * **Reads** (`Get`/`GetMany`) survey the R replicas, reconcile by
 //!   *presence wins* (a stored blob beats a miss; among differing blobs the
 //!   majority wins, ring order breaking ties), and **read-repair** any
@@ -294,33 +297,41 @@ impl ClusterTransport {
         self.settle_write(acks, need, total, last_err)
     }
 
-    /// Replicated batch write (`PutMany`/`DeleteMany`): items are grouped
-    /// into one sub-request per node; every item needs W acks.
+    /// Replicated batch write (`PutMany`/`Mutate`): the keyed items are
+    /// grouped into one sub-request per replica node (`build` gets each
+    /// node's item indices, ascending), and every item needs W acks. With
+    /// `everywhere`, every active node gets a sub-request, possibly with no
+    /// items, and W of them must ack it too.
     fn write_many(
         &mut self,
         keys: &[ObjectKey],
+        everywhere: bool,
         build: impl Fn(&[usize]) -> Request,
     ) -> Result<Response, NetError> {
-        if keys.is_empty() {
-            return Ok(Response::Ok);
-        }
         let replica_sets: Vec<Vec<usize>> = keys.iter().map(|k| self.replica_indices(k)).collect();
-        if replica_sets.iter().any(|r| r.is_empty()) {
+        let active = if everywhere { self.active_indices() } else { Vec::new() };
+        if replica_sets.iter().any(|r| r.is_empty()) || (everywhere && active.is_empty()) {
             return Err(Self::no_nodes_err());
         }
-        let mut per_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut per_node: BTreeMap<usize, Vec<usize>> =
+            active.iter().map(|idx| (*idx, Vec::new())).collect();
         for (item, replicas) in replica_sets.iter().enumerate() {
             for idx in replicas {
                 per_node.entry(*idx).or_default().push(item);
             }
         }
+        if per_node.is_empty() {
+            return Ok(Response::Ok);
+        }
         let calls: Vec<(usize, Request)> =
             per_node.iter().map(|(idx, items)| (*idx, build(items))).collect();
         let mut acks = vec![0usize; keys.len()];
+        let mut node_acks = 0usize;
         let mut last_err: Option<NetError> = None;
         for ((_, items), outcome) in per_node.iter().zip(self.fan_calls(&calls)) {
             match outcome {
                 Ok(Response::Ok) => {
+                    node_acks += 1;
                     for i in items {
                         acks[*i] += 1;
                     }
@@ -329,24 +340,24 @@ impl ClusterTransport {
                 Err(e) => last_err = Some(e),
             }
         }
-        // The whole batch succeeds only if every item met its quorum; the
-        // worst-off item decides.
+        // The whole batch succeeds only if every item, and the fan-out to
+        // every node, met its quorum; the worst-off one decides.
         let need = self.write_quorum();
-        let satisfied =
-            acks.iter().zip(&replica_sets).all(|(a, replicas)| *a >= need.min(replicas.len()));
-        if satisfied {
-            if acks.iter().zip(&replica_sets).any(|(a, replicas)| *a < replicas.len()) {
-                self.stats.bump_quorum_shortfalls();
-            }
-            Ok(Response::Ok)
-        } else {
-            let worst = acks.iter().copied().min().unwrap_or(0);
-            Err(last_err.unwrap_or_else(|| {
+        let short = |acks: usize, total: usize| acks < need.min(total).max(1);
+        let items_short = acks.iter().zip(&replica_sets).any(|(a, r)| short(*a, r.len()));
+        if items_short || (everywhere && short(node_acks, active.len())) {
+            let worst = acks.iter().copied().chain(everywhere.then_some(node_acks)).min();
+            let worst = worst.unwrap_or(0);
+            return Err(last_err.unwrap_or_else(|| {
                 NetError::Remote(format!(
                     "{TRANSIENT_ERROR_PREFIX}: write quorum not met ({worst}/{need} acks)"
                 ))
-            }))
+            }));
         }
+        if acks.iter().zip(&replica_sets).any(|(a, r)| *a < r.len()) || node_acks < per_node.len() {
+            self.stats.bump_quorum_shortfalls();
+        }
+        Ok(Response::Ok)
     }
 
     /// Shared tail of the write paths: quorum check + shortfall accounting.
@@ -510,28 +521,6 @@ impl ClusterTransport {
         Ok(Response::Objects(out))
     }
 
-    /// Fan-out to every active node; succeeds when ≥ `need` nodes ack.
-    fn fanout_all(&mut self, request: &Request, need: usize) -> Result<Response, NetError> {
-        let active = self.active_indices();
-        if active.is_empty() {
-            return Err(Self::no_nodes_err());
-        }
-        let need = need.min(active.len()).max(1);
-        let total = active.len();
-        let calls: Vec<(usize, Request)> =
-            active.into_iter().map(|idx| (idx, request.clone())).collect();
-        let mut acks = 0usize;
-        let mut last_err = None;
-        for outcome in self.fan_calls(&calls) {
-            match outcome {
-                Ok(Response::Ok) => acks += 1,
-                Ok(_) => last_err = Some(NetError::Codec("unexpected response shape")),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        self.settle_write(acks, need, total, last_err)
-    }
-
     /// Merged global key scan: each node reports its page after the cursor;
     /// pages are merged, deduplicated (replicas!), and re-limited.
     fn scan(&mut self, after: &Option<ObjectKey>, limit: u32) -> Result<Response, NetError> {
@@ -665,28 +654,28 @@ impl Transport for ClusterTransport {
             Request::Delete { key } => self.write_one(key, request),
             Request::PutMany { items } => {
                 let keys: Vec<ObjectKey> = items.iter().map(|(k, _)| *k).collect();
-                let items = items.clone();
-                self.write_many(&keys, |ids| Request::PutMany {
+                self.write_many(&keys, false, |ids| Request::PutMany {
                     items: ids.iter().map(|i| items[*i].clone()).collect(),
                 })
             }
-            Request::DeleteMany { keys } => {
-                let keys = keys.clone();
-                self.write_many(&keys, |ids| Request::DeleteMany {
-                    keys: ids.iter().map(|i| keys[*i]).collect(),
+            // Item `i` is put `i` below `puts.len()`, and a delete above it.
+            Request::Mutate { puts, deletes, drop_views } => {
+                let keys: Vec<ObjectKey> =
+                    puts.iter().map(|(k, _)| *k).chain(deletes.iter().copied()).collect();
+                let split = puts.len();
+                self.write_many(&keys, !drop_views.is_empty(), |ids| {
+                    let (put_ids, delete_ids) = ids.split_at(ids.partition_point(|i| *i < split));
+                    Request::Mutate {
+                        puts: put_ids.iter().map(|i| puts[*i].clone()).collect(),
+                        deletes: delete_ids.iter().map(|i| deletes[*i - split]).collect(),
+                        drop_views: drop_views.clone(),
+                    }
                 })
             }
             Request::Get { key } => self.read_one(key),
             Request::GetMany { keys } => {
                 let keys = keys.clone();
                 self.read_many(&keys)
-            }
-            // Blocks of one (inode, view) scatter across the ring, so the
-            // bulk delete must visit every node; W acks keep it available
-            // under partial failure (best effort, like all deletes here).
-            Request::DeleteBlocks { .. } => {
-                let need = self.write_quorum();
-                self.fanout_all(request, need)
             }
             Request::Metrics => self.metrics_call(),
             Request::Trace { max } => self.trace_call(*max),

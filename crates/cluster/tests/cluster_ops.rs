@@ -88,7 +88,8 @@ fn batch_writes_replicate_like_single_writes() {
     }
     let got = w.cluster.call(&Request::GetMany { keys: (0..30).map(key).collect() }).unwrap();
     assert_eq!(got, Response::Objects((0..30).map(|i| Some(blob(i))).collect()));
-    w.cluster.call(&Request::DeleteMany { keys: (0..30).map(key).collect() }).unwrap();
+    let deletes = (0..30).map(key).collect();
+    w.cluster.call(&Request::Mutate { puts: vec![], deletes, drop_views: vec![] }).unwrap();
     assert_eq!((0..30).map(|i| holders(&w, &key(i))).sum::<usize>(), 0);
 }
 
@@ -259,20 +260,55 @@ fn rebalance_after_retire_restores_replication() {
 }
 
 #[test]
-fn delete_blocks_fans_out_to_every_node() {
+fn dropped_views_fan_out_to_every_node() {
     let mut w = world(&["a", "b", "c"], ClusterOpts { replication: 2, ..Default::default() });
-    let view = [9u8; 16];
-    for b in 0..12u32 {
+    let (view, next) = ([9u8; 16], [8u8; 16]);
+    for b in (0..12u32).chain([u32::MAX]) {
         let k = ObjectKey::data(77, view, b);
         w.cluster.call(&Request::Put { key: k, value: vec![b as u8; 4] }).unwrap();
     }
     w.cluster.call(&Request::Put { key: ObjectKey::metadata(77, view), value: vec![1] }).unwrap();
-    w.cluster.call(&Request::DeleteBlocks { inode: 77, view }).unwrap();
-    for b in 0..12u32 {
+    // The re-key shape: the old view is dropped next to puts into a new
+    // one and a delete, in one request.
+    let puts: Vec<(ObjectKey, Vec<u8>)> =
+        (0..3u32).map(|b| (ObjectKey::data(77, next, b), vec![7])).collect();
+    let deletes = vec![ObjectKey::metadata(77, view)];
+    let request = Request::Mutate { puts: puts.clone(), deletes, drop_views: vec![(77, view)] };
+    assert_eq!(w.cluster.call(&request).unwrap(), Response::Ok);
+    for b in (0..12u32).chain([u32::MAX]) {
         assert_eq!(holders(&w, &ObjectKey::data(77, view, b)), 0, "block {b} survived");
     }
-    // Metadata is untouched by a block wipe.
-    assert_eq!(holders(&w, &ObjectKey::metadata(77, view)), 2);
+    assert_eq!(holders(&w, &ObjectKey::metadata(77, view)), 0);
+    for (k, _) in &puts {
+        assert_eq!(holders(&w, k), 2, "{k:?} not on exactly R=2 nodes");
+    }
+
+    // A node that holds none of a mutation's keys still drops the view:
+    // a block put behind the cluster's back on every node goes everywhere.
+    for store in &w.stores {
+        store.put(ObjectKey::data(78, view, 5), vec![1]).unwrap();
+    }
+    let request = Request::Mutate { puts: vec![], deletes: vec![], drop_views: vec![(78, view)] };
+    assert_eq!(w.cluster.call(&request).unwrap(), Response::Ok);
+    assert_eq!(holders(&w, &ObjectKey::data(78, view, 5)), 0);
+}
+
+#[test]
+fn a_dropped_view_needs_w_nodes_to_ack() {
+    // R = 3 over three nodes, W = 2: one dead node leaves a quorum for
+    // the view drop, two do not.
+    let opts = ClusterOpts { replication: 3, ..Default::default() };
+    let mut cluster = ClusterTransport::new(opts);
+    let store = Arc::new(ObjectStore::new());
+    let server: Arc<dyn RequestHandler> = Arc::new(SspServer::with_store(Arc::clone(&store)));
+    cluster.add_node("a", Box::new(InMemoryTransport::new(server)));
+    cluster.add_node("b", Box::new(DeadTransport(CostMeter::new_shared())));
+    cluster.add_node("c", Box::new(DeadTransport(CostMeter::new_shared())));
+    store.put(ObjectKey::data(5, [5; 16], 0), vec![1]).unwrap();
+    let request = Request::Mutate { puts: vec![], deletes: vec![], drop_views: vec![(5, [5; 16])] };
+    assert!(cluster.call(&request).is_err(), "one ack of three met a W=2 quorum");
+    // The live node applied its share all the same (no rollback).
+    assert!(store.get(&ObjectKey::data(5, [5; 16], 0)).is_none());
 }
 
 #[test]

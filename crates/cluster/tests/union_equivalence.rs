@@ -102,7 +102,11 @@ fn mutate(w: &mut World, rng: &mut HmacDrbg) {
         0 => Request::Put { key: key(rng), value },
         1 => Request::PutMany { items: (0..8).map(|_| (key(rng), value.clone())).collect() },
         2 => Request::Delete { key: key(rng) },
-        3 => Request::DeleteMany { keys: (0..8).map(|_| key(rng)).collect() },
+        3 => Request::Mutate {
+            puts: (0..4).map(|_| (key(rng), value.clone())).collect(),
+            deletes: (0..4).map(|_| key(rng)).collect(),
+            drop_views: (0..2).map(|_| key(rng)).map(|k| (k.inode, k.view)).collect(),
+        },
         4 => {
             w.stores[0].put(key(rng), value).unwrap();
             return;

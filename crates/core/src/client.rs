@@ -33,7 +33,9 @@ use crate::superblock::Superblock;
 use sharoes_crypto::{HmacDrbg, RandomSource, Sha256, SymKey, SystemRandom, VerifyKey};
 use sharoes_fs::{path as fspath, Acl, Gid, Mode, NodeKind, Uid, UserDb};
 use sharoes_index::verify_scan_page;
-use sharoes_net::{CostMeter, ObjectKey, OpClass, Request, Response, Transport, WireRead};
+use sharoes_net::{
+    CostMeter, ObjectKey, OpClass, Request, Response, Transport, WireRead, WireWrite,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -303,23 +305,21 @@ impl SharoesClient {
         }
     }
 
-    fn put_many(&mut self, items: Vec<(ObjectKey, Vec<u8>)>) -> Result<()> {
-        if items.is_empty() {
+    /// Ships one op's mutations in one round trip: the SSP applies the
+    /// puts, then the deletes, then drops every data key of each
+    /// `(inode, view)` in `drop_views`.
+    fn mutate(
+        &mut self,
+        puts: Vec<(ObjectKey, Vec<u8>)>,
+        deletes: Vec<ObjectKey>,
+        drop_views: Vec<(u64, [u8; 16])>,
+    ) -> Result<()> {
+        if puts.is_empty() && deletes.is_empty() && drop_views.is_empty() {
             return Ok(());
         }
-        match self.call(&Request::PutMany { items })? {
+        match self.call(&Request::Mutate { puts, deletes, drop_views })? {
             Response::Ok => Ok(()),
-            _ => Err(CoreError::Corrupt("unexpected response to PutMany")),
-        }
-    }
-
-    fn delete_many(&mut self, keys: Vec<ObjectKey>) -> Result<()> {
-        if keys.is_empty() {
-            return Ok(());
-        }
-        match self.call(&Request::DeleteMany { keys })? {
-            Response::Ok => Ok(()),
-            _ => Err(CoreError::Corrupt("unexpected response to DeleteMany")),
+            _ => Err(CoreError::Corrupt("unexpected response to Mutate")),
         }
     }
 
@@ -1011,13 +1011,13 @@ impl SharoesClient {
             self.load_manifest_lean(&body).map(|m| (m.nblocks, m.version)).unwrap_or((0, 0));
 
         let records = self.seal_file_content(&body, &pending.content, old_version + 1)?;
-        self.freshness.insert(FreshKey::Data(inode, generation), old_version + 1);
         let new_nblocks = pending.content.len().div_ceil(self.config.block_size.max(1)) as u32;
-        if old_nblocks > new_nblocks {
-            // Shrink: clear stale trailing blocks first.
-            self.call(&Request::DeleteBlocks { inode, view: dview })?;
-        }
-        self.put_many(records)?;
+        // A shrink's stale trailing blocks ride in the same request and go
+        // after the puts: the manifest is replaced, never deleted, so a
+        // refused close leaves the old file whole.
+        let stale = (new_nblocks..old_nblocks).map(|b| ObjectKey::data(inode, dview, b)).collect();
+        self.mutate(records, stale, Vec::new())?;
+        self.freshness.insert(FreshKey::Data(inode, generation), old_version + 1);
 
         // Refresh caches with the new plaintext (manifest refetched lazily:
         // its hashes live in the sealed records we just built).
@@ -1133,9 +1133,13 @@ impl SharoesClient {
             layout.generate_secrets(&child_attrs, &pool, rng)
         });
 
-        // Child records: metadata replicas + (empty) content.
-        let mut records = self.with_drbg(b"create-records", |layout, rng| -> Result<Vec<_>> {
-            let mut recs = layout.metadata_records(&child_attrs, &child_secrets, rng)?;
+        // Child records: metadata replicas + (empty) content. The body of
+        // our own view is kept to be cached once the records are stored.
+        let my_view = self.layout().view_of(&child_attrs, self.identity.uid);
+        let (mut records, my_body) = self.with_drbg(b"create-records", |layout, rng| {
+            let mut bodies = layout.metadata_bodies(&child_attrs, &child_secrets)?;
+            let mut recs =
+                layout.seal_metadata_bodies(&child_attrs, &child_secrets, &bodies, rng)?;
             match kind {
                 NodeKind::File => {
                     recs.extend(layout.data_records(&child_attrs, &child_secrets, &[], rng))
@@ -1144,7 +1148,8 @@ impl SharoesClient {
                     recs.extend(layout.table_records(&child_attrs, &child_secrets, &[], rng)?.0)
                 }
             }
-            Ok(recs)
+            let mine = bodies.iter().position(|(view, _)| *view == my_view);
+            Ok::<_, CoreError>((recs, mine.map(|i| bodies.swap_remove(i).1)))
         })?;
 
         // Parent tables: add one row per view (the "[*] per required CAP"
@@ -1167,9 +1172,25 @@ impl SharoesClient {
         }
 
         // One round trip ships everything (paper mkdir: "send both").
-        self.put_many(records)?;
+        self.mutate(records, Vec::new(), Vec::new())?;
 
-        // rebuild_parent_tables refreshed the table caches in place.
+        // rebuild_parent_tables refreshed the table caches in place. Cache
+        // what was just sealed, with its freshness version, so a following
+        // write fetches nothing: our own metadata body and a file's empty
+        // manifest, as opening their records would give them.
+        if let Some(body) = my_body {
+            let view = my_view.tag(inode);
+            self.freshness.insert(FreshKey::Meta(inode, view), body.version);
+            let plain_len = body.to_wire().len();
+            self.cache.put(CacheKey::Meta(inode, view), Arc::new(body), plain_len);
+        }
+        if kind == NodeKind::File {
+            let manifest = Manifest::empty();
+            let generation = child_attrs.generation;
+            self.freshness.insert(FreshKey::Data(inode, generation), manifest.version);
+            let plain_len = manifest.to_wire().len();
+            self.cache.put(CacheKey::Manifest(inode, generation), Arc::new(manifest), plain_len);
+        }
         Ok(inode)
     }
 
@@ -1219,9 +1240,9 @@ impl SharoesClient {
 
         let (table_records, _) =
             self.rebuild_parent_tables(&ph, &pbody, TableEdit::Remove { name: &name })?;
-        self.put_many(table_records)?;
 
-        // Delete the child's replicas, split entries, and data.
+        // Delete the child's replicas, split entries, and data, in the
+        // round trip that stores the parent's edited tables.
         let mut doomed = self.layout().replica_slots(&cattrs);
         for user in self.db.users() {
             doomed.push(ObjectKey::metadata(
@@ -1235,13 +1256,11 @@ impl SharoesClient {
                 ids::split_group_view(cattrs.inode, group.gid),
             ));
         }
-        self.delete_many(doomed)?;
-        if cattrs.kind == NodeKind::File {
-            self.call(&Request::DeleteBlocks {
-                inode: cattrs.inode,
-                view: ids::data_view(cattrs.inode, cattrs.generation),
-            })?;
-        }
+        let data = match cattrs.kind {
+            NodeKind::File => vec![(cattrs.inode, ids::data_view(cattrs.inode, cattrs.generation))],
+            NodeKind::Dir => Vec::new(),
+        };
+        self.mutate(table_records, doomed, data)?;
 
         self.pending.remove(path);
         self.cache.invalidate_inode(cattrs.inode);
@@ -1287,7 +1306,7 @@ impl SharoesClient {
             &pbody,
             TableEdit::Rename { from: &from_name, to: &to_name },
         )?;
-        self.put_many(table_records)?;
+        self.mutate(table_records, Vec::new(), Vec::new())?;
         Ok(())
     }
 
@@ -1511,7 +1530,7 @@ impl SharoesClient {
         }
 
         let mut records = Vec::new();
-        let mut deletes = Vec::new();
+        let mut dropped_views = Vec::new();
         let mut stale_slots: Vec<ObjectKey> = Vec::new();
 
         // Directories need their children's key material to rebuild table
@@ -1535,7 +1554,7 @@ impl SharoesClient {
                     records.extend(self.with_drbg(b"rekey-data", |layout, rng| {
                         layout.data_records(&new_attrs, &secrets, &content, rng)
                     }));
-                    deletes.push(old_view);
+                    dropped_views.push((new_attrs.inode, old_view));
                     new_attrs.size = content.len() as u64;
                     new_attrs.nblocks =
                         content.len().div_ceil(self.config.block_size.max(1)) as u32;
@@ -1594,11 +1613,7 @@ impl SharoesClient {
             })?);
         }
 
-        self.put_many(records)?;
-        for view in deletes {
-            self.call(&Request::DeleteBlocks { inode: new_attrs.inode, view })?;
-        }
-        self.delete_many(stale_slots)?;
+        self.mutate(records, stale_slots, dropped_views)?;
         self.cache.invalidate_inode(new_attrs.inode);
         Ok(())
     }
@@ -1802,8 +1817,7 @@ impl SharoesClient {
             layout.metadata_records(&attrs, &secrets, &mut rng)
         })?);
         self.rng.reseed(b"lazy-rekey");
-        self.put_many(records)?;
-        self.call(&Request::DeleteBlocks { inode: attrs.inode, view: old_view })?;
+        self.mutate(records, Vec::new(), vec![(attrs.inode, old_view)])?;
         self.cache.invalidate_inode(attrs.inode);
         Ok((attrs.generation, new_dek))
     }
@@ -1830,7 +1844,7 @@ impl SharoesClient {
         let records = self.with_drbg(b"fsync-metadata", |layout, rng| {
             layout.metadata_records(&attrs, &secrets, rng)
         })?;
-        self.put_many(records)?;
+        self.mutate(records, Vec::new(), Vec::new())?;
         self.cache.invalidate_inode(attrs.inode);
         Ok(())
     }
@@ -1855,7 +1869,7 @@ impl SharoesClient {
             None => {
                 let chain = KekChain::generate(&mut self.rng);
                 let sealed = chain.seal_for(self.pki.user(uid)?, &mut self.rng)?;
-                self.put_many(vec![(slot, sealed)])?;
+                self.mutate(vec![(slot, sealed)], Vec::new(), Vec::new())?;
                 chain
             }
         };
@@ -1878,7 +1892,11 @@ impl SharoesClient {
         let uid = self.identity.uid;
         let sealed = chain.seal_for(self.pki.user(uid)?, &mut self.rng)?;
         self.kek = Some(chain);
-        self.put_many(vec![(ObjectKey::superblock(ids::kek_chain_view(uid)), sealed)])?;
+        self.mutate(
+            vec![(ObjectKey::superblock(ids::kek_chain_view(uid)), sealed)],
+            Vec::new(),
+            Vec::new(),
+        )?;
         Ok(version)
     }
 
@@ -1940,7 +1958,7 @@ impl SharoesClient {
             ids::dek_escrow_view(self.identity.uid, inode),
             generation as u32,
         );
-        self.put_many(vec![(key, record)])
+        self.mutate(vec![(key, record)], Vec::new(), Vec::new())
     }
 
     /// Recovers the escrowed DEK for `(inode, generation)` with the loaded

@@ -7,9 +7,9 @@
 //! infrastructure, if required."
 //!
 //! The migrator walks a `LocalFs`, materializes every object through the
-//! [`Layout`] engine, and ships records to the SSP in batched `PutMany`
-//! messages. It also writes the per-user superblocks and group key blocks
-//! that make key management fully in-band afterwards.
+//! [`Layout`] engine, and ships records to the SSP in batched `Mutate`
+//! requests that only put. It also writes the per-user superblocks and
+//! group key blocks that make key management fully in-band afterwards.
 
 use crate::cap::downgrade;
 use crate::error::{CoreError, Result};
@@ -23,7 +23,7 @@ use sharoes_fs::{InodeId, LocalFs, Mode, NodeKind};
 use sharoes_net::{ObjectKey, Request, Response, Transport};
 use std::collections::HashMap;
 
-/// Records per `PutMany` batch during bulk transfer.
+/// Records per `Mutate` batch during bulk transfer.
 const BATCH: usize = 64;
 
 /// What happened during a migration.
@@ -198,7 +198,9 @@ impl<'a> Migrator<'a> {
         report.records = records.len();
         report.bytes = records.iter().map(|(_, v)| v.len() as u64).sum();
         for chunk in records.chunks(BATCH) {
-            match transport.call(&Request::PutMany { items: chunk.to_vec() })? {
+            let batch =
+                Request::Mutate { puts: chunk.to_vec(), deletes: vec![], drop_views: vec![] };
+            match transport.call(&batch)? {
                 Response::Ok => {}
                 _ => return Err(CoreError::Corrupt("unexpected migration response")),
             }

@@ -57,6 +57,15 @@ pub struct Manifest {
 }
 
 impl Manifest {
+    /// The write version a new file's first manifest carries.
+    pub const FIRST_VERSION: u64 = 1;
+
+    /// The manifest [`Layout::data_records`] seals for empty content: what
+    /// a newly created file's manifest record opens to.
+    pub fn empty() -> Manifest {
+        Manifest { size: 0, version: Self::FIRST_VERSION, nblocks: 0, block_hashes: Vec::new() }
+    }
+
     /// Serializes the manifest payload.
     pub fn to_wire(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(20 + 32 * self.block_hashes.len());
@@ -567,7 +576,18 @@ impl<'a> Layout<'a> {
         secrets: &ObjectSecrets,
         rng: &mut R,
     ) -> Result<Vec<(ObjectKey, Vec<u8>)>> {
-        let mut out = Vec::new();
+        let bodies = self.metadata_bodies(attrs, secrets)?;
+        self.seal_metadata_bodies(attrs, secrets, &bodies, rng)
+    }
+
+    /// The plaintext body of every metadata replica of `attrs`, with its
+    /// view, in [`Layout::views`] order: what each record of
+    /// [`Layout::metadata_records`] opens to. Draws no randomness.
+    pub fn metadata_bodies(
+        &self,
+        attrs: &ObjectAttrs,
+        secrets: &ObjectSecrets,
+    ) -> Result<Vec<(ViewId, MetadataBody)>> {
         let views = self.views(attrs);
         // Each view's tag is hashed once, not once per comparison: the
         // comparison count follows HashMap order, the hashing would too.
@@ -582,6 +602,7 @@ impl<'a> Layout<'a> {
             v
         };
 
+        let mut out = Vec::with_capacity(views.len());
         for (view, perm) in views {
             let mut body = MetadataBody::bare(
                 attrs.inode,
@@ -647,9 +668,24 @@ impl<'a> Layout<'a> {
                     body.owner_meks = all_meks.clone();
                 }
             }
+            out.push((view, body));
+        }
+        Ok(out)
+    }
 
+    /// Seals the [`Layout::metadata_bodies`] of `attrs` into their records,
+    /// in order.
+    pub fn seal_metadata_bodies<R: RandomSource + ?Sized>(
+        &self,
+        attrs: &ObjectAttrs,
+        secrets: &ObjectSecrets,
+        bodies: &[(ViewId, MetadataBody)],
+        rng: &mut R,
+    ) -> Result<Vec<(ObjectKey, Vec<u8>)>> {
+        let mut out = Vec::with_capacity(bodies.len());
+        for (view, body) in bodies {
             let body_bytes = body.to_wire();
-            let seal = match (self.policy, view) {
+            let seal = match (self.policy, *view) {
                 (CryptoPolicy::NoEncMdD | CryptoPolicy::NoEncMd, _) => MetaSeal::Plain,
                 (CryptoPolicy::Sharoes, v) => MetaSeal::Sym(
                     secrets.meks.get(&v).ok_or(CoreError::Corrupt("missing MEK for view"))?,
@@ -952,7 +988,7 @@ impl<'a> Layout<'a> {
             dsk: secrets.sig.as_ref().filter(|_| self.policy.signs()).map(|sig| &sig.dsk),
         };
         let view = ids::data_view(attrs.inode, attrs.generation);
-        seal_data(attrs.inode, view, self.block_size, content, 1, keys, rng)
+        seal_data(attrs.inode, view, self.block_size, content, Manifest::FIRST_VERSION, keys, rng)
     }
 
     /// Parses a fetched manifest payload.
@@ -1152,6 +1188,53 @@ mod tests {
                 }
                 _ => unreachable!(),
             }
+        }
+    }
+
+    #[test]
+    fn bodies_are_what_their_records_open_to() {
+        // A creator caches the body of its own view and the empty manifest
+        // instead of fetching them: each must be what its record opens to.
+        let f = Fixture::new();
+        let pki = f.ring.public_directory();
+        let pool = SigKeyPool::new(CryptoParams::test());
+        let mut rng = HmacDrbg::from_seed_u64(13);
+        for (scheme, policy) in [
+            (Scheme::SharedCaps, CryptoPolicy::Sharoes),
+            (Scheme::PerUser, CryptoPolicy::Sharoes),
+            (Scheme::PerUser, CryptoPolicy::NoEncMdD),
+        ] {
+            let layout = Layout { scheme, policy, block_size: 4096, db: &f.db, pki: &pki };
+            for kind in [NodeKind::File, NodeKind::Dir] {
+                let attrs = ObjectAttrs::new(6, kind, Uid(1), Gid(100), Mode::from_octal(0o750));
+                let secrets = layout.generate_secrets(&attrs, &pool, &mut rng);
+                let bodies = layout.metadata_bodies(&attrs, &secrets).unwrap();
+                let records = layout.metadata_records(&attrs, &secrets, &mut rng).unwrap();
+                assert_eq!(bodies.len(), records.len());
+                for ((view, body), (key, blob)) in bodies.iter().zip(&records) {
+                    assert_eq!(*key, ObjectKey::metadata(attrs.inode, view.tag(attrs.inode)));
+                    let sealed = SealedObject::from_wire(blob).unwrap();
+                    let plain = match policy {
+                        CryptoPolicy::Sharoes => {
+                            secrets.meks.get(view).unwrap().open(&sealed.ciphertext).unwrap()
+                        }
+                        _ => sealed.ciphertext.clone(),
+                    };
+                    assert_eq!(body.to_wire(), plain, "{scheme:?} {policy:?} {kind:?} {view:?}");
+                }
+            }
+
+            let attrs =
+                ObjectAttrs::new(7, NodeKind::File, Uid(1), Gid(100), Mode::from_octal(0o644));
+            let secrets = layout.generate_secrets(&attrs, &pool, &mut rng);
+            let records = layout.data_records(&attrs, &secrets, &[], &mut rng);
+            let sealed = SealedObject::from_wire(&records[0].1).unwrap();
+            let plain = match policy {
+                CryptoPolicy::Sharoes => secrets.dek.open(&sealed.ciphertext).unwrap(),
+                _ => sealed.ciphertext.clone(),
+            };
+            assert_eq!(records.len(), 1, "empty content seals only its manifest");
+            assert_eq!(Manifest::from_wire(&plain).unwrap(), Manifest::empty());
         }
     }
 

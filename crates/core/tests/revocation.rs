@@ -336,9 +336,9 @@ fn cold_directory_chmod_round_trips_do_not_grow_with_its_entries() {
     // Resolving the path: metadata and table of /, /home and /home/alice,
     // then the directory's metadata (7 Gets). The owner's table (1 Get),
     // the other table replicas (1 GetMany), the children's metadata (1
-    // GetMany), the new records (1 PutMany) and the Other view's table,
-    // which 0750 drops (1 DeleteMany).
-    assert_eq!(ten, 12);
+    // GetMany), and one Mutate that stores the new records and deletes the
+    // Other view's table, which 0750 drops.
+    assert_eq!(ten, 11);
     // The owner's table replica is the first of the directory's table
     // slots to be fetched, and the harvest of the others must not fetch it
     // again.

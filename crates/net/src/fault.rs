@@ -71,9 +71,10 @@ pub enum OpClass {
     Ping,
     /// `Request::Get` / `Request::GetMany`.
     Get,
-    /// `Request::Put` / `Request::PutMany`.
+    /// `Request::Put` / `Request::PutMany`, and a `Request::Mutate` that
+    /// puts anything.
     Put,
-    /// `Request::Delete` / `Request::DeleteBlocks` / `Request::DeleteMany`.
+    /// `Request::Delete`, and a `Request::Mutate` that only deletes.
     Delete,
     /// `Request::Metrics` / `Request::Trace` (operational introspection).
     Stats,
@@ -93,9 +94,8 @@ impl OpClass {
             | Request::Root
             | Request::IndexNode { .. } => OpClass::Get,
             Request::Put { .. } | Request::PutMany { .. } => OpClass::Put,
-            Request::Delete { .. } | Request::DeleteBlocks { .. } | Request::DeleteMany { .. } => {
-                OpClass::Delete
-            }
+            Request::Mutate { puts, .. } if !puts.is_empty() => OpClass::Put,
+            Request::Delete { .. } | Request::Mutate { .. } => OpClass::Delete,
             Request::Metrics | Request::Trace { .. } => OpClass::Stats,
         }
     }
@@ -635,5 +635,18 @@ mod tests {
         let key = ObjectKey::metadata(8, [8; 16]);
         assert_eq!(t.call(&Request::Get { key }).unwrap(), Response::Object(None));
         assert!(matches!(t.call(&put(8)), Err(NetError::Remote(_))));
+    }
+
+    #[test]
+    fn a_mutate_is_classed_as_a_mutation() {
+        let key = ObjectKey::data(3, [3; 16], 0);
+        let mutate = |puts: Vec<(ObjectKey, Vec<u8>)>, deletes, drop_views| Request::Mutate {
+            puts,
+            deletes,
+            drop_views,
+        };
+        assert_eq!(OpClass::of(&mutate(vec![(key, vec![1])], vec![key], vec![])), OpClass::Put);
+        assert_eq!(OpClass::of(&mutate(vec![], vec![key], vec![])), OpClass::Delete);
+        assert_eq!(OpClass::of(&mutate(vec![], vec![], vec![(3, [3; 16])])), OpClass::Delete);
     }
 }

@@ -5,6 +5,15 @@
 //! data blocks, both indexed by the inode numbers and either hash of
 //! user/group ID (for Scheme-1) or CAP ID (Scheme-2)". [`ObjectKey`] is that
 //! index; the protocol is deliberately content-oblivious.
+//!
+//! A client op ships all of its mutations in one [`Request::Mutate`]: the
+//! puts, then the deletes, then every data key of each dropped view, applied
+//! in that order. `PutMany` stays for bulk loaders that only store.
+//!
+//! Request tags: 0 `Ping`, 1 `Put`, 2 `PutMany`, 3 `Get`, 4 `GetMany`,
+//! 5 `Delete`, 9 `Scan`, 10 `Metrics`, 11 `Trace`, 12 `Root`, 13 `IndexNode`,
+//! 14 `ScanVerified`, 15 `Mutate`. Tags 6, 7 and 8 are reserved: they
+//! carried retired requests, and decode to [`NetError::Codec`].
 
 use crate::error::NetError;
 use crate::wire::{Cursor, WireRead, WireWrite};
@@ -110,7 +119,8 @@ pub enum Request {
         /// Encrypted object bytes.
         value: Vec<u8>,
     },
-    /// Stores several objects in one round trip (mkdir/migration batching).
+    /// Stores several objects in one round trip; served as a
+    /// [`Request::Mutate`] with only puts.
     PutMany {
         /// `(key, value)` pairs.
         items: Vec<(ObjectKey, Vec<u8>)>,
@@ -130,17 +140,17 @@ pub enum Request {
         /// Target key.
         key: ObjectKey,
     },
-    /// Deletes every block of a data object (file truncation/removal).
-    DeleteBlocks {
-        /// Inode whose data blocks should go.
-        inode: u64,
-        /// View selector.
-        view: [u8; 16],
-    },
-    /// Deletes several objects in one round trip (unlink/revocation).
-    DeleteMany {
-        /// Keys to delete.
-        keys: Vec<ObjectKey>,
+    /// One client op's mutations in one round trip, applied in field order:
+    /// every put, then every delete, then every dropped view. Each key is
+    /// applied (and journalled) on its own, so a crash keeps a prefix.
+    Mutate {
+        /// `(key, value)` pairs to store or replace.
+        puts: Vec<(ObjectKey, Vec<u8>)>,
+        /// Keys to delete; an absent key is not an error.
+        deletes: Vec<ObjectKey>,
+        /// `(inode, view)` pairs whose every data key goes, blocks and
+        /// manifest alike (file removal, a re-keyed generation).
+        drop_views: Vec<(u64, [u8; 16])>,
     },
     /// Live observability export: the serving process renders its global
     /// metrics registry (Prometheus text format), plus its own store's
@@ -273,17 +283,10 @@ impl WireWrite for Request {
                 5u8.write(out);
                 key.write(out);
             }
-            Request::DeleteBlocks { inode, view } => {
-                6u8.write(out);
-                inode.write(out);
-                view.write(out);
-            }
-            // Tag 7 is reserved: it carried the retired storage-accounting
-            // op, whose counts now ride in the `Metrics` reply.
-            Request::DeleteMany { keys } => {
-                8u8.write(out);
-                keys.write(out);
-            }
+            // Tags 6, 7 and 8 are reserved: they carried the retired
+            // one-view block sweep, storage-accounting op and key-list
+            // delete. `Mutate` carries the sweeps and deletes; the storage
+            // counts ride in the `Metrics` reply.
             Request::Scan { after, limit } => {
                 9u8.write(out);
                 after.write(out);
@@ -304,6 +307,12 @@ impl WireWrite for Request {
                 after.write(out);
                 limit.write(out);
             }
+            Request::Mutate { puts, deletes, drop_views } => {
+                15u8.write(out);
+                puts.write(out);
+                deletes.write(out);
+                drop_views.write(out);
+            }
         }
     }
 }
@@ -317,14 +326,17 @@ impl WireRead for Request {
             3 => Request::Get { key: ObjectKey::read(r)? },
             4 => Request::GetMany { keys: Vec::read(r)? },
             5 => Request::Delete { key: ObjectKey::read(r)? },
-            6 => Request::DeleteBlocks { inode: u64::read(r)?, view: <[u8; 16]>::read(r)? },
-            8 => Request::DeleteMany { keys: Vec::read(r)? },
             9 => Request::Scan { after: Option::read(r)?, limit: u32::read(r)? },
             10 => Request::Metrics,
             11 => Request::Trace { max: u32::read(r)? },
             12 => Request::Root,
             13 => Request::IndexNode { hash: <[u8; 32]>::read(r)? },
             14 => Request::ScanVerified { after: Option::read(r)?, limit: u32::read(r)? },
+            15 => Request::Mutate {
+                puts: Vec::read(r)?,
+                deletes: Vec::read(r)?,
+                drop_views: Vec::read(r)?,
+            },
             _ => return Err(NetError::Codec("unknown request tag")),
         })
     }
@@ -430,8 +442,12 @@ mod tests {
         roundtrip_req(Request::Get { key });
         roundtrip_req(Request::GetMany { keys: vec![key, ObjectKey::superblock([1; 16])] });
         roundtrip_req(Request::Delete { key });
-        roundtrip_req(Request::DeleteBlocks { inode: 5, view: [9; 16] });
-        roundtrip_req(Request::DeleteMany { keys: vec![key, ObjectKey::superblock([2; 16])] });
+        roundtrip_req(Request::Mutate { puts: vec![], deletes: vec![], drop_views: vec![] });
+        roundtrip_req(Request::Mutate {
+            puts: vec![(key, vec![1]), (ObjectKey::data(9, [0; 16], 3), vec![])],
+            deletes: vec![key, ObjectKey::superblock([2; 16])],
+            drop_views: vec![(5, [9; 16]), (6, [0; 16])],
+        });
         roundtrip_req(Request::Metrics);
         roundtrip_req(Request::Scan { after: None, limit: 128 });
         roundtrip_req(Request::Scan { after: Some(key), limit: 0 });
@@ -494,11 +510,24 @@ mod tests {
     #[test]
     fn reserved_tags_decode_to_typed_errors() {
         // Request tag 7 and response tag 4 belonged to the retired
-        // storage-accounting op; a peer still sending them (bare, or with
-        // the old two-u64 reply body) gets a codec error, never a panic.
+        // storage-accounting op, request tags 6 and 8 to the one-view block
+        // sweep and the key-list delete; a peer still sending them (bare,
+        // or with their old bodies) gets a codec error, never a panic.
         let mut old_reply = vec![4u8];
         old_reply.extend_from_slice(&[0xFF; 16]);
-        for r in [Request::from_wire(&[7]), Request::from_wire(&[7, 0, 1])] {
+        let mut old_sweep = vec![6u8];
+        old_sweep.extend_from_slice(&5u64.to_be_bytes());
+        old_sweep.extend_from_slice(&[9; 16]);
+        let mut old_deletes = vec![8u8];
+        vec![ObjectKey::metadata(1, [2; 16])].write(&mut old_deletes);
+        for r in [
+            Request::from_wire(&[7]),
+            Request::from_wire(&[7, 0, 1]),
+            Request::from_wire(&[6]),
+            Request::from_wire(&old_sweep),
+            Request::from_wire(&[8]),
+            Request::from_wire(&old_deletes),
+        ] {
             assert!(matches!(r, Err(NetError::Codec(_))), "{r:?}");
         }
         for r in [Response::from_wire(&[4]), Response::from_wire(&old_reply)] {

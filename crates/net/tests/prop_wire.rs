@@ -45,16 +45,13 @@ fn requests() -> Gen<Request> {
         key.clone().map(|key| Request::Get { key }),
         key.clone().map(|key| Request::Delete { key }),
         gen::vecs(key.clone(), 0..8).map(|keys| Request::GetMany { keys }),
-        gen::vecs(key.clone(), 0..8).map(|keys| Request::DeleteMany { keys }),
         {
             let key = key.clone();
             let blob = small_blob.clone();
             let item = Gen::from_fn(move |t| Ok((key.sample(t)?, blob.sample(t)?)));
             gen::vecs(item, 0..6).map(|items| Request::PutMany { items })
         },
-        Gen::from_fn(|t| {
-            Ok(Request::DeleteBlocks { inode: t.u64(), view: gen::byte_arrays::<16>().sample(t)? })
-        }),
+        mutates(),
         {
             let after = gen::option_of(key.clone());
             Gen::from_fn(move |t| Ok(Request::Scan { after: after.sample(t)?, limit: t.u32() }))
@@ -69,6 +66,22 @@ fn requests() -> Gen<Request> {
             })
         },
     ])
+}
+
+fn mutates() -> Gen<Request> {
+    let (key, blob) = (keys(), gen::vecs(gen::u8s(), 0..64));
+    let put = Gen::from_fn(move |t| Ok((key.sample(t)?, blob.sample(t)?)));
+    let puts = gen::vecs(put, 0..6);
+    let deletes = gen::vecs(keys(), 0..6);
+    let view = Gen::from_fn(|t| Ok((t.u64(), gen::byte_arrays::<16>().sample(t)?)));
+    let drop_views = gen::vecs(view, 0..4);
+    Gen::from_fn(move |t| {
+        Ok(Request::Mutate {
+            puts: puts.sample(t)?,
+            deletes: deletes.sample(t)?,
+            drop_views: drop_views.sample(t)?,
+        })
+    })
 }
 
 fn trace_events() -> Gen<TraceEventWire> {
@@ -178,6 +191,25 @@ prop! {
             // if the codec is non-self-delimiting — ours is length-prefixed,
             // so it must simply fail.
             prop_assert!(Request::from_wire(&bytes[..cut]).is_err());
+        }
+    }
+
+    fn every_strict_prefix_of_a_mutate_fails_typed(req in mutates()) {
+        // A cut anywhere in the three lists, their length prefixes
+        // included, is a codec error, never a panic.
+        let bytes = req.to_wire();
+        prop_assert_eq!(Request::from_wire(&bytes).unwrap(), req);
+        for cut in 0..bytes.len() {
+            let got = Request::from_wire(&bytes[..cut]);
+            prop_assert!(matches!(got, Err(NetError::Codec(_))), "cut at {cut}: {got:?}");
+        }
+    }
+
+    fn retired_request_tags_fail_typed(body in gen::vecs(gen::u8s(), 0..64)) {
+        // Tags 6, 7 and 8 are reserved, whatever body follows them.
+        for tag in [6u8, 7, 8] {
+            let got = Request::from_wire(&[&[tag][..], &body].concat());
+            prop_assert!(matches!(got, Err(NetError::Codec(_))), "tag {tag}: {got:?}");
         }
     }
 

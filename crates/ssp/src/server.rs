@@ -2,7 +2,7 @@
 
 use crate::engine::LogEngine;
 use crate::store::ObjectStore;
-use sharoes_net::{NetError, Request, RequestHandler, Response, TraceEventWire};
+use sharoes_net::{NetError, ObjectKey, Request, RequestHandler, Response, TraceEventWire};
 use sharoes_obs::{Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -19,8 +19,7 @@ struct SspMetrics {
     get: Histogram,
     get_many: Histogram,
     delete: Histogram,
-    delete_blocks: Histogram,
-    delete_many: Histogram,
+    mutate: Histogram,
     scan: Histogram,
     metrics: Histogram,
     trace: Histogram,
@@ -41,8 +40,7 @@ fn ssp_metrics() -> &'static SspMetrics {
             get: h("ssp_op_get_ns"),
             get_many: h("ssp_op_get_many_ns"),
             delete: h("ssp_op_delete_ns"),
-            delete_blocks: h("ssp_op_delete_blocks_ns"),
-            delete_many: h("ssp_op_delete_many_ns"),
+            mutate: h("ssp_op_mutate_ns"),
             scan: h("ssp_op_scan_ns"),
             metrics: h("ssp_op_metrics_ns"),
             trace: h("ssp_op_trace_ns"),
@@ -111,6 +109,29 @@ fn storage_err(e: NetError) -> Response {
     Response::Error(format!("storage: {e}"))
 }
 
+/// Applies a `Mutate` (or a `PutMany`, which is one with only puts): every
+/// put, then every delete, then every dropped view. Each key is its own
+/// logged store op, so a crash recovers a prefix of them; the first
+/// storage error stops the rest.
+fn apply_mutate(
+    s: &ObjectStore,
+    puts: Vec<(ObjectKey, Vec<u8>)>,
+    deletes: &[ObjectKey],
+    drop_views: &[(u64, [u8; 16])],
+) -> Response {
+    let applied = puts
+        .into_iter()
+        .try_for_each(|(key, value)| s.put(key, value))
+        .and_then(|()| deletes.iter().try_for_each(|key| s.delete(key).map(drop)))
+        .and_then(|()| {
+            drop_views.iter().try_for_each(|(inode, view)| s.delete_blocks(*inode, *view).map(drop))
+        });
+    match applied {
+        Ok(()) => Response::Ok,
+        Err(e) => storage_err(e),
+    }
+}
+
 impl RequestHandler for SspServer {
     fn handle(&self, request: Request) -> Response {
         let m = ssp_metrics();
@@ -121,8 +142,7 @@ impl RequestHandler for SspServer {
             Request::Get { .. } => ("get", &m.get),
             Request::GetMany { .. } => ("get_many", &m.get_many),
             Request::Delete { .. } => ("delete", &m.delete),
-            Request::DeleteBlocks { .. } => ("delete_blocks", &m.delete_blocks),
-            Request::DeleteMany { .. } => ("delete_many", &m.delete_many),
+            Request::Mutate { .. } => ("mutate", &m.mutate),
             Request::Scan { .. } => ("scan", &m.scan),
             Request::Metrics => ("metrics", &m.metrics),
             Request::Trace { .. } => ("trace", &m.trace),
@@ -139,11 +159,9 @@ impl RequestHandler for SspServer {
                 Ok(()) => Response::Ok,
                 Err(e) => storage_err(e),
             },
-            Request::PutMany { items } => {
-                match items.into_iter().try_for_each(|(key, value)| s.put(key, value)) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => storage_err(e),
-                }
+            Request::PutMany { items } => apply_mutate(s, items, &[], &[]),
+            Request::Mutate { puts, deletes, drop_views } => {
+                apply_mutate(s, puts, &deletes, &drop_views)
             }
             Request::Get { key } => Response::Object(s.get(&key)),
             Request::GetMany { keys } => Response::Objects(keys.iter().map(|k| s.get(k)).collect()),
@@ -151,16 +169,6 @@ impl RequestHandler for SspServer {
                 Ok(_) => Response::Ok,
                 Err(e) => storage_err(e),
             },
-            Request::DeleteBlocks { inode, view } => match s.delete_blocks(inode, view) {
-                Ok(_) => Response::Ok,
-                Err(e) => storage_err(e),
-            },
-            Request::DeleteMany { keys } => {
-                match keys.iter().try_for_each(|k| s.delete(k).map(drop)) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => storage_err(e),
-                }
-            }
             Request::Scan { after, limit } => {
                 let (keys, done) = s.scan_keys(after.as_ref(), limit as usize);
                 Response::Keys { keys, done }
@@ -210,7 +218,6 @@ impl RequestHandler for SspServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sharoes_net::ObjectKey;
 
     #[test]
     fn protocol_dispatch() {
@@ -235,11 +242,63 @@ mod tests {
             server.handle(Request::GetMany { keys: vec![k2, k1] }),
             Response::Objects(vec![Some(vec![2]), Some(vec![1])])
         );
-        server.handle(Request::DeleteBlocks { inode: 1, view: [0; 16] });
+        let drop =
+            Request::Mutate { puts: vec![], deletes: vec![], drop_views: vec![(1, [0; 16])] };
+        assert_eq!(server.handle(drop), Response::Ok);
         assert_eq!(
             server.handle(Request::GetMany { keys: vec![k1, k2] }),
             Response::Objects(vec![None, None])
         );
+    }
+
+    #[test]
+    fn mutate_applies_puts_then_deletes_then_dropped_views() {
+        let server = SspServer::new();
+        let (old, new) = ([1u8; 16], [2u8; 16]);
+        let meta = ObjectKey::metadata(7, old);
+        let stale = ObjectKey::data(7, old, 3);
+        for key in [meta, stale, ObjectKey::data(7, old, 0), ObjectKey::data(7, old, u32::MAX)] {
+            server.handle(Request::Put { key, value: vec![0] });
+        }
+        // A shrink: the new manifest and block 0 land, then the stale
+        // trailing block goes. A put of a key that is also deleted is gone.
+        let manifest = ObjectKey::data(7, old, u32::MAX);
+        let gone = ObjectKey::data(7, old, 9);
+        let shrink = Request::Mutate {
+            puts: vec![(manifest, vec![5]), (gone, vec![5])],
+            deletes: vec![stale, gone],
+            drop_views: vec![],
+        };
+        assert_eq!(server.handle(shrink), Response::Ok);
+        let get = |key| server.handle(Request::Get { key });
+        assert_eq!(get(manifest), Response::Object(Some(vec![5])));
+        assert_eq!(get(stale), Response::Object(None));
+        assert_eq!(get(gone), Response::Object(None));
+        // A re-key: the old view is dropped next to puts into the new one.
+        // Dropped views come last, so a put into a dropped view is gone too.
+        let rekey = Request::Mutate {
+            puts: vec![
+                (ObjectKey::data(7, new, 0), vec![6]),
+                (ObjectKey::data(7, new, u32::MAX), vec![6]),
+                (ObjectKey::data(7, old, 1), vec![6]),
+                (ObjectKey::metadata(7, new), vec![6]),
+            ],
+            deletes: vec![meta],
+            drop_views: vec![(7, old)],
+        };
+        assert_eq!(server.handle(rekey), Response::Ok);
+        let Response::Keys { keys, done: true } =
+            server.handle(Request::Scan { after: None, limit: 10 })
+        else {
+            panic!("expected one page of keys")
+        };
+        let mut want = vec![
+            ObjectKey::metadata(7, new),
+            ObjectKey::data(7, new, 0),
+            ObjectKey::data(7, new, u32::MAX),
+        ];
+        want.sort();
+        assert_eq!(keys, want);
     }
 
     #[test]
@@ -306,7 +365,11 @@ mod tests {
             server.handle(Request::Scan { after: None, limit: 10 }),
             Response::Keys { keys: vec![k1, k2], done: true }
         );
-        server.handle(Request::DeleteBlocks { inode: 1, view: [0; 16] });
+        server.handle(Request::Mutate {
+            puts: vec![],
+            deletes: vec![],
+            drop_views: vec![(1, [0; 16])],
+        });
         assert_eq!(store_gauges(&server), (0, 0));
     }
 

@@ -158,8 +158,8 @@ fn chaos_client(
     (client, schedule)
 }
 
-/// A representative create/write/read/chmod/unlink workload. Returns every
-/// byte read back, for cross-rate comparison.
+/// A representative create/write/overwrite/read/chmod/unlink workload.
+/// Returns every byte read back, for cross-rate comparison.
 fn run_workload(client: &mut SharoesClient) -> Vec<Vec<u8>> {
     client.mount().expect("mount");
     client.mkdir("/home/user0/chaos", Mode::from_octal(0o755)).expect("mkdir");
@@ -168,6 +168,18 @@ fn run_workload(client: &mut SharoesClient) -> Vec<Vec<u8>> {
         client.create(&path, Mode::from_octal(0o644)).expect("create");
         let body = format!("chaos payload {i} ").repeat(20 + i as usize);
         client.write_file(&path, body.as_bytes()).expect("write");
+    }
+    // Overwrites that grow each file to two blocks and shrink it back to
+    // one, so shrinking closes run under faults too. The rounds also keep
+    // the workload above 130 requests, so a 5 % schedule injects no fault
+    // at only ~0.1 % of seeds (0.95^130).
+    for round in 0..10u32 {
+        for i in 0..5u32 {
+            let path = format!("/home/user0/chaos/f{i}");
+            let repeats = if (round + i) % 2 == 0 { 300 } else { 2 };
+            let body = format!("chaos round {round} {i} ").repeat(repeats);
+            client.write_file(&path, body.as_bytes()).expect("overwrite");
+        }
     }
     client.chmod("/home/user0/chaos/f0", Mode::from_octal(0o600)).expect("chmod");
     client.unlink("/home/user0/chaos/f4").expect("unlink");

@@ -216,7 +216,7 @@ fn identical_seeded_runs_move_the_registry_identically() {
     assert!(get("net_faults_injected_total") > 0, "10% fault rate injected nothing");
     assert!(get("net_retries_total") > 0, "faults must force retries");
     assert!(get("net_backoff_sleeps_total") > 0, "real backoff policy must schedule sleeps");
-    assert!(get("ssp_op_put_many_ns_count") > 0, "ssp op histograms silent:\n{pass_a}");
+    assert!(get("ssp_op_mutate_ns_count") > 0, "ssp op histograms silent:\n{pass_a}");
     assert!(get("ssp_op_get_ns_count") > 0, "ssp get histogram silent");
     assert!(get("core_cache_misses_total") > 0, "client cache counters silent");
 
