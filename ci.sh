@@ -6,6 +6,7 @@
 # gate (sharded-vs-single-lock byte equivalence, including a drive of many
 # threads over one shared TCP connection, + the contention-bench throughput
 # floor), the quick paper figures against their committed golden output,
+# the committed BENCH_enterprise.json against a fresh full-size run,
 # the bench ablations with their BENCH_*.json validation, esign768 and hash
 # crypto_micro smoke runs, and the benchmark's own tests. The three
 # registry gates run a second time at --test-threads=1, and their exports
@@ -17,8 +18,9 @@
 #
 # Usage: ci.sh [--quick]
 #   --quick   skip the bench/ablation steps (the quick-figure golden, the
-#             BENCH_*.json writers, their validation, the crypto_micro
-#             smoke runs, and the perfbench tests); all build, lint, test,
+#             enterprise export check, the BENCH_*.json writers, their
+#             validation, the crypto_micro smoke runs, and the perfbench
+#             tests); all build, lint, test,
 #             and pinned-seed gates still run. For tight edit-test loops.
 #
 # Each step is wall-clock timed; a summary table prints at the end and is
@@ -74,7 +76,8 @@ rm -f target/metrics-determinism-a.txt target/metrics-determinism-b.txt \
       target/index-trace-a.txt target/index-trace-b.txt \
       target/concurrency-store-a.bin target/concurrency-store-b.bin \
       target/concurrency-engine-a.bin target/concurrency-engine-b.bin \
-      target/BENCH_index.json target/BENCH_concurrency.json target/figures_quick.txt
+      target/BENCH_index.json target/BENCH_concurrency.json target/figures_quick.txt \
+      target/enterprise-check/BENCH_enterprise.json
 
 step "cargo fmt --check" \
     cargo fmt --check
@@ -209,6 +212,18 @@ if [ "$QUICK" -eq 0 ]; then
                    cargo run -q --offline --release -p sharoes-bench --bin paper-figures -- \
                        --quick "$f" || exit 1
                done > target/figures_quick.txt && diff figures_quick.txt target/figures_quick.txt'
+
+    # The committed BENCH_enterprise.json is the full-size enterprise run:
+    # its byte counts and graph fingerprint are a function of the seed
+    # alone, so a fresh run must reproduce it byte for byte. The run writes
+    # into target/enterprise-check/, so the committed file stays as it was.
+    # ~35-50 s on a 2-vCPU VM.
+    step "enterprise export matches BENCH_enterprise.json" \
+        sh -c 'mkdir -p target/enterprise-check && cd target/enterprise-check &&
+               env -u SHAROES_SCALE cargo run -q --offline --release \
+                   --manifest-path ../../Cargo.toml -p sharoes-bench --bin paper-figures -- \
+                   enterprise > /dev/null &&
+               cd ../.. && diff BENCH_enterprise.json target/enterprise-check/BENCH_enterprise.json'
 
     # Indexed-vs-flat scan ablation with proof overhead. The quick run
     # writes target/BENCH_index.json; the committed BENCH_index.json is the

@@ -6,13 +6,13 @@
 //! and missed W<R writes all break it; [`ClusterTransport::rebalance`]
 //! restores it by discovering every node's key set and moving what is
 //! misplaced, and [`ClusterTransport::audit`] proves it held. Discovery
-//! goes through each node's authenticated index (`Root` compare plus a
-//! subtree-diff descent against the node's last verified tree, see
-//! `sync.rs`) rather than streaming
-//! every key through paged `Scan`s — a settled cluster costs one RPC per
-//! node per round. Both remain client-driven — nodes never talk to each
-//! other, keeping the SSP as dumb (and as untrusted) as the paper
-//! requires.
+//! goes through each node's authenticated index (`Root` compare plus the
+//! level-order subtree-diff descent against the node's last verified
+//! tree, one batched `IndexNode` request per level, see `sync.rs`) rather
+//! than streaming every key through paged `Scan`s — a settled cluster
+//! costs one RPC per node per round, a moved node at most 1 + height.
+//! Both remain client-driven — nodes never talk to each other, keeping the
+//! SSP as dumb (and as untrusted) as the paper requires.
 
 use crate::transport::ClusterTransport;
 use sharoes_net::{NetError, ObjectKey, Request, Response};
@@ -133,13 +133,14 @@ impl ClusterTransport {
             // Reconcile the value across current holders (presence wins,
             // majority, ring order) before propagating it.
             let responses = self.survey(&key, &holding);
-            let Some(value) = ClusterTransport::reconcile(&responses) else {
+            let winner = ClusterTransport::reconcile(&responses);
+            let Some(value) = winner.and_then(|win| responses[win].1.as_ref()) else {
                 continue; // deleted under our feet: nothing to place
             };
             for target in &targets {
                 let held = responses.iter().find(|(idx, _)| idx == target).map(|(_, v)| v);
                 match held {
-                    Some(Some(v)) if *v == value => {}
+                    Some(Some(v)) if v == value => {}
                     Some(Some(_)) | Some(None) | None => {
                         let fresh = matches!(held, Some(Some(_)));
                         if self

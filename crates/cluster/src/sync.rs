@@ -6,21 +6,24 @@
 //! (`Request::Root`). The cluster keeps, per node, the last tree it
 //! verified from that node: the in-tree reference count of every node hash
 //! reachable from its root. When a root moves, the descent starts at the
-//! new root and stops at every hash the old tree already holds, fetching
-//! (`Request::IndexNode`) only hashes that neither the old tree nor the
-//! memo resolves. Every fetched node is re-digested before use — a replica
-//! cannot forge its claimed key set below the root it reported — and the
-//! resulting key count must equal the count the node reported next to its
-//! root. Nodes whose index ops fail (link fault, mid-descent mutation) fall
-//! back to the `Scan` streaming path. So does a tree that reaches one node
-//! hash twice, which no honest tree does: the walk counts each hash once,
-//! so a replica can add keys to the union but never remove another's.
+//! new root and goes down level by level, stopping at every hash the old
+//! tree already holds. Each level's hashes that neither the old tree nor
+//! the memo resolves are fetched in one batched `Request::IndexNode` per
+//! [`MAX_INDEX_BATCH`] hashes. Every fetched node is re-digested against its
+//! slot's hash before use — a replica cannot forge its claimed key set
+//! below the root it reported — and the resulting key count must equal the
+//! count the node reported next to its root. Nodes whose index ops fail
+//! (link fault, mid-descent mutation, a batch reply with the wrong slots)
+//! fall back to the `Scan` streaming path. So does a tree that reaches one
+//! node hash twice, which no honest tree does: the walk counts each hash
+//! once, so a replica can add keys to the union but never remove another's.
 //!
 //! The memo maps a hash to its decoded node and holds exactly the nodes
 //! reachable from the latest verified per-node roots: a node enters when
 //! some node's tree gains it and leaves when the last tree referencing it
 //! drops it. A settled cluster costs one `Root` RPC per node per round; a
-//! moved root costs O(Δ · height) fetches for Δ changed leaves.
+//! moved root costs at most 1 + height requests, and fetches O(Δ · height)
+//! nodes for Δ changed leaves.
 //!
 //! The union index is a per-key count of the nodes listing the key, plus
 //! one [`MerkleIndex`] that gains a key when its count leaves zero and
@@ -30,7 +33,7 @@
 use crate::transport::ClusterTransport;
 use sharoes_crypto::Sha256;
 use sharoes_index::{decode_node, empty_root, IndexNode, MerkleIndex, MAX_PROOF_DEPTH};
-use sharoes_net::{NetError, ObjectKey, Request, Response};
+use sharoes_net::{NetError, ObjectKey, Request, Response, MAX_INDEX_BATCH};
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
@@ -144,6 +147,10 @@ impl KeyDelta {
     }
 }
 
+/// Fetches index nodes by hash, one per hash in order, each verified
+/// against its hash.
+type FetchNodes<'a> = dyn FnMut(&[[u8; 32]]) -> Result<Vec<IndexNode>, NetError> + 'a;
+
 /// One root move of one node's tree, applied in place and undone if the
 /// descent fails.
 struct Walk<'a> {
@@ -162,47 +169,50 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
-    /// Adds one reference to `hash`. A hash new to the tree brings in its
-    /// leaf keys and references its children; it comes from the memo when
-    /// another tree holds it, else from `fetch`. `resolved` is set below a
-    /// memo hit, where nothing is fetched and no further hit is counted.
-    fn add(
-        &mut self,
-        hash: [u8; 32],
-        depth: usize,
-        resolved: bool,
-        fetch: &mut dyn FnMut(&[u8; 32]) -> Result<IndexNode, NetError>,
-    ) -> Result<(), NetError> {
-        if depth > MAX_PROOF_DEPTH {
-            return Err(NetError::Codec("index descent too deep"));
-        }
-        let refs = self.refs.entry(hash).or_insert(0);
-        self.log.push((hash, *refs));
-        *refs += 1;
-        if *refs > 1 {
-            if !resolved {
-                sync_metrics().memo_hits.inc();
+    /// Adds the tree under `root`, one level at a time. Each hash of a level
+    /// gains one reference, in key order; a hash new to the tree brings in
+    /// its leaf keys and references its children on the next level. It
+    /// comes from the memo when another tree holds it, else from one `fetch`
+    /// of the level's remaining hashes. A memo hit resolves its whole
+    /// subtree: below it nothing is fetched and no further hit is counted.
+    fn add(&mut self, root: [u8; 32], fetch: &mut FetchNodes<'_>) -> Result<(), NetError> {
+        // `(hash, resolved)`: `resolved` is set below a memo hit.
+        let mut level = vec![(root, false)];
+        for depth in 0.. {
+            if level.is_empty() {
+                break;
             }
-            return Ok(());
-        }
-        self.entered.push(hash);
-        let (kids, resolved) = match self.memo.get(&hash) {
-            Some(m) => {
-                if !resolved {
+            if depth > MAX_PROOF_DEPTH {
+                return Err(NetError::Codec("index descent too deep"));
+            }
+            let mut new = Vec::new();
+            for (hash, resolved) in level {
+                let refs = self.refs.entry(hash).or_insert(0);
+                self.log.push((hash, *refs));
+                *refs += 1;
+                let held = self.memo.contains_key(&hash);
+                if !resolved && (*refs > 1 || held) {
                     sync_metrics().memo_hits.inc();
                 }
-                (expand(&m.node, &mut self.delta.added), true)
+                if *refs == 1 {
+                    self.entered.push(hash);
+                    new.push((hash, resolved || held));
+                }
             }
-            None => {
-                let node = fetch(&hash)?;
-                let kids = expand(&node, &mut self.delta.added);
-                self.memo.insert(hash, MemoNode { node, trees: 0 });
-                self.fetched.push(hash);
-                (kids, resolved)
+            let missing: Vec<[u8; 32]> =
+                new.iter().map(|(h, _)| *h).filter(|h| !self.memo.contains_key(h)).collect();
+            if !missing.is_empty() {
+                let nodes = fetch(&missing)?;
+                for (hash, node) in missing.into_iter().zip(nodes) {
+                    self.memo.insert(hash, MemoNode { node, trees: 0 });
+                    self.fetched.push(hash);
+                }
             }
-        };
-        for kid in kids {
-            self.add(kid, depth + 1, resolved, fetch)?;
+            level = Vec::new();
+            for (hash, resolved) in new {
+                let kids = expand(&self.memo[&hash].node, &mut self.delta.added);
+                level.extend(kids.into_iter().map(|kid| (kid, resolved)));
+            }
         }
         Ok(())
     }
@@ -292,7 +302,7 @@ impl IndexSync {
         idx: usize,
         root: [u8; 32],
         count: u64,
-        fetch: &mut dyn FnMut(&[u8; 32]) -> Result<IndexNode, NetError>,
+        fetch: &mut FetchNodes<'_>,
     ) -> Result<KeyDelta, NetError> {
         let new_root = (root != empty_root()).then_some(root);
         if new_root.is_none() && count != 0 {
@@ -310,7 +320,7 @@ impl IndexSync {
             delta: KeyDelta::default(),
         };
         if let Some(root) = new_root {
-            if let Err(e) = walk.add(root, 0, false, fetch) {
+            if let Err(e) = walk.add(root, fetch) {
                 walk.undo();
                 return Err(e);
             }
@@ -441,21 +451,31 @@ impl ClusterTransport {
         }
     }
 
-    /// One index node from node `idx`, verified by re-digesting its bytes
-    /// against the requested hash.
-    fn fetch_node(&mut self, idx: usize, hash: &[u8; 32]) -> Result<IndexNode, NetError> {
-        let bytes = match self.node_call(idx, &Request::IndexNode { hash: *hash })? {
-            Response::IndexNode { node: Some(bytes) } => bytes,
-            Response::IndexNode { node: None } => {
-                return Err(NetError::Codec("index node missing on replica"));
+    /// Index nodes from node `idx`, one per hash in order, in one
+    /// `IndexNode` request per [`MAX_INDEX_BATCH`] hashes. Each node is
+    /// re-digested against its slot's hash before it is decoded; a reply of
+    /// the wrong length, an empty slot or a node that does not hash to its
+    /// slot fails the fetch.
+    fn fetch_nodes(&mut self, idx: usize, hashes: &[[u8; 32]]) -> Result<Vec<IndexNode>, NetError> {
+        let mut out = Vec::with_capacity(hashes.len());
+        for chunk in hashes.chunks(MAX_INDEX_BATCH) {
+            let nodes = match self.node_call(idx, &Request::IndexNode { hashes: chunk.to_vec() })? {
+                Response::IndexNode { nodes } if nodes.len() == chunk.len() => nodes,
+                Response::IndexNode { .. } => {
+                    return Err(NetError::Codec("index node batch of the wrong length"));
+                }
+                _ => return Err(NetError::Codec("unexpected index node response shape")),
+            };
+            for (hash, bytes) in chunk.iter().zip(nodes) {
+                let bytes = bytes.ok_or(NetError::Codec("index node missing on replica"))?;
+                if Sha256::digest(&bytes) != *hash {
+                    return Err(NetError::Codec("index node bytes do not match their hash"));
+                }
+                sync_metrics().nodes_fetched.inc();
+                out.push(decode_node(&bytes).map_err(|_| NetError::Codec("malformed index node"))?);
             }
-            _ => return Err(NetError::Codec("unexpected index node response shape")),
-        };
-        if Sha256::digest(&bytes) != *hash {
-            return Err(NetError::Codec("index node bytes do not match their hash"));
         }
-        sync_metrics().nodes_fetched.inc();
-        decode_node(&bytes).map_err(|_| NetError::Codec("malformed index node"))
+        Ok(out)
     }
 
     /// Brings node `idx`'s contribution to the union up to the `root` it
@@ -474,7 +494,7 @@ impl ClusterTransport {
         // The descent needs `&mut self` for RPCs, so take the sync state
         // out for the walk and put it back unconditionally.
         let mut sync = std::mem::take(&mut self.sync);
-        let walked = sync.advance(idx, root, count, &mut |h| self.fetch_node(idx, h));
+        let walked = sync.advance(idx, root, count, &mut |h| self.fetch_nodes(idx, h));
         self.sync = sync;
         match walked {
             Ok(delta) => self.sync.count_tree(idx, delta),
@@ -555,9 +575,14 @@ impl ClusterTransport {
         Ok(Response::Root { root, count })
     }
 
-    /// `Request::IndexNode` over the cluster: served from the union index.
-    pub(crate) fn union_node(&mut self, hash: &[u8; 32]) -> Result<Response, NetError> {
-        Ok(Response::IndexNode { node: self.union_index()?.node_bytes(hash) })
+    /// `Request::IndexNode` over the cluster: the union index's nodes, one
+    /// slot per hash, under a node's cap.
+    pub(crate) fn union_nodes(&mut self, hashes: &[[u8; 32]]) -> Result<Response, NetError> {
+        if hashes.len() > MAX_INDEX_BATCH {
+            return Ok(Response::Error(format!("index node batch over {MAX_INDEX_BATCH} hashes")));
+        }
+        let index = self.union_index()?;
+        Ok(Response::IndexNode { nodes: hashes.iter().map(|h| index.node_bytes(h)).collect() })
     }
 
     /// `Request::ScanVerified` over the cluster: one page of the union
@@ -581,21 +606,123 @@ impl ClusterTransport {
 mod tests {
     use super::*;
     use crate::ClusterOpts;
-    use sharoes_net::{InMemoryTransport, RequestHandler, Transport};
+    use sharoes_net::{CostMeter, InMemoryTransport, RequestHandler, Transport};
     use sharoes_ssp::{ObjectStore, SspServer};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
-    /// Every node hash of `store`'s current index tree.
-    fn tree_nodes(store: &ObjectStore, out: &mut HashSet<[u8; 32]>) {
+    /// Every node hash of `store`'s current index tree; returns the tree's
+    /// height (levels below the root).
+    fn tree_nodes(store: &ObjectStore, out: &mut HashSet<[u8; 32]>) -> usize {
         let (root, _) = store.index_root();
-        let mut stack = vec![root];
-        while let Some(hash) = stack.pop() {
-            let Some(bytes) = store.index_node_bytes(&hash) else { continue };
-            out.insert(hash);
-            if let IndexNode::Internal(entries) = decode_node(&bytes).unwrap() {
-                stack.extend(entries.iter().map(|(_, h)| *h));
+        let mut level = vec![root];
+        let mut height = 0;
+        loop {
+            let mut next = Vec::new();
+            for (hash, bytes) in level.iter().zip(store.index_nodes(&level)) {
+                let Some(bytes) = bytes else { continue };
+                out.insert(*hash);
+                if let IndexNode::Internal(entries) = decode_node(&bytes).unwrap() {
+                    next.extend(entries.iter().map(|(_, h)| *h));
+                }
+            }
+            if next.is_empty() {
+                return height;
+            }
+            level = next;
+            height += 1;
+        }
+    }
+
+    /// A link that logs every request it carries.
+    struct Logged {
+        inner: InMemoryTransport,
+        log: Arc<Mutex<Vec<Request>>>,
+    }
+
+    impl Transport for Logged {
+        fn call(&mut self, request: &Request) -> Result<Response, NetError> {
+            self.log.lock().unwrap().push(request.clone());
+            self.inner.call(request)
+        }
+
+        fn meter(&self) -> &Arc<CostMeter> {
+            self.inner.meter()
+        }
+    }
+
+    #[test]
+    fn a_refresh_fetches_each_new_hash_once_in_one_request_per_level() {
+        let mut cluster = ClusterTransport::new(ClusterOpts::default());
+        let (mut stores, mut logs) = (Vec::new(), Vec::new());
+        for name in ["a", "b", "c"] {
+            let store = Arc::new(ObjectStore::new());
+            let server: Arc<dyn RequestHandler> =
+                Arc::new(SspServer::with_store(Arc::clone(&store)));
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let inner = InMemoryTransport::new(server);
+            cluster.add_node(name, Box::new(Logged { inner, log: Arc::clone(&log) }));
+            stores.push(store);
+            logs.push(log);
+        }
+        let key = |i: u64| ObjectKey::data(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), [0; 16], 0);
+        let items = (0..3000).map(|i| (key(i), vec![1])).collect();
+        cluster.call(&Request::PutMany { items }).unwrap();
+        cluster.call(&Request::Root).unwrap();
+        let (mut fetched_total, mut multi_level) = (0, false);
+        for round in 0..8u64 {
+            let old: Vec<HashSet<[u8; 32]>> = stores
+                .iter()
+                .map(|store| {
+                    let mut tree = HashSet::new();
+                    tree_nodes(store, &mut tree);
+                    tree
+                })
+                .collect();
+            for i in 0..1 + round * 9 {
+                let id = round * 100 + i;
+                cluster.call(&Request::Put { key: key(3000 + id), value: vec![2] }).unwrap();
+                cluster.call(&Request::Delete { key: key(id) }).unwrap();
+            }
+            // A second writer the cluster never sees.
+            stores[0].put(key(9000 + round), vec![3]).unwrap();
+            for log in &logs {
+                log.lock().unwrap().clear();
+            }
+            for idx in 0..stores.len() {
+                let memo: HashSet<[u8; 32]> = cluster.sync.memo.keys().copied().collect();
+                let (root, count) = cluster.node_root(idx).unwrap();
+                cluster.refresh_node(idx, root, count, FALLBACK_SCAN_PAGE).unwrap();
+                let mut new = HashSet::new();
+                let height = tree_nodes(&stores[idx], &mut new);
+                let log = std::mem::take(&mut *logs[idx].lock().unwrap());
+                let batches: Vec<&Vec<[u8; 32]>> = log[1..]
+                    .iter()
+                    .map(|request| match request {
+                        Request::IndexNode { hashes } => hashes,
+                        other => panic!("round {round}, node {idx}: {other:?} in a refresh"),
+                    })
+                    .collect();
+                assert_eq!(log[0], Request::Root);
+                let sizes: Vec<usize> = batches.iter().map(|b| b.len()).collect();
+                assert!(
+                    batches.len() <= height + 1,
+                    "round {round}, node {idx}: batches {sizes:?}"
+                );
+                let want: HashSet<[u8; 32]> =
+                    new.difference(&old[idx]).filter(|h| !memo.contains(*h)).copied().collect();
+                let fetched: Vec<[u8; 32]> = batches.into_iter().flatten().copied().collect();
+                let fetched_set: HashSet<[u8; 32]> = fetched.iter().copied().collect();
+                assert_eq!(
+                    fetched.len(),
+                    fetched_set.len(),
+                    "round {round}, node {idx}: refetched"
+                );
+                assert_eq!(fetched_set, want, "round {round}, node {idx}: fetched set");
+                fetched_total += want.len();
+                multi_level |= log.len() > 2;
             }
         }
+        assert!(fetched_total > 0 && multi_level, "no multi-level descent exercised");
     }
 
     #[test]
@@ -613,7 +740,9 @@ mod tests {
         let twice = add(IndexNode::Internal(vec![(k(1), leaf), (k(2), leaf)]));
         let two_parents = add(IndexNode::Internal(vec![(k(1), left), (k(2), right)]));
         let chain_and_leaf = add(IndexNode::Internal(vec![(k(1), left), (k(2), leaf)]));
-        let mut fetch = |hash: &[u8; 32]| nodes.get(hash).cloned().ok_or(NetError::Closed);
+        let mut fetch = |hashes: &[[u8; 32]]| {
+            hashes.iter().map(|h| nodes.get(h).cloned().ok_or(NetError::Closed)).collect()
+        };
         // (tree before, tree reaching `leaf` twice); every tree lists k(1).
         let moves = [
             (None, twice),

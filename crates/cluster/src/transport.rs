@@ -276,6 +276,7 @@ impl ClusterTransport {
     }
 
     /// Replicated single-key write (`Put`/`Delete`): R replicas, W acks.
+    /// Every replica is sent the caller's request itself, in ring order.
     fn write_one(&mut self, key: &ObjectKey, request: &Request) -> Result<Response, NetError> {
         let replicas = self.replica_indices(key);
         if replicas.is_empty() {
@@ -283,12 +284,10 @@ impl ClusterTransport {
         }
         let need = self.write_quorum().min(replicas.len());
         let total = replicas.len();
-        let calls: Vec<(usize, Request)> =
-            replicas.into_iter().map(|idx| (idx, request.clone())).collect();
         let mut acks = 0usize;
         let mut last_err: Option<NetError> = None;
-        for outcome in self.fan_calls(&calls) {
-            match outcome {
+        for idx in replicas {
+            match self.node_call(idx, request) {
                 Ok(Response::Ok) => acks += 1,
                 Ok(_) => last_err = Some(NetError::Codec("unexpected write response shape")),
                 Err(e) => last_err = Some(e),
@@ -383,21 +382,23 @@ impl ClusterTransport {
     }
 
     /// Picks the winning value among replica responses: presence beats
-    /// absence; among present values the most-replicated wins, with ring
-    /// order breaking ties. Returns `(winner, responders_to_repair)`.
-    pub(crate) fn reconcile(responses: &[(usize, Option<Vec<u8>>)]) -> Option<Vec<u8>> {
-        let mut candidates: Vec<(&Vec<u8>, usize)> = Vec::new();
-        for (_, value) in responses {
-            if let Some(v) = value {
-                match candidates.iter_mut().find(|(c, _)| *c == v) {
+    /// absence; among present values the most-replicated wins. Returns the
+    /// position in `responses` of a reply holding it, so the caller can move
+    /// the value out; `None` when no replica holds the key.
+    pub(crate) fn reconcile(responses: &[(usize, Option<Vec<u8>>)]) -> Option<usize> {
+        // `(position of the value's first reply, replies holding it)`.
+        let mut candidates: Vec<(usize, usize)> = Vec::new();
+        for (pos, (_, value)) in responses.iter().enumerate() {
+            if value.is_some() {
+                match candidates.iter_mut().find(|(first, _)| responses[*first].1 == *value) {
                     Some((_, count)) => *count += 1,
-                    None => candidates.push((v, 1)),
+                    None => candidates.push((pos, 1)),
                 }
             }
         }
-        // `candidates` is in first-seen (ring) order, so max_by_key with a
-        // strict `>` keeps the earliest on ties.
-        candidates.iter().max_by_key(|(_, count)| *count).map(|(v, _)| (*v).clone())
+        // `candidates` is in first-seen (ring) order, and max_by_key keeps
+        // the last of equal counts: on a tie the later value wins.
+        candidates.iter().max_by_key(|(_, count)| *count).map(|(first, _)| *first)
     }
 
     /// Quorum read with failover + read repair for one key.
@@ -406,13 +407,11 @@ impl ClusterTransport {
         if replicas.is_empty() {
             return Err(Self::no_nodes_err());
         }
-        let calls: Vec<(usize, Request)> =
-            replicas.iter().map(|idx| (*idx, Request::Get { key: *key })).collect();
         let mut responses: Vec<(usize, Option<Vec<u8>>)> = Vec::with_capacity(replicas.len());
         let mut primary_failed = false;
         let mut last_err: Option<NetError> = None;
-        for (pos, (idx, outcome)) in replicas.iter().zip(self.fan_calls(&calls)).enumerate() {
-            match outcome {
+        for (pos, idx) in replicas.iter().enumerate() {
+            match self.node_call(*idx, &Request::Get { key: *key }) {
                 Ok(Response::Object(v)) => responses.push((*idx, v)),
                 Ok(_) => last_err = Some(NetError::Codec("unexpected read response shape")),
                 Err(e) => {
@@ -429,17 +428,19 @@ impl ClusterTransport {
         if primary_failed {
             self.stats.bump_failovers(1);
         }
-        let winner = Self::reconcile(&responses);
+        let Some(win) = Self::reconcile(&responses) else {
+            return Ok(Response::Object(None));
+        };
+        let winner = responses[win].1.take();
         if let Some(value) = &winner {
-            let stale: Vec<usize> = responses
-                .iter()
-                .filter(|(_, v)| v.as_ref() != Some(value))
-                .map(|(idx, _)| *idx)
-                .collect();
-            for idx in stale {
+            for (pos, (idx, v)) in responses.iter().enumerate() {
+                if pos == win || v.as_ref() == Some(value) {
+                    continue;
+                }
                 // Best effort: a failed repair leaves the replica for the
                 // next divergent read or the rebalancer.
-                if self.node_call(idx, &Request::Put { key: *key, value: value.clone() }).is_ok() {
+                let repair = Request::Put { key: *key, value: value.clone() };
+                if self.node_call(*idx, &repair).is_ok() {
                     self.stats.bump_read_repairs(1);
                 }
             }
@@ -501,10 +502,14 @@ impl ClusterTransport {
             if failed_nodes.contains(&replica_sets[i][0]) {
                 failovers += 1;
             }
-            let winner = Self::reconcile(&got[i]);
+            let Some(win) = Self::reconcile(&got[i]) else {
+                out.push(None);
+                continue;
+            };
+            let winner = got[i][win].1.take();
             if let Some(value) = &winner {
-                for (idx, v) in &got[i] {
-                    if v.as_ref() != Some(value) {
+                for (pos, (idx, v)) in got[i].iter().enumerate() {
+                    if pos != win && v.as_ref() != Some(value) {
                         repairs.entry(*idx).or_default().push((*key, value.clone()));
                     }
                 }
@@ -688,10 +693,7 @@ impl Transport for ClusterTransport {
             // clients can pin one root and verify cluster-wide scans the
             // same way they verify a single SSP's.
             Request::Root => self.union_root(),
-            Request::IndexNode { hash } => {
-                let hash = *hash;
-                self.union_node(&hash)
-            }
+            Request::IndexNode { hashes } => self.union_nodes(hashes),
             Request::ScanVerified { after, limit } => {
                 let (after, limit) = (*after, *limit);
                 self.scan_verified(&after, limit)

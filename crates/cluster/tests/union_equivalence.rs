@@ -6,7 +6,8 @@
 //! rounds and comes back (drop-out and rejoin), and a node whose index
 //! fetches fail while its scans still work (the `Scan` fallback). A
 //! hostile replica serving trees that reach one node twice must never
-//! take an honest replica's keys out of the union.
+//! take an honest replica's keys out of the union, and one answering node
+//! batches with the wrong slots must be read through its `Scan` instead.
 //!
 //! Seeded; replay with `SHAROES_TEST_SEED=<seed> cargo test -p
 //! sharoes-cluster --test union_equivalence`.
@@ -20,6 +21,7 @@ use sharoes_ssp::{ObjectStore, SspServer};
 use sharoes_testkit::prelude::*;
 use sharoes_testkit::rng::test_rng_for;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,10 +37,16 @@ enum Link {
 struct Switched {
     inner: InMemoryTransport,
     link: Arc<Mutex<Link>>,
+    /// `Scan` requests carried: the union reads a node by `Scan` only when
+    /// its index walk failed.
+    scans: Arc<AtomicUsize>,
 }
 
 impl Transport for Switched {
     fn call(&mut self, request: &Request) -> Result<Response, NetError> {
+        if matches!(request, Request::Scan { .. }) {
+            self.scans.fetch_add(1, Ordering::Relaxed);
+        }
         match *self.link.lock().unwrap() {
             Link::Down => Err(NetError::Closed),
             Link::IndexBroken if matches!(request, Request::IndexNode { .. }) => {
@@ -57,6 +65,7 @@ struct World {
     cluster: ClusterTransport,
     stores: Vec<Arc<ObjectStore>>,
     links: Vec<Arc<Mutex<Link>>>,
+    scans: Arc<AtomicUsize>,
 }
 
 fn world(replication: usize) -> World {
@@ -64,16 +73,18 @@ fn world(replication: usize) -> World {
     let opts = ClusterOpts { replication, write_quorum: 1, ..ClusterOpts::default() };
     let mut cluster = ClusterTransport::new(opts);
     let (mut stores, mut links) = (Vec::new(), Vec::new());
+    let scans = Arc::new(AtomicUsize::new(0));
     for name in ["a", "b", "c"] {
         let store = Arc::new(ObjectStore::new());
         let server: Arc<dyn RequestHandler> = Arc::new(SspServer::with_store(Arc::clone(&store)));
         let link = Arc::new(Mutex::new(Link::Up));
         let inner = InMemoryTransport::new(server);
-        cluster.add_node(name, Box::new(Switched { inner, link: Arc::clone(&link) }));
+        let scans = Arc::clone(&scans);
+        cluster.add_node(name, Box::new(Switched { inner, link: Arc::clone(&link), scans }));
         stores.push(store);
         links.push(link);
     }
-    World { cluster, stores, links }
+    World { cluster, stores, links, scans }
 }
 
 /// Keys from a domain small enough that deletes and overwrites hit, large
@@ -138,10 +149,9 @@ fn rounds(replication: usize) {
         let items = (0..8).map(|_| (key(&mut rng), vec![1u8; 8])).collect();
         assert_eq!(w.cluster.call(&Request::PutMany { items }).unwrap(), Response::Ok);
     }
-    let fallbacks = || sharoes_obs::global().snapshot().get("cluster_index_scan_fallbacks_total");
     for round in 0..60 {
         *w.links[2].lock().unwrap() = link_for(round);
-        let fallbacks_before = fallbacks();
+        let scans_before = w.scans.load(Ordering::Relaxed);
         for _ in 0..rng.next_u64() % 40 {
             mutate(&mut w, &mut rng);
         }
@@ -150,8 +160,8 @@ fn rounds(replication: usize) {
         if rng.next_u64().is_multiple_of(2) {
             let got = w.cluster.call(&Request::Root).unwrap();
             assert_eq!(got, Response::Root { root, count }, "round {round}: union root");
-            let node = w.cluster.call(&Request::IndexNode { hash: root }).unwrap();
-            assert_eq!(node, Response::IndexNode { node: want.node_bytes(&root) });
+            let node = w.cluster.call(&Request::IndexNode { hashes: vec![root] }).unwrap();
+            assert_eq!(node, Response::IndexNode { nodes: vec![want.node_bytes(&root)] });
         } else {
             let all = want.all_keys();
             let after = match rng.next_u64() % 3 {
@@ -175,8 +185,11 @@ fn rounds(replication: usize) {
             assert_eq!(got_count, count, "round {round}: union count");
         }
         if link_for(round) != Link::IndexBroken {
-            // The index walk must succeed whenever the links let it.
-            assert_eq!(fallbacks(), fallbacks_before, "round {round}: needless scan fallback");
+            // The index walk must succeed whenever the links let it. (Counted
+            // on this world's links: the registry's fallback counter is
+            // shared with the hostile test running beside this one.)
+            let scans = w.scans.load(Ordering::Relaxed);
+            assert_eq!(scans, scans_before, "round {round}: needless scan fallback");
         }
     }
 }
@@ -197,11 +210,30 @@ fn union_index_matches_a_from_scratch_rebuild_every_round() {
 /// The `(root, count)` a replica reports, or `None` while its link is down.
 type Reported = Option<([u8; 32], u64)>;
 
-/// A replica that answers `Root` and `IndexNode` from hand-built nodes and
-/// fails every other call.
+/// How a hostile replica answers an `IndexNode` batch of two or more hashes
+/// (it answers the root's one-hash batch honestly, so the walk fails midway
+/// and must be undone).
+#[derive(Clone, Copy, Debug)]
+enum Batch {
+    Honest,
+    /// One slot too few.
+    Short,
+    /// One slot too many.
+    Long,
+    /// The last slot empty.
+    Hole,
+    /// Every node in another hash's slot.
+    Swapped,
+}
+
+/// A replica that answers `Root` and `IndexNode` from hand-built nodes,
+/// `Scan` with a fixed listing, and fails every other call.
 struct Hostile {
     nodes: HashMap<[u8; 32], Vec<u8>>,
     serving: Arc<Mutex<Reported>>,
+    batch: Arc<Mutex<Batch>>,
+    listing: Vec<ObjectKey>,
+    scans: Arc<AtomicUsize>,
     meter: Arc<CostMeter>,
 }
 
@@ -221,8 +253,24 @@ impl Transport for Hostile {
         };
         match request {
             Request::Root => Ok(Response::Root { root, count }),
-            Request::IndexNode { hash } => {
-                Ok(Response::IndexNode { node: self.nodes.get(hash).cloned() })
+            Request::IndexNode { hashes } => {
+                let mut nodes: Vec<Option<Vec<u8>>> =
+                    hashes.iter().map(|h| self.nodes.get(h).cloned()).collect();
+                if hashes.len() > 1 {
+                    match *self.batch.lock().unwrap() {
+                        Batch::Honest => {}
+                        Batch::Short => drop(nodes.pop()),
+                        Batch::Long => nodes.push(nodes[0].clone()),
+                        Batch::Hole => *nodes.last_mut().unwrap() = None,
+                        Batch::Swapped => nodes.rotate_left(1),
+                    }
+                }
+                Ok(Response::IndexNode { nodes })
+            }
+            Request::Scan { after, .. } => {
+                self.scans.fetch_add(1, Ordering::Relaxed);
+                let keys = self.listing.iter().filter(|k| after.is_none_or(|a| **k > a));
+                Ok(Response::Keys { keys: keys.copied().collect(), done: true })
             }
             _ => Err(NetError::Closed),
         }
@@ -234,7 +282,7 @@ impl Transport for Hostile {
 }
 
 #[test]
-fn a_tree_reaching_one_node_twice_cannot_hide_honest_keys() {
+fn hostile_trees_and_batches_cannot_hide_honest_keys() {
     let mut rng = test_rng_for("union_equivalence_hostile");
     let mut cluster = ClusterTransport::new(ClusterOpts::default());
     let mut honest = BTreeSet::new();
@@ -248,14 +296,20 @@ fn a_tree_reaching_one_node_twice_cannot_hide_honest_keys() {
         let server: Arc<dyn RequestHandler> = Arc::new(SspServer::with_store(store));
         cluster.add_node(name, Box::new(InMemoryTransport::new(server)));
     }
-    // `x` is an honest key the hostile replica also lists; `last` sorts
-    // after every key.
-    let x = *honest.first().unwrap();
+    // `x`, `y` and `z` are honest keys the hostile replica also lists;
+    // `last` sorts after every key.
+    let mut listed = honest.iter().copied();
+    let (x, y, z) = (listed.next().unwrap(), listed.next().unwrap(), listed.next().unwrap());
     let last = ObjectKey::data(u64::MAX, [0xFF; 16], u32::MAX);
     let serving = Arc::new(Mutex::new(None));
+    let batch = Arc::new(Mutex::new(Batch::Honest));
+    let scans = Arc::new(AtomicUsize::new(0));
     let mut h = Hostile {
         nodes: HashMap::new(),
         serving: Arc::clone(&serving),
+        batch: Arc::clone(&batch),
+        listing: vec![x, y, z],
+        scans: Arc::clone(&scans),
         meter: CostMeter::new_shared(),
     };
     let leaf = h.add(IndexNode::Leaf(vec![x]));
@@ -269,25 +323,43 @@ fn a_tree_reaching_one_node_twice_cannot_hide_honest_keys() {
     // adding the leaf again: the second reference is the only new one.
     let chain = h.add(IndexNode::Internal(vec![(x, left)]));
     let chain_and_leaf = h.add(IndexNode::Internal(vec![(x, left), (last, leaf)]));
+    // A well-formed tree whose second level is one batch of two leaves that
+    // no earlier tree held.
+    let leaf_y = h.add(IndexNode::Leaf(vec![y]));
+    let leaf_z = h.add(IndexNode::Leaf(vec![z]));
+    let pair = h.add(IndexNode::Internal(vec![(y, leaf_y), (z, leaf_z)]));
     cluster.add_node("h", Box::new(h));
 
     let mut want = MerkleIndex::from_keys(honest.iter().copied());
     let want = Response::Root { root: want.root(), count: want.len() };
-    let schedule = [
-        Some(leaf),
-        Some(twice),
-        None,
-        Some(leaf),
-        Some(two_parents),
-        None,
-        Some(chain),
-        Some(chain_and_leaf),
-        None,
+    // `(root, key count, batch answer)`; a `None` round takes the replica
+    // down, so the next round walks its tree afresh.
+    let trees = [
+        (Some(leaf), 1, Batch::Honest),
+        (Some(twice), 1, Batch::Honest),
+        (None, 0, Batch::Honest),
+        (Some(leaf), 1, Batch::Honest),
+        (Some(two_parents), 1, Batch::Honest),
+        (None, 0, Batch::Honest),
+        (Some(chain), 1, Batch::Honest),
+        (Some(chain_and_leaf), 1, Batch::Honest),
+        (None, 0, Batch::Honest),
     ];
-    for (round, root) in schedule.into_iter().enumerate() {
-        // Every tree here lists `x` alone.
-        *serving.lock().unwrap() = root.map(|r| (r, 1));
+    // Each bad answer to `pair`'s leaf batch, then the honest one, which
+    // walks with no `Scan`.
+    let batches = [Batch::Short, Batch::Long, Batch::Hole, Batch::Swapped, Batch::Honest]
+        .into_iter()
+        .flat_map(|b| [(Some(pair), 2, b), (None, 0, Batch::Honest)]);
+    for (round, (root, count, answer)) in trees.into_iter().chain(batches).enumerate() {
+        *serving.lock().unwrap() = root.map(|r| (r, count));
+        *batch.lock().unwrap() = answer;
+        let scans_before = scans.load(Ordering::Relaxed);
         let got = cluster.call(&Request::Root).unwrap();
         assert_eq!(got, want, "round {round}: the union lost an honest key");
+        let scanned = scans.load(Ordering::Relaxed) > scans_before;
+        if root == Some(pair) {
+            let bad = !matches!(answer, Batch::Honest);
+            assert_eq!(scanned, bad, "round {round}: a {answer:?} batch, scanned: {scanned}");
+        }
     }
 }

@@ -649,4 +649,11 @@ mod tests {
         assert_eq!(OpClass::of(&mutate(vec![], vec![key], vec![])), OpClass::Delete);
         assert_eq!(OpClass::of(&mutate(vec![], vec![], vec![(3, [3; 16])])), OpClass::Delete);
     }
+
+    #[test]
+    fn an_index_node_batch_is_classed_as_a_read() {
+        for hashes in [vec![], vec![[1; 32]], vec![[2; 32]; 3]] {
+            assert_eq!(OpClass::of(&Request::IndexNode { hashes }), OpClass::Get);
+        }
+    }
 }

@@ -44,7 +44,7 @@ pub use cost::{CostMeter, CostSample};
 pub use envelope::{Envelope, CONNECTION_ERROR_ID, ENVELOPE_LEN, TRACED_ENVELOPE_LEN};
 pub use error::{ErrorClass, NetError, TRANSIENT_ERROR_PREFIX};
 pub use fault::{FaultConfig, FaultCounts, FaultKind, FaultSchedule, OpClass};
-pub use message::{KeySpace, ObjectKey, Request, Response};
+pub use message::{KeySpace, ObjectKey, Request, Response, MAX_INDEX_BATCH};
 pub use netmodel::NetModel;
 pub use pipeline::{CorrDispatcher, FrameSource, Inbound};
 pub use retry::{FakeSleeper, RetryPolicy, Sleeper, WallClockSleeper};

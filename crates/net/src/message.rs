@@ -11,12 +11,22 @@
 //! in that order. `PutMany` stays for bulk loaders that only store.
 //!
 //! Request tags: 0 `Ping`, 1 `Put`, 2 `PutMany`, 3 `Get`, 4 `GetMany`,
-//! 5 `Delete`, 9 `Scan`, 10 `Metrics`, 11 `Trace`, 12 `Root`, 13 `IndexNode`,
-//! 14 `ScanVerified`, 15 `Mutate`. Tags 6, 7 and 8 are reserved: they
-//! carried retired requests, and decode to [`NetError::Codec`].
+//! 5 `Delete`, 9 `Scan`, 10 `Metrics`, 11 `Trace`, 12 `Root`,
+//! 14 `ScanVerified`, 15 `Mutate`, 16 `IndexNode`. Tags 6, 7, 8 and 13 are
+//! reserved: they carried retired requests, and decode to
+//! [`NetError::Codec`].
+//!
+//! Response tags: 0 `Pong`, 1 `Ok`, 2 `Object`, 3 `Objects`, 5 `Error`,
+//! 6 `Keys`, 7 `Metrics`, 8 `Trace`, 9 `Root`, 11 `KeysProof`,
+//! 12 `IndexNode`. Tags 4 and 10 are reserved the same way.
 
 use crate::error::NetError;
 use crate::wire::{Cursor, WireRead, WireWrite};
+
+/// Most node hashes one [`Request::IndexNode`] may ask for. A server
+/// refuses a longer batch with [`Response::Error`]; a fetcher splits its
+/// batches at this size.
+pub const MAX_INDEX_BATCH: usize = 1024;
 
 /// Which logical table at the SSP an object lives in.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -177,12 +187,13 @@ pub enum Request {
     /// Merkle search tree over every stored `ObjectKey`). Clients pin this
     /// root; cluster audits compare it across replicas.
     Root,
-    /// Fetches one node of the authenticated index by its hash, for
-    /// subtree-diff descent during replica audits. The node encoding is
-    /// owned by `sharoes-index`; the wire layer treats it as opaque bytes.
+    /// Fetches nodes of the authenticated index by their hashes, for the
+    /// subtree-diff descent of replica sync and audits: one request per tree
+    /// level. The node encoding is owned by `sharoes-index`; the wire layer
+    /// treats it as opaque bytes.
     IndexNode {
-        /// Hash of the requested node.
-        hash: [u8; 32],
+        /// Hashes of the requested nodes, at most [`MAX_INDEX_BATCH`].
+        hashes: Vec<[u8; 32]>,
     },
     /// Like `Scan`, but the reply carries the index root and a Merkle range
     /// proof that no key was omitted, inserted, or reordered between the
@@ -234,12 +245,13 @@ pub enum Response {
         /// Number of keys the index covers.
         count: u64,
     },
-    /// One node of the authenticated index, or `None` if the hash is
-    /// unknown (e.g. the tree mutated since the root was fetched).
+    /// Nodes of the authenticated index, one slot per requested hash in
+    /// request order; `None` where the hash is unknown (e.g. the tree
+    /// mutated since the root was fetched).
     IndexNode {
-        /// Opaque `sharoes-index` node encoding; its hash is its identity,
-        /// so the fetcher verifies it by recomputing the digest.
-        node: Option<Vec<u8>>,
+        /// Opaque `sharoes-index` node encodings; a node's hash is its
+        /// identity, so the fetcher verifies each by recomputing the digest.
+        nodes: Vec<Option<Vec<u8>>>,
     },
     /// One page of a verified key scan.
     KeysProof {
@@ -298,10 +310,7 @@ impl WireWrite for Request {
                 max.write(out);
             }
             Request::Root => 12u8.write(out),
-            Request::IndexNode { hash } => {
-                13u8.write(out);
-                hash.write(out);
-            }
+            // Tag 13 is reserved: it carried the retired one-hash node fetch.
             Request::ScanVerified { after, limit } => {
                 14u8.write(out);
                 after.write(out);
@@ -312,6 +321,10 @@ impl WireWrite for Request {
                 puts.write(out);
                 deletes.write(out);
                 drop_views.write(out);
+            }
+            Request::IndexNode { hashes } => {
+                16u8.write(out);
+                hashes.write(out);
             }
         }
     }
@@ -330,13 +343,13 @@ impl WireRead for Request {
             10 => Request::Metrics,
             11 => Request::Trace { max: u32::read(r)? },
             12 => Request::Root,
-            13 => Request::IndexNode { hash: <[u8; 32]>::read(r)? },
             14 => Request::ScanVerified { after: Option::read(r)?, limit: u32::read(r)? },
             15 => Request::Mutate {
                 puts: Vec::read(r)?,
                 deletes: Vec::read(r)?,
                 drop_views: Vec::read(r)?,
             },
+            16 => Request::IndexNode { hashes: Vec::read(r)? },
             _ => return Err(NetError::Codec("unknown request tag")),
         })
     }
@@ -380,16 +393,17 @@ impl WireWrite for Response {
                 root.write(out);
                 count.write(out);
             }
-            Response::IndexNode { node } => {
-                10u8.write(out);
-                node.write(out);
-            }
+            // Tag 10 is reserved: it carried the retired one-node reply.
             Response::KeysProof { keys, done, root, proof } => {
                 11u8.write(out);
                 keys.write(out);
                 done.write(out);
                 root.write(out);
                 proof.write(out);
+            }
+            Response::IndexNode { nodes } => {
+                12u8.write(out);
+                nodes.write(out);
             }
         }
     }
@@ -407,13 +421,13 @@ impl WireRead for Response {
             7 => Response::Metrics { text: String::read(r)? },
             8 => Response::Trace { events: Vec::read(r)?, dropped: u64::read(r)? },
             9 => Response::Root { root: <[u8; 32]>::read(r)?, count: u64::read(r)? },
-            10 => Response::IndexNode { node: Option::read(r)? },
             11 => Response::KeysProof {
                 keys: Vec::read(r)?,
                 done: bool::read(r)?,
                 root: <[u8; 32]>::read(r)?,
                 proof: Vec::read(r)?,
             },
+            12 => Response::IndexNode { nodes: Vec::read(r)? },
             _ => return Err(NetError::Codec("unknown response tag")),
         })
     }
@@ -453,7 +467,9 @@ mod tests {
         roundtrip_req(Request::Scan { after: Some(key), limit: 0 });
         roundtrip_req(Request::Trace { max: 512 });
         roundtrip_req(Request::Root);
-        roundtrip_req(Request::IndexNode { hash: [0xAB; 32] });
+        roundtrip_req(Request::IndexNode { hashes: vec![] });
+        roundtrip_req(Request::IndexNode { hashes: vec![[0xAB; 32]] });
+        roundtrip_req(Request::IndexNode { hashes: (0..=255).map(|b| [b; 32]).collect() });
         roundtrip_req(Request::ScanVerified { after: None, limit: 64 });
         roundtrip_req(Request::ScanVerified { after: Some(key), limit: 1 });
     }
@@ -491,8 +507,12 @@ mod tests {
             done: false,
         });
         roundtrip_resp(Response::Root { root: [0xCD; 32], count: 12345 });
-        roundtrip_resp(Response::IndexNode { node: None });
-        roundtrip_resp(Response::IndexNode { node: Some(vec![1, 2, 3]) });
+        roundtrip_resp(Response::IndexNode { nodes: vec![] });
+        roundtrip_resp(Response::IndexNode { nodes: vec![None] });
+        roundtrip_resp(Response::IndexNode { nodes: vec![Some(vec![1, 2, 3])] });
+        roundtrip_resp(Response::IndexNode {
+            nodes: vec![Some(vec![]), None, Some(vec![7; 300]), None],
+        });
         roundtrip_resp(Response::KeysProof {
             keys: vec![ObjectKey::metadata(1, [4; 16])],
             done: false,
@@ -511,10 +531,15 @@ mod tests {
     fn reserved_tags_decode_to_typed_errors() {
         // Request tag 7 and response tag 4 belonged to the retired
         // storage-accounting op, request tags 6 and 8 to the one-view block
-        // sweep and the key-list delete; a peer still sending them (bare,
-        // or with their old bodies) gets a codec error, never a panic.
+        // sweep and the key-list delete, request tag 13 and response tag 10
+        // to the one-hash node fetch; a peer still sending them (bare, or
+        // with their old bodies) gets a codec error, never a panic.
         let mut old_reply = vec![4u8];
         old_reply.extend_from_slice(&[0xFF; 16]);
+        let mut old_fetch = vec![13u8];
+        old_fetch.extend_from_slice(&[0xAB; 32]);
+        let mut old_node = vec![10u8];
+        Some(vec![1u8, 2, 3]).write(&mut old_node);
         let mut old_sweep = vec![6u8];
         old_sweep.extend_from_slice(&5u64.to_be_bytes());
         old_sweep.extend_from_slice(&[9; 16]);
@@ -527,10 +552,18 @@ mod tests {
             Request::from_wire(&old_sweep),
             Request::from_wire(&[8]),
             Request::from_wire(&old_deletes),
+            Request::from_wire(&[13]),
+            Request::from_wire(&old_fetch),
         ] {
             assert!(matches!(r, Err(NetError::Codec(_))), "{r:?}");
         }
-        for r in [Response::from_wire(&[4]), Response::from_wire(&old_reply)] {
+        for r in [
+            Response::from_wire(&[4]),
+            Response::from_wire(&old_reply),
+            Response::from_wire(&[10]),
+            Response::from_wire(&[10, 0]),
+            Response::from_wire(&old_node),
+        ] {
             assert!(matches!(r, Err(NetError::Codec(_))), "{r:?}");
         }
     }

@@ -58,7 +58,7 @@ fn requests() -> Gen<Request> {
         },
         Gen::from_fn(|t| Ok(Request::Trace { max: t.u32() })),
         Gen::constant(Request::Root),
-        Gen::from_fn(|t| Ok(Request::IndexNode { hash: gen::byte_arrays::<32>().sample(t)? })),
+        index_node_requests(),
         {
             let after = gen::option_of(key);
             Gen::from_fn(move |t| {
@@ -82,6 +82,15 @@ fn mutates() -> Gen<Request> {
             drop_views: drop_views.sample(t)?,
         })
     })
+}
+
+fn index_node_requests() -> Gen<Request> {
+    gen::vecs(gen::byte_arrays::<32>(), 0..8).map(|hashes| Request::IndexNode { hashes })
+}
+
+fn index_node_responses() -> Gen<Response> {
+    gen::vecs(gen::option_of(gen::vecs(gen::u8s(), 0..128)), 0..6)
+        .map(|nodes| Response::IndexNode { nodes })
 }
 
 fn trace_events() -> Gen<TraceEventWire> {
@@ -136,7 +145,7 @@ fn responses() -> Gen<Response> {
         Gen::from_fn(|t| {
             Ok(Response::Root { root: gen::byte_arrays::<32>().sample(t)?, count: t.u64() })
         }),
-        gen::option_of(gen::vecs(gen::u8s(), 0..128)).map(|node| Response::IndexNode { node }),
+        index_node_responses(),
         {
             let keys = gen::vecs(keys(), 0..8);
             let proof = gen::vecs(gen::u8s(), 0..128);
@@ -205,10 +214,37 @@ prop! {
         }
     }
 
+    fn every_strict_prefix_of_an_index_node_batch_fails_typed(
+        req in index_node_requests(),
+        resp in index_node_responses(),
+    ) {
+        // A cut in a hash list, a slot's presence byte or a node's length
+        // prefix is a codec error, never a panic.
+        let (req_bytes, resp_bytes) = (req.to_wire(), resp.to_wire());
+        prop_assert_eq!(Request::from_wire(&req_bytes).unwrap(), req);
+        prop_assert_eq!(Response::from_wire(&resp_bytes).unwrap(), resp);
+        for cut in 0..req_bytes.len() {
+            let got = Request::from_wire(&req_bytes[..cut]);
+            prop_assert!(matches!(got, Err(NetError::Codec(_))), "request cut at {cut}: {got:?}");
+        }
+        for cut in 0..resp_bytes.len() {
+            let got = Response::from_wire(&resp_bytes[..cut]);
+            prop_assert!(matches!(got, Err(NetError::Codec(_))), "reply cut at {cut}: {got:?}");
+        }
+    }
+
     fn retired_request_tags_fail_typed(body in gen::vecs(gen::u8s(), 0..64)) {
-        // Tags 6, 7 and 8 are reserved, whatever body follows them.
-        for tag in [6u8, 7, 8] {
+        // Tags 6, 7, 8 and 13 are reserved, whatever body follows them.
+        for tag in [6u8, 7, 8, 13] {
             let got = Request::from_wire(&[&[tag][..], &body].concat());
+            prop_assert!(matches!(got, Err(NetError::Codec(_))), "tag {tag}: {got:?}");
+        }
+    }
+
+    fn retired_response_tags_fail_typed(body in gen::vecs(gen::u8s(), 0..64)) {
+        // Reply tags 4 and 10 are reserved the same way.
+        for tag in [4u8, 10] {
+            let got = Response::from_wire(&[&[tag][..], &body].concat());
             prop_assert!(matches!(got, Err(NetError::Codec(_))), "tag {tag}: {got:?}");
         }
     }

@@ -675,8 +675,10 @@ mod tests {
         let p = reopened.scan_proof(None, 7);
         sharoes_index::verify_scan_page(&expect.0, None, 7, &p.keys, p.done, &p.proof)
             .expect("honest engine proof must verify");
-        let bytes = reopened.index_node_bytes(&expect.0).expect("root node served");
-        assert_eq!(Sha256::digest(&bytes), expect.0);
+        let [Some(bytes)] = &reopened.index_nodes(&[expect.0])[..] else {
+            panic!("root node served")
+        };
+        assert_eq!(Sha256::digest(bytes), expect.0);
     }
 
     #[test]

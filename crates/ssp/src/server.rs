@@ -2,7 +2,9 @@
 
 use crate::engine::LogEngine;
 use crate::store::ObjectStore;
-use sharoes_net::{NetError, ObjectKey, Request, RequestHandler, Response, TraceEventWire};
+use sharoes_net::{
+    NetError, ObjectKey, Request, RequestHandler, Response, TraceEventWire, MAX_INDEX_BATCH,
+};
 use sharoes_obs::{Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -177,7 +179,10 @@ impl RequestHandler for SspServer {
                 let (root, count) = s.index_root();
                 Response::Root { root, count }
             }
-            Request::IndexNode { hash } => Response::IndexNode { node: s.index_node_bytes(&hash) },
+            Request::IndexNode { hashes } if hashes.len() > MAX_INDEX_BATCH => {
+                Response::Error(format!("index node batch over {MAX_INDEX_BATCH} hashes"))
+            }
+            Request::IndexNode { hashes } => Response::IndexNode { nodes: s.index_nodes(&hashes) },
             Request::ScanVerified { after, limit } => {
                 let p = s.scan_proof(after.as_ref(), limit);
                 Response::KeysProof { keys: p.keys, done: p.done, root: p.root, proof: p.proof }
@@ -299,6 +304,29 @@ mod tests {
         ];
         want.sort();
         assert_eq!(keys, want);
+    }
+
+    #[test]
+    fn index_node_batches_answer_every_slot_up_to_the_cap() {
+        let server = SspServer::new();
+        for b in 0..40 {
+            server.handle(Request::Put { key: ObjectKey::data(1, [0; 16], b), value: vec![1] });
+        }
+        let Response::Root { root, .. } = server.handle(Request::Root) else {
+            panic!("expected a Root reply")
+        };
+        let unknown = [0xAA; 32];
+        let Response::IndexNode { nodes } =
+            server.handle(Request::IndexNode { hashes: vec![unknown, root, unknown] })
+        else {
+            panic!("expected an IndexNode reply")
+        };
+        assert_eq!(nodes, vec![None, server.store().index_nodes(&[root]).pop().unwrap(), None]);
+        assert!(nodes[1].is_some());
+        let full = server.handle(Request::IndexNode { hashes: vec![root; MAX_INDEX_BATCH] });
+        assert!(matches!(full, Response::IndexNode { nodes } if nodes.len() == MAX_INDEX_BATCH));
+        let over = server.handle(Request::IndexNode { hashes: vec![root; MAX_INDEX_BATCH + 1] });
+        assert!(matches!(over, Response::Error(_)), "{over:?}");
     }
 
     #[test]

@@ -420,10 +420,12 @@ impl ObjectStore {
         (root, index.len())
     }
 
-    /// Canonical encoding of the index node content-addressed by `hash`,
-    /// if this store currently has it (serves the `IndexNode` wire op).
-    pub fn index_node_bytes(&self, hash: &[u8; 32]) -> Option<Vec<u8>> {
-        self.index_write().node_bytes(hash)
+    /// Canonical encoding of each index node content-addressed by
+    /// `hashes`, `None` where this store does not have it, under one index
+    /// lock (serves the `IndexNode` wire op).
+    pub fn index_nodes(&self, hashes: &[[u8; 32]]) -> Vec<Option<Vec<u8>>> {
+        let mut index = self.index_write();
+        hashes.iter().map(|hash| index.node_bytes(hash)).collect()
     }
 
     /// One scan page plus a Merkle range proof tying it to the current
@@ -687,9 +689,12 @@ mod tests {
             cursor = p.keys.last().copied();
         }
         assert_eq!(walked, s.scan_keys_flat(None, usize::MAX).0);
-        // Node fetch: the root's preimage is served and re-digests to it.
-        let bytes = s.index_node_bytes(&root).expect("root node must be servable");
-        assert_eq!(Sha256::digest(&bytes), root);
+        // Node fetch: the root's preimage is served and re-digests to it; an
+        // unknown hash gets an empty slot.
+        let [Some(bytes), None] = &s.index_nodes(&[root, [0xAA; 32]])[..] else {
+            panic!("root node must be servable, an unknown hash must not")
+        };
+        assert_eq!(Sha256::digest(bytes), root);
     }
 
     #[test]
