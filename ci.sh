@@ -4,8 +4,8 @@
 # the metrics- and trace-determinism gates, the enterprise scenario gate
 # (revocation/rotation oracles + registry determinism), the concurrency
 # gate (sharded-vs-single-lock byte equivalence, including a drive of many
-# threads over one shared TCP connection, + the contention-bench throughput
-# floor), the quick paper figures against their committed golden output,
+# threads over TCP with one connection each, + the contention-bench
+# throughput floor), the quick paper figures against their committed golden output,
 # the committed BENCH_enterprise.json against a fresh full-size run,
 # the bench ablations with their BENCH_*.json validation, esign768 and hash
 # crypto_micro smoke runs, and the benchmark's own tests. The three
@@ -21,7 +21,9 @@
 #             enterprise export check, the BENCH_*.json writers, their
 #             validation, the crypto_micro smoke runs, and the perfbench
 #             tests); all build, lint, test,
-#             and pinned-seed gates still run. For tight edit-test loops.
+#             and pinned-seed gates still run, and so does the perfbench
+#             build, which imports the workspace's public API. For tight
+#             edit-test loops.
 #
 # Each step is wall-clock timed; a summary table prints at the end and is
 # also written machine-readably to target/ci-timings.tsv.
@@ -102,6 +104,11 @@ step "cargo build --release --offline" \
 step "cargo check --offline (benches, examples, bins)" \
     cargo check --offline --workspace --all-targets
 
+# perfbench is its own workspace and imports sharoes-net, sharoes-core and
+# the rest by path: a break in their public API shows here, in --quick too.
+step "perfbench release build (imports the workspace's public API)" \
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # --no-fail-fast: one crate's failure must not hide later crates' results;
 # the step still fails if any test does.
 step "cargo test -q --offline" \
@@ -160,7 +167,7 @@ diff_pair "index determinism: diff exported registry deltas" \
 diff_pair "index determinism: diff exported span-tree renderings" \
     target/index-trace-a.txt target/index-trace-b.txt
 
-step "concurrency gate at seventh pinned seed (sharded == single-lock, pipelined TCP)" \
+step "concurrency gate at seventh pinned seed (sharded == single-lock, TCP)" \
     env SHAROES_TEST_SEED=0x5CA1AB1E cargo test -q --offline --test concurrency
 
 # Same independent check for the concurrency gate's snapshot exports:
@@ -232,7 +239,7 @@ if [ "$QUICK" -eq 0 ]; then
         cargo run -q --offline --release -p sharoes-bench --bin paper-figures -- --quick index
 
     # Contention bench: N client threads x M ops against a real sspd (one
-    # connection per thread, one shared connection, shared batches) plus a
+    # connection per thread, sending single requests or batches) plus a
     # 3-node cluster with sequential replica fan-out; exits nonzero if
     # multi-threaded throughput fails the 2x floor over the single-threaded
     # one-connection-per-thread ("blocking") baseline. The quick run writes

@@ -86,8 +86,9 @@ fn print_help() {
          \x20 index      authenticated-index ablation: flat vs indexed scans, proof\n\
          \x20            overhead at several keyspace sizes, mutate-one-key-then-prove\n\
          \x20            vs rebuild (writes BENCH_index.json; --quick: target/)\n\
-         \x20 concurrency contention benchmark: blocking vs pipelined vs batched clients\n\
-         \x20            against one sspd plus a 3-node cluster sweep; fails if\n\
+         \x20 concurrency contention benchmark: blocking vs batched clients (one\n\
+         \x20            connection per thread) against one sspd plus a 3-node\n\
+         \x20            cluster sweep; fails if\n\
          \x20            multi-threaded speedup < 2x (writes BENCH_concurrency.json;\n\
          \x20            --quick: target/)\n\
          \x20 summary    headline speedups (E7)\n\

@@ -1,14 +1,13 @@
 //! Contention benchmark for the high-concurrency SSP front end.
 //!
-//! Drives a real `sspd` over TCP with N client threads × M ops in three
-//! client modes, and a 3-node TCP cluster:
+//! Drives a real `sspd` over TCP with N client threads × M ops in two
+//! client modes, and a 3-node TCP cluster. Every thread owns its
+//! connections, each carrying one request at a time:
 //!
-//! * `blocking`  — one [`TcpTransport`] per thread, one request in flight
-//!   per connection.
-//! * `pipelined` — every thread multiplexes one shared [`TcpTransport`]
-//!   connection (correlation-id pipelining).
-//! * `batched`   — threads issue `PutMany` batches over one shared
-//!   connection.
+//! * `blocking`  — one [`TcpTransport`] per thread, one `Put` or `Get` per
+//!   round trip.
+//! * `batched`   — one [`TcpTransport`] per thread, one `PutMany` batch per
+//!   round trip.
 //! * `cluster-seq` — each thread owns a [`ClusterTransport`] over 3 TCP
 //!   nodes (R=3), fanning out to the replicas one after another.
 //!
@@ -22,7 +21,6 @@
 use sharoes_cluster::{ClusterOpts, ClusterTransport};
 use sharoes_net::{ObjectKey, Request, Response, TcpTransport, Transport};
 use sharoes_ssp::{serve_with, ServeOptions, SspServer, TcpServerHandle};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The per-request latency histogram every mode observes into.
@@ -43,7 +41,7 @@ pub struct ConcurrencySpec {
 
 impl Default for ConcurrencySpec {
     fn default() -> Self {
-        ConcurrencySpec { threads: vec![1, 4, 8], ops_per_thread: 600, value_len: 128, batch: 16 }
+        ConcurrencySpec { threads: vec![1, 4, 8], ops_per_thread: 4_000, value_len: 128, batch: 16 }
     }
 }
 
@@ -57,7 +55,7 @@ impl ConcurrencySpec {
 /// One measured (mode, threads) point.
 #[derive(Clone, Debug)]
 pub struct ConcurrencyPoint {
-    /// Client mode label (`blocking`, `pipelined`, `batched`, `cluster-*`).
+    /// Client mode label (`blocking`, `batched`, `cluster-*`).
     pub mode: &'static str,
     /// Client threads driving the point.
     pub threads: usize,
@@ -136,7 +134,7 @@ pub fn run_single(spec: &ConcurrencySpec) -> Vec<ConcurrencyPoint> {
         let value_len = spec.value_len;
         let addr = addr.clone();
         let (ops, rate, lat) = measure(threads, |t| {
-            let transport = TcpTransport::connect(&addr).expect("connect");
+            let mut transport = TcpTransport::connect(&addr).expect("connect");
             let mut i = 0usize;
             let tag = mode_tag as u64 * 10 + 1;
             move || {
@@ -168,44 +166,9 @@ pub fn run_single(spec: &ConcurrencySpec) -> Vec<ConcurrencyPoint> {
     for (mode_tag, &threads) in spec.threads.iter().enumerate() {
         let per_thread = spec.ops_per_thread;
         let value_len = spec.value_len;
-        let client = Arc::new(TcpTransport::connect(&addr).expect("connect pipelined"));
-        let (ops, rate, lat) = measure(threads, |t| {
-            let client = Arc::clone(&client);
-            let mut i = 0usize;
-            let tag = mode_tag as u64 * 10 + 2;
-            move || {
-                if i >= per_thread {
-                    return Ok(0);
-                }
-                let k = key(tag, t, i);
-                let req = if i.is_multiple_of(2) {
-                    Request::Put { key: k, value: vec![t as u8; value_len] }
-                } else {
-                    Request::Get { key: key(tag, t, i - 1) }
-                };
-                let t0 = Instant::now();
-                client.call(&req).map_err(|e| e.to_string())?;
-                observe(t0.elapsed().as_nanos() as u64);
-                i += 1;
-                Ok(1)
-            }
-        });
-        points.push(ConcurrencyPoint {
-            mode: "pipelined",
-            threads,
-            ops,
-            ops_per_sec: rate,
-            latency_ns: lat,
-        });
-    }
-
-    for (mode_tag, &threads) in spec.threads.iter().enumerate() {
-        let per_thread = spec.ops_per_thread;
-        let value_len = spec.value_len;
         let batch = spec.batch.max(1);
-        let client = Arc::new(TcpTransport::connect(&addr).expect("connect batched"));
         let (ops, rate, lat) = measure(threads, |t| {
-            let client = Arc::clone(&client);
+            let mut client = TcpTransport::connect(&addr).expect("connect batched");
             let mut issued = 0usize;
             let tag = mode_tag as u64 * 10 + 3;
             move || {
@@ -313,8 +276,8 @@ mod tests {
         let spec =
             ConcurrencySpec { threads: vec![1, 2], ops_per_thread: 40, value_len: 32, batch: 8 };
         let points = run_single(&spec);
-        // 3 modes × 2 thread counts.
-        assert_eq!(points.len(), 6);
+        // 2 modes × 2 thread counts.
+        assert_eq!(points.len(), 4);
         for p in &points {
             assert_eq!(p.ops, (spec.ops_per_thread * p.threads) as u64, "{}", p.mode);
             assert!(p.ops_per_sec > 0.0);

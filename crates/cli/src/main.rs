@@ -622,7 +622,7 @@ impl Shell {
 /// one round trip and print them, non-interactively (for scripts and CI).
 /// The header's storage counts come from the reply's `ssp_store_*` gauges.
 fn remote_stats(addr: &str) -> i32 {
-    let transport = match TcpTransport::connect(addr) {
+    let mut transport = match TcpTransport::connect(addr) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("sharoes-shell: cannot connect to {addr}: {e}");
@@ -659,7 +659,7 @@ fn remote_trace(addrs: &[String]) -> i32 {
     let mut events: Vec<sharoes_obs::OwnedEvent> = Vec::new();
     let mut dropped = 0u64;
     for addr in addrs {
-        let transport = match TcpTransport::connect(addr) {
+        let mut transport = match TcpTransport::connect(addr) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("sharoes-shell: cannot connect to {addr}: {e}");
@@ -673,12 +673,11 @@ fn remote_trace(addrs: &[String]) -> i32 {
             }
             Ok(Response::Trace { events: scraped, dropped: d }) => {
                 dropped += d;
-                for ev in &scraped {
-                    let mut owned: sharoes_obs::OwnedEvent = ev.into();
-                    if owned.node.is_empty() {
-                        owned.node = addr.clone();
+                for mut ev in scraped {
+                    if ev.node.is_empty() {
+                        ev.node = addr.clone();
                     }
-                    events.push(owned);
+                    events.push(ev);
                 }
             }
             Ok(other) => {
@@ -708,7 +707,7 @@ fn remote_trace(addrs: &[String]) -> i32 {
 fn remote_root(addrs: &[String]) -> i32 {
     let mut roots: Vec<[u8; 32]> = Vec::new();
     for addr in addrs {
-        let transport = match TcpTransport::connect(addr) {
+        let mut transport = match TcpTransport::connect(addr) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("sharoes-shell: cannot connect to {addr}: {e}");

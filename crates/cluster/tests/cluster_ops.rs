@@ -338,7 +338,7 @@ impl RequestHandler for Overfull {
     fn handle(&self, request: Request) -> Response {
         match request {
             Request::Trace { max } => {
-                let event = sharoes_net::TraceEventWire {
+                let event = sharoes_obs::OwnedEvent {
                     seq: 0,
                     time_ns: 0,
                     depth: 0,

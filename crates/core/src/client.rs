@@ -1006,9 +1006,11 @@ impl SharoesClient {
         let generation = body.generation;
         let dview = ids::data_view(inode, generation);
         // Only the block count (and write version) matter here; skip the
-        // speculative block-0 fetch the read path does.
-        let (old_nblocks, old_version) =
-            self.load_manifest_lean(&body).map(|m| (m.nblocks, m.version)).unwrap_or((0, 0));
+        // speculative block-0 fetch the read path does. Every file has a
+        // stored manifest (create stores one for the empty content), so a
+        // manifest that fails to load or is rolled back fails the close.
+        let manifest = self.load_manifest_lean(&body)?;
+        let (old_nblocks, old_version) = (manifest.nblocks, manifest.version);
 
         let records = self.seal_file_content(&body, &pending.content, old_version + 1)?;
         let new_nblocks = pending.content.len().div_ceil(self.config.block_size.max(1)) as u32;

@@ -249,6 +249,28 @@ fn manifest_rollback_detected_within_session() {
 }
 
 #[test]
+fn a_write_over_a_rolled_back_manifest_is_refused() {
+    // The SSP puts the version-1 manifest back after a version-2 write.
+    // The next close must refuse to seal over it: sealing version 1 again
+    // would write the rollback into the file and lower the ledger.
+    let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
+    let mut config = world.config.clone();
+    config.cache_capacity = Some(1);
+    let mut alice = world.client_with_config(ALICE, config);
+
+    let inode = alice.getattr("/home/alice/notes.txt").unwrap().inode;
+    let mkey = ObjectKey::data(inode, sharoes_core::ids::data_view(inode, 0), u32::MAX);
+    let stale_manifest = world.server.store().get(&mkey).unwrap();
+    alice.write_file("/home/alice/notes.txt", b"version two").unwrap();
+
+    world.server.store().put(mkey, stale_manifest).unwrap();
+    let err = alice.read("/home/alice/notes.txt").unwrap_err();
+    assert!(matches!(&err, CoreError::TamperDetected(msg) if msg.contains("rolled back")), "{err}");
+    let err = alice.write_file("/home/alice/notes.txt", b"version three").unwrap_err();
+    assert!(matches!(&err, CoreError::TamperDetected(msg) if msg.contains("rolled back")), "{err}");
+}
+
+#[test]
 fn deletion_is_detected_as_missing_not_garbage() {
     let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
     let mut alice = world.client(ALICE);

@@ -7,17 +7,17 @@
 //! writer serves each request frame synchronously through [`serve_frame`]
 //! and queues what the reader will see, after drawing the request's fault
 //! from a seeded [`FaultSchedule`]. Every fault is a frame-level action
-//! (see [`FaultKind`]), so the transport above runs the same correlation
-//! dispatcher and retry loop that it runs over a socket.
+//! (see [`FaultKind`]), so the transport above runs the same reply matching
+//! and retry loop that it runs over a socket.
 //!
 //! The schedule is a pure function of its seed and the request sequence,
 //! so a chaos run is fully replayable: rerun with the same
 //! `SHAROES_TEST_SEED` and the same faults hit the same calls. Outcomes
 //! do not depend on timing either: a reply is queued while its request is
-//! written or never, and a reader facing an empty queue blocks until its
-//! deadline. The schedule is shared (`Arc`) by every connection a
-//! connector dials, so a re-dialled connection keeps consuming the same
-//! fault stream.
+//! written or never. One caller drives the writer and then the reader in
+//! turn, so a reader facing an empty queue sleeps until its deadline. The
+//! schedule is shared (`Arc`) by every connection a connector dials, so a
+//! re-dialled connection keeps consuming the same fault stream.
 //!
 //! Two deliberate design points keep injected faults *detectable at the
 //! transport layer* (and therefore survivable by retry):
@@ -28,7 +28,7 @@
 //!   tampering, which the client's crypto layer correctly treats as fatal
 //!   — injecting it would make "eventually completes" unachievable by
 //!   design, not by bug.
-//! * A stale reply keeps its old correlation id, so the dispatcher counts
+//! * A stale reply keeps its old correlation id, so the transport counts
 //!   it as an orphan and the call still gets its own reply. Same-id
 //!   staleness is the rollback problem the client's signed-version
 //!   freshness ledger owns.
@@ -37,12 +37,11 @@ use crate::cost::CostMeter;
 use crate::envelope::{Envelope, ENVELOPE_LEN};
 use crate::error::{NetError, TRANSIENT_ERROR_PREFIX};
 use crate::message::{Request, Response};
-use crate::pipeline::{FrameSource, Inbound};
-use crate::transport::{serve_frame, Connector, FrameSink, RequestHandler};
+use crate::transport::{serve_frame, Connector, FrameSink, FrameSource, Inbound, RequestHandler};
 use crate::wire::WireRead;
 use sharoes_crypto::{HmacDrbg, RandomSource};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Cached global-registry counters, one per [`FaultKind`] (in
@@ -270,7 +269,7 @@ pub fn connector(
     meter: Arc<CostMeter>,
 ) -> Connector {
     Box::new(move || {
-        let line = Arc::new(Line::default());
+        let line = Line::default();
         let writer = FaultWriter {
             line: Arc::clone(&line),
             handler: Arc::clone(&handler),
@@ -284,15 +283,11 @@ pub fn connector(
 }
 
 /// What one connection's writer has queued for its reader.
-#[derive(Default)]
-struct Line {
-    queue: Mutex<VecDeque<Inbound>>,
-    queued: Condvar,
-}
+type Line = Arc<Mutex<VecDeque<Inbound>>>;
 
 /// The write half: serves each request frame as it is written.
 struct FaultWriter {
-    line: Arc<Line>,
+    line: Line,
     handler: Arc<dyn RequestHandler>,
     schedule: Arc<Mutex<FaultSchedule>>,
     meter: Arc<CostMeter>,
@@ -383,36 +378,23 @@ impl FrameSink for FaultWriter {
                 vec![reply(Envelope::untraced(corr).seal(&shed))]
             }
         };
-        if !inbound.is_empty() {
-            self.line.queue.lock().unwrap_or_else(|e| e.into_inner()).extend(inbound);
-            self.line.queued.notify_all();
-        }
+        self.line.lock().unwrap_or_else(|e| e.into_inner()).extend(inbound);
         Ok(())
     }
 }
 
-/// The read half: hands out what the writer queued, and blocks until the
-/// deadline while the queue is empty.
-struct Reader(Arc<Line>);
+/// The read half: hands out what the writer queued, and sleeps until the
+/// deadline while the queue is empty (nothing can fill it meanwhile: the
+/// writer is driven by the same caller).
+struct Reader(Line);
 
 impl FrameSource for Reader {
     fn next_frame(&mut self, deadline: Instant) -> Inbound {
-        let mut queue = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(inbound) = queue.pop_front() {
-                return inbound;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Inbound::Idle;
-            }
-            queue = self
-                .0
-                .queued
-                .wait_timeout(queue, deadline - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+        if let Some(inbound) = self.0.lock().unwrap_or_else(|e| e.into_inner()).pop_front() {
+            return inbound;
         }
+        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+        Inbound::Idle
     }
 }
 
@@ -479,7 +461,8 @@ mod tests {
 
     #[test]
     fn zero_rate_injects_nothing() {
-        let (t, schedule) = faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.0), 1, 1);
+        let (mut t, schedule) =
+            faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.0), 1, 1);
         for _ in 0..50 {
             assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
         }
@@ -492,7 +475,7 @@ mod tests {
     fn lost_requests_and_responses_time_out_and_only_the_response_loss_is_served() {
         for (kind, served) in [(FaultKind::RequestLost, false), (FaultKind::ResponseLost, true)] {
             let store = Arc::new(MapStore::default());
-            let (t, _) = faulty(Arc::clone(&store) as _, only(kind), 2, 1);
+            let (mut t, _) = faulty(Arc::clone(&store) as _, only(kind), 2, 1);
             let err = t.call(&put(1)).unwrap_err();
             assert!(
                 matches!(&err, NetError::Io(e) if e.kind() == ErrorKind::TimedOut),
@@ -506,7 +489,7 @@ mod tests {
     #[test]
     fn a_disconnect_loses_the_connection_and_the_retry_redials() {
         let store = Arc::new(MapStore::default());
-        let (t, schedule) = faulty(Arc::clone(&store) as _, only(FaultKind::Disconnect), 3, 2);
+        let (mut t, schedule) = faulty(Arc::clone(&store) as _, only(FaultKind::Disconnect), 3, 2);
         // Both attempts draw a disconnect; the second went out on a new
         // connection.
         let err = t.call(&Request::Ping).unwrap_err();
@@ -525,7 +508,7 @@ mod tests {
     fn damaged_replies_are_retryable_codec_errors_on_a_live_connection() {
         for kind in [FaultKind::CorruptFrame, FaultKind::TruncatedFrame] {
             let store = Arc::new(MapStore::default());
-            let (t, schedule) = faulty(Arc::clone(&store) as _, only(kind), 4, 1);
+            let (mut t, schedule) = faulty(Arc::clone(&store) as _, only(kind), 4, 1);
             for i in 0..10 {
                 let err = t.call(&put(i)).unwrap_err();
                 assert!(matches!(err, NetError::Codec(_)), "{kind:?} reply parsed: {err}");
@@ -543,7 +526,8 @@ mod tests {
     fn a_stale_reply_is_orphaned_and_the_call_still_answered() {
         let orphans = sharoes_obs::global().counter("net_corr_orphans_total");
         let store = Arc::new(MapStore::default());
-        let (t, schedule) = faulty(Arc::clone(&store) as _, only(FaultKind::StaleResponse), 5, 1);
+        let (mut t, schedule) =
+            faulty(Arc::clone(&store) as _, only(FaultKind::StaleResponse), 5, 1);
         // Nothing to replay on a fresh connection: the first call is clean.
         assert_eq!(t.call(&put(6)).unwrap(), Response::Ok);
         assert_eq!(schedule.lock().unwrap().counts().stale_responses, 0);
@@ -560,7 +544,7 @@ mod tests {
     #[test]
     fn a_transient_error_retries_on_the_same_connection() {
         let store = Arc::new(MapStore::default());
-        let (t, _) = faulty(Arc::clone(&store) as _, only(FaultKind::TransientError), 6, 3);
+        let (mut t, _) = faulty(Arc::clone(&store) as _, only(FaultKind::TransientError), 6, 3);
         let err = t.call(&put(1)).unwrap_err();
         assert!(matches!(&err, NetError::Remote(m) if m.starts_with(TRANSIENT_ERROR_PREFIX)));
         let s = t.meter().sample();
@@ -582,7 +566,7 @@ mod tests {
             }
         }
         let flaky = Arc::new(Flaky(AtomicU64::new(0)));
-        let (t, _) = faulty(flaky, FaultConfig::at_rate(0.0), 7, 5);
+        let (mut t, _) = faulty(flaky, FaultConfig::at_rate(0.0), 7, 5);
         assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
         let s = t.meter().sample();
         assert_eq!((s.retries, s.reconnects), (2, 0), "transient errors keep the connection");
@@ -590,7 +574,7 @@ mod tests {
 
     #[test]
     fn fatal_errors_surface_after_one_attempt() {
-        let (t, _) = faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.0), 8, 5);
+        let (mut t, _) = faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.0), 8, 5);
         // MapStore answers Metrics with a non-transient error.
         let err = t.call(&Request::Metrics).unwrap_err();
         assert!(matches!(err, NetError::Remote(_)));
@@ -602,7 +586,7 @@ mod tests {
     fn heavy_fault_rates_are_survived_by_retries() {
         // At a 40% fault rate, 8 attempts make per-call failure vanishingly
         // unlikely (0.4^8 ≈ 0.07%), and the seed pins the exact schedule.
-        let (t, _) = faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.4), 42, 8);
+        let (mut t, _) = faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.4), 42, 8);
         for i in 0..50u8 {
             assert_eq!(t.call(&put(i)).unwrap(), Response::Ok);
             let key = ObjectKey::metadata(i as u64, [i; 16]);
@@ -615,7 +599,7 @@ mod tests {
     #[test]
     fn schedule_is_replayable() {
         let run = |seed: u64| {
-            let (t, schedule) =
+            let (mut t, schedule) =
                 faulty(Arc::new(MapStore::default()), FaultConfig::at_rate(0.3), seed, 2);
             let outcomes: Vec<bool> = (0..40).map(|i| t.call(&put(i)).is_ok()).collect();
             let counts = schedule.lock().unwrap().counts();
@@ -630,7 +614,7 @@ mod tests {
         let mut config = FaultConfig::at_rate(0.0);
         config.op_rates = vec![(OpClass::Put, 1.0)];
         config.weights = [0, 0, 0, 0, 0, 0, 1]; // only transient errors
-        let (t, _) = faulty(Arc::new(MapStore::default()), config, 9, 1);
+        let (mut t, _) = faulty(Arc::new(MapStore::default()), config, 9, 1);
         // Gets are clean; Puts always shed.
         let key = ObjectKey::metadata(8, [8; 16]);
         assert_eq!(t.call(&Request::Get { key }).unwrap(), Response::Object(None));

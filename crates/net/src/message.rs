@@ -233,7 +233,7 @@ pub enum Response {
     /// One bounded scrape of a trace ring.
     Trace {
         /// The newest buffered events, oldest first.
-        events: Vec<crate::traceframe::TraceEventWire>,
+        events: Vec<sharoes_obs::OwnedEvent>,
         /// Events evicted from the ring before this scrape (plus any cut
         /// by the request's `max`), so assemblers know the view is partial.
         dropped: u64,
@@ -486,7 +486,7 @@ mod tests {
         roundtrip_resp(Response::Error("boom".into()));
         roundtrip_resp(Response::Trace { events: vec![], dropped: 7 });
         roundtrip_resp(Response::Trace {
-            events: vec![crate::traceframe::TraceEventWire {
+            events: vec![sharoes_obs::OwnedEvent {
                 seq: 1,
                 time_ns: 2,
                 depth: 0,

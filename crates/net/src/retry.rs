@@ -8,7 +8,7 @@
 
 use sharoes_crypto::{HmacDrbg, RandomSource};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How a transport waits out a backoff delay.
@@ -110,13 +110,13 @@ impl RetryPolicy {
 /// A policy in force: its jitter stream and the sleeper that waits.
 pub(crate) struct Backoff {
     policy: RetryPolicy,
-    jitter: Mutex<HmacDrbg>,
+    jitter: HmacDrbg,
     sleeper: Box<dyn Sleeper>,
 }
 
 impl Backoff {
     pub(crate) fn new(policy: RetryPolicy, sleeper: Box<dyn Sleeper>) -> Self {
-        let jitter = Mutex::new(HmacDrbg::from_seed_u64(policy.jitter_seed));
+        let jitter = HmacDrbg::from_seed_u64(policy.jitter_seed);
         Backoff { policy, jitter, sleeper }
     }
 
@@ -127,8 +127,8 @@ impl Backoff {
 
     /// Waits out the backoff before attempt `n`, counting each real wait in
     /// `net_backoff_sleeps_total` and `net_backoff_slept_ns`.
-    pub(crate) fn sleep_before(&self, n: u32) {
-        let jitter_pct = self.jitter.lock().unwrap_or_else(|e| e.into_inner()).next_u64() % 101;
+    pub(crate) fn sleep_before(&mut self, n: u32) {
+        let jitter_pct = self.jitter.next_u64() % 101;
         let d = self.policy.backoff(n, jitter_pct);
         if !d.is_zero() {
             sharoes_obs::counter("net_backoff_sleeps_total").inc();
@@ -152,7 +152,7 @@ mod tests {
         };
         let sleeper = FakeSleeper::new();
         let slept = sleeper.total_ns();
-        let backoff = Backoff::new(policy.clone(), Box::new(sleeper));
+        let mut backoff = Backoff::new(policy.clone(), Box::new(sleeper));
         let start = std::time::Instant::now();
         for n in 1..=3 {
             backoff.sleep_before(n);

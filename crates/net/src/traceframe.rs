@@ -1,77 +1,13 @@
-//! The wire form of trace events, as returned by the `Trace` scrape op.
-//! (Trace *context* travels in the frame envelope; see
-//! [`crate::envelope`].)
+//! The wire form of trace events, as returned by the `Trace` scrape op:
+//! each event is an [`OwnedEvent`], whose `node` stamp the cluster fan-out
+//! fills in when merging several rings. (Trace *context* travels in the
+//! frame envelope; see [`crate::envelope`].)
 
 use crate::error::NetError;
 use crate::wire::{Cursor, WireRead, WireWrite};
-use sharoes_obs::{EventKind, Level, OwnedEvent, TraceEvent};
+use sharoes_obs::{EventKind, Level, OwnedEvent};
 
-/// The wire form of one trace event, as returned by the `Trace` scrape
-/// op. Mirrors [`TraceEvent`] with owned strings plus a `node` stamp the
-/// cluster fan-out fills in when merging several rings.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEventWire {
-    /// Per-process monotonic sequence number.
-    pub seq: u64,
-    /// Timestamp (sequence number in deterministic mode).
-    pub time_ns: u64,
-    /// Thread-local nesting depth when recorded.
-    pub depth: u16,
-    /// Severity.
-    pub level: Level,
-    /// Enter/exit/instant.
-    pub kind: EventKind,
-    /// 128-bit trace id (0 = untraced).
-    pub trace_id: u128,
-    /// Owning span id.
-    pub span_id: u64,
-    /// Owning span's parent id.
-    pub parent_id: u64,
-    /// Span/event name.
-    pub name: String,
-    /// Rendered `key=value` fields.
-    pub fields: String,
-    /// Node the event was scraped from ("" until a merger stamps it).
-    pub node: String,
-}
-
-impl From<&TraceEvent> for TraceEventWire {
-    fn from(e: &TraceEvent) -> TraceEventWire {
-        TraceEventWire {
-            seq: e.seq,
-            time_ns: e.time_ns,
-            depth: e.depth,
-            level: e.level,
-            kind: e.kind,
-            trace_id: e.trace_id,
-            span_id: e.span_id,
-            parent_id: e.parent_id,
-            name: e.name.to_string(),
-            fields: e.fields.clone(),
-            node: String::new(),
-        }
-    }
-}
-
-impl From<&TraceEventWire> for OwnedEvent {
-    fn from(e: &TraceEventWire) -> OwnedEvent {
-        OwnedEvent {
-            seq: e.seq,
-            time_ns: e.time_ns,
-            depth: e.depth,
-            level: e.level,
-            kind: e.kind,
-            trace_id: e.trace_id,
-            span_id: e.span_id,
-            parent_id: e.parent_id,
-            name: e.name.clone(),
-            fields: e.fields.clone(),
-            node: e.node.clone(),
-        }
-    }
-}
-
-impl WireWrite for TraceEventWire {
+impl WireWrite for OwnedEvent {
     fn write(&self, out: &mut Vec<u8>) {
         self.seq.write(out);
         self.time_ns.write(out);
@@ -87,9 +23,9 @@ impl WireWrite for TraceEventWire {
     }
 }
 
-impl WireRead for TraceEventWire {
+impl WireRead for OwnedEvent {
     fn read(r: &mut Cursor<'_>) -> Result<Self, NetError> {
-        Ok(TraceEventWire {
+        Ok(OwnedEvent {
             seq: u64::read(r)?,
             time_ns: u64::read(r)?,
             depth: u16::read(r)?,
@@ -111,8 +47,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_event_wire_roundtrips() {
-        let e = TraceEventWire {
+    fn trace_events_roundtrip() {
+        let e = OwnedEvent {
             seq: 12,
             time_ns: 34,
             depth: 2,
@@ -125,11 +61,11 @@ mod tests {
             fields: "op=\"get\"".into(),
             node: "node-a".into(),
         };
-        let decoded = TraceEventWire::from_wire(&e.to_wire()).unwrap();
+        let decoded = OwnedEvent::from_wire(&e.to_wire()).unwrap();
         assert_eq!(decoded, e);
         // Unknown level / kind bytes are rejected.
         let mut bad = e.to_wire();
         bad[18] = 99; // level byte: 8 seq + 8 time + 2 depth
-        assert!(TraceEventWire::from_wire(&bad).is_err());
+        assert!(OwnedEvent::from_wire(&bad).is_err());
     }
 }

@@ -9,12 +9,11 @@
 //! * [`TcpTransport`] — length-prefixed frames over a connection its
 //!   [`Connector`] dials: a real socket ([`TcpTransport::dialer`]) or a
 //!   fault-injecting in-process one ([`crate::fault::connector`]). One
-//!   connection carries many requests in flight: `&self` calls from any
-//!   number of threads, matched back to their callers by correlation id.
-//!   Each caller reads replies itself (no reader thread), so a lone
-//!   caller's round trip wakes no other thread on this side. A retryable
-//!   failure is retried under a [`RetryPolicy`]: on the same connection
-//!   while it is alive, on a newly dialled one once it has died.
+//!   caller owns the transport and its connection carries one request at a
+//!   time: the caller writes its frame and reads frames until its own reply
+//!   arrives, matched by correlation id. A retryable failure is retried
+//!   under a [`RetryPolicy`]: on the same connection while it is alive, on
+//!   a newly dialled one once it has been dropped.
 //!
 //! Every frame body is an [`Envelope`] followed by one message. Both sides
 //! read frames through a [`FRAME_READ_BUF`]-byte buffer, so a small frame
@@ -27,12 +26,11 @@ use crate::cost::CostMeter;
 use crate::envelope::{connection_error, Envelope, CONNECTION_ERROR_ID};
 use crate::error::{ErrorClass, NetError};
 use crate::message::{Request, Response};
-use crate::pipeline::{CorrDispatcher, FrameSource, Inbound};
 use crate::retry::{Backoff, RetryPolicy, Sleeper, WallClockSleeper};
 use crate::wire::WireRead;
 use std::io::{BufRead, BufReader, ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Upper bound on a single frame (64 MiB) to bound hostile allocations.
@@ -213,58 +211,81 @@ impl FrameSink for TcpStream {
     }
 }
 
+/// What one read of a connection produced.
+#[derive(Debug)]
+pub enum Inbound {
+    /// A whole reply frame answering correlation id `corr`.
+    Reply {
+        /// The id the frame's envelope carries.
+        corr: u64,
+        /// The frame body, envelope included.
+        frame: Vec<u8>,
+    },
+    /// No frame began before the deadline; the connection is still
+    /// framable.
+    Idle,
+    /// The server ended the connection with a connection-level error: its
+    /// message.
+    Refused(String),
+    /// The connection can no longer be read (closed, an I/O error, a
+    /// timeout partway through a frame, an undecodable frame): why.
+    Lost(String),
+}
+
+/// The read half of one connection: it yields whole reply frames.
+pub trait FrameSource: Send {
+    /// Reads the next frame, returning [`Inbound::Idle`] if none has begun
+    /// by `deadline`. It may also return `Idle` earlier; the caller then
+    /// reads again.
+    fn next_frame(&mut self, deadline: Instant) -> Inbound;
+}
+
 /// One dialled connection: the half request frames are written to and the
 /// half their replies are read from.
 pub type Connection = (Box<dyn FrameSink>, Box<dyn FrameSource>);
 
 /// Dials a fresh [`Connection`]: once when a [`TcpTransport`] is built, and
-/// again whenever its live connection has died.
+/// again whenever its connection has been dropped.
 pub type Connector = Box<dyn Fn() -> Result<Connection, NetError> + Send + Sync>;
 
-/// A dialled connection and the correlation bookkeeping of its replies.
-struct Link {
-    writer: Mutex<Box<dyn FrameSink>>,
-    dispatcher: CorrDispatcher<Box<dyn FrameSource>>,
+/// How many replies under another request's id (a timed-out attempt's late
+/// reply, a stale one) were read and skipped, process-wide.
+fn orphan_counter() -> sharoes_obs::Counter {
+    sharoes_obs::global().counter("net_corr_orphans_total")
 }
 
-impl Link {
-    fn dial(connector: &Connector) -> Result<Arc<Link>, NetError> {
-        let (writer, source) = connector()?;
-        Ok(Arc::new(Link { writer: Mutex::new(writer), dispatcher: CorrDispatcher::new(source) }))
-    }
-}
-
-/// TCP transport: one live connection, many requests in flight, and
-/// retries under a [`RetryPolicy`].
+/// TCP transport: one caller, one connection carrying one request at a
+/// time, and retries under a [`RetryPolicy`].
 ///
-/// Calls take `&self`, so one transport can serve many threads at once.
-/// A writer lock serializes frames onto the connection; there is no
-/// reader thread. A waiting caller reads the connection itself while no
-/// other caller does and routes each reply to its caller by correlation
-/// id ([`CorrDispatcher`]).
+/// An attempt writes its frame, then reads frames until one carries its
+/// own correlation id; a frame under another id (the late reply of an
+/// attempt that timed out, a stale one) is counted in
+/// `net_corr_orphans_total` and skipped, never returned.
 ///
 /// A call that fails with a [`ErrorClass::Retryable`] error is retried up
 /// to [`RetryPolicy::max_attempts`] times with backoff, which is safe
 /// because every SSP operation is idempotent (see [`ErrorClass`]). While
 /// the connection is alive (a timeout, a `transient…` reply, a reply that
-/// does not decode) the retry goes out on it; once it has died (lost,
-/// refused by the server, or silent through two attempts of one call in a
-/// row) the connector dials a new one first, once for all the callers that
-/// found it dead. A call that finds the connection already dead re-dials
-/// before its first attempt. Retries and re-dials are counted in the
-/// [`CostMeter`].
+/// does not decode) the retry goes out on it. It is dropped when it is
+/// lost, refused by the server, or silent through two attempts of one call
+/// in a row, and the next attempt dials a new one first. Retries and
+/// re-dials are counted in the [`CostMeter`].
 pub struct TcpTransport {
-    live: Mutex<Arc<Link>>,
+    /// The live connection; `None` once it has been dropped.
+    conn: Option<Connection>,
     connector: Connector,
     backoff: Backoff,
     meter: Arc<CostMeter>,
     timeout: Duration,
+    /// The correlation id of the connection's next request; ids start at 1
+    /// on each connection (0 is [`CONNECTION_ERROR_ID`]).
+    next_id: u64,
 }
 
 impl TcpTransport {
     /// Connects to an SSP server at `addr` (e.g. `"127.0.0.1:7070"`) with a
     /// 30 s call deadline and [`RetryPolicy::default`], re-dialling `addr`
-    /// when the connection dies.
+    /// when the connection is dropped.
     pub fn connect(addr: &str) -> Result<Self, NetError> {
         Self::with_connector(
             Self::dialer(addr, DEFAULT_CALL_TIMEOUT),
@@ -289,8 +310,9 @@ impl TcpTransport {
         sleeper: Box<dyn Sleeper>,
         meter: Arc<CostMeter>,
     ) -> Result<Self, NetError> {
-        let live = Mutex::new(Link::dial(&connector)?);
-        Ok(TcpTransport { live, connector, backoff: Backoff::new(policy, sleeper), meter, timeout })
+        let conn = Some(connector()?);
+        let backoff = Backoff::new(policy, sleeper);
+        Ok(TcpTransport { conn, connector, backoff, meter, timeout, next_id: 1 })
     }
 
     /// A connector dialling `addr`, whose sockets give up on a write after
@@ -306,14 +328,72 @@ impl TcpTransport {
         })
     }
 
-    /// One request through the retry schedule. Takes `&self`: concurrent
-    /// callers pipeline naturally, each matched to its own response by
-    /// correlation id.
-    pub fn call(&self, request: &Request) -> Result<Response, NetError> {
+    /// One attempt on the live connection, or on a newly dialled one if it
+    /// was dropped. `stalled` says whether the call's previous attempt on
+    /// this connection timed out: a second timeout in a row drops it,
+    /// because a peer that is gone without a reset (a lost host, a
+    /// middlebox that dropped its state) never answers on it again.
+    fn attempt(&mut self, stalled: &mut bool, request: &Request) -> Result<Response, NetError> {
+        let (sink, source) = match &mut self.conn {
+            Some(conn) => conn,
+            None => {
+                let conn = (self.connector)()?;
+                self.meter.charge_reconnect();
+                self.next_id = 1;
+                *stalled = false;
+                self.conn.insert(conn)
+            }
+        };
+        let id = self.next_id;
+        self.next_id += 1;
+        let frame = request_frame(id, request);
+        if let Err(e) = sink.send(&frame) {
+            // A failed or half-written frame leaves the stream unframable.
+            self.conn = None;
+            return Err(e);
+        }
+        let deadline = Instant::now() + self.timeout;
+        // Read at least once, so a reply already at hand is not lost to a
+        // deadline that passed while the frame was written.
+        let reply = loop {
+            match source.next_frame(deadline) {
+                Inbound::Reply { corr, frame } if corr == id => break frame,
+                Inbound::Reply { .. } => orphan_counter().inc(),
+                Inbound::Idle => {}
+                Inbound::Refused(reason) => {
+                    self.conn = None;
+                    return Err(NetError::Remote(reason));
+                }
+                Inbound::Lost(why) => {
+                    self.conn = None;
+                    return Err(NetError::Io(std::io::Error::new(
+                        ErrorKind::BrokenPipe,
+                        format!("connection lost: {why}"),
+                    )));
+                }
+            }
+            if Instant::now() >= deadline {
+                if std::mem::replace(stalled, true) {
+                    self.conn = None;
+                }
+                return Err(NetError::Io(std::io::Error::new(
+                    ErrorKind::TimedOut,
+                    format!("call {id} timed out"),
+                )));
+            }
+        };
+        *stalled = false;
+        self.meter.charge_round_trip(frame.len() as u64 + 4, reply.len() as u64 + 4);
+        open_response(id, &reply)
+    }
+}
+
+impl Transport for TcpTransport {
+    /// One request through the retry schedule.
+    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
         let timing = sharoes_obs::in_span().then(Instant::now);
-        let mut link = Arc::clone(&self.live.lock().unwrap_or_else(|e| e.into_inner()));
         let mut stalled = false;
-        let mut out = self.attempt(&mut link, &mut stalled, request);
+        let mut out = self.attempt(&mut stalled, request);
         for n in 1..self.backoff.attempts() {
             match &out {
                 Err(e) if e.class() == ErrorClass::Retryable => {}
@@ -321,65 +401,10 @@ impl TcpTransport {
             }
             self.meter.charge_retry();
             self.backoff.sleep_before(n);
-            out = self.attempt(&mut link, &mut stalled, request);
+            out = self.attempt(&mut stalled, request);
         }
         charge_net_phase(timing);
         out
-    }
-
-    /// One attempt on `link`, or on a newly dialled connection if `link`
-    /// has died. `stalled` says whether the call's previous attempt on
-    /// `link` timed out: a second timeout in a row fails the connection,
-    /// because a peer that is gone without a reset (a lost host, a
-    /// middlebox that dropped its state) never answers on it again.
-    fn attempt(
-        &self,
-        link: &mut Arc<Link>,
-        stalled: &mut bool,
-        request: &Request,
-    ) -> Result<Response, NetError> {
-        let id = match link.dispatcher.register() {
-            Ok(id) => id,
-            // Only a dead connection refuses a registration.
-            Err(_) => {
-                *link = self.redial(link)?;
-                *stalled = false;
-                link.dispatcher.register()?
-            }
-        };
-        let frame = request_frame(id, request);
-        let written = link.writer.lock().unwrap_or_else(|e| e.into_inner()).send(&frame);
-        if let Err(e) = written {
-            // A half-written frame leaves the stream unframable.
-            link.dispatcher.fail_all(&e.to_string());
-            return Err(e);
-        }
-        let reply = link.dispatcher.wait(id, self.timeout);
-        let timed_out = matches!(&reply, Err(NetError::Io(e)) if e.kind() == ErrorKind::TimedOut);
-        if timed_out && *stalled {
-            link.dispatcher.fail_all("no reply to two attempts in a row");
-        }
-        *stalled = timed_out;
-        let reply = reply?;
-        self.meter.charge_round_trip(frame.len() as u64 + 4, reply.len() as u64 + 4);
-        open_response(id, &reply)
-    }
-
-    /// Replaces the dead `link` with a newly dialled connection, unless
-    /// another caller already did.
-    fn redial(&self, dead: &Arc<Link>) -> Result<Arc<Link>, NetError> {
-        let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
-        if Arc::ptr_eq(&live, dead) {
-            *live = Link::dial(&self.connector)?;
-            self.meter.charge_reconnect();
-        }
-        Ok(Arc::clone(&live))
-    }
-}
-
-impl Transport for TcpTransport {
-    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        TcpTransport::call(self, request)
     }
 
     fn meter(&self) -> &Arc<CostMeter> {
@@ -600,7 +625,7 @@ mod tests {
             }
         });
 
-        let t = TcpTransport::connect(&addr.to_string()).unwrap();
+        let mut t = TcpTransport::connect(&addr.to_string()).unwrap();
         assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
         let key = ObjectKey::data(3, [1; 16], 0);
         t.call(&Request::Put { key, value: b"over tcp".to_vec() }).unwrap();
@@ -629,9 +654,9 @@ mod tests {
         let calls =
             [Request::Ping, Request::Put { key, value: vec![5; 300] }, Request::Get { key }];
         let mut mem = InMemoryTransport::new(Arc::new(EchoStore(Mutex::new(HashMap::new()))));
-        let tcp = TcpTransport::connect(&addr.to_string()).unwrap();
+        let mut tcp = TcpTransport::connect(&addr.to_string()).unwrap();
         for request in &calls {
-            assert_eq!(Transport::call(&mut mem, request).unwrap(), tcp.call(request).unwrap());
+            assert_eq!(mem.call(request).unwrap(), tcp.call(request).unwrap());
         }
         assert_eq!(mem.meter().sample(), tcp.meter().sample());
         // Each round trip carries one 14-byte envelope each way.
@@ -655,44 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn replies_in_reverse_order_reach_their_own_callers() {
-        use std::net::TcpListener;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // The peer waits for both calls, then answers the second first.
-        let peer = std::thread::spawn(move || {
-            let (mut sock, _) = listener.accept().unwrap();
-            let first = read_request(&mut sock);
-            let second = read_request(&mut sock);
-            for (corr, request) in [second, first] {
-                let Request::Get { key } = request else { panic!("expected a Get") };
-                answer(&mut sock, corr, key.inode as u8);
-            }
-            // Hold the socket open until the client hangs up.
-            let _ = read_frame(&mut sock);
-        });
-        let t = TcpTransport::connect(&addr.to_string()).unwrap();
-        std::thread::scope(|scope| {
-            let callers: Vec<_> = [1u64, 2]
-                .into_iter()
-                .map(|inode| {
-                    let t = &t;
-                    scope.spawn(move || {
-                        let key = ObjectKey::data(inode, [0; 16], 0);
-                        (inode, t.call(&Request::Get { key }).unwrap())
-                    })
-                })
-                .collect();
-            for caller in callers {
-                let (inode, response) = caller.join().unwrap();
-                assert_eq!(response, Response::Object(Some(vec![inode as u8])), "crossed reply");
-            }
-        });
-        drop(t);
-        peer.join().unwrap();
-    }
-
-    #[test]
     fn a_timed_out_call_leaves_the_connection_usable_and_its_reply_an_orphan() {
         use std::net::TcpListener;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -712,7 +699,7 @@ mod tests {
         let orphans = sharoes_obs::global().counter("net_corr_orphans_total");
         let before = orphans.get();
         let timeout = Duration::from_millis(100);
-        let t = TcpTransport::with_connector(
+        let mut t = TcpTransport::with_connector(
             TcpTransport::dialer(&addr.to_string(), timeout),
             timeout,
             RetryPolicy::fast(1),
@@ -813,7 +800,7 @@ mod tests {
             let (mut second, _) = listener.accept().unwrap();
             serve_until_hangup(&mut second, &store)
         });
-        let (t, dials) = counted(&addr);
+        let (mut t, dials) = counted(&addr);
         assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
         assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
         let s = t.meter().sample();
@@ -837,7 +824,7 @@ mod tests {
             let (mut sock, _) = listener.accept().unwrap();
             serve_until_hangup(&mut sock, &EchoStore(Mutex::new(HashMap::new())))
         });
-        let (t, dials) = counted(&addr);
+        let (mut t, dials) = counted(&addr);
         assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
         assert_eq!(t.meter().sample().reconnects, 1);
         assert_eq!(dials.load(Ordering::SeqCst), 2);
@@ -855,7 +842,7 @@ mod tests {
             // EchoStore refuses Metrics with a non-transient error.
             serve_until_hangup(&mut sock, &EchoStore(Mutex::new(HashMap::new())))
         });
-        let (t, dials) = counted(&addr);
+        let (mut t, dials) = counted(&addr);
         let err = t.call(&Request::Metrics).unwrap_err();
         assert!(matches!(&err, NetError::Remote(m) if m == "unsupported in test"), "{err}");
         let s = t.meter().sample();
@@ -880,7 +867,7 @@ mod tests {
             sink.join().unwrap();
             served
         });
-        let (t, dials) = counted_with(&addr, Duration::from_millis(100), RetryPolicy::fast(5));
+        let (mut t, dials) = counted_with(&addr, Duration::from_millis(100), RetryPolicy::fast(5));
         assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
         let s = t.meter().sample();
         assert_eq!((s.retries, s.reconnects, s.round_trips), (2, 1, 1));
@@ -903,7 +890,7 @@ mod tests {
             let (mut sock, _) = listener.accept().unwrap();
             serve_until_hangup(&mut sock, &EchoStore(Mutex::new(HashMap::new())))
         });
-        let (t, dials) = counted(&addr);
+        let (mut t, dials) = counted(&addr);
         let err = t.call(&Request::Ping).unwrap_err();
         assert!(matches!(&err, NetError::Remote(m) if m.starts_with("bad request")), "{err}");
         assert_eq!(err.class(), ErrorClass::Fatal);
@@ -913,38 +900,6 @@ mod tests {
         assert_eq!(dials.load(Ordering::SeqCst), 2);
         drop(t);
         assert_eq!(server.join().unwrap(), 1);
-    }
-
-    #[test]
-    fn concurrent_callers_that_find_the_connection_dead_dial_it_once() {
-        use std::net::TcpListener;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let store = EchoStore(Mutex::new(HashMap::new()));
-            let (mut first, _) = listener.accept().unwrap();
-            let frame = read_frame(&mut first).unwrap();
-            write_frame(&mut first, &serve_frame(&store, &frame, "tcp").unwrap()).unwrap();
-            drop(first);
-            let (mut second, _) = listener.accept().unwrap();
-            serve_until_hangup(&mut second, &store)
-        });
-        let (t, dials) = counted(&addr);
-        assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong);
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let (t, start) = (&t, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    assert_eq!(t.call(&Request::Ping).unwrap(), Response::Pong)
-                });
-            }
-        });
-        assert_eq!(dials.load(Ordering::SeqCst), 2, "one re-dial for all");
-        assert_eq!(t.meter().sample().reconnects, 1);
-        drop(t);
-        assert_eq!(server.join().unwrap(), 4);
     }
 
     #[test]
@@ -968,7 +923,7 @@ mod tests {
             Ok((Box::new(Dead) as Box<dyn FrameSink>, Box::new(Dead) as Box<dyn FrameSource>))
         });
         let meter = CostMeter::new_shared();
-        let t = TcpTransport::with_connector(
+        let mut t = TcpTransport::with_connector(
             connector,
             Duration::from_secs(1),
             RetryPolicy::fast(4),

@@ -2,11 +2,11 @@
 //! hostile-input safety (the SSP is untrusted; the client parses whatever
 //! comes back).
 
-use sharoes_net::traceframe::TraceEventWire;
 use sharoes_net::{
     serve_frame, Cursor, Envelope, KeySpace, NetError, ObjectKey, Request, RequestHandler,
     Response, WireRead, WireWrite, CONNECTION_ERROR_ID, ENVELOPE_LEN, TRACED_ENVELOPE_LEN,
 };
+use sharoes_obs::OwnedEvent;
 use sharoes_obs::TraceContext;
 use sharoes_testkit::prelude::*;
 
@@ -93,12 +93,12 @@ fn index_node_responses() -> Gen<Response> {
         .map(|nodes| Response::IndexNode { nodes })
 }
 
-fn trace_events() -> Gen<TraceEventWire> {
+fn trace_events() -> Gen<OwnedEvent> {
     let name = gen::ascii_strings(0..24);
     let fields = gen::ascii_strings(0..48);
     let node = gen::ascii_strings(0..12);
     Gen::from_fn(move |t| {
-        Ok(TraceEventWire {
+        Ok(OwnedEvent {
             seq: t.u64(),
             time_ns: t.u64(),
             depth: (t.u32() % 64) as u16,

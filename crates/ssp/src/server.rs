@@ -2,9 +2,7 @@
 
 use crate::engine::LogEngine;
 use crate::store::ObjectStore;
-use sharoes_net::{
-    NetError, ObjectKey, Request, RequestHandler, Response, TraceEventWire, MAX_INDEX_BATCH,
-};
+use sharoes_net::{NetError, ObjectKey, Request, RequestHandler, Response, MAX_INDEX_BATCH};
 use sharoes_obs::{Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -205,8 +203,8 @@ impl RequestHandler for SspServer {
                 let tracer = sharoes_obs::tracer();
                 let all = tracer.snapshot();
                 let skip = all.len().saturating_sub(max as usize);
-                let events: Vec<TraceEventWire> =
-                    all.iter().skip(skip).map(TraceEventWire::from).collect();
+                let events: Vec<sharoes_obs::OwnedEvent> =
+                    all.iter().skip(skip).map(sharoes_obs::OwnedEvent::from).collect();
                 Response::Trace { events, dropped: tracer.dropped() + skip as u64 }
             }
         };

@@ -381,8 +381,8 @@ fn serve_connection(
 mod tests {
     use super::*;
     use sharoes_net::{
-        Envelope, ErrorClass, ObjectKey, Request, Response, TcpTransport, WireRead, WireWrite,
-        CONNECTION_ERROR_ID,
+        Envelope, ErrorClass, ObjectKey, Request, Response, TcpTransport, Transport, WireRead,
+        WireWrite, CONNECTION_ERROR_ID,
     };
     use std::io::Write;
 
@@ -404,7 +404,7 @@ mod tests {
             .map(|t| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
-                    let transport = TcpTransport::connect(&addr).unwrap();
+                    let mut transport = TcpTransport::connect(&addr).unwrap();
                     for i in 0..20u32 {
                         let key = ObjectKey::data(t, [t as u8; 16], i);
                         transport.call(&Request::Put { key, value: vec![t as u8; 32] }).unwrap();
@@ -425,30 +425,25 @@ mod tests {
     }
 
     #[test]
-    fn one_client_multiplexes_one_connection() {
+    fn back_to_back_frames_on_one_connection_are_answered_in_order() {
         let server = SspServer::new().into_shared();
         let handle = serve(Arc::clone(&server), "127.0.0.1:0").unwrap();
-        let client = TcpTransport::connect(&handle.addr().to_string()).unwrap();
-        // Many threads share ONE socket; every response must come back to
-        // the thread that asked (the value encodes the asker).
-        std::thread::scope(|scope| {
-            for t in 0..8u64 {
-                let client = &client;
-                scope.spawn(move || {
-                    for i in 0..25u32 {
-                        let key = ObjectKey::data(t, [t as u8; 16], i);
-                        let put = Request::Put { key, value: vec![t as u8; 16] };
-                        assert_eq!(client.call(&put).unwrap(), Response::Ok);
-                        assert_eq!(
-                            client.call(&Request::Get { key }).unwrap(),
-                            Response::Object(Some(vec![t as u8; 16])),
-                            "response crossed between pipelined requests"
-                        );
-                    }
-                });
-            }
-        });
-        assert_eq!(server.store().object_count(), 200);
+        let mut sock = TcpStream::connect(handle.addr()).unwrap();
+        // Write every request before reading any reply: each reply comes
+        // back under its own id, in request order.
+        let keys: Vec<ObjectKey> = (0..8u32).map(|i| ObjectKey::data(1, [1; 16], i)).collect();
+        for (i, key) in keys.iter().enumerate() {
+            let put = Request::Put { key: *key, value: vec![i as u8; 16] };
+            write_frame(&mut sock, &Envelope::untraced(2 * i as u64 + 1).seal(&put)).unwrap();
+            let get = Request::Get { key: *key };
+            write_frame(&mut sock, &Envelope::untraced(2 * i as u64 + 2).seal(&get)).unwrap();
+        }
+        for i in 0..keys.len() {
+            assert_eq!(read_reply(&mut sock), (2 * i as u64 + 1, Response::Ok));
+            let object = Response::Object(Some(vec![i as u8; 16]));
+            assert_eq!(read_reply(&mut sock), (2 * i as u64 + 2, object));
+        }
+        assert_eq!(server.store().object_count(), 8);
         handle.shutdown();
     }
 
@@ -462,7 +457,7 @@ mod tests {
             .map(|t| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
-                    let transport = TcpTransport::connect(&addr).unwrap();
+                    let mut transport = TcpTransport::connect(&addr).unwrap();
                     for i in 0..10u32 {
                         let key = ObjectKey::data(t, [t as u8; 16], i);
                         transport.call(&Request::Put { key, value: vec![1] }).unwrap();
@@ -533,7 +528,7 @@ mod tests {
         let addr = handle.addr().to_string();
 
         // First client occupies the only slot.
-        let first = TcpTransport::connect(&addr).unwrap();
+        let mut first = TcpTransport::connect(&addr).unwrap();
         assert_eq!(first.call(&Request::Ping).unwrap(), Response::Pong);
 
         // Second client is shed with a transient (retryable) error.
@@ -550,7 +545,7 @@ mod tests {
         drop(first);
         let mut ok = false;
         for _ in 0..100 {
-            let t = TcpTransport::connect(&addr).unwrap();
+            let mut t = TcpTransport::connect(&addr).unwrap();
             if matches!(t.call(&Request::Ping), Ok(Response::Pong)) {
                 ok = true;
                 break;
@@ -567,10 +562,10 @@ mod tests {
         let options = ServeOptions { max_connections: 1, ..ServeOptions::default() };
         let handle = serve_with(server, "127.0.0.1:0", options).unwrap();
         let addr = handle.addr().to_string();
-        let first = TcpTransport::connect(&addr).unwrap();
+        let mut first = TcpTransport::connect(&addr).unwrap();
         assert_eq!(first.call(&Request::Ping).unwrap(), Response::Pong);
 
-        let shed = TcpTransport::connect(&addr).unwrap();
+        let mut shed = TcpTransport::connect(&addr).unwrap();
         let err = shed.call(&Request::Ping).unwrap_err();
         assert_eq!(err.class(), ErrorClass::Retryable, "{err}");
         assert!(err.to_string().contains("connection capacity"), "reason lost: {err}");

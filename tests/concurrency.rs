@@ -2,10 +2,11 @@
 //! be *semantically invisible*. The same seeded op sequence is applied
 //! three ways — sequentially against a single-lock `ObjectStore`
 //! (`with_shards(1)`, the pre-sharding baseline), concurrently against the
-//! default sharded store, and concurrently through the pipelined TCP front
-//! end — and every way must converge to **byte-identical** snapshots and
-//! index roots. A fourth pass drives the sharded `LogEngine` concurrently
-//! and holds it to the same snapshot bytes.
+//! default sharded store, and concurrently through the TCP front end, one
+//! connection per worker — and every way must converge to
+//! **byte-identical** snapshots and index roots. A fourth pass drives the
+//! sharded `LogEngine` concurrently and holds it to the same snapshot
+//! bytes.
 //!
 //! Determinism under concurrency comes from key partitioning: each worker
 //! owns a disjoint slice of the keyspace (by inode residue), so the final
@@ -18,7 +19,7 @@
 //! `SHAROES_TEST_SEED=<seed> cargo test --test concurrency`.
 
 use sharoes::crypto::{HmacDrbg, RandomSource};
-use sharoes::net::{ObjectKey, Request, Response, TcpTransport};
+use sharoes::net::{ObjectKey, Request, Response, TcpTransport, Transport};
 use sharoes::ssp::{
     serve_with, EngineConfig, FaultFs, LogEngine, ObjectStore, ServeOptions, SspServer,
 };
@@ -176,7 +177,7 @@ fn sharded_engine_matches_single_lock_store_baseline() {
 }
 
 #[test]
-fn pipelined_tcp_drive_converges_to_the_sequential_baseline() {
+fn tcp_drive_converges_to_the_sequential_baseline() {
     let seed = sharoes_testkit::rng::test_seed();
     println!("tcp concurrency seed: {seed:#x} (set SHAROES_TEST_SEED to replay)");
     let ops = workload(seed);
@@ -189,13 +190,11 @@ fn pipelined_tcp_drive_converges_to_the_sequential_baseline() {
     let handle = serve_with(server, "127.0.0.1:0", ServeOptions::default()).expect("bind sspd");
     let addr = handle.addr().to_string();
 
-    // All workers multiplex ONE pipelined connection: correlation ids are
-    // what keeps each thread's responses from crossing.
-    let client = Arc::new(TcpTransport::connect(&addr).expect("connect"));
+    // Each worker owns its connection; sspd serves them all at once.
     std::thread::scope(|scope| {
         for w in 0..WORKERS {
             let ops = &ops;
-            let client = Arc::clone(&client);
+            let mut client = TcpTransport::connect(&addr).expect("connect");
             scope.spawn(move || {
                 let mut last: std::collections::BTreeMap<ObjectKey, Option<Vec<u8>>> =
                     Default::default();
@@ -204,17 +203,16 @@ fn pipelined_tcp_drive_converges_to_the_sequential_baseline() {
                         Some(v) => Request::Put { key: op.key, value: v.clone() },
                         None => Request::Delete { key: op.key },
                     };
-                    match client.call(&request).expect("pipelined call") {
+                    match client.call(&request).expect("tcp call") {
                         Response::Ok => {}
                         other => panic!("unexpected mutation reply: {other:?}"),
                     }
                     last.insert(op.key, op.value.clone());
                 }
-                // Read back every key this worker owns through the same
-                // shared connection: a cross-matched response would return
-                // another worker's bytes.
+                // Read back every key this worker owns: another worker's
+                // bytes here would mean its writes landed on this key.
                 for (key, expected) in &last {
-                    match client.call(&Request::Get { key: *key }).expect("pipelined get") {
+                    match client.call(&Request::Get { key: *key }).expect("tcp get") {
                         Response::Object(got) => {
                             assert_eq!(&got, expected, "stale or crossed read for {key:?}");
                         }
@@ -224,13 +222,12 @@ fn pipelined_tcp_drive_converges_to_the_sequential_baseline() {
             });
         }
     });
-    drop(client);
 
     let snap_a = baseline.snapshot();
     let snap_b = store.snapshot();
     handle.shutdown();
     assert_eq!(
         snap_a, snap_b,
-        "pipelined concurrent TCP drive diverged from the sequential single-lock baseline"
+        "concurrent TCP drive diverged from the sequential single-lock baseline"
     );
 }
