@@ -1,6 +1,7 @@
 #!/bin/sh
 # Hermetic CI gate: formatting, the non-test line count, lints, rustdoc
-# warnings, offline release build, offline tests, pinned-seed chaos runs,
+# warnings, offline release build, a release run of every example (each
+# must exit zero), offline tests, pinned-seed chaos runs,
 # the metrics- and trace-determinism gates, the enterprise scenario gate
 # (revocation/rotation oracles + registry determinism), the concurrency
 # gate (sharded-vs-single-lock byte equivalence, including a drive of many
@@ -20,7 +21,7 @@
 #   --quick   skip the bench/ablation steps (the quick-figure golden, the
 #             enterprise export check, the BENCH_*.json writers, their
 #             validation, the crypto_micro smoke runs, and the perfbench
-#             tests); all build, lint, test,
+#             tests); all build, lint, example, test,
 #             and pinned-seed gates still run, and so does the perfbench
 #             build, which imports the workspace's public API. For tight
 #             edit-test loops.
@@ -100,6 +101,17 @@ step "cargo doc -D warnings (no dangling intra-doc links)" \
 
 step "cargo build --release --offline" \
     cargo build --release --offline --workspace
+
+# Each example is a complete program (migrate, mount, share, revoke; the
+# migration example over loopback TCP), so run them all, not just build
+# them. ~0.1-0.2 s each on a 2-vCPU VM.
+step "examples: release build, then run each to a zero exit" \
+    sh -c 'cargo build --release --offline --examples &&
+           for f in examples/*.rs; do
+               ex=$(basename "$f" .rs)
+               echo "-- example $ex"
+               "target/release/examples/$ex" > /dev/null || exit 1
+           done'
 
 step "cargo check --offline (benches, examples, bins)" \
     cargo check --offline --workspace --all-targets

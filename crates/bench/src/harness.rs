@@ -8,8 +8,7 @@
 //! clock, so a figure is a function of its seed alone.
 
 use sharoes_core::{
-    ClientConfig, CryptoParams, CryptoPolicy, Keyring, Migrator, Pki, RevocationMode, Scheme,
-    SharoesClient, SigKeyPool,
+    ClientConfig, CryptoParams, CryptoPolicy, Deployment, RevocationMode, Scheme, SharoesClient,
 };
 use sharoes_crypto::work::Work;
 use sharoes_crypto::HmacDrbg;
@@ -93,21 +92,15 @@ impl Default for BenchOpts {
     }
 }
 
-/// One deployed implementation: SSP + keys + a mounted primary client.
+/// One deployed implementation: an SSP and the [`Deployment`] migrated
+/// into it.
 pub struct Bench {
     clients_created: std::sync::atomic::AtomicU64,
     /// The SSP.
     pub server: Arc<SspServer>,
-    /// Enterprise directory.
-    pub db: Arc<UserDb>,
-    /// Public keys.
-    pub pki: Arc<Pki>,
-    /// All identity keys (setup-side).
-    pub ring: Arc<Keyring>,
-    /// Pre-generated signature pairs (see EXPERIMENTS.md "Key pooling").
-    pub pool: Arc<SigKeyPool>,
-    /// Client configuration in force.
-    pub config: ClientConfig,
+    /// Keys, directory, signature pool (see EXPERIMENTS.md "Key pooling")
+    /// and the client configuration in force.
+    pub deployment: Deployment,
     /// Options used to build this bench.
     pub opts: BenchOpts,
     /// Wire costs of the migration that built the deployment.
@@ -144,8 +137,6 @@ impl Bench {
         prefill: usize,
     ) -> Bench {
         let mut rng = HmacDrbg::from_seed_u64(opts.seed);
-        let ring = Keyring::generate(fs.users(), opts.crypto.rsa_bits, &mut rng)
-            .expect("keyring generation");
         // The PUBLIC/PUB-OPT baselines represent the related work (SiRiUS,
         // SNAD, Farsite), which signed with RSA — their metadata objects
         // therefore carry multi-hundred-byte RSA signing keys, which is
@@ -167,43 +158,31 @@ impl Bench {
             cache_capacity: None,
             crypto,
         };
-        let pool = Arc::new(SigKeyPool::new(crypto));
+        let deployment = Deployment::new(fs.users(), config, &mut rng).expect("keyring generation");
         match policy {
             CryptoPolicy::NoEncMdD | CryptoPolicy::NoEncMd => {}
             // Baselines never sign — their pooled RSA pairs are carried
             // bytes only, so clones of one pair preserve every cost.
-            CryptoPolicy::Public | CryptoPolicy::PubOpt => pool.prefill_cloned(prefill, &mut rng),
-            CryptoPolicy::Sharoes => pool.prefill_parallel(prefill, opts.seed),
+            CryptoPolicy::Public | CryptoPolicy::PubOpt => {
+                deployment.pool.prefill_cloned(prefill, &mut rng)
+            }
+            CryptoPolicy::Sharoes => deployment.pool.prefill_parallel(prefill, opts.seed),
         }
         let server = SspServer::new().into_shared();
         let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-        let migrator = Migrator {
-            fs: &fs,
-            config: &config,
-            ring: &ring,
-            pool: &pool,
-            downgrade_unsupported: true,
-        };
-        migrator.migrate(&mut transport, &mut rng).expect("migration");
-        let migration_cost = transport.meter().sample();
-        let db = Arc::new(fs.users().clone());
-        let pki = Arc::new(ring.public_directory());
+        deployment.migrate(&fs, &mut transport, &mut rng).expect("migration");
         Bench {
             clients_created: std::sync::atomic::AtomicU64::new(0),
             server,
-            db,
-            pki,
-            ring: Arc::new(ring),
-            pool,
-            config,
+            deployment,
             opts: opts.clone(),
-            migration_cost,
+            migration_cost: transport.meter().sample(),
         }
     }
 
     /// Mounts a client for `uid` with an optional cache capacity.
     pub fn client(&self, uid: Uid, cache_capacity: Option<u64>) -> SharoesClient {
-        let config = ClientConfig { cache_capacity, ..self.config.clone() };
+        let config = ClientConfig { cache_capacity, ..self.deployment.config.clone() };
         let transport = InMemoryTransport::new(Arc::clone(&self.server) as _);
         self.mount(uid, config, Box::new(transport))
     }
@@ -216,19 +195,13 @@ impl Bench {
         config: ClientConfig,
         transport: Box<dyn Transport>,
     ) -> SharoesClient {
-        let identity = self.ring.identity(uid).expect("identity");
         let nth = self.clients_created.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut client = SharoesClient::with_rng(
-            transport,
-            config,
-            Arc::clone(&self.db),
-            Arc::clone(&self.pki),
-            identity,
-            Arc::clone(&self.pool),
-            HmacDrbg::from_seed_u64(
-                self.opts.seed ^ (uid.0 as u64) ^ nth.wrapping_mul(0x9e3779b97f4a7c15),
-            ),
+        let rng = HmacDrbg::from_seed_u64(
+            self.opts.seed ^ (uid.0 as u64) ^ nth.wrapping_mul(0x9e3779b97f4a7c15),
         );
+        let mut client = Deployment { config, ..self.deployment.clone() }
+            .client_with_rng(uid, transport, rng)
+            .expect("identity");
         client.mount().expect("mount");
         client
     }

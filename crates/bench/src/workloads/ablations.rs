@@ -89,7 +89,7 @@ pub fn revocation_costs(file_sizes: &[usize], opts: &BenchOpts) -> Vec<Revocatio
         for (idx, mode) in [RevocationMode::Immediate, RevocationMode::Lazy].into_iter().enumerate()
         {
             let bench = Bench::new(CryptoPolicy::Sharoes, Scheme::SharedCaps, opts, 32);
-            let config = ClientConfig { revocation: mode, ..bench.config.clone() };
+            let config = ClientConfig { revocation: mode, ..bench.deployment.config.clone() };
             let transport = sharoes_net::InMemoryTransport::new(bench.server.clone() as _);
             let mut client = bench.mount(BENCH_USER, config, Box::new(transport));
             client.create("/bench/victim", Mode::from_octal(0o644)).expect("create");
@@ -239,7 +239,8 @@ pub fn fault_overhead(n: usize, rates: &[f64], opts: &BenchOpts) -> Vec<FaultOve
         let bench = Bench::new(CryptoPolicy::Sharoes, Scheme::SharedCaps, opts, n + 4);
         let meter = sharoes_net::CostMeter::new_shared();
         let transport = fault_link(bench.server.clone() as _, rate, 0xA5, 10, &meter);
-        let mut client = bench.mount(BENCH_USER, bench.config.clone(), Box::new(transport));
+        let mut client =
+            bench.mount(BENCH_USER, bench.deployment.config.clone(), Box::new(transport));
         for i in 0..n {
             let path = format!("/bench/r{i}");
             client.create(&path, Mode::from_octal(0o644)).expect("create");

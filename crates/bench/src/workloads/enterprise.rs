@@ -9,7 +9,8 @@
 
 use crate::harness::{content, Bench, BenchOpts, PhaseTimer, BENCH_USER};
 use sharoes_core::{
-    ids, CacheStats, CryptoPolicy, RevocationMode, Scheme, SealedObject, SharoesClient,
+    ids, CacheStats, ClientConfig, CryptoPolicy, Deployment, RevocationMode, Scheme, SealedObject,
+    SharoesClient,
 };
 use sharoes_fs::{Acl, Mode, Perm, Uid};
 use sharoes_net::{CostSample, KeySpace, ObjectKey, WireRead};
@@ -19,19 +20,11 @@ use std::sync::Arc;
 /// A mounted client for `uid` with an explicit [`RevocationMode`]
 /// ([`Bench`] itself always deploys Immediate).
 fn client_with_mode(bench: &Bench, uid: Uid, mode: RevocationMode, seed: u64) -> SharoesClient {
-    let mut config = bench.config.clone();
-    config.revocation = mode;
+    let config = ClientConfig { revocation: mode, ..bench.deployment.config.clone() };
     let transport = sharoes_net::InMemoryTransport::new(Arc::clone(&bench.server) as _);
-    let identity = bench.ring.identity(uid).expect("identity");
-    let mut client = SharoesClient::with_rng(
-        Box::new(transport),
-        config,
-        Arc::clone(&bench.db),
-        Arc::clone(&bench.pki),
-        identity,
-        Arc::clone(&bench.pool),
-        sharoes_crypto::HmacDrbg::from_seed_u64(seed),
-    );
+    let mut client = Deployment { config, ..bench.deployment.clone() }
+        .client_with_rng(uid, Box::new(transport), sharoes_crypto::HmacDrbg::from_seed_u64(seed))
+        .expect("identity");
     client.mount().expect("mount");
     client
 }

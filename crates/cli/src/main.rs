@@ -17,10 +17,7 @@
 #![forbid(unsafe_code)]
 
 use sharoes_cluster::{ClusterOpts, ClusterStats, ClusterTransport};
-use sharoes_core::{
-    ClientConfig, CryptoParams, CryptoPolicy, Keyring, Migrator, Pki, Scheme, SharoesClient,
-    SigKeyPool,
-};
+use sharoes_core::{ClientConfig, CryptoParams, CryptoPolicy, Deployment, Scheme, SharoesClient};
 use sharoes_crypto::HmacDrbg;
 use sharoes_fs::{Acl, Gid, LocalFs, Mode, Perm, Uid, UserDb, ROOT_UID};
 use sharoes_net::{InMemoryTransport, Request, RequestHandler, Response, TcpTransport, Transport};
@@ -28,19 +25,17 @@ use sharoes_ssp::{serve, SspServer, TcpServerHandle};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
+/// Named SSP nodes: one entry in single-SSP mode, N in `--cluster N` mode.
+type Nodes = Vec<(String, Arc<SspServer>)>;
+
 struct Shell {
-    /// One entry in single-SSP mode, N named nodes in `--cluster N` mode.
-    servers: Vec<(String, Arc<SspServer>)>,
+    servers: Nodes,
     /// Set in cluster mode: placement options shared by every mount.
     cluster: Option<ClusterOpts>,
     /// Behavior counters of the *current* mount's cluster transport.
     cluster_stats: Option<Arc<ClusterStats>>,
     tcp: Option<TcpServerHandle>,
-    db: Arc<UserDb>,
-    pki: Arc<Pki>,
-    ring: Keyring,
-    pool: Arc<SigKeyPool>,
-    config: ClientConfig,
+    deployment: Deployment,
     client: SharoesClient,
     user: String,
     cwd: String,
@@ -57,18 +52,9 @@ fn cluster_transport(servers: &[(String, Arc<SspServer>)], opts: ClusterOpts) ->
     cluster
 }
 
-/// Everything [`demo_world`] builds: named SSP nodes, cluster placement
-/// options (cluster mode only), and the shared key/config material.
-type DemoWorld = (
-    Vec<(String, Arc<SspServer>)>,
-    Option<ClusterOpts>,
-    UserDb,
-    Keyring,
-    Arc<SigKeyPool>,
-    ClientConfig,
-);
-
-fn demo_world(cluster_n: usize) -> DemoWorld {
+/// Migrates the demo tree: returns the named SSP nodes, the cluster
+/// placement options (cluster mode only), and the deployment to mount from.
+fn demo_world(cluster_n: usize) -> (Nodes, Option<ClusterOpts>, Deployment) {
     let mut db = UserDb::new();
     db.add_group(Gid(0), "wheel").unwrap();
     db.add_group(Gid(100), "eng").unwrap();
@@ -93,38 +79,29 @@ fn demo_world(cluster_n: usize) -> DemoWorld {
 
     eprintln!("[demo] generating keys and migrating the demo tree ...");
     let mut rng = HmacDrbg::from_seed_u64(0xD3340);
-    let ring = Keyring::generate(local.users(), 1024, &mut rng).unwrap();
     let config = ClientConfig {
         crypto: CryptoParams { rsa_bits: 1024, ..CryptoParams::test() },
         scheme: Scheme::SharedCaps,
         policy: CryptoPolicy::Sharoes,
         ..Default::default()
     };
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
-    pool.prefill_parallel(32, 11);
-    let (servers, cluster): (Vec<(String, Arc<SspServer>)>, Option<ClusterOpts>) = if cluster_n >= 2
-    {
+    let deployment = Deployment::new(local.users(), config, &mut rng).unwrap();
+    deployment.pool.prefill_parallel(32, 11);
+    let (servers, cluster): (Nodes, Option<ClusterOpts>) = if cluster_n >= 2 {
         let servers =
             (0..cluster_n).map(|i| (format!("node{i}"), SspServer::new().into_shared())).collect();
         (servers, Some(ClusterOpts { replication: 2, ..Default::default() }))
     } else {
         (vec![("ssp".to_string(), SspServer::new().into_shared())], None)
     };
-    let migrator = Migrator {
-        fs: &local,
-        config: &config,
-        ring: &ring,
-        pool: &pool,
-        downgrade_unsupported: true,
-    };
     match cluster {
         Some(opts) => {
             let mut transport = cluster_transport(&servers, opts);
-            migrator.migrate(&mut transport, &mut rng).unwrap();
+            deployment.migrate(&local, &mut transport, &mut rng).unwrap();
         }
         None => {
             let mut transport = InMemoryTransport::new(Arc::clone(&servers[0].1) as _);
-            migrator.migrate(&mut transport, &mut rng).unwrap();
+            deployment.migrate(&local, &mut transport, &mut rng).unwrap();
         }
     }
     for (name, server) in &servers {
@@ -134,12 +111,12 @@ fn demo_world(cluster_n: usize) -> DemoWorld {
             server.store().byte_count()
         );
     }
-    (servers, cluster, local.users().clone(), ring, pool, config)
+    (servers, cluster, deployment)
 }
 
 impl Shell {
     fn new(use_tcp: bool, cluster_n: usize) -> Shell {
-        let (servers, cluster, db, ring, pool, config) = demo_world(cluster_n);
+        let (servers, cluster, deployment) = demo_world(cluster_n);
         let tcp = if use_tcp {
             let handle = serve(Arc::clone(&servers[0].1), "127.0.0.1:0").expect("bind tcp");
             eprintln!("[demo] SSP serving on tcp://{}", handle.addr());
@@ -147,40 +124,29 @@ impl Shell {
         } else {
             None
         };
-        let db = Arc::new(db);
-        let pki = Arc::new(ring.public_directory());
         let (client, cluster_stats) =
-            Self::mount_user(&servers, cluster, &tcp, &db, &pki, &ring, &pool, &config, "alice")
-                .expect("mount alice");
+            Self::mount_user(&servers, cluster, &tcp, &deployment, "alice").expect("mount alice");
         Shell {
             servers,
             cluster,
             cluster_stats,
             tcp,
-            db,
-            pki,
-            ring,
-            pool,
-            config,
+            deployment,
             client,
             user: "alice".into(),
             cwd: "/".into(),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn mount_user(
         servers: &[(String, Arc<SspServer>)],
         cluster: Option<ClusterOpts>,
         tcp: &Option<TcpServerHandle>,
-        db: &Arc<UserDb>,
-        pki: &Arc<Pki>,
-        ring: &Keyring,
-        pool: &Arc<SigKeyPool>,
-        config: &ClientConfig,
+        deployment: &Deployment,
         name: &str,
     ) -> Result<(SharoesClient, Option<Arc<ClusterStats>>), String> {
-        let user = db.user_by_name(name).ok_or_else(|| format!("no such user: {name}"))?;
+        let user =
+            deployment.db.user_by_name(name).ok_or_else(|| format!("no such user: {name}"))?;
         let mut cluster_stats = None;
         let transport: Box<dyn Transport> = match (cluster, tcp) {
             (Some(opts), _) => {
@@ -195,15 +161,7 @@ impl Shell {
             ),
             (None, None) => Box::new(InMemoryTransport::new(Arc::clone(&servers[0].1) as _)),
         };
-        let identity = ring.identity(user.uid).map_err(|e| e.to_string())?;
-        let mut client = SharoesClient::new(
-            transport,
-            config.clone(),
-            Arc::clone(db),
-            Arc::clone(pki),
-            identity,
-            Arc::clone(pool),
-        );
+        let mut client = deployment.client(user.uid, transport).map_err(|e| e.to_string())?;
         client.mount().map_err(|e| e.to_string())?;
         Ok((client, cluster_stats))
     }
@@ -408,11 +366,7 @@ impl Shell {
                     &self.servers,
                     self.cluster,
                     &self.tcp,
-                    &self.db,
-                    &self.pki,
-                    &self.ring,
-                    &self.pool,
-                    &self.config,
+                    &self.deployment,
                     name,
                 ) {
                     Ok((client, cluster_stats)) => {
@@ -602,14 +556,14 @@ impl Shell {
             exec: perms.contains('x'),
         };
         let mut acl = Acl::empty();
+        let db = &self.deployment.db;
         match kind {
             "u" => {
-                let user = self.db.user_by_name(name).ok_or_else(|| format!("no user {name}"))?;
+                let user = db.user_by_name(name).ok_or_else(|| format!("no user {name}"))?;
                 acl.set_user(user.uid, perm);
             }
             "g" => {
-                let group =
-                    self.db.group_by_name(name).ok_or_else(|| format!("no group {name}"))?;
+                let group = db.group_by_name(name).ok_or_else(|| format!("no group {name}"))?;
                 acl.set_group(group.gid, perm);
             }
             _ => return Err("entry must start with u: or g:".into()),

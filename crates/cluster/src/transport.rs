@@ -10,8 +10,8 @@
 //!   scatter across the ring, and also needs W of them to acknowledge.
 //! * **Reads** (`Get`/`GetMany`) survey the R replicas, reconcile by
 //!   *presence wins* (a stored blob beats a miss; among differing blobs the
-//!   majority wins, ring order breaking ties), and **read-repair** any
-//!   replica that returned a stale or missing copy.
+//!   majority wins, and a tie goes to the later replica in ring order), and
+//!   **read-repair** any replica that returned a stale or missing copy.
 //! * **Scans** merge per-node key pages into one global ordered page.
 //!
 //! Blobs are client-sealed (encrypted + signed) before they reach this
@@ -20,8 +20,9 @@
 //! The flip side: the SSP layer has no version numbers, so reconciliation
 //! is heuristic. A write that reached only W < R replicas, followed by the
 //! death of all W, *can* resurface an older blob — the client's signature
-//! and freshness checks above this layer are what reject genuinely stale
-//! state (see DESIGN.md §8 for the full invariant).
+//! and freshness checks above this layer are what reject a stale metadata
+//! replica or data manifest; directory-table replicas carry no version, so
+//! a stale one is accepted (see DESIGN.md §7.2 and §8.2).
 
 use crate::ring::HashRing;
 use crate::sync::IndexSync;
@@ -382,7 +383,8 @@ impl ClusterTransport {
     }
 
     /// Picks the winning value among replica responses: presence beats
-    /// absence; among present values the most-replicated wins. Returns the
+    /// absence; among present values the most-replicated wins, and a tie
+    /// goes to the value whose first reply is later in ring order. Returns the
     /// position in `responses` of a reply holding it, so the caller can move
     /// the value out; `None` when no replica holds the key.
     pub(crate) fn reconcile(responses: &[(usize, Option<Vec<u8>>)]) -> Option<usize> {

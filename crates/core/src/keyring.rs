@@ -277,7 +277,8 @@ impl WireRead for KekChain {
         if n == 0 {
             return Err(NetError::Codec("empty KEK chain"));
         }
-        let mut keys = Vec::with_capacity(n as usize);
+        // `n` is untrusted: reserve no more than a small bound up front.
+        let mut keys = Vec::with_capacity((n as usize).min(1024));
         for _ in 0..n {
             keys.push(match u8::read(r)? {
                 0 => None,
@@ -367,6 +368,16 @@ mod tests {
         let other = RsaPrivateKey::generate(512, &mut rng).unwrap();
         assert!(KekChain::open_with(&other, &sealed).is_err());
         assert!(KekChain::from_wire(&[0, 0, 0, 0]).is_err(), "empty chain rejected");
+    }
+
+    #[test]
+    fn kek_chain_with_a_huge_count_is_a_typed_error() {
+        // A count of 2^32 - 1 and one truncated slot must not preallocate
+        // for the count.
+        assert!(matches!(
+            KekChain::from_wire(&[0xff, 0xff, 0xff, 0xff, 0x01]),
+            Err(NetError::Codec(_))
+        ));
     }
 
     #[test]

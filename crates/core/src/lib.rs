@@ -12,7 +12,8 @@
 //! * [`superblock`] / [`groups`] — in-band key distribution (§II-A, §III-C).
 //! * [`client`] — the Sharoes filesystem client (§IV-A, Figure 8) with the
 //!   four baseline implementations of §V as alternative crypto policies.
-//! * [`migrate`] — the migration tool (§IV).
+//! * [`migrate`] — the migration tool (§IV), and [`Deployment`]: the keys,
+//!   directory and configuration it sets up, from which clients are built.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,6 +40,6 @@ pub use ids::ClassTag;
 pub use keypool::SigKeyPool;
 pub use keyring::{KekChain, Keyring, Pki, UserIdentity};
 pub use metadata::{MetadataBody, SealedObject, SealedRef, ViewId};
-pub use migrate::{MigrationReport, Migrator};
+pub use migrate::{Deployment, MigrationReport, Migrator};
 pub use params::{ClientConfig, CryptoParams, CryptoPolicy, RevocationMode, Scheme};
 pub use scheme::{Layout, ObjectAttrs, ObjectSecrets};

@@ -10,18 +10,22 @@
 //! [`Layout`] engine, and ships records to the SSP in batched `Mutate`
 //! requests that only put. It also writes the per-user superblocks and
 //! group key blocks that make key management fully in-band afterwards.
+//! A [`Deployment`] holds what the setup creates (the identity keyring, its
+//! public half and the signing-pair pool) and builds clients from it.
 
 use crate::cap::downgrade;
+use crate::client::SharoesClient;
 use crate::error::{CoreError, Result};
 use crate::groups::build_group_key_blocks;
 use crate::keypool::SigKeyPool;
-use crate::keyring::Keyring;
+use crate::keyring::{Keyring, Pki};
 use crate::params::ClientConfig;
 use crate::scheme::{ChildKeys, Layout, ObjectAttrs, ObjectSecrets};
-use sharoes_crypto::RandomSource;
-use sharoes_fs::{InodeId, LocalFs, Mode, NodeKind};
+use sharoes_crypto::{HmacDrbg, RandomSource};
+use sharoes_fs::{InodeId, LocalFs, Mode, NodeKind, Uid, UserDb};
 use sharoes_net::{ObjectKey, Request, Response, Transport};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Records per `Mutate` batch during bulk transfer.
 const BATCH: usize = 64;
@@ -209,15 +213,106 @@ impl<'a> Migrator<'a> {
     }
 }
 
+/// One enterprise's setup: the configuration, user directory, identity
+/// keys and signing-pair pool that migration writes with and that every
+/// client mounts with. All fields are shared handles, so a clone is cheap;
+/// a client that needs another configuration (a cache size, a revocation
+/// mode) mounts from a clone with `config` changed.
+#[derive(Clone)]
+pub struct Deployment {
+    /// Configuration migration writes with and clients mount with.
+    pub config: ClientConfig,
+    /// The enterprise directory.
+    pub db: Arc<UserDb>,
+    /// The public half of `ring`.
+    pub pki: Arc<Pki>,
+    /// All identity keys (setup-side).
+    pub ring: Arc<Keyring>,
+    /// Pre-generated signature pairs, empty until a caller prefills it.
+    pub pool: Arc<SigKeyPool>,
+}
+
+impl Deployment {
+    /// Generates the identity keys of every principal in `db` from `rng`,
+    /// at `config.crypto.rsa_bits`.
+    pub fn new<R: RandomSource + ?Sized>(
+        db: &UserDb,
+        config: ClientConfig,
+        rng: &mut R,
+    ) -> Result<Self> {
+        let ring = Keyring::generate(db, config.crypto.rsa_bits, rng)?;
+        Ok(Self::with_ring(db, config, ring))
+    }
+
+    /// A deployment over identity keys made elsewhere.
+    pub fn with_ring(db: &UserDb, config: ClientConfig, ring: Keyring) -> Self {
+        let pool = Arc::new(SigKeyPool::new(config.crypto));
+        Deployment {
+            db: Arc::new(db.clone()),
+            pki: Arc::new(ring.public_directory()),
+            ring: Arc::new(ring),
+            pool,
+            config,
+        }
+    }
+
+    /// Migrates `fs` through `transport`, downgrading permissions that the
+    /// CAPs cannot represent.
+    pub fn migrate<T: Transport + ?Sized, R: RandomSource + ?Sized>(
+        &self,
+        fs: &LocalFs,
+        transport: &mut T,
+        rng: &mut R,
+    ) -> Result<MigrationReport> {
+        Migrator {
+            fs,
+            config: &self.config,
+            ring: &self.ring,
+            pool: &self.pool,
+            downgrade_unsupported: true,
+        }
+        .migrate(transport, rng)
+    }
+
+    /// An unmounted client for `uid` (see [`SharoesClient::new`]).
+    pub fn client(&self, uid: Uid, transport: Box<dyn Transport>) -> Result<SharoesClient> {
+        Ok(SharoesClient::new(
+            transport,
+            self.config.clone(),
+            Arc::clone(&self.db),
+            Arc::clone(&self.pki),
+            self.ring.identity(uid)?,
+            Arc::clone(&self.pool),
+        ))
+    }
+
+    /// An unmounted client for `uid` drawing from `rng` (see
+    /// [`SharoesClient::with_rng`]).
+    pub fn client_with_rng(
+        &self,
+        uid: Uid,
+        transport: Box<dyn Transport>,
+        rng: HmacDrbg,
+    ) -> Result<SharoesClient> {
+        Ok(SharoesClient::with_rng(
+            transport,
+            self.config.clone(),
+            Arc::clone(&self.db),
+            Arc::clone(&self.pki),
+            self.ring.identity(uid)?,
+            Arc::clone(&self.pool),
+            rng,
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{CryptoParams, CryptoPolicy, Scheme};
-    use sharoes_crypto::HmacDrbg;
+    use crate::params::{CryptoPolicy, Scheme};
     use sharoes_fs::treegen::{generate, TreeSpec};
     use sharoes_net::InMemoryTransport;
     use sharoes_ssp::SspServer;
-    use std::sync::Arc;
 
     fn run_migration(policy: CryptoPolicy, scheme: Scheme) -> (MigrationReport, Arc<SspServer>) {
         run_migration_with_users(policy, scheme, 2)
@@ -232,19 +327,11 @@ mod tests {
             generate(&TreeSpec { users, dirs_per_user: 2, files_per_dir: 1, ..Default::default() })
                 .unwrap();
         let mut rng = HmacDrbg::from_seed_u64(1);
-        let ring = Keyring::generate(fs.users(), 512, &mut rng).unwrap();
-        let config = ClientConfig::test_with(policy, scheme);
-        let pool = SigKeyPool::new(CryptoParams::test());
+        let deployment =
+            Deployment::new(fs.users(), ClientConfig::test_with(policy, scheme), &mut rng).unwrap();
         let server = SspServer::new().into_shared();
         let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-        let migrator = Migrator {
-            fs: &fs,
-            config: &config,
-            ring: &ring,
-            pool: &pool,
-            downgrade_unsupported: true,
-        };
-        let report = migrator.migrate(&mut transport, &mut rng).unwrap();
+        let report = deployment.migrate(&fs, &mut transport, &mut rng).unwrap();
         (report, server)
     }
 

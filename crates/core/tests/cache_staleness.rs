@@ -67,7 +67,7 @@ fn own_mutations_are_seen_by_the_next_read() {
 
         // Overwrites: longer, then shorter (the shrink drops trailing
         // blocks), each read back from the refreshed block cache.
-        let long = vec![7u8; 3 * world.config.block_size + 5];
+        let long = vec![7u8; 3 * world.deployment.config.block_size + 5];
         for content in [b"first".to_vec(), long, b"x".to_vec()] {
             warm(&mut alice, fresh);
             alice.write_file(fresh, &content).unwrap();

@@ -4,7 +4,7 @@
 mod common;
 
 use common::{World, ALICE, BOB};
-use sharoes_core::{ClientConfig, CoreError, CryptoPolicy, Scheme, SharoesClient};
+use sharoes_core::{ClientConfig, CoreError, CryptoPolicy, Scheme};
 use sharoes_crypto::HmacDrbg;
 use sharoes_fs::{Gid, LocalFs, Mode, Uid, UserDb, ROOT_UID};
 use std::sync::Arc;
@@ -212,15 +212,8 @@ fn write_then_grant_then_read_by_new_reader() {
 fn unmounted_operations_fail_cleanly() {
     let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
     let transport = sharoes_net::InMemoryTransport::new(Arc::clone(&world.server) as _);
-    let mut client = SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(ALICE).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(1),
-    );
+    let rng = HmacDrbg::from_seed_u64(1);
+    let mut client = world.deployment.client_with_rng(ALICE, Box::new(transport), rng).unwrap();
     for err in [
         client.read("/x").unwrap_err(),
         client.getattr("/x").unwrap_err(),

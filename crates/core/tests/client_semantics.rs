@@ -376,16 +376,8 @@ fn chmod_requires_ownership() {
 #[test]
 fn mount_required() {
     let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
-    let transport = sharoes_net::InMemoryTransport::new(std::sync::Arc::clone(&world.server) as _);
-    let identity = world.ring.identity(ALICE).unwrap();
-    let mut client = sharoes_core::SharoesClient::new(
-        Box::new(transport),
-        world.config.clone(),
-        std::sync::Arc::clone(&world.db),
-        std::sync::Arc::clone(&world.pki),
-        identity,
-        std::sync::Arc::clone(&world.pool),
-    );
+    let transport = InMemoryTransport::new(Arc::clone(&world.server) as _);
+    let mut client = world.deployment.client(ALICE, Box::new(transport)).unwrap();
     assert!(matches!(client.read("/shared/board.txt").unwrap_err(), CoreError::NotMounted));
     client.mount().unwrap();
     assert!(client.is_mounted());
@@ -413,15 +405,8 @@ fn hex(bytes: &[u8]) -> String {
 fn sealed_digests(policy: CryptoPolicy) -> Vec<String> {
     let world = World::from_fs(sample_tree(), policy, Scheme::SharedCaps, 0x5EA1);
     let transport = InMemoryTransport::new(Arc::clone(&world.server) as _);
-    let mut alice = SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(ALICE).expect("identity"),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(0x005E_A1ED),
-    );
+    let rng = HmacDrbg::from_seed_u64(0x005E_A1ED);
+    let mut alice = world.deployment.client_with_rng(ALICE, Box::new(transport), rng).unwrap();
     alice.mount().expect("mount");
 
     let mut out = Vec::new();
@@ -509,7 +494,7 @@ fn sealed_records_match_the_golden_digests() {
 /// SHA-256 over the SHA-256s of every table-replica slot of directory
 /// `inode` (an absent slot hashes as 32 zero bytes), in a fixed view order.
 fn table_digest(world: &World, inode: u64) -> [u8; 32] {
-    let views: Vec<ViewId> = match world.config.effective_scheme() {
+    let views: Vec<ViewId> = match world.deployment.config.effective_scheme() {
         Scheme::PerUser => (0..=3).map(ViewId::User).collect(),
         Scheme::SharedCaps => {
             [ClassTag::Owner, ClassTag::Group, ClassTag::Other, ClassTag::AclUser(2)]
@@ -534,15 +519,8 @@ fn table_digest(world: &World, inode: u64) -> [u8; 32] {
 fn table_digests(policy: CryptoPolicy, scheme: Scheme) -> Vec<String> {
     let world = World::from_fs(sample_tree(), policy, scheme, 0x7AB1E);
     let transport = InMemoryTransport::new(Arc::clone(&world.server) as _);
-    let mut alice = SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(ALICE).expect("identity"),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(0x7AB1_E5ED),
-    );
+    let rng = HmacDrbg::from_seed_u64(0x7AB1_E5ED);
+    let mut alice = world.deployment.client_with_rng(ALICE, Box::new(transport), rng).unwrap();
     alice.mount().expect("mount");
     let mut out = Vec::new();
     let mut pin = |alice: &mut SharoesClient, dirs: &[&str]| {

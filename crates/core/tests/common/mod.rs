@@ -1,24 +1,17 @@
 //! Shared end-to-end test fixture: a migrated enterprise with mountable
 //! per-user clients.
 
-use sharoes_core::{
-    ClientConfig, CryptoParams, CryptoPolicy, Keyring, Migrator, Pki, Scheme, SharoesClient,
-    SigKeyPool,
-};
+use sharoes_core::{ClientConfig, CryptoPolicy, Deployment, Scheme, SharoesClient};
 use sharoes_crypto::HmacDrbg;
 use sharoes_fs::{Gid, LocalFs, Mode, Uid, UserDb, ROOT_UID};
 use sharoes_net::{InMemoryTransport, RequestHandler};
 use sharoes_ssp::SspServer;
 use std::sync::Arc;
 
-/// A migrated deployment: SSP + keys + directory, from which clients mount.
+/// A migrated deployment and the SSP it lives on, from which clients mount.
 pub struct World {
     pub server: Arc<SspServer>,
-    pub db: Arc<UserDb>,
-    pub pki: Arc<Pki>,
-    pub ring: Keyring,
-    pub pool: Arc<SigKeyPool>,
-    pub config: ClientConfig,
+    pub deployment: Deployment,
 }
 
 pub const ALICE: Uid = Uid(1);
@@ -89,27 +82,17 @@ impl World {
     /// Migrates an arbitrary tree.
     pub fn from_fs(fs: LocalFs, policy: CryptoPolicy, scheme: Scheme, seed: u64) -> World {
         let mut rng = HmacDrbg::from_seed_u64(seed);
-        let ring = Keyring::generate(fs.users(), 512, &mut rng).expect("keyring");
         let config = ClientConfig::test_with(policy, scheme);
-        let pool = Arc::new(SigKeyPool::new(CryptoParams::test()));
+        let deployment = Deployment::new(fs.users(), config, &mut rng).expect("keyring");
         let server = SspServer::new().into_shared();
         let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-        let migrator = Migrator {
-            fs: &fs,
-            config: &config,
-            ring: &ring,
-            pool: &pool,
-            downgrade_unsupported: true,
-        };
-        migrator.migrate(&mut transport, &mut rng).expect("migration");
-        let db = Arc::new(fs.users().clone());
-        let pki = Arc::new(ring.public_directory());
-        World { server, db, pki, ring, pool, config }
+        deployment.migrate(&fs, &mut transport, &mut rng).expect("migration");
+        World { server, deployment }
     }
 
     /// Mounts a client for `uid`.
     pub fn client(&self, uid: Uid) -> SharoesClient {
-        self.client_with_config(uid, self.config.clone())
+        self.client_with_config(uid, self.deployment.config.clone())
     }
 
     /// Mounts a client with a custom config (e.g. a small cache).
@@ -130,19 +113,12 @@ impl World {
         // a test mounts the same uid twice.
         static MOUNTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let mount = MOUNTS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let transport = InMemoryTransport::new(handler);
-        let identity = self.ring.identity(uid).expect("identity");
-        let mut client = SharoesClient::with_rng(
-            Box::new(transport),
-            config,
-            Arc::clone(&self.db),
-            Arc::clone(&self.pki),
-            identity,
-            Arc::clone(&self.pool),
-            HmacDrbg::from_seed_u64(
-                0xBEEF ^ uid.0 as u64 ^ mount.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            ),
+        let rng = HmacDrbg::from_seed_u64(
+            0xBEEF ^ uid.0 as u64 ^ mount.wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
+        let mut client = Deployment { config, ..self.deployment.clone() }
+            .client_with_rng(uid, Box::new(InMemoryTransport::new(handler)), rng)
+            .expect("identity");
         client.mount().expect("mount");
         client
     }

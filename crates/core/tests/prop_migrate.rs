@@ -6,9 +6,7 @@
 //! The fixed-shape version of this lives in `tests/scheme_equivalence.rs`;
 //! this one drives the shape itself from the property tape.
 
-use sharoes_core::{
-    ClientConfig, CryptoPolicy, Keyring, Migrator, Scheme, SharoesClient, SigKeyPool,
-};
+use sharoes_core::{ClientConfig, CryptoPolicy, Deployment, Scheme, SharoesClient};
 use sharoes_fs::{Acl, Gid, LocalFs, Mode, Perm, Uid, UserDb, ROOT_UID};
 use sharoes_net::InMemoryTransport;
 use sharoes_ssp::SspServer;
@@ -103,45 +101,28 @@ fn build_fs(spec: &GraphSpec) -> LocalFs {
     fs
 }
 
-struct World {
-    server: Arc<SspServer>,
-    db: Arc<UserDb>,
-    pki: Arc<sharoes_core::Pki>,
-    ring: Keyring,
-    pool: Arc<SigKeyPool>,
-    config: ClientConfig,
-}
-
-fn deploy(fs: &LocalFs, scheme: Scheme, ring: Keyring, seed: u64) -> World {
-    let mut rng = HmacDrbg::from_seed_u64(seed);
-    let config = ClientConfig::test_with(CryptoPolicy::Sharoes, scheme);
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
+/// Migrates `fs` under `scheme` with `keys`' identity keys.
+fn deploy(fs: &LocalFs, keys: &Deployment, scheme: Scheme, seed: u64) -> World {
+    let deployment = Deployment {
+        config: ClientConfig::test_with(CryptoPolicy::Sharoes, scheme),
+        ..keys.clone()
+    };
     let server = SspServer::new().into_shared();
     let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-    Migrator { fs, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut transport, &mut rng)
-        .expect("migration");
-    World {
-        server,
-        db: Arc::new(fs.users().clone()),
-        pki: Arc::new(ring.public_directory()),
-        ring,
-        pool,
-        config,
-    }
+    let mut rng = HmacDrbg::from_seed_u64(seed);
+    deployment.migrate(fs, &mut transport, &mut rng).expect("migration");
+    World { server, deployment }
+}
+
+struct World {
+    server: Arc<SspServer>,
+    deployment: Deployment,
 }
 
 impl World {
     fn mount(&self, uid: Uid) -> SharoesClient {
         let transport = InMemoryTransport::new(Arc::clone(&self.server) as _);
-        let mut client = SharoesClient::new(
-            Box::new(transport),
-            self.config.clone(),
-            Arc::clone(&self.db),
-            Arc::clone(&self.pki),
-            self.ring.identity(uid).unwrap(),
-            Arc::clone(&self.pool),
-        );
+        let mut client = self.deployment.client(uid, Box::new(transport)).unwrap();
         client.mount().expect("mount");
         client
     }
@@ -156,10 +137,10 @@ prop! {
     fn migrate_preserves_capabilities_across_schemes(spec in graphs()) {
         let fs = build_fs(&spec);
         let mut rng = HmacDrbg::from_seed_u64(spec.keyring_seed);
-        let ring1 = Keyring::generate(fs.users(), 512, &mut rng).unwrap();
-        let ring2 = ring1.clone();
-        let w1 = deploy(&fs, Scheme::PerUser, ring1, spec.keyring_seed ^ 1);
-        let w2 = deploy(&fs, Scheme::SharedCaps, ring2, spec.keyring_seed ^ 2);
+        let config = ClientConfig::test_with(CryptoPolicy::Sharoes, Scheme::PerUser);
+        let keys = Deployment::new(fs.users(), config, &mut rng).unwrap();
+        let w1 = deploy(&fs, &keys, Scheme::PerUser, spec.keyring_seed ^ 1);
+        let w2 = deploy(&fs, &keys, Scheme::SharedCaps, spec.keyring_seed ^ 2);
 
         for u in 0..spec.users {
             let mut c1 = w1.mount(uid(u));

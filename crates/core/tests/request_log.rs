@@ -70,7 +70,8 @@ fn each_write_path_sends_one_mutate() {
         let world = World::new(policy, Scheme::SharedCaps);
         let log =
             Arc::new(RequestLog { server: Arc::clone(&world.server), sent: Mutex::default() });
-        let mut alice = world.client_via(ALICE, world.config.clone(), Arc::clone(&log) as _);
+        let mut alice =
+            world.client_via(ALICE, world.deployment.config.clone(), Arc::clone(&log) as _);
         let path = "/home/alice/logged";
         // A first create caches every table replica of the directory.
         alice.create("/home/alice/warm", Mode::from_octal(0o644)).unwrap();
@@ -139,7 +140,7 @@ fn a_refused_shrinking_close_leaves_the_old_file_readable() {
         });
         // A one-byte cache: the writer refetches, and so re-checks, what
         // it reads after the refusal.
-        let config = ClientConfig { cache_capacity: Some(1), ..world.config.clone() };
+        let config = ClientConfig { cache_capacity: Some(1), ..world.deployment.config.clone() };
         let mut writer = world.client_via(ALICE, config, Arc::clone(&handler) as _);
         writer.getattr(path).unwrap();
         handler.armed.store(true, Ordering::SeqCst);

@@ -4,7 +4,7 @@
 mod common;
 
 use common::{small_db, World, ALICE, BOB, CAROL, OUTSIDE};
-use sharoes_core::{ClientConfig, CoreError, CryptoPolicy, RevocationMode, Scheme};
+use sharoes_core::{ClientConfig, CoreError, CryptoPolicy, Deployment, RevocationMode, Scheme};
 use sharoes_fs::{Acl, Gid, LocalFs, Mode, Perm, ROOT_UID};
 use sharoes_net::{KeySpace, ObjectKey, Request, RequestHandler, Response};
 use sharoes_ssp::SspServer;
@@ -182,35 +182,22 @@ fn group_membership_revocation_via_rekey() {
     // Enterprise removes bob from staff, then the owner re-keys by touching
     // permissions (chmod to the same-but-tighter mode triggers revocation
     // because bob's effective perm shrinks).
-    let mut db = (*world.db).clone();
+    let mut db = (*world.deployment.db).clone();
     db.remove_member(common::STAFF, BOB).unwrap();
-    let db = std::sync::Arc::new(db);
+    let moved = Deployment { db: Arc::new(db), ..world.deployment.clone() };
+    let session = |uid, seed| {
+        let transport = sharoes_net::InMemoryTransport::new(Arc::clone(&world.server) as _);
+        let rng = sharoes_crypto::HmacDrbg::from_seed_u64(seed);
+        moved.client_with_rng(uid, Box::new(transport), rng).unwrap()
+    };
 
     // alice's client must use the updated directory.
-    let transport = sharoes_net::InMemoryTransport::new(std::sync::Arc::clone(&world.server) as _);
-    let mut alice = sharoes_core::SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        std::sync::Arc::clone(&db),
-        std::sync::Arc::clone(&world.pki),
-        world.ring.identity(ALICE).unwrap(),
-        std::sync::Arc::clone(&world.pool),
-        sharoes_crypto::HmacDrbg::from_seed_u64(0xA11CE),
-    );
+    let mut alice = session(ALICE, 0xA11CE);
     alice.mount().unwrap();
     alice.chmod("/shared/board.txt", Mode::from_octal(0o660)).unwrap();
 
     // bob, now outside the group (fresh client with updated db), is out.
-    let transport = sharoes_net::InMemoryTransport::new(std::sync::Arc::clone(&world.server) as _);
-    let mut bob2 = sharoes_core::SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        db,
-        std::sync::Arc::clone(&world.pki),
-        world.ring.identity(BOB).unwrap(),
-        std::sync::Arc::clone(&world.pool),
-        sharoes_crypto::HmacDrbg::from_seed_u64(0xB0B),
-    );
+    let mut bob2 = session(BOB, 0xB0B);
     bob2.mount().unwrap();
     assert!(bob2.read("/shared/board.txt").is_err());
 }
@@ -324,7 +311,8 @@ fn cold_directory_chmod_round_trips_do_not_grow_with_its_entries() {
     let cold_chmod = |dir: &str| {
         let inode = world.client(ALICE).getattr(dir).unwrap().inode;
         let log = Arc::new(FetchLog { server: Arc::clone(&world.server), keys: Mutex::default() });
-        let mut alice = world.client_via(ALICE, world.config.clone(), Arc::clone(&log) as _);
+        let mut alice =
+            world.client_via(ALICE, world.deployment.config.clone(), Arc::clone(&log) as _);
         let before = alice.meter().sample().round_trips;
         alice.chmod(dir, Mode::from_octal(0o750)).unwrap();
         let fetched = std::mem::take(&mut *log.keys.lock().unwrap());

@@ -200,7 +200,7 @@ fn metadata_rollback_detected_within_session() {
     // owner rewrote it: the session freshness ledger catches the version
     // regression. (A tiny cache forces refetches.)
     let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
-    let mut config = world.config.clone();
+    let mut config = world.deployment.config.clone();
     config.cache_capacity = Some(1);
     let mut alice = world.client_with_config(ALICE, config);
 
@@ -222,7 +222,7 @@ fn metadata_rollback_detected_within_session() {
 #[test]
 fn manifest_rollback_detected_within_session() {
     let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
-    let mut config = world.config.clone();
+    let mut config = world.deployment.config.clone();
     config.cache_capacity = Some(1);
     let mut alice = world.client_with_config(ALICE, config);
 
@@ -254,7 +254,7 @@ fn a_write_over_a_rolled_back_manifest_is_refused() {
     // The next close must refuse to seal over it: sealing version 1 again
     // would write the rollback into the file and lower the ledger.
     let world = World::new(CryptoPolicy::Sharoes, Scheme::SharedCaps);
-    let mut config = world.config.clone();
+    let mut config = world.deployment.config.clone();
     config.cache_capacity = Some(1);
     let mut alice = world.client_with_config(ALICE, config);
 
@@ -294,15 +294,8 @@ fn stolen_superblock_is_useless_to_others() {
     world.server.store().put(bob_slot, alice_sb).unwrap();
 
     let transport = sharoes_net::InMemoryTransport::new(std::sync::Arc::clone(&world.server) as _);
-    let mut bob = sharoes_core::SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        std::sync::Arc::clone(&world.db),
-        std::sync::Arc::clone(&world.pki),
-        world.ring.identity(BOB).unwrap(),
-        std::sync::Arc::clone(&world.pool),
-        sharoes_crypto::HmacDrbg::from_seed_u64(1),
-    );
+    let rng = sharoes_crypto::HmacDrbg::from_seed_u64(1);
+    let mut bob = world.deployment.client_with_rng(BOB, Box::new(transport), rng).unwrap();
     assert!(bob.mount().is_err());
 }
 
@@ -536,7 +529,8 @@ fn getmany_replies_of_the_wrong_length_are_corrupt() {
                 short,
                 armed: AtomicBool::new(false),
             });
-            let client = world.client_via(ALICE, world.config.clone(), Arc::clone(&ssp) as _);
+            let client =
+                world.client_via(ALICE, world.deployment.config.clone(), Arc::clone(&ssp) as _);
             ssp.armed.store(true, Ordering::SeqCst);
             client
         };

@@ -96,7 +96,7 @@ mod tests {
     /// One combined test because the global tracer is shared process state:
     /// splitting these into parallel #[test]s would race on the ring.
     #[test]
-    fn global_tracer_spans_nest_and_render_deterministically() {
+    fn global_tracer_spans_nest_and_assemble_into_trees() {
         let log = tracer();
         log.set_filter(Filter::parse("trace"));
         log.set_deterministic(true);
@@ -121,44 +121,6 @@ mod tests {
         assert_eq!(events[3].kind, EventKind::Exit);
         assert_eq!(events[3].depth, 1);
         assert_eq!(events[4].depth, 0, "outer exit returns to depth 0");
-
-        // Deterministic rendering: replaying the same sequence renders the
-        // same bytes (timestamps are sequence numbers, durations elided).
-        let replay = |log: &EventLog| {
-            {
-                let outer = 1u32;
-                let _a = span!("t.outer", outer);
-                let _b = span!("t.inner");
-                obs_event!(Level::Info, "t.mark", outer);
-            }
-            let text = log.render();
-            log.take();
-            text
-        };
-        let first = replay(log);
-        // Sequence numbers advance between replays; normalize them away the
-        // same way the CI gate normalizes: compare shape with seq stripped.
-        let strip = |s: &str| {
-            s.lines()
-                .map(|l| l.split_once("] ").map(|(_, rest)| rest).unwrap_or(l).to_string())
-                .collect::<Vec<_>>()
-        };
-        let second = replay(log);
-        let (a, b) = (strip(&first), strip(&second));
-        // time_ns is seq-derived and differs; drop the numeric column too.
-        let scrub = |v: Vec<String>| {
-            v.into_iter()
-                .map(|l| {
-                    l.split_whitespace()
-                        .enumerate()
-                        .filter(|(i, _)| *i != 1)
-                        .map(|(_, w)| w.to_string())
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(scrub(a), scrub(b), "deterministic mode must be byte-stable modulo seq");
 
         // --- Trace-context propagation, still under the same global lock
         // of a single #[test] (parallel tests would race the ring). ---

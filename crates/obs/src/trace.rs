@@ -518,36 +518,6 @@ impl EventLog {
     pub fn dropped(&self) -> u64 {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).dropped
     }
-
-    /// Renders the buffered events, one line each, without draining:
-    /// `seq time level |>..| name fields` with `|>` nesting markers.
-    pub fn render(&self) -> String {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::new();
-        for e in &inner.events {
-            let marker = match e.kind {
-                EventKind::Enter => ">",
-                EventKind::Exit => "<",
-                EventKind::Instant => "-",
-            };
-            let indent = "  ".repeat(e.depth as usize);
-            let _ = write!(
-                out,
-                "[{:06}] {:>5} {} {}{} {}",
-                e.seq,
-                e.level.name(),
-                e.time_ns,
-                indent,
-                marker,
-                e.name
-            );
-            if !e.fields.is_empty() {
-                let _ = write!(out, " {}", e.fields);
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// A captured slow operation: the root span's duration plus every event

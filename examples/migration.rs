@@ -26,25 +26,16 @@ fn main() {
 
     let mut rng = HmacDrbg::from_seed_u64(1234);
     println!("creating cryptographic infrastructure (user/group RSA keys) ...");
-    let ring = Keyring::generate(local.users(), 1024, &mut rng).unwrap();
     let config = ClientConfig {
         crypto: CryptoParams { rsa_bits: 1024, ..CryptoParams::test() },
         ..Default::default()
     };
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
-    pool.prefill_parallel(((stats.dirs + stats.files) * 2 + 16).min(256), 77);
+    let deployment = Deployment::new(local.users(), config, &mut rng).unwrap();
+    deployment.pool.prefill_parallel(((stats.dirs + stats.files) * 2 + 16).min(256), 77);
 
     // ------------------------------------------ migration over the wire
     let mut transport = TcpTransport::connect(&addr).expect("connect");
-    let report = Migrator {
-        fs: &local,
-        config: &config,
-        ring: &ring,
-        pool: &pool,
-        downgrade_unsupported: true,
-    }
-    .migrate(&mut transport, &mut rng)
-    .expect("migration");
+    let report = deployment.migrate(&local, &mut transport, &mut rng).expect("migration");
     println!(
         "migration complete: {} records / {} bytes shipped over TCP; \
          {} superblocks, {} group key blocks, {} split entries",
@@ -58,14 +49,7 @@ fn main() {
     // --------------------------------------------- a client, also on TCP
     let uid = Uid(1000); // user0
     let transport = TcpTransport::connect(&addr).expect("connect client");
-    let mut client = SharoesClient::new(
-        Box::new(transport),
-        config,
-        Arc::new(local.users().clone()),
-        Arc::new(ring.public_directory()),
-        ring.identity(uid).unwrap(),
-        pool,
-    );
+    let mut client = deployment.client(uid, Box::new(transport)).unwrap();
     client.mount().expect("mount over TCP");
     println!("\nmounted as user0; walking /home/user0:");
 

@@ -30,46 +30,28 @@ fn main() {
     // --------------------------------------- 2. keys, SSP, and migration
     let mut rng = HmacDrbg::from_seed_u64(2024);
     println!("generating identity keys (RSA) ...");
-    let ring = Keyring::generate(local.users(), 1024, &mut rng).unwrap();
     let config = ClientConfig {
         crypto: CryptoParams { rsa_bits: 1024, ..CryptoParams::test() },
         ..Default::default()
     };
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
-    pool.prefill_parallel(16, 7);
+    let deployment = Deployment::new(local.users(), config, &mut rng).unwrap();
+    deployment.pool.prefill_parallel(16, 7);
 
     // The SSP: a dumb encrypted-object store. It could equally be the
     // `sharoes-sspd` binary reached over TCP (see examples/migration.rs).
     let server = SspServer::new().into_shared();
 
     let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-    let report = Migrator {
-        fs: &local,
-        config: &config,
-        ring: &ring,
-        pool: &pool,
-        downgrade_unsupported: true,
-    }
-    .migrate(&mut transport, &mut rng)
-    .unwrap();
+    let report = deployment.migrate(&local, &mut transport, &mut rng).unwrap();
     println!(
         "migrated: {} objects -> {} records ({} bytes) at the SSP, {} split entries",
         report.objects, report.records, report.bytes, report.split_entries
     );
 
     // ------------------------------------------------- 3. mount and use
-    let db = Arc::new(local.users().clone());
-    let pki = Arc::new(ring.public_directory());
     let mount = |uid: Uid| -> SharoesClient {
         let transport = InMemoryTransport::new(Arc::clone(&server) as _);
-        let mut client = SharoesClient::new(
-            Box::new(transport),
-            config.clone(),
-            Arc::clone(&db),
-            Arc::clone(&pki),
-            ring.identity(uid).unwrap(),
-            Arc::clone(&pool),
-        );
+        let mut client = deployment.client(uid, Box::new(transport)).unwrap();
         client.mount().unwrap();
         client
     };

@@ -11,7 +11,7 @@ use std::sync::Arc;
 const ALICE: Uid = Uid(1);
 const BOB: Uid = Uid(2);
 
-fn deploy() -> (Arc<SspServer>, Arc<UserDb>, Arc<Pki>, Keyring, Arc<SigKeyPool>, ClientConfig) {
+fn deploy() -> (Arc<SspServer>, Deployment) {
     let mut db = UserDb::new();
     db.add_group(Gid(0), "wheel").unwrap();
     db.add_group(Gid(100), "eng").unwrap();
@@ -26,35 +26,25 @@ fn deploy() -> (Arc<SspServer>, Arc<UserDb>, Arc<Pki>, Keyring, Arc<SigKeyPool>,
     local.write(ALICE, "/shared/roadmap.txt", b"2026: world domination").unwrap();
 
     let mut rng = HmacDrbg::from_seed_u64(55);
-    let ring = Keyring::generate(local.users(), 1024, &mut rng).unwrap();
     let config = ClientConfig {
         crypto: CryptoParams { rsa_bits: 1024, ..CryptoParams::test() },
         ..Default::default()
     };
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
-    pool.prefill_parallel(16, 3);
+    let deployment = Deployment::new(local.users(), config, &mut rng).unwrap();
+    deployment.pool.prefill_parallel(16, 3);
     let server = SspServer::new().into_shared();
     let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-    Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut transport, &mut rng)
-        .unwrap();
-    (server, Arc::new(local.users().clone()), Arc::new(ring.public_directory()), ring, pool, config)
+    deployment.migrate(&local, &mut transport, &mut rng).unwrap();
+    (server, deployment)
 }
 
 fn main() {
-    let (server, db, pki, ring, pool, base_config) = deploy();
+    let (server, deployment) = deploy();
     let mount = |uid: Uid, revocation: RevocationMode| -> SharoesClient {
-        let mut config = base_config.clone();
-        config.revocation = revocation;
+        let config = ClientConfig { revocation, ..deployment.config.clone() };
         let transport = InMemoryTransport::new(Arc::clone(&server) as _);
-        let mut c = SharoesClient::new(
-            Box::new(transport),
-            config,
-            Arc::clone(&db),
-            Arc::clone(&pki),
-            ring.identity(uid).unwrap(),
-            Arc::clone(&pool),
-        );
+        let mut c =
+            Deployment { config, ..deployment.clone() }.client(uid, Box::new(transport)).unwrap();
         c.mount().unwrap();
         c
     };

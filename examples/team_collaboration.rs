@@ -13,32 +13,7 @@ const ALICE: Uid = Uid(1);
 const BOB: Uid = Uid(2);
 const CAROL: Uid = Uid(3);
 
-struct Deployment {
-    server: Arc<SspServer>,
-    db: Arc<UserDb>,
-    pki: Arc<Pki>,
-    ring: Keyring,
-    pool: Arc<SigKeyPool>,
-    config: ClientConfig,
-}
-
-impl Deployment {
-    fn mount(&self, uid: Uid) -> SharoesClient {
-        let transport = InMemoryTransport::new(Arc::clone(&self.server) as _);
-        let mut client = SharoesClient::new(
-            Box::new(transport),
-            self.config.clone(),
-            Arc::clone(&self.db),
-            Arc::clone(&self.pki),
-            self.ring.identity(uid).unwrap(),
-            Arc::clone(&self.pool),
-        );
-        client.mount().unwrap();
-        client
-    }
-}
-
-fn deploy() -> Deployment {
+fn deploy() -> (Arc<SspServer>, Deployment) {
     let mut db = UserDb::new();
     db.add_group(Gid(0), "wheel").unwrap();
     db.add_group(Gid(100), "eng").unwrap();
@@ -54,27 +29,16 @@ fn deploy() -> Deployment {
     local.chown(Uid(0), "/home/alice", ALICE, Gid(100)).unwrap();
 
     let mut rng = HmacDrbg::from_seed_u64(99);
-    let ring = Keyring::generate(local.users(), 1024, &mut rng).unwrap();
     let config = ClientConfig {
         crypto: CryptoParams { rsa_bits: 1024, ..CryptoParams::test() },
         ..Default::default()
     };
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
-    pool.prefill_parallel(32, 5);
+    let deployment = Deployment::new(local.users(), config, &mut rng).unwrap();
+    deployment.pool.prefill_parallel(32, 5);
     let server = SspServer::new().into_shared();
     let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-    Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut transport, &mut rng)
-        .unwrap();
-
-    Deployment {
-        server,
-        db: Arc::new(local.users().clone()),
-        pki: Arc::new(ring.public_directory()),
-        ring,
-        pool,
-        config,
-    }
+    deployment.migrate(&local, &mut transport, &mut rng).unwrap();
+    (server, deployment)
 }
 
 fn show(result: Result<Vec<u8>, CoreError>) -> String {
@@ -85,10 +49,16 @@ fn show(result: Result<Vec<u8>, CoreError>) -> String {
 }
 
 fn main() {
-    let world = deploy();
-    let mut alice = world.mount(ALICE);
-    let mut bob = world.mount(BOB);
-    let mut carol = world.mount(CAROL);
+    let (server, deployment) = deploy();
+    let mount = |uid: Uid| -> SharoesClient {
+        let transport = InMemoryTransport::new(Arc::clone(&server) as _);
+        let mut client = deployment.client(uid, Box::new(transport)).unwrap();
+        client.mount().unwrap();
+        client
+    };
+    let mut alice = mount(ALICE);
+    let mut bob = mount(BOB);
+    let mut carol = mount(CAROL);
 
     // --- an exec-only dropbox (the paper's flagship CAP, §III-A) --------
     println!("== exec-only dropbox (mode 711) ==");
@@ -140,13 +110,13 @@ fn main() {
     let mut acl = Acl::empty();
     acl.set_user(CAROL, Perm::R);
     alice.set_acl("/home/alice/budget.xls", acl).unwrap();
-    let mut carol_fresh = world.mount(CAROL);
+    let mut carol_fresh = mount(CAROL);
     println!("carol after grant:  {}", show(carol_fresh.read("/home/alice/budget.xls")));
 
     // --- revocation ------------------------------------------------------
     println!("\n== immediate revocation (chmod 600) ==");
     alice.chmod("/home/alice/notes.md", Mode::from_octal(0o600)).unwrap();
-    let mut bob_fresh = world.mount(BOB);
+    let mut bob_fresh = mount(BOB);
     println!("bob after revoke: {}", show(bob_fresh.read("/home/alice/notes.md")));
     let st = alice.getattr("/home/alice/notes.md").unwrap();
     println!("file re-keyed: generation {} (data re-encrypted under a fresh DEK)", st.generation);

@@ -20,7 +20,8 @@
 //!   consistent-hash placement, quorum writes, failover reads with read
 //!   repair, and rebalancing after ring changes.
 //! * [`core`] — CAPs, metadata/directory-table layouts, Scheme-1/2, the
-//!   client filesystem, and the migration tool.
+//!   client filesystem, the migration tool, and the `Deployment` that
+//!   migrates a tree and builds its clients.
 //! * [`obs`] — zero-dependency observability: the process-wide metrics
 //!   registry (counters, gauges, latency/size histograms) every layer above
 //!   feeds, plus the `span!`/`obs_event!` tracing facade gated by the
@@ -44,27 +45,17 @@
 //!
 //! // 2. Identity keys and an (untrusted) SSP.
 //! let mut rng = HmacDrbg::from_seed_u64(7);
-//! let ring = Keyring::generate(local.users(), 512, &mut rng).unwrap();
 //! let config = ClientConfig::test_with(CryptoPolicy::Sharoes, Scheme::SharedCaps);
-//! let pool = Arc::new(SigKeyPool::new(config.crypto));
+//! let deployment = Deployment::new(local.users(), config, &mut rng).unwrap();
 //! let server = SspServer::new().into_shared();
 //!
 //! // 3. Migrate.
 //! let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-//! Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-//!     .migrate(&mut transport, &mut rng)
-//!     .unwrap();
+//! deployment.migrate(&local, &mut transport, &mut rng).unwrap();
 //!
 //! // 4. Mount as alice and read back — keys arrive fully in-band.
 //! let transport = InMemoryTransport::new(Arc::clone(&server) as _);
-//! let mut alice = SharoesClient::new(
-//!     Box::new(transport),
-//!     config.clone(),
-//!     Arc::new(local.users().clone()),
-//!     Arc::new(ring.public_directory()),
-//!     ring.identity(Uid(1)).unwrap(),
-//!     pool,
-//! );
+//! let mut alice = deployment.client(Uid(1), Box::new(transport)).unwrap();
 //! alice.mount().unwrap();
 //! assert_eq!(alice.read("/docs/plan.txt").unwrap(), b"ship it");
 //! ```
@@ -86,8 +77,9 @@ pub mod prelude {
     pub use sharoes_cluster::{ClusterConfig, ClusterOpts, ClusterTransport};
     pub use sharoes_core::client::{FileStat, ReadDirEntry};
     pub use sharoes_core::{
-        ClientConfig, CoreError, CryptoParams, CryptoPolicy, KekChain, Keyring, MigrationReport,
-        Migrator, Pki, RevocationMode, Scheme, SharoesClient, SigKeyPool, UserIdentity,
+        ClientConfig, CoreError, CryptoParams, CryptoPolicy, Deployment, KekChain, Keyring,
+        MigrationReport, Migrator, Pki, RevocationMode, Scheme, SharoesClient, SigKeyPool,
+        UserIdentity,
     };
     pub use sharoes_crypto::{HmacDrbg, SystemRandom};
     pub use sharoes_fs::prelude::*;

@@ -27,11 +27,15 @@ fn test_config() -> ClientConfig {
 
 struct World {
     server: Arc<SspServer>,
-    db: Arc<UserDb>,
-    pki: Arc<Pki>,
-    ring: Keyring,
-    pool: Arc<SigKeyPool>,
-    config: ClientConfig,
+    deployment: Deployment,
+}
+
+impl World {
+    /// An unmounted client for `uid` over `transport`, drawing from `seed`.
+    fn client(&self, uid: Uid, transport: impl Transport + 'static, seed: u64) -> SharoesClient {
+        let rng = HmacDrbg::from_seed_u64(seed);
+        self.deployment.client_with_rng(uid, Box::new(transport), rng).unwrap()
+    }
 }
 
 /// Builds a deployment that is a pure function of `seed`.
@@ -65,15 +69,7 @@ fn recover(fs: FaultFs) -> (Arc<SspServer>, Option<u64>) {
 fn mount_over_tcp(world: &World, server: Arc<SspServer>) -> (TcpServerHandle, SharoesClient) {
     let handle = sharoes::ssp::serve(server, "127.0.0.1:0").unwrap();
     let transport = TcpTransport::connect(&handle.addr().to_string()).unwrap();
-    let mut client = SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(Uid(1000)).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(77),
-    );
+    let mut client = world.client(Uid(1000), transport, 77);
     client.mount().expect("mount against recovered store");
     (handle, client)
 }
@@ -84,21 +80,10 @@ fn deploy_on(seed: u64, server: Arc<SspServer>) -> World {
         TreeSpec { users: 2, dirs_per_user: 1, files_per_dir: 1, seed, ..Default::default() };
     let (local, _) = generate(&spec).expect("treegen");
     let mut rng = HmacDrbg::from_seed_u64(seed);
-    let ring = Keyring::generate(local.users(), 512, &mut rng).unwrap();
-    let config = test_config();
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
+    let deployment = Deployment::new(local.users(), test_config(), &mut rng).unwrap();
     let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-    Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut transport, &mut rng)
-        .expect("migration");
-    World {
-        server,
-        db: Arc::new(local.users().clone()),
-        pki: Arc::new(ring.public_directory()),
-        ring,
-        pool,
-        config,
-    }
+    deployment.migrate(&local, &mut transport, &mut rng).expect("migration");
+    World { server, deployment }
 }
 
 /// The store's contents as (key, value) pairs sorted by wire-encoded key
@@ -146,15 +131,7 @@ fn chaos_client(
         meter,
     )
     .expect("connect");
-    let client = SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(Uid(1000)).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(session_seed),
-    );
+    let client = world.client(Uid(1000), transport, session_seed);
     (client, schedule)
 }
 
@@ -352,15 +329,7 @@ fn ssp_outage_degrades_to_cached_reads_without_panicking() {
     let handle =
         sharoes::ssp::serve_with(Arc::clone(&world.server), "127.0.0.1:0", options).expect("serve");
     let transport = dial_with_one_retry(&handle.addr().to_string());
-    let mut client = SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(Uid(1000)).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(11),
-    );
+    let mut client = world.client(Uid(1000), transport, 11);
     client.mount().expect("mount");
     // Warm the cache on one file, leave another cold.
     let warm = "/home/user0/proj0/file0.dat";
@@ -402,15 +371,7 @@ fn degraded_client_fails_revocation_cleanly_without_dropping_the_acl() {
     let transport = dial_with_one_retry(&handle.addr().to_string());
     let owner = Uid(1000);
     let grantee = Uid(1001);
-    let mut client = SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(owner).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(12),
-    );
+    let mut client = world.client(owner, transport, 12);
     client.mount().expect("mount");
 
     // Open the path for traversal so the ACL grant below is reachable,
@@ -448,27 +409,12 @@ fn degraded_client_fails_revocation_cleanly_without_dropping_the_acl() {
     // Ground truth on the (shared, in-process) store once connectivity is
     // back: mode unchanged, and the grantee's ACL entry still grants — the
     // revocation neither half-applied nor silently dropped the ACL.
-    let mut fresh = SharoesClient::with_rng(
-        Box::new(InMemoryTransport::new(Arc::clone(&world.server) as _)),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(owner).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(13),
-    );
+    let mut fresh = world.client(owner, InMemoryTransport::new(Arc::clone(&world.server) as _), 13);
     fresh.mount().expect("remount");
     let stat = fresh.getattr(path).expect("post-outage getattr");
     assert_eq!(stat.mode, mode_before, "failed chmod reached the SSP after all");
-    let mut reader = SharoesClient::with_rng(
-        Box::new(InMemoryTransport::new(Arc::clone(&world.server) as _)),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(grantee).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(14),
-    );
+    let mut reader =
+        world.client(grantee, InMemoryTransport::new(Arc::clone(&world.server) as _), 14);
     reader.mount().expect("grantee mount");
     assert_eq!(reader.read(path).expect("grantee read (ACL must be intact)"), b"pre-outage secret");
 }

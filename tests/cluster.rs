@@ -52,11 +52,7 @@ fn killable(connector: Connector, calls_left: Arc<AtomicI64>) -> Connector {
 
 struct World {
     servers: Vec<Arc<SspServer>>,
-    db: Arc<UserDb>,
-    pki: Arc<Pki>,
-    ring: Keyring,
-    pool: Arc<SigKeyPool>,
-    config: ClientConfig,
+    deployment: Deployment,
 }
 
 fn cluster_opts() -> ClusterOpts {
@@ -112,35 +108,20 @@ fn deploy(seed: u64) -> World {
         TreeSpec { users: 2, dirs_per_user: 1, files_per_dir: 1, seed, ..Default::default() };
     let (local, _) = generate(&spec).expect("treegen");
     let mut rng = HmacDrbg::from_seed_u64(seed);
-    let ring = Keyring::generate(local.users(), 512, &mut rng).unwrap();
     let config = ClientConfig::test_with(CryptoPolicy::Sharoes, Scheme::SharedCaps);
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
+    let deployment = Deployment::new(local.users(), config, &mut rng).unwrap();
     let servers: Vec<Arc<SspServer>> =
         (0..NODE_NAMES.len()).map(|_| SspServer::new().into_shared()).collect();
     let (mut cluster, _, _) = make_cluster(&servers, 0.0, 0, None);
-    Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut cluster, &mut rng)
-        .expect("migration");
-    World {
-        servers,
-        db: Arc::new(local.users().clone()),
-        pki: Arc::new(ring.public_directory()),
-        ring,
-        pool,
-        config,
-    }
+    deployment.migrate(&local, &mut cluster, &mut rng).expect("migration");
+    World { servers, deployment }
 }
 
 fn client_over(world: &World, cluster: ClusterTransport, session_seed: u64) -> SharoesClient {
-    SharoesClient::with_rng(
-        Box::new(cluster),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(Uid(1000)).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(session_seed),
-    )
+    world
+        .deployment
+        .client_with_rng(Uid(1000), Box::new(cluster), HmacDrbg::from_seed_u64(session_seed))
+        .unwrap()
 }
 
 /// The chaos workload: create/write/chmod/unlink/read across several files.

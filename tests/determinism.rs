@@ -19,11 +19,7 @@ fn test_config() -> ClientConfig {
 
 struct World {
     server: Arc<SspServer>,
-    db: Arc<UserDb>,
-    pki: Arc<Pki>,
-    ring: Keyring,
-    pool: Arc<SigKeyPool>,
-    config: ClientConfig,
+    deployment: Deployment,
 }
 
 /// Builds a deployment that is a pure function of `seed`.
@@ -32,22 +28,11 @@ fn deploy(seed: u64) -> World {
         TreeSpec { users: 2, dirs_per_user: 2, files_per_dir: 1, seed, ..Default::default() };
     let (local, _) = generate(&spec).expect("treegen");
     let mut rng = HmacDrbg::from_seed_u64(seed);
-    let ring = Keyring::generate(local.users(), 512, &mut rng).unwrap();
-    let config = test_config();
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
+    let deployment = Deployment::new(local.users(), test_config(), &mut rng).unwrap();
     let server = SspServer::new().into_shared();
     let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-    Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut transport, &mut rng)
-        .expect("migration");
-    World {
-        server,
-        db: Arc::new(local.users().clone()),
-        pki: Arc::new(ring.public_directory()),
-        ring,
-        pool,
-        config,
-    }
+    deployment.migrate(&local, &mut transport, &mut rng).expect("migration");
+    World { server, deployment }
 }
 
 /// The store's contents as (key, value) pairs sorted by wire-encoded key.
@@ -120,15 +105,10 @@ fn run_session(world: &World, seed: u64) -> Vec<Vec<u8>> {
         log: Arc::clone(&log),
     };
     let uid = Uid(1000);
-    let mut client = SharoesClient::with_rng(
-        Box::new(transport),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(uid).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(seed),
-    );
+    let mut client = world
+        .deployment
+        .client_with_rng(uid, Box::new(transport), HmacDrbg::from_seed_u64(seed))
+        .unwrap();
     client.mount().expect("mount");
     client.mkdir("/home/user0/ws", Mode::from_octal(0o755)).expect("mkdir");
     client.create("/home/user0/ws/f0", Mode::from_octal(0o644)).expect("create");

@@ -12,51 +12,28 @@ fn test_config() -> ClientConfig {
 
 struct TcpWorld {
     handle: sharoes::ssp::TcpServerHandle,
-    db: Arc<UserDb>,
-    pki: Arc<Pki>,
-    ring: Keyring,
-    pool: Arc<SigKeyPool>,
-    config: ClientConfig,
+    deployment: Deployment,
     local: LocalFs,
 }
 
 fn deploy_over_tcp(spec: &TreeSpec) -> TcpWorld {
     let (local, _) = generate(spec).expect("treegen");
     let mut rng = HmacDrbg::from_seed_u64(0x7C9);
-    let ring = Keyring::generate(local.users(), 512, &mut rng).unwrap();
-    let config = test_config();
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
+    let deployment = Deployment::new(local.users(), test_config(), &mut rng).unwrap();
     let server = SspServer::new().into_shared();
     let handle = sharoes::ssp::serve(server, "127.0.0.1:0").expect("bind");
 
     let mut transport = TcpTransport::connect(&handle.addr().to_string()).expect("connect");
-    Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut transport, &mut rng)
-        .expect("migration over tcp");
+    deployment.migrate(&local, &mut transport, &mut rng).expect("migration over tcp");
 
-    TcpWorld {
-        handle,
-        db: Arc::new(local.users().clone()),
-        pki: Arc::new(ring.public_directory()),
-        ring,
-        pool,
-        config,
-        local,
-    }
+    TcpWorld { handle, deployment, local }
 }
 
 impl TcpWorld {
     fn mount(&self, uid: Uid) -> SharoesClient {
         let transport =
             TcpTransport::connect(&self.handle.addr().to_string()).expect("connect client");
-        let mut client = SharoesClient::new(
-            Box::new(transport),
-            self.config.clone(),
-            Arc::clone(&self.db),
-            Arc::clone(&self.pki),
-            self.ring.identity(uid).unwrap(),
-            Arc::clone(&self.pool),
-        );
+        let mut client = self.deployment.client(uid, Box::new(transport)).unwrap();
         client.mount().expect("mount over tcp");
         client
     }
@@ -166,30 +143,19 @@ fn ssp_restart_loses_nothing_in_memory_semantics() {
     let spec = TreeSpec { users: 2, dirs_per_user: 1, files_per_dir: 1, ..Default::default() };
     let (local, _) = generate(&spec).unwrap();
     let mut rng = HmacDrbg::from_seed_u64(0xABC);
-    let ring = Keyring::generate(local.users(), 512, &mut rng).unwrap();
-    let config = test_config();
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
+    let deployment = Deployment::new(local.users(), test_config(), &mut rng).unwrap();
     let server = SspServer::new().into_shared();
 
     let handle = sharoes::ssp::serve(Arc::clone(&server), "127.0.0.1:0").unwrap();
     let mut transport = TcpTransport::connect(&handle.addr().to_string()).unwrap();
-    Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut transport, &mut rng)
-        .unwrap();
+    deployment.migrate(&local, &mut transport, &mut rng).unwrap();
     drop(transport);
     handle.shutdown();
 
     // "Restart" the front end on a new port over the same store.
     let handle2 = sharoes::ssp::serve(Arc::clone(&server), "127.0.0.1:0").unwrap();
     let transport = TcpTransport::connect(&handle2.addr().to_string()).unwrap();
-    let mut client = SharoesClient::new(
-        Box::new(transport),
-        config,
-        Arc::new(local.users().clone()),
-        Arc::new(ring.public_directory()),
-        ring.identity(Uid(1000)).unwrap(),
-        pool,
-    );
+    let mut client = deployment.client(Uid(1000), Box::new(transport)).unwrap();
     client.mount().expect("mount after restart");
     assert!(client.read("/home/user0/proj0/file0.dat").is_ok());
     handle2.shutdown();

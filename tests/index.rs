@@ -31,11 +31,7 @@ static INDEX_GATE: Mutex<()> = Mutex::new(());
 
 struct World {
     servers: Vec<Arc<SspServer>>,
-    db: Arc<UserDb>,
-    pki: Arc<Pki>,
-    ring: Keyring,
-    pool: Arc<SigKeyPool>,
-    config: ClientConfig,
+    deployment: Deployment,
     /// The migration cluster's own meter and cluster counts, by series name.
     migration_facts: Vec<(&'static str, u64)>,
 }
@@ -72,15 +68,12 @@ fn deploy(seed: u64) -> World {
         TreeSpec { users: 2, dirs_per_user: 1, files_per_dir: 1, seed, ..Default::default() };
     let (local, _) = generate(&spec).expect("treegen");
     let mut rng = HmacDrbg::from_seed_u64(seed);
-    let ring = Keyring::generate(local.users(), 512, &mut rng).unwrap();
     let config = ClientConfig::test_with(CryptoPolicy::Sharoes, Scheme::SharedCaps);
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
+    let deployment = Deployment::new(local.users(), config, &mut rng).unwrap();
     let servers: Vec<Arc<SspServer>> =
         (0..NODE_NAMES.len()).map(|_| SspServer::new().into_shared()).collect();
     let mut cluster = make_cluster(&servers, 0.0, 0);
-    Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut cluster, &mut rng)
-        .expect("migration");
+    deployment.migrate(&local, &mut cluster, &mut rng).expect("migration");
     let migration_facts = cluster
         .meter()
         .sample()
@@ -88,27 +81,14 @@ fn deploy(seed: u64) -> World {
         .into_iter()
         .chain(cluster.stats_handle().sample().series())
         .collect();
-    World {
-        servers,
-        db: Arc::new(local.users().clone()),
-        pki: Arc::new(ring.public_directory()),
-        ring,
-        pool,
-        config,
-        migration_facts,
-    }
+    World { servers, deployment, migration_facts }
 }
 
 fn client_over(world: &World, transport: Box<dyn Transport>, session_seed: u64) -> SharoesClient {
-    SharoesClient::with_rng(
-        transport,
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(Uid(1000)).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(session_seed),
-    )
+    world
+        .deployment
+        .client_with_rng(Uid(1000), transport, HmacDrbg::from_seed_u64(session_seed))
+        .unwrap()
 }
 
 /// Every key stored anywhere in the cluster, straight off the node stores.

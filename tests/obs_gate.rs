@@ -29,11 +29,7 @@ static OBS_GATE: Mutex<()> = Mutex::new(());
 
 struct World {
     servers: Vec<Arc<SspServer>>,
-    db: Arc<UserDb>,
-    pki: Arc<Pki>,
-    ring: Keyring,
-    pool: Arc<SigKeyPool>,
-    config: ClientConfig,
+    deployment: Deployment,
     /// The migration cluster's own meter and cluster counts, by series name.
     migration_facts: Vec<(&'static str, u64)>,
 }
@@ -71,15 +67,12 @@ fn deploy(seed: u64) -> World {
         TreeSpec { users: 2, dirs_per_user: 1, files_per_dir: 1, seed, ..Default::default() };
     let (local, _) = generate(&spec).expect("treegen");
     let mut rng = HmacDrbg::from_seed_u64(seed);
-    let ring = Keyring::generate(local.users(), 512, &mut rng).unwrap();
     let config = ClientConfig::test_with(CryptoPolicy::Sharoes, Scheme::SharedCaps);
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
+    let deployment = Deployment::new(local.users(), config, &mut rng).unwrap();
     let servers: Vec<Arc<SspServer>> =
         (0..NODE_NAMES.len()).map(|_| SspServer::new().into_shared()).collect();
     let mut cluster = make_cluster(&servers, 0.0, 0);
-    Migrator { fs: &local, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut cluster, &mut rng)
-        .expect("migration");
+    deployment.migrate(&local, &mut cluster, &mut rng).expect("migration");
     let migration_facts = cluster
         .meter()
         .sample()
@@ -87,15 +80,7 @@ fn deploy(seed: u64) -> World {
         .into_iter()
         .chain(cluster.stats_handle().sample().series())
         .collect();
-    World {
-        servers,
-        db: Arc::new(local.users().clone()),
-        pki: Arc::new(ring.public_directory()),
-        ring,
-        pool,
-        config,
-        migration_facts,
-    }
+    World { servers, deployment, migration_facts }
 }
 
 /// The chaos workload behind the gate: create/write/chmod/unlink/read plus
@@ -161,15 +146,10 @@ fn registry_delta_for_pass(seed: u64) -> String {
     let world = deploy(seed);
     let cluster = make_cluster(&world.servers, 0.10, seed ^ 0xFA17);
     let cluster_stats = cluster.stats_handle();
-    let mut client = SharoesClient::with_rng(
-        Box::new(cluster),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(Uid(1000)).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(seed ^ 0x5E55),
-    );
+    let mut client = world
+        .deployment
+        .client_with_rng(Uid(1000), Box::new(cluster), HmacDrbg::from_seed_u64(seed ^ 0x5E55))
+        .unwrap();
     run_workload(&mut client);
     assert!(!client.is_degraded(), "workload completed, client must not be degraded");
     run_engine_workload(seed);
@@ -243,15 +223,10 @@ fn trace_render_for_pass(seed: u64) -> String {
     tracer.set_filter(sharoes::obs::Filter::off());
     let world = deploy(seed);
     let cluster = make_cluster(&world.servers, 0.10, seed ^ 0xFA17);
-    let mut client = SharoesClient::with_rng(
-        Box::new(cluster),
-        world.config.clone(),
-        Arc::clone(&world.db),
-        Arc::clone(&world.pki),
-        world.ring.identity(Uid(1000)).unwrap(),
-        Arc::clone(&world.pool),
-        HmacDrbg::from_seed_u64(seed ^ 0x5E55),
-    );
+    let mut client = world
+        .deployment
+        .client_with_rng(Uid(1000), Box::new(cluster), HmacDrbg::from_seed_u64(seed ^ 0x5E55))
+        .unwrap();
     // Headroom so a whole pass fits without eviction (eviction order is
     // deterministic too, but a full buffer would silently truncate trees).
     tracer.set_capacity(65_536);

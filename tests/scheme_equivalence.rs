@@ -10,43 +10,33 @@ use std::sync::Arc;
 
 struct World {
     server: Arc<SspServer>,
-    db: Arc<UserDb>,
-    pki: Arc<Pki>,
-    ring: Keyring,
-    pool: Arc<SigKeyPool>,
-    config: ClientConfig,
+    deployment: Deployment,
 }
 
-fn deploy(fs: &LocalFs, scheme: Scheme, ring: Keyring) -> World {
-    let mut rng = HmacDrbg::from_seed_u64(0xEE);
-    let config = ClientConfig::test_with(CryptoPolicy::Sharoes, scheme);
-    let pool = Arc::new(SigKeyPool::new(config.crypto));
-    let server = SspServer::new().into_shared();
-    let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
-    Migrator { fs, config: &config, ring: &ring, pool: &pool, downgrade_unsupported: true }
-        .migrate(&mut transport, &mut rng)
-        .expect("migration");
-    World {
-        server,
-        db: Arc::new(fs.users().clone()),
-        pki: Arc::new(ring.public_directory()),
-        ring,
-        pool,
-        config,
-    }
+/// Both schemes' deployments of `fs`, sharing one set of identity keys
+/// drawn from `keyring_seed`.
+fn deploy_both(fs: &LocalFs, keyring_seed: u64) -> (World, World) {
+    let mut rng = HmacDrbg::from_seed_u64(keyring_seed);
+    let config = ClientConfig::test_with(CryptoPolicy::Sharoes, Scheme::PerUser);
+    let keys = Deployment::new(fs.users(), config, &mut rng).unwrap();
+    let deploy = |scheme| {
+        let deployment = Deployment {
+            config: ClientConfig::test_with(CryptoPolicy::Sharoes, scheme),
+            ..keys.clone()
+        };
+        let server = SspServer::new().into_shared();
+        let mut transport = InMemoryTransport::new(Arc::clone(&server) as _);
+        let mut rng = HmacDrbg::from_seed_u64(0xEE);
+        deployment.migrate(fs, &mut transport, &mut rng).expect("migration");
+        World { server, deployment }
+    };
+    (deploy(Scheme::PerUser), deploy(Scheme::SharedCaps))
 }
 
 impl World {
     fn mount(&self, uid: Uid) -> SharoesClient {
         let transport = InMemoryTransport::new(Arc::clone(&self.server) as _);
-        let mut client = SharoesClient::new(
-            Box::new(transport),
-            self.config.clone(),
-            Arc::clone(&self.db),
-            Arc::clone(&self.pki),
-            self.ring.identity(uid).unwrap(),
-            Arc::clone(&self.pool),
-        );
+        let mut client = self.deployment.client(uid, Box::new(transport)).unwrap();
         client.mount().expect("mount");
         client
     }
@@ -97,12 +87,7 @@ fn schemes_are_observably_equivalent() {
         ..Default::default()
     };
     let (fs, _) = generate(&spec).expect("treegen");
-    let mut rng = HmacDrbg::from_seed_u64(0x5EED);
-    let ring1 = Keyring::generate(fs.users(), 512, &mut rng).unwrap();
-    let ring2 = ring1.clone();
-
-    let w1 = deploy(&fs, Scheme::PerUser, ring1);
-    let w2 = deploy(&fs, Scheme::SharedCaps, ring2);
+    let (w1, w2) = deploy_both(&fs, 0x5EED);
 
     let walk = fs.walk();
     let uids: Vec<Uid> = fs.users().users().map(|u| u.uid).collect();
@@ -142,11 +127,7 @@ fn schemes_equivalent_after_mutations() {
     let spec =
         TreeSpec { users: 2, dirs_per_user: 2, files_per_dir: 1, seed: 77, ..Default::default() };
     let (fs, _) = generate(&spec).expect("treegen");
-    let mut rng = HmacDrbg::from_seed_u64(0x5EED2);
-    let ring1 = Keyring::generate(fs.users(), 512, &mut rng).unwrap();
-    let ring2 = ring1.clone();
-    let w1 = deploy(&fs, Scheme::PerUser, ring1);
-    let w2 = deploy(&fs, Scheme::SharedCaps, ring2);
+    let (w1, w2) = deploy_both(&fs, 0x5EED2);
 
     let owner = Uid(1000);
     for world in [&w1, &w2] {
