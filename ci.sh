@@ -1,7 +1,9 @@
 #!/bin/sh
 # Hermetic CI gate: formatting, the non-test line count, lints, rustdoc
 # warnings, offline release build, a release run of every example (each
-# must exit zero), offline tests, pinned-seed chaos runs,
+# must exit zero), offline tests, pinned-seed chaos runs, the cluster's
+# union-index equivalence and reconcile agreement (Get, GetMany and
+# rebalance pick one winner) properties,
 # the metrics- and trace-determinism gates, the enterprise scenario gate
 # (revocation/rotation oracles + registry determinism), the concurrency
 # gate (sharded-vs-single-lock byte equivalence, including a drive of many
@@ -167,10 +169,11 @@ step "authenticated-index gate at sixth pinned seed (verified scans + tamper ora
 
 # The cluster's incrementally maintained union index against a from-scratch
 # rebuild after every verified read, through drop-out, rejoin, and the
-# Scan fallback, at the same seed.
-step "union-index equivalence at sixth pinned seed (incremental union == rebuild)" \
+# Scan fallback, and the reconcile agreement property (Get, GetMany and
+# rebalance pick one winner however replicas diverge), at the same seed.
+step "union-index equivalence + reconcile agreement at sixth pinned seed" \
     env SHAROES_TEST_SEED=0x1DE15EED \
-    cargo test -q --offline -p sharoes-cluster --test union_equivalence
+    cargo test -q --offline -p sharoes-cluster --test union_equivalence --test cluster_ops
 
 # Same independent check for the index gate's registry and trace exports.
 diff_pair "index determinism: diff exported registry deltas" \

@@ -129,11 +129,15 @@ impl ClusterTransport {
         let holders = self.holders_map(page);
         for (key, holding) in holders {
             report.keys += 1;
-            let targets = self.replica_indices(&key);
-            // Reconcile the value across current holders (presence wins,
-            // majority, ring order) before propagating it.
-            let responses = self.survey(&key, &holding);
-            let winner = ClusterTransport::reconcile(&responses);
+            let targets: Vec<usize> = self.replicas(&key).collect();
+            // Reconcile the value across current holders before propagating
+            // it. Targets come first, in ring order, so a divergence among
+            // them resolves as a read of the key would.
+            let mut surveyed: Vec<usize> =
+                targets.iter().copied().filter(|t| holding.contains(t)).collect();
+            surveyed.extend(holding.iter().filter(|h| !targets.contains(h)));
+            let responses = self.survey(&key, &surveyed);
+            let winner = ClusterTransport::reconcile(responses.iter().map(|(_, v)| v.as_ref()));
             let Some(value) = winner.and_then(|win| responses[win].1.as_ref()) else {
                 continue; // deleted under our feet: nothing to place
             };
@@ -179,7 +183,7 @@ impl ClusterTransport {
         let holders = self.holders_map(page);
         for (key, holding) in holders {
             report.keys += 1;
-            let targets = self.replica_indices(&key);
+            let targets: Vec<usize> = self.replicas(&key).collect();
             let responses = self.survey(&key, &targets);
             let present: Vec<&Vec<u8>> = responses.iter().filter_map(|(_, v)| v.as_ref()).collect();
             let missing = targets.len() - present.len();

@@ -532,8 +532,7 @@ impl ClusterTransport {
     /// The union index over every reachable node's keyspace, brought up to
     /// date with one `Root` per active node plus a refresh of each node
     /// whose root moved. Nodes that do not answer, or fail both the index
-    /// walk and the scan fallback, contribute nothing this round (same
-    /// visibility rule as the merged `Scan`).
+    /// walk and the scan fallback, contribute nothing this round.
     pub(crate) fn union_index(&mut self) -> Result<&mut MerkleIndex, NetError> {
         if self.active_indices().is_empty() {
             return Err(Self::no_nodes_err());

@@ -8,11 +8,16 @@
 //!   is one sub-request per node holding any of its keys. A `Mutate` that
 //!   drops views goes to every active node, since a view's data keys
 //!   scatter across the ring, and also needs W of them to acknowledge.
-//! * **Reads** (`Get`/`GetMany`) survey the R replicas, reconcile by
-//!   *presence wins* (a stored blob beats a miss; among differing blobs the
-//!   majority wins, and a tie goes to the later replica in ring order), and
-//!   **read-repair** any replica that returned a stale or missing copy.
-//! * **Scans** merge per-node key pages into one global ordered page.
+//! * **Reads** (`Get`/`GetMany`) survey the R replicas, put each key's
+//!   replies in its ring order, reconcile by *presence wins* (a stored blob
+//!   beats a miss; among differing blobs the majority wins, and a tie goes
+//!   to the later replica in ring order), and **read-repair** any replica
+//!   that returned a stale or missing copy.
+//! * Every keyed request, one key or a batch, takes one of two fan-outs,
+//!   [`ClusterTransport`]'s write or read path. A node whose share of the
+//!   keys is the whole request is sent the caller's request itself.
+//! * **Scans** are served from the union index (see `sync.rs`), which
+//!   holds the deduplicated union of every node's keys.
 //!
 //! Blobs are client-sealed (encrypted + signed) before they reach this
 //! layer, so replication never needs to understand content — the paper's
@@ -29,7 +34,6 @@ use crate::sync::IndexSync;
 use sharoes_net::{
     CostMeter, NetError, ObjectKey, Request, Response, Transport, TRANSIENT_ERROR_PREFIX,
 };
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -91,22 +95,6 @@ impl ClusterStatsSample {
 }
 
 impl ClusterStats {
-    fn bump_failovers(&self, n: u64) {
-        self.failovers.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn bump_read_repairs(&self, n: u64) {
-        self.read_repairs.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn bump_quorum_shortfalls(&self) {
-        self.quorum_shortfalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn bump_node_errors(&self) {
-        self.node_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Current totals.
     pub fn sample(&self) -> ClusterStatsSample {
         ClusterStatsSample {
@@ -124,6 +112,34 @@ struct Node {
     retired: bool,
 }
 
+/// Where a keyed request's items live: each item's replica nodes in ring
+/// order, and every node holding any of them.
+#[derive(Default)]
+struct Placement {
+    /// Replicas per item: `min(R, active nodes)`, the same for every key
+    /// (1 when there are no items, so `rings.chunks(r)` is always valid).
+    r: usize,
+    /// Item `i`'s replicas are `rings[i * r..(i + 1) * r]`.
+    rings: Vec<usize>,
+    /// The nodes in the order they first appear walking `rings`.
+    nodes: Vec<usize>,
+}
+
+impl Placement {
+    /// The ids of the items node `idx` holds, ascending: its share.
+    fn share(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
+        let held =
+            self.rings.chunks(self.r).enumerate().filter(move |(_, ring)| ring.contains(&idx));
+        held.map(|(i, _)| i)
+    }
+
+    /// The ring position of item `item`'s replica on node `idx`.
+    fn pos(&self, item: usize, idx: usize) -> usize {
+        let pos = self.rings[item * self.r..][..self.r].iter().position(|n| *n == idx);
+        pos.expect("a share's node is a replica of each of its items")
+    }
+}
+
 /// The blob protocol fanned out over a ring of SSP nodes.
 pub struct ClusterTransport {
     opts: ClusterOpts,
@@ -135,6 +151,9 @@ pub struct ClusterTransport {
     /// nodes they reach, and the union index maintained from their key
     /// deltas (see `sync.rs`).
     pub(crate) sync: IndexSync,
+    /// The last keyed request's placement, kept so the next one reuses its
+    /// buffers (see `place`).
+    place: Placement,
 }
 
 impl ClusterTransport {
@@ -155,6 +174,7 @@ impl ClusterTransport {
             meter,
             stats: Arc::new(ClusterStats::default()),
             sync: IndexSync::default(),
+            place: Placement::default(),
         }
     }
 
@@ -221,18 +241,11 @@ impl ClusterTransport {
         !self.nodes[idx].retired
     }
 
-    /// Node indices holding replicas of `key`, in ring preference order.
-    pub(crate) fn replica_indices(&self, key: &ObjectKey) -> Vec<usize> {
-        self.ring
-            .replicas(key, self.opts.replication)
-            .into_iter()
-            .map(|name| {
-                self.nodes
-                    .iter()
-                    .position(|n| n.name == name)
-                    .expect("ring node has a transport slot")
-            })
-            .collect()
+    /// The nodes holding replicas of `key`, in ring preference order.
+    pub(crate) fn replicas(&self, key: &ObjectKey) -> impl Iterator<Item = usize> + '_ {
+        self.ring.replicas(key, self.opts.replication).into_iter().map(|name| {
+            self.nodes.iter().position(|n| n.name == name).expect("ring node has a transport slot")
+        })
     }
 
     pub(crate) fn active_indices(&self) -> Vec<usize> {
@@ -257,309 +270,240 @@ impl ClusterTransport {
             sharoes_obs::SpanGuard::enter("cluster.replica", || format!("node={:?}", node.name));
         let outcome = node.transport.call(request);
         if outcome.is_err() {
-            self.stats.bump_node_errors();
+            self.stats.node_errors.fetch_add(1, Ordering::Relaxed);
         }
         outcome
-    }
-
-    /// Issues one request per target node, in order, returning outcomes in
-    /// call order. Sequential calls keep per-node fault-schedule draws and
-    /// trace span order deterministic, which the pinned-seed gates rely on.
-    pub(crate) fn fan_calls(
-        &mut self,
-        calls: &[(usize, Request)],
-    ) -> Vec<Result<Response, NetError>> {
-        calls.iter().map(|(idx, req)| self.node_call(*idx, req)).collect()
     }
 
     pub(crate) fn no_nodes_err() -> NetError {
         NetError::Remote(format!("{TRANSIENT_ERROR_PREFIX}: cluster has no active nodes"))
     }
 
-    /// Replicated single-key write (`Put`/`Delete`): R replicas, W acks.
-    /// Every replica is sent the caller's request itself, in ring order.
-    fn write_one(&mut self, key: &ObjectKey, request: &Request) -> Result<Response, NetError> {
-        let replicas = self.replica_indices(key);
-        if replicas.is_empty() {
-            return Err(Self::no_nodes_err());
-        }
-        let need = self.write_quorum().min(replicas.len());
-        let total = replicas.len();
-        let mut acks = 0usize;
-        let mut last_err: Option<NetError> = None;
-        for idx in replicas {
-            match self.node_call(idx, request) {
-                Ok(Response::Ok) => acks += 1,
-                Ok(_) => last_err = Some(NetError::Codec("unexpected write response shape")),
-                Err(e) => last_err = Some(e),
+    /// The placement of `keys`. Nodes come in the order they first appear
+    /// walking the keys and each key's replicas in ring order, so a one-key
+    /// request visits its replicas in ring order. It is built in the
+    /// buffers of the last request's placement; a fan-out hands them back
+    /// (`self.place = place`) when it is done, so grouping a one-key request
+    /// allocates nothing (an allocation costs about as much as the grouping).
+    fn place(&mut self, keys: &[ObjectKey]) -> Result<Placement, NetError> {
+        let mut place = std::mem::take(&mut self.place);
+        place.rings.clear();
+        place.nodes.clear();
+        place.r = 1;
+        for key in keys {
+            let start = place.rings.len();
+            place.rings.extend(self.replicas(key));
+            place.r = place.rings.len() - start;
+            if place.r == 0 {
+                return Err(Self::no_nodes_err());
+            }
+            for i in start..place.rings.len() {
+                if !place.nodes.contains(&place.rings[i]) {
+                    place.nodes.push(place.rings[i]);
+                }
             }
         }
-        self.settle_write(acks, need, total, last_err)
+        Ok(place)
     }
 
-    /// Replicated batch write (`PutMany`/`Mutate`): the keyed items are
-    /// grouped into one sub-request per replica node (`build` gets each
-    /// node's item indices, ascending), and every item needs W acks. With
-    /// `everywhere`, every active node gets a sub-request, possibly with no
-    /// items, and W of them must ack it too.
-    fn write_many(
+    /// Sends each of `place`'s nodes its share, in order: the caller's
+    /// `request` itself when the share is all `items`, else `build` of the
+    /// share's item ids. `take` gets each node's reply and refuses one of the
+    /// wrong shape. Returns the nodes whose call failed or was refused, and
+    /// the last error.
+    fn send_shares(
         &mut self,
+        place: &Placement,
+        items: usize,
+        request: &Request,
+        build: impl Fn(&[usize]) -> Request,
+        mut take: impl FnMut(usize, Response) -> Result<(), NetError>,
+    ) -> (Vec<usize>, Option<NetError>) {
+        let mut failed = Vec::new();
+        let mut last_err = None;
+        for idx in &place.nodes {
+            let outcome = if place.share(*idx).count() == items {
+                self.node_call(*idx, request)
+            } else {
+                self.node_call(*idx, &build(&place.share(*idx).collect::<Vec<_>>()))
+            };
+            if let Err(e) = outcome.and_then(|reply| take(*idx, reply)) {
+                failed.push(*idx);
+                last_err = Some(e);
+            }
+        }
+        (failed, last_err)
+    }
+
+    /// Replicated write (`Put`/`Delete`/`PutMany`/`Mutate`): each keyed item
+    /// goes to its R replicas and needs W acks. A node whose share is the
+    /// whole request is sent `request` itself; any other gets `build` of its
+    /// item ids. With `everywhere`, every active node gets a share, possibly
+    /// with no items, and W of them must ack it too.
+    fn write(
+        &mut self,
+        request: &Request,
         keys: &[ObjectKey],
         everywhere: bool,
         build: impl Fn(&[usize]) -> Request,
     ) -> Result<Response, NetError> {
-        let replica_sets: Vec<Vec<usize>> = keys.iter().map(|k| self.replica_indices(k)).collect();
-        let active = if everywhere { self.active_indices() } else { Vec::new() };
-        if replica_sets.iter().any(|r| r.is_empty()) || (everywhere && active.is_empty()) {
-            return Err(Self::no_nodes_err());
-        }
-        let mut per_node: BTreeMap<usize, Vec<usize>> =
-            active.iter().map(|idx| (*idx, Vec::new())).collect();
-        for (item, replicas) in replica_sets.iter().enumerate() {
-            for idx in replicas {
-                per_node.entry(*idx).or_default().push(item);
+        let mut place = self.place(keys)?;
+        if everywhere {
+            let active = self.active_indices();
+            if active.is_empty() {
+                return Err(Self::no_nodes_err());
             }
-        }
-        if per_node.is_empty() {
-            return Ok(Response::Ok);
-        }
-        let calls: Vec<(usize, Request)> =
-            per_node.iter().map(|(idx, items)| (*idx, build(items))).collect();
-        let mut acks = vec![0usize; keys.len()];
-        let mut node_acks = 0usize;
-        let mut last_err: Option<NetError> = None;
-        for ((_, items), outcome) in per_node.iter().zip(self.fan_calls(&calls)) {
-            match outcome {
-                Ok(Response::Ok) => {
-                    node_acks += 1;
-                    for i in items {
-                        acks[*i] += 1;
-                    }
+            for idx in active {
+                if !place.nodes.contains(&idx) {
+                    place.nodes.push(idx);
                 }
-                Ok(_) => last_err = Some(NetError::Codec("unexpected write response shape")),
-                Err(e) => last_err = Some(e),
             }
         }
-        // The whole batch succeeds only if every item, and the fan-out to
+        let (failed, last_err) =
+            self.send_shares(&place, keys.len(), request, build, |_, reply| match reply {
+                Response::Ok => Ok(()),
+                _ => Err(NetError::Codec("unexpected write response shape")),
+            });
+        // The whole request succeeds only if every item, and the fan-out to
         // every node, met its quorum; the worst-off one decides.
         let need = self.write_quorum();
-        let short = |acks: usize, total: usize| acks < need.min(total).max(1);
-        let items_short = acks.iter().zip(&replica_sets).any(|(a, r)| short(*a, r.len()));
-        if items_short || (everywhere && short(node_acks, active.len())) {
-            let worst = acks.iter().copied().chain(everywhere.then_some(node_acks)).min();
-            let worst = worst.unwrap_or(0);
+        // `(acks, replicas)` of every item, then of the fan-out to every node.
+        let items = place
+            .rings
+            .chunks(place.r)
+            .map(|ring| (ring.iter().filter(|n| !failed.contains(n)).count(), ring.len()));
+        let fan_out = everywhere.then_some((place.nodes.len() - failed.len(), place.nodes.len()));
+        let tallies = items.chain(fan_out);
+        // Only a failed node can leave a quorum short.
+        let short =
+            !failed.is_empty() && tallies.clone().any(|(acks, total)| acks < need.min(total));
+        let worst = short.then(|| tallies.map(|(acks, _)| acks).min().unwrap_or(0));
+        self.place = place;
+        if let Some(worst) = worst {
             return Err(last_err.unwrap_or_else(|| {
                 NetError::Remote(format!(
                     "{TRANSIENT_ERROR_PREFIX}: write quorum not met ({worst}/{need} acks)"
                 ))
             }));
         }
-        if acks.iter().zip(&replica_sets).any(|(a, r)| *a < r.len()) || node_acks < per_node.len() {
-            self.stats.bump_quorum_shortfalls();
+        if !failed.is_empty() {
+            self.stats.quorum_shortfalls.fetch_add(1, Ordering::Relaxed);
         }
         Ok(Response::Ok)
     }
 
-    /// Shared tail of the write paths: quorum check + shortfall accounting.
-    fn settle_write(
+    /// Picks the winning value among one key's replica replies, given in
+    /// that key's ring order: presence beats absence; among present values
+    /// the most-replicated wins, and a tie goes to the value whose first
+    /// reply is later in ring order. Every read path and rebalance apply
+    /// this one rule. Returns the position of a reply holding the winner, so
+    /// the caller can move the value out; `None` when no replica holds the
+    /// key.
+    pub(crate) fn reconcile<'a>(
+        replies: impl Iterator<Item = Option<&'a Vec<u8>>> + Clone,
+    ) -> Option<usize> {
+        // `(replies holding the value, position of its first reply)`.
+        let mut best: Option<(usize, usize)> = None;
+        for (pos, value) in replies.clone().enumerate() {
+            // Count each value once, at its first reply.
+            if value.is_none() || replies.clone().take(pos).any(|v| v == value) {
+                continue;
+            }
+            let count = 1 + replies.clone().skip(pos + 1).filter(|v| *v == value).count();
+            // Values come in ring order, so `>=` hands a tie to the later one.
+            if best.is_none_or(|(most, _)| count >= most) {
+                best = Some((count, pos));
+            }
+        }
+        best.map(|(_, pos)| pos)
+    }
+
+    /// Quorum read (`Get`/`GetMany`) with failover and read repair: each
+    /// key's replicas are surveyed, their replies put in the key's ring
+    /// order and reconciled, and every replica that answered with a missing
+    /// or different copy is re-put the winner (one item as `Put`, more as
+    /// `PutMany`). A node whose share is the whole request is sent `request`
+    /// itself, and answers a `Get` with `Object`; any other share goes as a
+    /// `GetMany`. Hands each key's value to `emit`, in key order.
+    fn read(
         &mut self,
-        acks: usize,
-        need: usize,
-        total: usize,
-        last_err: Option<NetError>,
-    ) -> Result<Response, NetError> {
-        if acks >= need {
-            if acks < total {
-                self.stats.bump_quorum_shortfalls();
-            }
-            Ok(Response::Ok)
-        } else {
-            Err(last_err.unwrap_or_else(|| {
-                NetError::Remote(format!(
-                    "{TRANSIENT_ERROR_PREFIX}: write quorum not met ({acks}/{need} acks)"
-                ))
-            }))
-        }
-    }
-
-    /// Picks the winning value among replica responses: presence beats
-    /// absence; among present values the most-replicated wins, and a tie
-    /// goes to the value whose first reply is later in ring order. Returns the
-    /// position in `responses` of a reply holding it, so the caller can move
-    /// the value out; `None` when no replica holds the key.
-    pub(crate) fn reconcile(responses: &[(usize, Option<Vec<u8>>)]) -> Option<usize> {
-        // `(position of the value's first reply, replies holding it)`.
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
-        for (pos, (_, value)) in responses.iter().enumerate() {
-            if value.is_some() {
-                match candidates.iter_mut().find(|(first, _)| responses[*first].1 == *value) {
-                    Some((_, count)) => *count += 1,
-                    None => candidates.push((pos, 1)),
+        request: &Request,
+        keys: &[ObjectKey],
+        mut emit: impl FnMut(Option<Vec<u8>>),
+    ) -> Result<(), NetError> {
+        let place = self.place(keys)?;
+        let one = matches!(request, Request::Get { .. });
+        // `(item, ring position, node, reply)` for each reply received.
+        let mut got: Vec<(usize, usize, usize, Option<Vec<u8>>)> =
+            Vec::with_capacity(place.rings.len());
+        let build =
+            |ids: &[usize]| Request::GetMany { keys: ids.iter().map(|i| keys[*i]).collect() };
+        let (failed, last_err) =
+            self.send_shares(&place, keys.len(), request, build, |idx, reply| match reply {
+                Response::Object(v) if one => {
+                    got.push((0, place.pos(0, idx), idx, v));
+                    Ok(())
                 }
-            }
-        }
-        // `candidates` is in first-seen (ring) order, and max_by_key keeps
-        // the last of equal counts: on a tie the later value wins.
-        candidates.iter().max_by_key(|(_, count)| *count).map(|(first, _)| *first)
-    }
-
-    /// Quorum read with failover + read repair for one key.
-    fn read_one(&mut self, key: &ObjectKey) -> Result<Response, NetError> {
-        let replicas = self.replica_indices(key);
-        if replicas.is_empty() {
-            return Err(Self::no_nodes_err());
-        }
-        let mut responses: Vec<(usize, Option<Vec<u8>>)> = Vec::with_capacity(replicas.len());
-        let mut primary_failed = false;
-        let mut last_err: Option<NetError> = None;
-        for (pos, idx) in replicas.iter().enumerate() {
-            match self.node_call(*idx, &Request::Get { key: *key }) {
-                Ok(Response::Object(v)) => responses.push((*idx, v)),
-                Ok(_) => last_err = Some(NetError::Codec("unexpected read response shape")),
-                Err(e) => {
-                    if pos == 0 {
-                        primary_failed = true;
+                Response::Objects(values) if !one && values.len() == place.share(idx).count() => {
+                    for (i, v) in place.share(idx).zip(values) {
+                        got.push((i, place.pos(i, idx), idx, v));
                     }
-                    last_err = Some(e);
+                    Ok(())
                 }
-            }
-        }
-        if responses.is_empty() {
-            return Err(last_err.unwrap_or_else(Self::no_nodes_err));
-        }
-        if primary_failed {
-            self.stats.bump_failovers(1);
-        }
-        let Some(win) = Self::reconcile(&responses) else {
-            return Ok(Response::Object(None));
-        };
-        let winner = responses[win].1.take();
-        if let Some(value) = &winner {
-            for (pos, (idx, v)) in responses.iter().enumerate() {
-                if pos == win || v.as_ref() == Some(value) {
-                    continue;
-                }
-                // Best effort: a failed repair leaves the replica for the
-                // next divergent read or the rebalancer.
-                let repair = Request::Put { key: *key, value: value.clone() };
-                if self.node_call(*idx, &repair).is_ok() {
-                    self.stats.bump_read_repairs(1);
-                }
-            }
-        }
-        Ok(Response::Object(winner))
-    }
-
-    /// Batched quorum read: one `GetMany` per involved node, reassembled
-    /// per key with the same reconcile + repair rules as [`Self::read_one`].
-    fn read_many(&mut self, keys: &[ObjectKey]) -> Result<Response, NetError> {
-        if keys.is_empty() {
-            return Ok(Response::Objects(Vec::new()));
-        }
-        let replica_sets: Vec<Vec<usize>> = keys.iter().map(|k| self.replica_indices(k)).collect();
-        if replica_sets.iter().any(|r| r.is_empty()) {
-            return Err(Self::no_nodes_err());
-        }
-        let mut per_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (item, replicas) in replica_sets.iter().enumerate() {
-            for idx in replicas {
-                per_node.entry(*idx).or_default().push(item);
-            }
-        }
-        let calls: Vec<(usize, Request)> = per_node
-            .iter()
-            .map(|(idx, items)| {
-                (*idx, Request::GetMany { keys: items.iter().map(|i| keys[*i]).collect() })
-            })
-            .collect();
-        let mut got: Vec<Vec<(usize, Option<Vec<u8>>)>> = vec![Vec::new(); keys.len()];
-        let mut failed_nodes: Vec<usize> = Vec::new();
-        let mut last_err: Option<NetError> = None;
-        for ((idx, items), outcome) in per_node.iter().zip(self.fan_calls(&calls)) {
-            match outcome {
-                Ok(Response::Objects(values)) if values.len() == items.len() => {
-                    for (i, v) in items.iter().zip(values) {
-                        got[*i].push((*idx, v));
-                    }
-                }
-                Ok(_) => {
-                    failed_nodes.push(*idx);
-                    last_err = Some(NetError::Codec("unexpected read response shape"));
-                }
-                Err(e) => {
-                    failed_nodes.push(*idx);
-                    last_err = Some(e);
-                }
-            }
-        }
-        let mut out: Vec<Option<Vec<u8>>> = Vec::with_capacity(keys.len());
-        let mut repairs: BTreeMap<usize, Vec<(ObjectKey, Vec<u8>)>> = BTreeMap::new();
+                _ => Err(NetError::Codec("unexpected read response shape")),
+            });
+        // Each key's replies together, in its ring order.
+        got.sort_unstable_by_key(|(i, pos, ..)| (*i, *pos));
+        let mut by_key = got.chunk_by_mut(|a, b| a.0 == b.0).peekable();
+        let mut repairs: Vec<(usize, Vec<_>)> = Vec::new();
         let mut failovers = 0u64;
         for (i, key) in keys.iter().enumerate() {
-            if got[i].is_empty() {
+            let Some(replies) = by_key.next_if(|replies| replies[0].0 == i) else {
                 // Every replica failed: returning None here would let a
                 // total outage masquerade as a deleted object.
                 return Err(last_err.unwrap_or_else(Self::no_nodes_err));
-            }
-            if failed_nodes.contains(&replica_sets[i][0]) {
+            };
+            if failed.contains(&place.rings[i * place.r]) {
                 failovers += 1;
             }
-            let Some(win) = Self::reconcile(&got[i]) else {
-                out.push(None);
+            let Some(win) = Self::reconcile(replies.iter().map(|(.., v)| v.as_ref())) else {
+                emit(None);
                 continue;
             };
-            let winner = got[i][win].1.take();
+            let winner = replies[win].3.take();
             if let Some(value) = &winner {
-                for (pos, (idx, v)) in got[i].iter().enumerate() {
-                    if pos != win && v.as_ref() != Some(value) {
-                        repairs.entry(*idx).or_default().push((*key, value.clone()));
+                for (pos, (.., idx, v)) in replies.iter().enumerate() {
+                    if pos == win || v.as_ref() == Some(value) {
+                        continue;
+                    }
+                    let item = (*key, value.clone());
+                    match repairs.iter_mut().find(|(n, _)| n == idx) {
+                        Some((_, items)) => items.push(item),
+                        None => repairs.push((*idx, vec![item])),
                     }
                 }
             }
-            out.push(winner);
+            emit(winner);
         }
-        self.stats.bump_failovers(failovers);
-        for (idx, items) in repairs {
+        self.place = place;
+        if failovers > 0 {
+            self.stats.failovers.fetch_add(failovers, Ordering::Relaxed);
+        }
+        // Best effort: a failed repair leaves the replica for the next
+        // divergent read or the rebalancer.
+        for (idx, mut items) in repairs {
             let count = items.len() as u64;
-            if self.node_call(idx, &Request::PutMany { items }).is_ok() {
-                self.stats.bump_read_repairs(count);
+            let repair = if items.len() == 1 {
+                let (key, value) = items.remove(0);
+                Request::Put { key, value }
+            } else {
+                Request::PutMany { items }
+            };
+            if self.node_call(idx, &repair).is_ok() {
+                self.stats.read_repairs.fetch_add(count, Ordering::Relaxed);
             }
         }
-        Ok(Response::Objects(out))
-    }
-
-    /// Merged global key scan: each node reports its page after the cursor;
-    /// pages are merged, deduplicated (replicas!), and re-limited.
-    fn scan(&mut self, after: &Option<ObjectKey>, limit: u32) -> Result<Response, NetError> {
-        let active = self.active_indices();
-        if active.is_empty() {
-            return Err(Self::no_nodes_err());
-        }
-        let calls: Vec<(usize, Request)> =
-            active.into_iter().map(|idx| (idx, Request::Scan { after: *after, limit })).collect();
-        let mut merged: Vec<ObjectKey> = Vec::new();
-        let mut all_done = true;
-        let mut any_ok = false;
-        let mut last_err = None;
-        for outcome in self.fan_calls(&calls) {
-            match outcome {
-                Ok(Response::Keys { keys, done }) => {
-                    merged.extend(keys);
-                    all_done &= done;
-                    any_ok = true;
-                }
-                Ok(_) => last_err = Some(NetError::Codec("unexpected scan response shape")),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if !any_ok {
-            return Err(last_err.unwrap_or_else(Self::no_nodes_err));
-        }
-        merged.sort_unstable();
-        merged.dedup();
-        let done = all_done && merged.len() <= limit as usize;
-        merged.truncate(limit as usize);
-        Ok(Response::Keys { keys: merged, done })
+        Ok(())
     }
 
     /// First active node that answers the ping.
@@ -570,7 +514,7 @@ impl ClusterTransport {
             match self.node_call(*idx, &Request::Ping) {
                 Ok(Response::Pong) => {
                     if pos > 0 {
-                        self.stats.bump_failovers(1);
+                        self.stats.failovers.fetch_add(1, Ordering::Relaxed);
                     }
                     return Ok(Response::Pong);
                 }
@@ -581,33 +525,43 @@ impl ClusterTransport {
         Err(last_err.unwrap_or_else(Self::no_nodes_err))
     }
 
-    /// Metrics exposition fanned out to every active node, concatenated with
-    /// `# node <name>` section headers so per-node series stay attributable.
-    fn metrics_call(&mut self) -> Result<Response, NetError> {
-        let active = self.active_indices();
-        let calls: Vec<(usize, Request)> =
-            active.iter().map(|idx| (*idx, Request::Metrics)).collect();
-        let mut text = String::new();
+    /// Sends `request` to every active node, in slot order, and hands each
+    /// reply to `take` with the node's name; `take` refuses a reply of the
+    /// wrong shape. Fails only when no node's reply was taken.
+    fn scrape(
+        &mut self,
+        request: &Request,
+        mut take: impl FnMut(&str, Response) -> Result<(), NetError>,
+    ) -> Result<(), NetError> {
         let mut any_ok = false;
         let mut last_err = None;
-        let outcomes = self.fan_calls(&calls);
-        for (idx, outcome) in active.into_iter().zip(outcomes) {
-            let name = self.nodes[idx].name.clone();
-            match outcome {
-                Ok(Response::Metrics { text: node_text }) => {
-                    text.push_str(&format!("# node {name}\n"));
-                    text.push_str(&node_text);
-                    any_ok = true;
-                }
-                Ok(_) => last_err = Some(NetError::Codec("unexpected metrics response shape")),
+        for idx in self.active_indices() {
+            match self.node_call(idx, request).and_then(|reply| take(&self.nodes[idx].name, reply))
+            {
+                Ok(()) => any_ok = true,
                 Err(e) => last_err = Some(e),
             }
         }
         if any_ok {
-            Ok(Response::Metrics { text })
+            Ok(())
         } else {
             Err(last_err.unwrap_or_else(Self::no_nodes_err))
         }
+    }
+
+    /// Metrics exposition fanned out to every active node, concatenated with
+    /// `# node <name>` section headers so per-node series stay attributable.
+    fn metrics_call(&mut self) -> Result<Response, NetError> {
+        let mut text = String::new();
+        self.scrape(&Request::Metrics, |name, reply| match reply {
+            Response::Metrics { text: node_text } => {
+                text.push_str(&format!("# node {name}\n"));
+                text.push_str(&node_text);
+                Ok(())
+            }
+            _ => Err(NetError::Codec("unexpected metrics response shape")),
+        })?;
+        Ok(Response::Metrics { text })
     }
 
     /// Trace-buffer scrape fanned out to every active node. `max` is a
@@ -615,41 +569,25 @@ impl ClusterTransport {
     /// a deeper layer already stamped it) so the shell can assemble
     /// cross-node span trees keyed by trace id.
     fn trace_call(&mut self, max: u32) -> Result<Response, NetError> {
-        let active = self.active_indices();
-        let calls: Vec<(usize, Request)> =
-            active.iter().map(|idx| (*idx, Request::Trace { max })).collect();
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        let mut any_ok = false;
-        let mut last_err = None;
-        let outcomes = self.fan_calls(&calls);
-        for (idx, outcome) in active.into_iter().zip(outcomes) {
-            let name = self.nodes[idx].name.clone();
-            match outcome {
-                Ok(Response::Trace { events: node_events, .. })
-                    if node_events.len() > max as usize =>
-                {
-                    last_err = Some(NetError::Codec("trace reply over its event cap"))
-                }
-                Ok(Response::Trace { events: node_events, dropped: d }) => {
-                    for mut ev in node_events {
-                        if ev.node.is_empty() {
-                            ev.node = name.clone();
-                        }
-                        events.push(ev);
-                    }
-                    dropped += d;
-                    any_ok = true;
-                }
-                Ok(_) => last_err = Some(NetError::Codec("unexpected trace response shape")),
-                Err(e) => last_err = Some(e),
+        self.scrape(&Request::Trace { max }, |name, reply| match reply {
+            Response::Trace { events: node_events, .. } if node_events.len() > max as usize => {
+                Err(NetError::Codec("trace reply over its event cap"))
             }
-        }
-        if any_ok {
-            Ok(Response::Trace { events, dropped })
-        } else {
-            Err(last_err.unwrap_or_else(Self::no_nodes_err))
-        }
+            Response::Trace { events: node_events, dropped: d } => {
+                for mut ev in node_events {
+                    if ev.node.is_empty() {
+                        ev.node = name.to_string();
+                    }
+                    events.push(ev);
+                }
+                dropped += d;
+                Ok(())
+            }
+            _ => Err(NetError::Codec("unexpected trace response shape")),
+        })?;
+        Ok(Response::Trace { events, dropped })
     }
 }
 
@@ -657,11 +595,13 @@ impl Transport for ClusterTransport {
     fn call(&mut self, request: &Request) -> Result<Response, NetError> {
         match request {
             Request::Ping => self.ping(),
-            Request::Put { key, .. } => self.write_one(key, request),
-            Request::Delete { key } => self.write_one(key, request),
+            // A one-key request's only share is the whole request.
+            Request::Put { key, .. } | Request::Delete { key } => {
+                self.write(request, std::slice::from_ref(key), false, |_| request.clone())
+            }
             Request::PutMany { items } => {
                 let keys: Vec<ObjectKey> = items.iter().map(|(k, _)| *k).collect();
-                self.write_many(&keys, false, |ids| Request::PutMany {
+                self.write(request, &keys, false, |ids| Request::PutMany {
                     items: ids.iter().map(|i| items[*i].clone()).collect(),
                 })
             }
@@ -670,7 +610,7 @@ impl Transport for ClusterTransport {
                 let keys: Vec<ObjectKey> =
                     puts.iter().map(|(k, _)| *k).chain(deletes.iter().copied()).collect();
                 let split = puts.len();
-                self.write_many(&keys, !drop_views.is_empty(), |ids| {
+                self.write(request, &keys, !drop_views.is_empty(), |ids| {
                     let (put_ids, delete_ids) = ids.split_at(ids.partition_point(|i| *i < split));
                     Request::Mutate {
                         puts: put_ids.iter().map(|i| puts[*i].clone()).collect(),
@@ -679,27 +619,31 @@ impl Transport for ClusterTransport {
                     }
                 })
             }
-            Request::Get { key } => self.read_one(key),
+            // One key, one value.
+            Request::Get { key } => {
+                let mut value = None;
+                self.read(request, std::slice::from_ref(key), |v| value = v)?;
+                Ok(Response::Object(value))
+            }
             Request::GetMany { keys } => {
-                let keys = keys.clone();
-                self.read_many(&keys)
+                let mut values = Vec::with_capacity(keys.len());
+                self.read(request, keys, |v| values.push(v))?;
+                Ok(Response::Objects(values))
             }
             Request::Metrics => self.metrics_call(),
             Request::Trace { max } => self.trace_call(*max),
-            Request::Scan { after, limit } => {
-                let (after, limit) = (*after, *limit);
-                self.scan(&after, limit)
-            }
             // The authenticated-index view of the cluster: a single union
             // index over every active node's keyspace (see `sync.rs`), so
             // clients can pin one root and verify cluster-wide scans the
             // same way they verify a single SSP's.
             Request::Root => self.union_root(),
-            Request::IndexNode { hashes } => self.union_nodes(hashes),
-            Request::ScanVerified { after, limit } => {
-                let (after, limit) = (*after, *limit);
-                self.scan_verified(&after, limit)
+            // Each key once, however many nodes hold it.
+            Request::Scan { after, limit } => {
+                let (keys, done) = self.union_index()?.scan_page(after.as_ref(), *limit as usize);
+                Ok(Response::Keys { keys, done })
             }
+            Request::IndexNode { hashes } => self.union_nodes(hashes),
+            Request::ScanVerified { after, limit } => self.scan_verified(after, *limit),
         }
     }
 

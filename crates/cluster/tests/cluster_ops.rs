@@ -1,13 +1,17 @@
 //! Blob-level cluster semantics against real SSP stores: replication
 //! placement, quorum enforcement, failover reads, read repair, and
 //! rebalancing after ring changes.
+//!
+//! The reconcile agreement property is seeded; replay it with
+//! `SHAROES_TEST_SEED=<seed> cargo test -p sharoes-cluster --test cluster_ops`.
 
 use sharoes_cluster::{ClusterOpts, ClusterTransport};
 use sharoes_net::{
     CostMeter, InMemoryTransport, NetError, ObjectKey, Request, RequestHandler, Response, Transport,
 };
 use sharoes_ssp::{ObjectStore, SspServer};
-use std::sync::Arc;
+use sharoes_testkit::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// A cluster over in-process SSP nodes whose stores stay inspectable.
 struct World {
@@ -364,4 +368,176 @@ fn a_trace_reply_over_its_cap_is_refused() {
     cluster.add_node("a", Box::new(InMemoryTransport::new(Arc::new(Overfull))));
     let err = cluster.call(&Request::Trace { max: 3 }).unwrap_err();
     assert!(matches!(err, NetError::Codec(_)), "{err}");
+}
+
+/// Every request any node link carried, in call order: the node's name,
+/// the address the request was passed at, and the request.
+type CallLog = Arc<Mutex<Vec<(String, usize, Request)>>>;
+
+/// A node link that records what it carries into a shared [`CallLog`].
+struct Recording {
+    name: String,
+    inner: InMemoryTransport,
+    log: CallLog,
+}
+
+impl Transport for Recording {
+    fn call(&mut self, request: &Request) -> Result<Response, NetError> {
+        let address = request as *const Request as usize;
+        self.log.lock().unwrap().push((self.name.clone(), address, request.clone()));
+        self.inner.call(request)
+    }
+
+    fn meter(&self) -> &Arc<CostMeter> {
+        self.inner.meter()
+    }
+}
+
+fn recorded(names: &[&str], opts: ClusterOpts) -> (World, CallLog) {
+    let log = CallLog::default();
+    let mut cluster = ClusterTransport::new(opts);
+    let mut stores = Vec::new();
+    for name in names {
+        let store = Arc::new(ObjectStore::new());
+        let server: Arc<dyn RequestHandler> = Arc::new(SspServer::with_store(Arc::clone(&store)));
+        let inner = InMemoryTransport::new(server);
+        let link = Recording { name: name.to_string(), inner, log: Arc::clone(&log) };
+        cluster.add_node(name, Box::new(link));
+        stores.push(store);
+    }
+    (World { cluster, stores }, log)
+}
+
+#[test]
+fn replicas_receive_the_callers_request_itself() {
+    let (mut w, log) =
+        recorded(&["a", "b", "c"], ClusterOpts { replication: 2, ..Default::default() });
+    let k = key(5);
+    let ring: Vec<String> =
+        w.cluster.ring().replicas(&k, 2).into_iter().map(str::to_string).collect();
+    // Put, Get and Delete reach each replica in ring order, each as the
+    // caller's request at the caller's address: no per-replica copy.
+    for request in [
+        Request::Put { key: k, value: blob(5) },
+        Request::Get { key: k },
+        Request::Delete { key: k },
+    ] {
+        log.lock().unwrap().clear();
+        w.cluster.call(&request).unwrap();
+        let address = &request as *const Request as usize;
+        let want: Vec<(String, usize, Request)> =
+            ring.iter().map(|node| (node.clone(), address, request.clone())).collect();
+        assert_eq!(*log.lock().unwrap(), want, "{request:?}");
+    }
+
+    // A one-item read repair arrives as a `Put`, even inside a batch read.
+    let keys: Vec<ObjectKey> = (0..10).map(key).collect();
+    let items = keys.iter().zip(0..).map(|(k, i)| (*k, blob(i))).collect();
+    w.cluster.call(&Request::PutMany { items }).unwrap();
+    let victim = w.stores.iter().position(|s| s.get(&keys[3]).is_some()).unwrap();
+    w.stores[victim].delete(&keys[3]).unwrap();
+    log.lock().unwrap().clear();
+    w.cluster.call(&Request::GetMany { keys }).unwrap();
+    let repairs: Vec<(String, Request)> = log
+        .lock()
+        .unwrap()
+        .iter()
+        .filter(|(_, _, request)| !matches!(request, Request::GetMany { .. }))
+        .map(|(node, _, request)| (node.clone(), request.clone()))
+        .collect();
+    let victim_name = ["a", "b", "c"][victim].to_string();
+    assert_eq!(repairs, vec![(victim_name, Request::Put { key: key(3), value: blob(3) })]);
+}
+
+#[test]
+fn a_node_holding_every_key_of_a_batch_receives_the_batch_itself() {
+    // R = 3 over three nodes: every node holds every key.
+    let (mut w, log) =
+        recorded(&["a", "b", "c"], ClusterOpts { replication: 3, ..Default::default() });
+    let items: Vec<(ObjectKey, Vec<u8>)> = (0..6).map(|i| (key(i), blob(i))).collect();
+    let batches = [
+        Request::PutMany { items: items.clone() },
+        Request::Mutate { puts: items, deletes: vec![key(9)], drop_views: vec![(77, [9; 16])] },
+        Request::GetMany { keys: (0..6).map(key).collect() },
+    ];
+    for request in batches {
+        log.lock().unwrap().clear();
+        w.cluster.call(&request).unwrap();
+        let address = &request as *const Request as usize;
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 3, "{request:?}");
+        assert!(log.iter().all(|(_, a, r)| *a == address && *r == request), "{request:?}");
+    }
+}
+
+/// The cluster `world`, with each key's replicas seeded straight into the
+/// node stores: replica `pos` of key `i`, in ring order, holds
+/// `[patterns[i][pos]; 4]`, or nothing when that is 0.
+fn diverged(nodes: usize, replication: usize, keys: &[ObjectKey], patterns: &[Vec<u8>]) -> World {
+    let names: Vec<String> = (0..nodes).map(|i| format!("n{i}")).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let w = world(&names, ClusterOpts { replication, ..Default::default() });
+    for (k, pattern) in keys.iter().zip(patterns) {
+        for (node, v) in w.cluster.ring().replicas(k, replication).into_iter().zip(pattern) {
+            let slot = names.iter().position(|n| *n == node).unwrap();
+            if *v != 0 {
+                w.stores[slot].put(*k, vec![*v; 4]).unwrap();
+            }
+        }
+    }
+    w
+}
+
+prop! {
+    #![cases(48)]
+
+    /// However a key's replicas diverge, `Get`, `GetMany` and `rebalance`
+    /// pick the same winner (the value rebalance leaves on every target).
+    fn get_getmany_and_rebalance_pick_one_winner(
+        nodes in gen::in_range_incl(2usize..=4),
+        replication in gen::in_range_incl(2usize..=3),
+        salt in gen::u64s(),
+        patterns in gen::vecs(gen::vecs(gen::in_range(0u8..4), 3..4), 1..40),
+    ) {
+        let replication = replication.min(nodes);
+        let keys: Vec<ObjectKey> = (0..patterns.len() as u64)
+            .map(|i| ObjectKey::data(salt.wrapping_add(i), [(i % 251) as u8; 16], 0))
+            .collect();
+
+        let mut w = diverged(nodes, replication, &keys, &patterns);
+        let from_get: Vec<Option<Vec<u8>>> = keys
+            .iter()
+            .map(|k| match w.cluster.call(&Request::Get { key: *k }).unwrap() {
+                Response::Object(v) => v,
+                other => panic!("Get answered {other:?}"),
+            })
+            .collect();
+
+        let mut w = diverged(nodes, replication, &keys, &patterns);
+        let Response::Objects(from_get_many) =
+            w.cluster.call(&Request::GetMany { keys: keys.clone() }).unwrap()
+        else {
+            panic!("GetMany answered another shape")
+        };
+
+        let mut w = diverged(nodes, replication, &keys, &patterns);
+        w.cluster.rebalance(16).unwrap();
+        let mut from_rebalance = Vec::new();
+        for k in &keys {
+            let held: Vec<Option<Vec<u8>>> = w
+                .cluster
+                .ring()
+                .replicas(k, replication)
+                .into_iter()
+                .map(|node| w.stores[node[1..].parse::<usize>().unwrap()].get(k))
+                .collect();
+            prop_assert!(held.windows(2).all(|p| p[0] == p[1]), "{k:?} targets differ: {held:?}");
+            from_rebalance.push(held[0].clone());
+        }
+
+        let disagree = (0..keys.len())
+            .filter(|i| from_get[*i] != from_get_many[*i] || from_get[*i] != from_rebalance[*i])
+            .count();
+        prop_assert!(disagree == 0, "Get, GetMany and rebalance disagreed on {disagree} of {} keys", keys.len());
+    }
 }

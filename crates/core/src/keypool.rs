@@ -22,18 +22,6 @@ impl SigKeyPool {
         SigKeyPool { params, pool: Mutex::new(Vec::new()) }
     }
 
-    /// Pre-generates `n` pairs.
-    pub fn prefill<R: RandomSource + ?Sized>(&self, n: usize, rng: &mut R) {
-        let mut fresh = Vec::with_capacity(n);
-        for _ in 0..n {
-            fresh.push(
-                generate_signing_pair(self.params.sig_scheme, self.params.sig_bits, rng)
-                    .expect("signature keygen"),
-            );
-        }
-        self.pool.lock().unwrap_or_else(|e| e.into_inner()).extend(fresh);
-    }
-
     /// Pre-generates `n` pairs across all available cores. Pair `i` comes
     /// from its own DRBG, derived from `seed` and `i`, and the pairs join
     /// the pool in index order, so its contents and order are the same
@@ -87,17 +75,6 @@ impl SigKeyPool {
         }
     }
 
-    /// Tops the pool up to at least `n` pairs. Rotation storms and bulk
-    /// re-keys re-sign rebuilt metadata in batches; topping up ahead of the
-    /// storm keeps keygen out of the measured phase without guessing how
-    /// much of a previous prefill is left.
-    pub fn ensure<R: RandomSource + ?Sized>(&self, n: usize, rng: &mut R) {
-        let have = self.len();
-        if have < n {
-            self.prefill(n - have, rng);
-        }
-    }
-
     /// Takes a pair, generating one on demand if the pool is dry.
     pub fn take<R: RandomSource + ?Sized>(&self, rng: &mut R) -> (SigningKey, VerifyKey) {
         if let Some(pair) = self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop() {
@@ -124,33 +101,9 @@ mod tests {
     use sharoes_crypto::HmacDrbg;
 
     #[test]
-    fn prefill_and_take() {
-        let pool = SigKeyPool::new(CryptoParams::test());
-        let mut rng = HmacDrbg::from_seed_u64(1);
-        assert!(pool.is_empty());
-        pool.prefill(3, &mut rng);
-        assert_eq!(pool.len(), 3);
-        let (sk, vk) = pool.take(&mut rng);
-        assert_eq!(pool.len(), 2);
-        let sig = sk.sign(&mut rng, b"x");
-        vk.verify(b"x", &sig).unwrap();
-    }
-
-    #[test]
-    fn ensure_tops_up_to_target() {
-        let pool = SigKeyPool::new(CryptoParams::test());
-        let mut rng = HmacDrbg::from_seed_u64(2);
-        pool.ensure(2, &mut rng);
-        assert_eq!(pool.len(), 2);
-        pool.ensure(1, &mut rng);
-        assert_eq!(pool.len(), 2, "ensure never shrinks or over-fills");
-        pool.ensure(4, &mut rng);
-        assert_eq!(pool.len(), 4);
-    }
-
-    #[test]
     fn parallel_prefill_fills_pool() {
         let pool = SigKeyPool::new(CryptoParams::test());
+        assert!(pool.is_empty());
         pool.prefill_parallel(7, 42);
         assert_eq!(pool.len(), 7);
         // The last pair in is pair 6, derived from (seed, 6) alone.
@@ -160,6 +113,7 @@ mod tests {
             generate_signing_pair(params.sig_scheme, params.sig_bits, &mut rng).unwrap();
         let mut rng = HmacDrbg::from_seed_u64(3);
         let (sk, vk) = pool.take(&mut rng);
+        assert_eq!(pool.len(), 6);
         assert_eq!(sk.to_bytes(), last.to_bytes());
         let sig = sk.sign(&mut rng, b"parallel");
         vk.verify(b"parallel", &sig).unwrap();

@@ -1,6 +1,7 @@
 //! Span tracing: a `span!`-macro facade over a bounded ring-buffer event
-//! log, with `SHAROES_LOG`-style level/target filtering and a
-//! seeded-deterministic mode whose rendering is byte-stable across runs.
+//! log, with `SHAROES_LOG`-style level/target filtering. Events carry wall
+//! clock; [`crate::tree::render`] drops it when asked, which is what makes
+//! a seeded run's rendering byte-stable across runs.
 //!
 //! A span's *target* is the prefix of its name before the first `.`
 //! (`span!("ssp.get", ..)` has target `ssp`), which is what filter specs
@@ -158,7 +159,7 @@ impl Filter {
 pub enum EventKind {
     /// Span opened.
     Enter,
-    /// Span closed; carries the span's duration (0 in deterministic mode).
+    /// Span closed; carries the span's duration.
     Exit,
     /// A point event.
     Instant,
@@ -354,8 +355,7 @@ pub fn phase_add(phase: Phase, ns: u64) {
 pub struct TraceEvent {
     /// Monotonic sequence number (never reused, survives ring eviction).
     pub seq: u64,
-    /// Nanoseconds since the log's epoch — or the sequence number itself in
-    /// deterministic mode, so renderings are byte-stable under a seed.
+    /// Nanoseconds since the log's epoch.
     pub time_ns: u64,
     /// Span nesting depth at the time of the event (thread-local).
     pub depth: u16,
@@ -378,7 +378,6 @@ pub struct TraceEvent {
 
 struct LogInner {
     filter: Filter,
-    deterministic: bool,
     events: VecDeque<TraceEvent>,
     seq: u64,
     dropped: u64,
@@ -404,7 +403,6 @@ impl EventLog {
             any_enabled: AtomicBool::new(filter.enables_anything()),
             inner: Mutex::new(LogInner {
                 filter,
-                deterministic: false,
                 events: VecDeque::new(),
                 seq: 0,
                 dropped: 0,
@@ -418,12 +416,6 @@ impl EventLog {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         self.any_enabled.store(filter.enables_anything(), Ordering::Relaxed);
         inner.filter = filter;
-    }
-
-    /// In deterministic mode timestamps are sequence numbers and span
-    /// durations render as 0, so a seeded run's rendering is byte-stable.
-    pub fn set_deterministic(&self, on: bool) {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).deterministic = on;
     }
 
     /// Resizes the ring, evicting oldest events (counted as dropped) if
@@ -459,14 +451,13 @@ impl EventLog {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let seq = inner.seq;
         inner.seq += 1;
-        let time_ns = if inner.deterministic { seq } else { now_ns };
         if inner.events.len() == inner.cap {
             inner.events.pop_front();
             inner.dropped += 1;
         }
         inner.events.push_back(TraceEvent {
             seq,
-            time_ns,
+            time_ns: now_ns,
             depth,
             level,
             name,
@@ -634,13 +625,12 @@ impl Drop for SpanGuard {
         let frame = STACK.with(|s| s.borrow_mut().pop());
         let log = crate::tracer();
         let elapsed = active.start.elapsed().as_nanos() as u64;
-        let deterministic = log.inner.lock().unwrap_or_else(|e| e.into_inner()).deterministic;
         let mut fields = String::new();
         let mut stack_empty = true;
         if let Some(frame) = frame {
-            // Phase attribution: op counts are workload-pure and always
-            // render; nanoseconds are wall clock and are elided in
-            // deterministic mode (same rule as the metrics export).
+            // Phase attribution: op counts are workload-pure; nanoseconds
+            // are wall clock, which `tree::render` drops on request (same
+            // rule as the metrics export).
             for phase in [Phase::Crypto, Phase::Net, Phase::Storage, Phase::Lock] {
                 let i = phase.idx();
                 if frame.phase_ops[i] == 0 {
@@ -649,10 +639,13 @@ impl Drop for SpanGuard {
                 if !fields.is_empty() {
                     fields.push(' ');
                 }
-                let _ = write!(fields, "{}_ops={}", phase.label(), frame.phase_ops[i]);
-                if !deterministic {
-                    let _ = write!(fields, " {}_ns={}", phase.label(), frame.phase_ns[i]);
-                }
+                let _ = write!(
+                    fields,
+                    "{label}_ops={} {label}_ns={}",
+                    frame.phase_ops[i],
+                    frame.phase_ns[i],
+                    label = phase.label()
+                );
             }
             // Roll this frame's phase costs up into the parent, so a root
             // span's exit carries the whole request's attribution.
@@ -669,12 +662,10 @@ impl Drop for SpanGuard {
                 }
             });
         }
-        if !deterministic {
-            if !fields.is_empty() {
-                fields.push(' ');
-            }
-            let _ = write!(fields, "elapsed_ns={elapsed}");
+        if !fields.is_empty() {
+            fields.push(' ');
         }
+        let _ = write!(fields, "elapsed_ns={elapsed}");
         log.record(Level::Debug, active.name, fields, EventKind::Exit, active.ctx);
         if stack_empty && active.ctx.is_traced() {
             maybe_capture_slow(log, active.ctx.trace_id, active.name, elapsed);

@@ -22,7 +22,7 @@ use crate::trace::{EventKind, Level, TraceEvent};
 pub struct OwnedEvent {
     /// Per-process monotonic sequence number.
     pub seq: u64,
-    /// Timestamp (sequence number in deterministic mode).
+    /// Timestamp: nanoseconds since the recording log's epoch.
     pub time_ns: u64,
     /// Thread-local nesting depth when recorded.
     pub depth: u16,
