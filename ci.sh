@@ -3,7 +3,8 @@
 # warnings, offline release build, a release run of every example (each
 # must exit zero), offline tests, pinned-seed chaos runs, the cluster's
 # union-index equivalence and reconcile agreement (Get, GetMany and
-# rebalance pick one winner) properties,
+# rebalance pick one winner) properties, the Merkle index's history
+# independence and interleaved-read properties,
 # the metrics- and trace-determinism gates, the enterprise scenario gate
 # (revocation/rotation oracles + registry determinism), the concurrency
 # gate (sharded-vs-single-lock byte equivalence, including a drive of many
@@ -168,12 +169,19 @@ step "authenticated-index gate at sixth pinned seed (verified scans + tamper ora
     env SHAROES_TEST_SEED=0x1DE15EED cargo test -q --offline --test index
 
 # The cluster's incrementally maintained union index against a from-scratch
-# rebuild after every verified read, through drop-out, rejoin, and the
-# Scan fallback, and the reconcile agreement property (Get, GetMany and
-# rebalance pick one winner however replicas diverge), at the same seed.
+# rebuild after every verified read, through drop-out, rejoin, high churn
+# and the Scan fallback, and the reconcile agreement property (Get, GetMany
+# and rebalance pick one winner however replicas diverge), at the same seed.
 step "union-index equivalence + reconcile agreement at sixth pinned seed" \
     env SHAROES_TEST_SEED=0x1DE15EED \
     cargo test -q --offline -p sharoes-cluster --test union_equivalence --test cluster_ops
+
+# The Merkle index's own properties at the same seed: history independence
+# (any mutation order settles to the from-scratch tree) and interleaved
+# reads (every root, proof and node read in between matches a rebuild).
+step "index history independence + interleaved reads at sixth pinned seed" \
+    env SHAROES_TEST_SEED=0x1DE15EED \
+    cargo test -q --offline -p sharoes-index --test prop_index
 
 # Same independent check for the index gate's registry and trace exports.
 diff_pair "index determinism: diff exported registry deltas" \

@@ -9,8 +9,12 @@
 //! goes through each node's authenticated index (`Root` compare plus the
 //! level-order subtree-diff descent against the node's last verified
 //! tree, one batched `IndexNode` request per level, see `sync.rs`) rather
-//! than streaming every key through paged `Scan`s — a settled cluster
-//! costs one RPC per node per round, a moved node at most 1 + height.
+//! than streaming every key through paged `Scan`s: discovery costs one
+//! `Root` per node when nothing moved, and at most 1 + height requests for
+//! a node that did. A pass then surveys every key with one `Get` per
+//! holder, settled cluster or not, so it costs O(keys × R) round trips
+//! (60 keys at R = 2 over 3 nodes: 3 `Root`s and 120 `Get`s on a pass
+//! that changes nothing), plus one `Put` or `Delete` per replica it fixes.
 //! Both remain client-driven — nodes never talk to each other, keeping the
 //! SSP as dumb (and as untrusted) as the paper requires.
 
@@ -129,7 +133,7 @@ impl ClusterTransport {
         let holders = self.holders_map(page);
         for (key, holding) in holders {
             report.keys += 1;
-            let targets: Vec<usize> = self.replicas(&key).collect();
+            let targets = self.replicas(&key);
             // Reconcile the value across current holders before propagating
             // it. Targets come first, in ring order, so a divergence among
             // them resolves as a read of the key would.
@@ -183,7 +187,7 @@ impl ClusterTransport {
         let holders = self.holders_map(page);
         for (key, holding) in holders {
             report.keys += 1;
-            let targets: Vec<usize> = self.replicas(&key).collect();
+            let targets = self.replicas(&key);
             let responses = self.survey(&key, &targets);
             let present: Vec<&Vec<u8>> = responses.iter().filter_map(|(_, v)| v.as_ref()).collect();
             let missing = targets.len() - present.len();

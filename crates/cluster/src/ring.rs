@@ -108,39 +108,48 @@ impl HashRing {
         u64::from_be_bytes(digest[..8].try_into().expect("8-byte prefix"))
     }
 
-    /// The key's position on the circle.
+    /// The key's position on the circle, hashed from a stack buffer.
     pub fn key_point(&self, key: &ObjectKey) -> u64 {
-        let mut buf = Vec::with_capacity(KEY_DOMAIN.len() + 8 + 32);
-        buf.extend_from_slice(KEY_DOMAIN);
-        buf.extend_from_slice(&self.seed.to_be_bytes());
-        key.write(&mut buf);
+        let mut buf = [0u8; KEY_DOMAIN.len() + 8 + ObjectKey::WIRE_LEN];
+        let (domain, rest) = buf.split_at_mut(KEY_DOMAIN.len());
+        domain.copy_from_slice(KEY_DOMAIN);
+        rest[..8].copy_from_slice(&self.seed.to_be_bytes());
+        rest[8..].copy_from_slice(&key.to_wire_bytes());
         let digest = Sha256::digest(&buf);
         u64::from_be_bytes(digest[..8].try_into().expect("8-byte prefix"))
     }
 
-    /// The first `r` distinct nodes clockwise of the key's point, in
-    /// preference order. Fewer than `r` are returned when the ring is
-    /// smaller than `r`.
-    pub fn replicas(&self, key: &ObjectKey, r: usize) -> Vec<&str> {
+    /// Appends to `out` the first `r` distinct nodes clockwise of the key's
+    /// point, in preference order, as indices into [`Self::nodes`]. Fewer
+    /// than `r` are appended when the ring is smaller than `r`. The one
+    /// placement walk: it allocates nothing beyond what `out` needs.
+    pub fn place(&self, key: &ObjectKey, r: usize, out: &mut Vec<usize>) {
         let want = r.min(self.nodes.len());
-        let mut out: Vec<&str> = Vec::with_capacity(want);
         if want == 0 {
-            return out;
+            return;
         }
+        let start = out.len();
         let point = self.key_point(key);
-        let start = self.points.partition_point(|(p, _)| *p < point);
-        let mut seen = vec![false; self.nodes.len()];
-        for i in 0..self.points.len() {
-            let (_, idx) = self.points[(start + i) % self.points.len()];
-            if !seen[idx as usize] {
-                seen[idx as usize] = true;
-                out.push(self.nodes[idx as usize].as_str());
-                if out.len() == want {
+        let first = self.points.partition_point(|(p, _)| *p < point);
+        let (after, before) = self.points.split_at(first);
+        for &(_, idx) in before.iter().chain(after) {
+            // `r` is a replication factor, so this scan stays short.
+            if !out[start..].contains(&(idx as usize)) {
+                out.push(idx as usize);
+                if out.len() - start == want {
                     break;
                 }
             }
         }
-        out
+    }
+
+    /// The first `r` distinct nodes clockwise of the key's point, in
+    /// preference order, by name: [`Self::place`], named. Fewer than `r`
+    /// are returned when the ring is smaller than `r`.
+    pub fn replicas(&self, key: &ObjectKey, r: usize) -> Vec<&str> {
+        let mut idx = Vec::with_capacity(r.min(self.nodes.len()));
+        self.place(key, r, &mut idx);
+        idx.into_iter().map(|i| self.nodes[i].as_str()).collect()
     }
 }
 
@@ -255,6 +264,67 @@ mod tests {
                 assert_ne!(after[0], "beta");
             }
         }
+    }
+
+    /// Placement as it was first written, by name: every vnode point
+    /// sorted, the key hashed from a heap buffer, then a walk clockwise that
+    /// collects distinct names.
+    fn placement_by_name(ring: &HashRing, key: &ObjectKey, r: usize) -> Vec<String> {
+        let mut points: Vec<(u64, &str)> = Vec::new();
+        for name in ring.nodes() {
+            for v in 0..ring.vnodes() {
+                points.push((ring.vnode_point(name, v as u64), name));
+            }
+        }
+        points.sort_unstable();
+        let mut buf = KEY_DOMAIN.to_vec();
+        buf.extend_from_slice(&ring.seed().to_be_bytes());
+        key.write(&mut buf);
+        let point = u64::from_be_bytes(Sha256::digest(&buf)[..8].try_into().unwrap());
+        let start = points.partition_point(|(p, _)| *p < point);
+        let mut out: Vec<String> = Vec::new();
+        for i in 0..points.len() {
+            let name = points[(start + i) % points.len()].1;
+            if out.len() < r && !out.iter().any(|n| n == name) {
+                out.push(name.to_string());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn placement_walk_matches_the_name_based_placement() {
+        let mut state = 0x5EED_0F41_A6C3_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut placed = 0;
+        for round in 0..40 {
+            let mut ring = HashRing::new(next(), 1 + (next() % 24) as usize);
+            // A random node set, grown and shrunk in a random order.
+            for _ in 0..next() % 9 {
+                ring.add_node(&format!("node-{}", next() % 12));
+            }
+            for _ in 0..next() % 3 {
+                ring.remove_node(&format!("node-{}", next() % 12));
+            }
+            let mut out = vec![usize::MAX]; // `place` appends after what is there
+            for _ in 0..50 {
+                let key = ObjectKey::data(next(), [(next() % 251) as u8; 16], (next() % 5) as u32);
+                let r = 1 + (next() % 5) as usize;
+                let want = placement_by_name(&ring, &key, r);
+                assert_eq!(ring.replicas(&key, r), want, "round {round}, r {r}");
+                out.truncate(1);
+                ring.place(&key, r, &mut out);
+                let named: Vec<&str> = out[1..].iter().map(|i| ring.nodes()[*i].as_str()).collect();
+                assert_eq!(named, want, "round {round}, r {r}");
+                placed += want.len();
+            }
+        }
+        assert!(placed > 0);
     }
 
     #[test]

@@ -18,23 +18,43 @@
 //! node hash twice, which no honest tree does: the walk counts each hash
 //! once, so a replica can add keys to the union but never remove another's.
 //!
-//! The memo maps a hash to its decoded node and holds exactly the nodes
-//! reachable from the latest verified per-node roots: a node enters when
-//! some node's tree gains it and leaves when the last tree referencing it
-//! drops it. A settled cluster costs one `Root` RPC per node per round; a
-//! moved root costs at most 1 + height requests, and fetches O(Δ · height)
-//! nodes for Δ changed leaves.
+//! The memo maps a hash to the node's checked encoding ([`EncodedNode`]:
+//! the bytes as fetched, re-digested and structurally checked once, then
+//! read in place) and holds exactly the nodes reachable from the latest
+//! verified per-node roots: a node enters when some node's tree gains it
+//! and leaves when the last tree referencing it drops it. A settled cluster
+//! costs one `Root` RPC per node per round; a moved root costs at most
+//! 1 + height requests, and fetches O(Δ · height) nodes for Δ changed
+//! leaves.
 //!
 //! The union index is a per-key count of the nodes listing the key, plus
 //! one [`MerkleIndex`] that gains a key when its count leaves zero and
 //! loses it when its count returns to zero. A moved root applies only the
-//! keys of the leaves that entered or left that node's tree.
+//! keys of the leaves that entered or left that node's tree, found by one
+//! merge of the two sides' encoded key runs (`KeyDelta::between`).
+//!
+//! What one verified page costs on perfbench `cluster_rpc` (3 nodes, R = 2,
+//! ~20k keys, ~1,000 key changes per node between pages, so most leaves
+//! change), in ms, medians of 6 alternating runs of a phase-timed build on
+//! a 2-vCPU VM (DESIGN.md §13.4 has the rows in full):
+//!
+//! | phase                                   | before | after |
+//! |-----------------------------------------|-------:|------:|
+//! | `Root` ×3: each node settles its tree    |   3.53 |  2.32 |
+//! | `IndexNode` calls: serve + codec         |   1.73 |  1.23 |
+//! | re-digest + check fetched nodes          |   2.30 |  1.04 |
+//! | walk: add, drop old tree, duplicate check|   2.31 |  1.10 |
+//! | commit + net key delta                   |   0.93 |  0.63 |
+//! | union counting                           |   2.12 |  1.35 |
+//! | union settle + proof                     |   1.73 |  1.14 |
+//! | **total**                                |  14.65 |  8.79 |
 
 use crate::transport::ClusterTransport;
 use sharoes_crypto::Sha256;
-use sharoes_index::{decode_node, empty_root, IndexNode, MerkleIndex, MAX_PROOF_DEPTH};
+use sharoes_index::{empty_root, EncodedNode, KeyMap, MerkleIndex, MAX_PROOF_DEPTH};
 use sharoes_net::{NetError, ObjectKey, Request, Response, MAX_INDEX_BATCH};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 /// Page size for the `Scan` fallback when a node's index is unusable.
@@ -59,9 +79,12 @@ fn sync_metrics() -> &'static SyncMetrics {
 
 /// A verified index node and the number of per-node trees that reach it.
 struct MemoNode {
-    node: IndexNode,
+    node: EncodedNode,
     trees: u32,
 }
+
+/// The memo: every node some per-node tree reaches, by hash.
+type Memo = KeyMap<[u8; 32], MemoNode>;
 
 /// The last index tree verified from one node.
 #[derive(Default)]
@@ -72,7 +95,7 @@ struct TreeView {
     count: u64,
     /// How many times each node hash is referenced inside this tree (the
     /// root counts once). Every hash here is also in the memo.
-    refs: HashMap<[u8; 32], u32>,
+    refs: KeyMap<[u8; 32], u32>,
 }
 
 /// What one node currently contributes to the union.
@@ -100,11 +123,11 @@ struct NodeSync {
 /// node's last verified tree, and the union index.
 #[derive(Default)]
 pub(crate) struct IndexSync {
-    memo: HashMap<[u8; 32], MemoNode>,
+    memo: Memo,
     /// By node slot.
     nodes: Vec<NodeSync>,
     /// Key → number of contributions listing it; absent means zero.
-    key_refs: HashMap<ObjectKey, u32>,
+    key_refs: KeyMap<ObjectKey, u32>,
     union: MerkleIndex,
 }
 
@@ -115,57 +138,133 @@ struct KeyDelta {
     removed: Vec<ObjectKey>,
 }
 
+/// Bytes of one encoded key. A leaf's keys are a run of these back to
+/// back, and byte order of two encodings is the keys' order.
+const KEY_LEN: usize = ObjectKey::WIRE_LEN;
+
+/// An encoded key as two big-endian words that order as its bytes do
+/// (bytes 13..16 sit in both, which changes nothing): two integer compares
+/// instead of a `memcmp`.
+fn key_words(key: &[u8]) -> (u128, u128) {
+    let word = |at: usize| u128::from_be_bytes(key[at..at + 16].try_into().expect("16 bytes"));
+    (word(0), word(KEY_LEN - 16))
+}
+
+/// Bytes of the whole keys two runs both open with, compared a word at a
+/// time.
+fn shared_keys(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let word = |run: &[u8], at: usize| u64::from_ne_bytes(run[at..at + 8].try_into().expect("8"));
+    let mut same = 0;
+    while same + 8 <= n && word(a, same) == word(b, same) {
+        same += 8;
+    }
+    while same < n && a[same] == b[same] {
+        same += 1;
+    }
+    same - same % KEY_LEN
+}
+
 impl KeyDelta {
-    /// Cancels every key that both left and entered (it only moved between
-    /// leaves), leaving the keys the tree really gained and lost.
-    fn net(mut self) -> KeyDelta {
-        // Tree order is key order for an honest node; sorting costs one
-        // pass then, and makes a hostile order harmless.
-        self.added.sort_unstable();
-        self.removed.sort_unstable();
-        let (mut a, mut r) = (0, 0);
+    /// The keys the `entered` leaves list and the `left` ones do not, and
+    /// the reverse: a key that only moved between leaves cancels. Each leaf
+    /// is read in place from the memo as a run of encoded keys, and only
+    /// the delta's keys are decoded. An honest tree's leaves come in key
+    /// order on both sides, so each side's runs join into one sorted run
+    /// and one merge finds the delta; a side whose leaves are out of order
+    /// (only a hostile tree's can be) is split into keys and sorted first.
+    fn between(memo: &Memo, entered: &[[u8; 32]], left: &[[u8; 32]]) -> KeyDelta {
+        fn sorted(runs: Vec<&[u8]>) -> Vec<&[u8]> {
+            let mut keys: Vec<&[u8]> = runs.iter().flat_map(|r| r.chunks_exact(KEY_LEN)).collect();
+            keys.sort_unstable();
+            keys
+        }
+        let runs = |hashes: &[[u8; 32]]| -> Vec<&[u8]> {
+            hashes.iter().map(|h| memo[h].node.encoded_keys()).collect()
+        };
+        let (entered, left) = (runs(entered), runs(left));
+        let ordered = |runs: &[&[u8]]| {
+            let (first, last) =
+                (|r: &[u8]| key_words(r), |r: &[u8]| key_words(&r[r.len() - KEY_LEN..]));
+            runs.windows(2).all(|w| last(w[0]) < first(w[1]))
+        };
+        if ordered(&entered) && ordered(&left) {
+            Self::merge(entered, left)
+        } else {
+            Self::merge(sorted(entered), sorted(left))
+        }
+    }
+
+    /// The multiset difference, both ways, of two sorted sequences of key
+    /// runs, decoded. Keys both sides open with are skipped a word at a
+    /// time.
+    fn merge(added: Vec<&[u8]>, removed: Vec<&[u8]>) -> KeyDelta {
+        let decode = |k: &[u8]| {
+            ObjectKey::from_wire_bytes(k.try_into().expect("key-wide")).expect("checked node keys")
+        };
+        let (mut added, mut removed) = (added.into_iter(), removed.into_iter());
+        let (mut a, mut r): (&[u8], &[u8]) = (&[], &[]);
         let mut net = KeyDelta::default();
-        while a < self.added.len() && r < self.removed.len() {
-            match self.added[a].cmp(&self.removed[r]) {
-                std::cmp::Ordering::Less => {
-                    net.added.push(self.added[a]);
-                    a += 1;
+        loop {
+            if a.is_empty() {
+                let Some(run) = added.next() else { break };
+                a = run;
+            } else if r.is_empty() {
+                let Some(run) = removed.next() else { break };
+                r = run;
+            } else {
+                let same = shared_keys(a, r);
+                (a, r) = (&a[same..], &r[same..]);
+                if a.is_empty() || r.is_empty() {
+                    continue;
                 }
-                std::cmp::Ordering::Greater => {
-                    net.removed.push(self.removed[r]);
-                    r += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    a += 1;
-                    r += 1;
+                // The runs now open with different keys: the smaller leaves.
+                if key_words(a) < key_words(r) {
+                    net.added.push(decode(&a[..KEY_LEN]));
+                    a = &a[KEY_LEN..];
+                } else {
+                    net.removed.push(decode(&r[..KEY_LEN]));
+                    r = &r[KEY_LEN..];
                 }
             }
         }
-        net.added.extend_from_slice(&self.added[a..]);
-        net.removed.extend_from_slice(&self.removed[r..]);
+        let rest = |run: &[u8], runs: std::vec::IntoIter<&[u8]>| {
+            let runs = std::iter::once(run).chain(runs);
+            runs.flat_map(|run| run.chunks_exact(KEY_LEN)).map(decode).collect::<Vec<_>>()
+        };
+        net.added.extend(rest(a, added));
+        net.removed.extend(rest(r, removed));
         net
     }
 }
 
 /// Fetches index nodes by hash, one per hash in order, each verified
 /// against its hash.
-type FetchNodes<'a> = dyn FnMut(&[[u8; 32]]) -> Result<Vec<IndexNode>, NetError> + 'a;
+type FetchNodes<'a> = dyn FnMut(&[[u8; 32]]) -> Result<Vec<EncodedNode>, NetError> + 'a;
 
 /// One root move of one node's tree, applied in place and undone if the
 /// descent fails.
 struct Walk<'a> {
     /// The tree's reference counts, being moved to the new root.
-    refs: &'a mut HashMap<[u8; 32], u32>,
-    memo: &'a mut HashMap<[u8; 32], MemoNode>,
+    refs: &'a mut KeyMap<[u8; 32], u32>,
+    memo: &'a mut Memo,
     /// Every `refs` change as `(hash, count before)`, for [`Walk::undo`].
     log: Vec<([u8; 32], u32)>,
-    /// Hashes this walk fetched into the memo (no tree holds them yet).
+    /// Hashes this walk fetched into the memo (no other tree holds them).
     fetched: Vec<[u8; 32]>,
-    /// Hashes whose count left zero: new to the tree.
-    entered: Vec<[u8; 32]>,
+    /// Hashes new to the tree that the memo already held for another tree.
+    held: Vec<[u8; 32]>,
     /// Hashes whose count returned to zero: gone from the tree.
     left: Vec<[u8; 32]>,
-    delta: KeyDelta,
+    /// Hashes the new tree reached while they already had a reference:
+    /// kept from the old tree, or reached twice.
+    shared: Vec<[u8; 32]>,
+    /// The leaves that entered and left the tree, each side in tree order.
+    entered_leaves: Vec<[u8; 32]>,
+    left_leaves: Vec<[u8; 32]>,
+    /// Keys those leaves list: the tree's count moves by the difference.
+    keys_in: u64,
+    keys_out: u64,
 }
 
 impl Walk<'_> {
@@ -178,6 +277,7 @@ impl Walk<'_> {
     fn add(&mut self, root: [u8; 32], fetch: &mut FetchNodes<'_>) -> Result<(), NetError> {
         // `(hash, resolved)`: `resolved` is set below a memo hit.
         let mut level = vec![(root, false)];
+        let (mut new, mut missing) = (Vec::new(), Vec::new());
         for depth in 0.. {
             if level.is_empty() {
                 break;
@@ -185,52 +285,71 @@ impl Walk<'_> {
             if depth > MAX_PROOF_DEPTH {
                 return Err(NetError::Codec("index descent too deep"));
             }
-            let mut new = Vec::new();
-            for (hash, resolved) in level {
+            for (hash, resolved) in level.drain(..) {
                 let refs = self.refs.entry(hash).or_insert(0);
                 self.log.push((hash, *refs));
                 *refs += 1;
+                if *refs > 1 {
+                    self.shared.push(hash);
+                    if !resolved {
+                        sync_metrics().memo_hits.inc();
+                    }
+                    continue;
+                }
                 let held = self.memo.contains_key(&hash);
-                if !resolved && (*refs > 1 || held) {
-                    sync_metrics().memo_hits.inc();
+                if held {
+                    self.held.push(hash);
+                    if !resolved {
+                        sync_metrics().memo_hits.inc();
+                    }
+                } else {
+                    missing.push(hash);
                 }
-                if *refs == 1 {
-                    self.entered.push(hash);
-                    new.push((hash, resolved || held));
-                }
+                new.push((hash, resolved || held, held));
             }
-            let missing: Vec<[u8; 32]> =
-                new.iter().map(|(h, _)| *h).filter(|h| !self.memo.contains_key(h)).collect();
-            if !missing.is_empty() {
-                let nodes = fetch(&missing)?;
-                for (hash, node) in missing.into_iter().zip(nodes) {
-                    self.memo.insert(hash, MemoNode { node, trees: 0 });
+            let mut nodes = if missing.is_empty() { Vec::new() } else { fetch(&missing)? };
+            missing.clear();
+            let mut nodes = nodes.drain(..);
+            for (hash, resolved, held) in new.drain(..) {
+                let node = if held {
+                    &self.memo[&hash].node
+                } else {
+                    // Only this tree holds a node it fetched (undo drops it).
+                    let node = nodes.next().expect("one node per missing hash");
                     self.fetched.push(hash);
+                    let entry = self.memo.entry(hash).insert_entry(MemoNode { node, trees: 1 });
+                    &entry.into_mut().node
+                };
+                if node.is_leaf() {
+                    self.entered_leaves.push(hash);
+                    self.keys_in += node.entry_count() as u64;
                 }
-            }
-            level = Vec::new();
-            for (hash, resolved) in new {
-                let kids = expand(&self.memo[&hash].node, &mut self.delta.added);
-                level.extend(kids.into_iter().map(|kid| (kid, resolved)));
+                level.extend(node.children().map(|kid| (kid, resolved)));
             }
         }
         Ok(())
     }
 
-    /// Drops one reference to `hash`, a node of the old tree; at zero its
-    /// leaf keys leave and its children lose a reference.
-    fn drop_ref(&mut self, hash: [u8; 32]) {
-        let Some(refs) = self.refs.get_mut(&hash).filter(|r| **r > 0) else { return };
-        self.log.push((hash, *refs));
-        *refs -= 1;
-        if *refs > 0 {
-            return;
-        }
-        self.left.push(hash);
-        if let Some(m) = self.memo.get(&hash) {
-            for kid in expand(&m.node, &mut self.delta.removed) {
-                self.drop_ref(kid);
+    /// Drops the old tree's reference to `root`, depth first: a node whose
+    /// count reaches zero leaves, and its children lose a reference.
+    fn drop_tree(&mut self, root: [u8; 32]) {
+        let mut stack = vec![root];
+        while let Some(hash) = stack.pop() {
+            let Entry::Occupied(mut refs) = self.refs.entry(hash) else { continue };
+            self.log.push((hash, *refs.get()));
+            if *refs.get() > 1 {
+                *refs.get_mut() -= 1;
+                continue;
             }
+            refs.remove();
+            self.left.push(hash);
+            let Some(m) = self.memo.get(&hash) else { continue };
+            if m.node.is_leaf() {
+                self.left_leaves.push(hash);
+                self.keys_out += m.node.entry_count() as u64;
+            }
+            // Reversed, so the first child comes off the stack first.
+            stack.extend(m.node.children().rev());
         }
     }
 
@@ -248,35 +367,25 @@ impl Walk<'_> {
         }
     }
 
-    /// Keeps the walk: hashes new to the tree gain a memo reference,
-    /// hashes gone from it lose one. Returns the key delta.
+    /// Keeps the walk: held hashes new to the tree gain a memo reference
+    /// (a fetched one entered with its one), hashes gone from it lose one.
+    /// Returns the key delta.
     fn commit(self) -> KeyDelta {
-        for hash in self.entered {
+        let delta = KeyDelta::between(self.memo, &self.entered_leaves, &self.left_leaves);
+        for hash in self.held {
             if let Some(m) = self.memo.get_mut(&hash) {
                 m.trees += 1;
             }
         }
         for hash in self.left {
-            self.refs.remove(&hash);
-            if let Some(m) = self.memo.get_mut(&hash) {
-                m.trees -= 1;
-                if m.trees == 0 {
-                    self.memo.remove(&hash);
+            if let Entry::Occupied(mut m) = self.memo.entry(hash) {
+                m.get_mut().trees -= 1;
+                if m.get().trees == 0 {
+                    m.remove();
                 }
             }
         }
-        self.delta.net()
-    }
-}
-
-/// Appends a leaf's keys to `keys`; returns an internal node's child hashes.
-fn expand(node: &IndexNode, keys: &mut Vec<ObjectKey>) -> Vec<[u8; 32]> {
-    match node {
-        IndexNode::Leaf(leaf) => {
-            keys.extend_from_slice(leaf);
-            Vec::new()
-        }
-        IndexNode::Internal(entries) => entries.iter().map(|(_, h)| *h).collect(),
+        delta
     }
 }
 
@@ -315,9 +424,13 @@ impl IndexSync {
             memo: &mut self.memo,
             log: Vec::new(),
             fetched: Vec::new(),
-            entered: Vec::new(),
+            held: Vec::new(),
             left: Vec::new(),
-            delta: KeyDelta::default(),
+            shared: Vec::new(),
+            entered_leaves: Vec::new(),
+            left_leaves: Vec::new(),
+            keys_in: 0,
+            keys_out: 0,
         };
         if let Some(root) = new_root {
             if let Err(e) = walk.add(root, fetch) {
@@ -326,19 +439,19 @@ impl IndexSync {
             }
         }
         if let Some(old_root) = tree.root {
-            walk.drop_ref(old_root);
+            walk.drop_tree(old_root);
         }
         // An honest tree reaches each node once: a node's keys are disjoint
         // from its siblings', so no two positions share a hash. A hash
         // referenced twice (twice in one node, or under two parents) would
         // count its keys once here; refuse the shape. The old tree held
-        // every count at one, so only hashes this walk touched can exceed it.
-        if walk.log.iter().any(|(hash, _)| walk.refs.get(hash).is_some_and(|r| *r > 1)) {
+        // every count at one and dropping only lowers counts, so only a hash
+        // the new tree reached while it already had a reference can exceed it.
+        if walk.shared.iter().any(|hash| walk.refs.get(hash).is_some_and(|r| *r > 1)) {
             walk.undo();
             return Err(NetError::Codec("index node reached twice"));
         }
-        let walked =
-            tree.count as i128 + walk.delta.added.len() as i128 - walk.delta.removed.len() as i128;
+        let walked = tree.count as i128 + walk.keys_in as i128 - walk.keys_out as i128;
         if walked != count as i128 {
             // A mutation between the Root fetch and the descent (or a node
             // misreporting its count): treat the walk as unusable.
@@ -363,9 +476,10 @@ impl IndexSync {
                 continue;
             }
             if let Some(m) = self.memo.get(&hash) {
-                let mut kids = expand(&m.node, &mut keys);
-                kids.reverse();
-                stack.extend(kids);
+                if m.node.is_leaf() {
+                    keys.extend(m.node.keys());
+                }
+                stack.extend(m.node.children().rev());
             }
         }
         keys
@@ -383,12 +497,12 @@ impl IndexSync {
 
     fn uncount_keys(&mut self, keys: &[ObjectKey]) {
         for k in keys {
-            if let Some(refs) = self.key_refs.get_mut(k) {
-                *refs -= 1;
-                if *refs == 0 {
-                    self.key_refs.remove(k);
-                    self.union.remove(k);
-                }
+            let Entry::Occupied(mut refs) = self.key_refs.entry(*k) else { continue };
+            if *refs.get() > 1 {
+                *refs.get_mut() -= 1;
+            } else {
+                refs.remove();
+                self.union.remove(k);
             }
         }
     }
@@ -453,10 +567,15 @@ impl ClusterTransport {
 
     /// Index nodes from node `idx`, one per hash in order, in one
     /// `IndexNode` request per [`MAX_INDEX_BATCH`] hashes. Each node is
-    /// re-digested against its slot's hash before it is decoded; a reply of
+    /// re-digested against its slot's hash, then checked in place; a reply of
     /// the wrong length, an empty slot or a node that does not hash to its
-    /// slot fails the fetch.
-    fn fetch_nodes(&mut self, idx: usize, hashes: &[[u8; 32]]) -> Result<Vec<IndexNode>, NetError> {
+    /// slot fails the fetch. A batch's nodes are hashed side by side, up to
+    /// its first empty slot.
+    fn fetch_nodes(
+        &mut self,
+        idx: usize,
+        hashes: &[[u8; 32]],
+    ) -> Result<Vec<EncodedNode>, NetError> {
         let mut out = Vec::with_capacity(hashes.len());
         for chunk in hashes.chunks(MAX_INDEX_BATCH) {
             let nodes = match self.node_call(idx, &Request::IndexNode { hashes: chunk.to_vec() })? {
@@ -466,13 +585,20 @@ impl ClusterTransport {
                 }
                 _ => return Err(NetError::Codec("unexpected index node response shape")),
             };
-            for (hash, bytes) in chunk.iter().zip(nodes) {
-                let bytes = bytes.ok_or(NetError::Codec("index node missing on replica"))?;
-                if Sha256::digest(&bytes) != *hash {
+            let present: Vec<&[u8]> = nodes.iter().map_while(|n| n.as_deref()).collect();
+            let digests = Sha256::digest_many(&present);
+            let digested = digests.len();
+            for ((hash, bytes), digest) in chunk.iter().zip(nodes).zip(digests) {
+                let bytes = bytes.expect("digested slots are present");
+                if digest != *hash {
                     return Err(NetError::Codec("index node bytes do not match their hash"));
                 }
                 sync_metrics().nodes_fetched.inc();
-                out.push(decode_node(&bytes).map_err(|_| NetError::Codec("malformed index node"))?);
+                let node = EncodedNode::new(bytes);
+                out.push(node.map_err(|_| NetError::Codec("malformed index node"))?);
+            }
+            if digested < chunk.len() {
+                return Err(NetError::Codec("index node missing on replica"));
             }
         }
         Ok(out)
@@ -581,7 +707,7 @@ impl ClusterTransport {
             return Ok(Response::Error(format!("index node batch over {MAX_INDEX_BATCH} hashes")));
         }
         let index = self.union_index()?;
-        Ok(Response::IndexNode { nodes: hashes.iter().map(|h| index.node_bytes(h)).collect() })
+        Ok(Response::IndexNode { nodes: index.nodes_bytes(hashes) })
     }
 
     /// `Request::ScanVerified` over the cluster: one page of the union
@@ -605,8 +731,10 @@ impl ClusterTransport {
 mod tests {
     use super::*;
     use crate::ClusterOpts;
+    use sharoes_index::{decode_node, encode_node, IndexNode};
     use sharoes_net::{CostMeter, InMemoryTransport, RequestHandler, Transport};
     use sharoes_ssp::{ObjectStore, SspServer};
+    use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
 
     /// Every node hash of `store`'s current index tree; returns the tree's
@@ -740,7 +868,8 @@ mod tests {
         let two_parents = add(IndexNode::Internal(vec![(k(1), left), (k(2), right)]));
         let chain_and_leaf = add(IndexNode::Internal(vec![(k(1), left), (k(2), leaf)]));
         let mut fetch = |hashes: &[[u8; 32]]| {
-            hashes.iter().map(|h| nodes.get(h).cloned().ok_or(NetError::Closed)).collect()
+            let node = |h| nodes.get(h).map(|n| EncodedNode::new(encode_node(n)).unwrap());
+            hashes.iter().map(|h| node(h).ok_or(NetError::Closed)).collect()
         };
         // (tree before, tree reaching `leaf` twice); every tree lists k(1).
         let moves = [

@@ -145,6 +145,8 @@ pub struct ClusterTransport {
     opts: ClusterOpts,
     ring: HashRing,
     nodes: Vec<Node>,
+    /// The slot in `nodes` of each ring node, by its index on the ring.
+    slots: Vec<usize>,
     meter: Arc<CostMeter>,
     stats: Arc<ClusterStats>,
     /// Every node's last verified index tree, the memo of decoded index
@@ -171,6 +173,7 @@ impl ClusterTransport {
             ring: HashRing::new(opts.seed, opts.vnodes),
             opts,
             nodes: Vec::new(),
+            slots: Vec::new(),
             meter,
             stats: Arc::new(ClusterStats::default()),
             sync: IndexSync::default(),
@@ -187,6 +190,7 @@ impl ClusterTransport {
         assert!(!self.nodes.iter().any(|n| n.name == name), "duplicate cluster node name: {name}");
         self.ring.add_node(name);
         self.nodes.push(Node { name: name.to_string(), transport, retired: false });
+        self.map_ring_slots();
     }
 
     /// Takes a node off the ring (crash response or planned decommission).
@@ -198,7 +202,17 @@ impl ClusterTransport {
             return false;
         };
         node.retired = true;
-        self.ring.remove_node(name)
+        let removed = self.ring.remove_node(name);
+        self.map_ring_slots();
+        removed
+    }
+
+    /// Re-derives `slots` after the ring's membership changed.
+    fn map_ring_slots(&mut self) {
+        let slot = |name: &String| self.nodes.iter().position(|n| n.name == *name);
+        let slots =
+            self.ring.nodes().iter().map(|name| slot(name).expect("a ring node has a slot"));
+        self.slots = slots.collect();
     }
 
     /// Names of nodes currently serving (on the ring).
@@ -242,10 +256,20 @@ impl ClusterTransport {
     }
 
     /// The nodes holding replicas of `key`, in ring preference order.
-    pub(crate) fn replicas(&self, key: &ObjectKey) -> impl Iterator<Item = usize> + '_ {
-        self.ring.replicas(key, self.opts.replication).into_iter().map(|name| {
-            self.nodes.iter().position(|n| n.name == name).expect("ring node has a transport slot")
-        })
+    pub(crate) fn replicas(&self, key: &ObjectKey) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.opts.replication);
+        self.place_key(key, &mut out);
+        out
+    }
+
+    /// Appends the slots of `key`'s replicas to `out`, in ring preference
+    /// order.
+    fn place_key(&self, key: &ObjectKey, out: &mut Vec<usize>) {
+        let start = out.len();
+        self.ring.place(key, self.opts.replication, out);
+        for idx in &mut out[start..] {
+            *idx = self.slots[*idx];
+        }
     }
 
     pub(crate) fn active_indices(&self) -> Vec<usize> {
@@ -292,7 +316,7 @@ impl ClusterTransport {
         place.r = 1;
         for key in keys {
             let start = place.rings.len();
-            place.rings.extend(self.replicas(key));
+            self.place_key(key, &mut place.rings);
             place.r = place.rings.len() - start;
             if place.r == 0 {
                 return Err(Self::no_nodes_err());
@@ -649,5 +673,43 @@ impl Transport for ClusterTransport {
 
     fn meter(&self) -> &Arc<CostMeter> {
         &self.meter
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A link that is never called.
+    struct Unused(Arc<CostMeter>);
+
+    impl Transport for Unused {
+        fn call(&mut self, _: &Request) -> Result<Response, NetError> {
+            Err(NetError::Closed)
+        }
+
+        fn meter(&self) -> &Arc<CostMeter> {
+            &self.0
+        }
+    }
+
+    #[test]
+    fn replica_slots_are_the_ring_placement_by_name() {
+        for replication in 1..=4 {
+            let mut cluster =
+                ClusterTransport::new(ClusterOpts { replication, ..ClusterOpts::default() });
+            for i in 0..6 {
+                cluster.add_node(&format!("n{i}"), Box::new(Unused(CostMeter::new_shared())));
+            }
+            // Retired slots stay, so slot and ring index part ways.
+            assert!(cluster.retire_node("n1") && cluster.retire_node("n4"));
+            for i in 0..300u64 {
+                let key = ObjectKey::data(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), [3; 16], 0);
+                let slots = cluster.replicas(&key);
+                let names: Vec<&str> =
+                    slots.iter().map(|s| cluster.nodes[*s].name.as_str()).collect();
+                assert_eq!(names, cluster.ring.replicas(&key, replication), "key {i}");
+            }
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! reachable nodes' key sets — through replicated writes, a second writer
 //! editing one node's store directly, a node whose link goes down for a few
 //! rounds and comes back (drop-out and rejoin), and a node whose index
-//! fetches fail while its scans still work (the `Scan` fallback). A
+//! fetches fail while its scans still work (the `Scan` fallback). Other
+//! rounds run in the high-churn regime of the verified-scan benchmark,
+//! where most leaves of every node change between two refreshes. A
 //! hostile replica serving trees that reach one node twice must never
 //! take an honest replica's keys out of the union, and one answering node
 //! batches with the wrong slots must be read through its `Scan` instead.
@@ -13,14 +15,16 @@
 //! sharoes-cluster --test union_equivalence`.
 
 use sharoes_cluster::{ClusterOpts, ClusterTransport};
-use sharoes_index::{encode_node, node_hash, verify_scan_page, IndexNode, MerkleIndex};
+use sharoes_index::{
+    decode_node, encode_node, node_hash, verify_scan_page, IndexNode, MerkleIndex,
+};
 use sharoes_net::{
     CostMeter, InMemoryTransport, NetError, ObjectKey, Request, RequestHandler, Response, Transport,
 };
 use sharoes_ssp::{ObjectStore, SspServer};
 use sharoes_testkit::prelude::*;
 use sharoes_testkit::rng::test_rng_for;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -205,6 +209,84 @@ fn union_index_matches_a_from_scratch_rebuild_every_round() {
     let counter = |name| sharoes_obs::global().snapshot().get(name);
     assert!(counter("cluster_index_scan_fallbacks_total") > 0, "no scan fallback exercised");
     assert!(counter("cluster_index_memo_hits_total") > 0, "no subtree reused");
+}
+
+/// Every leaf hash of `store`'s index tree.
+fn leaf_hashes(store: &ObjectStore) -> HashSet<[u8; 32]> {
+    let mut leaves = HashSet::new();
+    let mut level = vec![store.index_root().0];
+    while !level.is_empty() {
+        let mut next = Vec::new();
+        for (hash, bytes) in level.iter().zip(store.index_nodes(&level)) {
+            match decode_node(&bytes.expect("a current node")).unwrap() {
+                IndexNode::Leaf(_) => drop(leaves.insert(*hash)),
+                IndexNode::Internal(entries) => next.extend(entries.iter().map(|(_, h)| *h)),
+            }
+        }
+        level = next;
+    }
+    leaves
+}
+
+#[test]
+fn union_index_matches_a_from_scratch_rebuild_under_high_churn() {
+    // The verified-scan workload's regime: about 13k keys per node at
+    // R = 2 of 3, and between two refreshes about 1,000 key changes per
+    // node, which leave few of its leaves unchanged.
+    let mut rng = test_rng_for("union_equivalence_churn");
+    let mut w = world(2);
+    let key = |id: u64| ObjectKey::data(id.wrapping_mul(0x9E37_79B9_7F4A_7C15), [0; 16], 0);
+    let mut live: Vec<u64> = (0..20_000).collect();
+    for ids in live.chunks(500) {
+        let items = ids.iter().map(|id| (key(*id), vec![1u8; 8])).collect();
+        assert_eq!(w.cluster.call(&Request::PutMany { items }).unwrap(), Response::Ok);
+    }
+    let mut next_id = live.len() as u64;
+    for round in 0..4 {
+        let before: Vec<HashSet<[u8; 32]>> = w.stores.iter().map(|s| leaf_hashes(s)).collect();
+        let scans_before = w.scans.load(Ordering::Relaxed);
+        if round > 0 {
+            for _ in 0..750 {
+                let put = Request::Put { key: key(next_id), value: vec![2u8; 8] };
+                assert_eq!(w.cluster.call(&put).unwrap(), Response::Ok);
+                live.push(next_id);
+                next_id += 1;
+                let gone = live.swap_remove((rng.next_u64() % live.len() as u64) as usize);
+                assert_eq!(
+                    w.cluster.call(&Request::Delete { key: key(gone) }).unwrap(),
+                    Response::Ok
+                );
+            }
+        }
+        let mut want = oracle(&w);
+        let (root, count) = (want.root(), want.len());
+        assert_eq!(count, live.len() as u64);
+        let got = w.cluster.call(&Request::Root).unwrap();
+        assert_eq!(got, Response::Root { root, count }, "round {round}: union root");
+        let all = want.all_keys();
+        let after = Some(all[(rng.next_u64() % all.len() as u64) as usize]);
+        let Response::KeysProof { keys, done, root: got_root, proof } =
+            w.cluster.call(&Request::ScanVerified { after, limit: 64 }).unwrap()
+        else {
+            panic!("round {round}: unexpected scan response");
+        };
+        assert_eq!(got_root, root, "round {round}: union root behind the page");
+        verify_scan_page(&root, after.as_ref(), 64, &keys, done, &proof)
+            .unwrap_or_else(|e| panic!("round {round}: honest page rejected: {e}"));
+        assert_eq!((keys, done), want.scan_page(after.as_ref(), 64));
+        assert_eq!(w.scans.load(Ordering::Relaxed), scans_before, "round {round}: scan fallback");
+        if round > 0 {
+            for (idx, (store, old)) in w.stores.iter().zip(&before).enumerate() {
+                let now = leaf_hashes(store);
+                let kept = now.intersection(old).count();
+                assert!(
+                    kept * 2 < now.len(),
+                    "round {round}, node {idx}: {kept} of {} leaves unchanged",
+                    now.len()
+                );
+            }
+        }
+    }
 }
 
 /// The `(root, count)` a replica reports, or `None` while its link is down.

@@ -7,12 +7,12 @@
 //! hold the hardware path to. Both produce the same state.
 //!
 //! [`Sha256::digest_many`] hashes a batch of independent messages, such as
-//! the blocks of one file. Messages of equal length share their padding
-//! layout, so they are compressed side by side, picked in this order: 16 at
-//! a time on AVX-512 ([`compress_x16_accelerated`]), 4 at a time on
-//! interleaved SHA-NI streams ([`compress_x4_accelerated`]), then one at a
-//! time through [`Sha256::digest`]. Every kernel yields the digests
-//! [`Sha256::digest`] does.
+//! the blocks of one file. Messages that pad to the same number of blocks
+//! are compressed side by side, picked in this order: 16 at a time on
+//! AVX-512 ([`compress_x16_accelerated`]), 4 at a time on interleaved
+//! SHA-NI streams ([`compress_x4_accelerated`]), then one at a time through
+//! [`Sha256::digest`]. Every kernel yields the digests [`Sha256::digest`]
+//! does.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -81,13 +81,15 @@ impl Sha256 {
     }
 
     /// The digest of every message in `msgs`, in order; equal to mapping
-    /// [`Sha256::digest`] over them. Equal-length messages are hashed side
-    /// by side on the widest kernel the CPU has (see the module docs).
+    /// [`Sha256::digest`] over them. Messages that pad to the same number
+    /// of blocks are hashed side by side on the widest kernel the CPU has
+    /// (see the module docs).
     pub fn digest_many(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
         let mut out = vec![[0u8; 32]; msgs.len()];
         let mut order: Vec<usize> = (0..msgs.len()).collect();
-        order.sort_by_key(|&i| msgs[i].len());
-        for group in order.chunk_by(|&a, &b| msgs[a].len() == msgs[b].len()) {
+        let blocks = |i: usize| padded_blocks(msgs[i].len());
+        order.sort_by_key(|&i| blocks(i));
+        for group in order.chunk_by(|&a, &b| blocks(a) == blocks(b)) {
             let mut rest = group;
             while let Some((lanes, tail)) = rest.split_first_chunk::<16>() {
                 if !digest_lanes(msgs, lanes, &mut out, compress_x16_accelerated) {
@@ -138,28 +140,49 @@ fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
 /// [`compress_x4_accelerated`] or [`compress_x16_accelerated`].
 type LaneKernel<const N: usize> = fn(&mut [[u32; 8]; N], [&[u8]; N]) -> bool;
 
-/// Hashes the `N` equal-length messages `msgs[lanes[i]]` side by side with
-/// `kernel`, writing digest `i` to `out[lanes[i]]`. Returns `false`,
-/// leaving `out` untouched, when the CPU lacks the kernel.
+/// Blocks in a `len`-byte message once padded: the message, the `0x80`
+/// byte and the 8-byte length, rounded up to whole blocks.
+fn padded_blocks(len: usize) -> usize {
+    (len + 9).div_ceil(64)
+}
+
+/// Hashes the `N` messages `msgs[lanes[i]]`, which pad to the same number
+/// of blocks, side by side with `kernel`, writing digest `i` to
+/// `out[lanes[i]]`. Returns `false`, leaving `out` untouched, when the CPU
+/// lacks the kernel.
+///
+/// The lanes first compress the whole blocks they all have in place; the
+/// rest of each lane (a whole block over, if its length leaves one, and its
+/// tail), padded, then goes through a buffer of its own, the same length
+/// for every lane.
 fn digest_lanes<const N: usize>(
     msgs: &[&[u8]],
     lanes: &[usize; N],
     out: &mut [[u8; 32]],
     kernel: LaneKernel<N>,
 ) -> bool {
-    let len = msgs[lanes[0]].len();
-    let whole = len - len % 64;
+    let lens = lanes.map(|i| msgs[i].len());
+    let shared = lens.iter().map(|len| len / 64).min().expect("at least one lane") * 64;
     let mut states = [H0; N];
-    if !kernel(&mut states, lanes.map(|i| &msgs[i][..whole])) {
+    if !kernel(&mut states, lanes.map(|i| &msgs[i][..shared])) {
         return false;
     }
-    let tails = lanes.map(|i| pad_tail(&msgs[i][whole..], len as u64));
-    let tail_len = tails[0].1;
-    kernel(&mut states, std::array::from_fn(|l| &tails[l].0[..tail_len]));
+    // At most two blocks: one whole block over and a one-block tail, or a
+    // two-block tail.
+    let rest = padded_blocks(lens[0]) * 64 - shared;
+    let tails = std::array::from_fn::<_, N, _>(|l| {
+        let msg = msgs[lanes[l]];
+        let mut tail = [0u8; 128];
+        tail[..msg.len() - shared].copy_from_slice(&msg[shared..]);
+        tail[msg.len() - shared] = 0x80;
+        tail[rest - 8..rest].copy_from_slice(&(msg.len() as u64).wrapping_mul(8).to_be_bytes());
+        tail
+    });
+    kernel(&mut states, std::array::from_fn(|l| &tails[l][..rest]));
     for (&i, state) in lanes.iter().zip(&states) {
         out[i] = state_bytes(state);
     }
-    crate::work::count(|w| w.sha256_bytes += (N * len) as u64);
+    crate::work::count(|w| w.sha256_bytes += lens.iter().sum::<usize>() as u64);
     true
 }
 

@@ -275,6 +275,15 @@ fn digest_many_matches_digest_for_equal_and_mixed_lengths() {
             .map(|i| random_bytes(&mut rng, LENGTHS[(i * i + i / 3) % LENGTHS.len()]))
             .collect();
         check_digest_many(&msgs, &format!("{count} mixed"));
+        // Lengths at random, so most lanes share a padded block count but
+        // not a length.
+        let msgs: Vec<Vec<u8>> = (0..count)
+            .map(|_| {
+                let len = (rng.next_u64() % 700) as usize;
+                random_bytes(&mut rng, len)
+            })
+            .collect();
+        check_digest_many(&msgs, &format!("{count} random lengths"));
     }
 }
 

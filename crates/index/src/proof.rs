@@ -12,7 +12,7 @@
 //! the net layer carries proofs opaquely, keeping this crate out of the
 //! protocol's dependency cycle.
 
-use crate::{empty_root, node_hash, IndexNode};
+use crate::{digest_with, empty_root, encode_internal, encode_leaf};
 use sharoes_net::{Cursor, ObjectKey, WireRead, WireWrite};
 use std::sync::OnceLock;
 
@@ -178,6 +178,8 @@ struct Walk {
     /// key)` — the sibling bound is what proves the subtree ends before
     /// the cursor.
     omitted: Vec<(ObjectKey, Option<ObjectKey>)>,
+    /// Each node's encoding, rebuilt here to be hashed.
+    buf: Vec<u8>,
 }
 
 /// Recomputes `(first key, hash)` of a subtree, collecting revealed keys
@@ -196,7 +198,7 @@ fn walk(tree: &ProofTree, depth: usize, w: &mut Walk) -> Result<(ObjectKey, [u8;
                 return Err(ProofError::Unsorted);
             }
             w.revealed.extend_from_slice(keys);
-            Ok((keys[0], node_hash(&IndexNode::Leaf(keys.clone()))))
+            Ok((keys[0], digest_with(&mut w.buf, |b| encode_leaf(keys, b))))
         }
         ProofTree::Node(children) => {
             if children.is_empty() {
@@ -222,7 +224,10 @@ fn walk(tree: &ProofTree, depth: usize, w: &mut Walk) -> Result<(ObjectKey, [u8;
             for i in omitted_at {
                 w.omitted.push((entries[i].0, entries.get(i + 1).map(|e| e.0)));
             }
-            Ok((entries[0].0, node_hash(&IndexNode::Internal(entries))))
+            let hash = digest_with(&mut w.buf, |b| {
+                encode_internal(entries.iter().map(|(k, h)| (k, h)), b)
+            });
+            Ok((entries[0].0, hash))
         }
     }
 }

@@ -14,10 +14,13 @@
 //! at O(Δ · fanout · height) for Δ dirty leaves.
 
 use crate::proof::{encode_proof, ProofChild, ProofTree};
-use crate::{empty_root, encode_internal, encode_leaf, is_leaf_boundary, is_node_boundary};
-use sharoes_crypto::Sha256;
+use crate::{
+    boundary_preimage, digest_with, empty_root, encode_internal, encode_leaf, is_boundary_digest,
+    is_leaf_boundary, leaf_len, Batch, KeyMap,
+};
 use sharoes_net::ObjectKey;
-use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap};
+use std::collections::{btree_map, hash_map, BTreeMap, BTreeSet};
+use std::iter::Peekable;
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
 use std::sync::OnceLock;
@@ -47,6 +50,9 @@ type Level = BTreeMap<ObjectKey, [u8; 32]>;
 
 /// Where a node sits: `(level, first key)`.
 type NodePos = (usize, ObjectKey);
+
+/// A level entry that changed: its key, and its new hash (`None` once gone).
+type Change = (ObjectKey, Option<[u8; 32]>);
 
 /// One verified scan page: keys, completion flag, and the Merkle range
 /// proof tying them to `root`.
@@ -86,7 +92,7 @@ pub struct MerkleIndex {
     /// root. Current for every leaf not in `dirty`.
     levels: Vec<Level>,
     /// Every node's hash → its position in `levels`.
-    nodes: HashMap<[u8; 32], NodePos>,
+    nodes: KeyMap<[u8; 32], NodePos>,
     /// First keys of leaf runs added, removed, or edited since the last
     /// settle.
     dirty: BTreeSet<ObjectKey>,
@@ -140,10 +146,8 @@ impl MerkleIndex {
 
     /// Inserts a key; returns false if it was already present.
     pub fn insert(&mut self, key: ObjectKey) -> bool {
-        let covering = self.leaves.range(..=key).next_back().map(|(fk, _)| *fk);
-        match covering {
-            Some(fk) => {
-                let keys = self.leaves.get_mut(&fk).expect("covering leaf exists");
+        match self.leaves.range_mut(..=key).next_back() {
+            Some((&fk, keys)) => {
                 match keys.binary_search(&key) {
                     Ok(_) => return false,
                     Err(pos) => {
@@ -188,19 +192,23 @@ impl MerkleIndex {
 
     /// Removes a key; returns false if it was absent.
     pub fn remove(&mut self, key: &ObjectKey) -> bool {
-        let Some(fk) = self.leaves.range(..=*key).next_back().map(|(fk, _)| *fk) else {
+        let Some((&fk, keys)) = self.leaves.range_mut(..=*key).next_back() else {
             return false;
         };
-        let keys = self.leaves.get_mut(&fk).expect("covering leaf exists");
         let Ok(pos) = keys.binary_search(key) else {
             return false;
         };
         self.settled = false;
         self.count -= 1;
         keys.remove(pos);
+        if pos > 0 {
+            // The run keeps its first key: it only changed.
+            self.dirty.insert(fk);
+            return true;
+        }
         if keys.is_empty() {
             self.leaves.remove(&fk);
-        } else if pos == 0 {
+        } else {
             // The leaf lost its anchoring key: it survives on its own only
             // if the new first key is a natural boundary (or nothing
             // precedes it); otherwise it merges into its predecessor.
@@ -226,8 +234,8 @@ impl MerkleIndex {
     /// undo and is dropped from the dirty set, which so never outgrows the
     /// settled and current leaves, however long the tree goes unread.
     fn mark(&mut self, fk: ObjectKey) {
-        let settled = self.levels.first().is_some_and(|l| l.contains_key(&fk));
-        if settled || self.leaves.contains_key(&fk) {
+        let settled = || self.levels.first().is_some_and(|l| l.contains_key(&fk));
+        if self.leaves.contains_key(&fk) || settled() {
             self.dirty.insert(fk);
         } else {
             self.dirty.remove(&fk);
@@ -279,17 +287,46 @@ impl MerkleIndex {
     }
 
     /// The canonical encoding of the node with this hash, if it exists in
-    /// the current tree (serves the `IndexNode` wire op). Encoded on
-    /// request from the leaf run or the child range it names.
+    /// the current tree (serves the `IndexNode` wire op): one slot of
+    /// [`Self::nodes_bytes`].
     pub fn node_bytes(&mut self, hash: &[u8; 32]) -> Option<Vec<u8>> {
-        self.settle();
-        let &(level, fk) = self.nodes.get(hash)?;
-        Some(if level == 0 {
-            encode_leaf(&self.leaves[&fk])
-        } else {
+        self.nodes_bytes(std::slice::from_ref(hash)).pop().flatten()
+    }
+
+    /// The canonical encoding of each node named by `hashes`, `None` where
+    /// the current tree has no such node. Each is encoded on request from
+    /// the leaf run or the child range it names; the leaf runs are found in
+    /// one ascending pass, since a fetcher asks for a tree level at a time,
+    /// in key order.
+    pub fn nodes_bytes(&mut self, hashes: &[[u8; 32]]) -> Vec<Option<Vec<u8>>> {
+        let mut out = vec![None; hashes.len()];
+        // `(first key, slot)` of every leaf asked for.
+        let mut runs = Vec::new();
+        for (slot, hash) in hashes.iter().enumerate() {
+            self.settle();
+            let Some(&(level, fk)) = self.nodes.get(hash) else { continue };
+            if level == 0 {
+                runs.push((fk, slot));
+                continue;
+            }
             let end = self.levels[level].range((Excluded(fk), Unbounded)).next().map(|(k, _)| *k);
-            encode_internal(children(&self.levels[level - 1], fk, end))
-        })
+            let mut bytes = Vec::new();
+            encode_internal(children(&self.levels[level - 1], fk, end), &mut bytes);
+            out[slot] = Some(bytes);
+        }
+        runs.sort_unstable();
+        let firsts = runs.chunk_by(|a, b| a.0 == b.0).map(|same| same[0].0);
+        let found = lookup_sorted(&self.leaves, firsts);
+        // A hash asked for twice names one run twice.
+        for (same, (_, keys)) in runs.chunk_by(|a, b| a.0 == b.0).zip(found) {
+            let keys = keys.expect("a settled leaf hash names a current run");
+            for (_, slot) in same {
+                let mut bytes = Vec::new();
+                encode_leaf(keys, &mut bytes);
+                out[*slot] = Some(bytes);
+            }
+        }
+        out
     }
 
     /// A scan page plus the Merkle range proof tying it to the current
@@ -352,11 +389,19 @@ impl MerkleIndex {
         if self.levels.is_empty() {
             self.levels.push(Level::new());
         }
-        let mut touched = std::mem::take(&mut self.dirty);
-        for fk in &touched {
-            let hash = self.leaves.get(fk).map(|keys| Sha256::digest(&encode_leaf(keys)));
-            set_entry(&mut self.nodes, &mut self.levels[0], 0, *fk, hash);
+        // The dirty leaves' hashes, or `None` where a run is gone.
+        let runs: Vec<_> = lookup_sorted(&self.leaves, std::mem::take(&mut self.dirty)).collect();
+        let mut batch = Batch::default();
+        batch.bytes.reserve(runs.iter().flat_map(|(_, keys)| keys).map(|k| leaf_len(k)).sum());
+        for keys in runs.iter().flat_map(|(_, keys)| keys) {
+            batch.push(|b| encode_leaf(keys, b));
         }
+        let mut digests = batch.digests().into_iter();
+        let mut touched: Vec<Change> = runs
+            .into_iter()
+            .map(|(fk, keys)| (fk, keys.map(|_| digests.next().expect("one digest per run"))))
+            .collect();
+        set_entries(&mut self.nodes, &mut self.levels[0], 0, &touched);
         let mut level = 0;
         while !touched.is_empty() {
             let len = self.levels[level].len();
@@ -369,14 +414,14 @@ impl MerkleIndex {
                 // No natural level above yet: derive it from every entry.
                 self.truncate(level + 1);
                 self.levels.push(Level::new());
-                touched = self.levels[level].keys().copied().collect();
+                touched = self.levels[level].iter().map(|(k, h)| (*k, Some(*h))).collect();
             }
             touched = self.rechunk(level, &touched);
             if self.levels[level + 1].len() == len {
                 self.truncate(level + 1);
                 let below = &self.levels[level];
                 let first = *below.keys().next().expect("level has entries");
-                let hash = Sha256::digest(&encode_internal(below.iter()));
+                let hash = digest_with(&mut Vec::new(), |b| encode_internal(below.iter(), b));
                 let mut top = Level::new();
                 set_entry(&mut self.nodes, &mut top, level + 1, first, Some(hash));
                 self.levels.push(top);
@@ -388,9 +433,11 @@ impl MerkleIndex {
     }
 
     /// Re-chunks level `level + 1` after the level-`level` entries in
-    /// `touched` were added, removed, or re-hashed. Returns the level
-    /// `level + 1` entries that were added, removed, or changed hash.
-    fn rechunk(&mut self, level: usize, touched: &BTreeSet<ObjectKey>) -> BTreeSet<ObjectKey> {
+    /// `touched` (sorted by key, distinct) were added, removed (`None`), or
+    /// re-hashed. Returns the level `level + 1` entries that were added,
+    /// removed, or changed hash, the same way. Boundary digests and parent
+    /// hashes are each computed side by side ([`Batch`]).
+    fn rechunk(&mut self, level: usize, touched: &[Change]) -> Vec<Change> {
         let (lower, upper) = self.levels.split_at_mut(level + 1);
         let (below, above) = (&lower[level], &mut upper[0]);
         let nodes = &mut self.nodes;
@@ -399,39 +446,62 @@ impl MerkleIndex {
         // changes both the old and the new one must be re-drawn.
         let old_first = above.keys().next().copied().filter(|f| *f != first);
         let redraw = old_first.into_iter().chain(old_first.map(|_| first));
-        let mut parents = BTreeSet::new();
-        let mut changed = BTreeSet::new();
-        for t in touched.iter().copied().chain(redraw) {
-            let starts = below.get(&t).is_some_and(|h| t == first || is_node_boundary(h));
-            if starts != above.contains_key(&t) {
-                if starts {
-                    above.insert(t, [0; 32]);
-                    parents.insert(t);
-                } else {
-                    set_entry(nodes, above, level + 1, t, None);
-                }
-                changed.insert(t);
-                // The preceding node gained or lost this run of children.
-                if let Some((p, _)) = above.range(..t).next_back() {
-                    parents.insert(*p);
-                }
-            }
-            if let Some((p, _)) = above.range(..=t).next_back() {
-                parents.insert(*p);
-            }
+        let redraw = redraw.map(|t| (t, below.get(&t).copied()));
+        let entries: Vec<Change> = touched.iter().copied().chain(redraw).collect();
+        let mut bounds = Batch::default();
+        for hash in entries.iter().filter_map(|(_, hash)| hash.as_ref()) {
+            bounds.push(|b| b.extend_from_slice(&boundary_preimage(hash)));
         }
-        for p in parents {
-            if !above.contains_key(&p) {
-                continue; // this start was dropped after being marked
+        let mut bounds = bounds.digests().into_iter().map(|d| is_boundary_digest(&d));
+        let mut parents = Vec::new();
+        let mut changed = Vec::new();
+        // Pushes a parent unless it was the last one pushed (entries come
+        // in key order, so most share the previous entry's parent).
+        let push = |parents: &mut Vec<ObjectKey>, p: Option<ObjectKey>| {
+            if p.is_some() && parents.last() != p.as_ref() {
+                parents.extend(p);
             }
-            let end = above.range((Excluded(p), Unbounded)).next().map(|(k, _)| *k);
-            let hash = Sha256::digest(&encode_internal(children(below, p, end)));
+        };
+        let before = |above: &Level, t: &ObjectKey, inclusive: bool| {
+            let upper = if inclusive { Included(*t) } else { Excluded(*t) };
+            above.range((Unbounded, upper)).next_back().map(|(p, _)| *p)
+        };
+        for (t, hash) in entries {
+            let starts =
+                hash.is_some() && bounds.next().expect("one digest per hash") | (t == first);
+            let covering = before(above, &t, true);
+            if starts == (covering == Some(t)) {
+                push(&mut parents, covering);
+                continue;
+            }
+            if starts {
+                above.insert(t, [0; 32]);
+            } else {
+                set_entry(nodes, above, level + 1, t, None);
+            }
+            changed.push(t);
+            // The preceding node gained or lost this run of children.
+            push(&mut parents, before(above, &t, false));
+            push(&mut parents, before(above, &t, true));
+        }
+        parents.sort_unstable();
+        parents.dedup();
+        // A start dropped after being marked has nothing to hash.
+        parents.retain(|p| above.contains_key(p));
+        let mut batch = Batch::default();
+        for p in &parents {
+            let end = above.range((Excluded(*p), Unbounded)).next().map(|(k, _)| *k);
+            batch.push(|b| encode_internal(children(below, *p, end), b));
+        }
+        for (p, hash) in parents.into_iter().zip(batch.digests()) {
             if above.get(&p) != Some(&hash) {
                 set_entry(nodes, above, level + 1, p, Some(hash));
-                changed.insert(p);
+                changed.push(p);
             }
         }
-        changed
+        changed.sort_unstable();
+        changed.dedup();
+        changed.into_iter().map(|k| (k, above.get(&k).copied())).collect()
     }
 
     /// Drops every level from `keep` up, with their hashes.
@@ -526,10 +596,39 @@ fn children(
     level.range((Included(from), upper))
 }
 
+/// Steps `run`, an ordered walk of a level or of the leaf runs, past its
+/// entries below `key`. Returns false, to seek afresh instead, when that
+/// would take more than a few steps: keys that lie close together then cost
+/// a step each, and keys far apart a search each.
+fn step_to<'a, V: 'a>(
+    run: &mut Peekable<impl Iterator<Item = (&'a ObjectKey, V)>>,
+    key: &ObjectKey,
+) -> bool {
+    const STEPS: usize = 8;
+    !(0..STEPS).all(|_| run.next_if(|(k, _)| *k < key).is_some())
+}
+
+/// Each of the ascending `keys` with its value in `map`, if any, found
+/// stepping forward ([`step_to`]).
+fn lookup_sorted<'a, V>(
+    map: &'a BTreeMap<ObjectKey, V>,
+    keys: impl IntoIterator<Item = ObjectKey>,
+) -> impl Iterator<Item = (ObjectKey, Option<&'a V>)> {
+    let mut at: Option<Peekable<btree_map::Range<'a, ObjectKey, V>>> = None;
+    keys.into_iter().map(move |key| {
+        if !at.as_mut().is_some_and(|run| step_to(run, &key)) {
+            at = Some(map.range(key..).peekable());
+        }
+        let run = at.as_mut().expect("positioned");
+        let value = run.next_if(|(k, _)| **k == key).map(|(_, v)| v);
+        (key, value)
+    })
+}
+
 /// Sets (`Some`) or removes (`None`) the entry `key` of `map`, the level
 /// `level`, keeping the hash → position map in step.
 fn set_entry(
-    nodes: &mut HashMap<[u8; 32], NodePos>,
+    nodes: &mut KeyMap<[u8; 32], NodePos>,
     map: &mut Level,
     level: usize,
     key: ObjectKey,
@@ -539,13 +638,56 @@ fn set_entry(
         Some(h) => map.insert(key, h),
         None => map.remove(&key),
     };
-    if let Some(old) = old {
-        if nodes.get(&old) == Some(&(level, key)) {
-            nodes.remove(&old);
+    repoint(nodes, (level, key), old, hash);
+}
+
+/// [`set_entry`] for each of the ascending `entries` (`touched` in
+/// [`MerkleIndex::settle`]). An entry `map` already holds is re-hashed in
+/// place, found stepping forward ([`step_to`]); one it gains or loses is
+/// inserted or removed afterwards.
+fn set_entries(
+    nodes: &mut KeyMap<[u8; 32], NodePos>,
+    map: &mut Level,
+    level: usize,
+    entries: &[Change],
+) {
+    let mut reshape = Vec::new();
+    let mut at: Option<Peekable<btree_map::RangeMut<'_, ObjectKey, [u8; 32]>>> = None;
+    for &(key, hash) in entries {
+        if !at.as_mut().is_some_and(|run| step_to(run, &key)) {
+            at = Some(map.range_mut(key..).peekable());
+        }
+        let run = at.as_mut().expect("positioned");
+        match (run.next_if(|(k, _)| **k == key), hash) {
+            (Some((_, slot)), Some(h)) => {
+                let old = std::mem::replace(slot, h);
+                repoint(nodes, (level, key), Some(old), hash);
+            }
+            _ => reshape.push((key, hash)),
         }
     }
-    if let Some(h) = hash {
-        nodes.insert(h, (level, key));
+    for (key, hash) in reshape {
+        set_entry(nodes, map, level, key, hash);
+    }
+}
+
+/// Moves the node at `pos` in the hash → position map from hash `old` to
+/// hash `new`.
+fn repoint(
+    nodes: &mut KeyMap<[u8; 32], NodePos>,
+    pos: NodePos,
+    old: Option<[u8; 32]>,
+    new: Option<[u8; 32]>,
+) {
+    if let Some(old) = old {
+        if let hash_map::Entry::Occupied(at) = nodes.entry(old) {
+            if *at.get() == pos {
+                at.remove();
+            }
+        }
+    }
+    if let Some(h) = new {
+        nodes.insert(h, pos);
     }
 }
 
@@ -553,6 +695,7 @@ fn set_entry(
 mod tests {
     use super::*;
     use crate::{decode_node, verify_scan_page, IndexNode};
+    use sharoes_crypto::Sha256;
     use sharoes_net::KeySpace;
     use std::collections::BTreeSet;
 

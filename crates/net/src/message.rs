@@ -97,23 +97,49 @@ impl ObjectKey {
     }
 }
 
+impl ObjectKey {
+    /// Bytes in a key's wire encoding: the keyspace tag, then the inode,
+    /// view and block, integers big-endian. Byte order of two encodings is
+    /// the keys' order.
+    pub const WIRE_LEN: usize = 29;
+
+    /// The key's wire encoding, built on the stack.
+    pub fn to_wire_bytes(&self) -> [u8; Self::WIRE_LEN] {
+        let mut out = [0u8; Self::WIRE_LEN];
+        out[0] = self.space.tag();
+        out[1..9].copy_from_slice(&self.inode.to_be_bytes());
+        out[9..25].copy_from_slice(&self.view);
+        out[25..].copy_from_slice(&self.block.to_be_bytes());
+        out
+    }
+
+    /// Decodes one key's wire encoding; fails only on an unknown keyspace
+    /// tag.
+    pub fn from_wire_bytes(bytes: &[u8; Self::WIRE_LEN]) -> Result<Self, NetError> {
+        let field = "fixed-width key field";
+        Ok(ObjectKey {
+            space: KeySpace::from_tag(bytes[0])?,
+            inode: u64::from_be_bytes(bytes[1..9].try_into().expect(field)),
+            view: bytes[9..25].try_into().expect(field),
+            block: u32::from_be_bytes(bytes[25..].try_into().expect(field)),
+        })
+    }
+}
+
 impl WireWrite for ObjectKey {
     fn write(&self, out: &mut Vec<u8>) {
-        self.space.tag().write(out);
-        self.inode.write(out);
-        self.view.write(out);
-        self.block.write(out);
+        out.extend_from_slice(&self.to_wire_bytes());
     }
 }
 
 impl WireRead for ObjectKey {
     fn read(r: &mut Cursor<'_>) -> Result<Self, NetError> {
-        Ok(ObjectKey {
-            space: KeySpace::from_tag(u8::read(r)?)?,
-            inode: u64::read(r)?,
-            view: <[u8; 16]>::read(r)?,
-            block: u32::read(r)?,
-        })
+        // The tag first, so a bad tag reads as such even in a short input.
+        let mut bytes = [0u8; Self::WIRE_LEN];
+        bytes[0] = u8::read(r)?;
+        KeySpace::from_tag(bytes[0])?;
+        bytes[1..].copy_from_slice(r.take(Self::WIRE_LEN - 1)?);
+        Self::from_wire_bytes(&bytes)
     }
 }
 
@@ -402,6 +428,9 @@ impl WireWrite for Response {
                 proof.write(out);
             }
             Response::IndexNode { nodes } => {
+                // A batch runs to hundreds of kilobytes: room for it at once.
+                let len: usize = nodes.iter().map(|n| 5 + n.as_ref().map_or(0, Vec::len)).sum();
+                out.reserve(5 + len);
                 12u8.write(out);
                 nodes.write(out);
             }
@@ -443,6 +472,25 @@ mod tests {
 
     fn roundtrip_resp(resp: Response) {
         assert_eq!(Response::from_wire(&resp.to_wire()).unwrap(), resp);
+    }
+
+    #[test]
+    fn key_encodings_are_fixed_width_and_sort_as_the_keys() {
+        let keys = [
+            ObjectKey::metadata(u64::MAX, [9; 16]),
+            ObjectKey::data(0, [0; 16], 7),
+            ObjectKey::data(1 << 40, [0; 16], 0),
+            ObjectKey::data(1 << 40, [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], 0),
+            ObjectKey::superblock([0xFF; 16]),
+            ObjectKey::group_key(3, [2; 16]),
+        ];
+        for a in &keys {
+            assert_eq!(a.to_wire_bytes().len(), ObjectKey::WIRE_LEN);
+            assert_eq!(ObjectKey::from_wire(&a.to_wire_bytes()).unwrap(), *a);
+            for b in &keys {
+                assert_eq!(a.to_wire_bytes().cmp(&b.to_wire_bytes()), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl<'a> Cursor<'a> {
         self.take(len)
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
         if self.remaining() < n {
             return Err(NetError::Codec("truncated input"));
         }

@@ -42,9 +42,9 @@ const SHARD_DOMAIN: &[u8] = b"sharoes-shard-key";
 /// Rust versions and processes (unlike `DefaultHasher`), so a shard
 /// assignment observed in one run — or one layer — holds everywhere.
 pub fn shard_of(key: &ObjectKey, n: usize) -> usize {
-    let mut buf = Vec::with_capacity(SHARD_DOMAIN.len() + 29);
-    buf.extend_from_slice(SHARD_DOMAIN);
-    key.write(&mut buf);
+    let mut buf = [0u8; SHARD_DOMAIN.len() + ObjectKey::WIRE_LEN];
+    buf[..SHARD_DOMAIN.len()].copy_from_slice(SHARD_DOMAIN);
+    buf[SHARD_DOMAIN.len()..].copy_from_slice(&key.to_wire_bytes());
     let digest = Sha256::digest(&buf);
     let mut h = [0u8; 8];
     h.copy_from_slice(&digest[..8]);
@@ -424,8 +424,7 @@ impl ObjectStore {
     /// `hashes`, `None` where this store does not have it, under one index
     /// lock (serves the `IndexNode` wire op).
     pub fn index_nodes(&self, hashes: &[[u8; 32]]) -> Vec<Option<Vec<u8>>> {
-        let mut index = self.index_write();
-        hashes.iter().map(|hash| index.node_bytes(hash)).collect()
+        self.index_write().nodes_bytes(hashes)
     }
 
     /// One scan page plus a Merkle range proof tying it to the current
